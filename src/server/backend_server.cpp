@@ -142,18 +142,18 @@ void BackendServer::start_service(QueuedRead read) {
                                  : storage_.size_of(read.request.key).value_or(1);
   const sim::Duration service_time = draw_service_time(size);
   const sim::Time done_at = now() + service_time;
-  const std::uint32_t write_size_plus1 =
-      read.request.is_write ? std::max(1u, read.request.write_size) + 1 : 0;
   sim().schedule_at(done_at, [this, request_id = read.request.request_id,
                               task_id = read.request.task_id, key = read.request.key,
-                              client = read.request.client, service_time, write_size_plus1] {
-    complete(request_id, task_id, key, client, service_time, write_size_plus1);
+                              client = read.request.client, service_time, size,
+                              is_write = read.request.is_write, version = storage_.version()] {
+    complete(request_id, task_id, key, client, service_time, size, is_write, version);
   });
 }
 
 void BackendServer::complete(store::RequestId request_id, store::TaskId task_id,
                              store::KeyId key, store::ClientId client,
-                             sim::Duration service_time, std::uint32_t write_size_plus1) {
+                             sim::Duration service_time, std::uint32_t size, bool is_write,
+                             std::uint64_t version) {
   --busy_cores_;
   ++stats_.served;
   stats_.busy_time += service_time;
@@ -170,17 +170,18 @@ void BackendServer::complete(store::RequestId request_id, store::TaskId task_id,
   response.key = key;
   response.client = client;
   response.server = config_.id;
-  if (write_size_plus1 != 0) {
+  if (is_write) {
     // The replica resizes its stored value at completion and sends a
     // bare acknowledgement (no payload travels back).
-    storage_.put_meta(key, write_size_plus1 - 1);
+    storage_.put_meta(key, size);
     response.is_write = true;
     response.value_size = 0;
   } else {
-    // Looked up at completion time (not captured at service start) so a
-    // write landing mid-service is reflected, as before the refactor;
-    // the dense size table makes the second lookup an O(1) array read.
-    response.value_size = storage_.size_of(key).value_or(1);
+    // The response reports the size stored at completion, so a write
+    // landing mid-service shows; the size read at service start is
+    // still current unless the store changed since.
+    response.value_size =
+        storage_.version() == version ? size : storage_.size_of(key).value_or(1);
   }
   response.feedback.queue_length = queue_length();
   response.feedback.service_rate = ewma_rate_;

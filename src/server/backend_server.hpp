@@ -163,11 +163,12 @@ class BackendServer : public sim::Actor {
   /// Completion takes only the response-relevant request fields — the
   /// scheduled closure stays small enough for the event queue's inline
   /// callback storage instead of copying the whole QueuedRead.
-  /// `write_size_plus1` is 0 for reads; size+1 for writes (the replica
-  /// installs the new size and acknowledges).
+  /// `size` is the size service started with: the stored size for a
+  /// read, read at storage `version`; the new size for a write, which
+  /// the replica installs before acknowledging.
   void complete(store::RequestId request_id, store::TaskId task_id, store::KeyId key,
-                store::ClientId client, sim::Duration service_time,
-                std::uint32_t write_size_plus1);
+                store::ClientId client, sim::Duration service_time, std::uint32_t size,
+                bool is_write, std::uint64_t version);
   void check_watch() {
     if (!queue_watch_) return;
     const bool over = queue_length() > watch_threshold_;

@@ -1,79 +1,62 @@
 #include "store/storage_engine.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <limits>
 #include <utility>
 
 namespace brb::store {
 
 // Invariant: every stored key lives in exactly one structure — the
-// dense size table (metadata-only, key < kDenseLimit) or the hash map
-// (payload entries, out-of-range keys, UINT32_MAX-sized values).
-
-std::optional<std::uint32_t> StorageEngine::sparse_size_of(KeyId key) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return std::nullopt;
-  return it->second.size_bytes;
-}
-
-std::optional<std::uint32_t> StorageEngine::remove_entry(KeyId key) {
-  if (key < dense_size_plus1_.size() && dense_size_plus1_[key] != 0) {
-    const std::uint32_t size = dense_size_plus1_[key] - 1;
-    dense_size_plus1_[key] = 0;
-    return size;
-  }
-  const auto it = values_.find(key);
-  if (it == values_.end()) return std::nullopt;
-  const std::uint32_t size = it->second.size_bytes;
-  values_.erase(it);
-  return size;
-}
+// dense size array or the open-addressed table — and stays there,
+// except that a dense key overwritten with UINT32_MAX (whose size+1
+// does not fit the array's encoding) moves to the table.
 
 void StorageEngine::put_meta(KeyId key, std::uint32_t size_bytes) {
-  if (const auto old = remove_entry(key)) {
-    stored_bytes_ -= *old;
-  } else {
-    ++num_keys_;
+  constexpr std::uint32_t kUnencodable = std::numeric_limits<std::uint32_t>::max();
+  ++version_;
+  if (key < dense_size_plus1_.size() && dense_size_plus1_[key] != 0) {
+    std::uint32_t& plus1 = dense_size_plus1_[key];
+    stored_bytes_ = stored_bytes_ - (plus1 - 1) + size_bytes;
+    if (size_bytes != kUnencodable) {
+      plus1 = size_bytes + 1;
+      return;
+    }
+    plus1 = 0;
+    table_insert(key, size_bytes);
+    return;
   }
+  if (table_keys_ != 0) {
+    Slot& slot = slots_[probe(key)];
+    if (slot.used != 0) {
+      stored_bytes_ = stored_bytes_ - slot.size + size_bytes;
+      slot.size = size_bytes;
+      return;
+    }
+  }
+  ++num_keys_;
   stored_bytes_ += size_bytes;
-  if (dense_eligible(key, size_bytes) &&
+  if (key < kDenseLimit && size_bytes != kUnencodable &&
       (key < dense_size_plus1_.size() ||
        key < kDenseGrowthAllowance + kDenseGrowthFactor * num_keys_)) {
     if (key >= dense_size_plus1_.size()) dense_size_plus1_.resize(key + 1, 0);
     dense_size_plus1_[key] = size_bytes + 1;
-  } else {
-    values_[key] = ValueMeta{size_bytes, std::string()};
-  }
-}
-
-void StorageEngine::put(KeyId key, std::string payload) {
-  const auto size_bytes = static_cast<std::uint32_t>(payload.size());
-  if (!store_payloads_) {
-    put_meta(key, size_bytes);
     return;
   }
-  if (const auto old = remove_entry(key)) {
-    stored_bytes_ -= *old;
-  } else {
-    ++num_keys_;
-  }
-  stored_bytes_ += size_bytes;
-  values_[key] = ValueMeta{size_bytes, std::move(payload)};
+  table_insert(key, size_bytes);
 }
 
-std::optional<ValueMeta> StorageEngine::get(KeyId key) const {
-  if (key < dense_size_plus1_.size() && dense_size_plus1_[key] != 0) {
-    return ValueMeta{dense_size_plus1_[key] - 1, std::string()};
+void StorageEngine::table_insert(KeyId key, std::uint32_t size_bytes) {
+  if ((table_keys_ + 1) * 4 > slots_.size() * 3) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max(kMinSlots, old.size() * 2), Slot{});
+    shift_ = 64 - std::countr_zero(slots_.size());
+    for (const Slot& slot : old) {
+      if (slot.used != 0) slots_[probe(slot.key)] = slot;
+    }
   }
-  const auto it = values_.find(key);
-  if (it == values_.end()) return std::nullopt;
-  return it->second;
-}
-
-bool StorageEngine::erase(KeyId key) {
-  const auto old = remove_entry(key);
-  if (!old) return false;
-  stored_bytes_ -= *old;
-  --num_keys_;
-  return true;
+  slots_[probe(key)] = Slot{key, size_bytes, 1};
+  ++table_keys_;
 }
 
 }  // namespace brb::store

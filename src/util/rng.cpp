@@ -83,7 +83,14 @@ ZipfDistribution::ZipfDistribution(double exponent, std::uint64_t num_elements)
   }
   h_x1_ = h(1.5) - 1.0;
   h_n_ = h(static_cast<double>(n_) + 0.5);
-  cut_ = 1.0 - h_inv(h(2.5) - std::pow(2.0, -s_));
+  // Squeeze (Hoermann & Derflinger): a candidate with
+  // k - x <= 2 - H^-1(H(2.5) - h(2)) passes the exact test too. At
+  // k = 2 (and at every k as the exponent nears 0) both tests flip at
+  // the same x, so the squeeze gives up a margin wider than the
+  // rounding error of x and of the exact test (about n * 2^-52 at the
+  // largest ranks): every draw returns what the exact test alone would.
+  const double margin = std::max(1e-9, 1e-15 * static_cast<double>(n_));
+  cut_ = 2.0 - h_inv(h(2.5) - std::pow(2.0, -s_)) - margin;
 }
 
 }  // namespace brb::util

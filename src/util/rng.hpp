@@ -225,15 +225,22 @@ class ZipfDistribution {
   std::uint64_t sample(Rng& rng) const {
     if (n_ == 1) return 1;
     for (;;) {
-      const double u = h_n_ + rng.uniform() * (h_x1_ - h_n_);
-      const double x = h_inv(u);
-      auto k = static_cast<std::uint64_t>(x + 0.5);
-      k = k < 1 ? 1 : (k > n_ ? n_ : k);
-      if (static_cast<double>(k) - x <= cut_) return k;
-      if (u >= h(static_cast<double>(k) + 0.5) - std::pow(static_cast<double>(k), -s_)) {
-        return k;
-      }
+      if (const std::uint64_t k = trial(rng.uniform())) return k;
     }
+  }
+
+  /// One rejection-inversion trial for a uniform draw `r` in [0, 1):
+  /// the accepted rank, or 0 when the candidate is rejected. Most
+  /// candidates pass the squeeze `k - x <= cut_`, which needs no `pow`;
+  /// the rest take the exact acceptance test.
+  std::uint64_t trial(double r) const {
+    const double u = h_n_ + r * (h_x1_ - h_n_);
+    const double x = h_inv(u);
+    auto k = static_cast<std::uint64_t>(x + 0.5);
+    k = k < 1 ? 1 : (k > n_ ? n_ : k);
+    if (static_cast<double>(k) - x <= cut_) return k;
+    if (u >= h(static_cast<double>(k) + 0.5) - std::pow(static_cast<double>(k), -s_)) return k;
+    return 0;
   }
 
   double exponent() const noexcept { return s_; }

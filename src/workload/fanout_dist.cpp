@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 namespace brb::workload {
 
@@ -17,42 +18,79 @@ GeometricFanout::GeometricFanout(double mean) : mean_(mean) {
   p_ = 1.0 / mean_;
 }
 
+namespace {
+
+constexpr int kPanels = 1 << 14;
+
+/// Midpoint of quadrature panel i over z in [-8, 8].
+double panel_z(int i) { return -8.0 + 16.0 * (static_cast<double>(i) + 0.5) / kPanels; }
+
+/// The mu-independent half of the quadrature: each panel's Gaussian
+/// weight, and their sum.
+struct GaussianWeights {
+  std::vector<double> w;
+  double sum = 0.0;
+};
+
+GaussianWeights gaussian_weights() {
+  GaussianWeights g;
+  g.w.resize(kPanels);
+  for (int i = 0; i < kPanels; ++i) {
+    const double z = panel_z(i);
+    g.w[i] = std::exp(-0.5 * z * z);
+    g.sum += g.w[i];
+  }
+  return g;
+}
+
+/// E[round/clamp(exp(N(mu, sigma)))] by quadrature over the standard
+/// normal. round(exp(t)) clamps to 1 for exp(t) < 1.5 and to cap for
+/// exp(t) >= cap - 0.5; a panel clear of those bounds in t by a margin
+/// far wider than exp's error takes its clamped value without the exp.
+double discretized_mean(const GaussianWeights& g, double mu, double sigma, std::uint32_t cap) {
+  constexpr double kMargin = 1e-9;
+  const double top = static_cast<double>(cap);
+  const double low_t = std::log(1.5) - kMargin;
+  const double high_t = std::log(top - 0.5) + kMargin;
+  double acc = 0.0;
+  for (int i = 0; i < kPanels; ++i) {
+    const double t = mu + sigma * panel_z(i);
+    double v = 1.0;
+    if (t > high_t) {
+      v = top;
+    } else if (t >= low_t) {
+      v = std::clamp(std::round(std::exp(t)), 1.0, top);
+    }
+    acc += g.w[i] * v;
+  }
+  return acc / g.sum;
+}
+
+}  // namespace
+
 LogNormalFanout::LogNormalFanout(double mu, double sigma, std::uint32_t cap)
     : mu_(mu), sigma_(sigma), cap_(cap) {
   if (sigma_ <= 0.0) throw std::invalid_argument("LogNormalFanout: sigma <= 0");
   if (cap_ == 0) throw std::invalid_argument("LogNormalFanout: cap == 0");
-  mean_ = discretized_mean(mu_, sigma_, cap_);
-}
-
-double LogNormalFanout::discretized_mean(double mu, double sigma, std::uint32_t cap) {
-  // E[round/clamp(exp(N))] by quadrature over the standard normal.
-  constexpr int kPanels = 1 << 14;
-  double acc = 0.0;
-  double weight = 0.0;
-  for (int i = 0; i < kPanels; ++i) {
-    // Gauss-like midpoint rule over z in [-8, 8].
-    const double z = -8.0 + 16.0 * (static_cast<double>(i) + 0.5) / kPanels;
-    const double w = std::exp(-0.5 * z * z);
-    double v = std::round(std::exp(mu + sigma * z));
-    v = std::clamp(v, 1.0, static_cast<double>(cap));
-    acc += w * v;
-    weight += w;
-  }
-  return acc / weight;
+  mean_ = discretized_mean(gaussian_weights(), mu_, sigma_, cap_);
 }
 
 LogNormalFanout LogNormalFanout::for_mean(double target_mean, double sigma, std::uint32_t cap) {
   if (target_mean < 1.0) throw std::invalid_argument("LogNormalFanout: target mean < 1");
-  // Bisection on mu; the discretized mean is monotone in mu.
+  // Bisection on mu; the discretized mean is monotone in mu. A step
+  // that leaves the bracket unchanged would repeat itself every
+  // remaining step, so stopping there returns what 80 steps would. It
+  // comes once lo and hi are adjacent doubles (mid rounds onto the end
+  // that already sits on its side of the target) or equal (a target
+  // the bracket cannot straddle, such as 1, moves only one end).
+  const GaussianWeights weights = gaussian_weights();
   double lo = -5.0;
   double hi = 15.0;
   for (int iter = 0; iter < 80; ++iter) {
     const double mid = 0.5 * (lo + hi);
-    if (discretized_mean(mid, sigma, cap) < target_mean) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
+    double& end = discretized_mean(weights, mid, sigma, cap) < target_mean ? lo : hi;
+    if (end == mid) break;
+    end = mid;
   }
   return LogNormalFanout(0.5 * (lo + hi), sigma, cap);
 }

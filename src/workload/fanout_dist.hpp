@@ -116,8 +116,6 @@ class LogNormalFanout final : public FanoutDistribution {
   double sigma() const noexcept { return sigma_; }
 
  private:
-  static double discretized_mean(double mu, double sigma, std::uint32_t cap);
-
   double mu_;
   double sigma_;
   std::uint32_t cap_;

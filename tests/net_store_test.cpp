@@ -2,8 +2,11 @@
 // (partitioners, storage engine).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "net/network.hpp"
@@ -249,29 +252,11 @@ TEST(StorageEngine, OverwriteAdjustsBytes) {
   EXPECT_EQ(engine.num_keys(), 1u);
 }
 
-TEST(StorageEngine, PayloadModeStoresBytes) {
-  store::StorageEngine engine(true);
-  engine.put(7, "hello world");
-  const auto value = engine.get(7);
-  ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(value->payload, "hello world");
-  EXPECT_EQ(value->size_bytes, 11u);
-}
-
-TEST(StorageEngine, MetadataModeDropsPayload) {
-  store::StorageEngine engine(false);
-  engine.put(7, "hello world");
-  const auto value = engine.get(7);
-  ASSERT_TRUE(value.has_value());
-  EXPECT_TRUE(value->payload.empty());
-  EXPECT_EQ(value->size_bytes, 11u);
-}
-
 TEST(StorageEngine, ScatteredKeysPastAllowanceStayCorrect) {
   // A server holding a sparse slice of a huge keyspace must not grow
   // the dense array out to the largest key: beyond the growth
-  // allowance, scattered keys land in the hash map, and every lookup
-  // still answers through the size_of fallthrough.
+  // allowance, scattered keys land in the open-addressed table, and
+  // every lookup still answers through the size_of fallthrough.
   store::StorageEngine engine;
   const store::KeyId stride = 50'000;  // far beyond allowance per key
   for (store::KeyId k = 0; k < 40; ++k) {
@@ -285,38 +270,135 @@ TEST(StorageEngine, ScatteredKeysPastAllowanceStayCorrect) {
   }
 }
 
-TEST(StorageEngine, AscendingDenseLoadThenOverwriteAndErase) {
+TEST(StorageEngine, AscendingDenseLoadThenOverwrite) {
   // The paper-scale shape: ascending key load stays dense-eligible the
-  // whole way, and overwrite/erase keep accounting consistent even for
-  // keys that crossed between the two structures.
+  // whole way, and overwrites keep accounting consistent even for a
+  // key that moves from the dense array to the table.
   store::StorageEngine engine;
   for (store::KeyId k = 0; k < 5000; ++k) engine.put_meta(k, 16);
   EXPECT_EQ(engine.num_keys(), 5000u);
   EXPECT_EQ(engine.stored_bytes(), 5000u * 16);
 
-  // Overwrite a dense key with a sparse-only size (UINT32_MAX forces
-  // the hash-map path), then back again.
+  // UINT32_MAX does not fit the dense array's size+1 encoding, so the
+  // key moves to the table; it is updated there from then on.
   const auto huge = std::numeric_limits<std::uint32_t>::max();
   engine.put_meta(42, huge);
   EXPECT_EQ(engine.size_of(42), huge);
+  EXPECT_EQ(engine.stored_bytes(), std::uint64_t{4999} * 16 + huge);
   engine.put_meta(42, 16);
   EXPECT_EQ(engine.size_of(42), 16u);
   EXPECT_EQ(engine.num_keys(), 5000u);
   EXPECT_EQ(engine.stored_bytes(), 5000u * 16);
-
-  EXPECT_TRUE(engine.erase(4999));
-  EXPECT_FALSE(engine.contains(4999));
-  EXPECT_EQ(engine.num_keys(), 4999u);
 }
 
-TEST(StorageEngine, EraseReleasesBytes) {
-  store::StorageEngine engine;
-  engine.put_meta(1, 100);
-  engine.put_meta(2, 50);
-  EXPECT_TRUE(engine.erase(1));
-  EXPECT_FALSE(engine.erase(1));
-  EXPECT_EQ(engine.stored_bytes(), 50u);
-  EXPECT_EQ(engine.num_keys(), 1u);
+TEST(StorageEngine, TableKeysSurviveEveryRehash) {
+  // Keys at or past kDenseLimit always take the table. After every
+  // insert each earlier key must still be found, across each doubling
+  // (16, 32, ... slots at 3/4 load), for random and for consecutive
+  // keys.
+  for (const bool consecutive : {false, true}) {
+    store::StorageEngine engine;
+    std::vector<store::KeyId> keys;
+    util::Rng rng(7);
+    for (std::uint32_t i = 0; i < 700; ++i) {
+      const store::KeyId key = store::StorageEngine::kDenseLimit +
+                               (consecutive ? store::KeyId{i} : rng.next_u64() >> 1);
+      engine.put_meta(key, i);
+      keys.push_back(key);
+      for (std::uint32_t j = 0; j <= i; ++j) {
+        ASSERT_EQ(engine.size_of(keys[j]), j) << "after insert " << i;
+      }
+    }
+    EXPECT_EQ(engine.num_keys(), 700u);
+    EXPECT_FALSE(engine.contains(store::StorageEngine::kDenseLimit - 1));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// StorageEngine differential fuzz vs a std::map reference
+
+/// size_of and contains agree with the reference for `key`.
+::testing::AssertionResult agrees(const store::StorageEngine& engine,
+                                  const std::map<store::KeyId, std::uint32_t>& ref,
+                                  store::KeyId key) {
+  const auto it = ref.find(key);
+  const std::optional<std::uint32_t> want =
+      it == ref.end() ? std::nullopt : std::optional<std::uint32_t>(it->second);
+  const std::optional<std::uint32_t> got = engine.size_of(key);
+  if (got == want && engine.contains(key) == want.has_value()) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "key " << key << ": size_of " << (got ? std::to_string(*got) : "absent")
+         << ", reference " << (want ? std::to_string(*want) : "absent");
+}
+
+TEST(StorageEngineFuzz, MatchesMapReference) {
+  // Keys come from every placement class: an ascending dense load,
+  // scatter inside and past the growth allowance, raw 64-bit keys, and
+  // overwrites of stored keys; sizes include 0 and UINT32_MAX (which
+  // moves a dense key to the table). Each put_meta must advance the
+  // version by exactly one and lookups must leave it alone.
+  constexpr std::uint32_t kHuge = std::numeric_limits<std::uint32_t>::max();
+  constexpr auto kDenseLimit = static_cast<std::int64_t>(store::StorageEngine::kDenseLimit);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    util::Rng rng(seed);
+    store::StorageEngine engine;
+    std::map<store::KeyId, std::uint32_t> ref;
+    std::vector<store::KeyId> stored;
+    std::uint64_t ref_bytes = 0;
+    store::KeyId ascending = 0;
+
+    for (int round = 0; round < 40'000; ++round) {
+      const double op = rng.uniform();
+      store::KeyId key = 0;
+      if (op < 0.25) {
+        key = ascending++;
+      } else if (op < 0.45) {
+        key = static_cast<store::KeyId>(rng.uniform_int(0, 8191));
+      } else if (op < 0.65) {
+        key = static_cast<store::KeyId>(rng.uniform_int(0, kDenseLimit - 1));
+      } else if (op < 0.80) {
+        key = rng.next_u64();
+      } else if (!stored.empty()) {
+        key = stored[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(stored.size()) - 1))];
+      }
+      const double pick = rng.uniform();
+      std::uint32_t size = 0;
+      if (pick < 0.05) {
+        size = kHuge;
+      } else if (pick < 0.07) {
+        size = kHuge - 1;
+      } else if (pick >= 0.10) {
+        size = static_cast<std::uint32_t>(rng.uniform_int(1, 1 << 20));
+      }
+
+      const std::uint64_t version = engine.version();
+      engine.put_meta(key, size);
+      ASSERT_EQ(engine.version(), version + 1) << "seed " << seed << " round " << round;
+      const auto [it, inserted] = ref.try_emplace(key, size);
+      if (inserted) {
+        stored.push_back(key);
+      } else {
+        ref_bytes -= it->second;
+        it->second = size;
+      }
+      ref_bytes += size;
+      ASSERT_EQ(engine.num_keys(), ref.size()) << "seed " << seed << " round " << round;
+      ASSERT_EQ(engine.stored_bytes(), ref_bytes) << "seed " << seed << " round " << round;
+
+      ASSERT_TRUE(agrees(engine, ref, key)) << "seed " << seed << " round " << round;
+      ASSERT_TRUE(agrees(engine, ref, rng.next_u64())) << "seed " << seed << " round " << round;
+      const auto near = static_cast<store::KeyId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(ascending) + 64));
+      ASSERT_TRUE(agrees(engine, ref, near)) << "seed " << seed << " round " << round;
+      ASSERT_EQ(engine.version(), version + 1) << "seed " << seed << " round " << round;
+    }
+    for (const auto& entry : ref) {
+      ASSERT_TRUE(agrees(engine, ref, entry.first)) << "seed " << seed;
+    }
+  }
 }
 
 }  // namespace

@@ -364,5 +364,108 @@ TEST_P(ZipfExponentSweep, HeadProbabilityMatchesAnalytic) {
 INSTANTIATE_TEST_SUITE_P(Exponents, ZipfExponentSweep,
                          ::testing::Values(0.5, 0.9, 1.0, 1.2, 2.0));
 
+// ---------------------------------------------------------------------------
+// The squeeze must not change a single draw.
+
+/// Reference copy of the sampler before its squeeze bound was fixed:
+/// `cut_` was 1 - H^-1(...), about -0.51 at s = 0.9, so the squeeze
+/// never fired and every candidate took the exact acceptance test.
+class ExactTestZipf {
+ public:
+  ExactTestZipf(double s, std::uint64_t n) : s_(s), n_(n) {
+    h_x1_ = h(1.5) - 1.0;
+    h_n_ = h(static_cast<double>(n_) + 0.5);
+    cut_ = 1.0 - h_inv(h(2.5) - std::pow(2.0, -s_));
+  }
+
+  std::uint64_t sample(Rng& rng) const {
+    if (n_ == 1) return 1;
+    for (;;) {
+      if (const std::uint64_t k = trial(rng.uniform())) return k;
+    }
+  }
+
+  std::uint64_t trial(double r) const {
+    const double u = h_n_ + r * (h_x1_ - h_n_);
+    const double x = h_inv(u);
+    auto k = static_cast<std::uint64_t>(x + 0.5);
+    k = k < 1 ? 1 : (k > n_ ? n_ : k);
+    if (static_cast<double>(k) - x <= cut_) return k;
+    if (u >= h(static_cast<double>(k) + 0.5) - std::pow(static_cast<double>(k), -s_)) return k;
+    return 0;
+  }
+
+  /// The uniform draw at which the exact test for rank k flips:
+  /// u = H(k + 1/2) - k^-s.
+  double boundary_uniform(std::uint64_t k) const {
+    const double u = h(static_cast<double>(k) + 0.5) - std::pow(static_cast<double>(k), -s_);
+    return (u - h_n_) / (h_x1_ - h_n_);
+  }
+
+ private:
+  double h(double x) const {
+    if (std::abs(s_ - 1.0) < 1e-12) return std::log(x);
+    return (std::pow(x, 1.0 - s_) - 1.0) / (1.0 - s_);
+  }
+  double h_inv(double x) const {
+    if (std::abs(s_ - 1.0) < 1e-12) return std::exp(x);
+    return std::pow(1.0 + x * (1.0 - s_), 1.0 / (1.0 - s_));
+  }
+
+  double s_;
+  std::uint64_t n_;
+  double h_x1_ = 0.0;
+  double h_n_ = 0.0;
+  double cut_ = 0.0;
+};
+
+// The registry's and the benches' exponents (0.5 .. 1.2), the log
+// branch (1.0), and the extremes.
+constexpr double kSqueezeExponents[] = {0.5, 0.9, 1.0, 1.1, 1.2, 0.01, 2.0, 5.0};
+
+class ZipfSqueeze : public ::testing::TestWithParam<double> {};
+
+TEST_P(ZipfSqueeze, MatchesExactTestDrawForDraw) {
+  // Just over 10^7 draws per exponent, spread over three key counts.
+  const double s = GetParam();
+  for (const std::uint64_t n : {10u, 1000u, 100'000u}) {
+    const ZipfDistribution zipf(s, n);
+    const ExactTestZipf exact(s, n);
+    Rng fast_rng(n);
+    Rng exact_rng(n);
+    for (int i = 0; i < 3'400'000; ++i) {
+      const std::uint64_t got = zipf.sample(fast_rng);
+      const std::uint64_t want = exact.sample(exact_rng);
+      ASSERT_EQ(got, want) << "s " << s << " n " << n << " draw " << i;
+    }
+    ASSERT_EQ(fast_rng.next_u64(), exact_rng.next_u64()) << "s " << s << " n " << n;
+  }
+}
+
+TEST_P(ZipfSqueeze, ExhaustiveAroundExactTestBoundaries) {
+  // Every uniform Rng::uniform can return (a multiple of 2^-53) within
+  // 2*10^5 steps of where the exact test flips for ranks 2, 3 and n.
+  // At rank 2 the unmargined squeeze bound coincides with that flip.
+  const double s = GetParam();
+  constexpr double kStep = 0x1.0p-53;
+  constexpr std::int64_t kWindow = 200'000;
+  for (const std::uint64_t n : {10u, 1000u, 100'000u}) {
+    const ZipfDistribution zipf(s, n);
+    const ExactTestZipf exact(s, n);
+    for (const std::uint64_t k : {std::uint64_t{2}, std::uint64_t{3}, n}) {
+      const auto center = static_cast<std::int64_t>(exact.boundary_uniform(k) / kStep);
+      const std::int64_t first = std::max<std::int64_t>(0, center - kWindow);
+      const std::int64_t last = std::min<std::int64_t>((std::int64_t{1} << 53) - 1, center + kWindow);
+      for (std::int64_t m = first; m <= last; ++m) {
+        const double r = static_cast<double>(m) * kStep;
+        ASSERT_EQ(zipf.trial(r), exact.trial(r)) << "s " << s << " n " << n << " k " << k
+                                                 << " step " << m - center;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Exponents, ZipfSqueeze, ::testing::ValuesIn(kSqueezeExponents));
+
 }  // namespace
 }  // namespace brb::util

@@ -288,6 +288,44 @@ TEST(BackendServer, MissingKeyServesMinimalValue) {
   EXPECT_EQ(f.responses[0].value_size, 1u);
 }
 
+TEST(BackendServer, WriteLandingMidServiceShowsInReadResponse) {
+  // A read of a 100 kB value is in service on one core when a write
+  // shrinks the value on the other. The write completes first, so the
+  // read's response must report the new size, while its service time
+  // still follows the size it started with.
+  sim::Simulator simulator;
+  SizeLinearServiceModel model(Duration::micros(1), 1.0);  // 1 us + 1 ns/byte
+  BackendServer::Config config;
+  config.cores = 2;
+  BackendServer server(simulator, config, model, util::Rng(6));
+  server.use_private_queue(make_discipline("fifo"));
+  server.storage().put_meta(7, 100'000);
+  std::vector<store::ReadResponse> responses;
+  server.set_response_handler(
+      [&responses](const store::ReadResponse& response) { responses.push_back(response); });
+
+  store::ReadRequest read;
+  read.request_id = 1;
+  read.key = 7;
+  store::ReadRequest write;
+  write.request_id = 2;
+  write.key = 7;
+  write.is_write = true;
+  write.write_size = 10;
+  simulator.schedule_at(Time::zero(), [&] { server.receive(read); });
+  simulator.schedule_at(Time::micros(10), [&] { server.receive(write); });
+  const std::uint64_t pooled = sim::SmallFn::pool_stats().pooled_constructs;
+  simulator.run();
+
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_TRUE(responses[0].is_write);
+  EXPECT_EQ(responses[1].request_id, 1u);
+  EXPECT_EQ(responses[1].value_size, 10u);
+  EXPECT_EQ(responses[1].feedback.service_time.count_nanos(), 101'000);
+  // The completion closures fit SmallFn's inline storage.
+  EXPECT_EQ(sim::SmallFn::pool_stats().pooled_constructs, pooled);
+}
+
 TEST(BackendServer, RejectsZeroCores) {
   sim::Simulator simulator;
   DeterministicServiceModel model(Duration::micros(1));

@@ -3,6 +3,7 @@
 // planning.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -145,6 +146,42 @@ TEST(LogNormalFanout, SkewMatchesIntuition) {
   std::sort(draws.begin(), draws.end());
   EXPECT_LE(draws[draws.size() / 2], 3u);
   EXPECT_GE(draws[static_cast<std::size_t>(draws.size() * 0.99)], 50u);
+}
+
+TEST(LogNormalFanout, ForMeanPinsCalibratedBits) {
+  // mu and mean() bit for bit as the plain 80-step bisection over the
+  // full quadrature returned them: the registry's specs, the factory
+  // default, and edges — target 1 and an unreachable target (only hi
+  // moves, to -5), a target at the cap (only lo moves, to 15), cap 1,
+  // a tiny sigma.
+  struct Pin {
+    double target;
+    double sigma;
+    std::uint32_t cap;
+    std::uint64_t mu_bits;
+    std::uint64_t mean_bits;
+  };
+  constexpr Pin kPins[] = {
+      {8.6, 2.0, 512, 0x3fca085798eb9a38ULL, 0x4021334240bb880cULL},
+      {8.6, 0.8, 1024, 0x3ffd4ea48cb70ce0ULL, 0x402133215b1ee76eULL},
+      {8.6, 1.0, 512, 0x3ffa68d15192feb6ULL, 0x4021333869729e5fULL},
+      {2.5, 1.0, 64, 0x3fd70acdd773a476ULL, 0x4004004cafc729ccULL},
+      {24, 1.5, 512, 0x4000c8204075823eULL, 0x40380001d2fda049ULL},
+      {8.6, 2.0, 64, 0x3fe59038e827b034ULL, 0x40213330d685693bULL},
+      {1.0, 0.8, 1024, 0xc014000000000000ULL, 0x3ff0000000007d44ULL},
+      {1.0, 2.0, 1, 0xc014000000000000ULL, 0x3ff0000000000000ULL},
+      {512, 2.0, 512, 0x402e000000000000ULL, 0x407ffffc50e429c0ULL},
+      {500, 0.5, 512, 0x401b563610a375aaULL, 0x407f3fff4d589540ULL},
+      {1.5, 0.05, 4, 0x3fd9f38a5325feb0ULL, 0x3ff7ffffffffffaeULL},
+      {3.0, 8.0, 100000, 0xc014000000000000ULL, 0x40a5510d50f82566ULL},
+  };
+  for (const Pin& pin : kPins) {
+    const auto f = LogNormalFanout::for_mean(pin.target, pin.sigma, pin.cap);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(f.mu()), pin.mu_bits)
+        << pin.target << ":" << pin.sigma << ":" << pin.cap << " mu " << f.mu();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(f.mean()), pin.mean_bits)
+        << pin.target << ":" << pin.sigma << ":" << pin.cap << " mean " << f.mean();
+  }
 }
 
 TEST(LogNormalFanout, RespectsCap) {
