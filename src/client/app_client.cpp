@@ -1,6 +1,7 @@
 #include "client/app_client.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace brb::client {
@@ -9,9 +10,11 @@ AppClient::AppClient(sim::Simulator& sim, Config config, const store::Partitione
                      const server::ServiceTimeModel& cost_model,
                      std::unique_ptr<ctrl::DispatchEndpoint> endpoint,
                      const policy::PriorityPolicy& priority_policy,
-                     std::unique_ptr<DispatchGate> gate, util::Rng rng)
+                     std::unique_ptr<DispatchGate> gate, util::Rng rng,
+                     ClientScratch& scratch)
     : Actor(sim),
       config_(config),
+      scratch_(&scratch),
       partitioner_(&partitioner),
       cost_model_(&cost_model),
       endpoint_(std::move(endpoint)),
@@ -23,10 +26,6 @@ AppClient::AppClient(sim::Simulator& sim, Config config, const store::Partitione
   if (config_.cost_noise_sigma < 0.0) {
     throw std::invalid_argument("AppClient: negative cost noise sigma");
   }
-  // Task ids are global (not per-client dense), so pending tasks stay
-  // in a hash map — but sized for short chains from the start.
-  pending_tasks_.max_load_factor(0.5f);
-  pending_tasks_.reserve(128);
   gate_->set_transmit([this](OutboundRequest& out) { transmit_now(out); });
   // Noise-free linear cost model: forecasts are a pure function of the
   // size hint, computed inline in forecast_cost (one multiply-add; no
@@ -73,11 +72,20 @@ void AppClient::submit(workload::TaskSpec task) {
   if (task.requests.empty()) {
     throw std::invalid_argument("AppClient::submit: task with no requests");
   }
+  ClientScratch& scratch = *scratch_;
+  if (scratch.in_use) {
+    throw std::logic_error("AppClient::submit: re-entered while the planning scratch is in use");
+  }
+  struct Release {
+    bool& in_use;
+    ~Release() { in_use = false; }
+  } release{scratch.in_use};
+  scratch.in_use = true;
   ++stats_.tasks_submitted;
   const store::TaskId task_id = task.id;  // spec is moved out below
 
   // 1. Plan: forecast costs and group requests by replica group.
-  policy::TaskPlan& plan = plan_scratch_;
+  policy::TaskPlan& plan = scratch.plan;
   plan.task_id = task.id;
   plan.arrival = now();
   plan.bottleneck_cost = sim::Duration::zero();
@@ -107,8 +115,8 @@ void AppClient::submit(workload::TaskSpec task) {
   const bool all_writes =
       std::all_of(plan.requests.begin(), plan.requests.end(),
                   [](const policy::PlannedRequest& planned) { return planned.is_write; });
-  request_plan_scratch_.clear();
-  request_plan_scratch_.resize(plan.requests.size());
+  scratch.request_plans.clear();
+  scratch.request_plans.resize(plan.requests.size());
   if (all_writes) {
     // Generated write tasks are all-or-nothing per task.
   } else if (config_.select_per_subtask && plan.requests.size() == 1) {
@@ -117,25 +125,25 @@ void AppClient::submit(workload::TaskSpec task) {
     const ctrl::DispatchPlan dispatch =
         endpoint_->plan(partitioner_->replicas_of(planned.group), planned.expected_cost);
     planned.server = dispatch.primary();
-    request_plan_scratch_.front() = dispatch;
+    scratch.request_plans.front() = dispatch;
   } else if (config_.select_per_subtask) {
-    group_cost_scratch_.clear();
+    scratch.group_costs.clear();
     for (const policy::PlannedRequest& planned : plan.requests) {
-      group_cost_scratch_.emplace_back(planned.group, planned.expected_cost.count_nanos());
+      scratch.group_costs.emplace_back(planned.group, planned.expected_cost.count_nanos());
     }
-    policy::collapse_group_costs(group_cost_scratch_);
-    chosen_scratch_.clear();
-    for (const auto& [group, cost] : group_cost_scratch_) {
-      chosen_scratch_.emplace_back(
+    policy::collapse_group_costs(scratch.group_costs);
+    scratch.chosen.clear();
+    for (const auto& [group, cost] : scratch.group_costs) {
+      scratch.chosen.emplace_back(
           group, endpoint_->plan(partitioner_->replicas_of(group), sim::Duration::nanos(cost)));
     }
     for (std::size_t i = 0; i < plan.requests.size(); ++i) {
       policy::PlannedRequest& planned = plan.requests[i];
       const auto it = std::lower_bound(
-          chosen_scratch_.begin(), chosen_scratch_.end(), planned.group,
+          scratch.chosen.begin(), scratch.chosen.end(), planned.group,
           [](const auto& entry, store::GroupId group) { return entry.first < group; });
       planned.server = it->second.primary();
-      request_plan_scratch_[i] = it->second;
+      scratch.request_plans[i] = it->second;
     }
   } else {
     for (std::size_t i = 0; i < plan.requests.size(); ++i) {
@@ -143,7 +151,7 @@ void AppClient::submit(workload::TaskSpec task) {
       const ctrl::DispatchPlan dispatch =
           endpoint_->plan(partitioner_->replicas_of(planned.group), planned.expected_cost);
       planned.server = dispatch.primary();
-      request_plan_scratch_[i] = dispatch;
+      scratch.request_plans[i] = dispatch;
     }
   }
 
@@ -170,7 +178,7 @@ void AppClient::submit(workload::TaskSpec task) {
   pending.spec = std::move(task);
   pending.remaining = wire_requests;
   pending.started = now();
-  pending_tasks_.emplace(task_id, std::move(pending));
+  pending_insert(task_id, std::move(pending));
 
   const auto dispatch = [&](const policy::PlannedRequest& planned, store::ServerId server) {
     OutboundRequest out;
@@ -199,11 +207,11 @@ void AppClient::submit(workload::TaskSpec task) {
       for (const store::ServerId replica : partitioner_->replicas_of(planned.group)) {
         dispatch(planned, replica);
       }
-    } else if (request_plan_scratch_[i].mode == ctrl::DispatchMode::kSingle) {
-      if (request_plan_scratch_[i].skipped_fresh) ++stats_.hedges_skipped_fresh;
+    } else if (scratch.request_plans[i].mode == ctrl::DispatchMode::kSingle) {
+      if (scratch.request_plans[i].skipped_fresh) ++stats_.hedges_skipped_fresh;
       dispatch(planned, planned.server);
     } else {
-      dispatch_plan(planned, request_plan_scratch_[i], task_id);
+      dispatch_plan(planned, scratch.request_plans[i], task_id);
     }
   }
 }
@@ -360,6 +368,53 @@ bool AppClient::admit_service(const store::ReadRequest& request) {
 }
 
 // ---------------------------------------------------------------------------
+// Pending-task table
+
+std::size_t AppClient::pending_probe(store::TaskId task_id) const noexcept {
+  const std::size_t mask = pending_slots_.size() - 1;
+  std::size_t i = pending_home(task_id);
+  while (pending_slots_[i].task.remaining != 0 && pending_slots_[i].task_id != task_id) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void AppClient::pending_insert(store::TaskId task_id, PendingTask task) {
+  if ((pending_count_ + 1) * 2 > pending_slots_.size()) {
+    std::vector<PendingSlot> old = std::move(pending_slots_);
+    pending_slots_ = std::vector<PendingSlot>(std::max<std::size_t>(4, old.size() * 2));
+    pending_shift_ = 64 - std::countr_zero(pending_slots_.size());
+    for (PendingSlot& slot : old) {
+      if (slot.task.remaining != 0) pending_slots_[pending_probe(slot.task_id)] = std::move(slot);
+    }
+  }
+  PendingSlot& slot = pending_slots_[pending_probe(task_id)];
+  if (slot.task.remaining != 0) {
+    throw std::logic_error("AppClient::submit: task id already in flight on this client");
+  }
+  slot.task_id = task_id;
+  slot.task = std::move(task);
+  ++pending_count_;
+}
+
+void AppClient::pending_erase(std::size_t slot) {
+  // Backward shift: pull back every later slot of the probe run whose
+  // home does not lie cyclically in (hole, slot].
+  const std::size_t mask = pending_slots_.size() - 1;
+  std::size_t hole = slot;
+  for (std::size_t next = (hole + 1) & mask; pending_slots_[next].task.remaining != 0;
+       next = (next + 1) & mask) {
+    const std::size_t home = pending_home(pending_slots_[next].task_id);
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      pending_slots_[hole] = std::move(pending_slots_[next]);
+      hole = next;
+    }
+  }
+  pending_slots_[hole] = PendingSlot{};
+  --pending_count_;
+}
+
+// ---------------------------------------------------------------------------
 // In-flight window table + wire path
 
 void AppClient::inflight_grow() {
@@ -385,7 +440,7 @@ void AppClient::inflight_grow() {
 }
 
 void AppClient::inflight_insert(std::uint64_t serial, const InflightRequest& data) {
-  if (inflight_table_.empty()) inflight_table_.resize(64);
+  if (inflight_table_.empty()) inflight_table_.resize(8);
   for (;;) {
     InflightSlot& slot = inflight_table_[serial & (inflight_table_.size() - 1)];
     if (slot.serial_plus1 == 0) {
@@ -478,23 +533,25 @@ void AppClient::on_response(const store::ReadResponse& response) {
     if (hooks_.on_request_complete) hooks_.on_request_complete(rtt);
   }
 
-  const auto task_it = pending_tasks_.find(response.task_id);
-  if (task_it == pending_tasks_.end()) {
+  const std::size_t task_slot = pending_slots_.empty() ? 0 : pending_probe(response.task_id);
+  if (pending_slots_.empty() || pending_slots_[task_slot].task.remaining == 0) {
     throw std::logic_error("AppClient::on_response: response for unknown task");
   }
-  PendingTask& task = task_it->second;
-  if (task.remaining == 0) throw std::logic_error("AppClient::on_response: task overcomplete");
+  PendingTask& task = pending_slots_[task_slot].task;
   if (--task.remaining == 0) {
     ++stats_.tasks_completed;
     const sim::Duration latency = now() - task.started;
-    if (hooks_.on_task_complete) hooks_.on_task_complete(task.spec, latency);
+    // Out of the table before the hook runs: the slot is reused (and
+    // may move) as soon as it is erased.
+    workload::TaskSpec spec = std::move(task.spec);
+    pending_erase(task_slot);
+    if (hooks_.on_task_complete) hooks_.on_task_complete(spec, latency);
     if (spec_pool_.size() < kSpecPoolMax) {
       // Hand the spent requests vector back to the submit(TaskView)
       // slab pool; its capacity is reused by the next task.
-      task.spec.requests.clear();
-      spec_pool_.push_back(std::move(task.spec.requests));
+      spec.requests.clear();
+      spec_pool_.push_back(std::move(spec.requests));
     }
-    pending_tasks_.erase(task_it);
   }
 }
 

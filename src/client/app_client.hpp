@@ -28,7 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "client/dispatch_gate.hpp"
@@ -72,6 +72,26 @@ struct ClientStats {
   std::uint64_t duplicates_served = 0;
 };
 
+/// Planning scratch for `AppClient::submit`, shared by every client of
+/// one run: each submit plans into it and is done with it before
+/// returning, so one set of buffers serves the whole fleet instead of
+/// every client keeping capacity for the largest fan-out it has seen.
+/// Sharing is safe because submit is never re-entered — network sends
+/// are scheduled events, not calls — and `in_use` turns a violation
+/// into an exception. Never share one scratch across threads: each run
+/// owns its own.
+struct ClientScratch {
+  policy::TaskPlan plan;
+  /// Sorted (group, summed cost) pairs for per-sub-task planning.
+  std::vector<std::pair<store::GroupId, std::int64_t>> group_costs;
+  std::vector<std::pair<store::GroupId, ctrl::DispatchPlan>> chosen;
+  /// Per-request plans (parallel to plan.requests) for the multi-copy
+  /// dispatch step; single-mode plans never touch it.
+  std::vector<ctrl::DispatchPlan> request_plans;
+  /// Set while a submit is using the scratch.
+  bool in_use = false;
+};
+
 class AppClient : public sim::Actor {
  public:
   struct Config {
@@ -90,11 +110,13 @@ class AppClient : public sim::Actor {
     std::function<void(sim::Duration latency)> on_request_complete;
   };
 
+  /// `scratch` must outlive the client; every client of a run shares
+  /// one (see ClientScratch).
   AppClient(sim::Simulator& sim, Config config, const store::Partitioner& partitioner,
             const server::ServiceTimeModel& cost_model,
             std::unique_ptr<ctrl::DispatchEndpoint> endpoint,
             const policy::PriorityPolicy& priority_policy, std::unique_ptr<DispatchGate> gate,
-            util::Rng rng);
+            util::Rng rng, ClientScratch& scratch);
 
   /// Transport hook: actually puts a request on the wire. Installed by
   /// the cluster wiring.
@@ -106,6 +128,9 @@ class AppClient : public sim::Actor {
   /// callers that are done with the spec (trace replay, tests) move it
   /// in, and the client moves it again into its pending-task record —
   /// the per-task requests vector is never copied on the hot path.
+  /// Throws std::logic_error when called from inside another submit
+  /// sharing this client's scratch (see ClientScratch), or with a task
+  /// id already in flight on this client.
   void submit(workload::TaskSpec task);
 
   /// Hot-path entry: a borrowed view into the generator's TaskBlock
@@ -156,6 +181,12 @@ class AppClient : public sim::Actor {
     std::uint32_t remaining = 0;
     sim::Time started;
   };
+  /// One slot of the pending-task table. A live task always awaits at
+  /// least one response, so `task.remaining == 0` marks an empty slot.
+  struct PendingSlot {
+    store::TaskId task_id = 0;
+    PendingTask task;
+  };
   /// One slot of the in-flight window table (serial_plus1 == 0: empty).
   struct InflightSlot {
     std::uint64_t serial_plus1 = 0;
@@ -205,6 +236,17 @@ class AppClient : public sim::Actor {
     return forecast_cost_slow(size_hint);
   }
   sim::Duration forecast_cost_slow(std::uint32_t size_hint);
+  /// Home slot of `task_id`: the top bits of a Fibonacci hash.
+  std::size_t pending_home(store::TaskId task_id) const noexcept {
+    return static_cast<std::size_t>((task_id * 0x9E3779B97F4A7C15ULL) >> pending_shift_);
+  }
+  /// Pending-task table slot holding `task_id`, or the empty slot that
+  /// ends its probe run. Requires a non-empty table.
+  std::size_t pending_probe(store::TaskId task_id) const noexcept;
+  void pending_insert(store::TaskId task_id, PendingTask task);
+  /// Empties `slot` by backward shift, so probing needs no tombstones.
+  void pending_erase(std::size_t slot);
+
   void inflight_insert(std::uint64_t serial, const InflightRequest& data);
   /// Doubles the window table until every live serial maps to a
   /// distinct slot again.
@@ -232,14 +274,8 @@ class AppClient : public sim::Actor {
   /// TaskView submit path (bounded; steady state allocates nothing).
   static constexpr std::size_t kSpecPoolMax = 64;
   std::vector<std::vector<workload::RequestSpec>> spec_pool_;
-  /// Planning scratch reused across submits — the per-task std::maps
-  /// this replaces dominated client-side allocation at paper scale.
-  policy::TaskPlan plan_scratch_;
-  std::vector<std::pair<store::GroupId, std::int64_t>> group_cost_scratch_;
-  std::vector<std::pair<store::GroupId, ctrl::DispatchPlan>> chosen_scratch_;
-  /// Per-request plans (parallel to plan_scratch_.requests) for the
-  /// multi-copy dispatch step; single-mode plans never touch it.
-  std::vector<ctrl::DispatchPlan> request_plan_scratch_;
+  /// Planning scratch shared with the rest of the run's fleet.
+  ClientScratch* scratch_;
   const store::Partitioner* partitioner_;
   const server::ServiceTimeModel* cost_model_;
   std::unique_ptr<ctrl::DispatchEndpoint> endpoint_;
@@ -261,9 +297,14 @@ class AppClient : public sim::Actor {
   std::vector<LogicalRequest> logicals_;
   std::uint32_t logical_free_head_ = kNoLogical;
   std::uint64_t logical_count_ = 0;
-  /// Lookup-only (find/emplace/erase by task id) — never iterated, so
-  /// hash order cannot reach completion order or artifacts.
-  std::unordered_map<store::TaskId, PendingTask> pending_tasks_;  // brblint:allow(BRB-D01): lookup-only, never iterated
+  /// Tasks awaiting responses, keyed by global task id (not dense per
+  /// client): a flat open-addressed table — power-of-two capacity,
+  /// Fibonacci hash, linear probing, at most 1/2 load. Allocated at
+  /// the first submit and iterated only to rehash, so its layout cannot
+  /// reach completion order or artifacts.
+  std::vector<PendingSlot> pending_slots_;
+  std::size_t pending_count_ = 0;
+  int pending_shift_ = 64;
   std::uint64_t next_request_serial_ = 0;
 };
 

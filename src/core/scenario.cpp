@@ -433,6 +433,8 @@ RunResult run_scenario(const ScenarioConfig& config) {
           : static_cast<double>(config.cluster.cores_per_server) *
                 config.cluster.service_rate_per_core;
 
+  // One planning scratch for the whole fleet (this run's thread only).
+  client::ClientScratch client_scratch;
   std::vector<std::unique_ptr<client::AppClient>> clients;
   clients.reserve(num_clients);
   for (std::uint32_t c = 0; c < num_clients; ++c) {
@@ -486,7 +488,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
 
     clients.push_back(std::make_unique<client::AppClient>(
         sim, client_config, partitioner, service_model, std::move(endpoint), *priority_policy,
-        std::move(gate), rng_clients[c]));
+        std::move(gate), rng_clients[c], client_scratch));
   }
 
   // Tail-cutting executor: loser copies are finalized at the server's

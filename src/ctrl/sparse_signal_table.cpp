@@ -1,5 +1,7 @@
 #include "ctrl/sparse_signal_table.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "util/ewma.hpp"
@@ -7,7 +9,7 @@
 namespace brb::ctrl {
 
 namespace {
-constexpr std::size_t kInitialSlots = 8;  // power of two
+constexpr std::size_t kInitialIndexSlots = 8;  // power of two
 constexpr std::uint64_t kHashMultiplier = 0x9E3779B97F4A7C15ULL;
 }  // namespace
 
@@ -16,22 +18,27 @@ SparseSignalTable::SparseSignalTable(double ewma_alpha, std::uint32_t entry_cap,
     : ewma_alpha_(ewma_alpha), entry_cap_(entry_cap), group_size_(group_size) {
   if (entry_cap_ == 0) throw std::invalid_argument("SparseSignalTable: entry cap must be > 0");
   if (group_size_ == 0) throw std::invalid_argument("SparseSignalTable: group size must be > 0");
-  slots_.resize(kInitialSlots);
 }
 
-std::size_t SparseSignalTable::slot_of(store::ServerId server) const {
-  // Multiply-shift on the dense id; table size is a power of two.
-  const std::uint64_t h = static_cast<std::uint64_t>(server) * kHashMultiplier;
-  return static_cast<std::size_t>(h >> 32) & (slots_.size() - 1);
+std::size_t SparseSignalTable::home(store::ServerId server) const noexcept {
+  // Multiply-shift on the dense id: the top bits of a Fibonacci hash.
+  return static_cast<std::size_t>((static_cast<std::uint64_t>(server) * kHashMultiplier) >>
+                                  shift_);
+}
+
+std::size_t SparseSignalTable::probe(store::ServerId server) const noexcept {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t slot = home(server);
+  while (index_[slot] != 0 && entries_[index_[slot] - 1].server != server) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
 }
 
 const SparseSignalTable::Entry* SparseSignalTable::find(store::ServerId server) const {
-  std::size_t slot = slot_of(server);
-  while (slots_[slot].occupied) {
-    if (slots_[slot].server == server) return &slots_[slot];
-    slot = (slot + 1) & (slots_.size() - 1);
-  }
-  return nullptr;
+  if (index_.empty()) return nullptr;
+  const std::uint32_t position_plus1 = index_[probe(server)];
+  return position_plus1 != 0 ? &entries_[position_plus1 - 1] : nullptr;
 }
 
 const SparseSignalTable::GroupAggregate* SparseSignalTable::group_of(
@@ -41,55 +48,57 @@ const SparseSignalTable::GroupAggregate* SparseSignalTable::group_of(
   return &groups_[group];
 }
 
-void SparseSignalTable::grow_table() {
-  std::vector<Entry> old;
-  old.swap(slots_);
-  slots_.resize(old.size() * 2);
-  for (const Entry& e : old) {
-    if (!e.occupied) continue;
-    std::size_t slot = slot_of(e.server);
-    while (slots_[slot].occupied) slot = (slot + 1) & (slots_.size() - 1);
-    slots_[slot] = e;
+void SparseSignalTable::grow_index() {
+  index_.assign(std::max(kInitialIndexSlots, index_.size() * 2), 0);
+  shift_ = 64 - std::countr_zero(index_.size());
+  for (std::size_t position = 0; position < entries_.size(); ++position) {
+    index_[probe(entries_[position].server)] = static_cast<std::uint32_t>(position + 1);
   }
 }
 
-void SparseSignalTable::remove_slot(std::size_t slot) {
-  // Backward-shift deletion: re-seat the probe chain after the hole so
-  // linear probing never needs tombstones.
-  const std::size_t mask = slots_.size() - 1;
-  slots_[slot].occupied = false;
-  std::size_t next = (slot + 1) & mask;
-  while (slots_[next].occupied) {
-    const Entry moved = slots_[next];
-    slots_[next].occupied = false;
-    std::size_t reseat = slot_of(moved.server);
-    while (slots_[reseat].occupied) reseat = (reseat + 1) & mask;
-    slots_[reseat] = moved;
-    next = (next + 1) & mask;
+void SparseSignalTable::remove_entry(std::size_t position) {
+  // Backward-shift deletion: walk the probe run after the hole and pull
+  // back every slot whose home does not lie cyclically in (hole, slot],
+  // so linear probing never needs tombstones.
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = probe(entries_[position].server);
+  for (std::size_t next = (hole + 1) & mask; index_[next] != 0; next = (next + 1) & mask) {
+    const std::size_t want = home(entries_[index_[next] - 1].server);
+    if (((next - want) & mask) >= ((next - hole) & mask)) {
+      index_[hole] = index_[next];
+      hole = next;
+    }
   }
-  --live_;
+  index_[hole] = 0;
+
+  // Keep the entries dense: the last entry takes the gap.
+  const std::size_t last = entries_.size() - 1;
+  if (position != last) {
+    index_[probe(entries_[last].server)] = static_cast<std::uint32_t>(position + 1);
+    entries_[position] = entries_[last];
+  }
+  entries_.pop_back();
 }
 
 void SparseSignalTable::evict_one() {
-  // LRU among unpinned entries, scanning slots in order (deterministic:
-  // ties broken by lowest slot, and slot layout is a pure function of
-  // the insertion history). An entry is pinned while it holds state
-  // that must not silently vanish: in-flight accounting (a response or
-  // cancel will come back for it) or a gate mirror (balances and caps
-  // are the gate's authoritative view for selection).
-  std::size_t victim = slots_.size();
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const Entry& e = slots_[i];
-    if (!e.occupied) continue;
+  // LRU among unpinned entries. Ticks are unique per entry, so the
+  // victim is the same whatever order the entries sit in. An entry is
+  // pinned while it holds state that must not silently vanish:
+  // in-flight accounting (a response or cancel will come back for it)
+  // or a gate mirror (balances and caps are the gate's authoritative
+  // view for selection).
+  std::size_t victim = entries_.size();
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const Entry& e = entries_[i];
     if (e.outstanding > 0 || e.pending_cost_ns > 0 || e.credit_balance != 0.0 ||
         e.rate_cap != 0.0) {
       continue;
     }
-    if (victim == slots_.size() || e.lru_tick < slots_[victim].lru_tick) victim = i;
+    if (victim == entries_.size() || e.lru_tick < entries_[victim].lru_tick) victim = i;
   }
-  if (victim == slots_.size()) return;  // everything pinned: soft cap grows
+  if (victim == entries_.size()) return;  // everything pinned: soft cap grows
 
-  const Entry& e = slots_[victim];
+  const Entry& e = entries_[victim];
   if (e.seen != 0) {
     // Fold the response-path EWMAs into the group's running means; the
     // group becomes the fallback answer for this (and any untracked)
@@ -104,31 +113,26 @@ void SparseSignalTable::evict_one() {
     agg.mean_service_ns += (e.ewma_service_ns - agg.mean_service_ns) / n;
   }
   ++evictions_;
-  remove_slot(victim);
+  remove_entry(victim);
 }
 
 SparseSignalTable::Entry& SparseSignalTable::touch(store::ServerId server) {
-  std::size_t slot = slot_of(server);
-  while (slots_[slot].occupied) {
-    if (slots_[slot].server == server) {
-      slots_[slot].lru_tick = ++tick_;
-      return slots_[slot];
+  if (!index_.empty()) {
+    const std::uint32_t position_plus1 = index_[probe(server)];
+    if (position_plus1 != 0) {
+      Entry& e = entries_[position_plus1 - 1];
+      e.lru_tick = ++tick_;
+      return e;
     }
-    slot = (slot + 1) & (slots_.size() - 1);
   }
 
-  if (live_ >= entry_cap_) evict_one();
-  if ((live_ + 1) * 2 > slots_.size()) {
-    grow_table();
-  }
-  // Re-probe: both eviction and growth may have moved the hole.
-  slot = slot_of(server);
-  while (slots_[slot].occupied) slot = (slot + 1) & (slots_.size() - 1);
+  if (entries_.size() >= entry_cap_) evict_one();
+  if ((entries_.size() + 1) * 2 > index_.size()) grow_index();
+  // Probe after eviction and growth: both may have moved the hole.
+  index_[probe(server)] = static_cast<std::uint32_t>(entries_.size() + 1);
 
-  Entry& e = slots_[slot];
-  e = Entry{};
+  Entry& e = entries_.emplace_back();
   e.server = server;
-  e.occupied = true;
   e.lru_tick = ++tick_;
   if (const GroupAggregate* agg = group_of(server)) {
     // Seed from the group prior: an evicted-then-recontacted server
@@ -139,7 +143,6 @@ SparseSignalTable::Entry& SparseSignalTable::touch(store::ServerId server) {
     e.ewma_queue = agg->mean_queue;
     e.ewma_service_ns = agg->mean_service_ns;
   }
-  ++live_;
   return e;
 }
 

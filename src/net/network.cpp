@@ -19,19 +19,19 @@ Network::Network(sim::Simulator& sim, Config config, util::Rng rng)
   if (config_.one_way_latency.is_negative() || config_.jitter_max.is_negative()) {
     throw std::invalid_argument("Network: negative latency");
   }
-  if (config_.num_nodes > kDenseHorizonLimit) {
-    sparse_horizon_ = true;
-  } else if (config_.num_nodes > 0) {
-    stride_ = config_.num_nodes;
-    last_delivery_.assign(stride_ * stride_, sim::Time::zero());
-  }
+  sparse_horizon_ = config_.num_nodes > kDenseHorizonLimit;
 }
 
 void Network::ensure_node(NodeId node) {
   if (node < stride_) return;
-  // Geometric growth keeps amortized cost low when ids appear one by
-  // one (tests); sized-upfront configs never reach this path.
-  std::size_t new_stride = std::max<std::size_t>(stride_ * 2, 16);
+  // The first horizon use allocates the table at the configured node
+  // count; the zero-jitter, no-override path never gets here, so it
+  // never pays the num_nodes^2 table. Without a configured count,
+  // geometric growth keeps amortized cost low as ids appear one by one
+  // (tests).
+  std::size_t new_stride = stride_ == 0 && node < config_.num_nodes
+                               ? config_.num_nodes
+                               : std::max<std::size_t>(stride_ * 2, 16);
   while (new_stride <= node) new_stride *= 2;
   std::vector<sim::Time> grown(new_stride * new_stride, sim::Time::zero());
   for (std::size_t from = 0; from < stride_; ++from) {

@@ -10,7 +10,8 @@
 // Per-pair state (FIFO delivery horizon) lives in a dense NodeId x
 // NodeId table — ids are small dense integers assigned by the cluster
 // wiring, so a flat array replaces the per-send hash lookup that
-// dominated large-cluster runs. Per-pair latency overrides (used only
+// dominated large-cluster runs. The table is allocated at its first
+// use, not at construction. Per-pair latency overrides (used only
 // by tests and heterogeneous-latency ablations) stay in a sparse map
 // that the common path skips entirely.
 //
@@ -54,8 +55,8 @@ class Network {
     /// Uniform jitter added on top: U[0, jitter_max].
     sim::Duration jitter_max = sim::Duration::zero();
     /// Number of endpoints, when known upfront (servers + clients +
-    /// controller + global queue). Sizes the dense pair table once;
-    /// 0 lets it grow on demand as node ids appear.
+    /// controller + global queue). Sizes the dense pair table once, at
+    /// its first use; 0 lets it grow on demand as node ids appear.
     std::uint32_t num_nodes = 0;
   };
 
@@ -87,7 +88,8 @@ class Network {
   /// precedes the previous one even with jitter.
   sim::Time reserve_delivery_slot(NodeId from, NodeId to);
 
-  /// Grows the dense table so ids up to `node` are addressable.
+  /// Allocates or grows the dense table so ids up to `node` are
+  /// addressable.
   void ensure_node(NodeId node);
 
   std::size_t pair_index(NodeId from, NodeId to) const noexcept {
@@ -98,7 +100,8 @@ class Network {
   Config config_;
   util::Rng rng_;
   NetworkStats stats_;
-  /// Dense FIFO horizon per ordered pair, `stride_` x `stride_`.
+  /// Dense FIFO horizon per ordered pair, `stride_` x `stride_`; empty
+  /// (stride 0) until the first send that needs a horizon.
   std::vector<sim::Time> last_delivery_;
   std::size_t stride_ = 0;
   /// Sparse-horizon mode (num_nodes > kDenseHorizonLimit): per-pair

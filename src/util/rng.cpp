@@ -14,11 +14,11 @@ Xoshiro256StarStar::Xoshiro256StarStar(std::uint64_t seed) noexcept {
   if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) s_[0] = 1;
 }
 
-void Xoshiro256StarStar::long_jump() noexcept {
+void Xoshiro256StarStar::long_jump_reference() noexcept {
   static constexpr std::array<std::uint64_t, 4> kLongJump = {
       0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL, 0x77710069854ee241ULL,
       0x39109bb02acbe635ULL};
-  std::array<std::uint64_t, 4> acc{};
+  State acc{};
   for (const std::uint64_t jump : kLongJump) {
     for (int b = 0; b < 64; ++b) {
       if (jump & (std::uint64_t{1} << b)) {
@@ -26,6 +26,52 @@ void Xoshiro256StarStar::long_jump() noexcept {
       }
       (void)next();
     }
+  }
+  s_ = acc;
+}
+
+namespace {
+
+/// columns[p][v]: the long jump of the state whose only set bits are
+/// the value `v` in 4-bit group `p` (bits 4p..4p+3, word p / 16).
+struct LongJumpTable {
+  std::array<std::array<Xoshiro256StarStar::State, 16>, 64> columns;
+};
+
+const LongJumpTable& long_jump_table() noexcept {
+  static const LongJumpTable table = [] {
+    LongJumpTable t{};
+    for (std::size_t group = 0; group < 64; ++group) {
+      for (std::size_t b = 0; b < 4; ++b) {
+        const std::size_t bit = 4 * group + b;
+        Xoshiro256StarStar::State unit{};
+        unit[bit / 64] = std::uint64_t{1} << (bit % 64);
+        Xoshiro256StarStar gen(unit);
+        gen.long_jump_reference();
+        t.columns[group][std::size_t{1} << b] = gen.state();
+      }
+      // Linearity: the jump of v is the XOR of the jumps of its bits.
+      for (std::size_t v = 3; v < 16; ++v) {
+        const std::size_t low = v & (0 - v);
+        if (low == v) continue;  // single bit, filled above
+        for (std::size_t i = 0; i < 4; ++i) {
+          t.columns[group][v][i] = t.columns[group][v - low][i] ^ t.columns[group][low][i];
+        }
+      }
+    }
+    return t;
+  }();
+  return table;
+}
+
+}  // namespace
+
+void Xoshiro256StarStar::long_jump() noexcept {
+  const LongJumpTable& table = long_jump_table();
+  State acc{};
+  for (std::size_t group = 0; group < 64; ++group) {
+    const State& column = table.columns[group][(s_[group / 16] >> (4 * (group % 16))) & 15];
+    for (std::size_t i = 0; i < 4; ++i) acc[i] ^= column[i];
   }
   s_ = acc;
 }

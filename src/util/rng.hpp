@@ -38,7 +38,12 @@ class SplitMix64 {
 /// Vigna (2018). 256-bit state, period 2^256 - 1, passes BigCrush.
 class Xoshiro256StarStar {
  public:
+  using State = std::array<std::uint64_t, 4>;
+
   explicit Xoshiro256StarStar(std::uint64_t seed) noexcept;
+  /// Starts from a raw state (the jump table build and tests). The
+  /// all-zero state is a fixed point: it never generates.
+  explicit Xoshiro256StarStar(const State& state) noexcept : s_(state) {}
 
   std::uint64_t next() noexcept {
     const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
@@ -53,15 +58,25 @@ class Xoshiro256StarStar {
   }
 
   /// Advances the state by 2^128 steps; used to derive non-overlapping
-  /// sub-streams from one seed.
+  /// sub-streams from one seed. The jump is linear over GF(2), so it is
+  /// applied as the XOR of 64 precomputed columns, one per 4-bit group
+  /// of the state (a 32 KB table built once per process from
+  /// `long_jump_reference`): bit-identical to the loop, without its 256
+  /// generator steps.
   void long_jump() noexcept;
+
+  /// The published xoshiro256** long-jump loop: 256 steps, one per bit
+  /// of the jump polynomial. Builds the table and pins it in tests.
+  void long_jump_reference() noexcept;
+
+  const State& state() const noexcept { return s_; }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }
 
-  std::array<std::uint64_t, 4> s_{};
+  State s_{};
 };
 
 /// High-level random source with the distribution samplers the simulator

@@ -37,6 +37,7 @@ struct ClientFixture {
   store::RingPartitioner partitioner{3, 2};
   server::SizeLinearServiceModel cost_model{Duration::zero(), 1000.0};  // 1us/byte
   std::unique_ptr<policy::PriorityPolicy> policy;
+  ClientScratch scratch;
   std::unique_ptr<AppClient> client;
   std::vector<OutboundRequest> sent;
   std::vector<std::pair<store::TaskId, Duration>> completed_tasks;
@@ -47,7 +48,7 @@ struct ClientFixture {
     client = std::make_unique<AppClient>(
         simulator, config, partitioner, cost_model,
         single_endpoint(std::make_unique<ctrl::FirstReplicaPolicy>()), *policy,
-        std::make_unique<DirectGate>(), util::Rng(1));
+        std::make_unique<DirectGate>(), util::Rng(1), scratch);
     client->set_network_send([this](const OutboundRequest& out) { sent.push_back(out); });
     AppClient::Hooks hooks;
     hooks.on_task_complete = [this](const workload::TaskSpec& task, Duration latency) {
@@ -247,9 +248,10 @@ TEST(AppClient, PerRequestSelectionMode) {
   server::SizeLinearServiceModel cost_model(Duration::zero(), 1000.0);
   policy::FifoPolicy fifo;
   std::vector<OutboundRequest> sent;
+  ClientScratch scratch;
   AppClient client(simulator, config, partitioner, cost_model,
                    single_endpoint(std::make_unique<ctrl::RoundRobinPolicy>()), fifo,
-                   std::make_unique<DirectGate>(), util::Rng(2));
+                   std::make_unique<DirectGate>(), util::Rng(2), scratch);
   client.set_network_send([&sent](const OutboundRequest& out) { sent.push_back(out); });
   workload::TaskSpec task;
   task.id = 1;
@@ -259,6 +261,87 @@ TEST(AppClient, PerRequestSelectionMode) {
   std::set<store::ServerId> servers;
   for (const auto& out : sent) servers.insert(out.server);
   EXPECT_GT(servers.size(), 1u);
+}
+
+TEST(AppClient, ThousandsInFlightCompleteOutOfOrder) {
+  // 1200 tasks in flight on one client, answered in a random order:
+  // the pending-task table grows from its first 4 slots, erases from
+  // the middle of probe runs, and every task completes exactly once —
+  // on its last response, with the right latency. Random 64-bit ids
+  // collide in the table far more than the generator's strided ids,
+  // so probe runs (and backward-shift erases) are common.
+  ClientFixture f("equalmax");
+  constexpr store::TaskId kTasks = 1200;
+  std::vector<store::TaskId> ids;
+  util::Rng id_stream(5);
+  for (store::TaskId i = 0; i < kTasks; ++i) ids.push_back(id_stream.next_u64());
+  std::map<store::TaskId, std::size_t> remaining;
+  f.simulator.schedule_at(Time::zero(), [&] {
+    for (store::TaskId i = 0; i < kTasks; ++i) {
+      std::vector<store::KeyId> keys;
+      for (store::TaskId k = 0; k <= i % 3; ++k) keys.push_back(i * 3 + k);
+      remaining[ids[i]] = keys.size();
+      f.client->submit(f.task(ids[i], keys));
+    }
+  });
+  f.simulator.run();
+  ASSERT_EQ(f.client->in_flight(), f.sent.size());
+
+  std::vector<OutboundRequest> order = f.sent;
+  util::Rng shuffle(17);
+  shuffle.shuffle(order);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const OutboundRequest& out = order[i];
+    f.simulator.schedule_at(Time::micros(static_cast<std::int64_t>(i + 1)), [&f, &remaining, out] {
+      const std::size_t completed_before = f.completed_tasks.size();
+      f.client->on_response(f.response_for(out));
+      const bool last = --remaining[out.request.task_id] == 0;
+      ASSERT_EQ(f.completed_tasks.size(), completed_before + (last ? 1 : 0));
+      if (last) {
+        EXPECT_EQ(f.completed_tasks.back().first, out.request.task_id);
+        EXPECT_EQ(f.completed_tasks.back().second, f.simulator.now() - Time::zero());
+      }
+    });
+  }
+  f.simulator.run();
+  ASSERT_EQ(remaining.size(), kTasks);  // ids were distinct
+  EXPECT_EQ(f.completed_tasks.size(), kTasks);
+  EXPECT_EQ(f.client->stats().tasks_completed, kTasks);
+  EXPECT_EQ(f.client->in_flight(), 0u);
+
+  // A response whose request is known but whose task is not still
+  // throws, with the (now empty) table allocated.
+  f.simulator.schedule_at(Time::millis(10), [&] { f.client->submit(f.task(1, {0})); });
+  f.simulator.run();
+  store::ReadResponse stray = f.response_for(f.sent.back());
+  stray.task_id = 2;
+  EXPECT_THROW(f.client->on_response(stray), std::logic_error);
+}
+
+TEST(AppClient, ReentrantSubmitOnSharedScratchThrows) {
+  // Two clients of one run share one planning scratch. A submit issued
+  // from inside another submit (here: from the transport hook, which in
+  // a real run only schedules events) must throw rather than overwrite
+  // the plan in use, and the scratch must be free again afterwards.
+  ClientFixture f("equalmax");
+  AppClient::Config config;
+  config.id = 1;
+  AppClient other(f.simulator, config, f.partitioner, f.cost_model,
+                  single_endpoint(std::make_unique<ctrl::FirstReplicaPolicy>()), *f.policy,
+                  std::make_unique<DirectGate>(), util::Rng(3), f.scratch);
+  other.set_network_send([](const OutboundRequest&) {});
+  bool reentered = false;
+  f.client->set_network_send([&](const OutboundRequest&) {
+    if (reentered) return;
+    reentered = true;
+    other.submit(f.task(2, {5}));
+  });
+  EXPECT_THROW(f.client->submit(f.task(1, {0, 1})), std::logic_error);
+  EXPECT_TRUE(reentered);
+  EXPECT_FALSE(f.scratch.in_use);
+  EXPECT_EQ(other.stats().tasks_submitted, 0u);
+  EXPECT_NO_THROW(other.submit(f.task(3, {4})));
+  EXPECT_EQ(other.stats().tasks_submitted, 1u);
 }
 
 // ---------------------------------------------------------------------------

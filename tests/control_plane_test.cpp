@@ -4,6 +4,7 @@
 // the runtime path reproduces the legacy wiring byte-for-byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -250,6 +251,286 @@ TEST(SparseSignalTable, PinnedEntriesSurviveTheCap) {
   table.on_send(3, Duration::micros(100));
   EXPECT_EQ(table.evictions(), 1u);
   EXPECT_EQ(table.outstanding(0), 0u);
+}
+
+/// Brute-force reference for the differential fuzz below: the earlier
+/// single-array store — 96-byte slots holding the entries themselves,
+/// found by linear probing, evicting by a scan over the slots.
+class SlotTableReference {
+ public:
+  SlotTableReference(double ewma_alpha, std::uint32_t entry_cap, std::uint32_t group_size)
+      : ewma_alpha_(ewma_alpha), entry_cap_(entry_cap), group_size_(group_size), slots_(8) {}
+
+  void on_send(store::ServerId server, Duration expected_cost) {
+    Entry& e = touch(server);
+    ++e.outstanding;
+    e.pending_cost_ns += expected_cost.count_nanos();
+  }
+  void on_response(store::ServerId server, const store::ServerFeedback& feedback, Duration rtt,
+                   Duration expected_cost, Time at) {
+    Entry& e = touch(server);
+    if (e.outstanding > 0) --e.outstanding;
+    e.pending_cost_ns = std::max<std::int64_t>(0, e.pending_cost_ns - expected_cost.count_nanos());
+    e.last_queue_length = feedback.queue_length;
+    e.last_service_rate = feedback.service_rate;
+    e.last_feedback_ns = at.count_nanos();
+    const double rtt_ns = static_cast<double>(rtt.count_nanos());
+    const double queue = static_cast<double>(feedback.queue_length);
+    const double service_ns = feedback.service_rate > 0
+                                  ? 1e9 / feedback.service_rate
+                                  : static_cast<double>(feedback.service_time.count_nanos());
+    if (e.seen == 0) {
+      e.seen = 1;
+      e.ewma_response_ns = rtt_ns;
+      e.ewma_queue = queue;
+      e.ewma_service_ns = service_ns;
+    } else {
+      e.ewma_response_ns = util::ewma_update(e.ewma_response_ns, ewma_alpha_, rtt_ns);
+      e.ewma_queue = util::ewma_update(e.ewma_queue, ewma_alpha_, queue);
+      e.ewma_service_ns = util::ewma_update(e.ewma_service_ns, ewma_alpha_, service_ns);
+    }
+  }
+  void on_cancel(store::ServerId server, Duration expected_cost) {
+    Entry& e = touch(server);
+    if (e.outstanding > 0) --e.outstanding;
+    e.pending_cost_ns = std::max<std::int64_t>(0, e.pending_cost_ns - expected_cost.count_nanos());
+  }
+  void set_credit_balance(store::ServerId server, double balance) {
+    touch(server).credit_balance = balance;
+  }
+  void set_rate_cap(store::ServerId server, double rate) { touch(server).rate_cap = rate; }
+
+  ctrl::SignalTable::Signals of(store::ServerId server) const {
+    ctrl::SignalTable::Signals s;
+    if (const Entry* e = find(server)) {
+      s.ewma_response_ns = e->ewma_response_ns;
+      s.ewma_queue = e->ewma_queue;
+      s.ewma_service_time_ns = e->ewma_service_ns;
+      s.seen = e->seen != 0;
+      s.outstanding = e->outstanding;
+      s.pending_cost_ns = e->pending_cost_ns;
+      s.credit_balance = e->credit_balance;
+      s.rate_cap = e->rate_cap;
+      s.last_queue_length = e->last_queue_length;
+      s.last_service_rate = e->last_service_rate;
+      s.last_feedback_ns = e->last_feedback_ns;
+    } else if (const Group* g = group_of(server)) {
+      s.seen = true;
+      s.ewma_response_ns = g->mean_response_ns;
+      s.ewma_queue = g->mean_queue;
+      s.ewma_service_time_ns = g->mean_service_ns;
+    }
+    return s;
+  }
+  std::size_t live_entries() const { return live_; }
+  std::uint64_t evictions() const { return evictions_; }
+
+ private:
+  struct Entry {
+    store::ServerId server = 0;
+    bool occupied = false;
+    std::uint8_t seen = 0;
+    std::uint32_t outstanding = 0;
+    std::uint64_t lru_tick = 0;
+    std::int64_t pending_cost_ns = 0;
+    std::int64_t last_feedback_ns = -1;
+    double ewma_response_ns = 0.0;
+    double ewma_queue = 0.0;
+    double ewma_service_ns = 0.0;
+    double credit_balance = 0.0;
+    double rate_cap = 0.0;
+    std::uint32_t last_queue_length = 0;
+    double last_service_rate = 0.0;
+  };
+  struct Group {
+    std::uint64_t folds = 0;
+    double mean_response_ns = 0.0;
+    double mean_queue = 0.0;
+    double mean_service_ns = 0.0;
+  };
+
+  std::size_t slot_of(store::ServerId server) const {
+    const std::uint64_t h = static_cast<std::uint64_t>(server) * 0x9E3779B97F4A7C15ULL;
+    return static_cast<std::size_t>(h >> 32) & (slots_.size() - 1);
+  }
+  /// Slot holding `server`, or the empty slot ending its probe run.
+  std::size_t probe(store::ServerId server) const {
+    std::size_t i = slot_of(server);
+    while (slots_[i].occupied && slots_[i].server != server) i = (i + 1) & (slots_.size() - 1);
+    return i;
+  }
+  const Entry* find(store::ServerId server) const {
+    const Entry& e = slots_[probe(server)];
+    return e.occupied ? &e : nullptr;
+  }
+  const Group* group_of(store::ServerId server) const {
+    const std::size_t group = server / group_size_;
+    return group < groups_.size() && groups_[group].folds != 0 ? &groups_[group] : nullptr;
+  }
+  void place(const Entry& e) { slots_[probe(e.server)] = e; }
+  void evict_one() {
+    std::size_t victim = slots_.size();
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      const Entry& e = slots_[i];
+      if (!e.occupied || e.outstanding > 0 || e.pending_cost_ns > 0 || e.credit_balance != 0.0 ||
+          e.rate_cap != 0.0) {
+        continue;
+      }
+      if (victim == slots_.size() || e.lru_tick < slots_[victim].lru_tick) victim = i;
+    }
+    if (victim == slots_.size()) return;
+    const Entry& e = slots_[victim];
+    if (e.seen != 0) {
+      const std::size_t group = e.server / group_size_;
+      if (group >= groups_.size()) groups_.resize(group + 1);
+      Group& agg = groups_[group];
+      ++agg.folds;
+      const double n = static_cast<double>(agg.folds);
+      agg.mean_response_ns += (e.ewma_response_ns - agg.mean_response_ns) / n;
+      agg.mean_queue += (e.ewma_queue - agg.mean_queue) / n;
+      agg.mean_service_ns += (e.ewma_service_ns - agg.mean_service_ns) / n;
+    }
+    ++evictions_;
+    // Remove and re-place the rest of the probe run (no tombstones).
+    const std::size_t mask = slots_.size() - 1;
+    slots_[victim].occupied = false;
+    for (std::size_t next = (victim + 1) & mask; slots_[next].occupied; next = (next + 1) & mask) {
+      const Entry moved = slots_[next];
+      slots_[next].occupied = false;
+      place(moved);
+    }
+    --live_;
+  }
+  Entry& touch(store::ServerId server) {
+    if (Entry& e = slots_[probe(server)]; e.occupied) {
+      e.lru_tick = ++tick_;
+      return e;
+    }
+    if (live_ >= entry_cap_) evict_one();
+    if ((live_ + 1) * 2 > slots_.size()) {
+      std::vector<Entry> old(slots_.size() * 2);
+      old.swap(slots_);
+      for (const Entry& e : old) {
+        if (e.occupied) place(e);
+      }
+    }
+    Entry fresh;
+    fresh.server = server;
+    fresh.occupied = true;
+    fresh.lru_tick = ++tick_;
+    if (const Group* agg = group_of(server)) {
+      fresh.seen = 1;
+      fresh.ewma_response_ns = agg->mean_response_ns;
+      fresh.ewma_queue = agg->mean_queue;
+      fresh.ewma_service_ns = agg->mean_service_ns;
+    }
+    Entry& e = slots_[probe(server)];
+    e = fresh;
+    ++live_;
+    return e;
+  }
+
+  double ewma_alpha_;
+  std::uint32_t entry_cap_;
+  std::uint32_t group_size_;
+  std::vector<Entry> slots_;
+  std::size_t live_ = 0;
+  std::uint64_t tick_ = 0;
+  std::uint64_t evictions_ = 0;
+  std::vector<Group> groups_;
+};
+
+TEST(SparseSignalTableFuzz, MatchesSlotTableReferenceOnEveryRead) {
+  // Seeded random histories over a 40-server fleet in groups of 4.
+  // Cap 1 forces pinned growth past the cap on nearly every send, cap
+  // 4 evicts constantly, cap 16 mixes both; every read of every server
+  // (tracked, folded into a group, or never seen) must match the
+  // reference bit for bit after every operation.
+  constexpr std::uint32_t kFleet = 40;
+  constexpr int kRounds = 3000;
+  for (const std::uint32_t cap : {1u, 4u, 16u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      ctrl::SparseSignalTable table(/*ewma_alpha=*/0.3, cap, /*group_size=*/4);
+      SlotTableReference ref(/*ewma_alpha=*/0.3, cap, /*group_size=*/4);
+      util::Rng rng(seed * 100 + cap);
+      std::size_t max_live = 0;
+      std::uint64_t group_answers = 0;
+      for (int round = 0; round < kRounds; ++round) {
+        const auto server = static_cast<store::ServerId>(rng.uniform_u64_below(kFleet));
+        const Duration cost = Duration::micros(static_cast<std::int64_t>(50 + 10 * (round % 7)));
+        switch (rng.uniform_u64_below(6)) {
+          case 0:
+          case 1:
+            table.on_send(server, cost);
+            ref.on_send(server, cost);
+            break;
+          case 2: {
+            const store::ServerFeedback fb = feedback(static_cast<std::uint32_t>(round % 9),
+                                                      round % 5 == 0 ? 0.0 : 4'000.0 + round);
+            const Duration rtt = Duration::micros(static_cast<std::int64_t>(100 + round % 97));
+            const Time at = Time::nanos(static_cast<std::int64_t>(round) * 1000);
+            table.on_response(server, fb, rtt, cost, at);
+            ref.on_response(server, fb, rtt, cost, at);
+            break;
+          }
+          case 3:
+            table.on_cancel(server, cost);
+            ref.on_cancel(server, cost);
+            break;
+          case 4: {
+            // Zero balances unpin the entry again.
+            const double balance = round % 3 == 0 ? 0.0 : static_cast<double>(round % 11);
+            table.set_credit_balance(server, balance);
+            ref.set_credit_balance(server, balance);
+            break;
+          }
+          default: {
+            const double rate = round % 2 == 0 ? 0.0 : 10.0 * static_cast<double>(round % 13);
+            table.set_rate_cap(server, rate);
+            ref.set_rate_cap(server, rate);
+            break;
+          }
+        }
+        ASSERT_EQ(table.live_entries(), ref.live_entries()) << "cap " << cap << " round " << round;
+        ASSERT_EQ(table.evictions(), ref.evictions()) << "cap " << cap << " round " << round;
+        max_live = std::max(max_live, table.live_entries());
+        for (store::ServerId s = 0; s < kFleet + 4; ++s) {
+          const ctrl::SignalTable::Signals want = ref.of(s);
+          const ctrl::SignalTable::Signals got = table.of(s);
+          const auto where = [&] {
+            return ::testing::Message() << "cap " << cap << " seed " << seed << " round " << round
+                                        << " server " << s;
+          };
+          ASSERT_EQ(got.seen, want.seen) << where();
+          ASSERT_EQ(got.outstanding, want.outstanding) << where();
+          ASSERT_EQ(got.pending_cost_ns, want.pending_cost_ns) << where();
+          ASSERT_EQ(got.ewma_response_ns, want.ewma_response_ns) << where();
+          ASSERT_EQ(got.ewma_queue, want.ewma_queue) << where();
+          ASSERT_EQ(got.ewma_service_time_ns, want.ewma_service_time_ns) << where();
+          ASSERT_EQ(got.credit_balance, want.credit_balance) << where();
+          ASSERT_EQ(got.rate_cap, want.rate_cap) << where();
+          ASSERT_EQ(got.last_queue_length, want.last_queue_length) << where();
+          ASSERT_EQ(got.last_service_rate, want.last_service_rate) << where();
+          ASSERT_EQ(got.last_feedback_ns, want.last_feedback_ns) << where();
+          // The column readers answer exactly what the row snapshot does.
+          ASSERT_EQ(table.seen(s), want.seen) << where();
+          ASSERT_EQ(table.outstanding(s), want.outstanding) << where();
+          ASSERT_EQ(table.pending_cost(s).count_nanos(), want.pending_cost_ns) << where();
+          ASSERT_EQ(table.ewma_response_ns(s), want.ewma_response_ns) << where();
+          ASSERT_EQ(table.ewma_queue(s), want.ewma_queue) << where();
+          ASSERT_EQ(table.ewma_service_time_ns(s), want.ewma_service_time_ns) << where();
+          ASSERT_EQ(table.credit_balance(s), want.credit_balance) << where();
+          ASSERT_EQ(table.rate_cap(s), want.rate_cap) << where();
+          ASSERT_EQ(table.last_feedback_ns(s), want.last_feedback_ns) << where();
+          if (want.seen && want.last_feedback_ns < 0 && want.outstanding == 0) ++group_answers;
+        }
+      }
+      // The history really exercised eviction, pinned growth and folds.
+      EXPECT_GT(table.evictions(), 0u) << "cap " << cap;
+      EXPECT_GT(max_live, static_cast<std::size_t>(cap)) << "cap " << cap;
+      EXPECT_GT(group_answers, 0u) << "cap " << cap;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

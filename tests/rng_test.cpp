@@ -49,6 +49,30 @@ TEST(Xoshiro, LongJumpChangesStream) {
   EXPECT_LE(same, 1);
 }
 
+TEST(Xoshiro, LongJumpTableMatchesReferenceLoop) {
+  // The table-driven jump must equal the published 256-step loop on
+  // every state: each unit vector (one column bit at a time, which is
+  // what linearity composes) and a large sample of random states.
+  const auto expect_same = [](const Xoshiro256StarStar::State& state) {
+    Xoshiro256StarStar table(state);
+    Xoshiro256StarStar reference(state);
+    table.long_jump();
+    reference.long_jump_reference();
+    return table.state() == reference.state();
+  };
+  for (std::size_t bit = 0; bit < 256; ++bit) {
+    Xoshiro256StarStar::State unit{};
+    unit[bit / 64] = std::uint64_t{1} << (bit % 64);
+    ASSERT_TRUE(expect_same(unit)) << "unit bit " << bit;
+  }
+  SplitMix64 states(20260101);
+  for (int i = 0; i < 100'000; ++i) {
+    const Xoshiro256StarStar::State state{states.next(), states.next(), states.next(),
+                                          states.next()};
+    ASSERT_TRUE(expect_same(state)) << "random state " << i;
+  }
+}
+
 TEST(Rng, UniformInUnitInterval) {
   Rng rng(3);
   for (int i = 0; i < 10000; ++i) {
