@@ -306,7 +306,7 @@ MicroResult bench_service_start(std::uint64_t ops) {
   const auto model = brb::server::SizeLinearServiceModel::calibrate(
       14'000.0, 4096.0, brb::sim::Duration::micros(5), 0.0);
   brb::server::BackendServer server(sim, cfg, model, brb::util::Rng(13));
-  server.use_private_queue(std::make_unique<brb::server::FifoDiscipline>());
+  server.use_private_queue(brb::server::FifoDiscipline{});
   for (std::uint32_t k = 0; k < 1024; ++k) server.storage().put_meta(k, 512 + (7 * k) % 8192);
   std::uint64_t sent = 0;
   const auto send_one = [&] {

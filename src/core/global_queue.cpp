@@ -4,13 +4,12 @@
 
 namespace brb::core {
 
-GlobalQueueModel::GlobalQueueModel(
-    const store::Partitioner& partitioner,
-    const std::function<std::unique_ptr<server::QueueDiscipline>()>& discipline_factory)
-    : partitioner_(&partitioner), discipline_factory_(discipline_factory) {
+GlobalQueueModel::GlobalQueueModel(const store::Partitioner& partitioner,
+                                   std::string_view discipline)
+    : partitioner_(&partitioner),
+      empty_queue_(server::make_discipline(discipline)),
+      group_queues_(partitioner_->num_groups(), empty_queue_) {
   const std::uint32_t num_groups = partitioner_->num_groups();
-  group_queues_.reserve(num_groups);
-  for (std::uint32_t g = 0; g < num_groups; ++g) group_queues_.push_back(discipline_factory());
 
   groups_of_.resize(partitioner_->num_servers());
   for (std::uint32_t g = 0; g < num_groups; ++g) {
@@ -36,7 +35,7 @@ void GlobalQueueModel::submit(server::QueuedRead read, store::GroupId group) {
     throw std::out_of_range("GlobalQueueModel::submit: bad group");
   }
   read.submit_seq = next_submit_seq_++;
-  group_queues_[group]->push(std::move(read));
+  server::push(group_queues_[group], std::move(read));
   ++total_queued_;
 
   // Work-pull: wake an idle replica of this group (the queue "knows"
@@ -53,10 +52,9 @@ void GlobalQueueModel::submit_pinned(server::QueuedRead read, store::ServerId se
   if (server >= groups_of_.size()) {
     throw std::out_of_range("GlobalQueueModel::submit_pinned: bad server");
   }
-  if (pinned_queues_.empty()) pinned_queues_.resize(groups_of_.size());
-  if (!pinned_queues_[server]) pinned_queues_[server] = discipline_factory_();
+  if (pinned_queues_.empty()) pinned_queues_.assign(groups_of_.size(), empty_queue_);
   read.submit_seq = next_submit_seq_++;
-  pinned_queues_[server]->push(std::move(read));
+  server::push(pinned_queues_[server], std::move(read));
   ++total_queued_;
   if (server < servers_.size() && servers_[server]->idle_cores() > 0) {
     servers_[server]->pump();
@@ -67,23 +65,21 @@ std::optional<server::QueuedRead> GlobalQueueModel::next_for(store::ServerId ser
   if (server >= groups_of_.size()) return std::nullopt;
   server::QueueDiscipline* best_queue = nullptr;
   server::QueueHead best_head{};
-  const auto consider = [&](server::QueueDiscipline* queue) {
-    const auto head = queue->peek();
+  const auto consider = [&](server::QueueDiscipline& queue) {
+    const auto head = server::peek(queue);
     if (!head) return;
     const bool wins = best_queue == nullptr || head->priority < best_head.priority ||
                       (head->priority == best_head.priority &&
                        head->submit_seq < best_head.submit_seq);
     if (wins) {
-      best_queue = queue;
+      best_queue = &queue;
       best_head = *head;
     }
   };
-  for (const store::GroupId g : groups_of_[server]) consider(group_queues_[g].get());
-  if (server < pinned_queues_.size() && pinned_queues_[server]) {
-    consider(pinned_queues_[server].get());
-  }
+  for (const store::GroupId g : groups_of_[server]) consider(group_queues_[g]);
+  if (server < pinned_queues_.size()) consider(pinned_queues_[server]);
   if (best_queue == nullptr) return std::nullopt;
-  auto read = best_queue->pop();
+  auto read = server::pop(*best_queue);
   if (read) --total_queued_;
   return read;
 }
@@ -91,10 +87,8 @@ std::optional<server::QueuedRead> GlobalQueueModel::next_for(store::ServerId ser
 std::size_t GlobalQueueModel::backlog(store::ServerId server) const {
   if (server >= groups_of_.size()) return 0;
   std::size_t total = 0;
-  for (const store::GroupId g : groups_of_[server]) total += group_queues_[g]->size();
-  if (server < pinned_queues_.size() && pinned_queues_[server]) {
-    total += pinned_queues_[server]->size();
-  }
+  for (const store::GroupId g : groups_of_[server]) total += server::size(group_queues_[g]);
+  if (server < pinned_queues_.size()) total += server::size(pinned_queues_[server]);
   return total;
 }
 

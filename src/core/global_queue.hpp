@@ -16,8 +16,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <string_view>
 #include <vector>
 
 #include "server/backend_server.hpp"
@@ -29,12 +28,9 @@ namespace brb::core {
 
 class GlobalQueueModel final : public server::WorkSource {
  public:
-  /// `discipline_factory` builds one queue per replica group —
-  /// PriorityDiscipline for BRB-model, FifoDiscipline for the
-  /// task-oblivious ideal ablation.
-  GlobalQueueModel(const store::Partitioner& partitioner,
-                   const std::function<std::unique_ptr<server::QueueDiscipline>()>&
-                       discipline_factory);
+  /// `discipline` names the per-group queue order — "priority" for
+  /// BRB-model, "fifo" for the task-oblivious ideal ablation.
+  GlobalQueueModel(const store::Partitioner& partitioner, std::string_view discipline);
 
   /// Registers the serving fleet; must cover every ServerId the
   /// partitioner references.
@@ -60,11 +56,12 @@ class GlobalQueueModel final : public server::WorkSource {
 
  private:
   const store::Partitioner* partitioner_;
-  const std::function<std::unique_ptr<server::QueueDiscipline>()> discipline_factory_;
-  std::vector<std::unique_ptr<server::QueueDiscipline>> group_queues_;
-  /// pinned_queues_[s] = server-bound requests (writes); created
-  /// lazily so read-only runs pay nothing.
-  std::vector<std::unique_ptr<server::QueueDiscipline>> pinned_queues_;
+  /// An empty queue of the configured discipline, copied per queue.
+  const server::QueueDiscipline empty_queue_;
+  std::vector<server::QueueDiscipline> group_queues_;
+  /// pinned_queues_[s] = server-bound requests (writes); created at the
+  /// first pinned submit so read-only runs pay nothing.
+  std::vector<server::QueueDiscipline> pinned_queues_;
   /// groups_of_[s] = replica groups server s participates in.
   std::vector<std::vector<store::GroupId>> groups_of_;
   std::vector<server::BackendServer*> servers_;

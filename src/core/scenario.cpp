@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iostream>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -18,65 +19,11 @@
 #include "server/service_model.hpp"
 #include "sim/simulator.hpp"
 #include "store/partitioner.hpp"
-#include "util/logger.hpp"
 #include "util/rng.hpp"
 #include "workload/task_gen.hpp"
 #include "workload/trace.hpp"
 
 namespace brb::core {
-
-namespace {
-
-/// Per-system defaults: replica policy, priority policy, queue
-/// discipline, admission policy. Every field is a control-plane
-/// registry name, overridable from the command line.
-struct SystemProfile {
-  std::string selector;
-  std::string priority_policy;
-  std::string server_discipline;
-  bool select_per_subtask = true;
-  std::string admission = "direct";
-};
-
-SystemProfile profile_for(SystemKind kind) {
-  switch (kind) {
-    case SystemKind::kC3:
-      return {"c3", "fifo", "fifo", /*select_per_subtask=*/false, "cubic-rate"};
-    case SystemKind::kEqualMaxCredits:
-      return {"least-pending-cost", "equalmax", "priority", true, "credits"};
-    case SystemKind::kEqualMaxDirect:
-      // BRB selects replicas load-aware per sub-task ("intelligent
-      // replica selection", §2). Least-pending-cost tracks the
-      // forecast work a client has bound to each server — the
-      // strongest decentralized signal available to it (measured in
-      // the policy-matrix scenario; beats C3-style ranking for
-      // sub-task granularity).
-      return {"least-pending-cost", "equalmax", "priority", true};
-    case SystemKind::kUnifIncrCredits:
-      return {"least-pending-cost", "unifincr", "priority", true, "credits"};
-    case SystemKind::kUnifIncrDirect:
-      return {"least-pending-cost", "unifincr", "priority", true};
-    case SystemKind::kEqualMaxModel:
-      return {"first", "equalmax", "priority", true};
-    case SystemKind::kUnifIncrModel:
-      return {"first", "unifincr", "priority", true};
-    case SystemKind::kFifoDirect:
-      return {"least-outstanding", "fifo", "fifo", false};
-    case SystemKind::kRandomFifo:
-      return {"random", "fifo", "fifo", false};
-    case SystemKind::kFifoModel:
-      return {"first", "fifo", "fifo", true};
-    case SystemKind::kRequestSjfDirect:
-      return {"least-pending-cost", "request-sjf", "priority", false};
-    case SystemKind::kCumSlackCredits:
-      return {"least-pending-cost", "cumslack", "priority", true, "credits"};
-    case SystemKind::kCumSlackModel:
-      return {"first", "cumslack", "priority", true};
-  }
-  throw std::invalid_argument("profile_for: unknown system kind");
-}
-
-}  // namespace
 
 RunResult run_scenario(const ScenarioConfig& config) {
   // Wall-clock instrumentation feeds only RunResult::wall_seconds,
@@ -115,7 +62,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
     throw std::invalid_argument("run_scenario: trace replay conflicts with a tenant mix");
   }
 
-  const SystemProfile profile = profile_for(config.system);
+  const SystemProfile& profile = system_profile(config.system);
   const std::uint32_t num_servers = config.cluster.num_servers;
   const std::uint32_t num_clients = config.num_clients;
 
@@ -324,16 +271,14 @@ RunResult run_scenario(const ScenarioConfig& config) {
   // --- work sources ---
   std::unique_ptr<GlobalQueueModel> global_queue;
   if (uses_global_queue(config.system)) {
-    global_queue = std::make_unique<GlobalQueueModel>(partitioner, [&] {
-      return server::make_discipline(profile.server_discipline);
-    });
+    global_queue = std::make_unique<GlobalQueueModel>(partitioner, profile.discipline);
     std::vector<server::BackendServer*> raw;
     raw.reserve(servers.size());
     for (const auto& s : servers) raw.push_back(s.get());
     global_queue->attach_servers(std::move(raw));
   } else {
     for (const auto& s : servers) {
-      s->use_private_queue(server::make_discipline(profile.server_discipline));
+      s->use_private_queue(server::make_discipline(profile.discipline));
     }
   }
 
@@ -351,10 +296,11 @@ RunResult run_scenario(const ScenarioConfig& config) {
 
   // --- control plane: policy runtime + admission registry ---
   const std::string selector_name =
-      config.selector_override.empty() ? profile.selector : config.selector_override;
-  const auto priority_policy = policy::make_priority_policy(profile.priority_policy);
+      config.selector_override.empty() ? std::string(profile.selector) : config.selector_override;
+  const auto priority_policy = policy::make_priority_policy(std::string(profile.priority_policy));
   const std::string admission_name = ctrl::canonical_admission_name(
-      config.admission_override.empty() ? profile.admission : config.admission_override);
+      config.admission_override.empty() ? std::string(profile.admission)
+                                        : config.admission_override);
   // The credits controller/monitor machinery follows the *effective*
   // admission policy: `--admission=direct` on a credits system runs
   // its priorities ungated, `--admission=credits` on a direct system
@@ -412,9 +358,9 @@ RunResult run_scenario(const ScenarioConfig& config) {
   if (uses_kofn && config.utilization >= 0.6) {
     static std::once_flag kofn_warned;
     std::call_once(kofn_warned, [&config] {
-      BRB_WARN("scenario") << "kofn dispatch at utilization " << config.utilization
-                           << " >= 0.6: n-fold load amplification may exceed fleet capacity "
-                              "(see README, tail-cutting regimes)";
+      std::cerr << "[WARN] [scenario] kofn dispatch at utilization " << config.utilization
+                << " >= 0.6: n-fold load amplification may exceed fleet capacity "
+                   "(see README, tail-cutting regimes)\n";
     });
   }
 

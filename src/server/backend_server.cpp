@@ -1,23 +1,12 @@
 #include "server/backend_server.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 #include "util/ewma.hpp"
-#include "util/logger.hpp"
 
 namespace brb::server {
-
-PrivateQueueSource::PrivateQueueSource(std::unique_ptr<QueueDiscipline> discipline)
-    : discipline_(std::move(discipline)) {
-  if (!discipline_) throw std::invalid_argument("PrivateQueueSource: null discipline");
-}
-
-void PrivateQueueSource::enqueue(QueuedRead read) { discipline_->push(std::move(read)); }
-
-std::optional<QueuedRead> PrivateQueueSource::next_for(store::ServerId) {
-  return discipline_->pop();
-}
 
 BackendServer::BackendServer(sim::Simulator& sim, Config config,
                              const ServiceTimeModel& service_model, util::Rng rng)
@@ -41,93 +30,38 @@ BackendServer::BackendServer(sim::Simulator& sim, Config config,
   }
 }
 
-PrivateQueueSource& BackendServer::use_private_queue(
-    std::unique_ptr<QueueDiscipline> discipline) {
-  // Plain FIFO (the dominant baseline configuration) is served from a
-  // flat ring buffer instead of the virtual discipline round-trip; the
-  // discipline object stays installed only as the mode marker.
-  fifo_ring_ = discipline->name() == "fifo";
-  owned_source_ = std::make_unique<PrivateQueueSource>(std::move(discipline));
-  private_source_ = owned_source_.get();
-  source_ = owned_source_.get();
-  private_queue_len_ = 0;
-  ring_head_ = 0;
-  ring_tail_ = 0;
-  if (fifo_ring_ && ring_.empty()) {
-    ring_.resize(64);
-    ring_mask_ = ring_.size() - 1;
-  }
-  return *owned_source_;
-}
-
-void BackendServer::ring_grow() {
-  // Double the power-of-two capacity, unrolling the occupied window to
-  // the front of the new buffer in FIFO order.
-  std::vector<QueuedRead> bigger(ring_.size() * 2);
-  const std::uint64_t count = ring_tail_ - ring_head_;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    bigger[static_cast<std::size_t>(i)] =
-        std::move(ring_[static_cast<std::size_t>(ring_head_ + i) & ring_mask_]);
-  }
-  ring_ = std::move(bigger);
-  ring_mask_ = ring_.size() - 1;
-  ring_head_ = 0;
-  ring_tail_ = count;
-}
-
 void BackendServer::receive(const store::ReadRequest& request) {
-  if (private_source_ == nullptr) {
+  if (!queue_) {
     throw std::logic_error("BackendServer::receive: no private queue (model mode pulls instead)");
   }
-  if (busy_cores_ < config_.cores && private_queue_len_ == 0) {
+  if (busy_cores_ < config_.cores && server::size(*queue_) == 0) {
     // Idle core, empty queue: the enqueue/pop round-trip through the
     // discipline is an identity — serve directly.
-    start_service(QueuedRead{request, now()});
+    start_service(request);
     return;
   }
-  if (fifo_ring_) {
-    ring_push(QueuedRead{request, now()});
-  } else {
-    private_source_->enqueue(QueuedRead{request, now()});
-  }
-  ++private_queue_len_;
-  stats_.max_queue_seen = std::max<std::uint64_t>(stats_.max_queue_seen, private_queue_len_);
+  server::push(*queue_, QueuedRead{request, now()});
   pump();
   check_watch();
 }
 
 void BackendServer::pump() {
-  if (source_ == nullptr) throw std::logic_error("BackendServer::pump: no work source");
+  if (!queue_ && source_ == nullptr) {
+    throw std::logic_error("BackendServer::pump: no work source");
+  }
   bool pulled = false;
-  if (fifo_ring_) {
-    // Ring fast path: straight-line pop, no optional, no virtual call.
-    while (busy_cores_ < config_.cores && !ring_empty()) {
-      pulled = true;
-      --private_queue_len_;
-      start_service(ring_pop());
-    }
-  } else if (private_source_ != nullptr) {
-    // Devirtualized fast path for the private-queue configuration.
-    while (busy_cores_ < config_.cores) {
-      auto read = private_source_->next_for(config_.id);
-      if (!read) break;
-      pulled = true;
-      --private_queue_len_;
-      start_service(std::move(*read));
-    }
-  } else {
-    while (busy_cores_ < config_.cores) {
-      auto read = source_->next_for(config_.id);
-      if (!read) break;
-      pulled = true;
-      start_service(std::move(*read));
-    }
+  while (busy_cores_ < config_.cores) {
+    std::optional<QueuedRead> read =
+        queue_ ? server::pop(*queue_) : source_->next_for(config_.id);
+    if (!read) break;
+    pulled = true;
+    start_service(read->request);
   }
   if (pulled) check_watch();
 }
 
-void BackendServer::start_service(QueuedRead read) {
-  if (service_filter_ && !service_filter_(read.request)) {
+void BackendServer::start_service(const store::ReadRequest& request) {
+  if (service_filter_ && !service_filter_(request)) {
     // Rejected at dequeue (a cancelled duplicate): consumes no core
     // and no service-time draw; the caller's pump loop simply pulls
     // the next item, and the receive fast path falls through idle.
@@ -137,15 +71,13 @@ void BackendServer::start_service(QueuedRead read) {
   // Actual work is driven by the replica's stored value size; absent
   // keys (possible in unit tests) serve as 1-byte values. Writes do
   // work proportional to the payload being installed instead.
-  const std::uint32_t size = read.request.is_write
-                                 ? std::max(1u, read.request.write_size)
-                                 : storage_.size_of(read.request.key).value_or(1);
+  const std::uint32_t size = request.is_write ? std::max(1u, request.write_size)
+                                             : storage_.size_of(request.key).value_or(1);
   const sim::Duration service_time = draw_service_time(size);
   const sim::Time done_at = now() + service_time;
-  sim().schedule_at(done_at, [this, request_id = read.request.request_id,
-                              task_id = read.request.task_id, key = read.request.key,
-                              client = read.request.client, service_time, size,
-                              is_write = read.request.is_write, version = storage_.version()] {
+  sim().schedule_at(done_at, [this, request_id = request.request_id, task_id = request.task_id,
+                              key = request.key, client = request.client, service_time, size,
+                              is_write = request.is_write, version = storage_.version()] {
     complete(request_id, task_id, key, client, service_time, size, is_write, version);
   });
 }

@@ -1,10 +1,10 @@
 // The backend storage server.
 //
-// Each server owns `cores` independent service units that drain a work
-// source. In the normal (decentralized) configuration the work source
-// is the server's private queue discipline; in the paper's ideal
-// "model" configuration all servers share the global priority queue and
-// work-pull from it (see core/global_queue.hpp).
+// Each server owns `cores` independent service units that drain its
+// work. In the normal (decentralized) configuration the server owns a
+// private queue discipline; in the paper's ideal "model" configuration
+// all servers share the global priority queue and work-pull from it
+// (see core/global_queue.hpp).
 //
 // Every response piggybacks load feedback (queue length and an EWMA of
 // the observed service rate) — the signal C3 consumes; BRB is free to
@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 
 #include "server/queue_discipline.hpp"
@@ -25,8 +24,9 @@
 
 namespace brb::server {
 
-/// Where an idle core looks for its next request. Implementations:
-/// `PrivateQueueSource` below and `core::GlobalQueueModel`.
+/// Where an idle core of a server without a private queue looks for
+/// its next request: the seam to `core::GlobalQueueModel`, which keeps
+/// `server/` independent of `core/`.
 class WorkSource {
  public:
   virtual ~WorkSource() = default;
@@ -38,25 +38,10 @@ class WorkSource {
   virtual std::size_t backlog(store::ServerId server) const = 0;
 };
 
-/// The standard per-server queue.
-class PrivateQueueSource final : public WorkSource {
- public:
-  explicit PrivateQueueSource(std::unique_ptr<QueueDiscipline> discipline);
-
-  void enqueue(QueuedRead read);
-  std::optional<QueuedRead> next_for(store::ServerId) override;
-  std::size_t backlog(store::ServerId) const override { return discipline_->size(); }
-  const QueueDiscipline& discipline() const noexcept { return *discipline_; }
-
- private:
-  std::unique_ptr<QueueDiscipline> discipline_;
-};
-
 /// Cumulative per-server counters for reports and tests.
 struct ServerStats {
   std::uint64_t served = 0;
   sim::Duration busy_time = sim::Duration::zero();
-  std::uint64_t max_queue_seen = 0;
 };
 
 class BackendServer : public sim::Actor {
@@ -76,9 +61,12 @@ class BackendServer : public sim::Actor {
   BackendServer(sim::Simulator& sim, Config config, const ServiceTimeModel& service_model,
                 util::Rng rng);
 
-  /// Attaches this server to its work source. For the private-queue
-  /// configuration pass the PrivateQueueSource; for the ideal model
-  /// pass the shared global queue. Must be called before traffic.
+  /// Installs a private queue with the given discipline (owned by the
+  /// server); receive() then queues into it. Must be called before
+  /// traffic.
+  void use_private_queue(QueueDiscipline discipline) { queue_ = std::move(discipline); }
+  /// Attaches the ideal model's shared global queue instead; the
+  /// server then only work-pulls. A private queue takes precedence.
   void set_work_source(WorkSource& source) { source_ = &source; }
   void set_response_handler(ResponseHandler handler) { on_response_ = std::move(handler); }
 
@@ -119,10 +107,8 @@ class BackendServer : public sim::Actor {
   std::uint32_t busy_cores() const noexcept { return busy_cores_; }
 
   /// Queue length advertised in feedback (waiting requests only).
-  /// O(1): private-queue mode serves a cached counter (no virtual
-  /// dispatch on the service hot path).
   std::uint32_t queue_length() const {
-    if (private_source_ != nullptr) return private_queue_len_;
+    if (queue_) return static_cast<std::uint32_t>(server::size(*queue_));
     return source_ == nullptr ? 0 : static_cast<std::uint32_t>(source_->backlog(config_.id));
   }
 
@@ -134,7 +120,7 @@ class BackendServer : public sim::Actor {
   const Config& config() const noexcept { return config_; }
 
  private:
-  void start_service(QueuedRead read);
+  void start_service(const store::ReadRequest& request);
   /// Service-time draw with the virtual dispatch peeled off: a direct
   /// call for SizeLinearServiceModel; when it is noise-free the draw
   /// collapses to one inline multiply-add (no model math, no RNG, no
@@ -150,16 +136,6 @@ class BackendServer : public sim::Actor {
     if (linear_model_ != nullptr) return linear_model_->sample(size, rng_);
     return service_model_->sample(size, rng_);
   }
-  /// FIFO ring helpers (active iff the private discipline is "fifo").
-  void ring_push(QueuedRead&& read) {
-    if (ring_tail_ - ring_head_ == ring_.size()) ring_grow();
-    ring_[static_cast<std::size_t>(ring_tail_++) & ring_mask_] = std::move(read);
-  }
-  QueuedRead ring_pop() {
-    return std::move(ring_[static_cast<std::size_t>(ring_head_++) & ring_mask_]);
-  }
-  bool ring_empty() const noexcept { return ring_head_ == ring_tail_; }
-  void ring_grow();
   /// Completion takes only the response-relevant request fields — the
   /// scheduled closure stays small enough for the event queue's inline
   /// callback storage instead of copying the whole QueuedRead.
@@ -188,36 +164,17 @@ class BackendServer : public sim::Actor {
   std::int64_t linear_base_nanos_ = 0;
   double linear_per_byte_ = 0.0;
   util::Rng rng_;
-  WorkSource* source_ = nullptr;
-  PrivateQueueSource* private_source_ = nullptr;  // set iff source is private
-  /// Fixed-capacity (growable, power-of-two) FIFO ring bypassing the
-  /// virtual QueueDiscipline push/pop when the private discipline is
-  /// plain FIFO. Pop order matches FifoDiscipline's deque exactly.
-  bool fifo_ring_ = false;
-  std::vector<QueuedRead> ring_;
-  std::size_t ring_mask_ = 0;
-  std::uint64_t ring_head_ = 0;  // pop side
-  std::uint64_t ring_tail_ = 0;  // push side
+  std::optional<QueueDiscipline> queue_;  // private-queue mode
+  WorkSource* source_ = nullptr;          // global-queue mode
   ResponseHandler on_response_;
   ServiceFilterFn service_filter_;
   QueueWatchFn queue_watch_;
   std::uint32_t watch_threshold_ = 0;
   bool watch_over_ = false;
-  std::uint32_t private_queue_len_ = 0;
   store::StorageEngine storage_;
   std::uint32_t busy_cores_ = 0;
   double ewma_rate_ = 0.0;
   ServerStats stats_;
-
-  friend class PrivateQueueBinding;
-
- public:
-  /// Convenience: installs a private queue with the given discipline
-  /// and returns it (owned by the server).
-  PrivateQueueSource& use_private_queue(std::unique_ptr<QueueDiscipline> discipline);
-
- private:
-  std::unique_ptr<PrivateQueueSource> owned_source_;
 };
 
 }  // namespace brb::server

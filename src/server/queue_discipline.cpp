@@ -2,22 +2,25 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace brb::server {
 
-void FifoDiscipline::push(QueuedRead read) { queue_.push_back(std::move(read)); }
-
-std::optional<QueuedRead> FifoDiscipline::pop() {
-  if (queue_.empty()) return std::nullopt;
-  QueuedRead out = std::move(queue_.front());
-  queue_.pop_front();
-  return out;
-}
-
-std::optional<QueueHead> FifoDiscipline::peek() const {
-  if (queue_.empty()) return std::nullopt;
-  return QueueHead{0.0, queue_.front().submit_seq};
+void FifoDiscipline::grow() {
+  // Double the power-of-two capacity (64 slots at the first push),
+  // unrolling the occupied window to the front of the new buffer in
+  // FIFO order.
+  std::vector<QueuedRead> bigger(ring_.empty() ? 64 : ring_.size() * 2);
+  const std::uint64_t count = tail_ - head_;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    bigger[static_cast<std::size_t>(i)] =
+        std::move(ring_[static_cast<std::size_t>(head_ + i) & mask_]);
+  }
+  ring_ = std::move(bigger);
+  mask_ = ring_.size() - 1;
+  head_ = 0;
+  tail_ = count;
 }
 
 void PriorityDiscipline::push(QueuedRead read) {
@@ -79,20 +82,10 @@ void PriorityDiscipline::sift_down(std::size_t i) {
   heap_[i] = item;
 }
 
-void SjfDiscipline::push(QueuedRead read) {
-  // Reuse the priority heap keyed on the expected per-request cost.
-  read.request.priority =
-      static_cast<store::Priority>(read.request.expected_cost.count_nanos());
-  inner_.push(std::move(read));
-}
-
-std::optional<QueuedRead> SjfDiscipline::pop() { return inner_.pop(); }
-
-std::unique_ptr<QueueDiscipline> make_discipline(const std::string& name) {
-  if (name == "fifo") return std::make_unique<FifoDiscipline>();
-  if (name == "priority") return std::make_unique<PriorityDiscipline>();
-  if (name == "sjf") return std::make_unique<SjfDiscipline>();
-  throw std::invalid_argument("make_discipline: unknown discipline: " + name);
+QueueDiscipline make_discipline(std::string_view name) {
+  if (name == "fifo") return FifoDiscipline{};
+  if (name == "priority") return PriorityDiscipline{};
+  throw std::invalid_argument("make_discipline: unknown discipline: " + std::string(name));
 }
 
 }  // namespace brb::server

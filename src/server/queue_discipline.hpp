@@ -2,14 +2,16 @@
 //
 // The task-oblivious baseline serves FIFO; BRB servers serve by the
 // client-assigned priority (lower value first, FIFO within equal
-// priorities — the stable tie-break keeps runs deterministic).
+// priorities — the stable tie-break keeps runs deterministic). The two
+// form a closed set: `QueueDiscipline` is a variant over them, owned by
+// value by each private-queue server and by the ideal model's groups.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <optional>
-#include <string>
+#include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -33,32 +35,33 @@ struct QueueHead {
   std::uint64_t submit_seq = 0;
 };
 
-class QueueDiscipline {
+/// First-in first-out over a growable power-of-two ring. The ring is
+/// allocated at the first push, so a queue that never backs up costs
+/// no heap. peek() reports priority 0, so cross-queue comparison
+/// reduces to submission order.
+class FifoDiscipline {
  public:
-  virtual ~QueueDiscipline() = default;
-
-  virtual void push(QueuedRead read) = 0;
-  virtual std::optional<QueuedRead> pop() = 0;
-  /// Key of the element pop() would return; nullopt when empty. FIFO
-  /// disciplines report priority 0 so cross-queue comparison reduces to
-  /// submission order.
-  virtual std::optional<QueueHead> peek() const = 0;
-  virtual std::size_t size() const noexcept = 0;
-  bool empty() const noexcept { return size() == 0; }
-  virtual std::string name() const = 0;
-};
-
-/// First-in first-out.
-class FifoDiscipline final : public QueueDiscipline {
- public:
-  void push(QueuedRead read) override;
-  std::optional<QueuedRead> pop() override;
-  std::optional<QueueHead> peek() const override;
-  std::size_t size() const noexcept override { return queue_.size(); }
-  std::string name() const override { return "fifo"; }
+  void push(QueuedRead read) {
+    if (tail_ - head_ == ring_.size()) grow();
+    ring_[static_cast<std::size_t>(tail_++) & mask_] = std::move(read);
+  }
+  std::optional<QueuedRead> pop() {
+    if (head_ == tail_) return std::nullopt;
+    return std::move(ring_[static_cast<std::size_t>(head_++) & mask_]);
+  }
+  std::optional<QueueHead> peek() const {
+    if (head_ == tail_) return std::nullopt;
+    return QueueHead{0.0, ring_[static_cast<std::size_t>(head_) & mask_].submit_seq};
+  }
+  std::size_t size() const noexcept { return static_cast<std::size_t>(tail_ - head_); }
 
  private:
-  std::deque<QueuedRead> queue_;
+  void grow();
+
+  std::vector<QueuedRead> ring_;
+  std::size_t mask_ = 0;
+  std::uint64_t head_ = 0;  // pop side
+  std::uint64_t tail_ = 0;  // push side
 };
 
 /// Minimum priority value first; FIFO among equals.
@@ -67,13 +70,12 @@ class FifoDiscipline final : public QueueDiscipline {
 /// keys while the 88-byte `QueuedRead` payloads sit still in a slot
 /// table, so sifts never move a request. (priority, seq) is a total
 /// order, making pop order independent of heap arity/layout.
-class PriorityDiscipline final : public QueueDiscipline {
+class PriorityDiscipline {
  public:
-  void push(QueuedRead read) override;
-  std::optional<QueuedRead> pop() override;
-  std::optional<QueueHead> peek() const override;
-  std::size_t size() const noexcept override { return heap_.size(); }
-  std::string name() const override { return "priority"; }
+  void push(QueuedRead read);
+  std::optional<QueuedRead> pop();
+  std::optional<QueueHead> peek() const;
+  std::size_t size() const noexcept { return heap_.size(); }
 
  private:
   static constexpr std::size_t kArity = 4;
@@ -96,20 +98,22 @@ class PriorityDiscipline final : public QueueDiscipline {
   std::uint64_t next_seq_ = 0;
 };
 
-/// Shortest-job-first on the client's expected cost; FIFO among equals.
-/// Used by the per-request SJF ablation (task-oblivious but size-aware).
-class SjfDiscipline final : public QueueDiscipline {
- public:
-  void push(QueuedRead read) override;
-  std::optional<QueuedRead> pop() override;
-  std::optional<QueueHead> peek() const override { return inner_.peek(); }
-  std::size_t size() const noexcept override { return inner_.size(); }
-  std::string name() const override { return "sjf"; }
+using QueueDiscipline = std::variant<FifoDiscipline, PriorityDiscipline>;
 
- private:
-  PriorityDiscipline inner_;
-};
+inline void push(QueueDiscipline& queue, QueuedRead read) {
+  std::visit([&read](auto& q) { q.push(std::move(read)); }, queue);
+}
+inline std::optional<QueuedRead> pop(QueueDiscipline& queue) {
+  return std::visit([](auto& q) { return q.pop(); }, queue);
+}
+inline std::optional<QueueHead> peek(const QueueDiscipline& queue) {
+  return std::visit([](const auto& q) { return q.peek(); }, queue);
+}
+inline std::size_t size(const QueueDiscipline& queue) {
+  return std::visit([](const auto& q) { return q.size(); }, queue);
+}
 
-std::unique_ptr<QueueDiscipline> make_discipline(const std::string& name);
+/// "fifo" or "priority"; throws std::invalid_argument otherwise.
+QueueDiscipline make_discipline(std::string_view name);
 
 }  // namespace brb::server

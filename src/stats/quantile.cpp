@@ -5,21 +5,6 @@
 
 namespace brb::stats {
 
-namespace {
-
-/// Type-7 interpolation (the R/NumPy default) over sorted order
-/// statistics. The single definition every estimator here shares, so
-/// exact, warmup and reservoir quantiles can never drift apart.
-double type7(const std::vector<double>& sorted, double q) {
-  const double h =
-      std::clamp(q, 0.0, 1.0) * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(h));
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  return sorted[lo] + (h - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
-}
-
-}  // namespace
-
 double ExactQuantiles::quantile(double q) const {
   if (values_.empty()) throw std::logic_error("ExactQuantiles::quantile: no samples");
   std::lock_guard<std::mutex> lock(mutex_);
@@ -29,117 +14,11 @@ double ExactQuantiles::quantile(double q) const {
     sorted_ = values_;
     std::sort(sorted_.begin(), sorted_.end());
   }
-  return type7(sorted_, q);
-}
-
-P2Quantile::P2Quantile(double q) : q_(q) {
-  if (!(q > 0.0 && q < 1.0)) throw std::invalid_argument("P2Quantile: q must be in (0,1)");
-  desired_[0] = 1;
-  desired_[1] = 1 + 2 * q;
-  desired_[2] = 1 + 4 * q;
-  desired_[3] = 3 + 2 * q;
-  desired_[4] = 5;
-  increments_[0] = 0;
-  increments_[1] = q / 2;
-  increments_[2] = q;
-  increments_[3] = (1 + q) / 2;
-  increments_[4] = 1;
-  warmup_.reserve(5);
-}
-
-void P2Quantile::add(double x) {
-  ++n_;
-  if (warmup_.size() < 5) {
-    warmup_.push_back(x);
-    if (warmup_.size() == 5) {
-      std::sort(warmup_.begin(), warmup_.end());
-      for (int i = 0; i < 5; ++i) heights_[i] = warmup_[i];
-    }
-    return;
-  }
-
-  int cell;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    cell = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    cell = 3;
-  } else {
-    cell = 0;
-    while (cell < 3 && x >= heights_[cell + 1]) ++cell;
-  }
-
-  for (int i = cell + 1; i < 5; ++i) positions_[i] += 1;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double step_up = positions_[i + 1] - positions_[i];
-    const double step_down = positions_[i - 1] - positions_[i];
-    if ((d >= 1.0 && step_up > 1.0) || (d <= -1.0 && step_down < -1.0)) {
-      const double sign = d >= 0 ? 1.0 : -1.0;
-      double candidate = parabolic(i, sign);
-      if (!(heights_[i - 1] < candidate && candidate < heights_[i + 1])) {
-        candidate = linear(i, sign);
-      }
-      heights_[i] = candidate;
-      positions_[i] += sign;
-    }
-  }
-}
-
-double P2Quantile::parabolic(int i, double d) const {
-  const double num1 = positions_[i] - positions_[i - 1] + d;
-  const double num2 = positions_[i + 1] - positions_[i] - d;
-  const double den_up = positions_[i + 1] - positions_[i];
-  const double den_down = positions_[i] - positions_[i - 1];
-  return heights_[i] +
-         d / (positions_[i + 1] - positions_[i - 1]) *
-             (num1 * (heights_[i + 1] - heights_[i]) / den_up +
-              num2 * (heights_[i] - heights_[i - 1]) / den_down);
-}
-
-double P2Quantile::linear(int i, double d) const {
-  const int j = i + static_cast<int>(d);
-  return heights_[i] + d * (heights_[j] - heights_[i]) / (positions_[j] - positions_[i]);
-}
-
-double P2Quantile::value() const {
-  if (n_ == 0) throw std::logic_error("P2Quantile::value: no samples");
-  if (warmup_.size() < 5 || n_ <= 5) {
-    // Exact small-sample answer, interpolated consistently with the
-    // rest of the stats module (ExactQuantiles, ReservoirSample).
-    std::vector<double> sorted = warmup_;
-    std::sort(sorted.begin(), sorted.end());
-    return type7(sorted, q_);
-  }
-  return heights_[2];
-}
-
-ReservoirSample::ReservoirSample(std::size_t capacity, util::Rng rng)
-    : capacity_(capacity), rng_(rng) {
-  if (capacity_ == 0) throw std::invalid_argument("ReservoirSample: capacity == 0");
-  sample_.reserve(capacity_);
-}
-
-void ReservoirSample::add(double x) {
-  ++seen_;
-  if (sample_.size() < capacity_) {
-    sample_.push_back(x);
-    return;
-  }
-  // Full-width draw: `seen_` is a uint64 and may legitimately exceed
-  // the int64 range that `uniform_int` covers.
-  const std::uint64_t j = replacement_index(rng_, seen_);
-  if (j < capacity_) sample_[static_cast<std::size_t>(j)] = x;
-}
-
-double ReservoirSample::quantile(double q) const {
-  if (sample_.empty()) throw std::logic_error("ReservoirSample::quantile: no samples");
-  std::vector<double> sorted = sample_;
-  std::sort(sorted.begin(), sorted.end());
-  return type7(sorted, q);
+  // Type-7 interpolation (the R/NumPy default) over the order statistics.
+  const double h = std::clamp(q, 0.0, 1.0) * static_cast<double>(sorted_.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(h));
+  const auto hi = std::min(lo + 1, sorted_.size() - 1);
+  return sorted_[lo] + (h - static_cast<double>(lo)) * (sorted_[hi] - sorted_[lo]);
 }
 
 }  // namespace brb::stats

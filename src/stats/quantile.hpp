@@ -1,17 +1,12 @@
-// Exact and streaming quantile estimators.
-//
-// `ExactQuantiles` keeps every sample (used in tests as ground truth
-// and in moderate-scale experiments); `P2Quantile` is the classic
-// Jain & Chlamtac (1985) constant-space estimator used where memory is
-// at a premium; `ReservoirSample` gives a fixed-size uniform sample.
+// Exact quantiles: `ExactQuantiles` keeps every sample (used in tests
+// as ground truth and in moderate-scale experiments). Streaming runs use
+// the mergeable `QuantileSketch` (stats/sketch.hpp) instead.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
-
-#include "util/rng.hpp"
 
 namespace brb::stats {
 
@@ -62,56 +57,6 @@ class ExactQuantiles {
   std::vector<double> values_;
   mutable std::mutex mutex_;            // guards sorted_
   mutable std::vector<double> sorted_;  // cache; stale when size differs
-};
-
-/// P² single-quantile estimator: five markers, O(1) per observation.
-class P2Quantile {
- public:
-  /// q in (0,1).
-  explicit P2Quantile(double q);
-
-  void add(double x);
-  /// Current estimate; exact while fewer than five samples seen.
-  double value() const;
-  std::uint64_t count() const noexcept { return n_; }
-
- private:
-  double parabolic(int i, double d) const;
-  double linear(int i, double d) const;
-
-  double q_;
-  std::uint64_t n_ = 0;
-  double heights_[5] = {0, 0, 0, 0, 0};
-  double positions_[5] = {1, 2, 3, 4, 5};
-  double desired_[5] = {0, 0, 0, 0, 0};
-  double increments_[5] = {0, 0, 0, 0, 0};
-  std::vector<double> warmup_;
-};
-
-/// Algorithm-R uniform reservoir of fixed capacity.
-class ReservoirSample {
- public:
-  ReservoirSample(std::size_t capacity, util::Rng rng);
-
-  void add(double x);
-  std::uint64_t seen() const noexcept { return seen_; }
-  const std::vector<double>& sample() const noexcept { return sample_; }
-
-  /// Quantile over the reservoir contents. Throws when empty.
-  double quantile(double q) const;
-
-  /// Algorithm-R's replacement draw for the `seen`-th observation:
-  /// uniform in [0, seen). Exposed for tests because it must stay
-  /// correct past the int64 boundary `Rng::uniform_int` cannot span.
-  static std::uint64_t replacement_index(util::Rng& rng, std::uint64_t seen) {
-    return rng.uniform_u64_below(seen);
-  }
-
- private:
-  std::size_t capacity_;
-  util::Rng rng_;
-  std::uint64_t seen_ = 0;
-  std::vector<double> sample_;
 };
 
 }  // namespace brb::stats

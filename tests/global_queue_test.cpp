@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "core/fig1.hpp"
@@ -27,9 +28,8 @@ struct ModelFixture {
   std::unique_ptr<GlobalQueueModel> queue;
   std::vector<std::pair<store::ServerId, store::RequestId>> completions;
 
-  ModelFixture() {
-    queue = std::make_unique<GlobalQueueModel>(
-        partitioner, [] { return server::make_discipline("priority"); });
+  explicit ModelFixture(std::string_view discipline = "priority") {
+    queue = std::make_unique<GlobalQueueModel>(partitioner, discipline);
     std::vector<server::BackendServer*> raw;
     for (store::ServerId s = 0; s < 3; ++s) {
       server::BackendServer::Config config;
@@ -117,6 +117,35 @@ TEST(GlobalQueueModel, FifoTieBreakBySubmission) {
     if (id < 100) contended.push_back(id);
   }
   EXPECT_EQ(contended, (std::vector<store::RequestId>{1, 2, 3}));
+}
+
+TEST(GlobalQueueModel, FifoGroupsAndPinnedServeInSubmissionOrder) {
+  // FIFO queues report priority 0 at their heads, so a server pulling
+  // across its two group queues and its pinned queue must follow the
+  // global submission order whatever the requests' priorities.
+  ModelFixture f("fifo");
+  f.simulator.schedule_at(Time::zero(), [&] {
+    f.queue->submit(f.read(100, 0.0), 0);  // occupy server 0
+    // Keep servers 1 and 2 on group-1 filler for five service slots so
+    // only server 0 pulls the contended requests.
+    for (store::RequestId id = 101; id <= 110; ++id) f.queue->submit(f.read(id, 0.0), 1);
+    f.queue->submit(f.read(1, 9.0), 0);
+    f.queue->submit_pinned(f.read(2, 1.0), 0);
+    f.queue->submit(f.read(3, 5.0), 2);
+    f.queue->submit_pinned(f.read(4, 0.0), 0);
+    // Server 0 sees group 0, group 2 and its own pinned queue.
+    EXPECT_EQ(f.queue->backlog(0), 4u);
+  });
+  f.simulator.run();
+  std::vector<store::RequestId> contended;
+  for (const auto& [server, id] : f.completions) {
+    if (id < 100) {
+      contended.push_back(id);
+      EXPECT_EQ(server, 0u) << "request " << id;
+    }
+  }
+  EXPECT_EQ(contended, (std::vector<store::RequestId>{1, 2, 3, 4}));
+  EXPECT_EQ(f.queue->total_backlog(), 0u);
 }
 
 TEST(GlobalQueueModel, BacklogCountsServableWork) {

@@ -154,6 +154,27 @@ TEST(Rng, UniformU64BelowUniformBeyondInt64Range) {
   for (const int count : buckets) EXPECT_NEAR(count, draws / 8, draws / 8 * 0.10);
 }
 
+TEST(Rng, UniformU64BelowUniformJustPastInt64Boundary) {
+  // Regression: a reservoir's replacement draw over `seen` observations
+  // used to be funneled through uniform_int's int64 parameter,
+  // overflowing (UB) once a stream passes 2^63. The draw must stay
+  // uniform over the full [0, bound) range just beyond that boundary.
+  Rng rng(20);
+  const std::uint64_t bound = (1ULL << 63) + 987654321ULL;
+  const std::uint64_t bucket_width = bound / 16 + 1;
+  std::array<int, 16> buckets{};
+  const int draws = 64000;
+  for (int i = 0; i < draws; ++i) {
+    const std::uint64_t v = rng.uniform_u64_below(bound);
+    ASSERT_LT(v, bound);
+    ++buckets[static_cast<std::size_t>(v / bucket_width)];
+  }
+  const double expected = draws / 16.0;
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    EXPECT_NEAR(buckets[b], expected, expected * 0.10) << "bucket " << b;
+  }
+}
+
 TEST(Rng, UniformU64BelowRejectsZeroBound) {
   Rng rng(24);
   EXPECT_THROW(rng.uniform_u64_below(0), std::invalid_argument);

@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <string>
 #include <vector>
+
+#include "cli/driver.hpp"
+#include "cli/scenario_registry.hpp"
+#include "util/flags.hpp"
 
 namespace brb::core {
 namespace {
@@ -167,6 +174,111 @@ TEST(Scenario, TaskAwareBeatsTaskObliviousAtTail) {
   const RunResult fifo = run_scenario(fifo_config);
   EXPECT_LT(brb.task_latency.percentile(99).count_nanos(),
             fifo.task_latency.percentile(99).count_nanos());
+}
+
+TEST(Scenario, KofnAtHighLoadWarnsOnceOnStderr) {
+  ScenarioConfig config = quick_config(SystemKind::kFifoDirect);
+  config.num_tasks = 300;
+  config.utilization = 0.6;
+  config.dispatch_spec = "kofn";
+  ::testing::internal::CaptureStderr();
+  run_scenario(config);
+  run_scenario(config);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "[WARN] [scenario] kofn dispatch at utilization 0.6 >= 0.6: n-fold load "
+            "amplification may exceed fleet capacity (see README, tail-cutting regimes)\n");
+}
+
+// ---------------------------------------------------------------------------
+// The system table
+
+TEST(SystemTable, NamesRoundTripAndRolesArePinned) {
+  struct Row {
+    SystemKind kind;
+    const char* name;
+    bool global_queue;
+    bool credits;
+    bool task_aware;
+  };
+  const Row rows[] = {
+      {SystemKind::kC3, "c3", false, false, false},
+      {SystemKind::kEqualMaxCredits, "equalmax-credits", false, true, true},
+      {SystemKind::kUnifIncrCredits, "unifincr-credits", false, true, true},
+      {SystemKind::kEqualMaxModel, "equalmax-model", true, false, true},
+      {SystemKind::kUnifIncrModel, "unifincr-model", true, false, true},
+      {SystemKind::kFifoDirect, "fifo-direct", false, false, false},
+      {SystemKind::kRandomFifo, "random-fifo", false, false, false},
+      {SystemKind::kEqualMaxDirect, "equalmax-direct", false, false, true},
+      {SystemKind::kUnifIncrDirect, "unifincr-direct", false, false, true},
+      {SystemKind::kFifoModel, "fifo-model", true, false, false},
+      {SystemKind::kRequestSjfDirect, "request-sjf-direct", false, false, false},
+      {SystemKind::kCumSlackCredits, "cumslack-credits", false, true, true},
+      {SystemKind::kCumSlackModel, "cumslack-model", true, false, true},
+  };
+  ASSERT_EQ(std::size(rows), kSystemProfiles.size());
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    EXPECT_EQ(to_string(row.kind), row.name);
+    EXPECT_EQ(system_kind_from_name(row.name), row.kind);
+    EXPECT_EQ(uses_global_queue(row.kind), row.global_queue);
+    EXPECT_EQ(uses_credits(row.kind), row.credits);
+    EXPECT_EQ(is_task_aware(row.kind), row.task_aware);
+  }
+  EXPECT_THROW(system_kind_from_name("sjf"), std::invalid_argument);
+  EXPECT_THROW(system_kind_from_name(""), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Behaviour pin: every policy-matrix case (all 13 systems, so every
+// queue discipline under both the per-server and the global-queue
+// realization, plus the selector ablation) at 3000 tasks, seed 1. The
+// values were recorded before the server queue path was collapsed to
+// one FIFO and one priority discipline; any change to a pop order or
+// to the event stream moves them.
+
+TEST(Scenario, PolicyMatrixObservablesArePinned) {
+  struct Pinned {
+    const char* label;
+    std::uint64_t events_processed;
+    std::uint64_t network_messages;
+    std::uint64_t requests_completed;
+    std::int64_t p50_ns;
+    std::int64_t p99_ns;
+  };
+  const Pinned pinned[] = {
+      {"random-fifo", 81879u, 52586u, 26293u, 1179136, 10350592},
+      {"fifo-direct", 81879u, 52586u, 26293u, 993536, 9965568},
+      {"request-sjf-direct", 81879u, 52586u, 26293u, 480128, 11513856},
+      {"c3", 110973u, 52586u, 26293u, 813312, 65355776},
+      {"equalmax-direct", 81879u, 52586u, 26293u, 429952, 7002112},
+      {"unifincr-direct", 81879u, 52586u, 26293u, 467584, 7129088},
+      {"equalmax-credits", 81953u, 52622u, 26293u, 429952, 7002112},
+      {"unifincr-credits", 81990u, 52640u, 26293u, 467584, 7129088},
+      {"cumslack-credits", 81990u, 52640u, 26293u, 427136, 7497728},
+      {"fifo-model", 81879u, 52586u, 26293u, 906496, 7170048},
+      {"equalmax-model", 81879u, 52586u, 26293u, 378240, 5642240},
+      {"unifincr-model", 81879u, 52586u, 26293u, 405376, 5253120},
+      {"cumslack-model", 81879u, 52586u, 26293u, 375424, 6260736},
+      {"equalmax-direct/c3", 81879u, 52586u, 26293u, 436608, 11325440},
+      {"equalmax-direct/least-pending-cost", 81879u, 52586u, 26293u, 429952, 7002112},
+      {"equalmax-direct/least-outstanding", 81879u, 52586u, 26293u, 426112, 7075840},
+      {"equalmax-direct/random", 81879u, 52586u, 26293u, 429184, 9580544},
+  };
+  const char* argv[] = {"brbsim", "--tasks=3000", "--seed=1"};
+  const util::Flags flags(3, argv);
+  const auto cases =
+      cli::find_scenario("policy-matrix")->expand(cli::config_from_flags(flags), flags);
+  ASSERT_EQ(cases.size(), std::size(pinned));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(pinned[i].label);
+    ASSERT_EQ(cases[i].label, pinned[i].label);
+    const RunResult result = run_scenario(cases[i].config);
+    EXPECT_EQ(result.events_processed, pinned[i].events_processed);
+    EXPECT_EQ(result.network_messages, pinned[i].network_messages);
+    EXPECT_EQ(result.requests_completed, pinned[i].requests_completed);
+    EXPECT_EQ(result.task_latency.percentile(50).count_nanos(), pinned[i].p50_ns);
+    EXPECT_EQ(result.task_latency.percentile(99).count_nanos(), pinned[i].p99_ns);
+  }
 }
 
 }  // namespace

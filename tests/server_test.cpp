@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "server/backend_server.hpp"
@@ -167,24 +169,112 @@ TEST(PriorityDiscipline, RandomizedHeapProperty) {
   }
 }
 
-TEST(SjfDiscipline, OrdersByExpectedCost) {
-  SjfDiscipline q;
-  QueuedRead big;
-  big.request.request_id = 1;
-  big.request.expected_cost = Duration::micros(500);
-  QueuedRead small;
-  small.request.request_id = 2;
-  small.request.expected_cost = Duration::micros(10);
-  q.push(std::move(big));
-  q.push(std::move(small));
-  EXPECT_EQ(q.pop()->request.request_id, 2u);
-  EXPECT_EQ(q.pop()->request.request_id, 1u);
+TEST(FifoDiscipline, MatchesDequeThroughWrappedGrowth) {
+  // Seeded differential fuzz against std::deque. Bursts of pushes after
+  // partial drains make the ring grow while its window wraps (head not
+  // at slot 0), the case where growth must unroll the window in order.
+  // A mirror of the ring's geometry counts those growths, so the test
+  // fails if the bursts ever stop reaching them. Once the ring reaches
+  // 4096 slots it is drained and replaced by a fresh one.
+  FifoDiscipline q;
+  std::deque<QueuedRead> reference;
+  util::Rng rng(31);
+  std::uint64_t next_id = 0;
+  std::size_t capacity = 0;  // mirror: 64 at the first push, then doubling
+  std::size_t head_slot = 0;
+  int wrapped_growths = 0;
+  int fresh_rings = 0;
+  std::uint64_t ops = 0;
+  const auto push_one = [&] {
+    if (reference.size() == capacity) {
+      if (head_slot != 0) ++wrapped_growths;
+      capacity = capacity == 0 ? 64 : capacity * 2;
+      head_slot = 0;
+    }
+    QueuedRead read = make_read(rng.uniform(), next_id, next_id * 7 + 3);
+    ++next_id;
+    reference.push_back(read);
+    q.push(std::move(read));
+  };
+  const auto pop_one = [&] {
+    const std::optional<QueuedRead> got = q.pop();
+    if (reference.empty()) {
+      ASSERT_FALSE(got.has_value());
+      return;
+    }
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->request.request_id, reference.front().request.request_id);
+    EXPECT_EQ(got->submit_seq, reference.front().submit_seq);
+    reference.pop_front();
+    head_slot = (head_slot + 1) % capacity;
+  };
+  while (ops < 200'000) {
+    if (capacity >= 4096) {
+      ops += reference.size();
+      while (!reference.empty()) pop_one();
+      ASSERT_FALSE(q.pop().has_value());
+      q = FifoDiscipline{};
+      capacity = 0;
+      head_slot = 0;
+      ++fresh_rings;
+    }
+    const double pick = rng.uniform();
+    if (pick < 0.05) {
+      // Burst: past the current capacity, so the ring must grow.
+      const std::size_t burst = capacity - reference.size() + 1 +
+                                static_cast<std::size_t>(rng.uniform_int(0, 40));
+      for (std::size_t i = 0; i < burst; ++i) push_one();
+      ops += burst;
+    } else if (pick < 0.10) {
+      // Partial drain: moves the head off slot 0 for the next burst.
+      const auto drain = static_cast<std::size_t>(rng.uniform_int(0, 1 + reference.size() / 2));
+      for (std::size_t i = 0; i < drain; ++i) pop_one();
+      ops += drain;
+    } else if (pick < 0.55) {
+      push_one();
+      ++ops;
+    } else if (pick < 0.90) {
+      pop_one();
+      ++ops;
+    } else {
+      const std::optional<QueueHead> head = q.peek();
+      ASSERT_EQ(head.has_value(), !reference.empty());
+      if (head) {
+        EXPECT_EQ(head->priority, 0.0);
+        EXPECT_EQ(head->submit_seq, reference.front().submit_seq);
+      }
+      ++ops;
+    }
+    ASSERT_EQ(q.size(), reference.size());
+  }
+  while (!reference.empty()) pop_one();
+  EXPECT_FALSE(q.pop().has_value());
+  EXPECT_GE(fresh_rings, 3);
+  EXPECT_GE(wrapped_growths, 10);
+}
+
+TEST(QueueDiscipline, HelpersDispatchToTheHeldDiscipline) {
+  QueueDiscipline fifo = make_discipline("fifo");
+  QueueDiscipline priority = make_discipline("priority");
+  for (QueueDiscipline* q : {&fifo, &priority}) {
+    push(*q, make_read(5.0, 1, 10));
+    push(*q, make_read(1.0, 2, 11));
+    EXPECT_EQ(size(*q), 2u);
+  }
+  EXPECT_EQ(peek(fifo)->submit_seq, 10u);
+  EXPECT_EQ(pop(fifo)->request.request_id, 1u);
+  EXPECT_EQ(peek(priority)->submit_seq, 11u);
+  EXPECT_EQ(pop(priority)->request.request_id, 2u);
+  EXPECT_EQ(size(fifo), 1u);
+  EXPECT_EQ(size(priority), 1u);
 }
 
 TEST(DisciplineFactory, KnownNames) {
-  EXPECT_EQ(make_discipline("fifo")->name(), "fifo");
-  EXPECT_EQ(make_discipline("priority")->name(), "priority");
-  EXPECT_EQ(make_discipline("sjf")->name(), "sjf");
+  EXPECT_TRUE(std::holds_alternative<FifoDiscipline>(make_discipline("fifo")));
+  EXPECT_TRUE(std::holds_alternative<PriorityDiscipline>(make_discipline("priority")));
+  // Per-request SJF is the request-sjf priority policy on a priority
+  // queue, not a discipline of its own.
+  EXPECT_THROW(make_discipline("sjf"), std::invalid_argument);
   EXPECT_THROW(make_discipline("lifo"), std::invalid_argument);
 }
 

@@ -290,124 +290,6 @@ TEST(ExactQuantiles, CopyAndAssignKeepSamples) {
   EXPECT_DOUBLE_EQ(assigned.quantile(1.0), 9.0);
 }
 
-class P2Sweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(P2Sweep, TracksUniformQuantile) {
-  const double q = GetParam();
-  P2Quantile p2(q);
-  util::Rng rng(4);
-  for (int i = 0; i < 200000; ++i) p2.add(rng.uniform());
-  EXPECT_NEAR(p2.value(), q, 0.01) << "q=" << q;
-}
-
-TEST_P(P2Sweep, TracksExponentialQuantile) {
-  const double q = GetParam();
-  P2Quantile p2(q);
-  util::Rng rng(5);
-  ExactQuantiles exact;
-  for (int i = 0; i < 200000; ++i) {
-    const double v = rng.exponential(1.0);
-    p2.add(v);
-    exact.add(v);
-  }
-  const double truth = exact.quantile(q);
-  EXPECT_NEAR(p2.value(), truth, std::max(0.02, truth * 0.05)) << "q=" << q;
-}
-
-INSTANTIATE_TEST_SUITE_P(Quantiles, P2Sweep, ::testing::Values(0.5, 0.9, 0.95, 0.99));
-
-TEST(P2Quantile, FewSamplesFallsBackToExact) {
-  P2Quantile p2(0.5);
-  p2.add(3.0);
-  p2.add(1.0);
-  p2.add(2.0);
-  EXPECT_DOUBLE_EQ(p2.value(), 2.0);
-}
-
-TEST(P2Quantile, SmallSampleMatchesExactQuantiles) {
-  // Regression: the warmup path used nearest-rank, inconsistent with
-  // the type-7 interpolation used by every other estimator here.
-  util::Rng rng(19);
-  for (int n = 1; n <= 5; ++n) {
-    for (const double q : {0.25, 0.5, 0.9, 0.95, 0.99}) {
-      P2Quantile p2(q);
-      ExactQuantiles exact;
-      for (int i = 0; i < n; ++i) {
-        const double v = rng.uniform(0.0, 100.0);
-        p2.add(v);
-        exact.add(v);
-      }
-      EXPECT_DOUBLE_EQ(p2.value(), exact.quantile(q)) << "n=" << n << " q=" << q;
-    }
-  }
-}
-
-TEST(P2Quantile, RejectsBadQuantile) {
-  EXPECT_THROW(P2Quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(P2Quantile(1.0), std::invalid_argument);
-}
-
-TEST(P2Quantile, ThrowsWhenEmpty) {
-  P2Quantile p2(0.5);
-  EXPECT_THROW(p2.value(), std::logic_error);
-}
-
-TEST(ReservoirSample, KeepsAllWhenUnderCapacity) {
-  ReservoirSample r(100, util::Rng(6));
-  for (int i = 0; i < 50; ++i) r.add(i);
-  EXPECT_EQ(r.sample().size(), 50u);
-  EXPECT_EQ(r.seen(), 50u);
-}
-
-TEST(ReservoirSample, CapsAtCapacity) {
-  ReservoirSample r(100, util::Rng(7));
-  for (int i = 0; i < 10000; ++i) r.add(i);
-  EXPECT_EQ(r.sample().size(), 100u);
-  EXPECT_EQ(r.seen(), 10000u);
-}
-
-TEST(ReservoirSample, UniformInclusionProbability) {
-  // Each element should survive with p = capacity/n; check the mean of
-  // retained values is near the stream mean.
-  ReservoirSample r(500, util::Rng(8));
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) r.add(i);
-  Summary s;
-  for (const double v : r.sample()) s.add(v);
-  EXPECT_NEAR(s.mean(), (n - 1) / 2.0, n * 0.05);
-}
-
-TEST(ReservoirSample, QuantileOnReservoir) {
-  ReservoirSample r(1000, util::Rng(9));
-  for (int i = 1; i <= 1000; ++i) r.add(i);
-  EXPECT_NEAR(r.quantile(0.5), 500.5, 1.0);
-}
-
-TEST(ReservoirSample, RejectsZeroCapacity) {
-  EXPECT_THROW(ReservoirSample(0, util::Rng(1)), std::invalid_argument);
-}
-
-TEST(ReservoirSample, ReplacementIndexUniformPastInt64Boundary) {
-  // Regression: `seen_` used to be funneled through uniform_int's
-  // int64 parameter, overflowing (UB) once a stream passes 2^63
-  // observations. The replacement draw must stay uniform over the full
-  // [0, seen) range beyond that boundary.
-  util::Rng rng(20);
-  const std::uint64_t seen = (1ULL << 63) + 987654321ULL;
-  const std::uint64_t bucket_width = seen / 16 + 1;
-  std::vector<int> buckets(16, 0);
-  const int draws = 64000;
-  for (int i = 0; i < draws; ++i) {
-    const std::uint64_t j = ReservoirSample::replacement_index(rng, seen);
-    ASSERT_LT(j, seen);
-    ++buckets[static_cast<std::size_t>(j / bucket_width)];
-  }
-  const double expected = draws / 16.0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    EXPECT_NEAR(buckets[b], expected, expected * 0.10) << "bucket " << b;
-  }
-}
-
 TEST(QuantileSketch, RejectsBadAlphaAndThrowsWhenEmpty) {
   EXPECT_THROW(QuantileSketch(0.0), std::invalid_argument);
   EXPECT_THROW(QuantileSketch(1.0), std::invalid_argument);

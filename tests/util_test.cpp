@@ -1,5 +1,4 @@
-// Tests for the util module: flags parsing, the logger, and the shared
-// EWMA helpers.
+// Tests for the util module: flags parsing and the shared EWMA helpers.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -7,7 +6,6 @@
 
 #include "util/ewma.hpp"
 #include "util/flags.hpp"
-#include "util/logger.hpp"
 
 namespace brb::util {
 namespace {
@@ -95,41 +93,6 @@ TEST(Flags, CommandLineBeatsEnvironment) {
   const Flags flags = parse({"--priority-src", "cli"});
   EXPECT_EQ(flags.get_string("priority-src", ""), "cli");
   ::unsetenv("BRB_PRIORITY_SRC");
-}
-
-TEST(Logger, LevelFiltering) {
-  const LogLevel original = Logger::level();
-  Logger::set_level(LogLevel::kError);
-  EXPECT_FALSE(Logger::enabled(LogLevel::kDebug));
-  EXPECT_FALSE(Logger::enabled(LogLevel::kWarn));
-  EXPECT_TRUE(Logger::enabled(LogLevel::kError));
-  Logger::set_level(LogLevel::kTrace);
-  EXPECT_TRUE(Logger::enabled(LogLevel::kDebug));
-  Logger::set_level(original);
-}
-
-TEST(Logger, LevelFromName) {
-  const LogLevel original = Logger::level();
-  EXPECT_TRUE(Logger::set_level_from_name("debug"));
-  EXPECT_EQ(Logger::level(), LogLevel::kDebug);
-  EXPECT_TRUE(Logger::set_level_from_name("off"));
-  EXPECT_EQ(Logger::level(), LogLevel::kOff);
-  EXPECT_FALSE(Logger::set_level_from_name("verbose"));
-  EXPECT_EQ(Logger::level(), LogLevel::kOff);  // unchanged on failure
-  Logger::set_level(original);
-}
-
-TEST(Logger, MacroShortCircuitsWhenDisabled) {
-  const LogLevel original = Logger::level();
-  Logger::set_level(LogLevel::kOff);
-  int evaluations = 0;
-  const auto expensive = [&] {
-    ++evaluations;
-    return 42;
-  };
-  BRB_DEBUG("test") << expensive();
-  EXPECT_EQ(evaluations, 0);
-  Logger::set_level(original);
 }
 
 // ---------------------------------------------------------------------------
