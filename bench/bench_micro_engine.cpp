@@ -1,28 +1,26 @@
-// Engine micro-benchmarks + the perf-trajectory artifact.
+// Engine micro-benchmarks.
 //
 // Self-contained (no google-benchmark dependency): times the substrate
-// pieces the figure-scale simulations lean on, then measures headline
-// engine throughput — events/second of a full paper-scenario credits
-// run — and writes `BENCH_engine.json` so CI can track the trajectory
-// against the checked-in pre-refactor baseline.
+// pieces the figure-scale simulations lean on, one structure per row.
+// The numbers are informational; the perf gate is the same-machine
+// A/B of the repo benchmark (bench/perf/ab.py).
 //
-//   bench_micro_engine [--tasks N] [--json BENCH_engine.json] [--quick]
+//   bench_micro_engine [--quick]
 #include <chrono>
 #include <cstdint>
-#include <fstream>
+#include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/scenario.hpp"
+#include "ctrl/replica_policy.hpp"
 #include "ctrl/signal_table.hpp"
-#include "policy/c3.hpp"
 #include "server/backend_server.hpp"
 #include "server/queue_discipline.hpp"
 #include "server/service_model.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
-#include "stats/report.hpp"
 #include "stats/table.hpp"
 #include "store/partitioner.hpp"
 #include "util/flags.hpp"
@@ -32,12 +30,6 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Throughput of the pre-refactor engine on the reference measurement
-/// below (equalmax-credits paper scenario, 60k tasks, seed 1),
-/// recorded before the dense-ID refactor landed. CI compares the
-/// current measurement against this to keep the 2x win from eroding.
-constexpr double kBaselineEventsPerSec = 1'748'891.0;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -221,23 +213,26 @@ MicroResult bench_priority_discipline(std::uint64_t rounds) {
 }
 
 MicroResult bench_c3_scoring(std::uint64_t ops) {
-  brb::policy::C3Config config;
+  // C3's replica ranking over one client's SignalTable — the pair the
+  // production dispatch path evaluates per request.
+  brb::ctrl::C3ScoreConfig config;
   config.num_clients = 18;
-  brb::policy::C3Selector selector(config);
+  brb::ctrl::C3ScorePolicy policy(config);
+  brb::ctrl::SignalTable signals;
   const std::vector<brb::store::ServerId> replicas = {0, 1, 2};
   brb::store::ServerFeedback feedback;
   feedback.queue_length = 3;
   feedback.service_rate = 14'000.0;
   feedback.service_time = brb::sim::Duration::micros(280);
   for (brb::store::ServerId s : replicas) {
-    selector.on_send(s, brb::sim::Duration::micros(280));
-    selector.on_response(s, feedback, brb::sim::Duration::micros(500),
-                         brb::sim::Duration::micros(280));
+    signals.on_send(s, brb::sim::Duration::micros(280));
+    signals.on_response(s, feedback, brb::sim::Duration::micros(500),
+                        brb::sim::Duration::micros(280));
   }
   std::uint64_t sink = 0;
   MicroResult result = run_micro("c3_scoring", ops, [&] {
     for (std::uint64_t i = 0; i < ops; ++i) {
-      sink += selector.select(replicas, brb::sim::Duration::micros(280));
+      sink += policy.select(signals, replicas, brb::sim::Duration::micros(280));
     }
   });
   if (sink == 0xffff'ffff) std::abort();
@@ -249,7 +244,7 @@ MicroResult bench_signal_table_update(std::uint64_t ops) {
   // 9-server table — the full per-request bookkeeping the unified
   // control-plane feedback path performs (in-flight counts, pending
   // cost, three EWMAs). The engine hot path pays exactly this per
-  // request, so a regression here shows up before the headline number.
+  // request.
   brb::ctrl::SignalTable table;
   brb::store::ServerFeedback feedback;
   feedback.queue_length = 3;
@@ -344,45 +339,11 @@ MicroResult bench_ring_partitioner(std::uint64_t ops) {
   return result;
 }
 
-/// Headline number: events/second of a full credits run at paper scale
-/// (the measurement `kBaselineEventsPerSec` was recorded against).
-struct EngineResult {
-  double events_per_sec = 0.0;
-  std::uint64_t events_processed = 0;
-  std::uint64_t requests_completed = 0;
-  double wall_seconds = 0.0;
-  std::uint64_t tasks = 0;
-};
-
-EngineResult bench_engine_paper_scenario(std::uint64_t tasks, int repeats) {
-  // Best-of-N: throughput measurements on shared machines are noisy
-  // downward only, so the fastest repeat is the least-perturbed one.
-  EngineResult result;
-  result.tasks = tasks;
-  for (int r = 0; r < repeats; ++r) {
-    brb::core::ScenarioConfig config;  // paper defaults, 9x18 cluster
-    config.system = brb::core::SystemKind::kEqualMaxCredits;
-    config.num_tasks = tasks;
-    config.seed = 1;
-    const brb::core::RunResult run = brb::core::run_scenario(config);
-    const double events_per_sec =
-        run.wall_seconds > 0 ? static_cast<double>(run.events_processed) / run.wall_seconds : 0.0;
-    if (events_per_sec > result.events_per_sec) {
-      result.events_per_sec = events_per_sec;
-      result.events_processed = run.events_processed;
-      result.requests_completed = run.requests_completed;
-      result.wall_seconds = run.wall_seconds;
-    }
-  }
-  return result;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const brb::util::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
-  const std::uint64_t tasks = flags.get_uint("tasks", quick ? 10'000 : 60'000);
   const std::uint64_t rounds = quick ? 200 : 2'000;
   const std::uint64_t ops = quick ? 200'000 : 2'000'000;
 
@@ -398,127 +359,13 @@ int main(int argc, char** argv) {
   micro.push_back(bench_c3_scoring(ops));
   micro.push_back(bench_signal_table_update(ops));
   micro.push_back(bench_ring_partitioner(ops));
-  // The two gated rows (see check_claims.py --engine-budget) get the
-  // same best-of-N treatment as the headline: single-pass micros swing
-  // ~15% on a shared container, which is wider than the -6% budget.
-  const auto best_of = [quick](auto&& bench_fn) {
-    MicroResult best = bench_fn();
-    for (int r = 1; r < (quick ? 1 : 3); ++r) {
-      MicroResult again = bench_fn();
-      if (again.ops_per_sec > best.ops_per_sec) best = again;
-    }
-    return best;
-  };
-  micro.push_back(best_of([&] { return bench_task_gen_fill(quick ? 25'600 : 256'000); }));
-  micro.push_back(best_of([&] { return bench_service_start(ops / 2); }));
-
-  std::cerr << "[bench] micro done; engine run (" << tasks << " tasks)...\n";
-  const EngineResult engine = bench_engine_paper_scenario(tasks, quick ? 1 : 3);
-  // The baseline constant was recorded at the default config (60k
-  // tasks, best-of-3); a ratio against any other config would not
-  // compare like with like.
-  const bool comparable = !quick && tasks == 60'000;
+  micro.push_back(bench_task_gen_fill(quick ? 25'600 : 256'000));
+  micro.push_back(bench_service_start(ops / 2));
 
   brb::stats::Table table({"benchmark", "ops/sec"});
   for (const MicroResult& m : micro) {
     table.add_row({m.name, brb::stats::fmt_double(m.ops_per_sec, 0)});
   }
-  table.add_row({"engine_events_per_sec", brb::stats::fmt_double(engine.events_per_sec, 0)});
   table.print(std::cout);
-
-  // Per-phase cycle accounting for the headline run: each phase's
-  // estimated share of the engine wall is (scenario count) / (micro
-  // rate) for the micro bench that isolates that phase. Estimates, not
-  // measurements — micro loops are cache-hot and the engine run is not
-  // — but the fractions show where the next point of leverage is.
-  const auto micro_rate = [&micro](const std::string& name) {
-    for (const MicroResult& m : micro) {
-      if (m.name == name) return m.ops_per_sec;
-    }
-    return 0.0;
-  };
-  struct Phase {
-    const char* name;
-    const char* micro_name;
-    std::uint64_t count;
-  };
-  const Phase phases[] = {
-      {"task_gen", "task_gen_fill", engine.tasks},
-      {"service", "service_start", engine.requests_completed},
-      {"event_queue", "wheel_short_delta_push_pop", engine.events_processed},
-      {"policy_feedback", "signal_table_update", engine.requests_completed},
-  };
-  double accounted_seconds = 0.0;
-  brb::stats::Json phases_json = brb::stats::Json::object();
-  brb::stats::Table phase_table({"phase", "count", "est_seconds", "frac_of_wall"});
-  for (const Phase& p : phases) {
-    const double rate = micro_rate(p.micro_name);
-    const double est = rate > 0 ? static_cast<double>(p.count) / rate : 0.0;
-    accounted_seconds += est;
-    const double frac = engine.wall_seconds > 0 ? est / engine.wall_seconds : 0.0;
-    phase_table.add_row({p.name, std::to_string(p.count), brb::stats::fmt_double(est, 4),
-                         brb::stats::fmt_double(frac, 3)});
-    brb::stats::Json entry = brb::stats::Json::object();
-    entry["micro"] = p.micro_name;
-    entry["count"] = p.count;
-    entry["est_seconds"] = est;
-    entry["fraction_of_wall"] = frac;
-    phases_json[p.name] = std::move(entry);
-  }
-  const double other_seconds = engine.wall_seconds - accounted_seconds;
-  phase_table.add_row({"other", "-", brb::stats::fmt_double(other_seconds, 4),
-                       brb::stats::fmt_double(
-                           engine.wall_seconds > 0 ? other_seconds / engine.wall_seconds : 0.0,
-                           3)});
-  phase_table.print(std::cout);
-  std::cout << "engine: " << engine.events_processed << " events in " << engine.wall_seconds
-            << " s = " << engine.events_per_sec << " events/sec";
-  if (comparable) {
-    std::cout << " (" << engine.events_per_sec / kBaselineEventsPerSec
-              << "x pre-refactor baseline)";
-  } else {
-    std::cout << " (no baseline comparison: non-default --tasks/--quick)";
-  }
-  std::cout << "\n";
-
-  if (const auto json_path = flags.get("json")) {
-    brb::stats::Json root = brb::stats::Json::object();
-    root["tool"] = "bench_micro_engine";
-    brb::stats::Json engine_json = brb::stats::Json::object();
-    engine_json["scenario"] = "paper/equalmax-credits";
-    engine_json["tasks"] = engine.tasks;
-    engine_json["events_processed"] = engine.events_processed;
-    engine_json["requests_completed"] = engine.requests_completed;
-    engine_json["wall_seconds"] = engine.wall_seconds;
-    engine_json["events_per_sec"] = engine.events_per_sec;
-    if (comparable) {
-      engine_json["baseline_events_per_sec"] = kBaselineEventsPerSec;
-      engine_json["speedup_vs_baseline"] = engine.events_per_sec / kBaselineEventsPerSec;
-    } else {
-      engine_json["baseline_events_per_sec"] = brb::stats::Json();  // null: config mismatch
-      engine_json["speedup_vs_baseline"] = brb::stats::Json();
-    }
-    root["engine"] = std::move(engine_json);
-    brb::stats::Json micro_json = brb::stats::Json::object();
-    for (const MicroResult& m : micro) micro_json[m.name] = m.ops_per_sec;
-    root["micro_ops_per_sec"] = std::move(micro_json);
-    brb::stats::Json accounting = brb::stats::Json::object();
-    accounting["note"] =
-        "estimated decomposition of the headline run's wall time: phase count / micro rate "
-        "(micro loops are cache-hot, so fractions are lower bounds on real phase cost)";
-    accounting["wall_seconds"] = engine.wall_seconds;
-    accounting["accounted_seconds"] = accounted_seconds;
-    accounting["other_seconds"] = other_seconds;
-    accounting["phases"] = std::move(phases_json);
-    root["phase_accounting"] = std::move(accounting);
-    std::ofstream os(*json_path);
-    if (!os) {
-      std::cerr << "bench_micro_engine: cannot write " << *json_path << "\n";
-      return 1;
-    }
-    root.dump(os);
-    os << "\n";
-    std::cout << "wrote " << *json_path << "\n";
-  }
   return 0;
 }

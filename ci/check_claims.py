@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CI gate for brbsim JSON artifacts. Three modes:
+"""CI gate for brbsim JSON artifacts. Six modes:
 
 Reference diff (default):
     check_claims.py fresh.json reference.json [--tolerance 0.10]
@@ -45,17 +45,6 @@ Hedge sanity (hedging-shootout nightly):
   on task p99 while keeping the duplicate-work fraction (wasted full
   services / all full services) under the bound — hedging that burns
   more than that is load amplification, not tail-cutting.
-
-Engine throughput gate (nightly perf trajectory):
-    check_claims.py --engine-budget BENCH_engine.json \
-        ci/reference/engine_baseline.json [--budget 0.03]
-
-  Compares the fresh bench_micro_engine headline (paper-scenario
-  events/sec) against the checked-in baseline and fails when it drops
-  past the regression budget (default -3%). The engine config
-  (scenario, task count) must match the baseline's or the comparison
-  is refused. Micro-bench deltas are printed for the log but not
-  gated — they are too machine-sensitive for a hard budget.
 
 Scale sanity (mega-fleet nightly):
     check_claims.py --scale-sanity mega.json \
@@ -257,79 +246,6 @@ def run_hedge_sanity(report_path, max_dwf):
     return 0
 
 
-def run_engine_budget(bench_path, baseline_path, budget):
-    with open(bench_path) as f:
-        bench = json.load(f)
-    with open(baseline_path) as f:
-        baseline = json.load(f)
-
-    fresh = bench["engine"]
-    ref = baseline["engine"]
-    for key in ("scenario", "tasks"):
-        if fresh.get(key) != ref.get(key):
-            print(f"FAIL: engine config mismatch on '{key}': bench has "
-                  f"{fresh.get(key)!r}, baseline has {ref.get(key)!r} — "
-                  "refusing an apples-to-oranges comparison", file=sys.stderr)
-            return 1
-
-    got = fresh["events_per_sec"]
-    want = ref["events_per_sec"]
-    ratio = got / want
-    ok = ratio >= 1.0 - budget
-    print(f"{'ok' if ok else 'FAIL':4} engine events/sec: {got:,.0f} vs "
-          f"baseline {want:,.0f} ({ratio - 1.0:+.2%}, budget -{budget:.0%})")
-
-    # Hot-path micro rows are gated like the headline number: the
-    # task-generation and service fast paths carry the workload/service
-    # fast-path win, so a silent regression there erodes the headline
-    # next. Both files must carry the row — a baseline predating the
-    # row is a config mismatch, not a free pass.
-    gated_rows = ("task_gen_fill", "service_start")
-    ref_micro = baseline.get("micro_ops_per_sec", {})
-    fresh_micro = bench.get("micro_ops_per_sec", {})
-    # Micro rows are noisier than the best-of-3 headline; give them
-    # double the relative budget.
-    micro_budget = 2.0 * budget
-    failed_micros = []
-    for name in gated_rows:
-        fresh_ops = fresh_micro.get(name)
-        base_ops = ref_micro.get(name)
-        if fresh_ops is None or base_ops is None:
-            missing = "bench" if fresh_ops is None else "baseline"
-            print(f"FAIL: gated micro row '{name}' missing from the {missing} "
-                  "file — refusing an apples-to-oranges comparison "
-                  "(re-run bench_micro_engine / refresh the baseline)",
-                  file=sys.stderr)
-            return 1
-        row_ok = fresh_ops / base_ops >= 1.0 - micro_budget
-        if not row_ok:
-            failed_micros.append(name)
-        print(f"{'ok' if row_ok else 'FAIL':4} micro {name}: {fresh_ops:,.0f} ops/s "
-              f"vs baseline {base_ops:,.0f} ({fresh_ops / base_ops - 1.0:+.1%}, "
-              f"budget -{micro_budget:.0%})")
-
-    # Remaining micro-bench trajectory, informational only.
-    for name, fresh_ops in sorted(fresh_micro.items()):
-        if name in gated_rows:
-            continue
-        base_ops = ref_micro.get(name)
-        if base_ops:
-            print(f"note micro {name}: {fresh_ops:,.0f} ops/s "
-                  f"({fresh_ops / base_ops - 1.0:+.1%} vs baseline)")
-        else:
-            print(f"note micro {name}: {fresh_ops:,.0f} ops/s (no baseline)")
-
-    if not ok or failed_micros:
-        what = "engine throughput" if not ok else \
-            "micro row(s) " + ", ".join(failed_micros)
-        print(f"\n{what} regressed past the budget; "
-              "if the slowdown is intended, refresh "
-              "ci/reference/engine_baseline.json in the same change",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def run_scale_sanity(report_path, max_wall_seconds, max_rss_mb, sketch_tolerance):
     with open(report_path) as f:
         doc = json.load(f)
@@ -456,10 +372,6 @@ def main():
     parser.add_argument("--sketch-tolerance", type=float, default=0.05,
                         help="max relative sketch-vs-exact percentile error "
                              "(scale-sanity mode)")
-    parser.add_argument("--engine-budget", action="store_true",
-                        help="BENCH_engine.json vs engine_baseline.json throughput gate")
-    parser.add_argument("--budget", type=float, default=0.03,
-                        help="max relative events/sec drop (engine-budget mode)")
     parser.add_argument("--margin", type=float, default=1.0,
                         help="p99(c3-noderate) < margin * p99(random) (policy-sanity mode)")
     parser.add_argument("--max-tenant-p99-ratio", type=float, default=100.0,
@@ -479,10 +391,6 @@ def main():
             parser.error("--scale-sanity takes exactly one report")
         return run_scale_sanity(args.files[0], args.max_wall_seconds,
                                 args.max_rss_mb, args.sketch_tolerance)
-    if args.engine_budget:
-        if len(args.files) != 2:
-            parser.error("--engine-budget takes BENCH_engine.json baseline.json")
-        return run_engine_budget(args.files[0], args.files[1], args.budget)
     if args.invariants:
         if len(args.files) != 1:
             parser.error("--invariants takes exactly one report")

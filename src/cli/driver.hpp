@@ -1,12 +1,12 @@
 // The `brbsim` unified experiment driver, layered as plan / execute /
 // merge.
 //
-// One binary replaces the copy-pasted bench mains: pick a scenario from
-// the registry, override any `ScenarioConfig` field with a flag, run
-// every (case, seed) unit across worker threads — or only one shard of
-// them across worker *processes / machines* — and get an aligned
-// console table plus machine-readable JSON / CSV artifacts that merge
-// byte-identically.
+// The one experiment runner: pick a scenario from the registry,
+// override any `ScenarioConfig` field with a flag, run every (case,
+// seed) unit across worker threads — or only one shard of them across
+// worker *processes / machines* — and get an aligned console table
+// (plus the paper's Figure 2 claims for the five paper cases) and
+// machine-readable JSON / CSV artifacts that merge byte-identically.
 //
 //   brbsim --scenario=paper --seeds=3 --json=out.json
 //   brbsim --scenario=load-sweep --loads=0.6,0.8 --tasks=30000 --csv=sweep.csv
@@ -76,8 +76,10 @@ stats::Json report_json(const std::string& scenario, const core::ScenarioConfig&
 void print_case_table(std::ostream& os, const stats::Json& artifact);
 
 /// The paper's Figure 2 headline claims (Claim A/B), computed from an
-/// artifact of the "paper" scenario. Prints a note and returns false
-/// when the needed cases are missing.
+/// artifact of the "paper" scenario. Writes nothing and returns false
+/// for any other scenario, or unless all five paper cases (c3,
+/// equalmax-{credits,model}, unifincr-{credits,model}) have executed
+/// runs.
 bool print_paper_claims(std::ostream& os, const stats::Json& artifact);
 
 void print_usage(std::ostream& os);

@@ -47,7 +47,7 @@ const std::vector<SystemKind> kPaperSystems = {
     SystemKind::kUnifIncrModel,
 };
 
-/// Every SystemKind, baselines through ablations (bench_abl_policy_matrix).
+/// Every SystemKind, baselines through ablations (the policy-matrix scenario).
 const std::vector<SystemKind> kMatrixSystems = {
     SystemKind::kRandomFifo,       SystemKind::kFifoDirect,      SystemKind::kRequestSjfDirect,
     SystemKind::kC3,               SystemKind::kEqualMaxDirect,  SystemKind::kUnifIncrDirect,
@@ -99,8 +99,8 @@ std::vector<ExperimentCase> expand_load_sweep(const ScenarioConfig& base,
 
 std::vector<ExperimentCase> expand_fanout_sweep(const ScenarioConfig& base,
                                                 const util::Flags& flags) {
-  // The bench_abl_fanout_sweep ladder: degenerate fan-out 1 up to the
-  // skewed log-normal the paper's workload uses.
+  // Fan-out ladder: degenerate fan-out 1 up to the skewed log-normal
+  // the paper's workload uses.
   std::vector<std::string> specs = {
       "fixed:1",  "fixed:4", "geometric:8.6", "lognormal:8.6:1.0:512", "lognormal:8.6:2.0:512",
       "fixed:32",
@@ -459,7 +459,7 @@ std::vector<ExperimentCase> expand_hedging_shootout(const ScenarioConfig& base,
 }
 
 // --------------------------------------------------------------------------
-// Ablation sweeps ported off the bespoke bench mains (bench/ dedup).
+// Ablation sweeps: control-loop cadence, forecast noise, replication.
 
 std::vector<ExperimentCase> expand_credits_interval(const ScenarioConfig& base,
                                                     const util::Flags& flags) {

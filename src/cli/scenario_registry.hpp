@@ -2,8 +2,7 @@
 //
 // A scenario expands one flag-configured base `ScenarioConfig` into the
 // concrete (label, config) cases it studies — one per (system, swept
-// value) pair. The registry replaces the copy-pasted bench mains: every
-// sweep the bench/ harnesses hard-code is reachable as
+// value) pair. Every figure and ablation sweep is reachable as
 // `brbsim --scenario=<name>` with every config field overridable.
 #pragma once
 

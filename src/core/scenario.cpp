@@ -769,13 +769,6 @@ AggregateResult aggregate_runs(SystemKind system, std::vector<RunResult> runs) {
 }
 
 AggregateResult run_seeds(const ScenarioConfig& config, const std::vector<std::uint64_t>& seeds,
-                          bool parallel) {
-  RunSeedsOptions options;
-  options.max_threads = parallel ? 0 : 1;
-  return run_seeds(config, seeds, options);
-}
-
-AggregateResult run_seeds(const ScenarioConfig& config, const std::vector<std::uint64_t>& seeds,
                           RunSeedsOptions options) {
   if (seeds.empty()) throw std::invalid_argument("run_seeds: no seeds");
   std::vector<RunResult> runs(seeds.size());

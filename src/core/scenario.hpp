@@ -86,7 +86,7 @@ struct ScenarioConfig {
   SystemKind system = SystemKind::kEqualMaxCredits;
   std::uint64_t seed = 1;
   CreditsConfig credits{};
-  policy::C3Config c3{};  // num_clients is filled in by the runner
+  policy::C3Config c3{};
   policy::CubicRateController::Config rate{};
   /// Override the replica selector ("" = system default). Accepts any
   /// registered replica policy name or alias (ctrl/replica_policy.hpp);
@@ -254,11 +254,9 @@ struct RunSeedsOptions {
 };
 
 /// Runs one scenario per seed. Seeds are independent simulations, so
-/// with `parallel` they execute on one thread each (results are
+/// with more than one worker they execute concurrently (results are
 /// bit-identical to the serial path and aggregated in seed order).
 /// `config.on_task_complete`, if set, must then be thread-safe.
-AggregateResult run_seeds(const ScenarioConfig& config, const std::vector<std::uint64_t>& seeds,
-                          bool parallel = false);
 AggregateResult run_seeds(const ScenarioConfig& config, const std::vector<std::uint64_t>& seeds,
                           RunSeedsOptions options);
 

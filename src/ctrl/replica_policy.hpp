@@ -133,7 +133,7 @@ class C3ScorePolicy final : public ReplicaPolicy {
                          sim::Duration expected_cost) override;
   std::string name() const override { return name_; }
 
-  /// The scoring function, exposed for tests and the C3Selector shim.
+  /// The scoring function, exposed for tests.
   double score(const SignalTable& signals, store::ServerId server) const;
 
  private:

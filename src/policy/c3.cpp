@@ -6,40 +6,6 @@
 
 namespace brb::policy {
 
-ctrl::C3ScoreConfig c3_score_config(const C3Config& config) {
-  ctrl::C3ScoreConfig score;
-  score.queue_exponent = config.queue_exponent;
-  score.num_clients = config.num_clients;
-  score.prior_service_time = config.prior_service_time;
-  return score;
-}
-
-C3Selector::C3Selector(C3Config config)
-    : signals_(ctrl::SignalTableConfig{config.ewma_alpha}),
-      policy_(c3_score_config(config)) {}
-
-double C3Selector::score(store::ServerId server) const {
-  return policy_.score(signals_, server);
-}
-
-store::ServerId C3Selector::select(const std::vector<store::ServerId>& replicas,
-                                   sim::Duration expected_cost) {
-  return policy_.select(signals_, replicas, expected_cost);
-}
-
-void C3Selector::on_send(store::ServerId server, sim::Duration expected_cost) {
-  signals_.on_send(server, expected_cost);
-}
-
-void C3Selector::on_response(store::ServerId server, const store::ServerFeedback& feedback,
-                             sim::Duration rtt, sim::Duration expected_cost) {
-  signals_.on_response(server, feedback, rtt, expected_cost);
-}
-
-std::uint32_t C3Selector::outstanding(store::ServerId server) const {
-  return signals_.outstanding(server);
-}
-
 CubicRateController::CubicRateController(Config config) : config_(config) {
   if (config_.initial_rate <= 0.0 || config_.max_rate < config_.initial_rate) {
     throw std::invalid_argument("CubicRateController: bad rate bounds");

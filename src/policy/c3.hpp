@@ -12,7 +12,9 @@
 //    clients). Replicas are ranked by the cubic scoring function
 //        Ψ_s = R̄_s − 1/µ̄_s + (q̂_s)^3 / µ̄_s
 //    and the minimum wins. The cubic exponent penalizes long queues
-//    super-linearly, avoiding herd behavior.
+//    super-linearly, avoiding herd behavior. The ranking is
+//    ctrl::C3ScorePolicy over the client's ctrl::SignalTable; C3Config
+//    carries its knobs (the EWMA weight goes to the table).
 //
 //  * Cubic rate control. Each (client, server) pair has a sending-rate
 //    cap adapted like TCP CUBIC: multiplicative decrease when the
@@ -23,11 +25,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "ctrl/replica_policy.hpp"
-#include "ctrl/signal_table.hpp"
 #include "sim/time.hpp"
 #include "store/types.hpp"
 
@@ -38,42 +37,8 @@ struct C3Config {
   double ewma_alpha = 0.5;
   /// Exponent b of the queue-size penalty (the paper uses b = 3).
   double queue_exponent = 3.0;
-  /// Concurrency compensation: number of clients sharing each server.
-  std::uint32_t num_clients = 1;
   /// Initial per-server service-time guess until feedback arrives.
   sim::Duration prior_service_time = sim::Duration::micros(285);
-};
-
-/// Translates the historical C3Config into the control plane's split:
-/// smoothing parameters belong to the SignalTable, scoring parameters
-/// to the policy.
-ctrl::C3ScoreConfig c3_score_config(const C3Config& config);
-
-/// Client-local replica ranking (one instance per client): a private
-/// SignalTable fed by the observation hooks plus the shared
-/// ctrl::C3ScorePolicy ranking over it. The production path wires the
-/// same policy through ctrl::PolicyRuntime (as a DispatchPolicy stack);
-/// this standalone class keeps the historical single-object API for
-/// tests and benches.
-class C3Selector final {
- public:
-  explicit C3Selector(C3Config config);
-
-  store::ServerId select(const std::vector<store::ServerId>& replicas,
-                         sim::Duration expected_cost);
-  void on_send(store::ServerId server, sim::Duration expected_cost);
-  void on_response(store::ServerId server, const store::ServerFeedback& feedback,
-                   sim::Duration rtt, sim::Duration expected_cost);
-  std::string name() const { return "c3"; }
-
-  /// The scoring function, exposed for tests.
-  double score(store::ServerId server) const;
-  std::uint32_t outstanding(store::ServerId server) const;
-  const ctrl::SignalTable& signals() const noexcept { return signals_; }
-
- private:
-  ctrl::SignalTable signals_;
-  ctrl::C3ScorePolicy policy_;
 };
 
 /// CUBIC-style sending-rate controller for one client (all servers).

@@ -1,9 +1,8 @@
-// Tiny command-line flag parser for the bench harnesses and examples.
+// Tiny command-line flag parser for brbsim, the benches and examples.
 //
 // Supports `--name value`, `--name=value`, and boolean `--name`
 // (no value). Also reads `BRB_`-prefixed environment variables as
-// defaults so `BRB_PAPER=1 ./bench_fig2_latency` works in the
-// argument-less `for b in build/bench/*` loop.
+// defaults, so `BRB_PAPER=1 ./build/brbsim` runs at paper scale.
 #pragma once
 
 #include <cstdint>

@@ -808,7 +808,7 @@ std::vector<cli::CaseResult> run_case(const core::ScenarioConfig& config,
                                       const std::string& label) {
   cli::CaseResult result;
   result.spec = {label, config};
-  result.aggregate = core::run_seeds(config, seeds, /*parallel=*/false);
+  result.aggregate = core::run_seeds(config, seeds, {.max_threads = 1});
   return {std::move(result)};
 }
 

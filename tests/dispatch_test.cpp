@@ -451,8 +451,8 @@ TEST(DispatchScenario, TiedLoserIsAlwaysRejectedAtDequeue) {
 TEST(DispatchScenario, KofnCancelsStragglersAndIsThreadInvariant) {
   core::ScenarioConfig config = dispatch_config("kofn:2");
   const std::vector<std::uint64_t> seeds = {1, 2};
-  const core::AggregateResult serial = core::run_seeds(config, seeds, /*parallel=*/false);
-  const core::AggregateResult parallel = core::run_seeds(config, seeds, /*parallel=*/true);
+  const core::AggregateResult serial = core::run_seeds(config, seeds, {.max_threads = 1});
+  const core::AggregateResult parallel = core::run_seeds(config, seeds, {.max_threads = 0});
 
   // Worker threads must not move a single sample or counter.
   ASSERT_EQ(serial.runs.size(), parallel.runs.size());

@@ -1,4 +1,4 @@
-// Tests for replica policies, the C3 implementation, and the BRB
+// Tests for replica policies, C3 (scoring and rate control), and the BRB
 // priority-assignment policies (the paper's core algorithms).
 #include <gtest/gtest.h>
 
@@ -146,70 +146,71 @@ TEST(SignalBackedPolicies, ObservationsLandInTheTable) {
 }
 
 // ---------------------------------------------------------------------------
-// C3 selector
+// C3 scoring (ctrl::C3ScorePolicy over one client's SignalTable)
 
-C3Config c3_config() {
-  C3Config config;
+Bound<ctrl::C3ScorePolicy> c3_bound(double ewma_alpha = 0.5) {
+  ctrl::C3ScoreConfig config;
   config.num_clients = 18;
-  return config;
+  Bound<ctrl::C3ScorePolicy> bound{ctrl::C3ScorePolicy{config}};
+  bound.signals = ctrl::SignalTable(ctrl::SignalTableConfig{ewma_alpha});
+  return bound;
 }
 
-TEST(C3Selector, PrefersShorterQueues) {
-  C3Selector selector(c3_config());
-  selector.on_response(3, feedback(20, 14'000), Duration::micros(500), Duration::zero());
-  selector.on_response(5, feedback(1, 14'000), Duration::micros(500), Duration::zero());
-  selector.on_response(7, feedback(10, 14'000), Duration::micros(500), Duration::zero());
-  EXPECT_EQ(selector.select(kReplicas, Duration::zero()), 5u);
+TEST(C3ScorePolicy, PrefersShorterQueues) {
+  auto c3 = c3_bound();
+  c3.on_response(3, feedback(20, 14'000), Duration::micros(500), Duration::zero());
+  c3.on_response(5, feedback(1, 14'000), Duration::micros(500), Duration::zero());
+  c3.on_response(7, feedback(10, 14'000), Duration::micros(500), Duration::zero());
+  EXPECT_EQ(c3.select(kReplicas, Duration::zero()), 5u);
 }
 
-TEST(C3Selector, CubicPenaltyDominatesForLongQueues) {
-  C3Selector selector(c3_config());
+TEST(C3ScorePolicy, CubicPenaltyDominatesForLongQueues) {
+  auto c3 = c3_bound();
   // Server 3: tiny response time but a huge queue; server 5: slower
   // responses, empty queue. The q^3 term must win.
-  selector.on_response(3, feedback(50, 14'000), Duration::micros(100), Duration::zero());
-  selector.on_response(5, feedback(0, 14'000), Duration::micros(2'000), Duration::zero());
-  EXPECT_GT(selector.score(3), selector.score(5));
+  c3.on_response(3, feedback(50, 14'000), Duration::micros(100), Duration::zero());
+  c3.on_response(5, feedback(0, 14'000), Duration::micros(2'000), Duration::zero());
+  EXPECT_GT(c3.policy.score(c3.signals, 3), c3.policy.score(c3.signals, 5));
 }
 
-TEST(C3Selector, OutstandingRequestsRaiseScore) {
-  C3Selector selector(c3_config());
-  selector.on_response(3, feedback(2, 14'000), Duration::micros(500), Duration::zero());
-  const double before = selector.score(3);
-  selector.on_send(3, Duration::zero());
-  selector.on_send(3, Duration::zero());
-  EXPECT_GT(selector.score(3), before);
-  EXPECT_EQ(selector.outstanding(3), 2u);
+TEST(C3ScorePolicy, OutstandingRequestsRaiseScore) {
+  auto c3 = c3_bound();
+  c3.on_response(3, feedback(2, 14'000), Duration::micros(500), Duration::zero());
+  const double before = c3.policy.score(c3.signals, 3);
+  c3.on_send(3, Duration::zero());
+  c3.on_send(3, Duration::zero());
+  EXPECT_GT(c3.policy.score(c3.signals, 3), before);
+  EXPECT_EQ(c3.signals.outstanding(3), 2u);
 }
 
-TEST(C3Selector, EwmaSmoothsResponseTimes) {
-  C3Config config = c3_config();
-  config.ewma_alpha = 0.5;
-  C3Selector selector(config);
-  selector.on_response(3, feedback(0, 14'000), Duration::micros(1000), Duration::zero());
-  selector.on_response(3, feedback(0, 14'000), Duration::micros(2000), Duration::zero());
+TEST(C3ScorePolicy, EwmaSmoothsResponseTimes) {
+  auto c3 = c3_bound(/*ewma_alpha=*/0.5);
+  c3.on_response(3, feedback(0, 14'000), Duration::micros(1000), Duration::zero());
+  c3.on_response(3, feedback(0, 14'000), Duration::micros(2000), Duration::zero());
   // EWMA(1000, 2000; a=0.5) = 1500us -> score reflects the blend, and
   // selecting between two servers with raw extremes goes to the one
   // whose smoothed estimate is lower.
-  selector.on_response(5, feedback(0, 14'000), Duration::micros(1600), Duration::zero());
-  EXPECT_LT(selector.score(3), selector.score(5));
+  c3.on_response(5, feedback(0, 14'000), Duration::micros(1600), Duration::zero());
+  EXPECT_LT(c3.policy.score(c3.signals, 3), c3.policy.score(c3.signals, 5));
 }
 
-TEST(C3Selector, UnknownServersUseNeutralPrior) {
-  C3Selector selector(c3_config());
+TEST(C3ScorePolicy, UnknownServersUseNeutralPrior) {
+  auto c3 = c3_bound();
   // Never-seen servers are selectable without throwing.
-  EXPECT_NO_THROW(selector.select(kReplicas, Duration::zero()));
+  EXPECT_NO_THROW(c3.select(kReplicas, Duration::zero()));
 }
 
-TEST(C3Selector, RejectsBadConfig) {
-  C3Config bad = c3_config();
-  bad.ewma_alpha = 0.0;
-  EXPECT_THROW(C3Selector{bad}, std::invalid_argument);
-  bad = c3_config();
+TEST(C3ScorePolicy, RejectsBadConfig) {
+  // The EWMA weight belongs to the table, the scoring knobs to the
+  // policy; each side validates its own.
+  EXPECT_THROW(ctrl::SignalTable(ctrl::SignalTableConfig{0.0}), std::invalid_argument);
+  ctrl::C3ScoreConfig bad;
+  bad.num_clients = 18;
   bad.queue_exponent = 0.5;
-  EXPECT_THROW(C3Selector{bad}, std::invalid_argument);
-  bad = c3_config();
+  EXPECT_THROW(ctrl::C3ScorePolicy{bad}, std::invalid_argument);
+  bad = ctrl::C3ScoreConfig{};
   bad.num_clients = 0;
-  EXPECT_THROW(C3Selector{bad}, std::invalid_argument);
+  EXPECT_THROW(ctrl::C3ScorePolicy{bad}, std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ TEST(Scenario, SummaryMatchesRecorder) {
 TEST(Scenario, RunSeedsAggregatesAcrossRuns) {
   ScenarioConfig config = quick_config(SystemKind::kEqualMaxModel);
   config.num_tasks = 2000;
-  const AggregateResult agg = run_seeds(config, {1, 2, 3});
+  const AggregateResult agg = run_seeds(config, {1, 2, 3}, {.max_threads = 1});
   EXPECT_EQ(agg.runs.size(), 3u);
   EXPECT_EQ(agg.p99_ms.count(), 3u);
   EXPECT_GT(agg.p50_ms.mean(), 0.0);
@@ -139,8 +139,8 @@ TEST(Scenario, RunSeedsAggregatesAcrossRuns) {
 TEST(Scenario, ParallelSeedsMatchSerialBitExactly) {
   ScenarioConfig config = quick_config(SystemKind::kEqualMaxCredits);
   config.num_tasks = 3000;
-  const AggregateResult serial = run_seeds(config, {1, 2, 3}, /*parallel=*/false);
-  const AggregateResult parallel = run_seeds(config, {1, 2, 3}, /*parallel=*/true);
+  const AggregateResult serial = run_seeds(config, {1, 2, 3}, {.max_threads = 1});
+  const AggregateResult parallel = run_seeds(config, {1, 2, 3}, {.max_threads = 0});
   ASSERT_EQ(serial.runs.size(), parallel.runs.size());
   for (std::size_t i = 0; i < serial.runs.size(); ++i) {
     EXPECT_EQ(serial.runs[i].task_latency.percentile(99).count_nanos(),

@@ -2,6 +2,7 @@
 // deterministic plan partition, and the headline property — merging
 // the artifacts of any N-way sharded run reproduces the unsharded
 // artifact byte for byte (modulo the trailing "timing" subtree).
+// Also the paper-claims readout brbsim prints from an artifact.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -395,6 +396,50 @@ TEST(ShardMerge, EmptyShardContributesNothing) {
   }
   const Json merged = stats::merge_artifacts(shards);
   EXPECT_EQ(deterministic_dump(merged), deterministic_dump(full));
+}
+
+
+// ---------------------------------------------------------------------------
+// Paper claims readout (brbsim's console output after the case table)
+
+Json small_paper_artifact(std::vector<const char*> argv) {
+  for (const char* arg : {"--tasks=400", "--servers=4", "--clients=4"}) argv.push_back(arg);
+  const util::Flags flags(static_cast<int>(argv.size()), argv.data());
+  const core::ScenarioConfig base = cli::config_from_flags(flags);
+  const std::vector<std::uint64_t> seeds = {1};
+  const cli::SweepPlan plan = cli::build_sweep_plan("paper", base, seeds, flags);
+  core::RunSeedsOptions options;
+  options.max_threads = 1;
+  return cli::report_json("paper", base, seeds,
+                          cli::execute_shard(plan, cli::ShardSpec{}, options));
+}
+
+TEST(PaperClaims, PrintedWhenAllFivePaperCasesRan) {
+  const Json doc = small_paper_artifact({"brbsim"});
+  ASSERT_EQ(doc.at("cases").size(), 5u);
+  std::ostringstream os;
+  EXPECT_TRUE(cli::print_paper_claims(os, doc));
+  EXPECT_NE(os.str().find("Claim A"), std::string::npos);
+  EXPECT_NE(os.str().find("Claim B"), std::string::npos);
+}
+
+TEST(PaperClaims, SilentWithoutAllFivePaperCases) {
+  const Json doc = small_paper_artifact({"brbsim", "--systems=c3,equalmax-credits"});
+  ASSERT_EQ(doc.at("cases").size(), 2u);
+  std::ostringstream os;
+  EXPECT_FALSE(cli::print_paper_claims(os, doc));
+  EXPECT_TRUE(os.str().empty());
+}
+
+// policy-matrix and other scenarios run under the same five case labels;
+// the readout belongs to the paper scenario only.
+TEST(PaperClaims, SilentForOtherScenarios) {
+  Json doc = small_paper_artifact({"brbsim"});
+  ASSERT_EQ(doc.at("cases").size(), 5u);
+  doc["scenario"] = "policy-matrix";
+  std::ostringstream os;
+  EXPECT_FALSE(cli::print_paper_claims(os, doc));
+  EXPECT_TRUE(os.str().empty());
 }
 
 }  // namespace
