@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "ctrl/replica_policy.hpp"
+#include "ctrl/dispatch_policy.hpp"
 #include "ctrl/signal_table.hpp"
 #include "server/backend_server.hpp"
 #include "server/queue_discipline.hpp"
@@ -213,11 +213,12 @@ MicroResult bench_priority_discipline(std::uint64_t rounds) {
 }
 
 MicroResult bench_c3_scoring(std::uint64_t ops) {
-  // C3's replica ranking over one client's SignalTable — the pair the
-  // production dispatch path evaluates per request.
+  // C3's replica ranking over one client's SignalTable — the plan the
+  // production dispatch path makes per request.
   brb::ctrl::C3ScoreConfig config;
   config.num_clients = 18;
-  brb::ctrl::C3ScorePolicy policy(config);
+  const auto policy = brb::ctrl::make_dispatch_policy(
+      "c3", {}, config, false, config.prior_service_time, brb::util::Rng(1));
   brb::ctrl::SignalTable signals;
   const std::vector<brb::store::ServerId> replicas = {0, 1, 2};
   brb::store::ServerFeedback feedback;
@@ -232,7 +233,7 @@ MicroResult bench_c3_scoring(std::uint64_t ops) {
   std::uint64_t sink = 0;
   MicroResult result = run_micro("c3_scoring", ops, [&] {
     for (std::uint64_t i = 0; i < ops; ++i) {
-      sink += policy.select(signals, replicas, brb::sim::Duration::micros(280));
+      sink += policy->plan(signals, replicas, brb::sim::Duration::micros(280)).primary();
     }
   });
   if (sink == 0xffff'ffff) std::abort();

@@ -103,7 +103,8 @@ Fig1Result run_fig1(const std::string& policy_name) {
     util::Rng client_rng = rng.split();
     auto endpoint = std::make_unique<ctrl::DispatchEndpoint>(
         ctrl::SignalTableConfig{},
-        std::make_unique<ctrl::SingleTargetAdapter>(std::make_unique<ctrl::FirstReplicaPolicy>()),
+        ctrl::make_dispatch_policy("first", {}, {}, false, ctrl::C3ScoreConfig{}.prior_service_time,
+                                   client_rng),
         client_rng, store::TenantId{0});
     clients.push_back(std::make_unique<client::AppClient>(
         sim, config, partitioner, service_model, std::move(endpoint), *priority_policy,

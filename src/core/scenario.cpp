@@ -353,9 +353,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
   // offered load past capacity and the run collapses. Warn once per
   // process; the run still proceeds (hedging-shootout deliberately
   // probes this regime).
-  const bool uses_kofn = config.dispatch_spec.find("kofn") != std::string::npos ||
-                         config.policy_switch_spec.find("kofn") != std::string::npos;
-  if (uses_kofn && config.utilization >= 0.6) {
+  if (runtime.may_dispatch(ctrl::DispatchMode::kKofn) && config.utilization >= 0.6) {
     static std::once_flag kofn_warned;
     std::call_once(kofn_warned, [&config] {
       std::cerr << "[WARN] [scenario] kofn dispatch at utilization " << config.utilization

@@ -30,8 +30,8 @@ std::string canonical_admission_name(const std::string& name) {
   throw std::invalid_argument(message);
 }
 
-std::unique_ptr<AdmissionPolicy> make_admission_policy(const std::string& name,
-                                                       const AdmissionContext& context) {
+std::unique_ptr<client::DispatchGate> make_admission_policy(const std::string& name,
+                                                            const AdmissionContext& context) {
   const std::string canonical = canonical_admission_name(name);
   if (canonical == "direct") return std::make_unique<client::DirectGate>();
   if (canonical == "cubic-rate") {

@@ -27,11 +27,6 @@
 
 namespace brb::ctrl {
 
-/// The uniform admission interface: a dispatch gate (offer /
-/// on_response / held / name). Kept as an alias — the gate contract
-/// predates the registry and every implementation already speaks it.
-using AdmissionPolicy = client::DispatchGate;
-
 /// Everything a registered admission policy may need at construction.
 struct AdmissionContext {
   sim::Simulator* sim = nullptr;
@@ -69,7 +64,7 @@ std::string canonical_admission_name(const std::string& name);
 /// Constructs an admission policy by name ("direct" | "cubic-rate" |
 /// "credits"). Throws on unknown names or a context missing what the
 /// named policy needs.
-std::unique_ptr<AdmissionPolicy> make_admission_policy(const std::string& name,
-                                                       const AdmissionContext& context);
+std::unique_ptr<client::DispatchGate> make_admission_policy(const std::string& name,
+                                                            const AdmissionContext& context);
 
 }  // namespace brb::ctrl

@@ -1,5 +1,6 @@
 #include "ctrl/dispatch_policy.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -59,174 +60,204 @@ std::string DispatchModeConfig::canonical() const {
 }
 
 // ---------------------------------------------------------------------------
-// SingleTargetAdapter
+// DispatchPolicy
 
-SingleTargetAdapter::SingleTargetAdapter(std::unique_ptr<ReplicaPolicy> inner)
-    : inner_(std::move(inner)) {
-  if (!inner_) throw std::invalid_argument("SingleTargetAdapter: null inner policy");
+namespace {
+
+/// Planning scratch shared by every policy on this thread: plan() is
+/// never re-entered, so one buffer serves the credit filter and the
+/// shrinking sub-lists, and no client carries a vector of its own.
+std::vector<store::ServerId>& plan_scratch() {
+  // brblint:allow(BRB-D02): content-free reuse — plan() clears or assigns it before every read
+  thread_local std::vector<store::ServerId> scratch;
+  return scratch;
 }
 
-DispatchPlan SingleTargetAdapter::plan(const SignalTable& signals,
-                                       const std::vector<store::ServerId>& replicas,
-                                       sim::Duration expected_cost) {
-  return DispatchPlan::single(inner_->select(signals, replicas, expected_cost));
-}
-
-// ---------------------------------------------------------------------------
-// HedgeDispatchPolicy
-
-HedgeDispatchPolicy::HedgeDispatchPolicy(std::unique_ptr<DispatchPolicy> inner, double quantile,
-                                         sim::Duration prior_response, sim::Duration fresh_age,
-                                         const sim::Simulator* sim)
-    : inner_(std::move(inner)),
-      quantile_factor_(-std::log(1.0 - quantile)),
-      quantile_(quantile),
-      prior_response_(prior_response),
-      fresh_age_(fresh_age),
-      sim_(sim) {
-  if (!inner_) throw std::invalid_argument("HedgeDispatchPolicy: null inner policy");
-  if (!(quantile > 0.0 && quantile < 1.0)) {
-    throw std::invalid_argument("HedgeDispatchPolicy: quantile must be in (0, 1)");
-  }
-  if (prior_response_ <= sim::Duration::zero()) {
-    throw std::invalid_argument("HedgeDispatchPolicy: prior response must be positive");
-  }
-}
-
-std::string HedgeDispatchPolicy::name() const {
-  return "hedge:q" + format_quantile_percent(quantile_) + "(" + inner_->name() + ")";
-}
-
-DispatchPlan HedgeDispatchPolicy::plan(const SignalTable& signals,
-                                       const std::vector<store::ServerId>& replicas,
-                                       sim::Duration expected_cost) {
-  DispatchPlan primary = inner_->plan(signals, replicas, expected_cost);
-  if (replicas.size() < 2) return primary;  // nobody to hedge onto
-
-  // Signal-aware skip: when the primary's feedback is fresher than the
-  // configured age, the queue estimate that chose it is current enough
-  // to trust — spend no duplicate work. Checked before the back-up
-  // selection so the inner policy's decision stream is untouched too.
-  if (fresh_age_ > sim::Duration::zero() && sim_ != nullptr) {
-    const std::int64_t last_ns = signals.last_feedback_ns(primary.primary());
-    if (last_ns >= 0 &&
-        sim_->now() - sim::Time::nanos(last_ns) < fresh_age_) {
-      primary.skipped_fresh = true;
-      return primary;
+/// The replica with the least `load`, scanning from `start` and
+/// keeping the first of equals. The callers rotate the scan start so
+/// ties do not herd every client onto the lowest server id (a classic
+/// cause of load concentration).
+template <typename Load>
+store::ServerId least_loaded(const std::vector<store::ServerId>& replicas, std::size_t start,
+                             Load load) {
+  store::ServerId best = replicas[start];
+  auto best_load = load(best);
+  for (std::size_t step = 1; step < replicas.size(); ++step) {
+    const store::ServerId candidate = replicas[(start + step) % replicas.size()];
+    const auto candidate_load = load(candidate);
+    if (candidate_load < best_load) {
+      best = candidate;
+      best_load = candidate_load;
     }
   }
+  return best;
+}
 
-  rest_scratch_.clear();
-  for (const store::ServerId s : replicas) {
-    if (s != primary.primary()) rest_scratch_.push_back(s);
+/// Removes `server` from `list`, keeping the order of the rest.
+void drop(std::vector<store::ServerId>& list, store::ServerId server) {
+  list.erase(std::remove(list.begin(), list.end(), server), list.end());
+}
+
+}  // namespace
+
+DispatchPolicy::DispatchPolicy(ReplicaRule rule, const DispatchModeConfig& mode,
+                               const C3ScoreConfig& c3, bool credit_aware,
+                               sim::Duration prior_response, util::Rng rng,
+                               const sim::Simulator* sim)
+    : rng_(rng),
+      c3_(c3),
+      mode_(mode),
+      quantile_factor_(-std::log(1.0 - mode.hedge_quantile)),
+      prior_response_(prior_response),
+      sim_(sim),
+      rule_(rule),
+      credit_aware_(credit_aware) {
+  if (rule_ == ReplicaRule::kC3 || rule_ == ReplicaRule::kC3NoDerate) {
+    if (c3_.queue_exponent < 1.0) {
+      throw std::invalid_argument("DispatchPolicy: C3 queue_exponent must be >= 1");
+    }
+    if (c3_.num_clients == 0) throw std::invalid_argument("DispatchPolicy: C3 num_clients == 0");
   }
-  const DispatchPlan backup = inner_->plan(signals, rest_scratch_, expected_cost);
-
-  // Deadline: configured quantile of the primary's response-time
-  // distribution under an exponential-tail assumption, t_q =
-  // -ln(1-q) * mean. Unseen servers fall back to the configured prior.
-  const double ewma_ns = signals.ewma_response_ns(primary.primary());
-  const double mean_ns = signals.seen(primary.primary()) && ewma_ns > 0.0
-                             ? ewma_ns
-                             : static_cast<double>(prior_response_.count_nanos());
-
-  DispatchPlan out = primary;
-  out.targets[1] = backup.primary();
-  out.num_targets = 2;
-  out.mode = DispatchMode::kHedge;
-  out.hedge_delay = sim::Duration::nanos(static_cast<std::int64_t>(quantile_factor_ * mean_ns));
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// TiedDispatchPolicy
-
-TiedDispatchPolicy::TiedDispatchPolicy(std::unique_ptr<DispatchPolicy> inner)
-    : inner_(std::move(inner)) {
-  if (!inner_) throw std::invalid_argument("TiedDispatchPolicy: null inner policy");
-}
-
-DispatchPlan TiedDispatchPolicy::plan(const SignalTable& signals,
-                                      const std::vector<store::ServerId>& replicas,
-                                      sim::Duration expected_cost) {
-  DispatchPlan primary = inner_->plan(signals, replicas, expected_cost);
-  if (replicas.size() < 2) return primary;
-
-  rest_scratch_.clear();
-  for (const store::ServerId s : replicas) {
-    if (s != primary.primary()) rest_scratch_.push_back(s);
+  if (mode_.mode == DispatchMode::kHedge) {
+    if (!(mode_.hedge_quantile > 0.0 && mode_.hedge_quantile < 1.0)) {
+      throw std::invalid_argument("DispatchPolicy: hedge quantile must be in (0, 1)");
+    }
+    if (prior_response_ <= sim::Duration::zero()) {
+      throw std::invalid_argument("DispatchPolicy: hedge prior response must be positive");
+    }
   }
-  const DispatchPlan sibling = inner_->plan(signals, rest_scratch_, expected_cost);
-
-  DispatchPlan out = primary;
-  out.targets[1] = sibling.primary();
-  out.num_targets = 2;
-  out.mode = DispatchMode::kTied;
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// KofnDispatchPolicy
-
-KofnDispatchPolicy::KofnDispatchPolicy(std::unique_ptr<DispatchPolicy> inner, std::uint8_t k)
-    : inner_(std::move(inner)), k_(k) {
-  if (!inner_) throw std::invalid_argument("KofnDispatchPolicy: null inner policy");
-  if (k_ < 1 || k_ > DispatchPlan::kMaxTargets) {
-    throw std::invalid_argument("KofnDispatchPolicy: k must be in [1, " +
+  if (mode_.mode == DispatchMode::kKofn && (mode_.k < 1 || mode_.k > DispatchPlan::kMaxTargets)) {
+    throw std::invalid_argument("DispatchPolicy: kofn k must be in [1, " +
                                 std::to_string(DispatchPlan::kMaxTargets) + "]");
   }
 }
 
-std::string KofnDispatchPolicy::name() const {
-  return "kofn:" + std::to_string(static_cast<unsigned>(k_)) + "(" + inner_->name() + ")";
+std::string DispatchPolicy::name() const {
+  std::string name = rule_name(rule_);
+  switch (mode_.mode) {
+    case DispatchMode::kSingle:
+      break;
+    case DispatchMode::kHedge:
+      name = "hedge:q" + format_quantile_percent(mode_.hedge_quantile) + "(" + name + ")";
+      break;
+    case DispatchMode::kTied:
+      name = "tied(" + name + ")";
+      break;
+    case DispatchMode::kKofn:
+      name = "kofn:" + std::to_string(static_cast<unsigned>(mode_.k)) + "(" + name + ")";
+      break;
+  }
+  return credit_aware_ ? "credit-aware(" + name + ")" : name;
 }
 
-DispatchPlan KofnDispatchPolicy::plan(const SignalTable& signals,
-                                      const std::vector<store::ServerId>& replicas,
-                                      sim::Duration expected_cost) {
-  const std::size_t n = std::min(replicas.size(), DispatchPlan::kMaxTargets);
-  if (n < 2) return inner_->plan(signals, replicas, expected_cost);
-
-  // Rank n distinct targets by repeated inner selection over the
-  // remaining set — target i is the inner policy's choice once targets
-  // 0..i-1 are off the table.
-  rest_scratch_.assign(replicas.begin(), replicas.end());
-  DispatchPlan out;
-  out.mode = DispatchMode::kKofn;
-  for (std::size_t i = 0; i < n; ++i) {
-    const store::ServerId chosen = inner_->plan(signals, rest_scratch_, expected_cost).primary();
-    out.targets[i] = chosen;
-    ++out.num_targets;
-    for (std::size_t j = 0; j < rest_scratch_.size(); ++j) {
-      if (rest_scratch_[j] == chosen) {
-        rest_scratch_.erase(rest_scratch_.begin() + static_cast<std::ptrdiff_t>(j));
-        break;
+store::ServerId DispatchPolicy::select(const SignalTable& signals,
+                                       const std::vector<store::ServerId>& replicas) {
+  const std::size_t n = replicas.size();
+  switch (rule_) {
+    case ReplicaRule::kRandom:
+      return replicas[static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(n) - 1))];
+    case ReplicaRule::kRoundRobin:
+      return replicas[static_cast<std::size_t>(cursor_++ % n)];
+    case ReplicaRule::kLeastOutstanding:
+      return least_loaded(replicas, static_cast<std::size_t>(cursor_++ % n),
+                          [&](store::ServerId s) { return signals.outstanding(s); });
+    case ReplicaRule::kLeastPendingCost:
+      return least_loaded(replicas, static_cast<std::size_t>(cursor_++ % n),
+                          [&](store::ServerId s) { return signals.pending_cost(s); });
+    case ReplicaRule::kTwoChoices: {
+      if (n == 1) return replicas.front();
+      // Two distinct uniform indices; the second draw excludes the first.
+      const auto i =
+          static_cast<std::size_t>(rng_.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      auto j = static_cast<std::size_t>(rng_.uniform_int(0, static_cast<std::int64_t>(n) - 2));
+      if (j >= i) ++j;
+      const store::ServerId a = replicas[i];
+      const store::ServerId b = replicas[j];
+      const std::uint32_t load_a = signals.outstanding(a);
+      const std::uint32_t load_b = signals.outstanding(b);
+      if (load_a != load_b) return load_a < load_b ? a : b;
+      return a < b ? a : b;
+    }
+    case ReplicaRule::kC3:
+    case ReplicaRule::kC3NoDerate: {
+      store::ServerId best = replicas.front();
+      double best_score = c3_score(c3_, signals, best);
+      for (std::size_t i = 1; i < n; ++i) {
+        const double candidate = c3_score(c3_, signals, replicas[i]);
+        if (candidate < best_score || (candidate == best_score && replicas[i] < best)) {
+          best = replicas[i];
+          best_score = candidate;
+        }
       }
+      return best;
+    }
+    case ReplicaRule::kFirst:
+      return replicas.front();
+  }
+  throw std::logic_error("DispatchPolicy: unknown replica rule");
+}
+
+DispatchPlan DispatchPolicy::plan(const SignalTable& signals,
+                                  const std::vector<store::ServerId>& replicas,
+                                  sim::Duration /*expected_cost*/) {
+  if (replicas.empty()) throw std::invalid_argument("DispatchPolicy::plan: empty replica set");
+  if (!credit_aware_ && mode_.mode == DispatchMode::kSingle) {
+    return DispatchPlan::single(select(signals, replicas));
+  }
+
+  // Credit filter: the funded replicas, unless all or none are.
+  std::vector<store::ServerId>& scratch = plan_scratch();
+  const std::vector<store::ServerId>* set = &replicas;
+  if (credit_aware_) {
+    scratch.clear();
+    for (const store::ServerId s : replicas) {
+      if (signals.credit_balance(s) >= 1.0) scratch.push_back(s);
+    }
+    if (!scratch.empty() && scratch.size() != replicas.size()) set = &scratch;
+  }
+
+  const std::size_t n = set->size();
+  DispatchPlan out = DispatchPlan::single(select(signals, *set));
+  if (mode_.mode == DispatchMode::kSingle || n < 2) return out;  // nobody to duplicate onto
+
+  // Signal-aware skip: when the primary's feedback is fresher than the
+  // configured age, the queue estimate that chose it is current enough
+  // to trust — spend no duplicate work. Checked before the back-up
+  // pick so the rule's decision stream is untouched too.
+  if (mode_.mode == DispatchMode::kHedge && mode_.fresh_age > sim::Duration::zero() &&
+      sim_ != nullptr) {
+    const std::int64_t last_ns = signals.last_feedback_ns(out.primary());
+    if (last_ns >= 0 && sim_->now() - sim::Time::nanos(last_ns) < mode_.fresh_age) {
+      out.skipped_fresh = true;
+      return out;
     }
   }
-  out.needed = static_cast<std::uint8_t>(std::min<std::size_t>(k_, n));
+
+  // Every further target is a pick over the replicas not yet chosen.
+  if (set != &scratch) scratch.assign(replicas.begin(), replicas.end());
+  drop(scratch, out.primary());
+  out.mode = mode_.mode;
+  const std::size_t targets =
+      mode_.mode == DispatchMode::kKofn ? std::min(n, DispatchPlan::kMaxTargets) : 2;
+  for (out.num_targets = 1; out.num_targets < targets; ++out.num_targets) {
+    out.targets[out.num_targets] = select(signals, scratch);
+    drop(scratch, out.targets[out.num_targets]);
+  }
+
+  if (mode_.mode == DispatchMode::kKofn) {
+    out.needed = static_cast<std::uint8_t>(std::min<std::size_t>(mode_.k, targets));
+  } else if (mode_.mode == DispatchMode::kHedge) {
+    // Deadline: configured quantile of the primary's response-time
+    // distribution under an exponential-tail assumption, t_q =
+    // -ln(1-q) * mean. Unseen servers fall back to the configured prior.
+    const double ewma_ns = signals.ewma_response_ns(out.primary());
+    const double mean_ns = signals.seen(out.primary()) && ewma_ns > 0.0
+                               ? ewma_ns
+                               : static_cast<double>(prior_response_.count_nanos());
+    out.hedge_delay = sim::Duration::nanos(static_cast<std::int64_t>(quantile_factor_ * mean_ns));
+  }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// CreditAwareDispatchPolicy
-
-CreditAwareDispatchPolicy::CreditAwareDispatchPolicy(std::unique_ptr<DispatchPolicy> inner)
-    : inner_(std::move(inner)) {
-  if (!inner_) throw std::invalid_argument("CreditAwareDispatchPolicy: null inner policy");
-}
-
-DispatchPlan CreditAwareDispatchPolicy::plan(const SignalTable& signals,
-                                             const std::vector<store::ServerId>& replicas,
-                                             sim::Duration expected_cost) {
-  funded_scratch_.clear();
-  for (const store::ServerId s : replicas) {
-    if (signals.credit_balance(s) >= 1.0) funded_scratch_.push_back(s);
-  }
-  if (funded_scratch_.empty() || funded_scratch_.size() == replicas.size()) {
-    return inner_->plan(signals, replicas, expected_cost);
-  }
-  return inner_->plan(signals, funded_scratch_, expected_cost);
 }
 
 // ---------------------------------------------------------------------------
@@ -351,24 +382,8 @@ std::unique_ptr<DispatchPolicy> make_dispatch_policy(const std::string& policy_n
                                                      const C3ScoreConfig& c3, bool credit_aware,
                                                      sim::Duration prior_response, util::Rng rng,
                                                      const sim::Simulator* sim) {
-  std::unique_ptr<DispatchPolicy> stack =
-      std::make_unique<SingleTargetAdapter>(make_replica_policy(policy_name, c3, rng));
-  switch (mode.mode) {
-    case DispatchMode::kSingle:
-      break;  // no wrapper: the call chain equals the legacy selector path
-    case DispatchMode::kHedge:
-      stack = std::make_unique<HedgeDispatchPolicy>(std::move(stack), mode.hedge_quantile,
-                                                    prior_response, mode.fresh_age, sim);
-      break;
-    case DispatchMode::kTied:
-      stack = std::make_unique<TiedDispatchPolicy>(std::move(stack));
-      break;
-    case DispatchMode::kKofn:
-      stack = std::make_unique<KofnDispatchPolicy>(std::move(stack), mode.k);
-      break;
-  }
-  if (credit_aware) stack = std::make_unique<CreditAwareDispatchPolicy>(std::move(stack));
-  return stack;
+  return std::make_unique<DispatchPolicy>(replica_rule(policy_name), mode, c3, credit_aware,
+                                          prior_response, rng, sim);
 }
 
 // ---------------------------------------------------------------------------

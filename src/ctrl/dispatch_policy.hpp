@@ -6,7 +6,7 @@
 // for when duplicates are issued and when losers are cancelled. A
 // DispatchPolicy therefore returns a DispatchPlan:
 //
-//   single            one target, no duplicates (the legacy contract)
+//   single            one target, no duplicates
 //   hedge{q}          primary now; back-up re-issued to a second
 //                     replica if no response within the per-server
 //                     latency-quantile deadline (EWMA-fed), loser
@@ -17,13 +17,12 @@
 //   kofn{k}           fan out to n replicas, complete on the k-th
 //                     response, cancel the stragglers
 //
-// Every legacy ReplicaPolicy lifts into this API through
-// SingleTargetAdapter bit-identically: in single mode the adapter's
-// plan() is exactly one inner select() call, so the eight registered
-// selectors keep their decision sequences (and artifacts) unchanged.
-// The executor lives in client::AppClient; cancellation rides the
-// engine's generation-validated event cancel and the servers'
-// service-admission filter.
+// DispatchPolicy is one concrete class: a closed set of replica rules
+// (ctrl/replica_policy.hpp), the four modes above and the credits
+// filter, each a switch inside plan(). In single mode plan() is exactly
+// one pick by the rule. The executor lives in client::AppClient;
+// cancellation rides the engine's generation-validated event cancel and
+// the servers' service-admission filter.
 #pragma once
 
 #include <array>
@@ -85,46 +84,16 @@ struct DispatchPlan {
   }
 };
 
-/// Decision surface: reads the client's SignalTable, returns a plan.
-/// Like ReplicaPolicy, instances hold only private decision state, so
-/// the PolicyRuntime can swap them mid-run over the same signals.
-class DispatchPolicy {
- public:
-  virtual ~DispatchPolicy() = default;
-
-  /// `replicas` is never empty.
-  virtual DispatchPlan plan(const SignalTable& signals,
-                            const std::vector<store::ServerId>& replicas,
-                            sim::Duration expected_cost) = 0;
-
-  virtual std::string name() const = 0;
-};
-
-/// Lifts a legacy single-winner ReplicaPolicy into the plan API.
-/// plan() is exactly one inner select() call — bit-identical decision
-/// streams for all eight registered selectors.
-class SingleTargetAdapter final : public DispatchPolicy {
- public:
-  explicit SingleTargetAdapter(std::unique_ptr<ReplicaPolicy> inner);
-
-  DispatchPlan plan(const SignalTable& signals, const std::vector<store::ServerId>& replicas,
-                    sim::Duration expected_cost) override;
-  std::string name() const override { return inner_->name(); }
-
-  ReplicaPolicy& inner() noexcept { return *inner_; }
-
- private:
-  std::unique_ptr<ReplicaPolicy> inner_;
-};
-
 /// Parsed form of one dispatch-mode spec ("single",
 /// "hedge[:qNN][:fresh=MS]", "tied", "kofn[:K]").
 struct DispatchModeConfig {
+  // The two one-byte fields lead so the struct packs into 24 bytes;
+  // every client's policy and binding hold a copy.
   DispatchMode mode = DispatchMode::kSingle;
-  /// Hedge deadline quantile of the per-server response distribution.
-  double hedge_quantile = 0.95;
   /// k of k-of-n.
   std::uint8_t k = 2;
+  /// Hedge deadline quantile of the per-server response distribution.
+  double hedge_quantile = 0.95;
   /// Hedge only: suppress the back-up when the primary's last feedback
   /// is younger than this (signal-aware hedge skip). Zero = disabled —
   /// the pre-existing always-hedge behavior, and the default, so
@@ -137,85 +106,63 @@ struct DispatchModeConfig {
   bool is_single() const noexcept { return mode == DispatchMode::kSingle; }
 };
 
-/// Hedged requests: the inner policy picks the primary; the back-up
-/// target is the inner choice over the remaining replicas. The hedge
-/// deadline is the configured quantile of the primary's response-time
-/// EWMA (exponential-tail assumption: t_q = -ln(1-q) * mean), falling
-/// back to the C3 prior for unseen servers.
+/// One client's decision procedure: a replica rule, a dispatch mode
+/// and an optional credit filter, applied in that nesting:
 ///
-/// Signal-aware skip (`fresh_age` > 0 and a clock wired): when the
-/// primary's last feedback is younger than `fresh_age`, the queue
-/// estimate that picked it is trusted and the plan degrades to single
-/// (`skipped_fresh` set) — the duplicate-work budget is spent only
-/// where the signals are stale enough to doubt.
-class HedgeDispatchPolicy final : public DispatchPolicy {
+///   credit filter   restrict the replicas to servers the client can
+///                   pay for right now (gate-mirrored balances); pass
+///                   the full set through when all or none are funded
+///   mode            single: one pick. hedge: the pick is the primary,
+///                   the back-up is a second pick over the replicas
+///                   minus the primary, armed after the configured
+///                   quantile of the primary's response EWMA
+///                   (exponential tail: t_q = -ln(1-q) * mean; the
+///                   prior for unseen servers). tied: primary plus a
+///                   sibling picked the same way. kofn: up to 4
+///                   targets by repeated picks over a shrinking list,
+///                   complete on the k-th response
+///   rule            the pick itself (ReplicaRule)
+///
+/// Signal-aware hedge skip (`fresh_age` > 0 and a clock wired): when
+/// the primary's last feedback is younger than `fresh_age`, the plan
+/// degrades to single with `skipped_fresh` set.
+///
+/// One object per client and one direct plan() call. It holds only
+/// private decision state (RNG stream, cursor), so the PolicyRuntime
+/// can swap it mid-run over the same signals.
+class DispatchPolicy final {
  public:
-  HedgeDispatchPolicy(std::unique_ptr<DispatchPolicy> inner, double quantile,
-                      sim::Duration prior_response,
-                      sim::Duration fresh_age = sim::Duration::zero(),
-                      const sim::Simulator* sim = nullptr);
+  /// Throws std::invalid_argument on a C3 rule with queue_exponent < 1
+  /// or num_clients == 0, a hedge mode with a quantile outside (0, 1)
+  /// or a non-positive prior, and a kofn mode with k outside [1, 4].
+  /// `prior_response` seeds hedge deadlines for servers without
+  /// feedback yet; `sim` supplies the clock for the hedge freshness
+  /// skip (null or zero `fresh_age`: always hedge).
+  DispatchPolicy(ReplicaRule rule, const DispatchModeConfig& mode, const C3ScoreConfig& c3,
+                 bool credit_aware, sim::Duration prior_response, util::Rng rng,
+                 const sim::Simulator* sim = nullptr);
 
+  /// Throws std::invalid_argument on an empty `replicas`.
   DispatchPlan plan(const SignalTable& signals, const std::vector<store::ServerId>& replicas,
-                    sim::Duration expected_cost) override;
-  std::string name() const override;
+                    sim::Duration expected_cost);
+
+  /// Rule wrapped by mode and credit filter, e.g. "round-robin",
+  /// "tied(round-robin)", "credit-aware(hedge:q95(c3))".
+  std::string name() const;
 
  private:
-  std::unique_ptr<DispatchPolicy> inner_;
-  double quantile_factor_;  // -ln(1 - q)
-  double quantile_;
+  /// One pick by `rule_` over a non-empty list.
+  store::ServerId select(const SignalTable& signals, const std::vector<store::ServerId>& replicas);
+
+  util::Rng rng_;             // random, two-choices
+  std::uint64_t cursor_ = 0;  // round-robin counter; LOR/LPC scan rotation
+  C3ScoreConfig c3_;
+  DispatchModeConfig mode_;
+  double quantile_factor_;  // -ln(1 - hedge_quantile)
   sim::Duration prior_response_;
-  sim::Duration fresh_age_;    // zero: skip disabled
   const sim::Simulator* sim_;  // clock for feedback ages (may be null)
-  std::vector<store::ServerId> rest_scratch_;  // replicas minus primary
-};
-
-/// Tied requests: two copies enqueued at once; first service start
-/// wins, the sibling is cancelled at its dequeue.
-class TiedDispatchPolicy final : public DispatchPolicy {
- public:
-  explicit TiedDispatchPolicy(std::unique_ptr<DispatchPolicy> inner);
-
-  DispatchPlan plan(const SignalTable& signals, const std::vector<store::ServerId>& replicas,
-                    sim::Duration expected_cost) override;
-  std::string name() const override { return "tied(" + inner_->name() + ")"; }
-
- private:
-  std::unique_ptr<DispatchPolicy> inner_;
-  std::vector<store::ServerId> rest_scratch_;
-};
-
-/// k-of-n partial fanout (the SCDP rateless-coding idea at the request
-/// layer): fan out to n replicas ranked by repeated inner selection,
-/// complete on the k-th response, cancel the stragglers.
-class KofnDispatchPolicy final : public DispatchPolicy {
- public:
-  KofnDispatchPolicy(std::unique_ptr<DispatchPolicy> inner, std::uint8_t k);
-
-  DispatchPlan plan(const SignalTable& signals, const std::vector<store::ServerId>& replicas,
-                    sim::Duration expected_cost) override;
-  std::string name() const override;
-
- private:
-  std::unique_ptr<DispatchPolicy> inner_;
-  std::uint8_t k_;
-  std::vector<store::ServerId> rest_scratch_;
-};
-
-/// Credits decorator at the plan layer: restrict the replica set to
-/// servers the client can pay for right now (gate-mirrored balances),
-/// then defer to the inner policy over that set — one uniform wrapper
-/// for every mode instead of the old select()-special-cased decorator.
-class CreditAwareDispatchPolicy final : public DispatchPolicy {
- public:
-  explicit CreditAwareDispatchPolicy(std::unique_ptr<DispatchPolicy> inner);
-
-  DispatchPlan plan(const SignalTable& signals, const std::vector<store::ServerId>& replicas,
-                    sim::Duration expected_cost) override;
-  std::string name() const override { return "credit-aware(" + inner_->name() + ")"; }
-
- private:
-  std::unique_ptr<DispatchPolicy> inner_;
-  std::vector<store::ServerId> funded_scratch_;  // reused per plan
+  ReplicaRule rule_;
+  bool credit_aware_;
 };
 
 // ---------------------------------------------------------------------------
@@ -239,13 +186,9 @@ bool is_dispatch_mode_name(const std::string& head);
 /// did-you-mean hint on unknown modes and on malformed parameters.
 DispatchModeConfig parse_dispatch_mode(const std::string& spec);
 
-/// Composes the full dispatch stack for one binding:
-/// credit-aware?( mode-wrapper?( SingleTargetAdapter(policy) ) ).
-/// In single mode no wrapper is added, so the call sequence equals the
-/// legacy selector path exactly. `prior_response` seeds hedge
-/// deadlines for servers without feedback yet. `sim` supplies the
-/// clock for the hedge freshness skip; when null (or `fresh_age` is
-/// zero) hedging always issues a back-up, as before.
+/// Builds the DispatchPolicy for one binding, resolving the replica
+/// policy by (canonical or alias) name; unknown names throw with a
+/// did-you-mean hint. The other arguments are the constructor's.
 std::unique_ptr<DispatchPolicy> make_dispatch_policy(const std::string& policy_name,
                                                      const DispatchModeConfig& mode,
                                                      const C3ScoreConfig& c3, bool credit_aware,

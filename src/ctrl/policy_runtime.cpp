@@ -182,10 +182,11 @@ std::vector<PolicySwitch> parse_policy_switch_spec(const std::string& spec) {
 PolicyRuntime::PolicyRuntime(sim::Simulator& sim, Config config)
     : sim_(&sim), config_(std::move(config)) {
   const std::size_t num_tenants = std::max<std::size_t>(1, config_.tenants.size());
-  initial_policy_.assign(num_tenants, canonical_policy_name(config_.default_policy));
+  initial_policy_.assign(num_tenants, replica_rule(config_.default_policy));
   initial_mode_.assign(num_tenants, DispatchModeConfig{});
 
-  const auto apply_policy = [&](const std::string& tenant, const std::string& policy) {
+  const auto apply_policy = [&](const std::string& tenant, const std::string& name) {
+    const ReplicaRule policy = replica_rule(name);
     if (tenant.empty()) {
       std::fill(initial_policy_.begin(), initial_policy_.end(), policy);
     } else {
@@ -242,7 +243,7 @@ const std::string& PolicyRuntime::initial_policy(store::TenantId tenant) const {
   if (tenant.value() >= initial_policy_.size()) {
     throw std::out_of_range("PolicyRuntime::initial_policy: bad tenant index");
   }
-  return initial_policy_[tenant.value()];
+  return rule_name(initial_policy_[tenant.value()]);
 }
 
 const DispatchModeConfig& PolicyRuntime::initial_mode(store::TenantId tenant) const {
@@ -252,24 +253,19 @@ const DispatchModeConfig& PolicyRuntime::initial_mode(store::TenantId tenant) co
   return initial_mode_[tenant.value()];
 }
 
-bool PolicyRuntime::may_dispatch_duplicates() const {
-  for (const DispatchModeConfig& mode : initial_mode_) {
-    if (!mode.is_single()) return true;
+bool PolicyRuntime::may_dispatch(DispatchMode mode) const {
+  for (const DispatchModeConfig& initial : initial_mode_) {
+    if (initial.mode == mode) return true;
   }
   for (const PolicySwitch& epoch : epochs_) {
-    if (epoch.kind == PolicySwitch::Kind::kMode && !epoch.mode.is_single()) return true;
+    if (epoch.kind == PolicySwitch::Kind::kMode && epoch.mode.mode == mode) return true;
   }
   return false;
 }
 
-std::unique_ptr<DispatchPolicy> PolicyRuntime::make_bound_stack(const std::string& policy,
-                                                                const DispatchModeConfig& mode,
-                                                                util::Rng rng) const {
-  // Credits systems select jointly over replica load *and* credit
-  // balances (the gate mirrors balances into the SignalTable); the
-  // credit-aware wrapper composes outermost, uniformly for every mode.
-  return make_dispatch_policy(policy, mode, config_.c3, config_.credit_aware,
-                              config_.c3.prior_service_time, rng, sim_);
+bool PolicyRuntime::may_dispatch_duplicates() const {
+  return may_dispatch(DispatchMode::kHedge) || may_dispatch(DispatchMode::kTied) ||
+         may_dispatch(DispatchMode::kKofn);
 }
 
 std::unique_ptr<DispatchEndpoint> PolicyRuntime::bind_client(store::ClientId id,
@@ -278,15 +274,20 @@ std::unique_ptr<DispatchEndpoint> PolicyRuntime::bind_client(store::ClientId id,
   if (tenant.value() >= initial_policy_.size()) {
     throw std::invalid_argument("PolicyRuntime::bind_client: tenant index out of range");
   }
-  const std::string& policy = initial_policy_[tenant.value()];
+  const ReplicaRule policy = initial_policy_[tenant.value()];
   const DispatchModeConfig& mode = initial_mode_[tenant.value()];
+  // Credits systems select jointly over replica load *and* credit
+  // balances (the gate mirrors balances into the SignalTable).
   auto endpoint = std::make_unique<DispatchEndpoint>(
-      config_.signals, make_bound_stack(policy, mode, rng), rng, tenant);
+      config_.signals,
+      std::make_unique<DispatchPolicy>(policy, mode, config_.c3, config_.credit_aware,
+                                       config_.c3.prior_service_time, rng, sim_),
+      rng, tenant);
   if (id >= clients_.size()) clients_.resize(id + 1);
   if (clients_[id].endpoint != nullptr) {
     throw std::logic_error("PolicyRuntime::bind_client: client bound twice");
   }
-  clients_[id] = ClientBinding{endpoint.get(), policy, mode, tenant};
+  clients_[id] = ClientBinding{endpoint.get(), mode, tenant, policy};
   return endpoint;
 }
 
@@ -304,17 +305,18 @@ void PolicyRuntime::apply_epoch(std::size_t epoch_index) {
     if (!epoch.tenant.empty() && config_.tenants[client.tenant.value()] != epoch.tenant) {
       continue;
     }
-    // A switch replaces one axis of the (policy, mode) pair and keeps
-    // the other; the replacement stack reads the same SignalTable the
+    // A switch replaces one axis of the (rule, mode) pair and keeps
+    // the other; the replacement policy reads the same SignalTable the
     // old one fed from — it starts with warm estimates, not a cold
     // cache.
     if (epoch.kind == PolicySwitch::Kind::kPolicy) {
-      client.policy = epoch.policy;
+      client.policy = replica_rule(epoch.policy);
     } else {
       client.mode = epoch.mode;
     }
-    client.endpoint->policy_ =
-        make_bound_stack(client.policy, client.mode, client.endpoint->rng_.split());
+    client.endpoint->policy_ = std::make_unique<DispatchPolicy>(
+        client.policy, client.mode, config_.c3, config_.credit_aware,
+        config_.c3.prior_service_time, client.endpoint->rng_.split(), sim_);
     ++switches_applied_;
   }
 }

@@ -1,6 +1,6 @@
 // The policy runtime — layer 3 of the control plane.
 //
-// Binds a dispatch stack (replica policy + dispatch mode) per tenant
+// Binds a DispatchPolicy (replica rule + dispatch mode) per tenant
 // onto each client's SignalTable and supports epoch-scheduled mid-run
 // switching:
 //
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "ctrl/dispatch_policy.hpp"
-#include "ctrl/replica_policy.hpp"
 #include "ctrl/signal_table.hpp"
 #include "sim/simulator.hpp"
 #include "store/types.hpp"
@@ -93,7 +92,7 @@ class PolicyRuntime {
     /// Table smoothing + C3 scoring parameters shared by all clients.
     SignalTableConfig signals{};
     C3ScoreConfig c3{};
-    /// Wrap every bound dispatch stack credit-aware (credits admission).
+    /// Bind every client's policy credit-aware (credits admission).
     bool credit_aware = false;
     /// Tenant names in tenant-index order; empty = one anonymous
     /// tenant. Tenant-qualified spec entries must name one of these.
@@ -106,6 +105,9 @@ class PolicyRuntime {
   const std::string& initial_policy(store::TenantId tenant) const;
   const DispatchModeConfig& initial_mode(store::TenantId tenant) const;
 
+  /// True if some tenant starts in `mode` or a switch epoch moves to it.
+  bool may_dispatch(DispatchMode mode) const;
+
   /// True if any binding or switch epoch can issue duplicate copies
   /// (some dispatch mode other than `single` is reachable) — gates the
   /// executor wiring (server-side admission filters) so single-mode
@@ -113,10 +115,10 @@ class PolicyRuntime {
   bool may_dispatch_duplicates() const;
 
   /// Creates client `id`'s control-plane endpoint: a SignalTable plus
-  /// the tenant's bound dispatch stack. `rng` seeds randomized
-  /// policies exactly as the pre-runtime wiring did (by value; the
-  /// endpoint keeps its own copy for constructing replacement stacks
-  /// at switch epochs).
+  /// the tenant's bound DispatchPolicy. `rng` seeds randomized rules
+  /// exactly as the pre-runtime wiring did (by value; the endpoint
+  /// keeps its own copy for constructing replacement policies at
+  /// switch epochs).
   std::unique_ptr<DispatchEndpoint> bind_client(store::ClientId id, store::TenantId tenant,
                                                 util::Rng rng);
 
@@ -136,24 +138,21 @@ class PolicyRuntime {
   const Config& config() const noexcept { return config_; }
 
  private:
-  /// One bound client: the endpoint plus its current (policy, mode)
+  /// One bound client: the endpoint plus its current (rule, mode)
   /// pair, so a switch can replace one axis and keep the other.
   struct ClientBinding {
     DispatchEndpoint* endpoint = nullptr;  // non-owning; the client owns it
-    std::string policy;
     DispatchModeConfig mode;
     store::TenantId tenant{0};
+    ReplicaRule policy = ReplicaRule::kRandom;
   };
 
-  std::unique_ptr<DispatchPolicy> make_bound_stack(const std::string& policy,
-                                                   const DispatchModeConfig& mode,
-                                                   util::Rng rng) const;
   store::TenantId tenant_index(const std::string& name) const;
   void apply_epoch(std::size_t epoch_index);
 
   sim::Simulator* sim_;
   Config config_;
-  std::vector<std::string> initial_policy_;       // per tenant
+  std::vector<ReplicaRule> initial_policy_;       // per tenant
   std::vector<DispatchModeConfig> initial_mode_;  // per tenant
   std::vector<PolicySwitch> epochs_;              // time-ordered, t > 0 only
   std::vector<ClientBinding> clients_;

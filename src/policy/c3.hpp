@@ -13,7 +13,7 @@
 //        Ψ_s = R̄_s − 1/µ̄_s + (q̂_s)^3 / µ̄_s
 //    and the minimum wins. The cubic exponent penalizes long queues
 //    super-linearly, avoiding herd behavior. The ranking is
-//    ctrl::C3ScorePolicy over the client's ctrl::SignalTable; C3Config
+//    ctrl::c3_score over the client's ctrl::SignalTable; C3Config
 //    carries its knobs (the EWMA weight goes to the table).
 //
 //  * Cubic rate control. Each (client, server) pair has a sending-rate

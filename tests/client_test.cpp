@@ -4,6 +4,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "client/app_client.hpp"
@@ -21,14 +22,12 @@ namespace {
 using sim::Duration;
 using sim::Time;
 
-/// Single-target endpoint over one inner replica policy — the
-/// dispatch-plan equivalent of the old selector argument.
-std::unique_ptr<ctrl::DispatchEndpoint> single_endpoint(
-    std::unique_ptr<ctrl::ReplicaPolicy> inner) {
+/// Single-mode endpoint over one replica rule.
+std::unique_ptr<ctrl::DispatchEndpoint> single_endpoint(const std::string& rule) {
   return std::make_unique<ctrl::DispatchEndpoint>(
       ctrl::SignalTableConfig{},
-      std::make_unique<ctrl::SingleTargetAdapter>(std::move(inner)), util::Rng(99),
-      store::TenantId{0});
+      ctrl::make_dispatch_policy(rule, {}, {}, false, Duration::millis(1), util::Rng(99)),
+      util::Rng(99), store::TenantId{0});
 }
 
 /// Captures outbound traffic instead of a network.
@@ -47,7 +46,7 @@ struct ClientFixture {
       : policy(policy::make_priority_policy(policy_name)) {
     client = std::make_unique<AppClient>(
         simulator, config, partitioner, cost_model,
-        single_endpoint(std::make_unique<ctrl::FirstReplicaPolicy>()), *policy,
+        single_endpoint("first"), *policy,
         std::make_unique<DirectGate>(), util::Rng(1), scratch);
     client->set_network_send([this](const OutboundRequest& out) { sent.push_back(out); });
     AppClient::Hooks hooks;
@@ -250,7 +249,7 @@ TEST(AppClient, PerRequestSelectionMode) {
   std::vector<OutboundRequest> sent;
   ClientScratch scratch;
   AppClient client(simulator, config, partitioner, cost_model,
-                   single_endpoint(std::make_unique<ctrl::RoundRobinPolicy>()), fifo,
+                   single_endpoint("round-robin"), fifo,
                    std::make_unique<DirectGate>(), util::Rng(2), scratch);
   client.set_network_send([&sent](const OutboundRequest& out) { sent.push_back(out); });
   workload::TaskSpec task;
@@ -327,7 +326,7 @@ TEST(AppClient, ReentrantSubmitOnSharedScratchThrows) {
   AppClient::Config config;
   config.id = 1;
   AppClient other(f.simulator, config, f.partitioner, f.cost_model,
-                  single_endpoint(std::make_unique<ctrl::FirstReplicaPolicy>()), *f.policy,
+                  single_endpoint("first"), *f.policy,
                   std::make_unique<DirectGate>(), util::Rng(3), f.scratch);
   other.set_network_send([](const OutboundRequest&) {});
   bool reentered = false;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "cli/sweep_plan.hpp"
 #include "core/scenario.hpp"
 #include "ctrl/admission.hpp"
+#include "ctrl/dispatch_policy.hpp"
 #include "ctrl/policy_runtime.hpp"
 #include "ctrl/replica_policy.hpp"
 #include "ctrl/signal_table.hpp"
@@ -555,35 +557,42 @@ TEST(ReplicaPolicyRegistry, UnknownNameSuggests) {
   }
 }
 
+/// A single-mode dispatch policy over replica rule `name`.
+std::unique_ptr<ctrl::DispatchPolicy> single_mode(const std::string& name, std::uint64_t seed) {
+  return ctrl::make_dispatch_policy(name, {}, {}, false, Duration::millis(1), util::Rng(seed));
+}
+
 TEST(ReplicaPolicyRegistry, EveryCatalogNameConstructs) {
   for (const ctrl::ReplicaPolicyInfo& info : ctrl::replica_policy_catalog()) {
-    const auto policy = ctrl::make_replica_policy(info.name, {}, util::Rng(1));
+    const auto policy = single_mode(info.name, 1);
     ASSERT_NE(policy, nullptr) << info.name;
     EXPECT_EQ(policy->name(), info.name);
     for (const std::string& alias : info.aliases) {
-      EXPECT_EQ(ctrl::make_replica_policy(alias, {}, util::Rng(1))->name(), info.name) << alias;
+      EXPECT_EQ(single_mode(alias, 1)->name(), info.name) << alias;
     }
   }
 }
 
 TEST(TwoChoicesPolicy, PrefersLessLoadedOfItsPair) {
   ctrl::SignalTable table;
-  ctrl::TwoChoicesPolicy policy{util::Rng(7)};
+  const auto policy = single_mode("two-choices", 7);
   // Server 0 is heavily loaded; with two replicas both are always
   // sampled, so the choice must always be server 1.
   for (int i = 0; i < 5; ++i) table.on_send(0, Duration::micros(100));
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(policy.select(table, {0, 1}, Duration::zero()), 1u);
+    EXPECT_EQ(policy->plan(table, {0, 1}, Duration::zero()).primary(), 1u);
   }
   // Singleton replica sets short-circuit.
-  EXPECT_EQ(policy.select(table, {0}, Duration::zero()), 0u);
+  EXPECT_EQ(policy->plan(table, {0}, Duration::zero()).primary(), 0u);
 }
 
 TEST(TwoChoicesPolicy, SamplesBothReplicasOverTime) {
   ctrl::SignalTable table;  // all-equal loads: tie-break = lower id of the pair
-  ctrl::TwoChoicesPolicy policy{util::Rng(11)};
+  const auto policy = single_mode("two-choices", 11);
   int picked[3] = {0, 0, 0};
-  for (int i = 0; i < 3000; ++i) ++picked[policy.select(table, {0, 1, 2}, Duration::zero())];
+  for (int i = 0; i < 3000; ++i) {
+    ++picked[policy->plan(table, {0, 1, 2}, Duration::zero()).primary()];
+  }
   // Lower ids win ties, but every server must appear as a pair minimum
   // sometimes; server 2 only wins when the pair is {2} alone — never —
   // so expect a strong but not total skew.

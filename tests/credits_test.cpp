@@ -3,10 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/credits.hpp"
-#include "ctrl/replica_policy.hpp"
+#include "ctrl/dispatch_policy.hpp"
 #include "ctrl/signal_table.hpp"
 #include "server/backend_server.hpp"
 #include "server/service_model.hpp"
@@ -321,9 +322,13 @@ TEST(CongestionMonitor, SignalsOnlyAboveThreshold) {
 }
 
 // ---------------------------------------------------------------------------
-// CreditAwarePolicy over the gate-mirrored SignalTable (the ported
-// CreditAwareSelector: the gate mirrors balances into the unified
-// table, the policy filters funded replicas from it).
+// The credit-aware dispatch policy over the gate-mirrored SignalTable:
+// the gate mirrors balances into the unified table, the policy's credit
+// filter picks funded replicas from it.
+
+std::unique_ptr<ctrl::DispatchPolicy> credit_aware(const std::string& rule) {
+  return ctrl::make_dispatch_policy(rule, {}, {}, true, Duration::millis(1), util::Rng(1));
+}
 
 TEST(CreditAwarePolicy, PrefersFundedReplicas) {
   sim::Simulator simulator;
@@ -331,10 +336,10 @@ TEST(CreditAwarePolicy, PrefersFundedReplicas) {
   ctrl::SignalTable signals;
   CreditGate gate(simulator, 3, config, {0.0, 5.0, 0.0});
   gate.attach_signals(&signals);
-  ctrl::CreditAwarePolicy aware(std::make_unique<ctrl::RoundRobinPolicy>());
+  const auto aware = credit_aware("round-robin");
   // Only server 1 is funded.
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(aware.select(signals, {0, 1, 2}, Duration::zero()), 1u);
+    EXPECT_EQ(aware->plan(signals, {0, 1, 2}, Duration::zero()).primary(), 1u);
   }
 }
 
@@ -344,8 +349,8 @@ TEST(CreditAwarePolicy, FallsBackWhenAllBroke) {
   ctrl::SignalTable signals;
   CreditGate gate(simulator, 3, config, {0.0, 0.0, 0.0});
   gate.attach_signals(&signals);
-  ctrl::CreditAwarePolicy aware(std::make_unique<ctrl::FirstReplicaPolicy>());
-  EXPECT_EQ(aware.select(signals, {2, 1, 0}, Duration::zero()), 2u);  // inner decides
+  const auto aware = credit_aware("first");
+  EXPECT_EQ(aware->plan(signals, {2, 1, 0}, Duration::zero()).primary(), 2u);  // rule decides
 }
 
 TEST(CreditAwarePolicy, PassThroughWhenAllFunded) {
@@ -354,9 +359,9 @@ TEST(CreditAwarePolicy, PassThroughWhenAllFunded) {
   ctrl::SignalTable signals;
   CreditGate gate(simulator, 3, config, {5.0, 5.0, 5.0});
   gate.attach_signals(&signals);
-  ctrl::CreditAwarePolicy aware(std::make_unique<ctrl::RoundRobinPolicy>());
-  EXPECT_EQ(aware.select(signals, {0, 1, 2}, Duration::zero()), 0u);
-  EXPECT_EQ(aware.select(signals, {0, 1, 2}, Duration::zero()), 1u);
+  const auto aware = credit_aware("round-robin");
+  EXPECT_EQ(aware->plan(signals, {0, 1, 2}, Duration::zero()).primary(), 0u);
+  EXPECT_EQ(aware->plan(signals, {0, 1, 2}, Duration::zero()).primary(), 1u);
 }
 
 TEST(CreditAwarePolicy, MirrorTracksSpends) {

@@ -1,5 +1,5 @@
-// Dispatch-plan API tests: the SingleTargetAdapter lift (bit-identity
-// with every registered legacy selector), plan shapes for the
+// Dispatch-plan API tests: pinned decision streams for every (replica
+// rule, dispatch mode, credit filter) combination, plan shapes for the
 // tail-cutting modes, the mode spec grammar (--dispatch and
 // --policy-switch payloads), and scenario-level executor invariants —
 // hedge arm/cancel accounting, tied loser rejection, k-of-n straggler
@@ -7,7 +7,9 @@
 // duplicate_work_fraction == 0 guarantee for single-target dispatch.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -39,81 +41,191 @@ store::ServerFeedback feedback(std::uint32_t queue, double rate) {
 }
 
 // ---------------------------------------------------------------------------
-// SingleTargetAdapter: bit-identity with every registered selector
+// Decision-stream pins: every (replica rule, dispatch mode, credit
+// filter) combination, driven through one seeded history, must keep
+// producing the exact plans it produced when the stack was first
+// pinned. Any change to an RNG draw, a cursor step, a tie-break or a
+// sub-list moves a hash.
 
-/// Drives one raw selector and its adapter-lifted twin through an
-/// identical synthetic signal history and asserts the decision streams
-/// never diverge. Randomized policies get identically-seeded streams.
-void expect_adapter_bit_identity(const std::string& policy_name) {
-  const ctrl::C3ScoreConfig c3{};
-  const auto raw = ctrl::make_replica_policy(policy_name, c3, util::Rng(17));
-  ctrl::SingleTargetAdapter adapter(ctrl::make_replica_policy(policy_name, c3, util::Rng(17)));
+const std::vector<std::string> kPinnedModes = {
+    "single", "hedge:q95", "hedge:q95:fresh=1", "tied", "kofn:2", "kofn:4"};
 
-  ctrl::SignalTable raw_signals;
-  ctrl::SignalTable adapter_signals;
-  const std::vector<store::ServerId> replicas = {2, 5, 9};
-  util::Rng history(23);  // shared history perturbation, applied to both
+struct PinnedStreams {
+  std::string policy;
+  /// Indexed [mode][credit_aware] over kPinnedModes.
+  std::array<std::array<std::uint64_t, 2>, 6> hashes;
+};
 
-  for (int round = 0; round < 300; ++round) {
-    const Duration cost = Duration::micros(100 + 10 * (round % 7));
-    const store::ServerId picked = raw->select(raw_signals, replicas, cost);
-    const DispatchPlan plan = adapter.plan(adapter_signals, replicas, cost);
-
-    ASSERT_EQ(plan.mode, DispatchMode::kSingle) << policy_name;
-    ASSERT_EQ(plan.num_targets, 1u) << policy_name;
-    ASSERT_EQ(plan.needed, 1u) << policy_name;
-    ASSERT_EQ(plan.primary(), picked) << policy_name << " diverged at round " << round;
-
-    // Evolve both tables identically: charge the winner, complete an
-    // older copy on a rotating server with varying feedback.
-    raw_signals.on_send(picked, cost);
-    adapter_signals.on_send(picked, cost);
-    const store::ServerId done = replicas[history.uniform_u64_below(replicas.size())];
-    const store::ServerFeedback fb =
-        feedback(1 + round % 5, 8'000.0 + 500.0 * static_cast<double>(round % 4));
-    const Duration rtt = Duration::micros(300 + 40 * (round % 9));
-    raw_signals.on_response(done, fb, rtt, cost);
-    adapter_signals.on_response(done, fb, rtt, cost);
+template <typename T>
+void fnv1a(std::uint64_t& hash, T value) {
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  for (const unsigned char b : bytes) {
+    hash ^= b;
+    hash *= 1099511628211ULL;
   }
 }
 
-TEST(SingleTargetAdapter, BitIdenticalForEveryRegisteredPolicy) {
-  // The whole catalog — the adapter must not perturb a single pick.
-  std::size_t covered = 0;
-  for (const ctrl::ReplicaPolicyInfo& info : ctrl::replica_policy_catalog()) {
-    expect_adapter_bit_identity(info.name);
-    ++covered;
-  }
-  EXPECT_GE(covered, 8u);  // the eight registered selectors (at least)
-}
+/// FNV-1a over 600 plans (targets, num_targets, mode, needed,
+/// hedge_delay ns, skipped_fresh) of one dispatch stack. The history
+/// draws replica sets of size 1-5, cycles credit balances through
+/// all-funded / some-funded / all-broke, and completes in-flight copies
+/// by response or cancel in random order while the clock advances.
+std::uint64_t decision_stream_hash(const std::string& policy, const std::string& mode_spec,
+                                   bool credit_aware) {
+  sim::Simulator sim;
+  const DispatchModeConfig mode = ctrl::parse_dispatch_mode(mode_spec);
+  ctrl::C3ScoreConfig c3;
+  c3.num_clients = 4;
+  const auto dispatch =
+      ctrl::make_dispatch_policy(policy, mode, c3, credit_aware, Duration::millis(2),
+                                 util::Rng(41), mode.fresh_age > Duration::zero() ? &sim : nullptr);
+  ctrl::SignalTable signals;
+  util::Rng history(43);
+  const std::vector<std::vector<store::ServerId>> sets = {
+      {4}, {1, 6}, {0, 3, 5}, {2, 7, 1, 4}, {5, 0, 6, 3, 2}};
+  std::vector<std::pair<store::ServerId, Duration>> in_flight;
 
-TEST(SingleTargetAdapter, CreditAwareWrapperMatchesLegacyDecorator) {
-  // The plan-layer credits decorator must reproduce the old
-  // select()-layer decorator pick for pick, funded or broke.
-  ctrl::CreditAwarePolicy legacy(std::make_unique<ctrl::LeastOutstandingPolicy>());
-  ctrl::CreditAwareDispatchPolicy lifted(std::make_unique<ctrl::SingleTargetAdapter>(
-      std::make_unique<ctrl::LeastOutstandingPolicy>()));
-
-  ctrl::SignalTable legacy_signals;
-  ctrl::SignalTable lifted_signals;
-  const std::vector<store::ServerId> replicas = {0, 1, 2};
-  util::Rng history(31);
-  for (int round = 0; round < 200; ++round) {
-    // Rotate balances through all-funded / partially-funded / all-broke.
-    for (const store::ServerId s : replicas) {
-      const double balance = static_cast<double>((round + s) % 3);
-      legacy_signals.set_credit_balance(s, balance);
-      lifted_signals.set_credit_balance(s, balance);
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (int round = 0; round < 600; ++round) {
+    const int phase = (round / 5) % 3;  // 0 all funded, 1 some funded, 2 all broke
+    for (store::ServerId s = 0; s < 8; ++s) {
+      const bool funded = phase == 0 || (phase == 1 && (s + round / 15) % 2 == 0);
+      signals.set_credit_balance(s, funded ? 1.0 + static_cast<double>(s % 3) : 0.5);
     }
-    const Duration cost = Duration::micros(150);
-    const store::ServerId picked = legacy.select(legacy_signals, replicas, cost);
-    const DispatchPlan plan = lifted.plan(lifted_signals, replicas, cost);
-    ASSERT_EQ(plan.primary(), picked) << "diverged at round " << round;
+    const auto& replicas = sets[history.uniform_u64_below(sets.size())];
+    const Duration cost = Duration::micros(50 + history.uniform_u64_below(400));
+    const DispatchPlan plan = dispatch->plan(signals, replicas, cost);
 
-    const store::ServerId loaded = replicas[history.uniform_u64_below(replicas.size())];
-    legacy_signals.on_send(loaded, cost);
-    lifted_signals.on_send(loaded, cost);
+    for (std::size_t i = 0; i < plan.num_targets; ++i) fnv1a(hash, plan.targets[i]);
+    fnv1a(hash, plan.num_targets);
+    fnv1a(hash, plan.mode);
+    fnv1a(hash, plan.needed);
+    fnv1a(hash, plan.hedge_delay.count_nanos());
+    fnv1a(hash, plan.skipped_fresh);
+
+    for (std::size_t i = 0; i < plan.num_targets; ++i) {
+      signals.on_send(plan.targets[i], cost);
+      in_flight.emplace_back(plan.targets[i], cost);
+    }
+    sim.run_until(sim.now() + Duration::micros(20 + history.uniform_u64_below(300)));
+    for (std::uint64_t done = history.uniform_u64_below(4); done > 0 && !in_flight.empty();
+         --done) {
+      const std::size_t pick = history.uniform_u64_below(in_flight.size());
+      const auto [server, sent_cost] = in_flight[pick];
+      in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(pick));
+      if (history.uniform_u64_below(4) == 0) {
+        signals.on_cancel(server, sent_cost);
+      } else {
+        store::ServerFeedback fb =
+            feedback(static_cast<std::uint32_t>(history.uniform_u64_below(12)),
+                     6'000.0 + 1'000.0 * static_cast<double>(history.uniform_u64_below(8)));
+        fb.service_time = Duration::micros(100 + history.uniform_u64_below(500));
+        const Duration rtt = Duration::micros(150 + history.uniform_u64_below(900));
+        signals.on_response(server, fb, rtt, sent_cost, sim.now());
+      }
+    }
   }
+  return hash;
+}
+
+/// Hashes generated by the stack of per-rule selector classes, the
+/// single-target adapter and the mode/credit decorators that the one
+/// DispatchPolicy replaced; one row per catalog entry, in catalog order.
+const std::vector<PinnedStreams> kPins = {
+    {"random",
+     {{{0x5c9a0554c891f855, 0x75470b251aaf5850},
+       {0x9ce227804f49e721, 0xeb093e97a0ac2b5d},
+       {0xff178e143a35a55d, 0xc148830f17173975},
+       {0xd58ec97934553905, 0x1d0c748f42cb8ca1},
+       {0x4e32dfda803fb2ba, 0x56a099ab78065767},
+       {0xe89021b7eabe6c14, 0x1d74efa32c76c1aa}}}},
+    {"round-robin",
+     {{{0xd29f096b48b93091, 0x09c17a5e1f2cff12},
+       {0xad91ea13eb96f09e, 0xe497f7d1bdb8d4b4},
+       {0xaf10d8d038ab2746, 0xfcb6c40d45d50126},
+       {0xba95ca113f432bb7, 0x233704c7420bfaf2},
+       {0xb489f2d82a740b55, 0xdd569521169a8015},
+       {0x0480b9fc01012793, 0xabea4d2638caadb0}}}},
+    {"least-outstanding",
+     {{{0xd5ea75b1d36ab802, 0x398287baf0023d34},
+       {0x923e91dad2615a69, 0x784d496eba7c0ba0},
+       {0x65579e52d4bade61, 0xd4e76307958af638},
+       {0x58680bc9f407e2ff, 0x3c1e611a25734349},
+       {0x91fd4152c1bc42b8, 0xf9f565523e7942cf},
+       {0x30acb5a00afa67a6, 0x05a622338461f0a2}}}},
+    {"two-choices",
+     {{{0x893404fe34aaa506, 0x39e95f8806e8ea46},
+       {0x9da02989114b5c0c, 0xd91df6d13ca6072a},
+       {0xc49cd0141a4026a3, 0xa285ded40084af4c},
+       {0x6624077a887b20ef, 0x39de94f19eace584},
+       {0x61825d2419455b68, 0x172f76e8f8d17f0c},
+       {0xfde17262137afc96, 0x0b8afc50569abe91}}}},
+    {"least-pending-cost",
+     {{{0xdce753a8f93a7950, 0x1535ffa8130d3c34},
+       {0x6c5f078efa21a6d5, 0x39da106fe9ef0a54},
+       {0xd79f4db1b758e8fe, 0x4fcede15d318d94c},
+       {0x3dd0512a2e491bba, 0xf644c5ac7e1494da},
+       {0x73631222a1e4f752, 0x45295fb3d83c6c39},
+       {0x8771332b90b83234, 0x2c249005616c2f84}}}},
+    {"c3",
+     {{{0xf4fd9c8ad8cf6422, 0x8627a71a6a41eb27},
+       {0x8a0471f429d07f77, 0xa8f82dd411a73833},
+       {0x91e4be9db0917711, 0xe427925136bdd3d8},
+       {0x4610a04d80244b4e, 0xc9868a6bf59af3e7},
+       {0x9841eec55dad3b86, 0x2e635d3222bb00f8},
+       {0xa4d430acd76bab40, 0x721e28b08ec8219d}}}},
+    {"c3-noderate",
+     {{{0xf4fd9c8ad8cf6422, 0x8627a71a6a41eb27},
+       {0x8a0471f429d07f77, 0xa8f82dd411a73833},
+       {0x91e4be9db0917711, 0xe427925136bdd3d8},
+       {0x4610a04d80244b4e, 0xc9868a6bf59af3e7},
+       {0x9841eec55dad3b86, 0x2e635d3222bb00f8},
+       {0xa4d430acd76bab40, 0x721e28b08ec8219d}}}},
+    {"first",
+     {{{0x2acfaef824af5e44, 0x9f062a6893841db4},
+       {0x396dc091fb4177fc, 0x7cd0bd342add0378},
+       {0xde9abd5859d19978, 0x3b36755ad4fbfd18},
+       {0xe1bfe315fe275ad9, 0xac33497bb338630c},
+       {0xb42cf0e103d81262, 0xbe1f754b40788dcc},
+       {0xb3d69af484f9bc8c, 0x8e24d33d23e21ea9}}}},
+};
+
+/// Checks every catalog rule's stream for the modes kPinnedModes[first,
+/// last) with and/or without the credit filter.
+void expect_pinned_streams(std::size_t first_mode, std::size_t last_mode,
+                           const std::vector<bool>& credit_flags) {
+  ASSERT_EQ(kPins.size(), ctrl::replica_policy_catalog().size());
+  for (std::size_t p = 0; p < kPins.size(); ++p) {
+    ASSERT_EQ(kPins[p].policy, ctrl::replica_policy_catalog()[p].name);
+    for (std::size_t m = first_mode; m < last_mode; ++m) {
+      for (const bool credit_aware : credit_flags) {
+        const std::uint64_t actual =
+            decision_stream_hash(kPins[p].policy, kPinnedModes[m], credit_aware);
+        EXPECT_EQ(actual, kPins[p].hashes[m][credit_aware])
+            << kPins[p].policy << " / " << kPinnedModes[m] << " / credit_aware=" << credit_aware
+            << ": 0x" << std::hex << actual;
+      }
+    }
+  }
+}
+
+// Single-target dispatch picks exactly what the adapter-lifted
+// selectors picked, for the whole catalog.
+TEST(SingleTargetAdapter, BitIdenticalForEveryRegisteredPolicy) {
+  EXPECT_GE(kPins.size(), 8u);  // the eight registered rules (at least)
+  expect_pinned_streams(0, 1, {false});
+}
+
+// The credit filter reproduces the old credit decorator pick for pick,
+// through all-funded, some-funded and all-broke balances.
+TEST(SingleTargetAdapter, CreditAwareWrapperMatchesLegacyDecorator) {
+  expect_pinned_streams(0, 1, {true});
+}
+
+// The tail-cutting modes, with and without the credit filter.
+TEST(DispatchPolicy, DecisionStreamsArePinned) {
+  expect_pinned_streams(1, kPinnedModes.size(), {false, true});
 }
 
 // ---------------------------------------------------------------------------
@@ -128,14 +240,19 @@ TEST(DispatchPlan, SingleFactory) {
   EXPECT_EQ(plan.hedge_delay, Duration::zero());
 }
 
+/// A dispatch policy over the "first" rule in mode `spec`.
+std::unique_ptr<ctrl::DispatchPolicy> first_in_mode(const std::string& spec,
+                                                    const sim::Simulator* sim = nullptr) {
+  return ctrl::make_dispatch_policy("first", ctrl::parse_dispatch_mode(spec), {}, false,
+                                    Duration::millis(2), util::Rng(1), sim);
+}
+
 TEST(HedgeDispatchPolicy, PlansDistinctBackupWithQuantileDeadline) {
-  ctrl::HedgeDispatchPolicy hedge(
-      std::make_unique<ctrl::SingleTargetAdapter>(std::make_unique<ctrl::FirstReplicaPolicy>()),
-      0.95, Duration::millis(2));
+  const auto hedge = first_in_mode("hedge:q95");
   ctrl::SignalTable signals;
 
   // Unseen primary: the deadline falls back to the configured prior.
-  DispatchPlan cold = hedge.plan(signals, {3, 8}, Duration::micros(100));
+  DispatchPlan cold = hedge->plan(signals, {3, 8}, Duration::micros(100));
   EXPECT_EQ(cold.mode, DispatchMode::kHedge);
   EXPECT_EQ(cold.num_targets, 2u);
   EXPECT_EQ(cold.needed, 1u);
@@ -146,11 +263,11 @@ TEST(HedgeDispatchPolicy, PlansDistinctBackupWithQuantileDeadline) {
 
   // Seen primary: the deadline tracks its response EWMA.
   signals.on_response(3, feedback(1, 10'000), Duration::millis(1), Duration::zero());
-  DispatchPlan warm = hedge.plan(signals, {3, 8}, Duration::micros(100));
+  DispatchPlan warm = hedge->plan(signals, {3, 8}, Duration::micros(100));
   EXPECT_NEAR(static_cast<double>(warm.hedge_delay.count_nanos()), factor * 1e6, 1.0);
 
   // A single replica leaves nobody to hedge onto.
-  DispatchPlan lone = hedge.plan(signals, {3}, Duration::micros(100));
+  DispatchPlan lone = hedge->plan(signals, {3}, Duration::micros(100));
   EXPECT_EQ(lone.mode, DispatchMode::kSingle);
   EXPECT_EQ(lone.num_targets, 1u);
 }
@@ -160,19 +277,17 @@ TEST(HedgeDispatchPolicy, FreshFeedbackSuppressesTheBackup) {
   // plan to single (skipped_fresh set); once the feedback ages past
   // the threshold the full hedge plan returns.
   sim::Simulator sim;
-  ctrl::HedgeDispatchPolicy hedge(
-      std::make_unique<ctrl::SingleTargetAdapter>(std::make_unique<ctrl::FirstReplicaPolicy>()),
-      0.95, Duration::millis(2), /*fresh_age=*/Duration::millis(1), &sim);
+  const auto hedge = first_in_mode("hedge:q95:fresh=1", &sim);
   ctrl::SignalTable signals;
 
   // No feedback yet: nothing to trust, hedge as usual.
-  DispatchPlan cold = hedge.plan(signals, {3, 8}, Duration::micros(100));
+  DispatchPlan cold = hedge->plan(signals, {3, 8}, Duration::micros(100));
   EXPECT_EQ(cold.mode, DispatchMode::kHedge);
   EXPECT_FALSE(cold.skipped_fresh);
 
   // Feedback stamped "now": fresher than 1 ms, so the plan degrades.
   signals.on_response(3, feedback(1, 10'000), Duration::millis(1), Duration::zero(), sim.now());
-  DispatchPlan fresh = hedge.plan(signals, {3, 8}, Duration::micros(100));
+  DispatchPlan fresh = hedge->plan(signals, {3, 8}, Duration::micros(100));
   EXPECT_EQ(fresh.mode, DispatchMode::kSingle);
   EXPECT_EQ(fresh.num_targets, 1u);
   EXPECT_EQ(fresh.primary(), 3u);
@@ -180,7 +295,7 @@ TEST(HedgeDispatchPolicy, FreshFeedbackSuppressesTheBackup) {
 
   // 5 ms later the same feedback is stale: the back-up is armed again.
   sim.run_until(Time::millis(5));
-  DispatchPlan stale = hedge.plan(signals, {3, 8}, Duration::micros(100));
+  DispatchPlan stale = hedge->plan(signals, {3, 8}, Duration::micros(100));
   EXPECT_EQ(stale.mode, DispatchMode::kHedge);
   EXPECT_EQ(stale.num_targets, 2u);
   EXPECT_FALSE(stale.skipped_fresh);
@@ -192,24 +307,19 @@ TEST(HedgeDispatchPolicy, SkipDisabledWithoutThresholdOrClock) {
   signals.on_response(3, feedback(1, 10'000), Duration::millis(1), Duration::zero(), sim.now());
 
   // fresh_age zero (the default): always hedge, even on fresh feedback.
-  ctrl::HedgeDispatchPolicy no_threshold(
-      std::make_unique<ctrl::SingleTargetAdapter>(std::make_unique<ctrl::FirstReplicaPolicy>()),
-      0.95, Duration::millis(2), Duration::zero(), &sim);
-  EXPECT_EQ(no_threshold.plan(signals, {3, 8}, Duration::micros(100)).mode,
+  const auto no_threshold = first_in_mode("hedge:q95", &sim);
+  EXPECT_EQ(no_threshold->plan(signals, {3, 8}, Duration::micros(100)).mode,
             DispatchMode::kHedge);
 
   // No clock wired: freshness cannot be judged, always hedge.
-  ctrl::HedgeDispatchPolicy no_clock(
-      std::make_unique<ctrl::SingleTargetAdapter>(std::make_unique<ctrl::FirstReplicaPolicy>()),
-      0.95, Duration::millis(2), Duration::millis(1), nullptr);
-  EXPECT_EQ(no_clock.plan(signals, {3, 8}, Duration::micros(100)).mode, DispatchMode::kHedge);
+  const auto no_clock = first_in_mode("hedge:q95:fresh=1", nullptr);
+  EXPECT_EQ(no_clock->plan(signals, {3, 8}, Duration::micros(100)).mode, DispatchMode::kHedge);
 }
 
 TEST(TiedDispatchPolicy, PlansTwoDistinctCopies) {
-  ctrl::TiedDispatchPolicy tied(
-      std::make_unique<ctrl::SingleTargetAdapter>(std::make_unique<ctrl::FirstReplicaPolicy>()));
+  const auto tied = first_in_mode("tied");
   ctrl::SignalTable signals;
-  const DispatchPlan plan = tied.plan(signals, {4, 6, 1}, Duration::micros(100));
+  const DispatchPlan plan = tied->plan(signals, {4, 6, 1}, Duration::micros(100));
   EXPECT_EQ(plan.mode, DispatchMode::kTied);
   EXPECT_EQ(plan.num_targets, 2u);
   EXPECT_EQ(plan.needed, 1u);
@@ -217,15 +327,14 @@ TEST(TiedDispatchPolicy, PlansTwoDistinctCopies) {
 }
 
 TEST(KofnDispatchPolicy, RanksDistinctTargetsAndClampsNeeded) {
-  ctrl::KofnDispatchPolicy kofn(
-      std::make_unique<ctrl::SingleTargetAdapter>(
-          std::make_unique<ctrl::LeastOutstandingPolicy>()),
-      3);
+  const auto kofn = ctrl::make_dispatch_policy("least-outstanding",
+                                               ctrl::parse_dispatch_mode("kofn:3"), {}, false,
+                                               Duration::millis(2), util::Rng(1));
   ctrl::SignalTable signals;
   signals.on_send(0, Duration::micros(500));  // 0 is the most loaded
 
   const std::vector<store::ServerId> replicas = {0, 1, 2, 3, 4};
-  const DispatchPlan plan = kofn.plan(signals, replicas, Duration::micros(100));
+  const DispatchPlan plan = kofn->plan(signals, replicas, Duration::micros(100));
   EXPECT_EQ(plan.mode, DispatchMode::kKofn);
   EXPECT_EQ(plan.num_targets, DispatchPlan::kMaxTargets);
   EXPECT_EQ(plan.needed, 3u);
@@ -238,11 +347,57 @@ TEST(KofnDispatchPolicy, RanksDistinctTargetsAndClampsNeeded) {
   EXPECT_NE(plan.primary(), 0u);
 
   // k clamps to the replica count; a lone replica degenerates to single.
-  const DispatchPlan pair = kofn.plan(signals, {1, 2}, Duration::micros(100));
+  const DispatchPlan pair = kofn->plan(signals, {1, 2}, Duration::micros(100));
   EXPECT_EQ(pair.needed, 2u);
   EXPECT_EQ(pair.num_targets, 2u);
-  const DispatchPlan lone = kofn.plan(signals, {1}, Duration::micros(100));
+  const DispatchPlan lone = kofn->plan(signals, {1}, Duration::micros(100));
   EXPECT_EQ(lone.mode, DispatchMode::kSingle);
+}
+
+TEST(DispatchPolicy, ConstructorRejectsBadParameters) {
+  const auto make = [](const std::string& rule, const DispatchModeConfig& mode,
+                       const ctrl::C3ScoreConfig& c3, Duration prior) {
+    return ctrl::make_dispatch_policy(rule, mode, c3, false, prior, util::Rng(1));
+  };
+  DispatchModeConfig hedge;
+  hedge.mode = DispatchMode::kHedge;
+  EXPECT_NO_THROW(make("first", hedge, {}, Duration::millis(1)));
+  EXPECT_THROW(make("first", hedge, {}, Duration::zero()), std::invalid_argument);
+  hedge.hedge_quantile = 1.0;
+  EXPECT_THROW(make("first", hedge, {}, Duration::millis(1)), std::invalid_argument);
+
+  DispatchModeConfig kofn;
+  kofn.mode = DispatchMode::kKofn;
+  kofn.k = 0;
+  EXPECT_THROW(make("first", kofn, {}, Duration::millis(1)), std::invalid_argument);
+  kofn.k = DispatchPlan::kMaxTargets + 1;
+  EXPECT_THROW(make("first", kofn, {}, Duration::millis(1)), std::invalid_argument);
+
+  // The C3 parameters are checked only for the C3 rules.
+  ctrl::C3ScoreConfig bad;
+  bad.num_clients = 0;
+  EXPECT_THROW(make("c3-noderate", {}, bad, Duration::millis(1)), std::invalid_argument);
+  EXPECT_NO_THROW(make("random", {}, bad, Duration::millis(1)));
+
+  try {
+    make("two-choice", {}, {}, Duration::millis(1));
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("two-choices"), std::string::npos);
+  }
+}
+
+TEST(DispatchPolicy, NameNestsRuleModeAndCreditFilter) {
+  const auto name = [](const std::string& rule, const std::string& mode, bool credit_aware) {
+    return ctrl::make_dispatch_policy(rule, ctrl::parse_dispatch_mode(mode), {}, credit_aware,
+                                      Duration::millis(1), util::Rng(1))
+        ->name();
+  };
+  EXPECT_EQ(name("lor", "single", false), "least-outstanding");
+  EXPECT_EQ(name("rr", "tied", false), "tied(round-robin)");
+  EXPECT_EQ(name("c3", "hedge:q95:fresh=2", true), "credit-aware(hedge:q95(c3))");
+  EXPECT_EQ(name("c3-noderate", "kofn:3", false), "kofn:3(c3-noderate)");
+  EXPECT_EQ(name("first", "single", true), "credit-aware(first)");
 }
 
 // ---------------------------------------------------------------------------
@@ -347,6 +502,20 @@ TEST(PolicyRuntimeDispatch, SingleModeRunsNeverArmTheExecutor) {
   // A reachable mode epoch arms it even when t=0 is single.
   config.switch_spec = "5s:tied";
   EXPECT_TRUE(ctrl::PolicyRuntime(sim, config).may_dispatch_duplicates());
+}
+
+TEST(PolicyRuntimeDispatch, ReachableModesFollowResolvedBindings) {
+  // A tenant named like a mode is still a tenant: "kofnx:tied" binds
+  // tied, and kofn becomes reachable only through a real kofn epoch.
+  sim::Simulator sim;
+  ctrl::PolicyRuntime::Config config;
+  config.tenants = {"kofnx", "batch"};
+  config.dispatch_spec = "kofnx:tied";
+  EXPECT_TRUE(ctrl::PolicyRuntime(sim, config).may_dispatch(DispatchMode::kTied));
+  EXPECT_FALSE(ctrl::PolicyRuntime(sim, config).may_dispatch(DispatchMode::kKofn));
+  config.switch_spec = "5s:batch:kofn:2";
+  EXPECT_TRUE(ctrl::PolicyRuntime(sim, config).may_dispatch(DispatchMode::kKofn));
+  EXPECT_FALSE(ctrl::PolicyRuntime(sim, config).may_dispatch(DispatchMode::kHedge));
 }
 
 TEST(PolicyRuntimeDispatch, ModeEpochRebindsKeepingPolicyAxis) {

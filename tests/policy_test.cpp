@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
-#include "ctrl/replica_policy.hpp"
+#include "ctrl/dispatch_policy.hpp"
 #include "ctrl/signal_table.hpp"
 #include "policy/c3.hpp"
 #include "policy/priority_policy.hpp"
@@ -28,20 +30,24 @@ store::ServerFeedback feedback(std::uint32_t queue, double rate) {
 }
 
 // ---------------------------------------------------------------------------
-// Replica policies (stateless rankings over one SignalTable)
+// Replica rules (stateless rankings over one SignalTable)
 
-/// Test harness pairing one ctrl policy with its own SignalTable —
-/// the shape the production DispatchEndpoint maintains per client.
-template <typename Policy>
+/// Test harness pairing one single-mode dispatch policy with its own
+/// SignalTable — the shape the production DispatchEndpoint maintains
+/// per client.
 struct Bound {
   ctrl::SignalTable signals;
-  Policy policy;
+  std::unique_ptr<ctrl::DispatchPolicy> policy;
 
-  Bound() = default;
-  explicit Bound(Policy p) : policy(std::move(p)) {}
+  explicit Bound(const std::string& name, std::uint64_t seed = 0,
+                 const ctrl::C3ScoreConfig& c3 = {})
+      : policy(ctrl::make_dispatch_policy(name, {}, c3, false, c3.prior_service_time,
+                                          util::Rng(seed))) {}
 
   store::ServerId select(const std::vector<store::ServerId>& replicas, Duration cost) {
-    return policy.select(signals, replicas, cost);
+    const ctrl::DispatchPlan plan = policy->plan(signals, replicas, cost);
+    EXPECT_EQ(plan.num_targets, 1u);
+    return plan.primary();
   }
   void on_send(store::ServerId server, Duration cost) { signals.on_send(server, cost); }
   void on_response(store::ServerId server, const store::ServerFeedback& fb, Duration rtt,
@@ -51,7 +57,7 @@ struct Bound {
 };
 
 TEST(RandomPolicy, UniformOverReplicas) {
-  Bound<ctrl::RandomPolicy> selector{ctrl::RandomPolicy{util::Rng(1)}};
+  Bound selector("random", 1);
   std::map<store::ServerId, int> counts;
   for (int i = 0; i < 30000; ++i) ++counts[selector.select(kReplicas, Duration::zero())];
   ASSERT_EQ(counts.size(), 3u);
@@ -59,12 +65,12 @@ TEST(RandomPolicy, UniformOverReplicas) {
 }
 
 TEST(RandomPolicy, ThrowsOnEmpty) {
-  Bound<ctrl::RandomPolicy> selector{ctrl::RandomPolicy{util::Rng(2)}};
+  Bound selector("random", 2);
   EXPECT_THROW(selector.select({}, Duration::zero()), std::invalid_argument);
 }
 
 TEST(RoundRobinPolicy, Cycles) {
-  Bound<ctrl::RoundRobinPolicy> selector;
+  Bound selector("round-robin");
   EXPECT_EQ(selector.select(kReplicas, Duration::zero()), 3u);
   EXPECT_EQ(selector.select(kReplicas, Duration::zero()), 5u);
   EXPECT_EQ(selector.select(kReplicas, Duration::zero()), 7u);
@@ -72,7 +78,7 @@ TEST(RoundRobinPolicy, Cycles) {
 }
 
 TEST(LeastOutstandingPolicy, PicksIdleServer) {
-  Bound<ctrl::LeastOutstandingPolicy> selector;
+  Bound selector("least-outstanding");
   selector.on_send(3, Duration::zero());
   selector.on_send(3, Duration::zero());
   selector.on_send(5, Duration::zero());
@@ -80,7 +86,7 @@ TEST(LeastOutstandingPolicy, PicksIdleServer) {
 }
 
 TEST(LeastOutstandingPolicy, ResponsesDecrement) {
-  Bound<ctrl::LeastOutstandingPolicy> selector;
+  Bound selector("least-outstanding");
   selector.on_send(3, Duration::zero());
   selector.on_response(3, feedback(0, 1), Duration::micros(100), Duration::zero());
   EXPECT_EQ(selector.signals.outstanding(3), 0u);
@@ -90,7 +96,7 @@ TEST(LeastOutstandingPolicy, ResponsesDecrement) {
 }
 
 TEST(LeastOutstandingPolicy, TieBreakRotates) {
-  Bound<ctrl::LeastOutstandingPolicy> selector;
+  Bound selector("least-outstanding");
   std::map<store::ServerId, int> counts;
   for (int i = 0; i < 3000; ++i) ++counts[selector.select(kReplicas, Duration::zero())];
   // All tied at zero outstanding: rotation spreads the picks evenly.
@@ -98,7 +104,7 @@ TEST(LeastOutstandingPolicy, TieBreakRotates) {
 }
 
 TEST(LeastPendingCostPolicy, PicksCheapestServer) {
-  Bound<ctrl::LeastPendingCostPolicy> selector;
+  Bound selector("least-pending-cost");
   selector.on_send(3, Duration::micros(500));
   selector.on_send(5, Duration::micros(100));
   selector.on_send(7, Duration::micros(300));
@@ -107,7 +113,7 @@ TEST(LeastPendingCostPolicy, PicksCheapestServer) {
 }
 
 TEST(LeastPendingCostPolicy, ResponsesReleaseCost) {
-  Bound<ctrl::LeastPendingCostPolicy> selector;
+  Bound selector("least-pending-cost");
   selector.on_send(3, Duration::micros(500));
   selector.on_response(3, feedback(0, 1), Duration::micros(100), Duration::micros(500));
   EXPECT_EQ(selector.signals.pending_cost(3), Duration::zero());
@@ -117,13 +123,13 @@ TEST(LeastPendingCostPolicy, ResponsesReleaseCost) {
 }
 
 TEST(FirstReplicaPolicy, AlwaysFront) {
-  Bound<ctrl::FirstReplicaPolicy> selector;
+  Bound selector("first");
   EXPECT_EQ(selector.select(kReplicas, Duration::zero()), 3u);
   EXPECT_THROW(selector.select({}, Duration::zero()), std::invalid_argument);
 }
 
 TEST(TwoChoicesPolicy, FollowsOutstandingCounts) {
-  Bound<ctrl::TwoChoicesPolicy> selector{ctrl::TwoChoicesPolicy{util::Rng(9)}};
+  Bound selector("two-choices", 9);
   // Load servers 3 and 5; with three replicas every sampled pair
   // contains 7 at least sometimes, and 7 must win whenever it does.
   selector.on_send(3, Duration::zero());
@@ -138,26 +144,31 @@ TEST(TwoChoicesPolicy, FollowsOutstandingCounts) {
 TEST(SignalBackedPolicies, ObservationsLandInTheTable) {
   // Policies are stateless rankings; observations land in the shared
   // SignalTable, not in per-policy private state.
-  Bound<ctrl::LeastOutstandingPolicy> selector;
+  Bound selector("least-outstanding");
   selector.on_send(3, Duration::micros(50));
   EXPECT_EQ(selector.signals.outstanding(3), 1u);
   EXPECT_EQ(selector.signals.pending_cost(3), Duration::micros(50));
-  EXPECT_EQ(selector.policy.name(), "least-outstanding");
+  EXPECT_EQ(selector.policy->name(), "least-outstanding");
 }
 
 // ---------------------------------------------------------------------------
-// C3 scoring (ctrl::C3ScorePolicy over one client's SignalTable)
+// C3 scoring (ctrl::c3_score over one client's SignalTable)
 
-Bound<ctrl::C3ScorePolicy> c3_bound(double ewma_alpha = 0.5) {
+const ctrl::C3ScoreConfig kC3 = [] {
   ctrl::C3ScoreConfig config;
   config.num_clients = 18;
-  Bound<ctrl::C3ScorePolicy> bound{ctrl::C3ScorePolicy{config}};
-  bound.signals = ctrl::SignalTable(ctrl::SignalTableConfig{ewma_alpha});
-  return bound;
-}
+  return config;
+}();
+
+struct C3Bound : Bound {
+  explicit C3Bound(double ewma_alpha = 0.5) : Bound("c3", 0, kC3) {
+    signals = ctrl::SignalTable(ctrl::SignalTableConfig{ewma_alpha});
+  }
+  double score(store::ServerId server) const { return ctrl::c3_score(kC3, signals, server); }
+};
 
 TEST(C3ScorePolicy, PrefersShorterQueues) {
-  auto c3 = c3_bound();
+  C3Bound c3;
   c3.on_response(3, feedback(20, 14'000), Duration::micros(500), Duration::zero());
   c3.on_response(5, feedback(1, 14'000), Duration::micros(500), Duration::zero());
   c3.on_response(7, feedback(10, 14'000), Duration::micros(500), Duration::zero());
@@ -165,37 +176,37 @@ TEST(C3ScorePolicy, PrefersShorterQueues) {
 }
 
 TEST(C3ScorePolicy, CubicPenaltyDominatesForLongQueues) {
-  auto c3 = c3_bound();
+  C3Bound c3;
   // Server 3: tiny response time but a huge queue; server 5: slower
   // responses, empty queue. The q^3 term must win.
   c3.on_response(3, feedback(50, 14'000), Duration::micros(100), Duration::zero());
   c3.on_response(5, feedback(0, 14'000), Duration::micros(2'000), Duration::zero());
-  EXPECT_GT(c3.policy.score(c3.signals, 3), c3.policy.score(c3.signals, 5));
+  EXPECT_GT(c3.score(3), c3.score(5));
 }
 
 TEST(C3ScorePolicy, OutstandingRequestsRaiseScore) {
-  auto c3 = c3_bound();
+  C3Bound c3;
   c3.on_response(3, feedback(2, 14'000), Duration::micros(500), Duration::zero());
-  const double before = c3.policy.score(c3.signals, 3);
+  const double before = c3.score(3);
   c3.on_send(3, Duration::zero());
   c3.on_send(3, Duration::zero());
-  EXPECT_GT(c3.policy.score(c3.signals, 3), before);
+  EXPECT_GT(c3.score(3), before);
   EXPECT_EQ(c3.signals.outstanding(3), 2u);
 }
 
 TEST(C3ScorePolicy, EwmaSmoothsResponseTimes) {
-  auto c3 = c3_bound(/*ewma_alpha=*/0.5);
+  C3Bound c3(/*ewma_alpha=*/0.5);
   c3.on_response(3, feedback(0, 14'000), Duration::micros(1000), Duration::zero());
   c3.on_response(3, feedback(0, 14'000), Duration::micros(2000), Duration::zero());
   // EWMA(1000, 2000; a=0.5) = 1500us -> score reflects the blend, and
   // selecting between two servers with raw extremes goes to the one
   // whose smoothed estimate is lower.
   c3.on_response(5, feedback(0, 14'000), Duration::micros(1600), Duration::zero());
-  EXPECT_LT(c3.policy.score(c3.signals, 3), c3.policy.score(c3.signals, 5));
+  EXPECT_LT(c3.score(3), c3.score(5));
 }
 
 TEST(C3ScorePolicy, UnknownServersUseNeutralPrior) {
-  auto c3 = c3_bound();
+  C3Bound c3;
   // Never-seen servers are selectable without throwing.
   EXPECT_NO_THROW(c3.select(kReplicas, Duration::zero()));
 }
@@ -204,13 +215,17 @@ TEST(C3ScorePolicy, RejectsBadConfig) {
   // The EWMA weight belongs to the table, the scoring knobs to the
   // policy; each side validates its own.
   EXPECT_THROW(ctrl::SignalTable(ctrl::SignalTableConfig{0.0}), std::invalid_argument);
+  const auto make_c3 = [](const ctrl::C3ScoreConfig& config) {
+    return ctrl::make_dispatch_policy("c3", {}, config, false, config.prior_service_time,
+                                      util::Rng(0));
+  };
   ctrl::C3ScoreConfig bad;
   bad.num_clients = 18;
   bad.queue_exponent = 0.5;
-  EXPECT_THROW(ctrl::C3ScorePolicy{bad}, std::invalid_argument);
+  EXPECT_THROW(make_c3(bad), std::invalid_argument);
   bad = ctrl::C3ScoreConfig{};
   bad.num_clients = 0;
-  EXPECT_THROW(ctrl::C3ScorePolicy{bad}, std::invalid_argument);
+  EXPECT_THROW(make_c3(bad), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

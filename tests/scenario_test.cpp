@@ -189,6 +189,20 @@ TEST(Scenario, KofnAtHighLoadWarnsOnceOnStderr) {
             "amplification may exceed fleet capacity (see README, tail-cutting regimes)\n");
 }
 
+TEST(Scenario, KofnWarningIgnoresTenantNamedKofn) {
+  // The warning follows the resolved modes, not the spec text: a
+  // tenant whose name contains "kofn" runs tied here, so no kofn mode
+  // is in play.
+  ScenarioConfig config = quick_config(SystemKind::kC3);
+  config.num_tasks = 300;
+  config.utilization = 0.7;
+  config.tenant_spec = "kofnx,share=0.5;batch,share=0.5";
+  config.dispatch_spec = "kofnx:tied";
+  ::testing::internal::CaptureStderr();
+  run_scenario(config);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+}
+
 // ---------------------------------------------------------------------------
 // The system table
 
