@@ -8,7 +8,6 @@
 #include <memory>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -221,10 +220,7 @@ std::vector<std::uint64_t> seeds_from_flags(const util::Flags& flags,
                                             std::uint64_t default_count) {
   if (const auto list = flags.get("seed-list")) {
     std::vector<std::uint64_t> seeds;
-    std::stringstream ss(*list);
-    std::string part;
-    while (std::getline(ss, part, ',')) {
-      if (part.empty()) continue;
+    for (const std::string& part : util::split_list(*list)) {
       try {
         // stoull silently wraps negatives, so reject the sign up front.
         if (part[0] == '-') throw std::invalid_argument("negative");

@@ -16,16 +16,6 @@ namespace {
 using core::ScenarioConfig;
 using core::SystemKind;
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> parts;
-  std::stringstream ss(s);
-  std::string part;
-  while (std::getline(ss, part, ',')) {
-    if (!part.empty()) parts.push_back(part);
-  }
-  return parts;
-}
-
 std::vector<ExperimentCase> per_system(const ScenarioConfig& base,
                                        const std::vector<SystemKind>& systems) {
   std::vector<ExperimentCase> cases;
@@ -105,7 +95,7 @@ std::vector<ExperimentCase> expand_fanout_sweep(const ScenarioConfig& base,
       "fixed:1",  "fixed:4", "geometric:8.6", "lognormal:8.6:1.0:512", "lognormal:8.6:2.0:512",
       "fixed:32",
   };
-  if (const auto custom = flags.get("fanouts")) specs = split_csv(*custom);
+  if (const auto custom = flags.get("fanouts")) specs = util::split_list(*custom);
   const auto systems =
       systems_from_flags(flags, {SystemKind::kC3, SystemKind::kEqualMaxCredits});
   std::vector<ExperimentCase> cases;
@@ -141,12 +131,11 @@ std::vector<ExperimentCase> expand_mega_fleet(const ScenarioConfig& base,
   // Million-client scale case: 10k servers x 1M clients — three orders
   // of magnitude past the paper's fleet on the client axis. The pair
   // cross-product (1e10) is far past the sparse auto threshold, so the
-  // control plane runs the windowed per-client store plus sparse
-  // credits bookkeeping, and stats default to mergeable sketches so
+  // control plane runs the windowed per-client store with first-touch
+  // credit pairs, and stats default to mergeable sketches so
   // per-seed artifacts stay O(sketch). Two selection policies on the
   // fixed FIFO/direct substrate probe the sparse SignalTable under
-  // load; the credits case drives the sparse demand/grant path end to
-  // end. Runs as a nightly job under wall/RSS budgets
+  // load; the credits case drives first-touch credits end to end. Runs as a nightly job under wall/RSS budgets
   // (check_claims.py --scale-sanity), sharded over the plan layer.
   if (!base.policy_spec.empty() || !base.selector_override.empty()) {
     throw std::invalid_argument(
@@ -304,7 +293,7 @@ std::vector<ExperimentCase> expand_policy_shootout(const ScenarioConfig& base,
   }
   std::vector<std::string> names = {"random",      "round-robin",        "least-outstanding",
                                     "two-choices", "least-pending-cost", "c3-noderate"};
-  if (const auto custom = flags.get("policies")) names = split_csv(*custom);
+  if (const auto custom = flags.get("policies")) names = util::split_list(*custom);
   if (names.empty()) throw std::invalid_argument("--policies: empty list");
   std::vector<ExperimentCase> cases;
   for (const std::string& name : names) {
@@ -428,7 +417,7 @@ std::vector<ExperimentCase> expand_hedging_shootout(const ScenarioConfig& base,
         "mode is the only varying mechanism; --policy/--selector conflict");
   }
   std::vector<std::string> modes = {"single", "hedge:q98", "tied", "kofn:2"};
-  if (const auto custom = flags.get("dispatches")) modes = split_csv(*custom);
+  if (const auto custom = flags.get("dispatches")) modes = util::split_list(*custom);
   if (modes.empty()) throw std::invalid_argument("--dispatches: empty list");
 
   struct Workload {
@@ -586,7 +575,7 @@ std::vector<SystemKind> systems_from_flags(const util::Flags& flags,
   const auto value = flags.get("systems");
   if (!value) return fallback;
   std::vector<SystemKind> systems;
-  for (const std::string& name : split_csv(*value)) {
+  for (const std::string& name : util::split_list(*value)) {
     systems.push_back(core::system_kind_from_name(name));
   }
   if (systems.empty()) throw std::invalid_argument("--systems: empty list");
@@ -598,7 +587,7 @@ std::vector<double> doubles_from_flag(const util::Flags& flags, std::string_view
   const auto value = flags.get(name);
   if (!value) return fallback;
   std::vector<double> out;
-  for (const std::string& part : split_csv(*value)) {
+  for (const std::string& part : util::split_list(*value)) {
     try {
       out.push_back(std::stod(part));
     } catch (const std::exception&) {

@@ -9,54 +9,57 @@
 namespace brb::core {
 
 namespace {
-// Sparse demand pairs whose EWMA decays below this rate (req/s) are
-// dropped from the controller's books. With the default alpha of 0.5
-// a 1 req/s pair is forgotten after ~30 idle reports (~3 s).
+// First-touch demand pairs whose EWMA decays below this rate (req/s)
+// are dropped from the controller's books. With the default alpha of
+// 0.5 a 1 req/s pair is forgotten after ~30 idle reports (~3 s).
 constexpr double kDemandRetentionFloor = 1e-9;
+
+// Orders a gate's slots by server, for std::lower_bound.
+constexpr auto kSlotBefore = [](const auto& slot, store::ServerId id) { return slot.server < id; };
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // CreditGate
 
 CreditGate::CreditGate(sim::Simulator& sim, std::uint32_t num_servers, CreditsConfig config,
-                       std::vector<double> initial_credits)
-    : sim_(&sim), config_(config) {
+                       const CreditList& pinned, double first_touch_credit)
+    : sim_(&sim),
+      config_(config),
+      num_servers_(num_servers),
+      first_touch_credit_(first_touch_credit) {
   if (num_servers == 0) throw std::invalid_argument("CreditGate: no servers");
-  if (initial_credits.size() != num_servers) {
-    throw std::invalid_argument("CreditGate: initial credits arity mismatch");
+  if (first_touch_credit < 0.0) {
+    throw std::invalid_argument("CreditGate: negative first-touch credit");
   }
-  servers_.resize(num_servers);
-  for (std::uint32_t s = 0; s < num_servers; ++s) servers_[s].balance = initial_credits[s];
+  slots_.reserve(pinned.size());
+  for (const auto& [server, balance] : pinned) {
+    if (server >= num_servers || (!slots_.empty() && server <= slots_.back().server)) {
+      throw std::invalid_argument("CreditGate: pinned servers must ascend below the fleet size");
+    }
+    Slot& opened = slots_.emplace_back();
+    opened.server = server;
+    opened.pinned = true;
+    opened.balance = balance;
+  }
 }
 
-CreditGate::CreditGate(sim::Simulator& sim, CreditsConfig config, double default_credit)
-    : sim_(&sim), config_(config), sparse_(true), default_credit_(default_credit) {
-  if (default_credit < 0.0) throw std::invalid_argument("CreditGate: negative default credit");
-}
-
-CreditGate::PerServer& CreditGate::slot(store::ServerId server) {
-  if (!sparse_) {
-    if (server >= servers_.size()) throw std::out_of_range("CreditGate: bad server");
-    return servers_[server];
-  }
-  auto [it, inserted] = sparse_servers_.try_emplace(server);
-  if (inserted) {
-    it->second.balance = default_credit_;
-    sync_balance(server, it->second.balance);
-  }
-  return it->second;
+CreditGate::Slot& CreditGate::slot(store::ServerId server) {
+  // All-pinned layout: slot index == server id.
+  if (server < slots_.size() && slots_[server].server == server) return slots_[server];
+  if (server >= num_servers_) throw std::out_of_range("CreditGate: bad server");
+  const auto it = std::lower_bound(slots_.begin(), slots_.end(), server, kSlotBefore);
+  if (it != slots_.end() && it->server == server) return *it;
+  Slot& opened = *slots_.emplace(it);
+  opened.server = server;
+  opened.balance = first_touch_credit_;
+  sync_balance(server, opened.balance);
+  return opened;
 }
 
 void CreditGate::attach_signals(ctrl::SignalTable* signals) {
   signals_ = signals;
   if (signals_ == nullptr) return;
-  if (sparse_) {
-    for (const auto& [server, ps] : sparse_servers_) sync_balance(server, ps.balance);
-    return;
-  }
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    sync_balance(static_cast<store::ServerId>(s), servers_[s].balance);
-  }
+  for (const Slot& slot : slots_) sync_balance(slot.server, slot.balance);
 }
 
 bool CreditGate::later(const Held& a, const Held& b) noexcept {
@@ -64,31 +67,33 @@ bool CreditGate::later(const Held& a, const Held& b) noexcept {
   return a.seq > b.seq;
 }
 
-void CreditGate::heap_push(PerServer& ps, Held held) {
-  ps.heap.push_back(std::move(held));
-  std::size_t i = ps.heap.size() - 1;
+void CreditGate::heap_push(Slot& slot, Held held) {
+  std::vector<Held>& heap = slot.heap;
+  heap.push_back(std::move(held));
+  std::size_t i = heap.size() - 1;
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!later(ps.heap[parent], ps.heap[i])) break;
-    std::swap(ps.heap[parent], ps.heap[i]);
+    if (!later(heap[parent], heap[i])) break;
+    std::swap(heap[parent], heap[i]);
     i = parent;
   }
 }
 
-CreditGate::Held CreditGate::heap_pop(PerServer& ps) {
-  Held out = std::move(ps.heap.front());
-  ps.heap.front() = std::move(ps.heap.back());
-  ps.heap.pop_back();
+CreditGate::Held CreditGate::heap_pop(Slot& slot) {
+  std::vector<Held>& heap = slot.heap;
+  Held out = std::move(heap.front());
+  heap.front() = std::move(heap.back());
+  heap.pop_back();
   std::size_t i = 0;
-  const std::size_t n = ps.heap.size();
+  const std::size_t n = heap.size();
   for (;;) {
     std::size_t smallest = i;
     const std::size_t left = 2 * i + 1;
     const std::size_t right = 2 * i + 2;
-    if (left < n && later(ps.heap[smallest], ps.heap[left])) smallest = left;
-    if (right < n && later(ps.heap[smallest], ps.heap[right])) smallest = right;
+    if (left < n && later(heap[smallest], heap[left])) smallest = left;
+    if (right < n && later(heap[smallest], heap[right])) smallest = right;
     if (smallest == i) break;
-    std::swap(ps.heap[i], ps.heap[smallest]);
+    std::swap(heap[i], heap[smallest]);
     i = smallest;
   }
   return out;
@@ -101,90 +106,62 @@ void CreditGate::start() {
 
 void CreditGate::measure_tick() {
   if (!running_) return;
-  if (sparse_) {
-    if (sparse_report_) {
-      sparse_rates_scratch_.clear();
-      const double window_sec = config_.measure_interval.as_seconds();
-      for (auto& [server, ps] : sparse_servers_) {
-        if (ps.offered_in_window == 0) continue;
-        sparse_rates_scratch_.emplace_back(
-            server, static_cast<double>(ps.offered_in_window) / window_sec);
-        ps.offered_in_window = 0;
-      }
-      // Idle ticks send nothing: a million dormant clients must not
-      // produce a million empty control messages per interval.
-      if (!sparse_rates_scratch_.empty()) sparse_report_(sparse_rates_scratch_);
-    }
-  } else if (report_) {
-    rates_scratch_.assign(servers_.size(), 0.0);
+  if (report_) {
+    rates_scratch_.clear();
     const double window_sec = config_.measure_interval.as_seconds();
-    for (std::size_t s = 0; s < servers_.size(); ++s) {
-      rates_scratch_[s] = static_cast<double>(servers_[s].offered_in_window) / window_sec;
-      servers_[s].offered_in_window = 0;
+    for (Slot& slot : slots_) {
+      if (!slot.pinned && slot.offered_in_window == 0) continue;
+      rates_scratch_.emplace_back(slot.server,
+                                  static_cast<double>(slot.offered_in_window) / window_sec);
+      slot.offered_in_window = 0;
     }
-    report_(rates_scratch_);
+    // Idle first-touch ticks send nothing: a million dormant clients
+    // must not produce a million empty control messages per interval.
+    if (!rates_scratch_.empty()) report_(rates_scratch_);
   }
   sim_->schedule_after(config_.measure_interval, [this] { measure_tick(); });
 }
 
 void CreditGate::offer(client::OutboundRequest out) {
-  const store::ServerId server = out.server;
-  PerServer& ps = slot(server);
-  ++ps.offered_in_window;
-  if (ps.heap.empty() && ps.balance >= 1.0) {
-    ps.balance -= 1.0;
-    sync_balance(server, ps.balance);
+  Slot& target = slot(out.server);
+  ++target.offered_in_window;
+  if (target.heap.empty() && target.balance >= 1.0) {
+    target.balance -= 1.0;
+    sync_balance(target.server, target.balance);
     transmit(out);
     return;
   }
-  heap_push(ps, Held{out.request.priority, next_seq_++, sim_->now(), std::move(out)});
+  heap_push(target, Held{out.request.priority, next_seq_++, sim_->now(), std::move(out)});
   ++held_;
   ++hold_events_;
 }
 
-void CreditGate::on_grant(const std::vector<double>& credits) {
-  if (sparse_) throw std::logic_error("CreditGate::on_grant: dense grant on a sparse gate");
-  if (credits.size() != servers_.size()) {
-    throw std::invalid_argument("CreditGate::on_grant: arity mismatch");
-  }
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
+void CreditGate::on_grant(const CreditList& credits) {
+  for (const auto& [server, amount] : credits) {
+    Slot& target = slot(server);
     // Credits are shares of the *coming* interval; a bounded carryover
     // of unused balance smooths bursts across grant boundaries.
-    const double carryover =
-        std::min(servers_[s].balance, config_.carryover_cap_factor * credits[s]);
-    servers_[s].balance = credits[s] + std::max(0.0, carryover);
-    drain(static_cast<store::ServerId>(s), servers_[s]);
+    const double carryover = std::min(target.balance, config_.carryover_cap_factor * amount);
+    target.balance = amount + std::max(0.0, carryover);
+    drain(target);
   }
 }
 
-void CreditGate::on_sparse_grant(const SparseCredits& credits) {
-  if (!sparse_) throw std::logic_error("CreditGate::on_sparse_grant: sparse grant on a dense gate");
-  for (const auto& [server, amount] : credits) {
-    PerServer& ps = slot(server);
-    const double carryover = std::min(ps.balance, config_.carryover_cap_factor * amount);
-    ps.balance = amount + std::max(0.0, carryover);
-    drain(server, ps);
-  }
-}
-
-void CreditGate::drain(store::ServerId server, PerServer& ps) {
-  while (!ps.heap.empty() && ps.balance >= 1.0) {
-    Held held = heap_pop(ps);
-    ps.balance -= 1.0;
+void CreditGate::drain(Slot& slot) {
+  while (!slot.heap.empty() && slot.balance >= 1.0) {
+    Held held = heap_pop(slot);
+    slot.balance -= 1.0;
     --held_;
     total_hold_time_ += sim_->now() - held.held_at;
     transmit(held.out);
   }
-  sync_balance(server, ps.balance);
+  sync_balance(slot.server, slot.balance);
 }
 
 double CreditGate::balance(store::ServerId server) const {
-  if (sparse_) {
-    const auto it = sparse_servers_.find(server);
-    return it == sparse_servers_.end() ? default_credit_ : it->second.balance;
-  }
-  if (server >= servers_.size()) throw std::out_of_range("CreditGate::balance: bad server");
-  return servers_[server].balance;
+  if (server >= num_servers_) throw std::out_of_range("CreditGate::balance: bad server");
+  const auto it = std::lower_bound(slots_.begin(), slots_.end(), server, kSlotBefore);
+  return it != slots_.end() && it->server == server ? it->balance : first_touch_credit_;
 }
 
 // ---------------------------------------------------------------------------
@@ -192,31 +169,32 @@ double CreditGate::balance(store::ServerId server) const {
 
 CreditsController::CreditsController(sim::Simulator& sim, std::uint32_t num_clients,
                                      std::vector<double> capacities, CreditsConfig config,
-                                     bool sparse_demand)
+                                     const std::vector<store::ServerId>& pinned_servers)
     : sim_(&sim),
       num_clients_(num_clients),
       capacities_(std::move(capacities)),
-      config_(config),
-      sparse_(sparse_demand) {
+      config_(config) {
   if (num_clients_ == 0) throw std::invalid_argument("CreditsController: no clients");
   if (capacities_.empty()) throw std::invalid_argument("CreditsController: no servers");
   for (const double c : capacities_) {
     if (c <= 0.0) throw std::invalid_argument("CreditsController: non-positive capacity");
   }
-  if (sparse_) {
-    // O(active pairs): the dense clients x servers matrix would be
-    // 80 GB at 1M clients x 10k servers.
-    sparse_demand_.resize(num_clients_);
-    server_active_clients_.resize(capacities_.size());
-  } else {
-    demand_.assign(static_cast<std::size_t>(num_clients_) * capacities_.size(), 0.0);
+  std::vector<Demand> pinned;
+  pinned.reserve(pinned_servers.size());
+  for (const store::ServerId s : pinned_servers) {
+    if (s >= capacities_.size() || (!pinned.empty() && s <= pinned.back().server)) {
+      throw std::invalid_argument(
+          "CreditsController: pinned servers must ascend below the fleet size");
+    }
+    pinned.push_back({s, true, 0.0});
   }
+  demand_.assign(num_clients_, pinned);
   capacity_factor_.assign(capacities_.size(), 1.0);
   congested_this_interval_.assign(capacities_.size(), false);
   server_total_demand_.resize(capacities_.size());
+  server_on_books_.resize(capacities_.size());
   server_floor_each_.resize(capacities_.size());
   server_prop_budget_.resize(capacities_.size());
-  grant_scratch_.resize(capacities_.size());
 }
 
 void CreditsController::start() {
@@ -224,66 +202,37 @@ void CreditsController::start() {
   sim_->schedule_after(config_.adapt_interval, [this] { adapt_tick(); });
 }
 
-void CreditsController::on_demand_report(store::ClientId client,
-                                         const std::vector<double>& per_server_rate) {
-  if (sparse_) throw std::logic_error("CreditsController: dense report in sparse mode");
-  if (client >= num_clients_) throw std::out_of_range("CreditsController: bad client id");
-  if (per_server_rate.size() != capacities_.size()) {
-    throw std::invalid_argument("CreditsController: report arity mismatch");
-  }
-  ++stats_.demand_reports;
-  const double a = config_.demand_ewma_alpha;
-  for (std::size_t s = 0; s < capacities_.size(); ++s) {
-    double& d = demand_at(client, s);
-    d = util::ewma_update(d, a, per_server_rate[s]);
-  }
-}
-
-void CreditsController::on_sparse_demand_report(store::ClientId client,
-                                                const SparseCredits& rates) {
-  if (!sparse_) throw std::logic_error("CreditsController: sparse report in dense mode");
+void CreditsController::on_demand_report(store::ClientId client, const CreditList& rates) {
   if (client >= num_clients_) throw std::out_of_range("CreditsController: bad client id");
   ++stats_.demand_reports;
   const double a = config_.demand_ewma_alpha;
-  std::map<store::ServerId, double>& demand = sparse_demand_[client];
-  // Merge-walk the (ascending) report against the (ascending) map:
-  // reported servers blend toward the new rate, unreported entries
-  // decay toward zero exactly as a dense zero sample would, and
-  // entries below the retention floor are forgotten.
-  auto it = demand.begin();
+  std::vector<Demand>& books = demand_[client];
+  // Merge-walk the (ascending) report against the (ascending) books
+  // into scratch: reported servers blend toward the new rate,
+  // unreported entries decay toward zero, and first-touch entries
+  // below the retention floor are forgotten. A throw leaves the books
+  // untouched.
+  merge_scratch_.clear();
+  std::size_t i = 0;
   std::size_t r = 0;
-  while (it != demand.end() || r < rates.size()) {
-    if (it == demand.end() || (r < rates.size() && rates[r].first < it->first)) {
+  while (i < books.size() || r < rates.size()) {
+    Demand entry{};
+    if (r == rates.size() || (i < books.size() && books[i].server < rates[r].first)) {
+      entry = books[i++];
+      entry.ewma = util::ewma_update(entry.ewma, a, 0.0);
+    } else if (i == books.size() || rates[r].first < books[i].server) {
       if (rates[r].first >= capacities_.size()) {
-        throw std::out_of_range("CreditsController: bad server id in sparse report");
+        throw std::out_of_range("CreditsController: bad server id in demand report");
       }
-      const double d = util::ewma_update(0.0, a, rates[r].second);
-      if (d >= kDemandRetentionFloor) it = demand.emplace_hint(it, rates[r].first, d);
+      entry = {rates[r].first, false, util::ewma_update(0.0, a, rates[r].second)};
       ++r;
-      if (it != demand.end() && it->first == rates[r - 1].first) ++it;
-    } else if (r < rates.size() && rates[r].first == it->first) {
-      it->second = util::ewma_update(it->second, a, rates[r].second);
-      ++r;
-      if (it->second < kDemandRetentionFloor) {
-        it = demand.erase(it);
-      } else {
-        ++it;
-      }
     } else {
-      it->second = util::ewma_update(it->second, a, 0.0);
-      if (it->second < kDemandRetentionFloor) {
-        it = demand.erase(it);
-      } else {
-        ++it;
-      }
+      entry = books[i++];
+      entry.ewma = util::ewma_update(entry.ewma, a, rates[r++].second);
     }
+    if (entry.pinned || entry.ewma >= kDemandRetentionFloor) merge_scratch_.push_back(entry);
   }
-}
-
-std::size_t CreditsController::live_demand_pairs() const noexcept {
-  std::size_t n = 0;
-  for (const auto& m : sparse_demand_) n += m.size();
-  return n;
+  books.swap(merge_scratch_);
 }
 
 void CreditsController::on_congestion_signal(store::ServerId server, std::uint32_t) {
@@ -326,79 +275,43 @@ void CreditsController::adapt_tick() {
     }
   }
 
-  const double interval_sec = config_.adapt_interval.as_seconds();
-
-  if (sparse_) {
-    // Pass 1: per-server demand totals and active-client counts, in
-    // (client asc, server asc) order — deterministic regardless of
-    // report arrival order.
-    std::fill(server_total_demand_.begin(), server_total_demand_.end(), 0.0);
-    std::fill(server_active_clients_.begin(), server_active_clients_.end(), 0u);
-    for (const auto& demand : sparse_demand_) {
-      for (const auto& [s, d] : demand) {
-        server_total_demand_[s] += std::max(0.0, d);
-        ++server_active_clients_[s];
-      }
+  // Per-server demand totals and on-books counts. Each total is summed
+  // in client order, so grants do not depend on report arrival order.
+  std::fill(server_total_demand_.begin(), server_total_demand_.end(), 0.0);
+  std::fill(server_on_books_.begin(), server_on_books_.end(), 0u);
+  for (const std::vector<Demand>& books : demand_) {
+    for (const Demand& entry : books) {
+      server_total_demand_[entry.server] += std::max(0.0, entry.ewma);
+      ++server_on_books_[entry.server];
     }
-    // The equal floor is split among the clients with demand on record
-    // for the server (a fleet-wide split rounds to zero at 1M clients);
-    // everyone else bootstraps from the gate's first-touch default.
-    for (std::size_t s = 0; s < capacities_.size(); ++s) {
-      const double budget = capacities_[s] * capacity_factor_[s] * interval_sec;
-      const double floor_budget = budget * config_.min_share_fraction;
-      server_floor_each_[s] = server_active_clients_[s] > 0
-                                  ? floor_budget / static_cast<double>(server_active_clients_[s])
-                                  : 0.0;
-      server_prop_budget_[s] = budget - floor_budget;
-    }
-    // Pass 2: one sparse grant per client with live demand. Idle
-    // clients get no message at all.
-    if (send_sparse_grant_) {
-      for (std::uint32_t c = 0; c < num_clients_; ++c) {
-        const auto& demand = sparse_demand_[c];
-        if (demand.empty()) continue;
-        sparse_grant_scratch_.clear();
-        for (const auto& [s, d] : demand) {
-          const double total = server_total_demand_[s];
-          const double share =
-              total <= 0.0 ? 0.0 : std::max(0.0, d) / total * server_prop_budget_[s];
-          sparse_grant_scratch_.emplace_back(s, server_floor_each_[s] + share);
-        }
-        send_sparse_grant_(c, sparse_grant_scratch_);
-        ++stats_.grants_sent;
-      }
-    }
-    sim_->schedule_after(config_.adapt_interval, [this] { adapt_tick(); });
-    return;
   }
-
-  // Per server: a small equal floor (so bursty newcomers are not
-  // stalled for a whole interval), the rest proportional to demand.
-  // Arithmetic matches allocate_proportional exactly (summation order
-  // included) so grants are bit-identical to the per-server-vector
-  // formulation; the flat layout just avoids materializing a clients x
-  // servers grant matrix every interval.
-  const double num_clients = static_cast<double>(num_clients_);
+  // Per server: a small equal floor split among the clients on its
+  // books (so bursty newcomers are not stalled for a whole interval),
+  // the rest proportional to demand.
+  const double interval_sec = config_.adapt_interval.as_seconds();
   for (std::size_t s = 0; s < capacities_.size(); ++s) {
-    double total = 0.0;
-    for (std::uint32_t c = 0; c < num_clients_; ++c) {
-      total += std::max(0.0, demand_at(c, s));
-    }
     const double budget = capacities_[s] * capacity_factor_[s] * interval_sec;
     const double floor_budget = budget * config_.min_share_fraction;
-    server_total_demand_[s] = total;
-    server_floor_each_[s] = floor_budget / num_clients;
+    server_floor_each_[s] =
+        server_on_books_[s] > 0 ? floor_budget / static_cast<double>(server_on_books_[s]) : 0.0;
     server_prop_budget_[s] = budget - floor_budget;
   }
 
+  // One grant per client with a pair on the books. With no demand on
+  // record for a server (reachable only through pinned pairs), its
+  // proportional pool is split equally.
   if (send_grant_) {
     for (std::uint32_t c = 0; c < num_clients_; ++c) {
-      for (std::size_t s = 0; s < capacities_.size(); ++s) {
+      const std::vector<Demand>& books = demand_[c];
+      if (books.empty()) continue;
+      grant_scratch_.clear();
+      for (const Demand& entry : books) {
+        const store::ServerId s = entry.server;
         const double total = server_total_demand_[s];
-        const double share = total <= 0.0
-                                 ? server_prop_budget_[s] / num_clients
-                                 : std::max(0.0, demand_at(c, s)) / total * server_prop_budget_[s];
-        grant_scratch_[s] = server_floor_each_[s] + share;
+        const double share =
+            total <= 0.0 ? server_prop_budget_[s] / static_cast<double>(server_on_books_[s])
+                         : std::max(0.0, entry.ewma) / total * server_prop_budget_[s];
+        grant_scratch_.emplace_back(s, server_floor_each_[s] + share);
       }
       send_grant_(c, grant_scratch_);
       ++stats_.grants_sent;

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -80,42 +79,34 @@ struct ControllerStats {
   std::uint64_t grants_sent = 0;
 };
 
-/// Sparse (server, value) pairs, ascending by server id. The wire
-/// format of demand reports and grants in sparse mode: O(touched
-/// servers) instead of O(fleet).
-using SparseCredits = std::vector<std::pair<store::ServerId, double>>;
+/// (server, value) pairs, ascending by server id: the wire format of
+/// demand reports and grants.
+using CreditList = std::vector<std::pair<store::ServerId, double>>;
 
 /// Client-side credit gate (one per client).
 ///
-/// Two storage modes:
-///  * dense (legacy): one slot per server in the fleet, pre-seeded
-///    with initial credits. Reports and grants are full per-server
-///    vectors. Byte-identical to the historical behavior.
-///  * sparse: slots materialize on first touch with a scalar default
-///    credit; reports list only servers offered to since the last
-///    tick (idle ticks send nothing) and grants are sparse pairs.
-///    Per-client memory is O(servers actually contacted), which is
-///    what makes a million-client credits fleet representable at all.
+/// Each (client, server) credit pair is either *pinned* or
+/// *first-touch*. A pinned pair's slot exists from construction with
+/// its own opening balance and is reported every tick, zero rate
+/// included. A first-touch slot opens on the first offer to its server
+/// with one scalar opening balance and is reported only for windows
+/// with offers. Slots are one flat vector, ascending by server: with
+/// every pair pinned, slot index equals server id and lookup is O(1);
+/// otherwise per-client memory is O(servers actually contacted), which
+/// is what makes a million-client credits fleet representable at all.
 class CreditGate final : public client::DispatchGate {
  public:
-  /// `report_demand` ships this client's per-server demand rates
-  /// (requests/s since the previous report) to the controller over the
-  /// network.
-  using ReportFn = std::function<void(const std::vector<double>& per_server_rate)>;
-  using SparseReportFn = std::function<void(const SparseCredits& rates)>;
+  /// Ships this client's per-server demand rates (requests/s since the
+  /// previous report) to the controller over the network.
+  using ReportFn = std::function<void(const CreditList& rates)>;
 
+  /// `pinned` lists the pinned servers with their opening balances
+  /// (ascending, each below `num_servers`); every other server opens
+  /// on first offer with `first_touch_credit`.
   CreditGate(sim::Simulator& sim, std::uint32_t num_servers, CreditsConfig config,
-             std::vector<double> initial_credits);
-
-  /// Sparse-mode constructor: no per-fleet state; a server's slot is
-  /// created on first offer with `default_credit` as its opening
-  /// balance (the equal-share bootstrap the dense mode pre-computes
-  /// per server, collapsed to one scalar).
-  CreditGate(sim::Simulator& sim, CreditsConfig config, double default_credit);
+             const CreditList& pinned, double first_touch_credit = 0.0);
 
   void set_report(ReportFn fn) { report_ = std::move(fn); }
-  void set_sparse_report(SparseReportFn fn) { sparse_report_ = std::move(fn); }
-  bool sparse() const noexcept { return sparse_; }
 
   /// Mirrors this gate's per-server balances into the client's
   /// SignalTable (immediately, then on every change), so selection
@@ -131,19 +122,15 @@ class CreditGate final : public client::DispatchGate {
   std::size_t held() const noexcept override { return held_; }
   std::string name() const override { return "credits"; }
 
-  /// Grant delivery from the controller: balances reset to the new
-  /// allocation and held requests drain in priority order.
-  void on_grant(const std::vector<double>& credits);
-  /// Sparse grant delivery: only the listed servers are re-funded and
-  /// drained; untouched slots keep their balance. (Named, not an
-  /// overload: a braced grant list would otherwise be ambiguous.)
-  void on_sparse_grant(const SparseCredits& credits);
+  /// Grant delivery from the controller: each listed server's balance
+  /// resets to its new allocation (plus bounded carryover) and its held
+  /// requests drain in priority order, in list order. Unlisted servers
+  /// keep their balance.
+  void on_grant(const CreditList& credits);
 
-  /// Current balance. In sparse mode, a never-touched server reports
-  /// the default credit it would open with.
+  /// Current balance. A server whose slot has not opened reports the
+  /// first-touch credit it would open with.
   double balance(store::ServerId server) const;
-  /// Sparse mode: number of materialized per-server slots.
-  std::size_t live_slots() const noexcept { return sparse_ ? sparse_servers_.size() : servers_.size(); }
 
   /// Requests that were ever held for lack of credits.
   std::uint64_t hold_events() const noexcept { return hold_events_; }
@@ -157,38 +144,34 @@ class CreditGate final : public client::DispatchGate {
     sim::Time held_at;
     client::OutboundRequest out;
   };
-  struct PerServer {
+  struct Slot {
+    store::ServerId server = 0;
+    bool pinned = false;
     double balance = 0.0;
     std::uint64_t offered_in_window = 0;
     std::vector<Held> heap;  // min-heap on (priority, seq)
   };
 
   void measure_tick();
-  void drain(store::ServerId server, PerServer& ps);
-  /// Dense: bounds-checked index. Sparse: find-or-create (opening
-  /// balance = default_credit_, mirrored into the signal table).
-  PerServer& slot(store::ServerId server);
+  void drain(Slot& slot);
+  /// Bounds-checked find-or-open: a missing slot opens first-touch
+  /// (mirrored into the signal table).
+  Slot& slot(store::ServerId server);
   static bool later(const Held& a, const Held& b) noexcept;
-  void heap_push(PerServer& ps, Held held);
-  Held heap_pop(PerServer& ps);
+  void heap_push(Slot& slot, Held held);
+  Held heap_pop(Slot& slot);
   void sync_balance(store::ServerId server, double balance) {
     if (signals_ != nullptr) signals_->set_credit_balance(server, balance);
   }
 
   sim::Simulator* sim_;
   CreditsConfig config_;
-  bool sparse_ = false;
-  double default_credit_ = 0.0;
-  std::vector<PerServer> servers_;
-  /// Sparse-mode slots; std::map so every iteration (reports,
-  /// signal mirroring) runs in ascending server order — deterministic
-  /// regardless of touch order.
-  std::map<store::ServerId, PerServer> sparse_servers_;
+  std::uint32_t num_servers_;
+  double first_touch_credit_;
+  std::vector<Slot> slots_;  // ascending by server
   ctrl::SignalTable* signals_ = nullptr;
-  std::vector<double> rates_scratch_;        // reused per measure tick (dense)
-  SparseCredits sparse_rates_scratch_;       // reused per measure tick (sparse)
+  CreditList rates_scratch_;  // reused per measure tick
   ReportFn report_;
-  SparseReportFn sparse_report_;
   bool running_ = false;
   std::uint64_t next_seq_ = 0;
   std::size_t held_ = 0;
@@ -198,48 +181,37 @@ class CreditGate final : public client::DispatchGate {
 
 /// The logically-centralized allocator.
 ///
-/// Demand state is dense (a flat clients x servers EWMA matrix) by
-/// default. With `sparse_demand`, only (client, server) pairs that
-/// actually reported demand are stored — O(active pairs) instead of
-/// O(clients x servers) — and grants go out as sparse pairs, only to
-/// clients with live demand. Two documented semantic differences from
-/// dense: (1) the equal-share floor of each server's budget is split
-/// among the clients *with demand on record* for it, not the whole
-/// fleet (a fleet-wide floor over a million clients rounds to zero
-/// anyway); (2) idle clients receive no grant at all — their
-/// bootstrap is the gate's first-touch default credit.
+/// Each client's demand is one flat vector of (server, EWMA) entries,
+/// ascending by server. Pinned pairs are on the books from
+/// construction and stay there; a first-touch pair enters with its
+/// first reported demand and is forgotten once its EWMA decays below a
+/// retention floor, so the books track the client's *recent* working
+/// set. Per server, the equal-share floor of the budget is split among
+/// the clients with that pair on the books (every client when all
+/// pairs are pinned), and one grant goes to each client with at least
+/// one pair on the books.
 class CreditsController {
  public:
-  /// `capacities[s]` = server s's nominal capacity in requests/s.
   /// `send_grant(client, credits)` ships an allocation to one client
   /// over the network.
-  using GrantFn = std::function<void(store::ClientId, const std::vector<double>&)>;
-  using SparseGrantFn = std::function<void(store::ClientId, const SparseCredits&)>;
+  using GrantFn = std::function<void(store::ClientId, const CreditList&)>;
 
+  /// `capacities[s]` = server s's nominal capacity in requests/s. Each
+  /// client's pairs with `pinned_servers` (ascending) are pinned.
   CreditsController(sim::Simulator& sim, std::uint32_t num_clients,
                     std::vector<double> capacities, CreditsConfig config,
-                    bool sparse_demand = false);
+                    const std::vector<store::ServerId>& pinned_servers = {});
 
   void set_grant_sender(GrantFn fn) { send_grant_ = std::move(fn); }
-  void set_sparse_grant_sender(SparseGrantFn fn) { send_sparse_grant_ = std::move(fn); }
-  bool sparse() const noexcept { return sparse_; }
 
   /// Begins the periodic adaptation loop.
   void start();
   void stop() noexcept { running_ = false; }
 
-  /// Network delivery of a client demand report.
-  void on_demand_report(store::ClientId client, const std::vector<double>& per_server_rate);
-
-  /// Sparse demand report (rates ascending by server id, as the sparse
-  /// gate emits them). Servers absent from the report decay toward
-  /// zero exactly like a dense zero entry would, and pairs whose EWMA
-  /// falls below a retention threshold are dropped — state tracks the
-  /// client's *recent* working set, not its history.
-  void on_sparse_demand_report(store::ClientId client, const SparseCredits& rates);
-
-  /// Sparse mode: (client, server) demand pairs currently on record.
-  std::size_t live_demand_pairs() const noexcept;
+  /// Network delivery of a client demand report (rates ascending by
+  /// server id, as the gate emits them). Listed servers blend toward
+  /// the new rate; entries absent from the report decay toward zero.
+  void on_demand_report(store::ClientId client, const CreditList& rates);
 
   /// Network delivery of a server congestion signal.
   void on_congestion_signal(store::ServerId server, std::uint32_t queue_length);
@@ -254,36 +226,31 @@ class CreditsController {
   double capacity_factor(store::ServerId server) const;
 
  private:
-  void adapt_tick();
+  struct Demand {
+    store::ServerId server;
+    bool pinned;
+    double ewma;  // req/s
+  };
 
-  double& demand_at(store::ClientId client, store::ServerId server) noexcept {
-    return demand_[static_cast<std::size_t>(client) * capacities_.size() + server];
-  }
+  void adapt_tick();
 
   sim::Simulator* sim_;
   std::uint32_t num_clients_;
   std::vector<double> capacities_;
   CreditsConfig config_;
   GrantFn send_grant_;
-  SparseGrantFn send_sparse_grant_;
   bool running_ = false;
-  bool sparse_ = false;
-  /// Flat client x server demand EWMAs (req/s): row-major by client,
-  /// so one adaptation pass walks memory linearly instead of chasing
-  /// nested vectors. Empty in sparse mode.
-  std::vector<double> demand_;
-  /// Sparse mode: per-client demand maps (ascending server order, so
-  /// totals and grant emission are deterministic). Empty in dense mode.
-  std::vector<std::map<store::ServerId, double>> sparse_demand_;
+  /// Per-client demand books, each ascending by server.
+  std::vector<std::vector<Demand>> demand_;
   std::vector<double> capacity_factor_;
   std::vector<bool> congested_this_interval_;
-  // Reused adapt_tick buffers (allocation-free steady state).
+  // Reused buffers (allocation-free steady state).
+  std::vector<Demand> merge_scratch_;
   std::vector<double> server_total_demand_;
-  std::vector<std::uint32_t> server_active_clients_;  // sparse mode only
+  std::vector<std::uint32_t> server_on_books_;
   std::vector<double> server_floor_each_;
   std::vector<double> server_prop_budget_;
-  std::vector<double> grant_scratch_;
-  SparseCredits sparse_grant_scratch_;
+  CreditList grant_scratch_;
   ControllerStats stats_;
 };
 

@@ -73,7 +73,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
   // columns fleet-wide) keeps every nightly scenario short of
   // mega-fleet on the dense path, where artifacts are byte-frozen.
   bool sparse_store = false;
-  bool sparse_credits_mode = false;
+  bool pin_credit_pairs = true;
   std::uint32_t sparse_cap = 128;
   {
     constexpr std::uint64_t kAutoSparsePairs = 1ull << 24;
@@ -93,15 +93,16 @@ RunResult run_scenario(const ScenarioConfig& config) {
     } else {
       throw std::invalid_argument("run_scenario: signal store must be auto|dense|sparse[:CAP]");
     }
-    // Sparse credits bookkeeping (first-touch balances, grants only to
-    // live-demand pairs, floor shared among active clients) carries
-    // slightly different floor-sharing semantics than the dense
-    // controller, so it engages only past the auto threshold — where
-    // the dense per-fleet bootstrap vectors are the thing being
-    // avoided. Below it, an explicit sparse store keeps the exact
-    // dense credits path: the sparse SignalTable alone is
-    // decision-identical whenever the cap covers the fleet.
-    sparse_credits_mode = sparse_store && pairs > kAutoSparsePairs;
+    // Credit pairs are all pinned (per-server bootstrap balances, every
+    // pair reported, granted and on the controller's books from the
+    // start) unless the sparse store is in use past the auto threshold,
+    // where per-fleet bootstrap state is the thing being avoided. There
+    // every pair is first-touch: it opens on first offer and the
+    // controller forgets it once its demand decays away. Below the
+    // threshold, an explicit sparse store keeps every pair pinned: the
+    // sparse SignalTable alone is decision-identical whenever the cap
+    // covers the fleet.
+    pin_credit_pairs = !(sparse_store && pairs > kAutoSparsePairs);
   }
 
   // --- latency statistics resolution ---
@@ -377,6 +378,34 @@ RunResult run_scenario(const ScenarioConfig& config) {
           : static_cast<double>(config.cluster.cores_per_server) *
                 config.cluster.service_rate_per_core;
 
+  // Admission context shared by every client; only the signal table
+  // differs per client.
+  ctrl::AdmissionContext admission;
+  admission.sim = &sim;
+  admission.num_servers = num_servers;
+  if (credits_admission) {
+    admission.credits = config.credits;
+    const double interval_sec = config.credits.adapt_interval.as_seconds();
+    // Bootstrap: an equal share of each server's capacity per interval.
+    if (pin_credit_pairs) {
+      admission.pinned_credits.reserve(num_servers);
+      for (std::uint32_t s = 0; s < num_servers; ++s) {
+        admission.pinned_credits.emplace_back(
+            s, config.cluster.capacity_of(s) * interval_sec / static_cast<double>(num_clients));
+      }
+    }
+    // First-touch pairs open with an equal share of the *mean* server
+    // capacity (heterogeneous fleets get the exact per-server share
+    // with their first grant, one interval later).
+    admission.first_touch_credit =
+        per_server_capacity * interval_sec / static_cast<double>(num_clients);
+  } else if (admission_name == "cubic-rate") {
+    admission.rate = config.rate;
+    if (admission.rate.initial_rate <= 0.0) {
+      admission.rate.initial_rate = per_server_capacity / static_cast<double>(num_clients);
+    }
+  }
+
   // One planning scratch for the whole fleet (this run's thread only).
   client::ClientScratch client_scratch;
   std::vector<std::unique_ptr<client::AppClient>> clients;
@@ -396,36 +425,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
 
     // Admission policy by name; stateful gates mirror balances / rate
     // caps into this client's SignalTable.
-    ctrl::AdmissionContext admission;
-    admission.sim = &sim;
-    admission.num_servers = num_servers;
     admission.signals = &runtime.signals_of(c);
-    if (credits_admission) {
-      admission.credits = config.credits;
-      if (sparse_credits_mode) {
-        // Sparse credits: no per-fleet bootstrap vector; slots open on
-        // first touch with an equal share of the *mean* server
-        // capacity (heterogeneous fleets get the exact per-server
-        // share with their first grant, one interval later).
-        admission.sparse_credits = true;
-        admission.sparse_default_credit = per_server_capacity *
-                                          config.credits.adapt_interval.as_seconds() /
-                                          static_cast<double>(num_clients);
-      } else {
-        // Bootstrap: equal share of each server's capacity per interval.
-        admission.initial_credits.resize(num_servers);
-        for (std::uint32_t s = 0; s < num_servers; ++s) {
-          admission.initial_credits[s] = config.cluster.capacity_of(s) *
-                                         config.credits.adapt_interval.as_seconds() /
-                                         static_cast<double>(num_clients);
-        }
-      }
-    } else if (admission_name == "cubic-rate") {
-      admission.rate = config.rate;
-      if (admission.rate.initial_rate <= 0.0) {
-        admission.rate.initial_rate = per_server_capacity / static_cast<double>(num_clients);
-      }
-    }
     std::unique_ptr<client::DispatchGate> gate =
         ctrl::make_admission_policy(admission_name, admission);
     if (credits_admission) credit_gates[c] = static_cast<CreditGate*>(gate.get());
@@ -491,45 +491,27 @@ RunResult run_scenario(const ScenarioConfig& config) {
     for (std::uint32_t s = 0; s < num_servers; ++s) {
       capacities[s] = config.cluster.capacity_of(s);
     }
-    controller =
-        std::make_unique<CreditsController>(sim, num_clients, std::move(capacities),
-                                            config.credits, /*sparse_demand=*/sparse_credits_mode);
+    std::vector<store::ServerId> pinned_servers;
+    for (const auto& [server, balance] : admission.pinned_credits) pinned_servers.push_back(server);
+    controller = std::make_unique<CreditsController>(sim, num_clients, std::move(capacities),
+                                                     config.credits, pinned_servers);
     for (std::uint32_t c = 0; c < num_clients; ++c) {
       CreditGate* gate = credit_gates[c];
       const net::NodeId client_node = num_servers + c;
-      if (sparse_credits_mode) {
-        gate->set_sparse_report([&network, client_node, controller_node, c,
-                                 ctrl = controller.get()](const SparseCredits& rates) {
-          network.send(client_node, controller_node, 64,
-                       [ctrl, c, rates] { ctrl->on_sparse_demand_report(c, rates); });
-        });
-      } else {
-        gate->set_report([&network, client_node, controller_node, c,
-                          ctrl = controller.get()](const std::vector<double>& rates) {
-          network.send(client_node, controller_node, 64,
-                       [ctrl, c, rates] { ctrl->on_demand_report(c, rates); });
-        });
-      }
+      gate->set_report([&network, client_node, controller_node, c,
+                        ctrl = controller.get()](const CreditList& rates) {
+        network.send(client_node, controller_node, 64,
+                     [ctrl, c, rates] { ctrl->on_demand_report(c, rates); });
+      });
       gate->start();
     }
-    if (sparse_credits_mode) {
-      controller->set_sparse_grant_sender([&network, controller_node, num_servers, &credit_gates](
-                                              store::ClientId client,
-                                              const SparseCredits& credits) {
-        const net::NodeId client_node = num_servers + client;
-        CreditGate* gate = credit_gates[client];
-        network.send(controller_node, client_node, 64,
-                     [gate, credits] { gate->on_sparse_grant(credits); });
-      });
-    } else {
-      controller->set_grant_sender([&network, controller_node, num_servers, &credit_gates](
-                                       store::ClientId client, const std::vector<double>& credits) {
-        const net::NodeId client_node = num_servers + client;
-        CreditGate* gate = credit_gates[client];
-        network.send(controller_node, client_node, 64,
-                     [gate, credits] { gate->on_grant(credits); });
-      });
-    }
+    controller->set_grant_sender([&network, controller_node, num_servers, &credit_gates](
+                                     store::ClientId client, const CreditList& credits) {
+      const net::NodeId client_node = num_servers + client;
+      CreditGate* gate = credit_gates[client];
+      network.send(controller_node, client_node, 64,
+                   [gate, credits] { gate->on_grant(credits); });
+    });
     controller->start();
 
     std::vector<server::BackendServer*> raw;

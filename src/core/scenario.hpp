@@ -117,11 +117,10 @@ struct ScenarioConfig {
   /// clients x servers cross-product exceeds an internal threshold),
   /// "dense" (force the legacy per-pair columns), or "sparse[:CAP]"
   /// (windowed per-client store, CAP live servers per client).
-  /// Past the auto threshold the sparse store also switches the
-  /// credits machinery to sparse demand/grant bookkeeping; below it,
-  /// an explicit sparse store keeps the exact dense credits path, so
-  /// sparse-vs-dense runs are decision-identical whenever CAP covers
-  /// the fleet. Dense runs are byte-identical to before the flag
+  /// Past the auto threshold the sparse store also makes every
+  /// credit pair first-touch instead of pinned; below it, an explicit
+  /// sparse store keeps every credit pair pinned, so sparse-vs-dense
+  /// runs are decision-identical whenever CAP covers the fleet. Dense runs are byte-identical to before the flag
   /// existed.
   std::string signal_store;
   /// Latency statistics: "" / "exact" (histogram + optional raw

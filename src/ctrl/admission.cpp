@@ -43,22 +43,12 @@ std::unique_ptr<client::DispatchGate> make_admission_policy(const std::string& n
     return gate;
   }
   if (canonical == "credits") {
-    if (context.sparse_credits) {
-      if (context.sim == nullptr) {
-        throw std::invalid_argument("make_admission_policy: credits needs a simulator");
-      }
-      auto gate = std::make_unique<core::CreditGate>(*context.sim, context.credits,
-                                                     context.sparse_default_credit);
-      if (context.signals != nullptr) gate->attach_signals(context.signals);
-      return gate;
-    }
-    if (context.sim == nullptr || context.num_servers == 0 ||
-        context.initial_credits.size() != context.num_servers) {
-      throw std::invalid_argument(
-          "make_admission_policy: credits needs a simulator and one initial balance per server");
+    if (context.sim == nullptr || context.num_servers == 0) {
+      throw std::invalid_argument("make_admission_policy: credits needs a simulator and servers");
     }
     auto gate = std::make_unique<core::CreditGate>(*context.sim, context.num_servers,
-                                                   context.credits, context.initial_credits);
+                                                   context.credits, context.pinned_credits,
+                                                   context.first_touch_credit);
     if (context.signals != nullptr) gate->attach_signals(context.signals);
     return gate;
   }

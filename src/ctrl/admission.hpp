@@ -31,16 +31,12 @@ namespace brb::ctrl {
 struct AdmissionContext {
   sim::Simulator* sim = nullptr;
   std::uint32_t num_servers = 0;
-  /// Credits admission: controller parameters + bootstrap balances
-  /// (one per server).
+  /// Credits admission: controller parameters, the pinned credit pairs
+  /// with their opening balances (ascending by server), and the
+  /// opening balance of every other pair, which opens on first offer.
   core::CreditsConfig credits{};
-  std::vector<double> initial_credits;
-  /// Credits admission, sparse mode: per-server slots materialize on
-  /// first touch with `sparse_default_credit` as the opening balance;
-  /// `initial_credits` is ignored. Pairs with the sparse signal store
-  /// — per-client memory stays O(servers contacted).
-  bool sparse_credits = false;
-  double sparse_default_credit = 0.0;
+  core::CreditList pinned_credits;
+  double first_touch_credit = 0.0;
   /// Cubic-rate admission: controller config with initial_rate already
   /// resolved (> 0).
   policy::CubicRateController::Config rate{};

@@ -9,20 +9,6 @@ namespace brb::ctrl {
 
 namespace {
 
-std::vector<std::string> split_list(const std::string& spec) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    const std::size_t comma = spec.find(',', start);
-    const std::string part = spec.substr(start, comma == std::string::npos ? std::string::npos
-                                                                           : comma - start);
-    if (!part.empty()) parts.push_back(part);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return parts;
-}
-
 PolicyBinding parse_binding(const std::string& entry, const char* flag) {
   const std::size_t colon = entry.find(':');
   if (colon == std::string::npos) return {"", canonical_policy_name(entry)};
@@ -124,7 +110,7 @@ PolicySwitch parse_switch_payload(sim::Time at, const std::string& payload) {
 
 std::vector<PolicyBinding> parse_policy_spec(const std::string& spec) {
   std::vector<PolicyBinding> bindings;
-  for (const std::string& entry : split_list(spec)) {
+  for (const std::string& entry : util::split_list(spec)) {
     bindings.push_back(parse_binding(entry, "--policy"));
   }
   if (!spec.empty() && bindings.empty()) {
@@ -135,7 +121,7 @@ std::vector<PolicyBinding> parse_policy_spec(const std::string& spec) {
 
 std::vector<DispatchBinding> parse_dispatch_spec(const std::string& spec) {
   std::vector<DispatchBinding> bindings;
-  for (const std::string& entry : split_list(spec)) {
+  for (const std::string& entry : util::split_list(spec)) {
     const std::size_t colon = entry.find(':');
     const std::string head = entry.substr(0, colon);
     if (is_dispatch_mode_name(head)) {
@@ -161,7 +147,7 @@ std::vector<DispatchBinding> parse_dispatch_spec(const std::string& spec) {
 
 std::vector<PolicySwitch> parse_policy_switch_spec(const std::string& spec) {
   std::vector<PolicySwitch> switches;
-  for (const std::string& entry : split_list(spec)) {
+  for (const std::string& entry : util::split_list(spec)) {
     const std::size_t colon = entry.find(':');
     if (colon == std::string::npos || colon == 0 || colon + 1 >= entry.size()) {
       throw std::invalid_argument("--policy-switch: malformed entry '" + entry +

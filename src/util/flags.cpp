@@ -49,6 +49,17 @@ Flags::Flags(int argc, const char* const* argv) {
   }
 }
 
+std::vector<std::string> split_list(std::string_view list) {
+  std::vector<std::string> parts;
+  for (;;) {
+    const std::size_t comma = list.find(',');
+    const std::string_view part = list.substr(0, comma);
+    if (!part.empty()) parts.emplace_back(part);
+    if (comma == std::string_view::npos) return parts;
+    list.remove_prefix(comma + 1);
+  }
+}
+
 std::optional<std::string> Flags::get(std::string_view name) const {
   if (const auto it = values_.find(name); it != values_.end()) return it->second;
   // BRB_* env vars are explicit run configuration — the same input class as

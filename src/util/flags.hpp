@@ -53,6 +53,10 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
+/// Splits a comma-separated list, dropping empty parts
+/// ("a,,b," -> {"a", "b"}).
+std::vector<std::string> split_list(std::string_view list);
+
 /// Damerau-ish edit distance for did-you-mean hints (insert, delete,
 /// substitute; no transposition). Exposed for tests.
 std::size_t edit_distance(std::string_view a, std::string_view b);

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "util/flags.hpp"
+
 namespace brb::workload {
 
 namespace {
@@ -95,11 +97,7 @@ ClusterSpec ClusterSpec::parse(const std::string& spec) {
   if (kind != "hetero") {
     throw std::invalid_argument("ClusterSpec: unknown profile kind '" + kind + "'");
   }
-  std::stringstream ss(body);
-  for (std::string part; std::getline(ss, part, ',');) {
-    if (part.empty()) continue;
-    out.classes.push_back(parse_class(part));
-  }
+  for (const std::string& part : util::split_list(body)) out.classes.push_back(parse_class(part));
   validate_classes(out.classes);
   if (out.classes.empty()) throw std::invalid_argument("ClusterSpec: empty hetero profile");
   std::uint64_t total = 0;

@@ -613,7 +613,7 @@ TEST(AdmissionRegistry, NamesAndErrors) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("cubic-rate"), std::string::npos);
   }
-  // Credits admission needs per-server bootstrap balances.
+  // Credits admission needs a simulator and a fleet.
   ctrl::AdmissionContext bare;
   EXPECT_THROW(ctrl::make_admission_policy("credits", bare), std::invalid_argument);
   EXPECT_EQ(ctrl::make_admission_policy("direct", bare)->name(), "direct");

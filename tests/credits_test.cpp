@@ -61,15 +61,29 @@ client::OutboundRequest make_out(store::ServerId server, store::Priority priorit
   return out;
 }
 
+/// One (server, value) entry per server, in server order: the list
+/// form of a full per-server vector.
+CreditList every_server(const std::vector<double>& values) {
+  CreditList list;
+  for (std::size_t s = 0; s < values.size(); ++s) {
+    list.emplace_back(static_cast<store::ServerId>(s), values[s]);
+  }
+  return list;
+}
+
 struct GateFixture {
   sim::Simulator simulator;
   CreditsConfig config;
   std::unique_ptr<CreditGate> gate;
   std::vector<store::RequestId> transmitted;
 
-  explicit GateFixture(std::vector<double> initial) {
-    gate = std::make_unique<CreditGate>(simulator, static_cast<std::uint32_t>(initial.size()),
-                                        config, std::move(initial));
+  /// Every server pinned with the given opening balances.
+  explicit GateFixture(const std::vector<double>& initial)
+      : GateFixture(static_cast<std::uint32_t>(initial.size()), every_server(initial), 0.0) {}
+
+  GateFixture(std::uint32_t num_servers, const CreditList& pinned, double first_touch_credit) {
+    gate = std::make_unique<CreditGate>(simulator, num_servers, config, pinned,
+                                        first_touch_credit);
     gate->set_transmit([this](client::OutboundRequest& out) {
       transmitted.push_back(out.request.request_id);
     });
@@ -99,7 +113,7 @@ TEST(CreditGate, GrantDrainsInPriorityOrder) {
   f.gate->offer(make_out(0, 1.0, 2));
   f.gate->offer(make_out(0, 3.0, 3));
   EXPECT_EQ(f.gate->held(), 3u);
-  f.gate->on_grant({10.0, 10.0});
+  f.gate->on_grant(every_server({10.0, 10.0}));
   ASSERT_EQ(f.transmitted.size(), 3u);
   EXPECT_EQ(f.transmitted, (std::vector<store::RequestId>{2, 3, 1}));
 }
@@ -108,7 +122,7 @@ TEST(CreditGate, PartialGrantDrainsHighestPriorityOnly) {
   GateFixture f({0.0});
   f.gate->offer(make_out(0, 5.0, 1));
   f.gate->offer(make_out(0, 1.0, 2));
-  f.gate->on_grant({1.0});
+  f.gate->on_grant({{0, 1.0}});
   ASSERT_EQ(f.transmitted.size(), 1u);
   EXPECT_EQ(f.transmitted[0], 2u);
   EXPECT_EQ(f.gate->held(), 1u);
@@ -117,14 +131,21 @@ TEST(CreditGate, PartialGrantDrainsHighestPriorityOnly) {
 TEST(CreditGate, CarryoverIsBounded) {
   GateFixture f({100.0});
   // Nothing spent; carryover cap 0.5 * grant.
-  f.gate->on_grant({10.0});
+  f.gate->on_grant({{0, 10.0}});
   EXPECT_DOUBLE_EQ(f.gate->balance(0), 10.0 + 5.0);
+}
+
+TEST(CreditGate, GrantLeavesUnlistedServersAlone) {
+  GateFixture f({0.0, 4.0});
+  f.gate->on_grant({{0, 2.0}});
+  EXPECT_DOUBLE_EQ(f.gate->balance(0), 2.0);
+  EXPECT_DOUBLE_EQ(f.gate->balance(1), 4.0);
 }
 
 TEST(CreditGate, HoldTimeAccumulates) {
   GateFixture f({0.0});
   f.simulator.schedule_at(Time::millis(1), [&] { f.gate->offer(make_out(0, 1.0, 1)); });
-  f.simulator.schedule_at(Time::millis(5), [&] { f.gate->on_grant({1.0}); });
+  f.simulator.schedule_at(Time::millis(5), [&] { f.gate->on_grant({{0, 1.0}}); });
   f.simulator.run();
   EXPECT_EQ(f.gate->total_hold_time().count_nanos(), Duration::millis(4).count_nanos());
 }
@@ -132,38 +153,96 @@ TEST(CreditGate, HoldTimeAccumulates) {
 TEST(CreditGate, FifoWithinEqualPriority) {
   GateFixture f({0.0});
   for (store::RequestId id = 1; id <= 10; ++id) f.gate->offer(make_out(0, 7.0, id));
-  f.gate->on_grant({10.0});
+  f.gate->on_grant({{0, 10.0}});
   for (store::RequestId id = 1; id <= 10; ++id) ASSERT_EQ(f.transmitted[id - 1], id);
 }
 
 TEST(CreditGate, MeasurementReportsDemandRates) {
   GateFixture f({100.0, 100.0});
-  std::vector<std::vector<double>> reports;
-  f.gate->set_report([&](const std::vector<double>& rates) { reports.push_back(rates); });
+  std::vector<CreditList> reports;
+  f.gate->set_report([&](const CreditList& rates) { reports.push_back(rates); });
   f.gate->start();
   f.simulator.schedule_at(Time::millis(10), [&] {
     for (int i = 0; i < 7; ++i) f.gate->offer(make_out(0, 1.0, static_cast<std::uint64_t>(i)));
     f.gate->offer(make_out(1, 1.0, 99));
   });
-  f.simulator.run_until(Time::millis(150));
+  f.simulator.run_until(Time::millis(250));
   f.gate->stop();
-  ASSERT_GE(reports.size(), 1u);
+  ASSERT_EQ(reports.size(), 2u);
   // 7 offers to server 0 in a 100ms window -> 70 req/s.
-  EXPECT_NEAR(reports[0][0], 70.0, 1e-9);
-  EXPECT_NEAR(reports[0][1], 10.0, 1e-9);
-  // Second window has no offers.
-  if (reports.size() > 1) EXPECT_DOUBLE_EQ(reports[1][0], 0.0);
+  ASSERT_EQ(reports[0].size(), 2u);
+  EXPECT_EQ(reports[0][0].first, 0u);
+  EXPECT_NEAR(reports[0][0].second, 70.0, 1e-9);
+  EXPECT_EQ(reports[0][1].first, 1u);
+  EXPECT_NEAR(reports[0][1].second, 10.0, 1e-9);
+  // Second window has no offers: pinned servers still report, at zero.
+  EXPECT_EQ(reports[1], every_server({0.0, 0.0}));
+}
+
+TEST(CreditGate, FirstTouchBalanceIsMirroredIntoSignals) {
+  GateFixture f(4, {}, 2.5);
+  ctrl::SignalTable signals;
+  f.gate->attach_signals(&signals);
+  // An unopened server reads the balance it would open with.
+  EXPECT_DOUBLE_EQ(f.gate->balance(2), 2.5);
+  f.gate->offer(make_out(2, 1.0, 1));
+  ASSERT_EQ(f.transmitted.size(), 1u);
+  EXPECT_DOUBLE_EQ(signals.credit_balance(2), 1.5);
+  EXPECT_DOUBLE_EQ(f.gate->balance(2), 1.5);
+
+  // Below one credit the first request is held, and the opening
+  // balance itself is what the table shows.
+  GateFixture poor(4, {}, 0.25);
+  poor.gate->attach_signals(&signals);
+  poor.gate->offer(make_out(3, 1.0, 1));
+  EXPECT_EQ(poor.gate->held(), 1u);
+  EXPECT_DOUBLE_EQ(signals.credit_balance(3), 0.25);
+}
+
+TEST(CreditGate, IdleFirstTouchGateSendsNoReport) {
+  GateFixture f(3, {}, 1.0);
+  std::vector<CreditList> reports;
+  f.gate->set_report([&](const CreditList& rates) { reports.push_back(rates); });
+  f.gate->start();
+  f.simulator.run_until(Time::millis(350));
+  EXPECT_TRUE(reports.empty());
+  // One offer: the next tick lists only that server; later ticks are
+  // silent again.
+  f.simulator.schedule_at(Time::millis(360), [&] { f.gate->offer(make_out(1, 1.0, 1)); });
+  f.simulator.run_until(Time::millis(650));
+  f.gate->stop();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0], (CreditList{{1, 10.0}}));
+}
+
+TEST(CreditGate, PinnedAndFirstTouchSlotsShareOneReport) {
+  // Server 0 pinned, the others first-touch.
+  GateFixture f(3, {{0, 5.0}}, 1.0);
+  std::vector<CreditList> reports;
+  f.gate->set_report([&](const CreditList& rates) { reports.push_back(rates); });
+  f.gate->start();
+  f.simulator.schedule_at(Time::millis(10), [&] { f.gate->offer(make_out(2, 1.0, 1)); });
+  f.simulator.run_until(Time::millis(250));
+  f.gate->stop();
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0], (CreditList{{0, 0.0}, {2, 10.0}}));
+  EXPECT_EQ(reports[1], (CreditList{{0, 0.0}}));
 }
 
 TEST(CreditGate, RejectsMalformedInput) {
   sim::Simulator simulator;
   CreditsConfig config;
   EXPECT_THROW(CreditGate(simulator, 0, config, {}), std::invalid_argument);
-  EXPECT_THROW(CreditGate(simulator, 2, config, {1.0}), std::invalid_argument);
+  EXPECT_THROW(CreditGate(simulator, 2, config, {{2, 1.0}}), std::invalid_argument);
+  EXPECT_THROW(CreditGate(simulator, 2, config, {{1, 1.0}, {0, 1.0}}), std::invalid_argument);
+  EXPECT_THROW(CreditGate(simulator, 2, config, {}, -1.0), std::invalid_argument);
   GateFixture f({1.0});
   EXPECT_THROW(f.gate->offer(make_out(5, 1.0, 1)), std::out_of_range);
-  EXPECT_THROW(f.gate->on_grant({1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW(f.gate->on_grant({{1, 2.0}}), std::out_of_range);
   EXPECT_THROW(f.gate->balance(9), std::out_of_range);
+  GateFixture first_touch(2, {}, 1.0);
+  EXPECT_THROW(first_touch.gate->offer(make_out(2, 1.0, 1)), std::out_of_range);
+  EXPECT_THROW(first_touch.gate->on_grant({{2, 1.0}}), std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------
@@ -173,21 +252,32 @@ struct ControllerFixture {
   sim::Simulator simulator;
   CreditsConfig config;
   std::unique_ptr<CreditsController> controller;
-  std::vector<std::pair<store::ClientId, std::vector<double>>> grants;
+  std::vector<std::pair<store::ClientId, CreditList>> grants;
 
-  ControllerFixture(std::uint32_t clients, std::vector<double> capacities) {
+  /// Every (client, server) pair pinned.
+  ControllerFixture(std::uint32_t clients, std::vector<double> capacities)
+      : ControllerFixture(clients, capacities, all_servers(capacities.size())) {}
+
+  ControllerFixture(std::uint32_t clients, std::vector<double> capacities,
+                    const std::vector<store::ServerId>& pinned_servers) {
     controller = std::make_unique<CreditsController>(simulator, clients, std::move(capacities),
-                                                     config);
-    controller->set_grant_sender([this](store::ClientId client, const std::vector<double>& g) {
+                                                     config, pinned_servers);
+    controller->set_grant_sender([this](store::ClientId client, const CreditList& g) {
       grants.emplace_back(client, g);
     });
+  }
+
+  static std::vector<store::ServerId> all_servers(std::size_t n) {
+    std::vector<store::ServerId> servers(n);
+    for (std::size_t s = 0; s < n; ++s) servers[s] = static_cast<store::ServerId>(s);
+    return servers;
   }
 };
 
 TEST(CreditsController, GrantsProportionallyAfterReports) {
   ControllerFixture f(2, {1000.0});
-  f.controller->on_demand_report(0, {100.0});
-  f.controller->on_demand_report(1, {300.0});
+  f.controller->on_demand_report(0, {{0, 100.0}});
+  f.controller->on_demand_report(1, {{0, 300.0}});
   f.controller->start();
   f.simulator.run_until(Time::seconds(1.5));
   f.controller->stop();
@@ -196,15 +286,15 @@ TEST(CreditsController, GrantsProportionallyAfterReports) {
   // are preserved: client 1 gets 3x client 0 of the proportional pool.
   const double floor_each = 1000.0 * f.config.min_share_fraction / 2.0;
   const double pool = 1000.0 * (1.0 - f.config.min_share_fraction);
-  EXPECT_NEAR(f.grants[0].second[0], floor_each + pool * 0.25, 1e-6);
-  EXPECT_NEAR(f.grants[1].second[0], floor_each + pool * 0.75, 1e-6);
+  EXPECT_NEAR(f.grants[0].second[0].second, floor_each + pool * 0.25, 1e-6);
+  EXPECT_NEAR(f.grants[1].second[0].second, floor_each + pool * 0.75, 1e-6);
 }
 
 TEST(CreditsController, TotalGrantsEqualCapacityPerInterval) {
   ControllerFixture f(3, {500.0, 700.0});
-  f.controller->on_demand_report(0, {10.0, 20.0});
-  f.controller->on_demand_report(1, {30.0, 40.0});
-  f.controller->on_demand_report(2, {60.0, 0.0});
+  f.controller->on_demand_report(0, every_server({10.0, 20.0}));
+  f.controller->on_demand_report(1, every_server({30.0, 40.0}));
+  f.controller->on_demand_report(2, every_server({60.0, 0.0}));
   f.controller->start();
   f.simulator.run_until(Time::seconds(1.5));
   f.controller->stop();
@@ -212,11 +302,73 @@ TEST(CreditsController, TotalGrantsEqualCapacityPerInterval) {
   double total_s0 = 0.0;
   double total_s1 = 0.0;
   for (const auto& [client, grant] : f.grants) {
-    total_s0 += grant[0];
-    total_s1 += grant[1];
+    ASSERT_EQ(grant.size(), 2u);
+    total_s0 += grant[0].second;
+    total_s1 += grant[1].second;
   }
   EXPECT_NEAR(total_s0, 500.0, 1e-6);
   EXPECT_NEAR(total_s1, 700.0, 1e-6);
+}
+
+TEST(CreditsController, PinnedZeroDemandPairIsKeptAndGranted) {
+  // Server 0 pinned, server 1 first-touch.
+  ControllerFixture f(2, {1000.0, 1000.0}, {0});
+  // Dozens of zero reports: a pinned pair is never forgotten.
+  for (int i = 0; i < 50; ++i) f.controller->on_demand_report(0, {{0, 0.0}});
+  f.controller->on_demand_report(1, {{0, 0.0}, {1, 100.0}});
+  f.controller->start();
+  f.simulator.run_until(Time::seconds(1.5));
+  f.controller->stop();
+  ASSERT_EQ(f.grants.size(), 2u);
+  // No demand on record for server 0: both pinned clients split its
+  // floor and its proportional pool equally.
+  EXPECT_EQ(f.grants[0].first, 0u);
+  EXPECT_EQ(f.grants[0].second, (CreditList{{0, 500.0}}));
+  // Server 1's whole budget goes to the one client on its books.
+  EXPECT_EQ(f.grants[1].first, 1u);
+  EXPECT_EQ(f.grants[1].second, (CreditList{{0, 500.0}, {1, 1000.0}}));
+}
+
+TEST(CreditsController, ForgottenFirstTouchPairLeavesTheFloorSplit) {
+  ControllerFixture f(2, {1000.0, 1000.0}, {});
+  f.controller->on_demand_report(0, {{0, 100.0}});
+  f.controller->on_demand_report(1, {{0, 100.0}});
+  f.controller->start();
+  f.simulator.run_until(Time::seconds(1.5));
+  ASSERT_EQ(f.grants.size(), 2u);
+  // Both clients on server 0's books: floor and pool split two ways.
+  EXPECT_EQ(f.grants[0].second, (CreditList{{0, 500.0}}));
+  EXPECT_EQ(f.grants[1].second, (CreditList{{0, 500.0}}));
+
+  // Client 1 moves to server 1; its server-0 EWMA (50 req/s) halves per
+  // report. After 35 reports it is 50 / 2^35 ~ 1.5e-9: still kept.
+  for (int i = 0; i < 35; ++i) f.controller->on_demand_report(1, {{1, 100.0}});
+  f.grants.clear();
+  f.simulator.run_until(Time::seconds(2.5));
+  ASSERT_EQ(f.grants.size(), 2u);
+  ASSERT_EQ(f.grants[1].second.size(), 2u);
+  EXPECT_EQ(f.grants[1].second[0].first, 0u);
+
+  // One more report takes it below 1e-9: forgotten, so server 0's
+  // whole floor goes to client 0, the one client left on its books.
+  f.controller->on_demand_report(1, {{1, 100.0}});
+  f.grants.clear();
+  f.simulator.run_until(Time::seconds(3.5));
+  f.controller->stop();
+  ASSERT_EQ(f.grants.size(), 2u);
+  EXPECT_EQ(f.grants[0].second, (CreditList{{0, 1000.0}}));
+  EXPECT_EQ(f.grants[1].second, (CreditList{{1, 1000.0}}));
+}
+
+TEST(CreditsController, ClientsWithNothingOnTheBooksGetNoGrant) {
+  ControllerFixture f(3, {1000.0}, {});
+  f.controller->on_demand_report(1, {{0, 10.0}});
+  f.controller->start();
+  f.simulator.run_until(Time::seconds(1.5));
+  f.controller->stop();
+  ASSERT_EQ(f.grants.size(), 1u);
+  EXPECT_EQ(f.grants[0].first, 1u);
+  EXPECT_EQ(f.controller->stats().grants_sent, 1u);
 }
 
 TEST(CreditsController, CongestionShrinksThenRecovers) {
@@ -251,16 +403,19 @@ TEST(CreditsController, RejectsMalformedInput) {
   EXPECT_THROW(CreditsController(simulator, 0, {100.0}, config), std::invalid_argument);
   EXPECT_THROW(CreditsController(simulator, 1, {}, config), std::invalid_argument);
   EXPECT_THROW(CreditsController(simulator, 1, {0.0}, config), std::invalid_argument);
+  EXPECT_THROW(CreditsController(simulator, 1, {100.0}, config, {1}), std::invalid_argument);
+  EXPECT_THROW(CreditsController(simulator, 1, {100.0, 100.0}, config, {1, 0}),
+               std::invalid_argument);
   ControllerFixture f(2, {100.0});
-  EXPECT_THROW(f.controller->on_demand_report(5, {1.0}), std::out_of_range);
-  EXPECT_THROW(f.controller->on_demand_report(0, {1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW(f.controller->on_demand_report(5, {{0, 1.0}}), std::out_of_range);
+  EXPECT_THROW(f.controller->on_demand_report(0, {{0, 1.0}, {1, 2.0}}), std::out_of_range);
   EXPECT_THROW(f.controller->on_congestion_signal(3, 1), std::out_of_range);
   EXPECT_THROW(f.controller->capacity_factor(3), std::out_of_range);
 }
 
 TEST(CreditsController, StatsCount) {
   ControllerFixture f(1, {100.0});
-  f.controller->on_demand_report(0, {1.0});
+  f.controller->on_demand_report(0, {{0, 1.0}});
   f.controller->on_congestion_signal(0, 10);
   f.controller->start();
   f.simulator.run_until(Time::seconds(2.5));
@@ -334,7 +489,7 @@ TEST(CreditAwarePolicy, PrefersFundedReplicas) {
   sim::Simulator simulator;
   CreditsConfig config;
   ctrl::SignalTable signals;
-  CreditGate gate(simulator, 3, config, {0.0, 5.0, 0.0});
+  CreditGate gate(simulator, 3, config, every_server({0.0, 5.0, 0.0}));
   gate.attach_signals(&signals);
   const auto aware = credit_aware("round-robin");
   // Only server 1 is funded.
@@ -347,7 +502,7 @@ TEST(CreditAwarePolicy, FallsBackWhenAllBroke) {
   sim::Simulator simulator;
   CreditsConfig config;
   ctrl::SignalTable signals;
-  CreditGate gate(simulator, 3, config, {0.0, 0.0, 0.0});
+  CreditGate gate(simulator, 3, config, every_server({0.0, 0.0, 0.0}));
   gate.attach_signals(&signals);
   const auto aware = credit_aware("first");
   EXPECT_EQ(aware->plan(signals, {2, 1, 0}, Duration::zero()).primary(), 2u);  // rule decides
@@ -357,7 +512,7 @@ TEST(CreditAwarePolicy, PassThroughWhenAllFunded) {
   sim::Simulator simulator;
   CreditsConfig config;
   ctrl::SignalTable signals;
-  CreditGate gate(simulator, 3, config, {5.0, 5.0, 5.0});
+  CreditGate gate(simulator, 3, config, every_server({5.0, 5.0, 5.0}));
   gate.attach_signals(&signals);
   const auto aware = credit_aware("round-robin");
   EXPECT_EQ(aware->plan(signals, {0, 1, 2}, Duration::zero()).primary(), 0u);
@@ -370,7 +525,7 @@ TEST(CreditAwarePolicy, MirrorTracksSpends) {
   sim::Simulator simulator;
   CreditsConfig config;
   ctrl::SignalTable signals;
-  CreditGate gate(simulator, 2, config, {1.0, 5.0});
+  CreditGate gate(simulator, 2, config, every_server({1.0, 5.0}));
   gate.attach_signals(&signals);
   EXPECT_DOUBLE_EQ(signals.credit_balance(0), 1.0);
   bool sent = false;
@@ -383,7 +538,7 @@ TEST(CreditAwarePolicy, MirrorTracksSpends) {
   EXPECT_DOUBLE_EQ(signals.credit_balance(1), 5.0);
 
   // A grant refills the mirror too.
-  gate.on_grant({3.0, 3.0});
+  gate.on_grant(every_server({3.0, 3.0}));
   EXPECT_DOUBLE_EQ(signals.credit_balance(0), 3.0);
 }
 

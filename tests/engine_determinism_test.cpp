@@ -341,5 +341,14 @@ TEST(FlagValidation, EditDistanceBasics) {
   EXPECT_FALSE(util::closest_name("zzzz", {"servers", "seeds"}).has_value());
 }
 
+TEST(FlagValidation, SplitListDropsEmptyParts) {
+  using Parts = std::vector<std::string>;
+  EXPECT_EQ(util::split_list("a,b"), (Parts{"a", "b"}));
+  EXPECT_EQ(util::split_list(",a,,b,"), (Parts{"a", "b"}));
+  EXPECT_EQ(util::split_list("a:1,b:2"), (Parts{"a:1", "b:2"}));
+  EXPECT_TRUE(util::split_list("").empty());
+  EXPECT_TRUE(util::split_list(",,").empty());
+}
+
 }  // namespace
 }  // namespace brb

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <string>
@@ -292,6 +293,67 @@ TEST(Scenario, PolicyMatrixObservablesArePinned) {
     EXPECT_EQ(result.requests_completed, pinned[i].requests_completed);
     EXPECT_EQ(result.task_latency.percentile(50).count_nanos(), pinned[i].p50_ns);
     EXPECT_EQ(result.task_latency.percentile(99).count_nanos(), pinned[i].p99_ns);
+  }
+}
+
+TEST(Scenario, CreditsObservablesArePinned) {
+  // The credits realization's control loop, pinned on both credit-pair
+  // layouts: every pair pinned (credits-interval's adaptation-cadence
+  // sweep) and first-touch pairs only (a fleet past 2^24 pairs).
+  struct Pinned {
+    const char* label;
+    std::uint64_t events_processed;
+    std::uint64_t network_messages;
+    std::uint64_t credit_hold_events;
+    std::uint64_t controller_adaptations;
+    std::int64_t p50_ns;
+    std::int64_t p99_ns;
+  };
+  const auto check = [](const std::vector<cli::ExperimentCase>& cases, const Pinned& pin) {
+    SCOPED_TRACE(pin.label);
+    const auto it = std::find_if(cases.begin(), cases.end(), [&](const cli::ExperimentCase& c) {
+      return c.label == pin.label;
+    });
+    ASSERT_NE(it, cases.end());
+    const RunResult result = run_scenario(it->config);
+    EXPECT_EQ(result.events_processed, pin.events_processed);
+    EXPECT_EQ(result.network_messages, pin.network_messages);
+    EXPECT_EQ(result.credit_hold_events, pin.credit_hold_events);
+    EXPECT_EQ(result.controller_adaptations, pin.controller_adaptations);
+    EXPECT_EQ(result.task_latency.percentile(50).count_nanos(), pin.p50_ns);
+    EXPECT_EQ(result.task_latency.percentile(99).count_nanos(), pin.p99_ns);
+  };
+
+  const Pinned all_pinned[] = {
+      {"equalmax-model", 276049u, 177366u, 0u, 0u, 398720, 7018496},
+      {"equalmax-credits@adapt-ms=100", 277061u, 177960u, 3789u, 11u, 466304, 27090944},
+      {"equalmax-credits@adapt-ms=250", 276495u, 177618u, 1086u, 4u, 454784, 11636736},
+      {"equalmax-credits@adapt-ms=500", 276457u, 177582u, 1357u, 2u, 457600, 33103872},
+      {"equalmax-credits@adapt-ms=1000", 276438u, 177564u, 14u, 1u, 454784, 8720384},
+      {"equalmax-credits@adapt-ms=2000", 276382u, 177528u, 0u, 0u, 454784, 8523776},
+      {"equalmax-credits@adapt-ms=4000", 276382u, 177528u, 0u, 0u, 454784, 8523776},
+  };
+  {
+    const char* argv[] = {"brbsim", "--tasks=10000", "--seed=1"};
+    const util::Flags flags(3, argv);
+    const auto cases =
+        cli::find_scenario("credits-interval")->expand(cli::config_from_flags(flags), flags);
+    ASSERT_EQ(cases.size(), std::size(all_pinned));
+    for (const Pinned& pin : all_pinned) check(cases, pin);
+  }
+
+  // 1000 x 17000 = 17M pairs, just past 2^24: every credit pair is
+  // first-touch. Each opening balance is below one credit, so nearly
+  // every request waits for the first grant (see README, scaling).
+  const Pinned first_touch = {"equalmax-credits", 290008u, 79998u, 35999u, 1u, 999555072,
+                              1009516544};
+  {
+    const char* argv[] = {"brbsim", "--servers=1000", "--clients=17000", "--tasks=4000",
+                          "--seed=1"};
+    const util::Flags flags(5, argv);
+    const auto cases =
+        cli::find_scenario("mega-fleet")->expand(cli::config_from_flags(flags), flags);
+    check(cases, first_touch);
   }
 }
 
