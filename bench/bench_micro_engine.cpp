@@ -292,9 +292,8 @@ MicroResult bench_task_gen_fill(std::uint64_t tasks_target) {
 }
 
 MicroResult bench_service_start(std::uint64_t ops) {
-  // The devirtualized service fast path end-to-end: receive -> FIFO
-  // ring push/pop -> inline service-time draw -> completion
-  // event -> pump. A closed loop of 8 outstanding requests keeps all 4
+  // One queued-service round trip end to end: receive -> FIFO ring
+  // push/pop -> service-time draw -> completion event -> pump. A closed loop of 8 outstanding requests keeps all 4
   // cores busy, so every op is one full queued-service round trip.
   brb::sim::Simulator sim;
   brb::server::BackendServer::Config cfg;

@@ -266,18 +266,13 @@ void record_trace(const ScenarioConfig& base, const std::string& path) {
   gen_config.num_clients = base.num_clients;
   const workload::CapacityPlanner planner(base.cluster);
   const double task_rate = planner.task_rate_for_utilization(base.utilization, fanout->mean());
-  std::unique_ptr<workload::ArrivalProcess> arrivals;
-  if (!base.arrival_spec.empty()) {
-    // Arrival times are baked into the trace, so a diurnal recording
-    // replays with its envelope intact.
-    arrivals = workload::make_arrival_process(base.arrival_spec, task_rate);
-  } else if (base.paced_arrivals) {
-    arrivals = std::make_unique<workload::PacedArrivals>(task_rate);
-  } else {
-    arrivals = std::make_unique<workload::PoissonArrivals>(task_rate);
-  }
-  workload::TaskGenerator generator(gen_config, dataset, *keys, *fanout, std::move(arrivals),
-                                    rng.split());
+  // Arrival times are baked into the trace, so a diurnal recording
+  // replays with its envelope intact.
+  workload::TaskGenerator generator(
+      gen_config, dataset, *keys, *fanout,
+      workload::make_arrival_process(base.paced_arrivals ? "paced" : base.arrival_spec,
+                                     task_rate),
+      rng.split());
   const auto tasks = generator.generate(base.num_tasks);
   workload::TraceWriter::write_file(path, tasks);
 }

@@ -27,20 +27,9 @@ AppClient::AppClient(sim::Simulator& sim, Config config, const store::Partitione
     throw std::invalid_argument("AppClient: negative cost noise sigma");
   }
   gate_->set_transmit([this](OutboundRequest& out) { transmit_now(out); });
-  // Noise-free linear cost model: forecasts are a pure function of the
-  // size hint, computed inline in forecast_cost (one multiply-add; no
-  // per-client state at mega-fleet client counts).
-  if (config_.cost_noise_sigma == 0.0) {
-    const auto* linear = dynamic_cast<const server::SizeLinearServiceModel*>(cost_model_);
-    if (linear != nullptr && linear->noise_sigma() == 0.0) {
-      linear_cost_ = linear;
-      cost_base_nanos_ = linear->base().count_nanos();
-      cost_per_byte_ = linear->per_byte_nanos();
-    }
-  }
 }
 
-sim::Duration AppClient::forecast_cost_slow(std::uint32_t size_hint) {
+sim::Duration AppClient::forecast_cost(std::uint32_t size_hint) {
   const sim::Duration exact = cost_model_->expected(size_hint);
   if (config_.cost_noise_sigma == 0.0) return exact;
   // Multiplicative log-normal noise with unit mean models imperfect

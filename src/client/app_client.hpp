@@ -222,20 +222,9 @@ class AppClient : public sim::Actor {
     std::uint32_t next_free = kNoLogical;
   };
 
-  /// Expected-cost forecast with the virtual dispatch peeled off: the
-  /// noise-free linear model (the default configuration) collapses to
-  /// one multiply-add, computed inline — no per-client state, which
-  /// matters at mega-fleet client counts. Identical to
-  /// `cost_model_->expected(size_hint)` plus the optional noise draw.
-  sim::Duration forecast_cost(std::uint32_t size_hint) {
-    if (linear_cost_ != nullptr) {
-      return sim::Duration::nanos(
-          cost_base_nanos_ +
-          static_cast<std::int64_t>(cost_per_byte_ * static_cast<double>(size_hint)));
-    }
-    return forecast_cost_slow(size_hint);
-  }
-  sim::Duration forecast_cost_slow(std::uint32_t size_hint);
+  /// Expected-cost forecast: `cost_model_->expected(size_hint)` plus
+  /// the optional noise draw.
+  sim::Duration forecast_cost(std::uint32_t size_hint);
   /// Home slot of `task_id`: the top bits of a Fibonacci hash.
   std::size_t pending_home(store::TaskId task_id) const noexcept {
     return static_cast<std::size_t>((task_id * 0x9E3779B97F4A7C15ULL) >> pending_shift_);
@@ -266,10 +255,6 @@ class AppClient : public sim::Actor {
                      store::TaskId task_id);
 
   Config config_;
-  /// Noise-free linear cost model, resolved once (null otherwise).
-  const server::SizeLinearServiceModel* linear_cost_ = nullptr;
-  std::int64_t cost_base_nanos_ = 0;
-  double cost_per_byte_ = 0.0;
   /// Requests vectors recycled from completed tasks, feeding the
   /// TaskView submit path (bounded; steady state allocates nothing).
   static constexpr std::size_t kSpecPoolMax = 64;

@@ -49,7 +49,6 @@ void RateLimitedGate::drain(store::ServerId server) {
 
 void RateLimitedGate::on_response(store::ServerId server, const store::ServerFeedback& feedback) {
   controller_.on_response(server, feedback, sim_->now());
-  if (signals_ != nullptr) signals_->set_rate_cap(server, controller_.rate_of(server));
   // A rate increase may allow held requests to go out sooner.
   if (server < servers_.size() && !servers_[server].queue.empty()) {
     schedule_drain(server);

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "ctrl/signal_table.hpp"
 #include "policy/c3.hpp"
 #include "sim/simulator.hpp"
 #include "store/types.hpp"
@@ -83,21 +82,6 @@ class RateLimitedGate final : public DispatchGate {
   std::size_t held() const noexcept override { return held_; }
   std::string name() const override { return "cubic-rate"; }
 
-  /// Mirrors the per-server rate caps into the client's SignalTable:
-  /// seeded with the controller's initial rate for servers
-  /// [0, num_servers) immediately, then updated whenever the
-  /// controller adapts (control-plane observability; selection
-  /// policies may read `rate_cap`).
-  void attach_signals(ctrl::SignalTable* signals, std::uint32_t num_servers = 0) {
-    signals_ = signals;
-    if (signals_ == nullptr) return;
-    for (std::uint32_t s = 0; s < num_servers; ++s) {
-      signals_->set_rate_cap(s, controller_.rate_of(s));
-    }
-  }
-
-  const policy::CubicRateController& controller() const noexcept { return controller_; }
-
  private:
   /// Per-server hold state, indexed densely by ServerId.
   struct PerServer {
@@ -112,7 +96,6 @@ class RateLimitedGate final : public DispatchGate {
   sim::Simulator* sim_;
   policy::CubicRateController controller_;
   std::vector<PerServer> servers_;
-  ctrl::SignalTable* signals_ = nullptr;
   std::size_t held_ = 0;
 };
 

@@ -403,6 +403,9 @@ RunResult run_scenario(const ScenarioConfig& config) {
     admission.rate = config.rate;
     if (admission.rate.initial_rate <= 0.0) {
       admission.rate.initial_rate = per_server_capacity / static_cast<double>(num_clients);
+      // A fair share below the rate floor (large client fleets) lowers
+      // the floor with it; an explicit initial rate keeps the check.
+      admission.rate.min_rate = std::min(admission.rate.min_rate, admission.rate.initial_rate);
     }
   }
 
@@ -568,25 +571,20 @@ RunResult run_scenario(const ScenarioConfig& config) {
   // --- workload ---
   workload::TaskGenerator::Config gen_config;
   gen_config.num_clients = num_clients;
-  std::unique_ptr<workload::ArrivalProcess> arrivals;
-  if (!config.arrival_spec.empty()) {
-    arrivals = workload::make_arrival_process(config.arrival_spec, task_rate);
-  } else if (config.paced_arrivals) {
-    arrivals = std::make_unique<workload::PacedArrivals>(task_rate);
-  } else {
-    arrivals = std::make_unique<workload::PoissonArrivals>(task_rate);
-  }
-  workload::TaskGenerator generator(gen_config, dataset, *key_dist, *fanout_dist,
-                                    std::move(arrivals), rng_workload);
+  workload::TaskGenerator generator(
+      gen_config, dataset, *key_dist, *fanout_dist,
+      workload::make_arrival_process(config.paced_arrivals ? "paced" : config.arrival_spec,
+                                     task_rate),
+      rng_workload);
   generator.set_write_traffic(config.write_fraction, size_dist.get());
   if (!tenant_mixes.empty()) generator.set_tenants(std::move(tenant_mixes));
 
   // Arrival pump. Trace replay schedules everything upfront (arrival
   // order is arbitrary but times are fixed); generated workloads pump
   // lazily in pregenerated blocks: the generator fills a TaskBlock of
-  // up to kArrivalBlock tasks at once (batched sampling, slab-backed
-  // requests), and each arrival event submits its task straight from
-  // the block and chains the next. Event order is identical to the
+  // up to kArrivalBlock tasks at once (slab-backed requests), and
+  // each arrival event submits its task straight from the block and
+  // chains the next. Event order is identical to the
   // one-task-at-a-time pump — exactly one arrival is outstanding, and
   // the block is refilled only after its last task is consumed.
   constexpr std::size_t kArrivalBlock = 256;

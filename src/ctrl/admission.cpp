@@ -38,9 +38,7 @@ std::unique_ptr<client::DispatchGate> make_admission_policy(const std::string& n
     if (context.sim == nullptr) {
       throw std::invalid_argument("make_admission_policy: cubic-rate needs a simulator");
     }
-    auto gate = std::make_unique<client::RateLimitedGate>(*context.sim, context.rate);
-    if (context.signals != nullptr) gate->attach_signals(context.signals, context.num_servers);
-    return gate;
+    return std::make_unique<client::RateLimitedGate>(*context.sim, context.rate);
   }
   if (canonical == "credits") {
     if (context.sim == nullptr || context.num_servers == 0) {

@@ -11,9 +11,9 @@
 // replacing the hard-coded per-system switch the scenario runner
 // carried.
 //
-// The stateful admission gates mirror their observable state (credit
-// balances, rate caps) into the client's SignalTable so selection
-// policies can read it without reaching into gate internals.
+// The credits gate mirrors its balances into the client's SignalTable
+// so selection policies can read them without reaching into gate
+// internals.
 #pragma once
 
 #include <memory>
@@ -40,8 +40,8 @@ struct AdmissionContext {
   /// Cubic-rate admission: controller config with initial_rate already
   /// resolved (> 0).
   policy::CubicRateController::Config rate{};
-  /// When set, the constructed gate mirrors its per-server state
-  /// (credit balances, rate caps) into this table.
+  /// When set, a credits gate mirrors its per-server balances into
+  /// this table.
   SignalTable* signals = nullptr;
 };
 

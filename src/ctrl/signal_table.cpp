@@ -26,7 +26,6 @@ void SignalTable::grow(store::ServerId server) const {
   outstanding_.resize(n, 0);
   pending_cost_ns_.resize(n, 0);
   credit_balance_.resize(n, 0.0);
-  rate_cap_.resize(n, 0.0);
   last_queue_length_.resize(n, 0);
   last_service_rate_.resize(n, 0.0);
   last_feedback_ns_.resize(n, -1);
@@ -45,7 +44,6 @@ SignalTable::Signals SignalTable::of(store::ServerId server) const {
   s.outstanding = outstanding_[server];
   s.pending_cost_ns = pending_cost_ns_[server];
   s.credit_balance = credit_balance_[server];
-  s.rate_cap = rate_cap_[server];
   s.last_queue_length = last_queue_length_[server];
   s.last_service_rate = last_service_rate_[server];
   s.last_feedback_ns = last_feedback_ns_[server];
@@ -162,15 +160,6 @@ void SignalTable::set_credit_balance(store::ServerId server, double balance) {
   credit_balance_[server] = balance;
 }
 
-void SignalTable::set_rate_cap(store::ServerId server, double rate) {
-  if (sparse_) {
-    sparse_->set_rate_cap(server, rate);
-    return;
-  }
-  grow(server);
-  rate_cap_[server] = rate;
-}
-
 std::size_t SignalTable::size() const noexcept {
   return sparse_ ? sparse_->live_entries() : columns_size_;
 }
@@ -193,9 +182,6 @@ double SignalTable::sparse_ewma_service_time_ns(store::ServerId server) const {
 }
 double SignalTable::sparse_credit_balance(store::ServerId server) const {
   return sparse_->credit_balance(server);
-}
-double SignalTable::sparse_rate_cap(store::ServerId server) const {
-  return sparse_->rate_cap(server);
 }
 std::int64_t SignalTable::sparse_last_feedback_ns(store::ServerId server) const {
   return sparse_->last_feedback_ns(server);

@@ -5,10 +5,10 @@
 // selection and admission) used to be smeared across four components,
 // each scraping its own copy of the observables: the C3 selector kept
 // EWMAs, the least-outstanding/least-pending selectors kept counters,
-// the credit gate kept balances, and the rate controller kept caps.
+// and the credit gate kept balances.
 // The SignalTable centralizes all of them in one flat dense-ID store
 // per client, updated from a single feedback path (the client's
-// on-send / on-response hooks plus the admission gate's mirrors).
+// on-send / on-response hooks plus the credit gate's balance mirror).
 // Policies (ctrl/replica_policy.hpp) become pure readers — which is
 // what makes them swappable mid-run: a policy switch binds a new
 // decision procedure to the *same* accumulated signals.
@@ -57,7 +57,7 @@ struct SignalTableConfig {
   /// byte-identical paper path.
   bool sparse = false;
   /// Sparse only: soft cap on tracked (client,server) pairs. Entries
-  /// holding live state (in-flight, gate mirrors) never evict, so the
+  /// holding live state (in-flight, credit balances) never evict, so the
   /// table may exceed the cap rather than corrupt accounting.
   std::uint32_t sparse_cap = 128;
   /// Sparse only: servers per aggregation group (the eviction
@@ -89,11 +89,9 @@ class SignalTable {
     /// Forecast work in flight (summed expected costs), nanoseconds.
     std::int64_t pending_cost_ns = 0;
 
-    // --- admission-side state (mirrored by the dispatch gates) ---
+    // --- admission-side state (mirrored by the credit gate) ---
     /// Current credit balance (credits systems; 0 otherwise).
     double credit_balance = 0.0;
-    /// Current sending-rate cap, req/s (cubic-rate systems; 0 otherwise).
-    double rate_cap = 0.0;
 
     // --- raw last feedback (un-smoothed) ---
     std::uint32_t last_queue_length = 0;
@@ -131,13 +129,12 @@ class SignalTable {
   /// response count — cancelled copies produce no feedback.
   void on_cancel(store::ServerId server, sim::Duration expected_cost);
 
-  /// Admission mirrors (called by the credit gate / rate gate whenever
-  /// their state changes, so selection policies can read balances and
-  /// caps without reaching into gate internals). These columns are
-  /// never staged, so mirror writes need no flush and stay correctly
-  /// ordered relative to batched feedback.
+  /// Admission mirror (called by the credit gate whenever a balance
+  /// changes, so selection policies can read balances without reaching
+  /// into gate internals). The column is never staged, so mirror writes
+  /// need no flush and stay correctly ordered relative to batched
+  /// feedback.
   void set_credit_balance(store::ServerId server, double balance);
-  void set_rate_cap(store::ServerId server, double rate);
 
   /// Row snapshot; servers beyond the table read as the zero state.
   Signals of(store::ServerId server) const;
@@ -182,14 +179,10 @@ class SignalTable {
     return server < last_feedback_ns_.size() ? last_feedback_ns_[server] : -1;
   }
 
-  // --- mirror columns (never staged; no flush required) ---
+  // --- mirror column (never staged; no flush required) ---
   double credit_balance(store::ServerId server) const {
     if (sparse_) return sparse_credit_balance(server);
     return server < credit_balance_.size() ? credit_balance_[server] : 0.0;
-  }
-  double rate_cap(store::ServerId server) const {
-    if (sparse_) return sparse_rate_cap(server);
-    return server < rate_cap_.size() ? rate_cap_[server] : 0.0;
   }
 
   /// Dense: servers contacted so far (table growth high-water mark).
@@ -239,7 +232,6 @@ class SignalTable {
   double sparse_ewma_queue(store::ServerId server) const;
   double sparse_ewma_service_time_ns(store::ServerId server) const;
   double sparse_credit_balance(store::ServerId server) const;
-  double sparse_rate_cap(store::ServerId server) const;
   std::int64_t sparse_last_feedback_ns(store::ServerId server) const;
 
   SignalTableConfig config_;
@@ -254,7 +246,6 @@ class SignalTable {
   mutable std::vector<std::uint32_t> outstanding_;
   mutable std::vector<std::int64_t> pending_cost_ns_;
   mutable std::vector<double> credit_balance_;
-  mutable std::vector<double> rate_cap_;
   mutable std::vector<std::uint32_t> last_queue_length_;
   mutable std::vector<double> last_service_rate_;
   mutable std::vector<std::int64_t> last_feedback_ns_;

@@ -85,15 +85,11 @@ void SparseSignalTable::evict_one() {
   // victim is the same whatever order the entries sit in. An entry is
   // pinned while it holds state that must not silently vanish:
   // in-flight accounting (a response or cancel will come back for it)
-  // or a gate mirror (balances and caps are the gate's authoritative
-  // view for selection).
+  // or a credit balance (the gate's authoritative view for selection).
   std::size_t victim = entries_.size();
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
-    if (e.outstanding > 0 || e.pending_cost_ns > 0 || e.credit_balance != 0.0 ||
-        e.rate_cap != 0.0) {
-      continue;
-    }
+    if (e.outstanding > 0 || e.pending_cost_ns > 0 || e.credit_balance != 0.0) continue;
     if (victim == entries_.size() || e.lru_tick < entries_[victim].lru_tick) victim = i;
   }
   if (victim == entries_.size()) return;  // everything pinned: soft cap grows
@@ -194,10 +190,6 @@ void SparseSignalTable::set_credit_balance(store::ServerId server, double balanc
   touch(server).credit_balance = balance;
 }
 
-void SparseSignalTable::set_rate_cap(store::ServerId server, double rate) {
-  touch(server).rate_cap = rate;
-}
-
 SignalTable::Signals SparseSignalTable::of(store::ServerId server) const {
   SignalTable::Signals s;
   if (const Entry* e = find(server)) {
@@ -208,7 +200,6 @@ SignalTable::Signals SparseSignalTable::of(store::ServerId server) const {
     s.outstanding = e->outstanding;
     s.pending_cost_ns = e->pending_cost_ns;
     s.credit_balance = e->credit_balance;
-    s.rate_cap = e->rate_cap;
     s.last_queue_length = e->last_queue_length;
     s.last_service_rate = e->last_service_rate;
     s.last_feedback_ns = e->last_feedback_ns;
@@ -263,11 +254,6 @@ double SparseSignalTable::ewma_service_time_ns(store::ServerId server) const {
 double SparseSignalTable::credit_balance(store::ServerId server) const {
   const Entry* e = find(server);
   return e != nullptr ? e->credit_balance : 0.0;
-}
-
-double SparseSignalTable::rate_cap(store::ServerId server) const {
-  const Entry* e = find(server);
-  return e != nullptr ? e->rate_cap : 0.0;
 }
 
 std::int64_t SparseSignalTable::last_feedback_ns(store::ServerId server) const {

@@ -7,7 +7,7 @@
 // the pairs a client has actually touched:
 //
 //   * layout: the live entries sit back to back in one dense vector
-//     (88 bytes each), found through a separate power-of-two index of
+//     (80 bytes each), found through a separate power-of-two index of
 //     4-byte slots holding entry position + 1 (0 = empty) —
 //     multiply-shift hash on the ServerId, linear probing, at most 1/2
 //     load, backward-shift deletion (no tombstones). Both start empty
@@ -19,7 +19,7 @@
 //   * a *soft* per-client entry cap with LRU eviction: writes stamp a
 //     deterministic tick, inserts over the cap evict the
 //     least-recently-written entry that holds no live state
-//     (in-flight accounting and admission mirrors pin an entry — a
+//     (in-flight accounting and credit balances pin an entry — a
 //     gate's balance must never silently vanish). When every entry is
 //     pinned the table grows past the cap instead of corrupting state;
 //   * hierarchical per-server-group aggregation as the fallback: an
@@ -65,7 +65,6 @@ class SparseSignalTable {
                    sim::Duration rtt, sim::Duration expected_cost, sim::Time at);
   void on_cancel(store::ServerId server, sim::Duration expected_cost);
   void set_credit_balance(store::ServerId server, double balance);
-  void set_rate_cap(store::ServerId server, double rate);
 
   /// Row snapshot. A pair not in the table answers with its group
   /// aggregate when one exists (seen, EWMAs = group means, all
@@ -79,7 +78,6 @@ class SparseSignalTable {
   double ewma_queue(store::ServerId server) const;
   double ewma_service_time_ns(store::ServerId server) const;
   double credit_balance(store::ServerId server) const;
-  double rate_cap(store::ServerId server) const;
   std::int64_t last_feedback_ns(store::ServerId server) const;
 
   /// Live (non-evicted) entries.
@@ -100,10 +98,9 @@ class SparseSignalTable {
     double ewma_queue = 0.0;
     double ewma_service_ns = 0.0;
     double credit_balance = 0.0;
-    double rate_cap = 0.0;
     double last_service_rate = 0.0;
   };
-  static_assert(sizeof(Entry) == 88);
+  static_assert(sizeof(Entry) == 80);
 
   /// Running means of the response-path EWMAs folded out of evicted
   /// entries — the group's collective memory of servers the window no

@@ -52,7 +52,8 @@ class CubicRateController {
   struct Config {
     /// Initial per-server rate cap, requests/second. 0 means "resolve
     /// to a fair share of server capacity" — the experiment runner
-    /// substitutes capacity/num_clients before construction.
+    /// substitutes capacity/num_clients before construction, lowering
+    /// min_rate to that share when it is smaller.
     double initial_rate = 0.0;
     /// Multiplicative decrease factor on congestion.
     double beta = 0.2;

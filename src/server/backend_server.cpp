@@ -19,15 +19,6 @@ BackendServer::BackendServer(sim::Simulator& sim, Config config,
   // average-sized (1-byte baseline) request. Refined on first completion.
   const double expected_ns = static_cast<double>(service_model_->expected(1).count_nanos());
   ewma_rate_ = expected_ns > 0 ? 1e9 / expected_ns * config_.cores : 1.0;
-  // Resolve the concrete model type once; a noise-free linear model is
-  // a pure function of size, so every start_service draw collapses to
-  // one inline multiply-add (no model math, no RNG).
-  linear_model_ = dynamic_cast<const SizeLinearServiceModel*>(service_model_);
-  if (linear_model_ != nullptr && linear_model_->noise_sigma() == 0.0) {
-    linear_deterministic_ = linear_model_;
-    linear_base_nanos_ = linear_model_->base().count_nanos();
-    linear_per_byte_ = linear_model_->per_byte_nanos();
-  }
 }
 
 void BackendServer::receive(const store::ReadRequest& request) {
@@ -73,7 +64,7 @@ void BackendServer::start_service(const store::ReadRequest& request) {
   // work proportional to the payload being installed instead.
   const std::uint32_t size = request.is_write ? std::max(1u, request.write_size)
                                              : storage_.size_of(request.key).value_or(1);
-  const sim::Duration service_time = draw_service_time(size);
+  const sim::Duration service_time = service_model_->sample(size, rng_);
   const sim::Time done_at = now() + service_time;
   sim().schedule_at(done_at, [this, request_id = request.request_id, task_id = request.task_id,
                               key = request.key, client = request.client, service_time, size,

@@ -121,21 +121,6 @@ class BackendServer : public sim::Actor {
 
  private:
   void start_service(const store::ReadRequest& request);
-  /// Service-time draw with the virtual dispatch peeled off: a direct
-  /// call for SizeLinearServiceModel; when it is noise-free the draw
-  /// collapses to one inline multiply-add (no model math, no RNG, no
-  /// per-server state — which matters at mega-fleet server counts).
-  /// Falls back to the virtual sample() for other models.
-  /// Draw-for-draw identical to `service_model_->sample(size, rng_)`.
-  sim::Duration draw_service_time(std::uint32_t size) {
-    if (linear_deterministic_ != nullptr) {
-      return sim::Duration::nanos(
-          linear_base_nanos_ +
-          static_cast<std::int64_t>(linear_per_byte_ * static_cast<double>(size)));
-    }
-    if (linear_model_ != nullptr) return linear_model_->sample(size, rng_);
-    return service_model_->sample(size, rng_);
-  }
   /// Completion takes only the response-relevant request fields — the
   /// scheduled closure stays small enough for the event queue's inline
   /// callback storage instead of copying the whole QueuedRead.
@@ -156,13 +141,6 @@ class BackendServer : public sim::Actor {
 
   Config config_;
   const ServiceTimeModel* service_model_;
-  /// Devirtualized alias (null unless the model is SizeLinearServiceModel).
-  const SizeLinearServiceModel* linear_model_ = nullptr;
-  /// Set iff `linear_model_` is noise-free: service times are then a
-  /// pure function of size, served from the memo table with no RNG.
-  const SizeLinearServiceModel* linear_deterministic_ = nullptr;
-  std::int64_t linear_base_nanos_ = 0;
-  double linear_per_byte_ = 0.0;
   util::Rng rng_;
   std::optional<QueueDiscipline> queue_;  // private-queue mode
   WorkSource* source_ = nullptr;          // global-queue mode

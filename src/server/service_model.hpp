@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "sim/time.hpp"
 #include "util/rng.hpp"
@@ -29,8 +28,6 @@ class ServiceTimeModel {
   /// client-side forecast (the paper's clients predict cost from the
   /// requested value size).
   virtual sim::Duration expected(std::uint32_t size) const = 0;
-
-  virtual std::string name() const = 0;
 };
 
 /// t(size) = base + size * per_byte, optionally scaled by log-normal
@@ -56,11 +53,6 @@ class SizeLinearServiceModel final : public ServiceTimeModel {
     return base_ + sim::Duration::nanos(
                        static_cast<std::int64_t>(per_byte_nanos_ * static_cast<double>(size)));
   }
-  std::string name() const override { return "size-linear"; }
-
-  sim::Duration base() const noexcept { return base_; }
-  double per_byte_nanos() const noexcept { return per_byte_nanos_; }
-  double noise_sigma() const noexcept { return noise_sigma_; }
 
  private:
   sim::Duration base_;
@@ -77,7 +69,6 @@ class ExponentialServiceModel final : public ServiceTimeModel {
 
   sim::Duration sample(std::uint32_t size, util::Rng& rng) const override;
   sim::Duration expected(std::uint32_t size) const override;
-  std::string name() const override { return "exponential"; }
 
  private:
   sim::Duration mean_;
@@ -90,7 +81,6 @@ class DeterministicServiceModel final : public ServiceTimeModel {
 
   sim::Duration sample(std::uint32_t, util::Rng&) const override { return value_; }
   sim::Duration expected(std::uint32_t) const override { return value_; }
-  std::string name() const override { return "deterministic"; }
 
  private:
   sim::Duration value_;

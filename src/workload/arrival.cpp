@@ -10,9 +10,9 @@ PoissonArrivals::PoissonArrivals(double rate_per_sec) : rate_(rate_per_sec) {
   if (rate_ <= 0.0) throw std::invalid_argument("PoissonArrivals: rate <= 0");
 }
 
-PacedArrivals::PacedArrivals(double rate_per_sec) : rate_(rate_per_sec) {
-  if (rate_ <= 0.0) throw std::invalid_argument("PacedArrivals: rate <= 0");
-  gap_ = std::max(sim::Duration::nanos(1), sim::Duration::seconds(1.0 / rate_));
+PacedArrivals::PacedArrivals(double rate_per_sec) {
+  if (rate_per_sec <= 0.0) throw std::invalid_argument("PacedArrivals: rate <= 0");
+  gap_ = std::max(sim::Duration::nanos(1), sim::Duration::seconds(1.0 / rate_per_sec));
 }
 
 double ModulatedArrivals::Envelope::at(double t_s) const noexcept {

@@ -24,20 +24,6 @@ class ArrivalProcess {
 
   /// Gap until the next arrival (strictly positive).
   virtual sim::Duration next_gap(util::Rng& rng) = 0;
-
-  /// Fills `out[0..n)` with `n` successive gaps, consuming the RNG
-  /// stream exactly as `n` `next_gap()` calls would (draw-for-draw
-  /// identity). Stateless hot processes override with a devirtualized
-  /// loop; the default scalar loop is always correct (and the only
-  /// legal path for stateful processes such as ModulatedArrivals).
-  virtual void next_gap_batch(util::Rng& rng, sim::Duration* out, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = next_gap(rng);
-  }
-
-  /// Mean arrival rate in tasks/second.
-  virtual double rate_per_sec() const noexcept = 0;
-
-  virtual std::string name() const = 0;
 };
 
 /// Poisson process: exponential inter-arrival gaps.
@@ -45,15 +31,7 @@ class PoissonArrivals final : public ArrivalProcess {
  public:
   explicit PoissonArrivals(double rate_per_sec);
 
-  sim::Duration next_gap(util::Rng& rng) override { return gap_inline(rng); }
-  void next_gap_batch(util::Rng& rng, sim::Duration* out, std::size_t n) override {
-    for (std::size_t i = 0; i < n; ++i) out[i] = gap_inline(rng);
-  }
-  double rate_per_sec() const noexcept override { return rate_; }
-  std::string name() const override { return "poisson"; }
-
-  /// Non-virtual sampler for devirtualized callers (TaskGenerator).
-  sim::Duration gap_inline(util::Rng& rng) const {
+  sim::Duration next_gap(util::Rng& rng) override {
     const double gap_seconds = rng.exponential(1.0 / rate_);
     // Never zero: preserves strict event ordering between arrivals.
     return std::max(sim::Duration::nanos(1), sim::Duration::seconds(gap_seconds));
@@ -69,17 +47,8 @@ class PacedArrivals final : public ArrivalProcess {
   explicit PacedArrivals(double rate_per_sec);
 
   sim::Duration next_gap(util::Rng&) override { return gap_; }
-  void next_gap_batch(util::Rng&, sim::Duration* out, std::size_t n) override {
-    std::fill_n(out, n, gap_);
-  }
-  double rate_per_sec() const noexcept override { return rate_; }
-  std::string name() const override { return "paced"; }
-
-  /// Fixed gap, for devirtualized callers.
-  sim::Duration gap() const noexcept { return gap_; }
 
  private:
-  double rate_;
   sim::Duration gap_;
 };
 
@@ -119,9 +88,6 @@ class ModulatedArrivals final : public ArrivalProcess {
   ModulatedArrivals(double mean_rate_per_sec, Envelope envelope);
 
   sim::Duration next_gap(util::Rng& rng) override;
-  double rate_per_sec() const noexcept override { return rate_; }
-  std::string name() const override { return "modulated"; }
-  const Envelope& envelope() const noexcept { return envelope_; }
 
  private:
   double rate_;

@@ -95,32 +95,6 @@ LogNormalFanout LogNormalFanout::for_mean(double target_mean, double sigma, std:
   return LogNormalFanout(0.5 * (lo + hi), sigma, cap);
 }
 
-EmpiricalFanout::EmpiricalFanout(std::vector<double> weights) {
-  if (weights.empty()) throw std::invalid_argument("EmpiricalFanout: empty weights");
-  double total = 0.0;
-  for (const double w : weights) {
-    if (w < 0.0) throw std::invalid_argument("EmpiricalFanout: negative weight");
-    total += w;
-  }
-  if (total <= 0.0) throw std::invalid_argument("EmpiricalFanout: zero total weight");
-  cumulative_.reserve(weights.size());
-  double acc = 0.0;
-  double mean_acc = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i] / total;
-    cumulative_.push_back(acc);
-    mean_acc += static_cast<double>(i + 1) * weights[i] / total;
-  }
-  cumulative_.back() = 1.0;  // absorb rounding
-  mean_ = mean_acc;
-}
-
-std::uint32_t EmpiricalFanout::sample(util::Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
-  return static_cast<std::uint32_t>(std::distance(cumulative_.begin(), it)) + 1;
-}
-
 std::unique_ptr<FanoutDistribution> make_fanout_distribution(const std::string& spec) {
   std::vector<std::string> parts;
   std::stringstream ss(spec);

@@ -4,8 +4,7 @@
 // 8.6 requests per task. The trace itself is proprietary, so we provide
 // several fan-out families whose mean is set to 8.6 (see DESIGN.md,
 // substitutions): a discretized log-normal (heavy right tail — the
-// playlist-like shape the paper motivates), geometric, fixed, and an
-// empirical table for replaying measured histograms.
+// playlist-like shape the paper motivates), geometric and fixed.
 #pragma once
 
 #include <algorithm>
@@ -13,7 +12,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "util/rng.hpp"
 
@@ -26,17 +24,8 @@ class FanoutDistribution {
   /// Number of requests in one task; always >= 1.
   virtual std::uint32_t sample(util::Rng& rng) const = 0;
 
-  /// Fills `out[0..n)` with `n` fan-outs, consuming the RNG stream
-  /// exactly as `n` successive `sample()` calls would (draw-for-draw
-  /// identity). Hot implementations override with a devirtualized loop.
-  virtual void sample_batch(util::Rng& rng, std::uint32_t* out, std::size_t n) const {
-    for (std::size_t i = 0; i < n; ++i) out[i] = sample(rng);
-  }
-
   /// Mean fan-out (analytic or numerically derived at construction).
   virtual double mean() const = 0;
-
-  virtual std::string name() const = 0;
 };
 
 /// Every task has exactly `n` requests.
@@ -45,14 +34,7 @@ class FixedFanout final : public FanoutDistribution {
   explicit FixedFanout(std::uint32_t n);
 
   std::uint32_t sample(util::Rng&) const override { return n_; }
-  void sample_batch(util::Rng&, std::uint32_t* out, std::size_t n) const override {
-    std::fill_n(out, n, n_);
-  }
   double mean() const override { return static_cast<double>(n_); }
-  std::string name() const override { return "fixed"; }
-
-  /// Fixed fan-out value, for devirtualized callers.
-  std::uint32_t value() const noexcept { return n_; }
 
  private:
   std::uint32_t n_;
@@ -64,15 +46,7 @@ class GeometricFanout final : public FanoutDistribution {
   /// Constructs with the target mean (>= 1).
   explicit GeometricFanout(double mean);
 
-  std::uint32_t sample(util::Rng& rng) const override { return sample_inline(rng); }
-  void sample_batch(util::Rng& rng, std::uint32_t* out, std::size_t n) const override {
-    for (std::size_t i = 0; i < n; ++i) out[i] = sample_inline(rng);
-  }
-  double mean() const override { return mean_; }
-  std::string name() const override { return "geometric"; }
-
-  /// Non-virtual sampler for devirtualized callers (TaskGenerator).
-  std::uint32_t sample_inline(util::Rng& rng) const {
+  std::uint32_t sample(util::Rng& rng) const override {
     if (p_ >= 1.0) return 1;
     double u = rng.uniform();
     if (u <= 0.0) u = 1e-300;
@@ -80,6 +54,7 @@ class GeometricFanout final : public FanoutDistribution {
     const double value = 1.0 + std::max(0.0, g);
     return value > 4096.0 ? 4096u : static_cast<std::uint32_t>(value);
   }
+  double mean() const override { return mean_; }
 
  private:
   double mean_;
@@ -97,20 +72,13 @@ class LogNormalFanout final : public FanoutDistribution {
   static LogNormalFanout for_mean(double target_mean, double sigma = 0.8,
                                   std::uint32_t cap = 1024);
 
-  std::uint32_t sample(util::Rng& rng) const override { return sample_inline(rng); }
-  void sample_batch(util::Rng& rng, std::uint32_t* out, std::size_t n) const override {
-    for (std::size_t i = 0; i < n; ++i) out[i] = sample_inline(rng);
-  }
-  double mean() const override { return mean_; }
-  std::string name() const override { return "lognormal"; }
-
-  /// Non-virtual sampler for devirtualized callers (TaskGenerator).
-  std::uint32_t sample_inline(util::Rng& rng) const {
+  std::uint32_t sample(util::Rng& rng) const override {
     const double v = std::round(rng.lognormal(mu_, sigma_));
     if (v < 1.0) return 1;
     if (v > static_cast<double>(cap_)) return cap_;
     return static_cast<std::uint32_t>(v);
   }
+  double mean() const override { return mean_; }
 
   double mu() const noexcept { return mu_; }
   double sigma() const noexcept { return sigma_; }
@@ -119,20 +87,6 @@ class LogNormalFanout final : public FanoutDistribution {
   double mu_;
   double sigma_;
   std::uint32_t cap_;
-  double mean_;
-};
-
-/// Replays an explicit histogram: P(fanout == i+1) = weights[i] / sum.
-class EmpiricalFanout final : public FanoutDistribution {
- public:
-  explicit EmpiricalFanout(std::vector<double> weights);
-
-  std::uint32_t sample(util::Rng& rng) const override;
-  double mean() const override { return mean_; }
-  std::string name() const override { return "empirical"; }
-
- private:
-  std::vector<double> cumulative_;
   double mean_;
 };
 

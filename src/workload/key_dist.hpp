@@ -21,34 +21,18 @@ class KeyDistribution {
   /// Draws a key in [0, num_keys).
   virtual store::KeyId sample(util::Rng& rng) const = 0;
 
-  /// Fills `out[0..n)` with `n` keys, consuming the RNG stream exactly
-  /// as `n` successive `sample()` calls would (draw-for-draw identity —
-  /// pinned by workload_test). Hot implementations override this with a
-  /// devirtualized inner loop; the default is the scalar loop.
-  virtual void sample_batch(util::Rng& rng, store::KeyId* out, std::size_t n) const {
-    for (std::size_t i = 0; i < n; ++i) out[i] = sample(rng);
-  }
-
   virtual std::uint64_t num_keys() const noexcept = 0;
-  virtual std::string name() const = 0;
 };
 
 class UniformKeys final : public KeyDistribution {
  public:
   explicit UniformKeys(std::uint64_t num_keys);
 
-  store::KeyId sample(util::Rng& rng) const override { return sample_inline(rng); }
-  void sample_batch(util::Rng& rng, store::KeyId* out, std::size_t n) const override {
-    for (std::size_t i = 0; i < n; ++i) out[i] = sample_inline(rng);
-  }
-  std::uint64_t num_keys() const noexcept override { return n_; }
-  std::string name() const override { return "uniform"; }
-
-  /// Non-virtual sampler for devirtualized callers (TaskGenerator).
-  store::KeyId sample_inline(util::Rng& rng) const {
+  store::KeyId sample(util::Rng& rng) const override {
     return static_cast<store::KeyId>(
         rng.uniform_int(0, static_cast<std::int64_t>(n_) - 1));
   }
+  std::uint64_t num_keys() const noexcept override { return n_; }
 
  private:
   std::uint64_t n_;
@@ -61,20 +45,12 @@ class ZipfKeys final : public KeyDistribution {
  public:
   ZipfKeys(std::uint64_t num_keys, double exponent);
 
-  store::KeyId sample(util::Rng& rng) const override { return sample_inline(rng); }
-  void sample_batch(util::Rng& rng, store::KeyId* out, std::size_t n) const override {
-    for (std::size_t i = 0; i < n; ++i) out[i] = sample_inline(rng);
-  }
-  std::uint64_t num_keys() const noexcept override { return n_; }
-  std::string name() const override { return "zipf"; }
-  double exponent() const noexcept { return zipf_.exponent(); }
-
-  /// Non-virtual sampler for devirtualized callers (TaskGenerator).
-  store::KeyId sample_inline(util::Rng& rng) const {
+  store::KeyId sample(util::Rng& rng) const override {
     const std::uint64_t rank = zipf_.sample(rng);  // 1-based
     // Scramble so popularity is uncorrelated with partition placement.
     return store::hash_key(rank - 1) % n_;
   }
+  std::uint64_t num_keys() const noexcept override { return n_; }
 
  private:
   std::uint64_t n_;

@@ -7,7 +7,6 @@
 // used in tests and ablations.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -26,20 +25,11 @@ class SizeDistribution {
   /// One value size in bytes; always in [1, max_size()].
   virtual std::uint32_t sample(util::Rng& rng) const = 0;
 
-  /// Fills `out[0..n)` with `n` sizes, consuming the RNG stream exactly
-  /// as `n` successive `sample()` calls would (draw-for-draw identity).
-  /// Hot implementations override with a devirtualized loop; Dataset
-  /// construction uses this to draw the whole keyspace in one call.
-  virtual void sample_batch(util::Rng& rng, std::uint32_t* out, std::size_t n) const {
-    for (std::size_t i = 0; i < n; ++i) out[i] = sample(rng);
-  }
-
   /// Analytic (or high-accuracy numeric) mean of the truncated
   /// distribution, used for service-rate calibration.
   virtual double mean() const = 0;
 
   virtual std::uint32_t max_size() const noexcept = 0;
-  virtual std::string name() const = 0;
 };
 
 /// Generalized Pareto (location mu, scale sigma, shape k), truncated to
@@ -51,25 +41,14 @@ class GeneralizedParetoSizeDist final : public SizeDistribution {
   GeneralizedParetoSizeDist(double location = 0.0, double scale = 214.476,
                             double shape = 0.348238, std::uint32_t cap = 1u << 20);
 
-  std::uint32_t sample(util::Rng& rng) const override { return sample_inline(rng); }
-  void sample_batch(util::Rng& rng, std::uint32_t* out, std::size_t n) const override {
-    for (std::size_t i = 0; i < n; ++i) out[i] = sample_inline(rng);
-  }
-  double mean() const override;
-  std::uint32_t max_size() const noexcept override { return cap_; }
-  std::string name() const override { return "gpareto"; }
-
-  /// Non-virtual sampler for devirtualized callers (Dataset, writes).
-  std::uint32_t sample_inline(util::Rng& rng) const {
+  std::uint32_t sample(util::Rng& rng) const override {
     const double v = rng.generalized_pareto(shape_, scale_, location_);
     if (v < 1.0) return 1;
     if (v > static_cast<double>(cap_)) return cap_;
     return static_cast<std::uint32_t>(v);
   }
-
-  double location() const noexcept { return location_; }
-  double scale() const noexcept { return scale_; }
-  double shape() const noexcept { return shape_; }
+  double mean() const override;
+  std::uint32_t max_size() const noexcept override { return cap_; }
 
  private:
   double location_;
@@ -85,12 +64,8 @@ class FixedSizeDist final : public SizeDistribution {
   explicit FixedSizeDist(std::uint32_t size);
 
   std::uint32_t sample(util::Rng&) const override { return size_; }
-  void sample_batch(util::Rng&, std::uint32_t* out, std::size_t n) const override {
-    std::fill_n(out, n, size_);
-  }
   double mean() const override { return static_cast<double>(size_); }
   std::uint32_t max_size() const noexcept override { return size_; }
-  std::string name() const override { return "fixed"; }
 
  private:
   std::uint32_t size_;
@@ -104,7 +79,6 @@ class BoundedParetoSizeDist final : public SizeDistribution {
   std::uint32_t sample(util::Rng& rng) const override;
   double mean() const override;
   std::uint32_t max_size() const noexcept override { return hi_; }
-  std::string name() const override { return "bpareto"; }
 
  private:
   double shape_;
@@ -120,7 +94,6 @@ class LogNormalSizeDist final : public SizeDistribution {
   std::uint32_t sample(util::Rng& rng) const override;
   double mean() const override;
   std::uint32_t max_size() const noexcept override { return cap_; }
-  std::string name() const override { return "lognormal"; }
 
  private:
   double mu_;

@@ -9,12 +9,12 @@ namespace brb::workload {
 
 Dataset::Dataset(std::uint64_t num_keys, const SizeDistribution& sizes, util::Rng rng) {
   if (num_keys == 0) throw std::invalid_argument("Dataset: num_keys == 0");
-  // One batched call draws the whole keyspace; the per-key draw order
-  // is identical to the scalar loop it replaced.
-  sizes_.resize(num_keys);
-  sizes.sample_batch(rng, sizes_.data(), num_keys);
+  sizes_.reserve(num_keys);
   double acc = 0.0;
-  for (const std::uint32_t size : sizes_) acc += size;
+  for (std::uint64_t key = 0; key < num_keys; ++key) {
+    sizes_.push_back(sizes.sample(rng));
+    acc += sizes_.back();
+  }
   mean_size_ = acc / static_cast<double>(num_keys);
 }
 
@@ -105,13 +105,6 @@ TaskGenerator::TaskGenerator(Config config, const Dataset& dataset, const KeyDis
     throw std::invalid_argument("TaskGenerator: key distribution exceeds dataset keyspace");
   }
   if (!arrivals_) throw std::invalid_argument("TaskGenerator: null arrival process");
-  // Resolve the hot concrete types once so the per-task draws below are
-  // direct (often inlined) calls instead of virtual dispatches.
-  poisson_arrivals_ = dynamic_cast<const PoissonArrivals*>(arrivals_.get());
-  paced_arrivals_ = dynamic_cast<const PacedArrivals*>(arrivals_.get());
-  fixed_fanout_ = dynamic_cast<const FixedFanout*>(fanout_);
-  geometric_fanout_ = dynamic_cast<const GeometricFanout*>(fanout_);
-  lognormal_fanout_ = dynamic_cast<const LogNormalFanout*>(fanout_);
   scratch_block_.clear();
 }
 
@@ -217,50 +210,27 @@ std::pair<std::uint32_t, std::uint32_t> TaskGenerator::tenant_clients(std::size_
   return {tenant_client_begin_[i], tenant_client_begin_[i + 1]};
 }
 
-sim::Duration TaskGenerator::draw_gap() {
-  if (poisson_arrivals_ != nullptr) return poisson_arrivals_->gap_inline(rng_);
-  if (paced_arrivals_ != nullptr) return paced_arrivals_->gap();
-  return arrivals_->next_gap(rng_);
-}
-
-std::uint32_t TaskGenerator::draw_fanout(const TenantMix* tenant) {
-  if (tenant != nullptr && tenant->fanout) return tenant->fanout->sample(rng_);
-  if (fixed_fanout_ != nullptr) return fixed_fanout_->value();
-  if (geometric_fanout_ != nullptr) return geometric_fanout_->sample_inline(rng_);
-  if (lognormal_fanout_ != nullptr) return lognormal_fanout_->sample_inline(rng_);
-  return fanout_->sample(rng_);
-}
-
 void TaskGenerator::append_requests(TaskBlock& block, const KeyDistribution& keys, bool is_write,
                                     std::uint32_t fanout) {
-  std::vector<RequestSpec>& pool = block.pool;
-  const auto push_read = [&](store::KeyId key) {
-    // A read's size hint is the current stored size (no RNG consumed).
-    pool.push_back(RequestSpec{key, dataset_->size_of(key), false});
-  };
-  const auto push_write = [&](store::KeyId key) {
-    // A write's size hint is the size being written (drawn fresh).
-    pool.push_back(RequestSpec{key, std::max(1u, write_sizes_->sample(rng_)), true});
+  // A read's size hint is the current stored size (no RNG consumed); a
+  // write's is the size being written, drawn fresh after its key.
+  const auto push = [&](store::KeyId key) {
+    if (is_write) {
+      block.pool.push_back(RequestSpec{key, std::max(1u, write_sizes_->sample(rng_)), true});
+    } else {
+      block.pool.push_back(RequestSpec{key, dataset_->size_of(key), false});
+    }
   };
 
   if (!config_.distinct_keys) {
-    if (is_write) {
-      // Key and size draws interleave per request: keep the scalar order.
-      for (std::uint32_t i = 0; i < fanout; ++i) push_write(keys.sample(rng_));
-    } else {
-      // Reads consume only key draws, all consecutive: one batched call.
-      key_batch_.resize(fanout);
-      keys.sample_batch(rng_, key_batch_.data(), fanout);
-      for (std::uint32_t i = 0; i < fanout; ++i) push_read(key_batch_[i]);
-    }
+    for (std::uint32_t i = 0; i < fanout; ++i) push(keys.sample(rng_));
     return;
   }
 
   // Distinct keys. Sorted-vector membership: insertion keeps the
   // scratch ordered so the dedup check is a binary search. Requests are
-  // emitted in sample order; the RNG stream and the generated task are
-  // byte-identical to the scalar rejection loop (pinned by
-  // workload_test's DistinctKeyStreamIsPinned).
+  // emitted in sample order (pinned by workload_test's
+  // DistinctKeyStreamIsPinned).
   std::vector<store::KeyId>& chosen = chosen_scratch_;
   chosen.clear();
   chosen.reserve(fanout);
@@ -276,40 +246,17 @@ void TaskGenerator::append_requests(TaskBlock& block, const KeyDistribution& key
   // tiny keyspaces.
   std::uint64_t attempts = 0;
   const std::uint64_t max_attempts = 64ULL * fanout + 256;
-  if (!is_write && fanout > 0) {
-    // The rejection loop below consumes one key draw per iteration and
-    // needs `fanout` acceptances, so its first `fanout` draws are
-    // always consumed — pre-draw exactly those in one batched call.
-    key_batch_.resize(fanout);
-    keys.sample_batch(rng_, key_batch_.data(), fanout);
-    for (std::uint32_t i = 0; i < fanout; ++i, ++attempts) {
-      const store::KeyId key = key_batch_[i];
-      if (try_insert(key)) push_read(key);
-    }
-  }
   while (chosen.size() < fanout && attempts++ < max_attempts) {
     const store::KeyId key = keys.sample(rng_);
-    if (try_insert(key)) {
-      if (is_write) {
-        push_write(key);
-      } else {
-        push_read(key);
-      }
-    }
+    if (try_insert(key)) push(key);
   }
   for (store::KeyId key = 0; chosen.size() < fanout && key < keys.num_keys(); ++key) {
-    if (try_insert(key)) {
-      if (is_write) {
-        push_write(key);
-      } else {
-        push_read(key);
-      }
-    }
+    if (try_insert(key)) push(key);
   }
 }
 
 void TaskGenerator::append_task(TaskBlock& block) {
-  clock_ += draw_gap();
+  clock_ += arrivals_->next_gap(rng_);
   block.arrivals.push_back(clock_);
   block.ids.push_back(next_task_id_++);
 
@@ -351,7 +298,8 @@ void TaskGenerator::append_task(TaskBlock& block) {
 
   const KeyDistribution& keys = (mix != nullptr && mix->keys) ? *mix->keys : *keys_;
 
-  std::uint32_t fanout = draw_fanout(mix);
+  std::uint32_t fanout =
+      (mix != nullptr && mix->fanout) ? mix->fanout->sample(rng_) : fanout_->sample(rng_);
   // A task cannot request more distinct keys than the keyspace holds.
   if (config_.distinct_keys && fanout > keys.num_keys()) {
     fanout = static_cast<std::uint32_t>(keys.num_keys());

@@ -102,17 +102,15 @@ class TaskGenerator {
 
   /// Appends up to `max_tasks` tasks into `block` (cleared first),
   /// storing all requests in the block's slab. This is the hot path:
-  /// one devirtualized, allocation-free pass per block instead of one
-  /// virtual dispatch and one heap vector per task. The RNG stream is
-  /// consumed in exactly the order of `max_tasks` successive next()
-  /// calls (pinned by workload_test).
+  /// one allocation-free pass per block instead of one heap vector per
+  /// task. The RNG stream is consumed in exactly the order of
+  /// `max_tasks` successive next() calls (pinned by workload_test).
   void fill_block(TaskBlock& block, std::size_t max_tasks);
 
   /// Materializes `count` tasks (for traces and tests).
   std::vector<TaskSpec> generate(std::size_t count);
 
   std::uint64_t tasks_generated() const noexcept { return next_task_id_; }
-  const ArrivalProcess& arrivals() const noexcept { return *arrivals_; }
   std::size_t num_tenants() const noexcept { return tenants_.size(); }
   const TenantMix& tenant(std::size_t i) const { return tenants_.at(i); }
   /// Client-id block [begin, end) owned by tenant i.
@@ -122,21 +120,12 @@ class TaskGenerator {
   void append_task(TaskBlock& block);
   void append_requests(TaskBlock& block, const KeyDistribution& keys, bool is_write,
                        std::uint32_t fanout);
-  sim::Duration draw_gap();
-  std::uint32_t draw_fanout(const TenantMix* tenant);
 
   Config config_;
   const Dataset* dataset_;
   const KeyDistribution* keys_;
   const FanoutDistribution* fanout_;
   std::unique_ptr<ArrivalProcess> arrivals_;
-  /// Devirtualized aliases for the hot concrete types, resolved once at
-  /// construction (null when the runtime type is something else).
-  const PoissonArrivals* poisson_arrivals_ = nullptr;
-  const PacedArrivals* paced_arrivals_ = nullptr;
-  const FixedFanout* fixed_fanout_ = nullptr;
-  const GeometricFanout* geometric_fanout_ = nullptr;
-  const LogNormalFanout* lognormal_fanout_ = nullptr;
   util::Rng rng_;
   sim::Time clock_ = sim::Time::zero();
   std::uint64_t next_task_id_ = 0;
@@ -155,8 +144,6 @@ class TaskGenerator {
   /// search beats hashing at this size, and the artifact path stays
   /// free of unordered containers (brblint BRB-D01).
   std::vector<store::KeyId> chosen_scratch_;
-  /// Pre-drawn key batch for the distinct-keys fast path (reused).
-  std::vector<store::KeyId> key_batch_;
   /// One-task block backing next(); keeps next() and fill_block on a
   /// single code path.
   TaskBlock scratch_block_;

@@ -89,9 +89,8 @@ TEST(SignalTable, UnseenServersReadAsZero) {
 TEST(SignalTable, AdmissionMirrors) {
   ctrl::SignalTable table;
   table.set_credit_balance(2, 7.5);
-  table.set_rate_cap(2, 1234.0);
   EXPECT_DOUBLE_EQ(table.credit_balance(2), 7.5);
-  EXPECT_DOUBLE_EQ(table.of(2).rate_cap, 1234.0);
+  EXPECT_DOUBLE_EQ(table.of(2).credit_balance, 7.5);
 }
 
 TEST(SignalTable, RejectsBadAlpha) {
@@ -119,7 +118,7 @@ TEST(SparseSignalTable, BitIdenticalToDenseWhenCapCoversFleet) {
   for (int round = 0; round < 2000; ++round) {
     const store::ServerId server = history.uniform_u64_below(fleet);
     const Duration cost = Duration::micros(100 + 10 * (round % 11));
-    switch (history.uniform_u64_below(5)) {
+    switch (history.uniform_u64_below(4)) {
       case 0:
         dense.on_send(server, cost);
         sparse.on_send(server, cost);
@@ -137,13 +136,9 @@ TEST(SparseSignalTable, BitIdenticalToDenseWhenCapCoversFleet) {
         dense.on_cancel(server, cost);
         sparse.on_cancel(server, cost);
         break;
-      case 3:
+      default:
         dense.set_credit_balance(server, static_cast<double>(round % 9));
         sparse.set_credit_balance(server, static_cast<double>(round % 9));
-        break;
-      default:
-        dense.set_rate_cap(server, 100.0 * static_cast<double>(round % 4));
-        sparse.set_rate_cap(server, 100.0 * static_cast<double>(round % 4));
         break;
     }
     const store::ServerId probe = history.uniform_u64_below(fleet + 2);  // also unseen
@@ -156,7 +151,6 @@ TEST(SparseSignalTable, BitIdenticalToDenseWhenCapCoversFleet) {
     ASSERT_EQ(d.ewma_queue, s.ewma_queue) << "round " << round;
     ASSERT_EQ(d.ewma_service_time_ns, s.ewma_service_time_ns) << "round " << round;
     ASSERT_EQ(d.credit_balance, s.credit_balance) << "round " << round;
-    ASSERT_EQ(d.rate_cap, s.rate_cap) << "round " << round;
     ASSERT_EQ(d.last_queue_length, s.last_queue_length) << "round " << round;
     ASSERT_EQ(d.last_service_rate, s.last_service_rate) << "round " << round;
     ASSERT_EQ(d.last_feedback_ns, s.last_feedback_ns) << "round " << round;
@@ -236,6 +230,21 @@ TEST(SparseSignalStore, ScenarioDecisionsIdenticalToDense) {
   }
 }
 
+TEST(SparseSignalStore, CubicRateRunsEvict) {
+  // Only in-flight requests and credit balances pin a sparse entry, so
+  // the LRU window applies to C3's rate-gated clients exactly as to an
+  // ungated system.
+  for (const core::SystemKind kind : {core::SystemKind::kC3, core::SystemKind::kFifoDirect}) {
+    core::ScenarioConfig config;
+    config.system = kind;
+    config.num_tasks = 3000;
+    config.signal_store = "sparse:4";  // fleet is 9 servers
+    const core::RunResult run = core::run_scenario(config);
+    EXPECT_TRUE(run.sparse_signal_store) << core::to_string(kind);
+    EXPECT_GT(run.signal_evictions, 0u) << core::to_string(kind);
+  }
+}
+
 TEST(SparseSignalTable, PinnedEntriesSurviveTheCap) {
   // In-flight accounting and gate mirrors pin an entry: rather than
   // corrupt balances, the soft cap grows past its limit.
@@ -300,7 +309,6 @@ class SlotTableReference {
   void set_credit_balance(store::ServerId server, double balance) {
     touch(server).credit_balance = balance;
   }
-  void set_rate_cap(store::ServerId server, double rate) { touch(server).rate_cap = rate; }
 
   ctrl::SignalTable::Signals of(store::ServerId server) const {
     ctrl::SignalTable::Signals s;
@@ -312,7 +320,6 @@ class SlotTableReference {
       s.outstanding = e->outstanding;
       s.pending_cost_ns = e->pending_cost_ns;
       s.credit_balance = e->credit_balance;
-      s.rate_cap = e->rate_cap;
       s.last_queue_length = e->last_queue_length;
       s.last_service_rate = e->last_service_rate;
       s.last_feedback_ns = e->last_feedback_ns;
@@ -340,7 +347,6 @@ class SlotTableReference {
     double ewma_queue = 0.0;
     double ewma_service_ns = 0.0;
     double credit_balance = 0.0;
-    double rate_cap = 0.0;
     std::uint32_t last_queue_length = 0;
     double last_service_rate = 0.0;
   };
@@ -374,8 +380,7 @@ class SlotTableReference {
     std::size_t victim = slots_.size();
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       const Entry& e = slots_[i];
-      if (!e.occupied || e.outstanding > 0 || e.pending_cost_ns > 0 || e.credit_balance != 0.0 ||
-          e.rate_cap != 0.0) {
+      if (!e.occupied || e.outstanding > 0 || e.pending_cost_ns > 0 || e.credit_balance != 0.0) {
         continue;
       }
       if (victim == slots_.size() || e.lru_tick < slots_[victim].lru_tick) victim = i;
@@ -460,7 +465,7 @@ TEST(SparseSignalTableFuzz, MatchesSlotTableReferenceOnEveryRead) {
       for (int round = 0; round < kRounds; ++round) {
         const auto server = static_cast<store::ServerId>(rng.uniform_u64_below(kFleet));
         const Duration cost = Duration::micros(static_cast<std::int64_t>(50 + 10 * (round % 7)));
-        switch (rng.uniform_u64_below(6)) {
+        switch (rng.uniform_u64_below(5)) {
           case 0:
           case 1:
             table.on_send(server, cost);
@@ -479,17 +484,11 @@ TEST(SparseSignalTableFuzz, MatchesSlotTableReferenceOnEveryRead) {
             table.on_cancel(server, cost);
             ref.on_cancel(server, cost);
             break;
-          case 4: {
+          default: {
             // Zero balances unpin the entry again.
             const double balance = round % 3 == 0 ? 0.0 : static_cast<double>(round % 11);
             table.set_credit_balance(server, balance);
             ref.set_credit_balance(server, balance);
-            break;
-          }
-          default: {
-            const double rate = round % 2 == 0 ? 0.0 : 10.0 * static_cast<double>(round % 13);
-            table.set_rate_cap(server, rate);
-            ref.set_rate_cap(server, rate);
             break;
           }
         }
@@ -510,7 +509,6 @@ TEST(SparseSignalTableFuzz, MatchesSlotTableReferenceOnEveryRead) {
           ASSERT_EQ(got.ewma_queue, want.ewma_queue) << where();
           ASSERT_EQ(got.ewma_service_time_ns, want.ewma_service_time_ns) << where();
           ASSERT_EQ(got.credit_balance, want.credit_balance) << where();
-          ASSERT_EQ(got.rate_cap, want.rate_cap) << where();
           ASSERT_EQ(got.last_queue_length, want.last_queue_length) << where();
           ASSERT_EQ(got.last_service_rate, want.last_service_rate) << where();
           ASSERT_EQ(got.last_feedback_ns, want.last_feedback_ns) << where();
@@ -522,7 +520,6 @@ TEST(SparseSignalTableFuzz, MatchesSlotTableReferenceOnEveryRead) {
           ASSERT_EQ(table.ewma_queue(s), want.ewma_queue) << where();
           ASSERT_EQ(table.ewma_service_time_ns(s), want.ewma_service_time_ns) << where();
           ASSERT_EQ(table.credit_balance(s), want.credit_balance) << where();
-          ASSERT_EQ(table.rate_cap(s), want.rate_cap) << where();
           ASSERT_EQ(table.last_feedback_ns(s), want.last_feedback_ns) << where();
           if (want.seen && want.last_feedback_ns < 0 && want.outstanding == 0) ++group_answers;
         }
@@ -619,7 +616,9 @@ TEST(AdmissionRegistry, NamesAndErrors) {
   EXPECT_EQ(ctrl::make_admission_policy("direct", bare)->name(), "direct");
 }
 
-TEST(AdmissionRegistry, CubicRateSeedsRateCapMirror) {
+TEST(AdmissionRegistry, CubicRateLeavesSignalsUntouched) {
+  // The rate gate keeps its caps to itself: it writes no signal-table
+  // entry, so it pins nothing in a sparse store.
   sim::Simulator sim;
   ctrl::SignalTable signals;
   ctrl::AdmissionContext context;
@@ -629,11 +628,8 @@ TEST(AdmissionRegistry, CubicRateSeedsRateCapMirror) {
   context.signals = &signals;
   const auto gate = ctrl::make_admission_policy("cubic-rate", context);
   EXPECT_EQ(gate->name(), "cubic-rate");
-  // Caps are seeded at attach, not first-response: cold servers read
-  // the controller's initial rate, not a misleading zero.
-  for (store::ServerId s = 0; s < 3; ++s) {
-    EXPECT_DOUBLE_EQ(signals.of(s).rate_cap, 1000.0) << s;
-  }
+  gate->on_response(1, store::ServerFeedback{});
+  EXPECT_EQ(signals.size(), 0u);
 }
 
 TEST(PolicySwitchScenario, EndpointsFollowRuntimeResolution) {

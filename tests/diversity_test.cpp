@@ -159,12 +159,19 @@ TEST(ModulatedArrivals, ModulationActuallyShapesArrivals) {
   EXPECT_GT(static_cast<double>(crest), 1.5 * static_cast<double>(trough));
 }
 
+/// True when `spec` builds an arrival process of type T.
+template <typename T>
+bool arrivals_are(const std::string& spec) {
+  const auto process = workload::make_arrival_process(spec, 100.0);
+  return dynamic_cast<const T*>(process.get()) != nullptr;
+}
+
 TEST(ModulatedArrivals, SpecParsingAndErrors) {
-  EXPECT_EQ(workload::make_arrival_process("", 100.0)->name(), "poisson");
-  EXPECT_EQ(workload::make_arrival_process("poisson", 100.0)->name(), "poisson");
-  EXPECT_EQ(workload::make_arrival_process("paced", 100.0)->name(), "paced");
-  EXPECT_EQ(workload::make_arrival_process("diurnal:0.5:1.5:60", 100.0)->name(), "modulated");
-  EXPECT_EQ(workload::make_arrival_process("steps:1,2,1:10", 100.0)->name(), "modulated");
+  EXPECT_TRUE(arrivals_are<workload::PoissonArrivals>(""));
+  EXPECT_TRUE(arrivals_are<workload::PoissonArrivals>("poisson"));
+  EXPECT_TRUE(arrivals_are<workload::PacedArrivals>("paced"));
+  EXPECT_TRUE(arrivals_are<workload::ModulatedArrivals>("diurnal:0.5:1.5:60"));
+  EXPECT_TRUE(arrivals_are<workload::ModulatedArrivals>("steps:1,2,1:10"));
 
   EXPECT_THROW(workload::make_arrival_process("diurnal:0:1.5:60", 100.0), std::invalid_argument);
   EXPECT_THROW(workload::make_arrival_process("diurnal:1.5:0.5:60", 100.0),

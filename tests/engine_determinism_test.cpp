@@ -266,7 +266,7 @@ TEST(ThreadDeterminism, PolicyShootoutSubstrateByteIdenticalAcrossWorkerCounts) 
 
 TEST(ThreadDeterminism, BatchedArrivalPumpByteIdenticalAcrossWorkerCounts) {
   // The block-based arrival pump pregenerates 256-task TaskBlocks
-  // (batched sampling, slab-backed requests) and each arrival submits
+  // (slab-backed requests) and each arrival submits
   // straight from the block. Multi-tenant + write traffic drives every
   // draw the generator makes (tenant, client, write decision, write
   // sizes, per-tenant fan-out/keys) through fill_block; worker count

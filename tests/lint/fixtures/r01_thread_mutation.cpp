@@ -6,9 +6,8 @@
 // callbacks (dispatch_plan/issue_copy/hedge_fire and the
 // DispatchEndpoint on_send/on_response/on_cancel feedback hooks, which
 // rewrite per-request slot state and SignalTable accounting) and behind
-// the workload batch entry points (fill_block/sample_batch/
-// next_gap_batch advance the shared generator's RNG stream and rewrite
-// the TaskBlock slab).
+// the workload block entry point (fill_block advances the shared
+// generator's RNG stream and rewrites the TaskBlock slab).
 // expect: BRB-R01=4
 #include <cstdint>
 #include <thread>

@@ -117,6 +117,21 @@ TEST(Scenario, RejectsBadConfigs) {
   EXPECT_THROW(run_scenario(config), std::invalid_argument);
 }
 
+TEST(Scenario, CubicRateFairShareBelowRateFloorCompletes) {
+  // 2000 clients on the paper fleet get a 7 req/s fair share of each
+  // 14k req/s server, under the default 10 req/s rate floor. A resolved
+  // fair share lowers the floor with it; an explicit initial rate under
+  // the floor is still rejected.
+  ScenarioConfig config = quick_config(SystemKind::kC3);
+  config.num_clients = 2000;
+  config.num_tasks = 2000;
+  const RunResult result = run_scenario(config);
+  EXPECT_EQ(result.tasks_completed, config.num_tasks);
+
+  config.rate.initial_rate = 5.0;
+  EXPECT_THROW(run_scenario(config), std::invalid_argument);
+}
+
 TEST(Scenario, SummaryMatchesRecorder) {
   const RunResult result = run_scenario(quick_config(SystemKind::kEqualMaxModel));
   const LatencySummary summary = summarize_tasks(result);

@@ -95,11 +95,20 @@ TEST(LogNormalSizeDist, MeanMatchesQuadrature) {
   EXPECT_NEAR(s.mean(), dist.mean(), dist.mean() * 0.03);
 }
 
+/// True when `spec` builds a size distribution of type T.
+template <typename T>
+bool sizes_are(const std::string& spec) {
+  const auto dist = make_size_distribution(spec);
+  return dynamic_cast<const T*>(dist.get()) != nullptr;
+}
+
 TEST(SizeDistFactory, ParsesSpecs) {
-  EXPECT_EQ(make_size_distribution("gpareto")->name(), "gpareto");
+  EXPECT_TRUE(sizes_are<GeneralizedParetoSizeDist>("gpareto"));
   EXPECT_EQ(make_size_distribution("fixed:512")->mean(), 512.0);
-  EXPECT_EQ(make_size_distribution("bpareto:1.2:64:4096")->name(), "bpareto");
-  EXPECT_EQ(make_size_distribution("lognormal:5:1:100000")->name(), "lognormal");
+  EXPECT_TRUE(sizes_are<BoundedParetoSizeDist>("bpareto:1.2:64:4096"));
+  EXPECT_EQ(make_size_distribution("bpareto:1.2:64:4096")->max_size(), 4096u);
+  EXPECT_TRUE(sizes_are<LogNormalSizeDist>("lognormal:5:1:100000"));
+  EXPECT_EQ(make_size_distribution("lognormal:5:1:100000")->max_size(), 100000u);
   EXPECT_THROW(make_size_distribution("nope"), std::invalid_argument);
   EXPECT_THROW(make_size_distribution(""), std::invalid_argument);
 }
@@ -188,26 +197,6 @@ TEST(LogNormalFanout, RespectsCap) {
   const auto f = LogNormalFanout::for_mean(8.6, 2.0, 64);
   util::Rng rng(12);
   for (int i = 0; i < 100000; ++i) ASSERT_LE(f.sample(rng), 64u);
-}
-
-TEST(EmpiricalFanout, MatchesWeights) {
-  EmpiricalFanout f({0.0, 1.0, 0.0, 3.0});  // fanouts 2 and 4 at 1:3
-  util::Rng rng(13);
-  std::uint64_t twos = 0;
-  std::uint64_t fours = 0;
-  for (int i = 0; i < 100000; ++i) {
-    const std::uint32_t v = f.sample(rng);
-    ASSERT_TRUE(v == 2 || v == 4);
-    (v == 2 ? twos : fours) += 1;
-  }
-  EXPECT_NEAR(static_cast<double>(fours) / static_cast<double>(twos), 3.0, 0.2);
-  EXPECT_DOUBLE_EQ(f.mean(), 0.25 * 2 + 0.75 * 4);
-}
-
-TEST(EmpiricalFanout, RejectsDegenerate) {
-  EXPECT_THROW(EmpiricalFanout({}), std::invalid_argument);
-  EXPECT_THROW(EmpiricalFanout({0.0, 0.0}), std::invalid_argument);
-  EXPECT_THROW(EmpiricalFanout({1.0, -1.0}), std::invalid_argument);
 }
 
 TEST(FanoutFactory, ParsesSpecs) {
@@ -408,62 +397,6 @@ TEST(TaskGenerator, EmpiricalMeanFanoutTracksDistribution) {
   EXPECT_NEAR(s.mean(), 8.6, 0.5);
 }
 
-// ---------------------------------------------------------------------------
-// Batched sampling: every sample_batch/next_gap_batch path must consume
-// the RNG stream draw-for-draw identically to scalar sampling — the
-// byte-identity of seeded artifacts rests on it.
-
-template <typename Dist, typename Value>
-void expect_batch_matches_scalar(const Dist& dist, std::uint64_t seed, std::size_t n) {
-  util::Rng scalar_rng(seed);
-  util::Rng batch_rng(seed);
-  std::vector<Value> batch(n);
-  dist.sample_batch(batch_rng, batch.data(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(batch[i], dist.sample(scalar_rng)) << "draw " << i;
-  }
-  // Both streams must land on the same state: no extra or missing draws.
-  EXPECT_EQ(scalar_rng.next_u64(), batch_rng.next_u64());
-}
-
-TEST(KeyDistBatch, MatchesScalarDrawForDraw) {
-  expect_batch_matches_scalar<ZipfKeys, store::KeyId>(ZipfKeys(100'000, 0.9), 41, 4096);
-  expect_batch_matches_scalar<UniformKeys, store::KeyId>(UniformKeys(5000), 42, 4096);
-}
-
-TEST(FanoutBatch, MatchesScalarDrawForDraw) {
-  expect_batch_matches_scalar<FixedFanout, std::uint32_t>(FixedFanout(16), 43, 1024);
-  expect_batch_matches_scalar<GeometricFanout, std::uint32_t>(GeometricFanout(8.6), 44, 4096);
-  expect_batch_matches_scalar<LogNormalFanout, std::uint32_t>(
-      LogNormalFanout(2.0, 0.8, 512), 45, 4096);
-  expect_batch_matches_scalar<EmpiricalFanout, std::uint32_t>(
-      EmpiricalFanout({0.5, 0.3, 0.2}), 46, 1024);  // default (virtual-loop) batch path
-}
-
-TEST(SizeDistBatch, MatchesScalarDrawForDraw) {
-  expect_batch_matches_scalar<GeneralizedParetoSizeDist, std::uint32_t>(
-      GeneralizedParetoSizeDist(), 47, 4096);
-  expect_batch_matches_scalar<FixedSizeDist, std::uint32_t>(FixedSizeDist(100), 48, 512);
-}
-
-TEST(ArrivalBatch, MatchesScalarDrawForDraw) {
-  PoissonArrivals poisson(14'000.0);
-  util::Rng scalar_rng(49);
-  util::Rng batch_rng(49);
-  std::vector<sim::Duration> gaps(4096);
-  poisson.next_gap_batch(batch_rng, gaps.data(), gaps.size());
-  for (std::size_t i = 0; i < gaps.size(); ++i) {
-    ASSERT_EQ(gaps[i], poisson.next_gap(scalar_rng)) << "gap " << i;
-  }
-  EXPECT_EQ(scalar_rng.next_u64(), batch_rng.next_u64());
-
-  PacedArrivals paced(1000.0);
-  util::Rng paced_rng(50);
-  std::vector<sim::Duration> paced_gaps(64);
-  paced.next_gap_batch(paced_rng, paced_gaps.data(), paced_gaps.size());
-  for (const sim::Duration gap : paced_gaps) EXPECT_EQ(gap, paced.next_gap(paced_rng));
-}
-
 TEST(TaskGenerator, FillBlockMatchesNextDrawForDraw) {
   // Two identically-seeded generators: one consumed task-by-task via
   // next(), one in uneven fill_block chunks. Every field of every task
@@ -496,6 +429,101 @@ TEST(TaskGenerator, FillBlockMatchesNextDrawForDraw) {
         ASSERT_EQ(got.requests[r].key, expected.requests[r].key);
         ASSERT_EQ(got.requests[r].size_hint, expected.requests[r].size_hint);
         ASSERT_EQ(got.requests[r].is_write, expected.requests[r].is_write);
+      }
+    }
+  }
+}
+
+TEST(TaskGenerator, StreamIsPinned) {
+  // Regression pin for every model's draw order: FNV-1a hashes of a
+  // Dataset's sizes and of 2000 fill_block tasks (arrival, client,
+  // tenant, and each request's key, size and write flag) over the grid
+  // {uniform, zipf} keys x {fixed, geometric, lognormal} fan-out x
+  // {poisson, paced, diurnal} arrivals x writes {0, 0.3} x distinct
+  // keys {off, on}. Any change to what a draw consumes or the order of
+  // draws moves a hash.
+  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a 64
+  const auto mix = [&hash](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (v >> (8 * b)) & 0xff;
+      hash *= 1099511628211ull;
+    }
+  };
+
+  const auto sizes = make_size_distribution("gpareto");
+  Dataset dataset(2000, *sizes, util::Rng(91));
+  for (store::KeyId key = 0; key < dataset.num_keys(); ++key) mix(dataset.size_of(key));
+  EXPECT_EQ(hash, 0xd4315c430fa918d8ull) << std::hex << "dataset 0x" << hash;
+
+  const char* const key_specs[] = {"uniform:2000", "zipf:2000:0.9"};
+  const char* const fanout_specs[] = {"fixed:8", "geometric:8.6", "lognormal:8.6"};
+  const char* const arrival_specs[] = {"poisson", "paced", "diurnal:0.5:1.5:0.5"};
+  const double write_fractions[] = {0.0, 0.3};
+  // One hash per grid cell, in loop order (distinct keys innermost).
+  const std::uint64_t pinned[72] = {
+      0x5401bf3ac30c1301ull, 0xd5f5c180f66050b7ull, 0x94a277f007af6fa5ull,
+      0xf56cabce55edce33ull, 0xfdd398317e0318d3ull, 0x541c275b37f5327ull,
+      0xef4c7e56e389f916ull, 0x1fd413196363d01ull, 0x7cab39379c6fef51ull,
+      0x57427e71ccc32bcaull, 0x7d4f8366bc93f841ull, 0xbded2a8a4398c0dull,
+      0xfdebb69913031b3bull, 0xf4016255dbbda867ull, 0x637b0cfca4592f4cull,
+      0x117e601e4020a5bcull, 0xfa0a65fdccd78df3ull, 0x8543e70cdaae809eull,
+      0xd3940fdade45eefeull, 0xc79f426a82ee4689ull, 0x8e9a5688447f8c5full,
+      0xf51e833cf6f9e215ull, 0x8c71e4edc24d1b53ull, 0xd3c6bc241fcb097eull,
+      0x1ef61f98ae135987ull, 0xd4433f7cebc25adaull, 0xbda7ecc3b7e5a8acull,
+      0x997cd683b693e380ull, 0x36b8a444799a2a3bull, 0xa879a7ab8beb2b2aull,
+      0xa8147ec82cbc72e5ull, 0x43e7e3f269fe7cb5ull, 0x9cb23751179b0756ull,
+      0xdabb09b88d22f327ull, 0x128128a3cf8e5840ull, 0xf62440c8b1f2eb1dull,
+      0x2f1325b75c0c7eb5ull, 0x81ffb254b4d4873aull, 0xbaf357316565742eull,
+      0x65e3a5ac45193426ull, 0x5b2e6227593c660bull, 0xe4d7d25a4df759f6ull,
+      0xb9aaec40d07bd2cull, 0x2ccf7780acaeb49eull, 0xc308624eb812c8f2ull,
+      0xc62e1ef6dde795c4ull, 0xa86670f8307f2bc9ull, 0xa14c78b3e54a5a6ull,
+      0xba02d215f5ac3b35ull, 0x6f3fb31cd97bc76eull, 0x4444c4970381b4c0ull,
+      0x49e85b3f5e8fbea1ull, 0x760f15a83d9d8dc7ull, 0x455e4783bea5a774ull,
+      0x3f0035709003c86cull, 0xb1aa5aa811773adaull, 0x87bd5bae06e11ea3ull,
+      0x1928f704b35953bull, 0x5307e21d9322bd7full, 0xcd7c9a73ab473588ull,
+      0x959b7e34801a2545ull, 0xd57d8cf0cf77e975ull, 0x658b6300985cbe27ull,
+      0x76ba88a142e2e9f7ull, 0xc90b29dd523ef91bull, 0xd37097a11999397full,
+      0xe945e3d0cd18d62aull, 0x115285c618774661ull, 0x32edcc16f53d045eull,
+      0x984a9297d0945beaull, 0x3df6bf7a60e55f8cull, 0xe8a04d226b2d6f0eull,
+  };
+  std::size_t cell = 0;
+  for (const char* key_spec : key_specs) {
+    const auto keys = make_key_distribution(key_spec);
+    for (const char* fanout_spec : fanout_specs) {
+      const auto fanout = make_fanout_distribution(fanout_spec);
+      for (const char* arrival_spec : arrival_specs) {
+        for (const double writes : write_fractions) {
+          for (const bool distinct : {false, true}) {
+            TaskGenerator::Config config;
+            config.num_clients = 7;
+            config.distinct_keys = distinct;
+            TaskGenerator generator(config, dataset, *keys, *fanout,
+                                    make_arrival_process(arrival_spec, 2000.0),
+                                    util::Rng(92 + cell));
+            generator.set_write_traffic(writes, sizes.get());
+            hash = 1469598103934665603ull;
+            TaskBlock block;
+            for (std::size_t done = 0; done < 2000; done += block.size()) {
+              generator.fill_block(block, std::min<std::size_t>(256, 2000 - done));
+              for (std::size_t i = 0; i < block.size(); ++i) {
+                const TaskView task = block.view(i);
+                mix(static_cast<std::uint64_t>(task.arrival.count_nanos()));
+                mix(task.client);
+                mix(task.tenant.value());
+                for (std::uint32_t r = 0; r < task.fanout; ++r) {
+                  mix(task.requests[r].key);
+                  mix(task.requests[r].size_hint);
+                  mix(task.requests[r].is_write ? 1 : 0);
+                }
+              }
+            }
+            EXPECT_EQ(hash, pinned[cell])
+                << std::hex << "cell " << std::dec << cell << " " << key_spec << " "
+                << fanout_spec << " " << arrival_spec << " writes " << writes << " distinct "
+                << distinct << ": 0x" << std::hex << hash;
+            ++cell;
+          }
+        }
       }
     }
   }
