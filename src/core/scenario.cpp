@@ -252,7 +252,9 @@ RunResult run_scenario(const ScenarioConfig& config) {
     servers.push_back(std::make_unique<server::BackendServer>(sim, server_config, server_model(s),
                                                               rng_servers[s]));
   }
-  // Populate every replica with the dataset (value sizes drive work).
+  // Populate every replica (value sizes drive work). Generated runs
+  // share the dataset's size array as every replica's base; the
+  // dataset is declared before the servers, so it outlives them.
   if (replay != nullptr) {
     for (const workload::TaskSpec& task : *replay) {
       for (const workload::RequestSpec& request : task.requests) {
@@ -262,11 +264,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
       }
     }
   } else {
-    for (std::uint64_t key = 0; key < dataset.num_keys(); ++key) {
-      for (const store::ServerId s : partitioner.replicas_for_key(key)) {
-        servers[s]->storage().put_meta(key, dataset.size_of(key));
-      }
-    }
+    for (const auto& s : servers) s->storage().attach_base(dataset.sizes());
   }
 
   // --- work sources ---

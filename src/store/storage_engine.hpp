@@ -4,19 +4,23 @@
 // partitions. The simulator needs only value *sizes* (they drive
 // service time), and the server looks one up for every read it serves.
 //
-// Workload keys are small dense integers (datasets number keys
-// 0..N-1), so a server holding a dense slice of the keyspace keeps its
-// sizes in a flat array indexed by key. Every other key — a sparse
-// slice of a large keyspace, raw 64-bit trace keys, UINT32_MAX-sized
-// values — lives in a flat open-addressed table: power-of-two
-// capacity, multiplicative hashing, linear probing. Neither structure
-// allocates per key or divides on lookup, and keys are never erased,
-// so the table needs no tombstones.
+// A generated workload's sizes are one dense array (datasets number
+// keys 0..N-1) that every replica shares read-only as its base: key k
+// below the base's length has size base[k]. Which keys reach a replica
+// is decided by routing (a client sends a key only to its group's
+// replicas), so the engine answers every base key. On top of the base
+// each engine keeps a flat open-addressed table of its own writes and
+// of keys outside the base (raw 64-bit trace keys, hand-placed test
+// keys): power-of-two capacity, multiplicative hashing, linear
+// probing. The table shadows the base, never allocates per key or
+// divides on lookup, and keys are never erased, so it needs no
+// tombstones.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "store/types.hpp"
@@ -25,41 +29,27 @@ namespace brb::store {
 
 class StorageEngine {
  public:
-  /// Keys below this bound may use the dense size array.
-  static constexpr KeyId kDenseLimit = KeyId{1} << 22;
+  /// Shares `base` (key -> size for keys below its length) as this
+  /// replica's initial contents. The engine never writes to it; the
+  /// caller keeps it alive for the engine's lifetime and attaches it
+  /// before the server serves.
+  void attach_base(std::span<const std::uint32_t> base) noexcept { base_ = base; }
 
-  /// The dense array only grows while it stays within this factor of
-  /// the number of stored keys (plus a free initial allowance). A
-  /// server holding a dense slice of the keyspace (paper scale: each
-  /// replica stores ~1/3 of all keys, inserted in ascending order)
-  /// keeps the array; a server holding a few dozen keys of a huge
-  /// keyspace (mega-fleet: 10k servers sharding 100k keys) puts them in
-  /// the open-addressed table instead of allocating a keyspace-sized
-  /// array per server.
-  static constexpr std::uint64_t kDenseGrowthFactor = 8;
-  static constexpr std::uint64_t kDenseGrowthAllowance = 1024;
-
-  /// Inserts a key or replaces its size, in place wherever it lives.
+  /// Inserts a key or replaces its size in this replica's write table.
   void put_meta(KeyId key, std::uint32_t size_bytes);
 
-  /// Size lookup; nullopt when the key is absent.
+  /// Size lookup: this replica's last write of `key`, else its base
+  /// size; nullopt when the key is in neither.
   std::optional<std::uint32_t> size_of(KeyId key) const {
-    if (key < dense_size_plus1_.size()) {
-      const std::uint32_t plus1 = dense_size_plus1_[key];
-      if (plus1 != 0) return plus1 - 1;
+    if (table_keys_ != 0) {
+      const Slot& slot = slots_[probe(key)];
+      if (slot.used != 0) return slot.size;
     }
-    if (table_keys_ == 0) return std::nullopt;
-    const Slot& slot = slots_[probe(key)];
-    if (slot.used == 0) return std::nullopt;
-    return slot.size;
+    if (key < base_.size()) return base_[key];
+    return std::nullopt;
   }
 
-  bool contains(KeyId key) const { return size_of(key).has_value(); }
-
-  std::size_t num_keys() const noexcept { return num_keys_; }
-  std::uint64_t stored_bytes() const noexcept { return stored_bytes_; }
-
-  /// Bumped by every mutation: a size read while the version is
+  /// Bumped by every put_meta: a size read while the version is
   /// unchanged is still current.
   std::uint64_t version() const noexcept { return version_; }
 
@@ -86,22 +76,15 @@ class StorageEngine {
     while (slots_[i].used != 0 && slots_[i].key != key) i = (i + 1) & mask;
     return i;
   }
-  /// Adds a key absent from both structures to the table, doubling the
-  /// table first when the insert would pass 3/4 load.
-  void table_insert(KeyId key, std::uint32_t size_bytes);
 
-  /// dense_size_plus1_[key] = size + 1; 0 means absent (or stored in
-  /// the table). UINT32_MAX sizes cannot be encoded and live in the
-  /// table.
-  std::vector<std::uint32_t> dense_size_plus1_;
-  /// Open-addressed table; capacity 0 or a power of two, at most 3/4
-  /// full. Iterated only to rehash, so its layout cannot reach service
-  /// order or artifacts.
+  /// Shared read-only sizes; empty when none is attached.
+  std::span<const std::uint32_t> base_;
+  /// Open-addressed write table; capacity 0 or a power of two, at most
+  /// 3/4 full. Iterated only to rehash, so its layout cannot reach
+  /// service order or artifacts.
   std::vector<Slot> slots_;
   std::size_t table_keys_ = 0;
   int shift_ = 64;
-  std::size_t num_keys_ = 0;
-  std::uint64_t stored_bytes_ = 0;
   std::uint64_t version_ = 0;
 };
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -30,6 +31,8 @@ class Dataset {
   Dataset(std::uint64_t num_keys, const SizeDistribution& sizes, util::Rng rng);
 
   std::uint32_t size_of(store::KeyId key) const;
+  /// Every key's size, indexed by key.
+  std::span<const std::uint32_t> sizes() const noexcept { return sizes_; }
   std::uint64_t num_keys() const noexcept { return sizes_.size(); }
   double mean_size() const noexcept { return mean_size_; }
 

@@ -299,87 +299,90 @@ TEST(ConsistentHash, RejectsBadConfig) {
 TEST(StorageEngine, PutMetaAndLookup) {
   store::StorageEngine engine;
   engine.put_meta(1, 100);
-  EXPECT_TRUE(engine.contains(1));
   EXPECT_EQ(engine.size_of(1), 100u);
   EXPECT_FALSE(engine.size_of(2).has_value());
-  EXPECT_EQ(engine.num_keys(), 1u);
-  EXPECT_EQ(engine.stored_bytes(), 100u);
+  EXPECT_EQ(engine.version(), 1u);
 }
 
 TEST(StorageEngine, OverwriteAdjustsBytes) {
+  // An overwrite replaces the size, over a written key and over a base
+  // key alike.
+  const std::vector<std::uint32_t> base = {10, 20, 30};
   store::StorageEngine engine;
+  engine.attach_base(base);
   engine.put_meta(1, 100);
   engine.put_meta(1, 250);
-  EXPECT_EQ(engine.stored_bytes(), 250u);
-  EXPECT_EQ(engine.num_keys(), 1u);
+  EXPECT_EQ(engine.size_of(1), 250u);
+  engine.put_meta(2, 7);
+  EXPECT_EQ(engine.size_of(2), 7u);
+  EXPECT_EQ(engine.size_of(0), 10u);
+  EXPECT_EQ(engine.version(), 3u);
 }
 
 TEST(StorageEngine, ScatteredKeysPastAllowanceStayCorrect) {
-  // A server holding a sparse slice of a huge keyspace must not grow
-  // the dense array out to the largest key: beyond the growth
-  // allowance, scattered keys land in the open-addressed table, and
-  // every lookup still answers through the size_of fallthrough.
+  // Keys scattered far past the base's end land in the write table;
+  // each is found, its neighbours stay absent, and the base still
+  // answers below its end.
+  const std::vector<std::uint32_t> base(64, 5);
   store::StorageEngine engine;
-  const store::KeyId stride = 50'000;  // far beyond allowance per key
-  for (store::KeyId k = 0; k < 40; ++k) {
-    engine.put_meta(k * stride + 3, static_cast<std::uint32_t>(k + 1));
+  engine.attach_base(base);
+  const store::KeyId stride = 50'000;
+  for (store::KeyId k = 1; k <= 40; ++k) {
+    engine.put_meta(k * stride + 3, static_cast<std::uint32_t>(k));
   }
-  EXPECT_EQ(engine.num_keys(), 40u);
-  for (store::KeyId k = 0; k < 40; ++k) {
-    ASSERT_TRUE(engine.contains(k * stride + 3));
-    EXPECT_EQ(engine.size_of(k * stride + 3), static_cast<std::uint32_t>(k + 1));
-    EXPECT_FALSE(engine.contains(k * stride + 4));
+  for (store::KeyId k = 1; k <= 40; ++k) {
+    EXPECT_EQ(engine.size_of(k * stride + 3), static_cast<std::uint32_t>(k));
+    EXPECT_FALSE(engine.size_of(k * stride + 4).has_value());
   }
-}
-
-TEST(StorageEngine, AscendingDenseLoadThenOverwrite) {
-  // The paper-scale shape: ascending key load stays dense-eligible the
-  // whole way, and overwrites keep accounting consistent even for a
-  // key that moves from the dense array to the table.
-  store::StorageEngine engine;
-  for (store::KeyId k = 0; k < 5000; ++k) engine.put_meta(k, 16);
-  EXPECT_EQ(engine.num_keys(), 5000u);
-  EXPECT_EQ(engine.stored_bytes(), 5000u * 16);
-
-  // UINT32_MAX does not fit the dense array's size+1 encoding, so the
-  // key moves to the table; it is updated there from then on.
-  const auto huge = std::numeric_limits<std::uint32_t>::max();
-  engine.put_meta(42, huge);
-  EXPECT_EQ(engine.size_of(42), huge);
-  EXPECT_EQ(engine.stored_bytes(), std::uint64_t{4999} * 16 + huge);
-  engine.put_meta(42, 16);
-  EXPECT_EQ(engine.size_of(42), 16u);
-  EXPECT_EQ(engine.num_keys(), 5000u);
-  EXPECT_EQ(engine.stored_bytes(), 5000u * 16);
+  EXPECT_EQ(engine.size_of(63), 5u);
+  EXPECT_FALSE(engine.size_of(64).has_value());
 }
 
 TEST(StorageEngine, TableKeysSurviveEveryRehash) {
-  // Keys at or past kDenseLimit always take the table. After every
-  // insert each earlier key must still be found, across each doubling
-  // (16, 32, ... slots at 3/4 load), for random and for consecutive
-  // keys.
+  // After every insert each earlier key must still be found, across
+  // each doubling (16, 32, ... slots at 3/4 load), for random and for
+  // consecutive keys.
   for (const bool consecutive : {false, true}) {
     store::StorageEngine engine;
     std::vector<store::KeyId> keys;
     util::Rng rng(7);
     for (std::uint32_t i = 0; i < 700; ++i) {
-      const store::KeyId key = store::StorageEngine::kDenseLimit +
-                               (consecutive ? store::KeyId{i} : rng.next_u64() >> 1);
+      const store::KeyId key = consecutive ? store::KeyId{i} + 1'000'000 : rng.next_u64() >> 1;
       engine.put_meta(key, i);
       keys.push_back(key);
       for (std::uint32_t j = 0; j <= i; ++j) {
         ASSERT_EQ(engine.size_of(keys[j]), j) << "after insert " << i;
       }
     }
-    EXPECT_EQ(engine.num_keys(), 700u);
-    EXPECT_FALSE(engine.contains(store::StorageEngine::kDenseLimit - 1));
+    EXPECT_FALSE(engine.size_of(999'999).has_value());
   }
+}
+
+TEST(StorageEngine, SharedBaseIsolatesReplicas) {
+  // Two replicas share one base (the write-mix shape). A write lands
+  // only in the writing replica's table; the other replica and the
+  // base itself keep the original size.
+  const std::vector<std::uint32_t> base = {100, 200, 300, 400};
+  const std::vector<std::uint32_t> original = base;
+  store::StorageEngine a;
+  store::StorageEngine b;
+  a.attach_base(base);
+  b.attach_base(base);
+  a.put_meta(2, 9000);
+  EXPECT_EQ(a.size_of(2), 9000u);
+  EXPECT_EQ(b.size_of(2), 300u);
+  EXPECT_EQ(a.size_of(1), 200u);
+  EXPECT_EQ(b.version(), 0u);
+  b.put_meta(3, 1);
+  EXPECT_EQ(a.size_of(3), 400u);
+  EXPECT_EQ(b.size_of(3), 1u);
+  EXPECT_EQ(base, original);
 }
 
 // ---------------------------------------------------------------------------
 // StorageEngine differential fuzz vs a std::map reference
 
-/// size_of and contains agree with the reference for `key`.
+/// size_of agrees with the reference for `key`.
 ::testing::AssertionResult agrees(const store::StorageEngine& engine,
                                   const std::map<store::KeyId, std::uint32_t>& ref,
                                   store::KeyId key) {
@@ -387,78 +390,75 @@ TEST(StorageEngine, TableKeysSurviveEveryRehash) {
   const std::optional<std::uint32_t> want =
       it == ref.end() ? std::nullopt : std::optional<std::uint32_t>(it->second);
   const std::optional<std::uint32_t> got = engine.size_of(key);
-  if (got == want && engine.contains(key) == want.has_value()) {
-    return ::testing::AssertionSuccess();
-  }
+  if (got == want) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
          << "key " << key << ": size_of " << (got ? std::to_string(*got) : "absent")
          << ", reference " << (want ? std::to_string(*want) : "absent");
 }
 
 TEST(StorageEngineFuzz, MatchesMapReference) {
-  // Keys come from every placement class: an ascending dense load,
-  // scatter inside and past the growth allowance, raw 64-bit keys, and
-  // overwrites of stored keys; sizes include 0 and UINT32_MAX (which
-  // moves a dense key to the table). Each put_meta must advance the
+  // Runs with no base and with an attached base; the reference is the
+  // base overlaid by the writes. Keys come from inside the base, just
+  // past its end, raw 64-bit values, and overwrites of written keys;
+  // sizes include 0 and UINT32_MAX. Each put_meta must advance the
   // version by exactly one and lookups must leave it alone.
   constexpr std::uint32_t kHuge = std::numeric_limits<std::uint32_t>::max();
-  constexpr auto kDenseLimit = static_cast<std::int64_t>(store::StorageEngine::kDenseLimit);
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    util::Rng rng(seed);
-    store::StorageEngine engine;
-    std::map<store::KeyId, std::uint32_t> ref;
-    std::vector<store::KeyId> stored;
-    std::uint64_t ref_bytes = 0;
-    store::KeyId ascending = 0;
-
-    for (int round = 0; round < 40'000; ++round) {
-      const double op = rng.uniform();
-      store::KeyId key = 0;
-      if (op < 0.25) {
-        key = ascending++;
-      } else if (op < 0.45) {
-        key = static_cast<store::KeyId>(rng.uniform_int(0, 8191));
-      } else if (op < 0.65) {
-        key = static_cast<store::KeyId>(rng.uniform_int(0, kDenseLimit - 1));
-      } else if (op < 0.80) {
-        key = rng.next_u64();
-      } else if (!stored.empty()) {
-        key = stored[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(stored.size()) - 1))];
+  constexpr std::int64_t kBaseKeys = 10'000;
+  for (const bool with_base : {false, true}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      util::Rng rng(seed);
+      std::vector<std::uint32_t> base;
+      std::map<store::KeyId, std::uint32_t> ref;
+      store::StorageEngine engine;
+      if (with_base) {
+        for (std::int64_t key = 0; key < kBaseKeys; ++key) {
+          base.push_back(key % 97 == 0 ? 0 : static_cast<std::uint32_t>(rng.uniform_int(1, 4096)));
+          ref.emplace(static_cast<store::KeyId>(key), base.back());
+        }
+        engine.attach_base(base);
       }
-      const double pick = rng.uniform();
-      std::uint32_t size = 0;
-      if (pick < 0.05) {
-        size = kHuge;
-      } else if (pick < 0.07) {
-        size = kHuge - 1;
-      } else if (pick >= 0.10) {
-        size = static_cast<std::uint32_t>(rng.uniform_int(1, 1 << 20));
-      }
+      const std::vector<std::uint32_t> original = base;
+      const std::string where =
+          "base " + std::to_string(with_base) + " seed " + std::to_string(seed);
+      std::vector<store::KeyId> written;
 
-      const std::uint64_t version = engine.version();
-      engine.put_meta(key, size);
-      ASSERT_EQ(engine.version(), version + 1) << "seed " << seed << " round " << round;
-      const auto [it, inserted] = ref.try_emplace(key, size);
-      if (inserted) {
-        stored.push_back(key);
-      } else {
-        ref_bytes -= it->second;
-        it->second = size;
-      }
-      ref_bytes += size;
-      ASSERT_EQ(engine.num_keys(), ref.size()) << "seed " << seed << " round " << round;
-      ASSERT_EQ(engine.stored_bytes(), ref_bytes) << "seed " << seed << " round " << round;
+      for (int round = 0; round < 40'000; ++round) {
+        const double op = rng.uniform();
+        store::KeyId key = 0;
+        if (op < 0.35) {
+          key = static_cast<store::KeyId>(rng.uniform_int(0, kBaseKeys - 1));
+        } else if (op < 0.55) {
+          key = static_cast<store::KeyId>(rng.uniform_int(kBaseKeys, 4 * kBaseKeys));
+        } else if (op < 0.75) {
+          key = rng.next_u64();
+        } else if (!written.empty()) {
+          key = written[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(written.size()) - 1))];
+        }
+        const double pick = rng.uniform();
+        std::uint32_t size = 0;
+        if (pick < 0.05) {
+          size = kHuge;
+        } else if (pick < 0.07) {
+          size = kHuge - 1;
+        } else if (pick >= 0.10) {
+          size = static_cast<std::uint32_t>(rng.uniform_int(1, 1 << 20));
+        }
 
-      ASSERT_TRUE(agrees(engine, ref, key)) << "seed " << seed << " round " << round;
-      ASSERT_TRUE(agrees(engine, ref, rng.next_u64())) << "seed " << seed << " round " << round;
-      const auto near = static_cast<store::KeyId>(
-          rng.uniform_int(0, static_cast<std::int64_t>(ascending) + 64));
-      ASSERT_TRUE(agrees(engine, ref, near)) << "seed " << seed << " round " << round;
-      ASSERT_EQ(engine.version(), version + 1) << "seed " << seed << " round " << round;
-    }
-    for (const auto& entry : ref) {
-      ASSERT_TRUE(agrees(engine, ref, entry.first)) << "seed " << seed;
+        const std::uint64_t version = engine.version();
+        engine.put_meta(key, size);
+        ASSERT_EQ(engine.version(), version + 1) << where << " round " << round;
+        ref[key] = size;
+        written.push_back(key);
+
+        ASSERT_TRUE(agrees(engine, ref, key)) << where << " round " << round;
+        ASSERT_TRUE(agrees(engine, ref, rng.next_u64())) << where << " round " << round;
+        const auto near = static_cast<store::KeyId>(rng.uniform_int(0, 4 * kBaseKeys + 64));
+        ASSERT_TRUE(agrees(engine, ref, near)) << where << " round " << round;
+        ASSERT_EQ(engine.version(), version + 1) << where << " round " << round;
+      }
+      for (const auto& entry : ref) ASSERT_TRUE(agrees(engine, ref, entry.first)) << where;
+      ASSERT_EQ(base, original) << where;
     }
   }
 }
