@@ -221,13 +221,9 @@ std::vector<std::uint64_t> seeds_from_flags(const util::Flags& flags,
   if (const auto list = flags.get("seed-list")) {
     std::vector<std::uint64_t> seeds;
     for (const std::string& part : util::split_list(*list)) {
-      try {
-        // stoull silently wraps negatives, so reject the sign up front.
-        if (part[0] == '-') throw std::invalid_argument("negative");
-        seeds.push_back(std::stoull(part));
-      } catch (const std::exception&) {
-        throw std::invalid_argument("--seed-list: not a seed: " + part);
-      }
+      const std::optional<std::uint64_t> seed = util::parse_decimal(part);
+      if (!seed) throw std::invalid_argument("--seed-list: not a seed: " + part);
+      seeds.push_back(*seed);
     }
     if (seeds.empty()) throw std::invalid_argument("--seed-list: empty list");
     // A repeated seed is the same simulation twice: pointless in an
@@ -655,12 +651,12 @@ void print_usage(std::ostream& os) {
         "  --dispatch=tenantA:tied,tenantB:kofn:2  per-tenant dispatch modes\n"
         "  --admission=direct|cubic-rate|credits   override the admission policy\n"
         "  --selector=NAME               legacy alias for --policy=NAME\n"
-        "  --signal-store=auto|dense|sparse[:CAP]  control-plane state layout\n"
-        "                                (auto = sparse once clients x servers\n"
-        "                                exceeds 2^24 pairs; sparse switches the\n"
-        "                                signal table AND credits bookkeeping to\n"
-        "                                windowed per-client state, CAP live\n"
-        "                                servers per client, default 128)\n"
+        "  --signal-store=auto|dense|sparse[:CAP]  signal table layout\n"
+        "                                (dense = one entry per server; sparse =\n"
+        "                                an LRU window of CAP servers per client,\n"
+        "                                default 128; auto = sparse past 2^24\n"
+        "                                clients x servers pairs. Past that size,\n"
+        "                                sparse also makes credit pairs first-touch)\n"
         "  --stats=exact|sketch          sketch adds mergeable DDSketch quantile\n"
         "                                sketches to artifacts (1% relative error;\n"
         "                                merge stays byte-identical for any shard\n"

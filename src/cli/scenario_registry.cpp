@@ -134,9 +134,10 @@ std::vector<ExperimentCase> expand_mega_fleet(const ScenarioConfig& base,
   // control plane runs the windowed per-client store with first-touch
   // credit pairs, and stats default to mergeable sketches so
   // per-seed artifacts stay O(sketch). Two selection policies on the
-  // fixed FIFO/direct substrate probe the sparse SignalTable under
-  // load; the credits case drives first-touch credits end to end. Runs as a nightly job under wall/RSS budgets
-  // (check_claims.py --scale-sanity), sharded over the plan layer.
+  // fixed FIFO/direct substrate probe the windowed SignalTable under
+  // load; the credits case drives first-touch credits end to end. Runs
+  // as a nightly job under wall/RSS budgets (check_claims.py
+  // --scale-sanity), sharded over the plan layer.
   if (!base.policy_spec.empty() || !base.selector_override.empty()) {
     throw std::invalid_argument(
         "scenario mega-fleet fixes the replica policy per case; --policy/--selector conflict");

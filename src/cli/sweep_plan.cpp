@@ -10,15 +10,8 @@ namespace brb::cli {
 namespace {
 
 std::uint64_t parse_shard_part(const std::string& text, const std::string& part) {
-  try {
-    if (part.empty() || part[0] == '-') throw std::invalid_argument("negative");
-    std::size_t consumed = 0;
-    const std::uint64_t value = std::stoull(part, &consumed);
-    if (consumed != part.size()) throw std::invalid_argument("trailing characters");
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--shard: expected i/N with integers, got '" + text + "'");
-  }
+  if (const std::optional<std::uint64_t> value = util::parse_decimal(part)) return *value;
+  throw std::invalid_argument("--shard: expected i/N with integers, got '" + text + "'");
 }
 
 }  // namespace

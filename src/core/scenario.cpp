@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -12,13 +14,13 @@
 #include "core/global_queue.hpp"
 #include "ctrl/admission.hpp"
 #include "ctrl/policy_runtime.hpp"
-#include "ctrl/sparse_signal_table.hpp"
 #include "net/network.hpp"
 #include "policy/priority_policy.hpp"
 #include "server/backend_server.hpp"
 #include "server/service_model.hpp"
 #include "sim/simulator.hpp"
 #include "store/partitioner.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "workload/task_gen.hpp"
 #include "workload/trace.hpp"
@@ -67,11 +69,11 @@ RunResult run_scenario(const ScenarioConfig& config) {
   const std::uint32_t num_clients = config.num_clients;
 
   // --- signal-store resolution ---
-  // "auto" flips to the sparse windowed store once the clients x
-  // servers cross-product would make dense per-pair columns a memory
-  // problem. The threshold (2^24 pairs = a few hundred MB of dense
-  // columns fleet-wide) keeps every nightly scenario short of
-  // mega-fleet on the dense path, where artifacts are byte-frozen.
+  // "auto" flips the signal table to its windowed layout once the
+  // clients x servers cross-product would make server-indexed entries a
+  // memory problem. The threshold (2^24 pairs = over a GB of entries
+  // fleet-wide) keeps every nightly scenario short of mega-fleet on the
+  // server-indexed layout.
   bool sparse_store = false;
   bool pin_credit_pairs = true;
   std::uint32_t sparse_cap = 128;
@@ -79,19 +81,22 @@ RunResult run_scenario(const ScenarioConfig& config) {
     constexpr std::uint64_t kAutoSparsePairs = 1ull << 24;
     const std::uint64_t pairs = static_cast<std::uint64_t>(num_clients) * num_servers;
     const std::string& spec = config.signal_store;
+    const auto bad_spec = [] {
+      return std::invalid_argument("run_scenario: signal store must be auto|dense|sparse[:CAP]");
+    };
     if (spec.empty() || spec == "auto") {
       sparse_store = pairs > kAutoSparsePairs;
     } else if (spec == "dense") {
       sparse_store = false;
-    } else if (spec == "sparse" || spec.rfind("sparse:", 0) == 0) {
+    } else if (spec == "sparse") {
       sparse_store = true;
-      if (spec.size() > 7) {
-        const unsigned long cap = std::stoul(spec.substr(7));
-        if (cap == 0) throw std::invalid_argument("run_scenario: sparse store cap must be > 0");
-        sparse_cap = static_cast<std::uint32_t>(cap);
-      }
+    } else if (spec.starts_with("sparse:")) {
+      sparse_store = true;
+      const std::optional<std::uint64_t> cap = util::parse_decimal(spec.substr(7));
+      if (!cap || *cap == 0 || *cap > std::numeric_limits<std::uint32_t>::max()) throw bad_spec();
+      sparse_cap = static_cast<std::uint32_t>(*cap);
     } else {
-      throw std::invalid_argument("run_scenario: signal store must be auto|dense|sparse[:CAP]");
+      throw bad_spec();
     }
     // Credit pairs are all pinned (per-server bootstrap balances, every
     // pair reported, granted and on the controller's books from the
@@ -100,7 +105,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
     // every pair is first-touch: it opens on first offer and the
     // controller forgets it once its demand decays away. Below the
     // threshold, an explicit sparse store keeps every pair pinned: the
-    // sparse SignalTable alone is decision-identical whenever the cap
+    // windowed SignalTable alone is decision-identical whenever the cap
     // covers the fleet.
     pin_credit_pairs = !(sparse_store && pairs > kAutoSparsePairs);
   }
@@ -638,10 +643,9 @@ RunResult run_scenario(const ScenarioConfig& config) {
   if (sparse_store) {
     result.sparse_signal_store = true;
     for (std::uint32_t c = 0; c < num_clients; ++c) {
-      if (const ctrl::SparseSignalTable* sp = runtime.signals_of(c).sparse_store()) {
-        result.signal_entries_live += sp->live_entries();
-        result.signal_evictions += sp->evictions();
-      }
+      const ctrl::SignalTable& signals = runtime.signals_of(c);
+      result.signal_entries_live += signals.size();
+      result.signal_evictions += signals.evictions();
     }
   }
   result.network_messages = network.stats().messages_sent;

@@ -113,15 +113,15 @@ struct ScenarioConfig {
   /// credits controller/monitor machinery follows the effective
   /// admission policy, not the system kind.
   std::string admission_override;
-  /// Control-plane signal store: "" / "auto" (sparse iff the
-  /// clients x servers cross-product exceeds an internal threshold),
-  /// "dense" (force the legacy per-pair columns), or "sparse[:CAP]"
-  /// (windowed per-client store, CAP live servers per client).
-  /// Past the auto threshold the sparse store also makes every
-  /// credit pair first-touch instead of pinned; below it, an explicit
-  /// sparse store keeps every credit pair pinned, so sparse-vs-dense
-  /// runs are decision-identical whenever CAP covers the fleet. Dense runs are byte-identical to before the flag
-  /// existed.
+  /// Layout of each client's SignalTable: "" / "auto" (sparse iff the
+  /// clients x servers cross-product exceeds 2^24 pairs), "dense"
+  /// (server-indexed: one entry per server up to the highest touched),
+  /// or "sparse[:CAP]" (windowed: at most CAP unpinned live entries per
+  /// client, CAP a decimal in 1..2^32-1, default 128). Past the auto
+  /// threshold a sparse store also makes every credit pair first-touch
+  /// instead of pinned; below it, every credit pair stays pinned, so
+  /// sparse and dense runs are decision-identical whenever CAP covers
+  /// the fleet.
   std::string signal_store;
   /// Latency statistics: "" / "exact" (histogram + optional raw
   /// samples, the legacy artifacts) or "sketch" (additionally record
@@ -176,8 +176,8 @@ struct RunResult {
   /// switching only; 0 for static bindings).
   std::uint64_t policy_switches = 0;
 
-  /// Control-plane store telemetry (sparse signal store only; all
-  /// zero/false on the dense path so legacy artifacts are untouched).
+  /// Signal-table telemetry (windowed layout only; all zero/false on
+  /// the server-indexed layout so legacy artifacts are untouched).
   bool sparse_signal_store = false;
   std::uint64_t signal_entries_live = 0;  // summed over clients at teardown
   std::uint64_t signal_evictions = 0;     // window evictions over the run

@@ -1,190 +1,226 @@
 #include "ctrl/signal_table.hpp"
 
-#include "ctrl/sparse_signal_table.hpp"
+#include <algorithm>
+#include <bit>
+#include <stdexcept>
+
+#include "util/ewma.hpp"
 
 namespace brb::ctrl {
 
+namespace {
+constexpr std::size_t kInitialIndexSlots = 8;  // power of two
+constexpr std::uint64_t kHashMultiplier = 0x9E3779B97F4A7C15ULL;
+}  // namespace
+
 SignalTable::SignalTable(SignalTableConfig config) : config_(config) {
   util::validate_ewma_alpha(config_.ewma_alpha, "SignalTable");
-  if (config_.sparse) {
-    sparse_ = std::make_unique<SparseSignalTable>(config_.ewma_alpha, config_.sparse_cap,
-                                                  config_.sparse_group_size);
+  if (config_.sparse && config_.sparse_cap == 0) {
+    throw std::invalid_argument("SignalTable: entry cap must be > 0");
+  }
+  if (config_.sparse && config_.sparse_group_size == 0) {
+    throw std::invalid_argument("SignalTable: group size must be > 0");
   }
 }
 
-SignalTable::~SignalTable() = default;
-SignalTable::SignalTable(SignalTable&&) noexcept = default;
-SignalTable& SignalTable::operator=(SignalTable&&) noexcept = default;
-
-void SignalTable::grow(store::ServerId server) const {
-  if (server < columns_size_) return;
-  const std::size_t n = server + 1;
-  ewma_response_ns_.resize(n, 0.0);
-  ewma_queue_.resize(n, 0.0);
-  ewma_service_ns_.resize(n, 0.0);
-  seen_.resize(n, 0);
-  outstanding_.resize(n, 0);
-  pending_cost_ns_.resize(n, 0);
-  credit_balance_.resize(n, 0.0);
-  last_queue_length_.resize(n, 0);
-  last_service_rate_.resize(n, 0.0);
-  last_feedback_ns_.resize(n, -1);
-  columns_size_ = n;
-}
-
 SignalTable::Signals SignalTable::of(store::ServerId server) const {
-  if (sparse_) return sparse_->of(server);
-  flush();
-  if (server >= columns_size_) return Signals{};
   Signals s;
-  s.ewma_response_ns = ewma_response_ns_[server];
-  s.ewma_queue = ewma_queue_[server];
-  s.ewma_service_time_ns = ewma_service_ns_[server];
-  s.seen = seen_[server] != 0;
-  s.outstanding = outstanding_[server];
-  s.pending_cost_ns = pending_cost_ns_[server];
-  s.credit_balance = credit_balance_[server];
-  s.last_queue_length = last_queue_length_[server];
-  s.last_service_rate = last_service_rate_[server];
-  s.last_feedback_ns = last_feedback_ns_[server];
+  if (const Entry* e = find(server)) {
+    s.ewma_response_ns = e->ewma_response_ns;
+    s.ewma_queue = e->ewma_queue;
+    s.ewma_service_time_ns = e->ewma_service_ns;
+    s.seen = e->seen != 0;
+    s.outstanding = e->outstanding;
+    s.pending_cost_ns = e->pending_cost_ns;
+    s.credit_balance = e->credit_balance;
+    s.last_queue_length = e->last_queue_length;
+    s.last_service_rate = e->last_service_rate;
+    s.last_feedback_ns = e->last_feedback_ns;
+    return s;
+  }
+  if (const GroupAggregate* agg = group_of(server)) {
+    s.seen = true;
+    s.ewma_response_ns = agg->mean_response_ns;
+    s.ewma_queue = agg->mean_queue;
+    s.ewma_service_time_ns = agg->mean_service_ns;
+  }
   return s;
 }
 
 void SignalTable::on_send(store::ServerId server, sim::Duration expected_cost) {
   ++sends_;
-  if (sparse_) {
-    sparse_->on_send(server, expected_cost);
-    return;
-  }
-  flush();  // sends and staged responses share the in-flight columns
-  grow(server);
-  ++outstanding_[server];
-  pending_cost_ns_[server] += expected_cost.count_nanos();
+  Entry& e = touch(server);
+  ++e.outstanding;
+  e.pending_cost_ns += expected_cost.count_nanos();
 }
 
 void SignalTable::on_response(store::ServerId server, const store::ServerFeedback& feedback,
                               sim::Duration rtt, sim::Duration expected_cost, sim::Time at) {
   ++responses_;
-  if (sparse_) {
-    // Immediate application: per-server arrival order is preserved and
-    // the arithmetic matches the dense flush, so the resulting values
-    // are bit-identical — there are no columns to sweep in the sparse
-    // entry layout, hence nothing to gain by staging.
-    sparse_->on_response(server, feedback, rtt, expected_cost, at);
-    return;
-  }
-  grow(server);
-  StagedFeedback e;
-  e.server = server;
-  e.queue_length = feedback.queue_length;
-  e.rtt_ns = static_cast<double>(rtt.count_nanos());
+  Entry& e = touch(server);
+  // The underflow guards match the old per-selector counters: a
+  // duplicate response must not underflow either account.
+  if (e.outstanding > 0) --e.outstanding;
+  e.pending_cost_ns -= expected_cost.count_nanos();
+  if (e.pending_cost_ns < 0) e.pending_cost_ns = 0;
+  e.last_queue_length = feedback.queue_length;
+  e.last_service_rate = feedback.service_rate;
+  e.last_feedback_ns = at.count_nanos();
+
+  const double rtt_ns = static_cast<double>(rtt.count_nanos());
+  const double queue = static_cast<double>(feedback.queue_length);
   // Server-wide rate mu (req/s) -> expected per-request service time.
-  e.service_ns = feedback.service_rate > 0
-                     ? 1e9 / feedback.service_rate
-                     : static_cast<double>(feedback.service_time.count_nanos());
-  e.service_rate = feedback.service_rate;
-  e.expected_cost_ns = expected_cost.count_nanos();
-  e.at_ns = at.count_nanos();
-  staged_.push_back(e);
+  const double service_ns = feedback.service_rate > 0
+                                ? 1e9 / feedback.service_rate
+                                : static_cast<double>(feedback.service_time.count_nanos());
+  const double a = config_.ewma_alpha;
+  if (e.seen == 0) {
+    e.seen = 1;
+    e.ewma_response_ns = rtt_ns;
+    e.ewma_queue = queue;
+    e.ewma_service_ns = service_ns;
+  } else {
+    e.ewma_response_ns = util::ewma_update(e.ewma_response_ns, a, rtt_ns);
+    e.ewma_queue = util::ewma_update(e.ewma_queue, a, queue);
+    e.ewma_service_ns = util::ewma_update(e.ewma_service_ns, a, service_ns);
+  }
 }
 
 void SignalTable::on_cancel(store::ServerId server, sim::Duration expected_cost) {
   ++cancels_;
-  if (sparse_) {
-    sparse_->on_cancel(server, expected_cost);
-    return;
-  }
-  flush();  // cancels and staged responses share the in-flight columns
-  grow(server);
+  Entry& e = touch(server);
   // Release the accounting the copy's on_send charged, with the same
   // underflow guards as the response-side release. No EWMA fold and no
   // response count: a cancelled copy produced no feedback, and folding
   // one in would corrupt C3's estimates with phantom samples.
-  if (outstanding_[server] > 0) --outstanding_[server];
-  pending_cost_ns_[server] -= expected_cost.count_nanos();
-  if (pending_cost_ns_[server] < 0) pending_cost_ns_[server] = 0;
-}
-
-void SignalTable::flush_staged() const {
-  // In-flight release + raw last-feedback columns. Applied in arrival
-  // order: the underflow guards match the old per-selector counters (a
-  // duplicate response must not underflow either account), and "last"
-  // means last-arrived.
-  for (const StagedFeedback& e : staged_) {
-    if (outstanding_[e.server] > 0) --outstanding_[e.server];
-    pending_cost_ns_[e.server] -= e.expected_cost_ns;
-    if (pending_cost_ns_[e.server] < 0) pending_cost_ns_[e.server] = 0;
-    last_queue_length_[e.server] = e.queue_length;
-    last_service_rate_[e.server] = e.service_rate;
-    last_feedback_ns_[e.server] = e.at_ns;
-  }
-
-  // First-contact prepass: entry i seeds its server's EWMAs iff no
-  // response preceded it (in the table or earlier in this batch). The
-  // flags let each EWMA pass below stay a branch-light column sweep
-  // while reproducing seed-then-blend bit-exactly.
-  seed_scratch_.resize(staged_.size());
-  for (std::size_t i = 0; i < staged_.size(); ++i) {
-    const std::uint32_t s = staged_[i].server;
-    seed_scratch_[i] = seen_[s] == 0 ? 1 : 0;
-    seen_[s] = 1;
-  }
-
-  const double a = config_.ewma_alpha;
-  for (std::size_t i = 0; i < staged_.size(); ++i) {
-    const StagedFeedback& e = staged_[i];
-    ewma_response_ns_[e.server] =
-        seed_scratch_[i] ? e.rtt_ns : util::ewma_update(ewma_response_ns_[e.server], a, e.rtt_ns);
-  }
-  for (std::size_t i = 0; i < staged_.size(); ++i) {
-    const StagedFeedback& e = staged_[i];
-    const double q = static_cast<double>(e.queue_length);
-    ewma_queue_[e.server] =
-        seed_scratch_[i] ? q : util::ewma_update(ewma_queue_[e.server], a, q);
-  }
-  for (std::size_t i = 0; i < staged_.size(); ++i) {
-    const StagedFeedback& e = staged_[i];
-    ewma_service_ns_[e.server] =
-        seed_scratch_[i] ? e.service_ns
-                         : util::ewma_update(ewma_service_ns_[e.server], a, e.service_ns);
-  }
-  staged_.clear();
+  if (e.outstanding > 0) --e.outstanding;
+  e.pending_cost_ns -= expected_cost.count_nanos();
+  if (e.pending_cost_ns < 0) e.pending_cost_ns = 0;
 }
 
 void SignalTable::set_credit_balance(store::ServerId server, double balance) {
-  if (sparse_) {
-    sparse_->set_credit_balance(server, balance);
-    return;
+  touch(server).credit_balance = balance;
+}
+
+SignalTable::Entry& SignalTable::touch(store::ServerId server) {
+  if (config_.sparse) return touch_windowed(server);
+  if (server >= entries_.size()) entries_.resize(static_cast<std::size_t>(server) + 1);
+  return entries_[server];
+}
+
+SignalTable::Entry& SignalTable::touch_windowed(store::ServerId server) {
+  if (!index_.empty()) {
+    const std::uint32_t position_plus1 = index_[probe(server)];
+    if (position_plus1 != 0) {
+      Entry& e = entries_[position_plus1 - 1];
+      e.lru_tick = ++tick_;
+      return e;
+    }
   }
-  grow(server);
-  credit_balance_[server] = balance;
+
+  if (entries_.size() >= config_.sparse_cap) evict_one();
+  if ((entries_.size() + 1) * 2 > index_.size()) grow_index();
+  // Probe after eviction and growth: both may have moved the hole.
+  index_[probe(server)] = static_cast<std::uint32_t>(entries_.size() + 1);
+
+  Entry& e = entries_.emplace_back();
+  e.server = server;
+  e.lru_tick = ++tick_;
+  if (const GroupAggregate* agg = group_of(server)) {
+    // Seed from the group prior: an evicted-then-recontacted server
+    // resumes from its group's collective memory, and the first real
+    // response blends into (rather than replaces) it.
+    e.seen = 1;
+    e.ewma_response_ns = agg->mean_response_ns;
+    e.ewma_queue = agg->mean_queue;
+    e.ewma_service_ns = agg->mean_service_ns;
+  }
+  return e;
 }
 
-std::size_t SignalTable::size() const noexcept {
-  return sparse_ ? sparse_->live_entries() : columns_size_;
+std::size_t SignalTable::home(store::ServerId server) const noexcept {
+  // Multiply-shift on the dense id: the top bits of a Fibonacci hash.
+  return static_cast<std::size_t>((static_cast<std::uint64_t>(server) * kHashMultiplier) >>
+                                  shift_);
 }
 
-std::uint32_t SignalTable::sparse_outstanding(store::ServerId server) const {
-  return sparse_->outstanding(server);
+std::size_t SignalTable::probe(store::ServerId server) const noexcept {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t slot = home(server);
+  while (index_[slot] != 0 && entries_[index_[slot] - 1].server != server) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
 }
-sim::Duration SignalTable::sparse_pending_cost(store::ServerId server) const {
-  return sparse_->pending_cost(server);
+
+const SignalTable::Entry* SignalTable::find_windowed(store::ServerId server) const {
+  if (index_.empty()) return nullptr;
+  const std::uint32_t position_plus1 = index_[probe(server)];
+  return position_plus1 != 0 ? &entries_[position_plus1 - 1] : nullptr;
 }
-bool SignalTable::sparse_seen(store::ServerId server) const { return sparse_->seen(server); }
-double SignalTable::sparse_ewma_response_ns(store::ServerId server) const {
-  return sparse_->ewma_response_ns(server);
+
+void SignalTable::grow_index() {
+  index_.assign(std::max(kInitialIndexSlots, index_.size() * 2), 0);
+  shift_ = 64 - std::countr_zero(index_.size());
+  for (std::size_t position = 0; position < entries_.size(); ++position) {
+    index_[probe(entries_[position].server)] = static_cast<std::uint32_t>(position + 1);
+  }
 }
-double SignalTable::sparse_ewma_queue(store::ServerId server) const {
-  return sparse_->ewma_queue(server);
+
+void SignalTable::remove_entry(std::size_t position) {
+  // Backward-shift deletion: walk the probe run after the hole and pull
+  // back every slot whose home does not lie cyclically in (hole, slot],
+  // so linear probing never needs tombstones.
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = probe(entries_[position].server);
+  for (std::size_t next = (hole + 1) & mask; index_[next] != 0; next = (next + 1) & mask) {
+    const std::size_t want = home(entries_[index_[next] - 1].server);
+    if (((next - want) & mask) >= ((next - hole) & mask)) {
+      index_[hole] = index_[next];
+      hole = next;
+    }
+  }
+  index_[hole] = 0;
+
+  // Keep the entries dense: the last entry takes the gap.
+  const std::size_t last = entries_.size() - 1;
+  if (position != last) {
+    index_[probe(entries_[last].server)] = static_cast<std::uint32_t>(position + 1);
+    entries_[position] = entries_[last];
+  }
+  entries_.pop_back();
 }
-double SignalTable::sparse_ewma_service_time_ns(store::ServerId server) const {
-  return sparse_->ewma_service_time_ns(server);
-}
-double SignalTable::sparse_credit_balance(store::ServerId server) const {
-  return sparse_->credit_balance(server);
-}
-std::int64_t SignalTable::sparse_last_feedback_ns(store::ServerId server) const {
-  return sparse_->last_feedback_ns(server);
+
+void SignalTable::evict_one() {
+  // LRU among unpinned entries. Ticks are unique per entry, so the
+  // victim is the same whatever order the entries sit in. An entry is
+  // pinned while it holds state that must not silently vanish:
+  // in-flight accounting (a response or cancel will come back for it)
+  // or a credit balance (the gate's authoritative view for selection).
+  std::size_t victim = entries_.size();
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const Entry& e = entries_[i];
+    if (e.outstanding > 0 || e.pending_cost_ns > 0 || e.credit_balance != 0.0) continue;
+    if (victim == entries_.size() || e.lru_tick < entries_[victim].lru_tick) victim = i;
+  }
+  if (victim == entries_.size()) return;  // everything pinned: soft cap grows
+
+  const Entry& e = entries_[victim];
+  if (e.seen != 0) {
+    // Fold the response-path EWMAs into the group's running means; the
+    // group becomes the fallback answer for this (and any untracked)
+    // server in it.
+    const std::size_t group = e.server / config_.sparse_group_size;
+    if (group >= groups_.size()) groups_.resize(group + 1);
+    GroupAggregate& agg = groups_[group];
+    ++agg.folds;
+    const double n = static_cast<double>(agg.folds);
+    agg.mean_response_ns += (e.ewma_response_ns - agg.mean_response_ns) / n;
+    agg.mean_queue += (e.ewma_queue - agg.mean_queue) / n;
+    agg.mean_service_ns += (e.ewma_service_ns - agg.mean_service_ns) / n;
+  }
+  ++evictions_;
+  remove_entry(victim);
 }
 
 }  // namespace brb::ctrl

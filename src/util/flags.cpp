@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
+#include <system_error>
 
 namespace brb::util {
 
@@ -58,6 +60,14 @@ std::vector<std::string> split_list(std::string_view list) {
     if (comma == std::string_view::npos) return parts;
     list.remove_prefix(comma + 1);
   }
+}
+
+std::optional<std::uint64_t> parse_decimal(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [consumed, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || consumed != end) return std::nullopt;
+  return value;
 }
 
 std::optional<std::string> Flags::get(std::string_view name) const {

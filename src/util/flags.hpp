@@ -57,6 +57,11 @@ class Flags {
 /// ("a,,b," -> {"a", "b"}).
 std::vector<std::string> split_list(std::string_view list);
 
+/// Parses `text` as an unsigned decimal integer: one or more digits
+/// and nothing else (no sign, no spaces, no trailing characters), in
+/// range of uint64. nullopt otherwise.
+std::optional<std::uint64_t> parse_decimal(std::string_view text);
+
 /// Damerau-ish edit distance for did-you-mean hints (insert, delete,
 /// substitute; no transposition). Exposed for tests.
 std::size_t edit_distance(std::string_view a, std::string_view b);

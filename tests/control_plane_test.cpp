@@ -18,7 +18,6 @@
 #include "ctrl/policy_runtime.hpp"
 #include "ctrl/replica_policy.hpp"
 #include "ctrl/signal_table.hpp"
-#include "ctrl/sparse_signal_table.hpp"
 #include "sim/simulator.hpp"
 #include "stats/artifact.hpp"
 #include "util/ewma.hpp"
@@ -99,13 +98,23 @@ TEST(SignalTable, RejectsBadAlpha) {
 }
 
 // ---------------------------------------------------------------------------
-// SparseSignalTable — the million-client backing store
+// SignalTable's windowed layout — the million-client store
+
+ctrl::SignalTable windowed_table(double ewma_alpha, std::uint32_t cap, std::uint32_t group_size) {
+  ctrl::SignalTableConfig config;
+  config.ewma_alpha = ewma_alpha;
+  config.sparse = true;
+  config.sparse_cap = cap;
+  config.sparse_group_size = group_size;
+  return ctrl::SignalTable(config);
+}
 
 TEST(SparseSignalTable, BitIdenticalToDenseWhenCapCoversFleet) {
-  // The differential the sparse design promises (see
-  // ctrl/sparse_signal_table.hpp): with a cap above the fleet size
-  // nothing ever evicts, and every observable must match the dense
-  // columns bit for bit under an arbitrary interleaved op history.
+  // The differential the two layouts promise (see
+  // ctrl/signal_table.hpp): with a cap above the fleet size the
+  // windowed layout never evicts, and every observable must match the
+  // server-indexed one bit for bit under an arbitrary interleaved op
+  // history.
   ctrl::SignalTable dense;
   ctrl::SignalTableConfig sparse_config;
   sparse_config.sparse = true;
@@ -155,8 +164,8 @@ TEST(SparseSignalTable, BitIdenticalToDenseWhenCapCoversFleet) {
     ASSERT_EQ(d.last_service_rate, s.last_service_rate) << "round " << round;
     ASSERT_EQ(d.last_feedback_ns, s.last_feedback_ns) << "round " << round;
   }
-  ASSERT_NE(sparse.sparse_store(), nullptr);
-  EXPECT_EQ(sparse.sparse_store()->evictions(), 0u);
+  ASSERT_TRUE(sparse.config().sparse);
+  EXPECT_EQ(sparse.evictions(), 0u);
 }
 
 TEST(SparseSignalTable, EvictsLruIntoGroupAggregate) {
@@ -164,7 +173,7 @@ TEST(SparseSignalTable, EvictsLruIntoGroupAggregate) {
   // (the LRU window keeps the last four), and their response EWMAs
   // fold into group 0's running means — the fallback answer for any
   // server of that group the window no longer tracks.
-  ctrl::SparseSignalTable table(/*ewma_alpha=*/0.5, /*entry_cap=*/4, /*group_size=*/4);
+  ctrl::SignalTable table = windowed_table(/*ewma_alpha=*/0.5, /*cap=*/4, /*group_size=*/4);
   double folded_sum = 0.0;
   for (store::ServerId s = 0; s < 8; ++s) {
     const Duration cost = Duration::micros(100);
@@ -174,7 +183,7 @@ TEST(SparseSignalTable, EvictsLruIntoGroupAggregate) {
                       Time::nanos(static_cast<std::int64_t>(s) * 100));
     if (s < 4) folded_sum += static_cast<double>(rtt.count_nanos());
   }
-  EXPECT_EQ(table.live_entries(), 4u);
+  EXPECT_EQ(table.size(), 4u);
   EXPECT_EQ(table.evictions(), 4u);
 
   // Live entries answer exactly.
@@ -248,11 +257,11 @@ TEST(SparseSignalStore, CubicRateRunsEvict) {
 TEST(SparseSignalTable, PinnedEntriesSurviveTheCap) {
   // In-flight accounting and gate mirrors pin an entry: rather than
   // corrupt balances, the soft cap grows past its limit.
-  ctrl::SparseSignalTable table(/*ewma_alpha=*/0.5, /*entry_cap=*/2, /*group_size=*/4);
+  ctrl::SignalTable table = windowed_table(/*ewma_alpha=*/0.5, /*cap=*/2, /*group_size=*/4);
   table.on_send(0, Duration::micros(100));    // pinned: in-flight
   table.set_credit_balance(1, 3.0);           // pinned: gate mirror
   table.on_send(2, Duration::micros(100));    // pinned: in-flight
-  EXPECT_EQ(table.live_entries(), 3u);
+  EXPECT_EQ(table.size(), 3u);
   EXPECT_EQ(table.evictions(), 0u);
   EXPECT_EQ(table.outstanding(0), 1u);
   EXPECT_DOUBLE_EQ(table.credit_balance(1), 3.0);
@@ -447,87 +456,123 @@ class SlotTableReference {
   std::vector<Group> groups_;
 };
 
+/// What one fuzz history exercised.
+struct FuzzCoverage {
+  std::size_t max_size = 0;
+  std::uint64_t group_answers = 0;
+};
+
+/// Drives `table` and `ref` through the seeded random history
+/// `history_seed` over a 40-server fleet, and after every operation
+/// checks every reader and of() for every server (tracked, folded into
+/// a group, or never seen) against the reference, bit for bit.
+/// `compare_size` also checks size() against the reference's live
+/// entries; server-indexed, size() is the growth high-water mark.
+void fuzz_against_reference(ctrl::SignalTable& table, SlotTableReference& ref,
+                            std::uint64_t history_seed, bool compare_size,
+                            FuzzCoverage& coverage) {
+  constexpr std::uint32_t kFleet = 40;
+  constexpr int kRounds = 3000;
+  util::Rng rng(history_seed);
+  for (int round = 0; round < kRounds; ++round) {
+    const auto server = static_cast<store::ServerId>(rng.uniform_u64_below(kFleet));
+    const Duration cost = Duration::micros(static_cast<std::int64_t>(50 + 10 * (round % 7)));
+    switch (rng.uniform_u64_below(5)) {
+      case 0:
+      case 1:
+        table.on_send(server, cost);
+        ref.on_send(server, cost);
+        break;
+      case 2: {
+        const store::ServerFeedback fb = feedback(static_cast<std::uint32_t>(round % 9),
+                                                  round % 5 == 0 ? 0.0 : 4'000.0 + round);
+        const Duration rtt = Duration::micros(static_cast<std::int64_t>(100 + round % 97));
+        const Time at = Time::nanos(static_cast<std::int64_t>(round) * 1000);
+        table.on_response(server, fb, rtt, cost, at);
+        ref.on_response(server, fb, rtt, cost, at);
+        break;
+      }
+      case 3:
+        table.on_cancel(server, cost);
+        ref.on_cancel(server, cost);
+        break;
+      default: {
+        // Zero balances unpin the entry again.
+        const double balance = round % 3 == 0 ? 0.0 : static_cast<double>(round % 11);
+        table.set_credit_balance(server, balance);
+        ref.set_credit_balance(server, balance);
+        break;
+      }
+    }
+    if (compare_size) {
+      ASSERT_EQ(table.size(), ref.live_entries())
+          << "history " << history_seed << " round " << round;
+    }
+    ASSERT_EQ(table.evictions(), ref.evictions())
+        << "history " << history_seed << " round " << round;
+    coverage.max_size = std::max(coverage.max_size, table.size());
+    for (store::ServerId s = 0; s < kFleet + 4; ++s) {
+      const ctrl::SignalTable::Signals want = ref.of(s);
+      const ctrl::SignalTable::Signals got = table.of(s);
+      const auto where = [&] {
+        return ::testing::Message() << "history " << history_seed << " round " << round
+                                    << " server " << s;
+      };
+      ASSERT_EQ(got.seen, want.seen) << where();
+      ASSERT_EQ(got.outstanding, want.outstanding) << where();
+      ASSERT_EQ(got.pending_cost_ns, want.pending_cost_ns) << where();
+      ASSERT_EQ(got.ewma_response_ns, want.ewma_response_ns) << where();
+      ASSERT_EQ(got.ewma_queue, want.ewma_queue) << where();
+      ASSERT_EQ(got.ewma_service_time_ns, want.ewma_service_time_ns) << where();
+      ASSERT_EQ(got.credit_balance, want.credit_balance) << where();
+      ASSERT_EQ(got.last_queue_length, want.last_queue_length) << where();
+      ASSERT_EQ(got.last_service_rate, want.last_service_rate) << where();
+      ASSERT_EQ(got.last_feedback_ns, want.last_feedback_ns) << where();
+      // The single-signal readers answer exactly what the row snapshot does.
+      ASSERT_EQ(table.seen(s), want.seen) << where();
+      ASSERT_EQ(table.outstanding(s), want.outstanding) << where();
+      ASSERT_EQ(table.pending_cost(s).count_nanos(), want.pending_cost_ns) << where();
+      ASSERT_EQ(table.ewma_response_ns(s), want.ewma_response_ns) << where();
+      ASSERT_EQ(table.ewma_queue(s), want.ewma_queue) << where();
+      ASSERT_EQ(table.ewma_service_time_ns(s), want.ewma_service_time_ns) << where();
+      ASSERT_EQ(table.credit_balance(s), want.credit_balance) << where();
+      ASSERT_EQ(table.last_feedback_ns(s), want.last_feedback_ns) << where();
+      if (want.seen && want.last_feedback_ns < 0 && want.outstanding == 0) ++coverage.group_answers;
+    }
+  }
+}
+
 TEST(SparseSignalTableFuzz, MatchesSlotTableReferenceOnEveryRead) {
   // Seeded random histories over a 40-server fleet in groups of 4.
   // Cap 1 forces pinned growth past the cap on nearly every send, cap
-  // 4 evicts constantly, cap 16 mixes both; every read of every server
-  // (tracked, folded into a group, or never seen) must match the
-  // reference bit for bit after every operation.
-  constexpr std::uint32_t kFleet = 40;
-  constexpr int kRounds = 3000;
+  // 4 evicts constantly, cap 16 mixes both.
   for (const std::uint32_t cap : {1u, 4u, 16u}) {
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
-      ctrl::SparseSignalTable table(/*ewma_alpha=*/0.3, cap, /*group_size=*/4);
+      ctrl::SignalTable table = windowed_table(/*ewma_alpha=*/0.3, cap, /*group_size=*/4);
       SlotTableReference ref(/*ewma_alpha=*/0.3, cap, /*group_size=*/4);
-      util::Rng rng(seed * 100 + cap);
-      std::size_t max_live = 0;
-      std::uint64_t group_answers = 0;
-      for (int round = 0; round < kRounds; ++round) {
-        const auto server = static_cast<store::ServerId>(rng.uniform_u64_below(kFleet));
-        const Duration cost = Duration::micros(static_cast<std::int64_t>(50 + 10 * (round % 7)));
-        switch (rng.uniform_u64_below(5)) {
-          case 0:
-          case 1:
-            table.on_send(server, cost);
-            ref.on_send(server, cost);
-            break;
-          case 2: {
-            const store::ServerFeedback fb = feedback(static_cast<std::uint32_t>(round % 9),
-                                                      round % 5 == 0 ? 0.0 : 4'000.0 + round);
-            const Duration rtt = Duration::micros(static_cast<std::int64_t>(100 + round % 97));
-            const Time at = Time::nanos(static_cast<std::int64_t>(round) * 1000);
-            table.on_response(server, fb, rtt, cost, at);
-            ref.on_response(server, fb, rtt, cost, at);
-            break;
-          }
-          case 3:
-            table.on_cancel(server, cost);
-            ref.on_cancel(server, cost);
-            break;
-          default: {
-            // Zero balances unpin the entry again.
-            const double balance = round % 3 == 0 ? 0.0 : static_cast<double>(round % 11);
-            table.set_credit_balance(server, balance);
-            ref.set_credit_balance(server, balance);
-            break;
-          }
-        }
-        ASSERT_EQ(table.live_entries(), ref.live_entries()) << "cap " << cap << " round " << round;
-        ASSERT_EQ(table.evictions(), ref.evictions()) << "cap " << cap << " round " << round;
-        max_live = std::max(max_live, table.live_entries());
-        for (store::ServerId s = 0; s < kFleet + 4; ++s) {
-          const ctrl::SignalTable::Signals want = ref.of(s);
-          const ctrl::SignalTable::Signals got = table.of(s);
-          const auto where = [&] {
-            return ::testing::Message() << "cap " << cap << " seed " << seed << " round " << round
-                                        << " server " << s;
-          };
-          ASSERT_EQ(got.seen, want.seen) << where();
-          ASSERT_EQ(got.outstanding, want.outstanding) << where();
-          ASSERT_EQ(got.pending_cost_ns, want.pending_cost_ns) << where();
-          ASSERT_EQ(got.ewma_response_ns, want.ewma_response_ns) << where();
-          ASSERT_EQ(got.ewma_queue, want.ewma_queue) << where();
-          ASSERT_EQ(got.ewma_service_time_ns, want.ewma_service_time_ns) << where();
-          ASSERT_EQ(got.credit_balance, want.credit_balance) << where();
-          ASSERT_EQ(got.last_queue_length, want.last_queue_length) << where();
-          ASSERT_EQ(got.last_service_rate, want.last_service_rate) << where();
-          ASSERT_EQ(got.last_feedback_ns, want.last_feedback_ns) << where();
-          // The column readers answer exactly what the row snapshot does.
-          ASSERT_EQ(table.seen(s), want.seen) << where();
-          ASSERT_EQ(table.outstanding(s), want.outstanding) << where();
-          ASSERT_EQ(table.pending_cost(s).count_nanos(), want.pending_cost_ns) << where();
-          ASSERT_EQ(table.ewma_response_ns(s), want.ewma_response_ns) << where();
-          ASSERT_EQ(table.ewma_queue(s), want.ewma_queue) << where();
-          ASSERT_EQ(table.ewma_service_time_ns(s), want.ewma_service_time_ns) << where();
-          ASSERT_EQ(table.credit_balance(s), want.credit_balance) << where();
-          ASSERT_EQ(table.last_feedback_ns(s), want.last_feedback_ns) << where();
-          if (want.seen && want.last_feedback_ns < 0 && want.outstanding == 0) ++group_answers;
-        }
-      }
+      FuzzCoverage coverage;
+      fuzz_against_reference(table, ref, seed * 100 + cap, /*compare_size=*/true, coverage);
+      if (HasFatalFailure()) return;
       // The history really exercised eviction, pinned growth and folds.
       EXPECT_GT(table.evictions(), 0u) << "cap " << cap;
-      EXPECT_GT(max_live, static_cast<std::size_t>(cap)) << "cap " << cap;
-      EXPECT_GT(group_answers, 0u) << "cap " << cap;
+      EXPECT_GT(coverage.max_size, static_cast<std::size_t>(cap)) << "cap " << cap;
+      EXPECT_GT(coverage.group_answers, 0u) << "cap " << cap;
+    }
+  }
+}
+
+TEST(SignalTableFuzz, ServerIndexedMatchesSlotTableReferenceOnEveryRead) {
+  // The same nine histories against the server-indexed layout, with a
+  // reference cap above the fleet so the reference never evicts either.
+  for (const std::uint32_t cap : {1u, 4u, 16u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      ctrl::SignalTable table(ctrl::SignalTableConfig{/*ewma_alpha=*/0.3});
+      SlotTableReference ref(/*ewma_alpha=*/0.3, /*entry_cap=*/64, /*group_size=*/4);
+      FuzzCoverage coverage;
+      fuzz_against_reference(table, ref, seed * 100 + cap, /*compare_size=*/false, coverage);
+      if (HasFatalFailure()) return;
+      EXPECT_EQ(table.evictions(), 0u);
+      EXPECT_EQ(table.size(), 40u);  // high-water mark: every server was touched
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -136,6 +137,41 @@ TEST(ScenarioEdge, ZeroWarmupMeasuresEverything) {
   config.warmup_fraction = 0.0;
   const RunResult result = run_scenario(config);
   EXPECT_EQ(result.tasks_measured, config.num_tasks);
+}
+
+TEST(ScenarioEdge, SignalStoreCapMustBeDecimalInUint32Range) {
+  // CAP is 1..2^32-1 written in decimal digits. Anything else fails
+  // with the grammar message instead of being truncated, wrapped or
+  // silently defaulted.
+  const struct {
+    const char* spec;
+    bool valid;
+  } cases[] = {
+      {"sparse", true},           {"sparse:1", true},         {"sparse:4294967295", true},
+      {"sparse:", false},         {"sparse:0", false},        {"sparse:12x", false},
+      {"sparse:-1", false},       {"sparse:+4", false},       {"sparse: 4", false},
+      {"sparse:abc", false},      {"sparse:4294967296", false},
+      {"sparse:99999999999999999999", false},                 {"dense:4", false},
+  };
+  for (const auto& c : cases) {
+    ScenarioConfig config = small_config(SystemKind::kFifoDirect);
+    config.num_tasks = 200;
+    config.signal_store = c.spec;
+    if (c.valid) {
+      const RunResult result = run_scenario(config);
+      EXPECT_TRUE(result.sparse_signal_store) << c.spec;
+      EXPECT_EQ(result.tasks_completed, 200u) << c.spec;
+      continue;
+    }
+    try {
+      run_scenario(config);
+      ADD_FAILURE() << "accepted " << c.spec;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "run_scenario: signal store must be auto|dense|sparse[:CAP]")
+          << c.spec;
+    }
+  }
 }
 
 TEST(ScenarioEdge, SelectorOverrideIsHonored) {

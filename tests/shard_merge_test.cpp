@@ -107,6 +107,25 @@ TEST(ShardSpec, ParsesAndRejects) {
   }
 }
 
+TEST(SeedList, RejectsPartsThatAreNotWholeDecimalDigits) {
+  const auto seeds_of = [](const std::string& list) {
+    const std::string arg = "--seed-list=" + list;
+    const char* argv[] = {"brbsim", arg.c_str()};
+    return cli::seeds_from_flags(util::Flags(2, argv), 3);
+  };
+  EXPECT_EQ(seeds_of("2,7,18446744073709551615"),
+            (std::vector<std::uint64_t>{2, 7, 18446744073709551615ull}));
+  // "2.5" used to read as 2 and report a duplicate; "2x" ran seed 2.
+  for (const std::string part : {"2x", "2.5", "-1", "+3", " 4", "0x10", "18446744073709551616"}) {
+    try {
+      seeds_of("2," + part);
+      ADD_FAILURE() << "accepted '" << part << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "--seed-list: not a seed: " + part);
+    }
+  }
+}
+
 TEST(SweepPlan, DeterministicAndExactPartition) {
   const char* argv[] = {"brbsim", "--loads=0.5,0.7,0.9", "--tasks=1000"};
   const util::Flags flags(3, argv);
