@@ -5,11 +5,15 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 #ifdef __unix__
 #include <sys/resource.h>
@@ -37,11 +41,6 @@ using core::AggregateResult;
 using core::RunResult;
 using core::ScenarioConfig;
 
-sim::Duration micros_flag(const util::Flags& flags, std::string_view name,
-                          sim::Duration fallback) {
-  return sim::Duration::micros(flags.get_double(name, fallback.as_micros()));
-}
-
 std::ofstream open_or_throw(const std::string& path) {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("cannot open for writing: " + path);
@@ -55,45 +54,308 @@ void write_artifact(const std::string& path, const stats::Json& doc) {
   if (!os) throw std::runtime_error("write failed: " + path);
 }
 
-/// Every flag the driver or any registered scenario reads. Unknown
-/// `--flags` used to be silently ignored (a typo'd `--task=...` ran
-/// the full default workload); now they fail fast with a hint.
-const std::vector<std::string>& known_flags() {
-  static const std::vector<std::string> flags = {
-      // run control
-      "help", "list", "list-scenarios", "scenario", "paper", "seeds", "seed-list", "serial",
-      "threads", "quiet", "json", "csv", "record-trace",
-      // sharded sweeps (plan / execute / merge)
-      "plan", "shard", "spawn",
-      // cluster / workload
-      "servers", "cores", "rate", "cluster", "replication", "clients", "tasks", "utilization",
-      "trace", "fanout", "sizes", "keys", "paced", "arrivals", "write-fraction", "tenants",
-      // timing / measurement
-      "net-latency-us", "net-jitter-us", "service-base-us", "service-noise", "cost-noise",
-      "warmup", "keep-raw",
-      // system under test / control plane
-      "system", "seed", "selector", "systems", "policy", "policy-switch", "admission",
-      "dispatch", "signal-store", "stats",
-      // scenario expanders
-      "loads", "fanouts", "writes", "skews", "replications", "intervals-ms", "noise-sigmas",
-      "policies", "dispatches",
-      // credits controller
-      "credits-adapt-s", "credits-measure-ms", "credits-monitor-ms", "credits-congestion-factor",
-      "credits-backoff", "credits-recovery", "credits-min-capacity", "credits-ewma",
-      "credits-min-share", "credits-carryover",
-      // C3 comparator
-      "c3-ewma", "c3-exponent", "rate-initial", "rate-beta", "rate-scaling", "rate-burst",
-      "rate-window-ms",
+using Cfg = ScenarioConfig;
+using Cluster = workload::ClusterSpec;
+using Credits = core::CreditsConfig;
+using C3 = policy::C3Config;
+using Rate = policy::CubicRateController::Config;
+
+/// The config field at a member-pointer path: `at<&Cfg::credits,
+/// &Credits::recovery_step>` is `config.credits.recovery_step`.
+template <auto... Path>
+auto& at(Cfg& config) {
+  return (config .* ... .* Path);
+}
+
+const ConfigFlag* find_config_flag(std::string_view name) {
+  for (const ConfigFlag& row : config_flags()) {
+    if (row.name == name) return &row;
+  }
+  return nullptr;
+}
+
+/// Strict parse of the row's flag (command line, else environment)
+/// into its field.
+void parse_into(const util::Flags& flags, const ConfigFlag& row, ScenarioConfig& config) {
+  const std::string flag = "flag --" + std::string(row.name);
+  std::visit(
+      [&](auto field) {
+        using T = std::remove_reference_t<decltype(field(config))>;
+        if constexpr (std::is_same_v<T, bool>) {
+          field(config) = flags.get_bool(row.name, false);
+        } else if constexpr (std::is_integral_v<T>) {
+          const std::uint64_t value = flags.get_uint(row.name, 0);
+          if (value > std::numeric_limits<T>::max()) {
+            throw std::invalid_argument(flag + ": must be <= " +
+                                        std::to_string(std::numeric_limits<T>::max()));
+          }
+          field(config) = static_cast<T>(value);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          field(config) = flags.get_string(row.name, "");
+          if (field(config).empty()) throw std::invalid_argument(flag + ": empty value");
+        } else if constexpr (std::is_same_v<T, Cluster>) {
+          field(config) = Cluster::parse(flags.get_string(row.name, ""));
+        } else {
+          const double value = flags.get_double(row.name, 0.0);
+          if (value < 0.0) throw std::invalid_argument(flag + ": must be >= 0");
+          if constexpr (std::is_same_v<T, double>) {
+            field(config) = value;
+          } else {
+            // The int64 nanosecond cast is undefined past 2^63.
+            const double nanos = value * row.unit_ns;
+            if (!(nanos < 0x1p63)) throw std::invalid_argument(flag + ": too large");
+            field(config) = sim::Duration::nanos(static_cast<std::int64_t>(nanos));
+          }
+        }
+      },
+      row.field);
+}
+
+/// The row's field as its artifact value. The accessors are shared with
+/// `parse_into` and so take a mutable config; this one only reads.
+stats::Json field_json(const ConfigFlag& row, const ScenarioConfig& config) {
+  auto& readable = const_cast<ScenarioConfig&>(config);
+  return std::visit(
+      [&](auto field) -> stats::Json {
+        const auto& value = field(readable);
+        using T = std::remove_cvref_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, sim::Duration>) {
+          return static_cast<double>(value.count_nanos()) / row.unit_ns;
+        } else if constexpr (std::is_same_v<T, Cluster>) {
+          return value.describe();
+        } else {
+          return value;
+        }
+      },
+      row.field);
+}
+
+/// Writes every echoed row's value into `j`: the config block in table
+/// order, or a case block (rows with a case slot) in slot order.
+void echo_config(stats::Json& j, const ScenarioConfig& config, bool case_block) {
+  std::vector<const ConfigFlag*> rows;
+  for (const ConfigFlag& row : config_flags()) {
+    if (!row.json.empty() && (!case_block || row.case_slot > 0)) rows.push_back(&row);
+  }
+  if (case_block) {
+    std::sort(rows.begin(), rows.end(), [](const ConfigFlag* a, const ConfigFlag* b) {
+      return a->case_slot < b->case_slot;
+    });
+  }
+  for (const ConfigFlag* row : rows) {
+    stats::Json value = field_json(*row, config);
+    if (row->when_set && value.as_string().empty()) continue;
+    j[std::string(row->json)] = std::move(value);
+  }
+}
+
+}  // namespace
+
+const std::vector<ConfigFlag>& config_flags() {
+  // Artifact keys and case slots are pinned by existing artifacts: the
+  // credits, C3 and rate knobs are not echoed, and the control-plane
+  // bindings appear only when set.
+  static const std::vector<ConfigFlag> table = {
+      {.heading = "cluster / workload (paper defaults otherwise)", .name = "servers", .arg = "N",
+       .help = "servers in the fleet", .field = &at<&Cfg::cluster, &Cluster::num_servers>,
+       .json = "servers", .recorded = true},
+      {.name = "cores", .arg = "N", .help = "cores per server",
+       .field = &at<&Cfg::cluster, &Cluster::cores_per_server>, .json = "cores_per_server",
+       .recorded = true},
+      {.name = "rate", .arg = "X", .help = "requests/s each core serves",
+       .field = &at<&Cfg::cluster, &Cluster::service_rate_per_core>,
+       .json = "service_rate_per_core", .recorded = true},
+      {.name = "cluster", .arg = "PROFILE", .help = "fleet profile, e.g. hetero:6x4x3500,3x8x7000",
+       .field = &at<&Cfg::cluster>, .json = "cluster", .case_slot = 4,
+       .conflicts = "servers,cores,rate", .recorded = true},
+      {.name = "replication", .arg = "R", .help = "replicas per key",
+       .field = &at<&Cfg::replication>, .json = "replication", .case_slot = 6},
+      {.name = "clients", .arg = "N", .help = "client processes", .field = &at<&Cfg::num_clients>,
+       .json = "clients", .recorded = true},
+      {.name = "tasks", .arg = "N", .help = "tasks per run (60000; 500000 at paper scale)",
+       .field = &at<&Cfg::num_tasks>, .json = "tasks", .case_slot = 3, .recorded = true},
+      {.name = "utilization", .arg = "U", .help = "offered load as a fraction of capacity",
+       .field = &at<&Cfg::utilization>, .json = "utilization", .case_slot = 1, .recorded = true},
+      {.name = "trace", .arg = "PATH", .help = "replay this trace file (trace-replay input)",
+       .field = &at<&Cfg::trace_path>, .json = "trace"},
+      {.name = "fanout", .arg = "SPEC",
+       .help = "fixed:K | geometric:MEAN | lognormal:MEAN:SIGMA:CAP",
+       .field = &at<&Cfg::fanout_spec>, .json = "fanout", .case_slot = 2, .recorded = true},
+      {.name = "sizes", .arg = "SPEC", .help = "value-size distribution",
+       .field = &at<&Cfg::size_spec>, .json = "sizes", .recorded = true},
+      {.name = "keys", .arg = "SPEC", .help = "key popularity: zipf:KEYS:EXP | uniform:KEYS",
+       .field = &at<&Cfg::key_spec>, .json = "keys", .case_slot = 5, .recorded = true},
+      {.name = "paced", .help = "evenly paced arrivals instead of Poisson",
+       .field = &at<&Cfg::paced_arrivals>, .json = "paced_arrivals", .recorded = true},
+      {.name = "arrivals", .arg = "SPEC",
+       .help = "diurnal:LOW:HIGH:PERIOD_S | steps:M1,..:PERIOD_S", .field = &at<&Cfg::arrival_spec>,
+       .json = "arrivals", .case_slot = 7, .recorded = true},
+      {.name = "write-fraction", .arg = "F",
+       .help = "task-level writes, fanned out to all replicas", .field = &at<&Cfg::write_fraction>,
+       .json = "write_fraction", .case_slot = 8, .recorded = true},
+      {.name = "tenants", .arg = "MIX",
+       .help = "NAME[,share=W][,fanout=SPEC][,keys=SPEC][,write=F];..",
+       .field = &at<&Cfg::tenant_spec>, .json = "tenants", .case_slot = 9, .recorded = true},
+
+      {.heading = "timing / measurement", .name = "net-latency-us", .arg = "US",
+       .help = "one-way network latency", .field = &at<&Cfg::net_latency>, .unit_ns = 1e3,
+       .json = "net_latency_us"},
+      {.name = "net-jitter-us", .arg = "US", .help = "network latency jitter",
+       .field = &at<&Cfg::net_jitter>, .unit_ns = 1e3, .json = "net_jitter_us"},
+      {.name = "service-base-us", .arg = "US", .help = "fixed per-request service overhead",
+       .field = &at<&Cfg::service_base>, .unit_ns = 1e3, .json = "service_base_us"},
+      {.name = "service-noise", .arg = "SIGMA", .help = "log-normal service-time noise",
+       .field = &at<&Cfg::service_noise_sigma>, .json = "service_noise_sigma"},
+      {.name = "cost-noise", .arg = "SIGMA", .help = "log-normal cost-forecast noise",
+       .field = &at<&Cfg::cost_noise_sigma>, .json = "cost_noise_sigma"},
+      {.name = "warmup", .arg = "F", .help = "leading fraction of tasks left out of the statistics",
+       .field = &at<&Cfg::warmup_fraction>, .json = "warmup_fraction"},
+      {.name = "keep-raw", .help = "keep raw latency samples",
+       .field = &at<&Cfg::keep_raw_latencies>},
+
+      {.heading = "system under test / control plane", .name = "seed", .arg = "N",
+       .help = "seed of a recorded trace (scenario runs take the seed list)",
+       .field = &at<&Cfg::seed>, .recorded = true, .runs_instead = "seed-list"},
+      {.name = "selector", .arg = "NAME", .help = "legacy alias for a fleet-wide policy binding",
+       .field = &at<&Cfg::selector_override>, .json = "selector_override", .conflicts = "policy"},
+      {.name = "policy", .arg = "SPEC", .help = "replica policy: NAME, or tenantA:c3,tenantB:lor",
+       .field = &at<&Cfg::policy_spec>, .json = "policy", .when_set = true, .case_slot = 10},
+      {.name = "policy-switch", .arg = "SCHEDULE",
+       .help = "mid-run switching: t0:random,30s:c3 (per tenant 30s:tenantA:c3; dispatch "
+               "modes 30s:hedge:q95)",
+       .field = &at<&Cfg::policy_switch_spec>, .json = "policy_switch", .when_set = true,
+       .case_slot = 11},
+      {.name = "dispatch", .arg = "SPEC",
+       .help = "dispatch mode: MODE, or tenantA:tied,tenantB:kofn:2",
+       .field = &at<&Cfg::dispatch_spec>, .json = "dispatch", .when_set = true, .case_slot = 12},
+      {.name = "admission", .arg = "NAME",
+       .help = "direct | cubic-rate | credits (else the system's)",
+       .field = &at<&Cfg::admission_override>, .json = "admission", .when_set = true,
+       .case_slot = 13},
+      {.name = "signal-store", .arg = "LAYOUT",
+       .help = "auto | dense | sparse[:CAP] (an LRU window of CAP servers per client, default "
+               "128; auto is sparse, with first-touch credits, past 2^24 client x server pairs)",
+       .field = &at<&Cfg::signal_store>, .json = "signal_store", .when_set = true, .case_slot = 14},
+      {.name = "stats", .arg = "KIND",
+       .help = "exact | sketch (sketch adds mergeable quantile sketches, 1% relative error)",
+       .field = &at<&Cfg::stats_spec>, .json = "stats", .when_set = true, .case_slot = 15},
+
+      {.heading = "credits controller", .name = "credits-adapt-s", .arg = "S",
+       .help = "re-allocation interval", .field = &at<&Cfg::credits, &Credits::adapt_interval>,
+       .unit_ns = 1e9},
+      {.name = "credits-measure-ms", .arg = "MS", .help = "client demand-report interval",
+       .field = &at<&Cfg::credits, &Credits::measure_interval>, .unit_ns = 1e6},
+      {.name = "credits-monitor-ms", .arg = "MS", .help = "congestion monitor interval",
+       .field = &at<&Cfg::credits, &Credits::monitor_interval>, .unit_ns = 1e6},
+      {.name = "credits-congestion-factor", .arg = "X",
+       .help = "queue length, in multiples of cores, that signals congestion",
+       .field = &at<&Cfg::credits, &Credits::congestion_queue_factor>},
+      {.name = "credits-backoff", .arg = "X", .help = "capacity factor applied on congestion",
+       .field = &at<&Cfg::credits, &Credits::congestion_backoff>},
+      {.name = "credits-recovery", .arg = "X", .help = "capacity recovered per calm interval",
+       .field = &at<&Cfg::credits, &Credits::recovery_step>},
+      {.name = "credits-min-capacity", .arg = "X", .help = "floor on the congestion factor",
+       .field = &at<&Cfg::credits, &Credits::min_capacity_factor>},
+      {.name = "credits-ewma", .arg = "A", .help = "EWMA weight of the newest demand report",
+       .field = &at<&Cfg::credits, &Credits::demand_ewma_alpha>},
+      {.name = "credits-min-share", .arg = "F",
+       .help = "capacity fraction granted as an equal floor",
+       .field = &at<&Cfg::credits, &Credits::min_share_fraction>},
+      {.name = "credits-carryover", .arg = "X", .help = "unused balance carried over, in grants",
+       .field = &at<&Cfg::credits, &Credits::carryover_cap_factor>},
+
+      {.heading = "C3 comparator", .name = "c3-ewma", .arg = "A",
+       .help = "EWMA weight of the newest sample", .field = &at<&Cfg::c3, &C3::ewma_alpha>},
+      {.name = "c3-exponent", .arg = "B", .help = "queue-size penalty exponent",
+       .field = &at<&Cfg::c3, &C3::queue_exponent>},
+      {.name = "rate-initial", .arg = "X", .help = "initial per-server rate cap (0 = fair share)",
+       .field = &at<&Cfg::rate, &Rate::initial_rate>},
+      {.name = "rate-beta", .arg = "X", .help = "multiplicative decrease on congestion",
+       .field = &at<&Cfg::rate, &Rate::beta>},
+      {.name = "rate-scaling", .arg = "X", .help = "cubic growth coefficient",
+       .field = &at<&Cfg::rate, &Rate::scaling>},
+      {.name = "rate-burst", .arg = "N", .help = "token bucket depth, in requests",
+       .field = &at<&Cfg::rate, &Rate::burst>},
+      {.name = "rate-window-ms", .arg = "MS", .help = "rate measurement window",
+       .field = &at<&Cfg::rate, &Rate::window>, .unit_ns = 1e6},
+  };
+  return table;
+}
+
+const std::vector<util::FlagHelp>& run_control_flags() {
+  static const std::vector<util::FlagHelp> flags = {
+      {"scenario", "NAME", "the scenario to run (default paper)"},
+      {"seeds", "N", "run seeds 1..N (default 3; 6 at paper scale)"},
+      {"seed-list", "1,5,9", "explicit seed list (wins over the seed count)"},
+      {"serial", "", "disable the per-seed worker threads"},
+      {"threads", "N", "cap seed workers (0 = one per seed); results are identical for any N"},
+      {"paper", "", "full paper scale (500k tasks, 6 seeds)"},
+      {"json", "PATH", "write the JSON artifact"},
+      {"csv", "PATH", "write the CSV artifact"},
+      {"quiet", "", "suppress the console table"},
+      {"plan", "", "list every (case, seed) unit and exit"},
+      {"shard", "i/N", "run only shard i of N (deterministic hash partition)"},
+      {"spawn", "K", "fork K worker processes over the plan and merge in-process"},
+      {"record-trace", "PATH", "write the workload to PATH as a trace and exit"},
+      {"list-scenarios", "", "print the scenario catalog"},
+      {"list", "", "same as list-scenarios"},
+      {"help", "", "print this help"},
   };
   return flags;
+}
+
+namespace {
+
+bool contains(const std::vector<std::string>& names, std::string_view name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+const Overwrite* find_overwrite(const ScenarioSpec& scenario, std::string_view flag) {
+  for (const Overwrite& overwrite : scenario.overwrites) {
+    if (overwrite.flag == flag) return &overwrite;
+  }
+  return nullptr;
+}
+
+/// Why `scenario` would not honour the known, non-run-control flag
+/// `name`; "" when it reads it.
+std::string ignored_by(const ScenarioSpec& scenario, const std::string& name) {
+  const std::string prefix = "scenario '" + scenario.name + "' does not read --" + name + "; ";
+  if (const Overwrite* overwrite = find_overwrite(scenario, name)) {
+    return prefix + (overwrite->instead.empty() ? "pick another --scenario"
+                                                : "use --" + overwrite->instead);
+  }
+  if (const ConfigFlag* row = find_config_flag(name)) {
+    return row->runs_instead.empty() ? "" : prefix + "use --" + std::string(row->runs_instead);
+  }
+  if (contains(scenario.reads, name)) return "";
+  // An expander flag of other scenarios: point at the config flag those
+  // scenarios sweep in its place, when this scenario keeps that one.
+  std::string base;
+  std::string readers;
+  for (const ScenarioSpec& other : scenario_registry()) {
+    if (contains(other.reads, name)) readers += (readers.empty() ? "" : ", ") + other.name;
+    for (const Overwrite& overwrite : other.overwrites) {
+      if (base.empty() && overwrite.instead == name &&
+          find_overwrite(scenario, overwrite.flag) == nullptr) {
+        base = "use --" + overwrite.flag + ", or ";
+      }
+    }
+  }
+  return prefix + base + "pick a --scenario that does: " + readers;
 }
 
 }  // namespace
 
 void validate_flags(const util::Flags& flags) {
-  const std::vector<std::string>& known = known_flags();
-  for (const std::string& name : flags.cli_names()) {
-    if (std::find(known.begin(), known.end(), name) != known.end()) continue;
+  std::vector<std::string> run_control;
+  for (const util::FlagHelp& flag : run_control_flags()) run_control.emplace_back(flag.name);
+  std::vector<std::string> known = run_control;
+  for (const ConfigFlag& row : config_flags()) known.emplace_back(row.name);
+  for (const util::FlagHelp& flag : expander_flags()) known.emplace_back(flag.name);
+  const std::vector<std::string> given = flags.cli_names();
+  for (const std::string& name : given) {
+    if (contains(known, name)) continue;
     std::string message = "unknown flag --" + name;
     if (const auto suggestion = util::closest_name(name, known)) {
       message += " (did you mean --" + *suggestion + "?)";
@@ -101,118 +363,43 @@ void validate_flags(const util::Flags& flags) {
     message += "; see brbsim --help";
     throw std::invalid_argument(message);
   }
+  if (flags.get_bool("help", false) || flags.get_bool("list", false) ||
+      flags.get_bool("list-scenarios", false)) {
+    return;
+  }
+  if (flags.get("record-trace")) {
+    for (const std::string& name : given) {
+      const ConfigFlag* row = find_config_flag(name);
+      if (name == "record-trace" || name == "paper" || (row != nullptr && row->recorded)) continue;
+      throw std::invalid_argument("--record-trace does not read --" + name +
+                                  "; it reads --seed, --paper and the cluster / workload flags");
+    }
+    return;
+  }
+  // An unknown scenario is reported by the driver, with its own hint.
+  const ScenarioSpec* scenario = find_scenario(flags.get_string("scenario", "paper"));
+  if (scenario == nullptr) return;
+  for (const std::string& name : given) {
+    if (contains(run_control, name)) continue;
+    if (const std::string reason = ignored_by(*scenario, name); !reason.empty()) {
+      throw std::invalid_argument(reason);
+    }
+  }
 }
 
 ScenarioConfig config_from_flags(const util::Flags& flags) {
-  ScenarioConfig config;  // paper defaults
-  const bool paper = flags.get_bool("paper", false);
-
-  // --- cluster ---
-  if (const auto cluster = flags.get("cluster")) {
-    if (flags.has("servers") || flags.has("cores") || flags.has("rate")) {
-      throw std::invalid_argument(
-          "--cluster conflicts with --servers/--cores/--rate; the profile fixes all three");
+  ScenarioConfig config;  // paper defaults, but 60k tasks below full paper scale
+  if (!flags.get_bool("paper", false)) config.num_tasks = 60'000;
+  for (const ConfigFlag& row : config_flags()) {
+    if (!flags.get(row.name)) continue;
+    for (const std::string& other : util::split_list(row.conflicts)) {
+      if (flags.get(other)) {
+        throw std::invalid_argument("--" + std::string(row.name) + " conflicts with --" + other);
+      }
     }
-    config.cluster = workload::ClusterSpec::parse(*cluster);
-  } else {
-    config.cluster.num_servers =
-        static_cast<std::uint32_t>(flags.get_uint("servers", config.cluster.num_servers));
-    config.cluster.cores_per_server =
-        static_cast<std::uint32_t>(flags.get_uint("cores", config.cluster.cores_per_server));
-    config.cluster.service_rate_per_core =
-        flags.get_double("rate", config.cluster.service_rate_per_core);
+    parse_into(flags, row, config);
   }
-  config.replication = static_cast<std::uint32_t>(flags.get_uint("replication", config.replication));
-  config.num_clients = static_cast<std::uint32_t>(flags.get_uint("clients", config.num_clients));
-
-  // --- workload ---
-  config.num_tasks = flags.get_uint("tasks", paper ? 500'000 : 60'000);
-  config.utilization = flags.get_double("utilization", config.utilization);
-  config.trace_path = flags.get_string("trace", config.trace_path);
-  config.fanout_spec = flags.get_string("fanout", config.fanout_spec);
-  config.size_spec = flags.get_string("sizes", config.size_spec);
-  config.key_spec = flags.get_string("keys", config.key_spec);
-  config.paced_arrivals = flags.get_bool("paced", config.paced_arrivals);
-  config.arrival_spec = flags.get_string("arrivals", config.arrival_spec);
-  config.write_fraction = flags.get_double("write-fraction", config.write_fraction);
-  config.tenant_spec = flags.get_string("tenants", config.tenant_spec);
-  if (config.paced_arrivals && !config.arrival_spec.empty()) {
-    throw std::invalid_argument("--paced conflicts with --arrivals; pick one arrival shape");
-  }
-  if (!config.trace_path.empty()) {
-    // Replay fixes arrival times, request mix and issuing clients.
-    if (!config.arrival_spec.empty()) {
-      throw std::invalid_argument("--trace conflicts with --arrivals (times come from the trace)");
-    }
-    if (config.write_fraction > 0.0) {
-      throw std::invalid_argument("--trace conflicts with --write-fraction (traces are read-only)");
-    }
-    if (!config.tenant_spec.empty()) {
-      throw std::invalid_argument("--trace conflicts with --tenants (traces are single-tenant)");
-    }
-  }
-
-  // --- timing ---
-  config.net_latency = micros_flag(flags, "net-latency-us", config.net_latency);
-  config.net_jitter = micros_flag(flags, "net-jitter-us", config.net_jitter);
-  config.service_base = micros_flag(flags, "service-base-us", config.service_base);
-  config.service_noise_sigma = flags.get_double("service-noise", config.service_noise_sigma);
-  config.cost_noise_sigma = flags.get_double("cost-noise", config.cost_noise_sigma);
-
-  // --- measurement ---
-  config.warmup_fraction = flags.get_double("warmup", config.warmup_fraction);
-  config.keep_raw_latencies = flags.get_bool("keep-raw", config.keep_raw_latencies);
-
-  // --- system under test ---
-  config.system = core::system_kind_from_name(
-      flags.get_string("system", to_string(config.system)));
-  config.seed = flags.get_uint("seed", config.seed);
-  config.selector_override = flags.get_string("selector", config.selector_override);
-
-  // --- control plane ---
-  config.policy_spec = flags.get_string("policy", config.policy_spec);
-  config.policy_switch_spec = flags.get_string("policy-switch", config.policy_switch_spec);
-  config.dispatch_spec = flags.get_string("dispatch", config.dispatch_spec);
-  config.admission_override = flags.get_string("admission", config.admission_override);
-  config.signal_store = flags.get_string("signal-store", config.signal_store);
-  config.stats_spec = flags.get_string("stats", config.stats_spec);
-  if (!config.selector_override.empty() && !config.policy_spec.empty()) {
-    throw std::invalid_argument(
-        "--selector and --policy conflict (--policy is the superset: use --policy=NAME)");
-  }
-
-  // --- credits controller ---
-  config.credits.adapt_interval = sim::Duration::seconds(
-      flags.get_double("credits-adapt-s", config.credits.adapt_interval.as_seconds()));
-  config.credits.measure_interval = sim::Duration::millis(flags.get_double(
-      "credits-measure-ms", config.credits.measure_interval.as_millis()));
-  config.credits.monitor_interval = sim::Duration::millis(flags.get_double(
-      "credits-monitor-ms", config.credits.monitor_interval.as_millis()));
-  config.credits.congestion_queue_factor =
-      flags.get_double("credits-congestion-factor", config.credits.congestion_queue_factor);
-  config.credits.congestion_backoff =
-      flags.get_double("credits-backoff", config.credits.congestion_backoff);
-  config.credits.recovery_step =
-      flags.get_double("credits-recovery", config.credits.recovery_step);
-  config.credits.min_capacity_factor =
-      flags.get_double("credits-min-capacity", config.credits.min_capacity_factor);
-  config.credits.demand_ewma_alpha =
-      flags.get_double("credits-ewma", config.credits.demand_ewma_alpha);
-  config.credits.min_share_fraction =
-      flags.get_double("credits-min-share", config.credits.min_share_fraction);
-  config.credits.carryover_cap_factor =
-      flags.get_double("credits-carryover", config.credits.carryover_cap_factor);
-
-  // --- C3 comparator ---
-  config.c3.ewma_alpha = flags.get_double("c3-ewma", config.c3.ewma_alpha);
-  config.c3.queue_exponent = flags.get_double("c3-exponent", config.c3.queue_exponent);
-  config.rate.initial_rate = flags.get_double("rate-initial", config.rate.initial_rate);
-  config.rate.beta = flags.get_double("rate-beta", config.rate.beta);
-  config.rate.scaling = flags.get_double("rate-scaling", config.rate.scaling);
-  config.rate.burst = flags.get_double("rate-burst", config.rate.burst);
-  config.rate.window =
-      sim::Duration::millis(flags.get_double("rate-window-ms", config.rate.window.as_millis()));
-
+  core::validate(config);
   return config;
 }
 
@@ -297,42 +484,6 @@ std::vector<CaseResult> execute_shard(
 }
 
 namespace {
-
-stats::Json config_json(const ScenarioConfig& config) {
-  stats::Json j = stats::Json::object();
-  j["servers"] = config.cluster.num_servers;
-  j["cores_per_server"] = config.cluster.cores_per_server;
-  j["service_rate_per_core"] = config.cluster.service_rate_per_core;
-  j["cluster"] = config.cluster.describe();
-  j["replication"] = config.replication;
-  j["clients"] = config.num_clients;
-  j["tasks"] = config.num_tasks;
-  j["utilization"] = config.utilization;
-  j["trace"] = config.trace_path;
-  j["fanout"] = config.fanout_spec;
-  j["sizes"] = config.size_spec;
-  j["keys"] = config.key_spec;
-  j["paced_arrivals"] = config.paced_arrivals;
-  j["arrivals"] = config.arrival_spec;
-  j["write_fraction"] = config.write_fraction;
-  j["tenants"] = config.tenant_spec;
-  j["net_latency_us"] = config.net_latency.as_micros();
-  j["net_jitter_us"] = config.net_jitter.as_micros();
-  j["service_base_us"] = config.service_base.as_micros();
-  j["service_noise_sigma"] = config.service_noise_sigma;
-  j["cost_noise_sigma"] = config.cost_noise_sigma;
-  j["warmup_fraction"] = config.warmup_fraction;
-  j["selector_override"] = config.selector_override;
-  // Control-plane bindings appear only when set: legacy artifacts stay
-  // byte-identical to their pre-control-plane form.
-  if (!config.policy_spec.empty()) j["policy"] = config.policy_spec;
-  if (!config.policy_switch_spec.empty()) j["policy_switch"] = config.policy_switch_spec;
-  if (!config.dispatch_spec.empty()) j["dispatch"] = config.dispatch_spec;
-  if (!config.admission_override.empty()) j["admission"] = config.admission_override;
-  if (!config.signal_store.empty()) j["signal_store"] = config.signal_store;
-  if (!config.stats_spec.empty()) j["stats"] = config.stats_spec;
-  return j;
-}
 
 /// One per-seed row. Deterministic fields only: wall-clock time lives
 /// in the artifact's trailing "timing" object, so rows (and the whole
@@ -422,7 +573,9 @@ stats::Json report_json(const std::string& scenario, const ScenarioConfig& base,
   root["format"] = stats::kArtifactFormat;
   root["scenario"] = scenario;
   if (shard != nullptr) root["shard"] = shard->describe();
-  root["config"] = config_json(base);
+  stats::Json config = stats::Json::object();
+  echo_config(config, base, /*case_block=*/false);
+  root["config"] = std::move(config);
   stats::Json seed_array = stats::Json::array();
   for (const std::uint64_t s : seeds) seed_array.push_back(s);
   root["seeds"] = std::move(seed_array);
@@ -434,38 +587,10 @@ stats::Json report_json(const std::string& scenario, const ScenarioConfig& base,
     stats::Json c = stats::Json::object();
     c["label"] = result.spec.label;
     c["system"] = to_string(result.spec.config.system);
-    c["utilization"] = result.spec.config.utilization;
-    c["fanout"] = result.spec.config.fanout_spec;
     // Per-case copies of every dimension a scenario expander may sweep,
     // so each case stays self-describing even when it diverges from
     // the base config block above.
-    c["tasks"] = result.spec.config.num_tasks;
-    c["cluster"] = result.spec.config.cluster.describe();
-    c["keys"] = result.spec.config.key_spec;
-    c["replication"] = result.spec.config.replication;
-    c["arrivals"] = result.spec.config.arrival_spec;
-    c["write_fraction"] = result.spec.config.write_fraction;
-    c["tenants"] = result.spec.config.tenant_spec;
-    // Control-plane dimensions (policy-shootout / policy-switch sweep
-    // them per case); conditional so legacy cases keep their key set.
-    if (!result.spec.config.policy_spec.empty()) {
-      c["policy"] = result.spec.config.policy_spec;
-    }
-    if (!result.spec.config.policy_switch_spec.empty()) {
-      c["policy_switch"] = result.spec.config.policy_switch_spec;
-    }
-    if (!result.spec.config.dispatch_spec.empty()) {
-      c["dispatch"] = result.spec.config.dispatch_spec;
-    }
-    if (!result.spec.config.admission_override.empty()) {
-      c["admission"] = result.spec.config.admission_override;
-    }
-    if (!result.spec.config.signal_store.empty()) {
-      c["signal_store"] = result.spec.config.signal_store;
-    }
-    if (!result.spec.config.stats_spec.empty()) {
-      c["stats"] = result.spec.config.stats_spec;
-    }
+    echo_config(c, result.spec.config, /*case_block=*/true);
     stats::Json latency = stats::Json::object();
     latency["p50_ms"] = stats::summary_json(result.aggregate.p50_ms);
     latency["p95_ms"] = stats::summary_json(result.aggregate.p95_ms);
@@ -590,114 +715,89 @@ std::vector<const ScenarioSpec*> sorted_scenarios() {
   return specs;
 }
 
-void print_scenario_list(std::ostream& os) {
+namespace {
+
+using Columns = std::vector<std::pair<std::string, std::string>>;
+
+/// Prints two aligned columns, indented by two spaces.
+void print_columns(std::ostream& os, const Columns& rows) {
   std::size_t width = 0;
-  for (const ScenarioSpec* spec : sorted_scenarios()) {
-    width = std::max(width, spec->name.size());
+  for (const auto& [left, right] : rows) width = std::max(width, left.size());
+  for (const auto& [left, right] : rows) {
+    os << "  " << left << std::string(width - left.size() + 2, ' ') << right << "\n";
   }
+}
+
+std::string usage_flag(std::string_view name, std::string_view arg) {
+  std::string text = "--";
+  text.append(name);
+  if (!arg.empty()) text.append("=").append(arg);
+  return text;
+}
+
+}  // namespace
+
+void print_scenario_list(std::ostream& os) {
+  Columns rows;
   for (const ScenarioSpec* spec : sorted_scenarios()) {
-    os << "  " << spec->name << std::string(width - spec->name.size() + 2, ' ')
-       << spec->summary << "\n";
+    std::string summary = spec->summary;
+    for (std::size_t i = 0; i < spec->reads.size(); ++i) {
+      summary += (i == 0 ? " (--" : ", --") + spec->reads[i];
+    }
+    rows.emplace_back(spec->name, summary + (spec->reads.empty() ? "" : ")"));
   }
+  print_columns(os, rows);
 }
 
 void print_usage(std::ostream& os) {
   os << "brbsim — unified BRB experiment driver\n\n"
-        "usage: brbsim [--scenario=NAME] [overrides...] [--json=PATH] [--csv=PATH]\n"
+        "usage: brbsim [--scenario=NAME] [flags...] [--json=PATH] [--csv=PATH]\n"
         "       brbsim --scenario=NAME --plan [--shard=i/N | --spawn=K]\n"
         "       brbsim --scenario=NAME --shard=i/N --json=shard_i.json\n"
-        "       brbsim --scenario=NAME --spawn=K --json=PATH\n"
         "       brbsim merge OUT.json SHARD.json... [--csv=PATH]\n"
-        "       brbsim --record-trace=PATH [workload overrides...]\n"
-        "       brbsim --list-scenarios\n\n"
-        "scenarios:\n";
+        "       brbsim --record-trace=PATH [cluster / workload flags] [--seed=N]\n\n"
+        "A flag that is unknown, repeated or malformed, or that the chosen scenario\n"
+        "does not read, is an error. `brbsim merge` reassembles shard artifacts\n"
+        "byte-identically to an unsharded run (timing aside).\n\n"
+        "scenarios (and the sweep flags each reads):\n";
   print_scenario_list(os);
-  os << "\nrun control:\n"
-        "  --seeds=N             run seeds 1..N (default 3; 6 with --paper)\n"
-        "  --seed-list=1,5,9     explicit seed list (wins over --seeds)\n"
-        "  --serial              disable the per-seed worker threads\n"
-        "  --threads=N           cap seed workers (0 = one per seed); results are\n"
-        "                        identical for any N (timing aside)\n"
-        "  --paper               full paper scale (500k tasks, 6 seeds)\n"
-        "  --json=PATH  --csv=PATH  machine-readable artifacts\n"
-        "  --quiet               suppress the console table\n"
-        "\nsharded sweeps (plan / execute / merge):\n"
-        "  --plan                list every (case, seed) unit and exit\n"
-        "  --shard=i/N           run only shard i of N (deterministic hash partition);\n"
-        "                        merge the N artifacts with `brbsim merge`\n"
-        "  --spawn=K             fork K worker processes over the plan and merge\n"
-        "                        their artifacts in-process (single machine)\n"
-        "  brbsim merge OUT IN...  reassemble shard artifacts; the merged JSON/CSV\n"
-        "                        is byte-identical to an unsharded run (timing aside)\n"
-        "\ncluster / workload overrides (paper defaults otherwise):\n"
-        "  --servers --cores --rate --replication --clients --tasks\n"
-        "  --cluster=hetero:6x4x3500,3x8x7000 (heterogeneous fleet profile)\n"
-        "  --utilization --fanout=SPEC --sizes=SPEC --keys=SPEC --paced\n"
-        "  --arrivals=diurnal:LOW:HIGH:PERIOD_S | steps:M1,M2,..:PERIOD_S\n"
-        "  --write-fraction=F (task-level writes; fan out to all replicas)\n"
-        "  --tenants=\"NAME[,share=W][,fanout=SPEC][,keys=SPEC][,write=F];...\"\n"
-        "  --trace=PATH (trace-replay input)\n"
-        "\ntiming / measurement:\n"
-        "  --net-latency-us --net-jitter-us --service-base-us\n"
-        "  --service-noise --cost-noise --warmup --keep-raw\n"
-        "\ncontrol plane (replica + admission policies):\n"
-        "  --policy=NAME                 bind one replica policy for every tenant\n"
-        "  --policy=tenantA:c3,tenantB:lor   per-tenant bindings (later entries win)\n"
-        "  --policy-switch=t0:random,30s:c3  epoch-scheduled mid-run switching\n"
-        "                                (times: t0 | <n>s | <n>ms | <n>us;\n"
-        "                                per-tenant epochs via 30s:tenantA:c3;\n"
-        "                                payloads may be dispatch modes: 30s:hedge:q95)\n"
-        "  --dispatch=MODE               dispatch plan mode for every tenant\n"
-        "  --dispatch=tenantA:tied,tenantB:kofn:2  per-tenant dispatch modes\n"
-        "  --admission=direct|cubic-rate|credits   override the admission policy\n"
-        "  --selector=NAME               legacy alias for --policy=NAME\n"
-        "  --signal-store=auto|dense|sparse[:CAP]  signal table layout\n"
-        "                                (dense = one entry per server; sparse =\n"
-        "                                an LRU window of CAP servers per client,\n"
-        "                                default 128; auto = sparse past 2^24\n"
-        "                                clients x servers pairs. Past that size,\n"
-        "                                sparse also makes credit pairs first-touch)\n"
-        "  --stats=exact|sketch          sketch adds mergeable DDSketch quantile\n"
-        "                                sketches to artifacts (1% relative error;\n"
-        "                                merge stays byte-identical for any shard\n"
-        "                                count)\n"
-        "  replica policies:\n";
-  const auto policy_title = [](const ctrl::ReplicaPolicyInfo& info) {
+  Columns rows;
+  for (const util::FlagHelp& flag : run_control_flags()) {
+    rows.emplace_back(usage_flag(flag.name, flag.arg), flag.help);
+  }
+  os << "\nrun control:\n";
+  for (const ConfigFlag& row : config_flags()) {
+    if (!row.heading.empty()) {
+      print_columns(os, rows);
+      rows.clear();
+      os << "\n" << row.heading << ":\n";
+    }
+    rows.emplace_back(usage_flag(row.name, row.arg),
+                      std::string(row.help) + (row.recorded ? " [record-trace]" : ""));
+  }
+  print_columns(os, rows);
+  rows.clear();
+  os << "\nscenario sweeps (read only by the scenarios that list them above):\n";
+  for (const util::FlagHelp& flag : expander_flags()) {
+    rows.emplace_back(usage_flag(flag.name, flag.arg), flag.help);
+  }
+  print_columns(os, rows);
+  rows.clear();
+  os << "\nreplica policies:\n";
+  for (const ctrl::ReplicaPolicyInfo& info : ctrl::replica_policy_catalog()) {
     std::string title = info.name;
     for (const std::string& alias : info.aliases) title += " | " + alias;
-    return title;
-  };
-  std::size_t policy_width = 0;
-  for (const ctrl::ReplicaPolicyInfo& info : ctrl::replica_policy_catalog()) {
-    policy_width = std::max(policy_width, policy_title(info).size());
+    rows.emplace_back(title, info.summary);
   }
-  for (const ctrl::ReplicaPolicyInfo& info : ctrl::replica_policy_catalog()) {
-    const std::string title = policy_title(info);
-    os << "    " << title << std::string(policy_width - title.size() + 2, ' ') << info.summary
-       << "\n";
-  }
-  os << "  dispatch modes:\n";
-  std::size_t mode_width = 0;
+  print_columns(os, rows);
+  rows.clear();
+  os << "\ndispatch modes:\n";
   for (const ctrl::DispatchModeInfo& info : ctrl::dispatch_mode_catalog()) {
-    mode_width = std::max(mode_width, info.grammar.size());
+    rows.emplace_back(info.grammar, info.summary);
   }
-  for (const ctrl::DispatchModeInfo& info : ctrl::dispatch_mode_catalog()) {
-    os << "    " << info.grammar << std::string(mode_width - info.grammar.size() + 2, ' ')
-       << info.summary << "\n";
-  }
-  os << "\npolicy knobs:\n"
-        "  --system --systems=a,b,c (scenario system set)\n"
-        "  --loads=0.5,0.7 (load-sweep)  --fanouts=spec,... (fanout-sweep)\n"
-        "  --writes=0.05,0.2 (write-heavy)  --skews=0,0.9,1.2 (replication-skew)\n"
-        "  --replications=1,2,3 (replication-sweep)\n"
-        "  --intervals-ms=100,1000 (credits-interval)  --noise-sigmas=0,0.5 (forecast-noise)\n"
-        "  --policies=random,c3-noderate (policy-shootout case list)\n"
-        "  --dispatches=single,hedge:q98,tied,kofn:2 (hedging-shootout mode list)\n"
-        "  --credits-{adapt-s,measure-ms,monitor-ms,congestion-factor,backoff,\n"
-        "             recovery,min-capacity,ewma,min-share,carryover}\n"
-        "  --c3-{ewma,exponent}  --rate-{initial,beta,scaling,burst,window-ms}\n"
-        "\nEvery flag also reads a BRB_<NAME> environment default\n"
-        "(e.g. BRB_PAPER=1, BRB_TASKS=10000).\n";
+  print_columns(os, rows);
+  os << "\nEvery flag also reads a BRB_<NAME> environment default (e.g. BRB_PAPER=1,\n"
+        "BRB_TASKS=10000). This help is generated from the driver's flag tables.\n";
 }
 
 namespace {

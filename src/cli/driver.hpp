@@ -21,6 +21,8 @@
 
 #include <functional>
 #include <iosfwd>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "cli/scenario_registry.hpp"
@@ -39,12 +41,53 @@ struct CaseResult {
   core::AggregateResult aggregate;
 };
 
-/// Rejects command-line flags the driver does not recognize, with a
-/// did-you-mean hint for near-misses. Throws std::invalid_argument.
+/// One `ScenarioConfig` flag. The `config_flags()` table is the only
+/// place a config flag's name, help line, parser and artifact echo are
+/// written: flag validation, `config_from_flags`, the artifact's config
+/// and case blocks, and `--help` are all loops over it.
+struct ConfigFlag {
+  template <typename T>
+  using Ref = T& (*)(core::ScenarioConfig&);
+  /// The field the flag sets. Each type has one strict parser: integers
+  /// are whole decimals (at most 2^32-1 for 32-bit fields), reals and
+  /// durations are finite and >= 0, switches take
+  /// 1/0/true/false/yes/no/on/off, text must be non-empty, and a
+  /// cluster is a `ClusterSpec` profile.
+  using Field = std::variant<Ref<std::uint32_t>, Ref<std::uint64_t>, Ref<double>, Ref<bool>,
+                             Ref<std::string>, Ref<sim::Duration>, Ref<workload::ClusterSpec>>;
+
+  std::string_view heading{};    // starts a `--help` section ("" = continue the last)
+  std::string_view name{};       // without the leading "--"
+  std::string_view arg{};        // `--help` placeholder ("" for a switch)
+  std::string_view help{};
+  Field field{};
+  double unit_ns = 0.0;          // duration fields: nanoseconds per unit of the value
+  std::string_view json{};       // artifact key ("" = not echoed)
+  bool when_set = false;         // echo only a non-empty value
+  int case_slot = 0;             // position in every case block (0 = config block only)
+  std::string_view conflicts{};  // comma list of flags that may not be given with this one
+  bool recorded = false;         // read by `--record-trace`
+  /// Set when every scenario run overwrites the field: the run-control
+  /// flag to use instead.
+  std::string_view runs_instead{};
+};
+
+/// Every config flag, in `--help` and config-block order.
+const std::vector<ConfigFlag>& config_flags();
+
+/// The flags that steer the driver rather than set a config field.
+const std::vector<util::FlagHelp>& run_control_flags();
+
+/// Rejects a command-line flag that no table knows (with a did-you-mean
+/// hint), and one the resolved scenario — or `--record-trace` — would
+/// not read: an expander flag it does not declare, or a config flag its
+/// cases overwrite. The message names the scenario and the flag to use
+/// instead. Throws std::invalid_argument.
 void validate_flags(const util::Flags& flags);
 
-/// Builds the driver's base config: paper defaults, then every
-/// `--flag` override (see `print_usage` for the full list).
+/// Builds the driver's base config: paper defaults (60k tasks unless
+/// `--paper`), then every config flag set on the command line or in
+/// the environment, then `core::validate`.
 core::ScenarioConfig config_from_flags(const util::Flags& flags);
 
 /// Seed list: `--seed-list=1,5,9` wins, else 1..`--seeds`.

@@ -1,7 +1,8 @@
 #include "cli/scenario_registry.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -138,10 +139,6 @@ std::vector<ExperimentCase> expand_mega_fleet(const ScenarioConfig& base,
   // load; the credits case drives first-touch credits end to end. Runs
   // as a nightly job under wall/RSS budgets (check_claims.py
   // --scale-sanity), sharded over the plan layer.
-  if (!base.policy_spec.empty() || !base.selector_override.empty()) {
-    throw std::invalid_argument(
-        "scenario mega-fleet fixes the replica policy per case; --policy/--selector conflict");
-  }
   ScenarioConfig config = base;
   if (!flags.has("servers") && !flags.has("cluster")) config.cluster.num_servers = 10'000;
   if (!flags.has("clients")) config.num_clients = 1'000'000;
@@ -182,13 +179,6 @@ std::vector<ExperimentCase> expand_hetero_servers(const ScenarioConfig& base,
   // planning spreads the same 70% utilization over the mixed fleet.
   ScenarioConfig config = base;
   if (!flags.has("cluster")) {
-    // The scalar fleet flags would be silently discarded by the
-    // profile below — reject them the same way --cluster itself does.
-    if (flags.has("servers") || flags.has("cores") || flags.has("rate")) {
-      throw std::invalid_argument(
-          "scenario hetero-servers fixes the fleet via its --cluster profile; "
-          "--servers/--cores/--rate conflict (pass --cluster=... to change the mix)");
-    }
     config.cluster = workload::ClusterSpec::parse("hetero:6x4x3500,3x8x7000");
   }
   return per_system(config,
@@ -284,14 +274,6 @@ std::vector<ExperimentCase> expand_policy_shootout(const ScenarioConfig& base,
   // per-request selection) so replica selection is the only varying
   // mechanism. The full C3 system (ranking + cubic rate gate) rides
   // along as the literature reference.
-  // The per-case policy IS the swept dimension, so a base-level
-  // binding would be silently discarded — reject it like the other
-  // fixed-dimension scenarios reject their conflicting flags.
-  if (!base.policy_spec.empty() || !base.selector_override.empty()) {
-    throw std::invalid_argument(
-        "scenario policy-shootout fixes the replica policy per case; --policy/--selector "
-        "conflict (use --policies=a,b,c to change the case list)");
-  }
   std::vector<std::string> names = {"random",      "round-robin",        "least-outstanding",
                                     "two-choices", "least-pending-cost", "c3-noderate"};
   if (const auto custom = flags.get("policies")) names = util::split_list(*custom);
@@ -318,11 +300,6 @@ std::vector<ExperimentCase> expand_policy_switch(const ScenarioConfig& base,
   // inside the default workload's span; --policy-switch=... studies
   // other schedules.
   (void)flags;
-  if (!base.policy_spec.empty() || !base.selector_override.empty()) {
-    throw std::invalid_argument(
-        "scenario policy-switch fixes the replica-policy bindings per case; "
-        "--policy/--selector conflict (the schedule comes from --policy-switch)");
-  }
   const std::string schedule = base.policy_switch_spec.empty() ? "t0:random,1s:c3-noderate"
                                                                : base.policy_switch_spec;
   // Endpoint resolution mirrors the runtime exactly: t0 entries fold
@@ -407,16 +384,6 @@ std::vector<ExperimentCase> expand_hedging_shootout(const ScenarioConfig& base,
   // informative regime for hedging is scale.) Two arrival envelopes:
   // steady load and the diurnal sinusoid. `single` rides along as the
   // duplicate-free reference for --hedge-sanity.
-  if (!base.dispatch_spec.empty()) {
-    throw std::invalid_argument(
-        "scenario hedging-shootout fixes the dispatch mode per case; --dispatch conflicts "
-        "(use --dispatches=single,hedge:q98,... to change the case list)");
-  }
-  if (!base.policy_spec.empty() || !base.selector_override.empty()) {
-    throw std::invalid_argument(
-        "scenario hedging-shootout fixes the replica policy (c3-noderate) so the dispatch "
-        "mode is the only varying mechanism; --policy/--selector conflict");
-  }
   std::vector<std::string> modes = {"single", "hedge:q98", "tied", "kofn:2"};
   if (const auto custom = flags.get("dispatches")) modes = util::split_list(*custom);
   if (modes.empty()) throw std::invalid_argument("--dispatches: empty list");
@@ -441,7 +408,7 @@ std::vector<ExperimentCase> expand_hedging_shootout(const ScenarioConfig& base,
       config.dispatch_spec = mode.is_single() ? "" : mode.canonical();
       if (!flags.has("servers") && !flags.has("cluster")) config.cluster.num_servers = 100;
       if (!flags.has("clients")) config.num_clients = 1000;
-      if (config.arrival_spec.empty()) config.arrival_spec = workload.arrival_spec;
+      config.arrival_spec = workload.arrival_spec;
       cases.push_back({workload.label + "/" + mode.canonical(), std::move(config)});
     }
   }
@@ -496,22 +463,28 @@ std::vector<ExperimentCase> expand_forecast_noise(const ScenarioConfig& base,
 
 std::vector<ExperimentCase> expand_replication_sweep(const ScenarioConfig& base,
                                                      const util::Flags& flags) {
-  const std::vector<double> factors =
-      doubles_from_flag(flags, "replications", {1, 2, 3, 5, 9});
+  std::vector<std::uint32_t> factors = {1, 2, 3, 5, 9};
+  if (const auto custom = flags.get("replications")) {
+    factors.clear();
+    for (const std::string& part : util::split_list(*custom)) {
+      const std::optional<std::uint64_t> factor = util::parse_decimal(part);
+      if (!factor || *factor < 1 || *factor > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::invalid_argument("--replications: not an integer in [1, 2^32-1]: " + part);
+      }
+      factors.push_back(static_cast<std::uint32_t>(*factor));
+    }
+    if (factors.empty()) throw std::invalid_argument("--replications: empty list");
+  }
   const auto systems = systems_from_flags(
       flags, {SystemKind::kC3, SystemKind::kEqualMaxCredits, SystemKind::kEqualMaxModel});
   std::vector<ExperimentCase> cases;
-  for (const double factor : factors) {
-    if (factor < 1.0) throw std::invalid_argument("--replications: factor < 1");
-    if (factor != std::floor(factor)) {
-      throw std::invalid_argument("--replications: not an integer: " + std::to_string(factor));
-    }
+  for (const std::uint32_t factor : factors) {
     for (const SystemKind kind : systems) {
       ScenarioConfig config = base;
       config.system = kind;
-      config.replication = static_cast<std::uint32_t>(factor);
+      config.replication = factor;
       std::ostringstream label;
-      label << to_string(kind) << "@R=" << static_cast<std::uint32_t>(factor);
+      label << to_string(kind) << "@R=" << factor;
       cases.push_back({label.str(), std::move(config)});
     }
   }
@@ -522,43 +495,53 @@ std::vector<ExperimentCase> expand_replication_sweep(const ScenarioConfig& base,
 
 const std::vector<ScenarioSpec>& scenario_registry() {
   static const std::vector<ScenarioSpec> registry = {
-      {"paper", "Figure 2: the five-system comparison at paper defaults", expand_paper},
-      {"load-sweep", "utilization sweep (--loads=0.5,...) over C3 / credits / model",
-       expand_load_sweep},
-      {"fanout-sweep", "fan-out distribution sweep (--fanouts=spec,...)", expand_fanout_sweep},
-      {"policy-matrix", "all 13 systems: baselines, BRB, ablations", expand_policy_matrix},
-      {"policy-shootout",
-       "replica-policy bake-off on a fixed FIFO/direct substrate + full C3 (--policies=...)",
-       expand_policy_shootout},
-      {"policy-switch", "mid-run policy switching vs its static endpoints (--policy-switch=...)",
+      {"paper", "Figure 2: the five-system comparison at paper defaults", {"systems"}, {},
+       expand_paper},
+      {"load-sweep", "utilization sweep over C3 / credits / model", {"loads", "systems"},
+       {{"utilization", "loads"}}, expand_load_sweep},
+      {"fanout-sweep", "fan-out distribution sweep", {"fanouts", "systems"},
+       {{"fanout", "fanouts"}}, expand_fanout_sweep},
+      {"policy-matrix", "all 13 systems: baselines, BRB, ablations", {"systems"}, {},
+       expand_policy_matrix},
+      {"policy-shootout", "replica-policy bake-off on a fixed FIFO/direct substrate + full C3",
+       {"policies"}, {{"policy", "policies"}, {"selector", "policies"}}, expand_policy_shootout},
+      {"policy-switch", "mid-run policy switching vs its static endpoints", {},
+       {{"policy", "policy-switch"}, {"selector", "policy-switch"}, {"dispatch", "policy-switch"}},
        expand_policy_switch},
       {"hedging-shootout",
        "tail-cutting bake-off: single vs hedge/tied/kofn on the large fleet, "
-       "steady + diurnal arrivals (--dispatches=...)",
+       "steady + diurnal arrivals",
+       {"dispatches"},
+       {{"dispatch", "dispatches"}, {"policy", ""}, {"selector", ""}, {"arrivals", ""},
+        {"paced", ""}},
        expand_hedging_shootout},
-      {"large-cluster", "100 servers x 1000 clients scale case (credits + C3)",
+      {"large-cluster", "100 servers x 1000 clients scale case (credits + C3)", {"systems"}, {},
        expand_large_cluster},
       {"mega-fleet",
-       "10k servers x 1M clients: sparse control plane + sketch stats (nightly scale case)",
-       expand_mega_fleet},
-      {"trace-replay", "replay a recorded trace (--trace=PATH) across systems",
+       "10k servers x 1M clients: sparse control plane + sketch stats (nightly scale case)", {},
+       {{"policy", ""}, {"selector", ""}}, expand_mega_fleet},
+      {"trace-replay", "replay a recorded trace across systems", {"systems"},
+       {{"tasks", "record-trace"}, {"utilization", "record-trace"}, {"fanout", "record-trace"}},
        expand_trace_replay},
-      {"hetero-servers", "mixed fleet (6x4-core + 3x8-core at 2x rate) via --cluster",
+      {"hetero-servers", "mixed fleet (6x4-core + 3x8-core at 2x rate) via a cluster profile",
+       {"systems"}, {{"servers", "cluster"}, {"cores", "cluster"}, {"rate", "cluster"}},
        expand_hetero_servers},
-      {"diurnal", "sinusoidal 0.5x..1.5x arrival envelope (--arrivals=...)", expand_diurnal},
-      {"write-heavy", "task-level write mix; writes fan out to all replicas (--writes=...)",
-       expand_write_heavy},
-      {"multi-tenant", "interactive + batch tenant mix, per-tenant p99 fairness (--tenants=...)",
+      {"diurnal", "sinusoidal 0.5x..1.5x arrival envelope", {"systems"},
+       {{"paced", "arrivals"}}, expand_diurnal},
+      {"write-heavy", "task-level write mix; writes fan out to all replicas",
+       {"writes", "systems"}, {{"write-fraction", "writes"}}, expand_write_heavy},
+      {"multi-tenant", "interactive + batch tenant mix, per-tenant p99 fairness", {"systems"}, {},
        expand_multi_tenant},
-      {"replication-skew", "key-popularity skew over R=2 placement (--skews=...)",
+      {"replication-skew", "key-popularity skew over R=2 placement", {"skews", "systems"}, {},
        expand_replication_skew},
-      {"credits-interval", "credits adaptation-cadence sweep vs the ideal model "
-       "(--intervals-ms=...)",
+      {"credits-interval", "credits adaptation-cadence sweep vs the ideal model",
+       {"intervals-ms"},
+       {{"credits-adapt-s", "intervals-ms"}, {"credits-measure-ms", "intervals-ms"}},
        expand_credits_interval},
-      {"forecast-noise", "cost-forecast noise sweep vs task-oblivious FIFO (--noise-sigmas=...)",
-       expand_forecast_noise},
-      {"replication-sweep", "replication-factor sweep across C3/credits/model "
-       "(--replications=...)",
+      {"forecast-noise", "cost-forecast noise sweep vs task-oblivious FIFO", {"noise-sigmas"},
+       {{"cost-noise", "noise-sigmas"}}, expand_forecast_noise},
+      {"replication-sweep", "replication-factor sweep across C3/credits/model",
+       {"replications", "systems"}, {{"replication", "replications"}},
        expand_replication_sweep},
   };
   return registry;
@@ -569,6 +552,22 @@ const ScenarioSpec* find_scenario(const std::string& name) {
     if (spec.name == name) return &spec;
   }
   return nullptr;
+}
+
+const std::vector<util::FlagHelp>& expander_flags() {
+  static const std::vector<util::FlagHelp> flags = {
+      {"systems", "a,b,...", "the systems to compare"},
+      {"loads", "U,...", "utilization per case"},
+      {"fanouts", "SPEC,...", "fan-out distribution per case"},
+      {"writes", "F,...", "task write fraction per case"},
+      {"skews", "S,...", "Zipf key-popularity exponent per case (0 = uniform)"},
+      {"replications", "R,...", "replication factor per case"},
+      {"intervals-ms", "MS,...", "credits adaptation interval per case"},
+      {"noise-sigmas", "S,...", "cost-forecast noise sigma per case"},
+      {"policies", "NAME,...", "replica policy per case"},
+      {"dispatches", "MODE,...", "dispatch mode per case"},
+  };
+  return flags;
 }
 
 std::vector<SystemKind> systems_from_flags(const util::Flags& flags,
@@ -589,12 +588,11 @@ std::vector<double> doubles_from_flag(const util::Flags& flags, std::string_view
   if (!value) return fallback;
   std::vector<double> out;
   for (const std::string& part : util::split_list(*value)) {
-    try {
-      out.push_back(std::stod(part));
-    } catch (const std::exception&) {
-      throw std::invalid_argument(std::string("--") + std::string(name) +
-                                  ": not a number: " + part);
+    const std::optional<double> number = util::parse_finite(part);
+    if (!number) {
+      throw std::invalid_argument("--" + std::string(name) + ": not a finite number: " + part);
     }
+    out.push_back(*number);
   }
   if (out.empty()) throw std::invalid_argument(std::string("--") + std::string(name) +
                                                ": empty list");

@@ -3,7 +3,9 @@
 // A scenario expands one flag-configured base `ScenarioConfig` into the
 // concrete (label, config) cases it studies — one per (system, swept
 // value) pair. Every figure and ablation sweep is reachable as
-// `brbsim --scenario=<name>` with every config field overridable.
+// `brbsim --scenario=<name>`. Each registry row also declares the
+// expander flags it reads and the config flags its cases overwrite, so
+// the driver can reject a flag the scenario would silently ignore.
 #pragma once
 
 #include <functional>
@@ -21,9 +23,21 @@ struct ExperimentCase {
   core::ScenarioConfig config;
 };
 
+/// A config flag no case of a scenario keeps (its cases overwrite it, or
+/// the run ignores it), and the flag to use instead ("" when the
+/// scenario fixes the value outright).
+struct Overwrite {
+  std::string flag;
+  std::string instead;
+};
+
 struct ScenarioSpec {
   std::string name;
   std::string summary;  // one line, shown by `brbsim --list`
+  /// The expander flags (`expander_flags()`) this scenario reads.
+  std::vector<std::string> reads;
+  /// The config flags (`cli::config_flags()`) no case keeps.
+  std::vector<Overwrite> overwrites;
   /// Expands into cases. `base` already carries every command-line
   /// override; expansion varies only the dimension under study.
   std::function<std::vector<ExperimentCase>(const core::ScenarioConfig& base,
@@ -37,12 +51,17 @@ const std::vector<ScenarioSpec>& scenario_registry();
 /// Returns nullptr when `name` is not registered.
 const ScenarioSpec* find_scenario(const std::string& name);
 
+/// The flags only scenario expanders read (`--loads`, `--systems`, ...),
+/// as opposed to the config flags every case starts from.
+const std::vector<util::FlagHelp>& expander_flags();
+
 /// Parses `--systems=a,b,c` into kinds; `fallback` when absent.
 /// Throws std::invalid_argument on an unknown system name.
 std::vector<core::SystemKind> systems_from_flags(const util::Flags& flags,
                                                  std::vector<core::SystemKind> fallback);
 
-/// Parses a comma-separated list flag of doubles; `fallback` when absent.
+/// Parses a comma-separated list flag of finite doubles; `fallback`
+/// when absent. Throws std::invalid_argument on a malformed part.
 std::vector<double> doubles_from_flag(const util::Flags& flags, std::string_view name,
                                       std::vector<double> fallback);
 

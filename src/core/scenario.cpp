@@ -27,42 +27,46 @@
 
 namespace brb::core {
 
-RunResult run_scenario(const ScenarioConfig& config) {
-  // Wall-clock instrumentation feeds only RunResult::wall_seconds,
-  // which artifacts quarantine in the identity-excluded "timing"
-  // subtree; simulated behavior never reads it.
-  const auto wall_start = std::chrono::steady_clock::now();  // brblint:allow(BRB-D02): wall timing only, excluded from artifact identity
-
-  if (config.num_clients == 0) throw std::invalid_argument("run_scenario: no clients");
+void validate(const ScenarioConfig& config) {
+  if (config.num_clients == 0) throw std::invalid_argument("config: no clients");
   if (config.num_tasks == 0 && config.tasks_override == nullptr && config.trace_path.empty()) {
-    throw std::invalid_argument("run_scenario: no tasks");
+    throw std::invalid_argument("config: no tasks");
   }
-  if (config.utilization <= 0.0 || config.utilization >= 1.5) {
-    throw std::invalid_argument("run_scenario: utilization out of range (0, 1.5)");
+  // Each range check is written so that NaN fails it.
+  if (!(config.utilization > 0.0 && config.utilization < 1.5)) {
+    throw std::invalid_argument("config: utilization out of range (0, 1.5)");
   }
-  if (config.warmup_fraction < 0.0 || config.warmup_fraction >= 1.0) {
-    throw std::invalid_argument("run_scenario: warmup fraction out of [0,1)");
+  if (!(config.warmup_fraction >= 0.0 && config.warmup_fraction < 1.0)) {
+    throw std::invalid_argument("config: warmup fraction out of [0,1)");
   }
-  if (config.write_fraction < 0.0 || config.write_fraction > 1.0) {
-    throw std::invalid_argument("run_scenario: write fraction outside [0, 1]");
+  if (!(config.write_fraction >= 0.0 && config.write_fraction <= 1.0)) {
+    throw std::invalid_argument("config: write fraction outside [0, 1]");
   }
   if (config.paced_arrivals && !config.arrival_spec.empty()) {
-    throw std::invalid_argument(
-        "run_scenario: paced arrivals conflict with an arrival spec; pick one");
+    throw std::invalid_argument("config: paced arrivals conflict with an arrival spec; pick one");
   }
   // Trace replay fixes arrival times, request mix and issuing clients,
   // so the generator-side knobs below contradict it.
   const bool replaying = config.tasks_override != nullptr || !config.trace_path.empty();
   if (replaying && !config.arrival_spec.empty()) {
     throw std::invalid_argument(
-        "run_scenario: trace replay conflicts with an arrival spec (times come from the trace)");
+        "config: trace replay conflicts with an arrival spec (times come from the trace)");
   }
   if (replaying && config.write_fraction > 0.0) {
-    throw std::invalid_argument("run_scenario: trace replay conflicts with write traffic");
+    throw std::invalid_argument("config: trace replay conflicts with write traffic");
   }
   if (replaying && !config.tenant_spec.empty()) {
-    throw std::invalid_argument("run_scenario: trace replay conflicts with a tenant mix");
+    throw std::invalid_argument("config: trace replay conflicts with a tenant mix");
   }
+}
+
+RunResult run_scenario(const ScenarioConfig& config) {
+  // Wall-clock instrumentation feeds only RunResult::wall_seconds,
+  // which artifacts quarantine in the identity-excluded "timing"
+  // subtree; simulated behavior never reads it.
+  const auto wall_start = std::chrono::steady_clock::now();  // brblint:allow(BRB-D02): wall timing only, excluded from artifact identity
+
+  validate(config);
 
   const SystemProfile& profile = system_profile(config.system);
   const std::uint32_t num_servers = config.cluster.num_servers;

@@ -25,6 +25,9 @@
 
 namespace brb::core {
 
+/// Each field with a `brbsim` flag is set by exactly one row of the
+/// driver's flag table (`cli::config_flags()`, listed by `brbsim
+/// --help`); cross-field checks live in `validate` below.
 struct ScenarioConfig {
   // --- cluster (paper defaults) ---
   /// 9 servers x 4 cores x 3500 req/s by default; heterogeneous fleets
@@ -34,6 +37,7 @@ struct ScenarioConfig {
   std::uint32_t num_clients = 18;
 
   // --- workload ---
+  /// The paper's 500k; the driver defaults to 60k below paper scale.
   std::uint64_t num_tasks = 500'000;
   double utilization = 0.70;
   /// Replay a recorded trace instead of generating tasks: either a
@@ -83,14 +87,17 @@ struct ScenarioConfig {
   bool keep_raw_latencies = false;
 
   // --- system under test ---
+  /// Set per case by each scenario (no flag: `--systems` picks them).
   SystemKind system = SystemKind::kEqualMaxCredits;
+  /// Set per run by `run_seeds` from the seed list; only the driver's
+  /// trace recording reads the `--seed` flag.
   std::uint64_t seed = 1;
   CreditsConfig credits{};
   policy::C3Config c3{};
   policy::CubicRateController::Config rate{};
   /// Override the replica selector ("" = system default). Accepts any
   /// registered replica policy name or alias (ctrl/replica_policy.hpp);
-  /// equivalent to a tenant-less --policy binding.
+  /// equivalent to a tenant-less `policy_spec` binding.
   std::string selector_override;
   /// Replica-policy bindings for the control-plane runtime ("" = the
   /// system default / selector_override): "NAME" binds every tenant,
@@ -207,6 +214,12 @@ struct RunResult {
 
   RunResult() : task_latency(false), request_latency(false) {}
 };
+
+/// The config's cross-field and range checks (client and task counts,
+/// utilization, warmup and write fractions, arrival-shape and trace
+/// conflicts). Throws std::invalid_argument. Both run_scenario and the
+/// driver's flag parsing call it, so each check is written once.
+void validate(const ScenarioConfig& config);
 
 /// Builds, runs and tears down one full system instance.
 /// Throws std::runtime_error if the run fails to complete every task.

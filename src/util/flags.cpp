@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <system_error>
 
@@ -19,10 +22,16 @@ std::string env_name_for(std::string_view flag) {
   return name;
 }
 
-bool parse_bool(std::string_view text, bool fallback) {
+std::optional<bool> parse_bool(std::string_view text) {
   if (text == "1" || text == "true" || text == "yes" || text == "on") return true;
   if (text == "0" || text == "false" || text == "no" || text == "off") return false;
-  return fallback;
+  return std::nullopt;
+}
+
+[[noreturn]] void bad_value(std::string_view name, std::string_view expected,
+                            const std::string& value) {
+  throw std::invalid_argument("flag --" + std::string(name) + ": " + std::string(expected) +
+                              ", got '" + value + "'");
 }
 
 }  // namespace
@@ -37,16 +46,18 @@ Flags::Flags(int argc, const char* const* argv) {
     arg.remove_prefix(2);
     if (arg.empty()) continue;  // bare "--" separator
     const auto eq = arg.find('=');
+    std::string name(arg.substr(0, eq));
+    std::string value;
     if (eq != std::string_view::npos) {
-      values_.emplace(std::string(arg.substr(0, eq)), std::string(arg.substr(eq + 1)));
-      continue;
-    }
-    // `--name value` unless the next token is another flag; then boolean.
-    if (i + 1 < argc && !std::string_view(argv[i + 1]).starts_with("--")) {
-      values_.emplace(std::string(arg), argv[i + 1]);
-      ++i;
+      value = arg.substr(eq + 1);
+    } else if (i + 1 < argc && !std::string_view(argv[i + 1]).starts_with("--")) {
+      value = argv[++i];  // `--name value`
     } else {
-      values_.emplace(std::string(arg), "true");
+      value = "true";  // followed by another flag (or nothing): a switch
+    }
+    // Keeping either copy of a repeated flag would silently drop the other.
+    if (!values_.emplace(name, std::move(value)).second) {
+      throw std::invalid_argument("flag --" + name + " given more than once");
     }
   }
 }
@@ -70,6 +81,14 @@ std::optional<std::uint64_t> parse_decimal(std::string_view text) {
   return value;
 }
 
+std::optional<double> parse_finite(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [consumed, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || consumed != end || !std::isfinite(value)) return std::nullopt;
+  return value;
+}
+
 std::optional<std::string> Flags::get(std::string_view name) const {
   if (const auto it = values_.find(name); it != values_.end()) return it->second;
   // BRB_* env vars are explicit run configuration — the same input class as
@@ -89,42 +108,37 @@ std::string Flags::get_string(std::string_view name, std::string_view fallback) 
 std::int64_t Flags::get_int(std::string_view name, std::int64_t fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
-  try {
-    return std::stoll(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + std::string(name) + ": not an integer: " + *v);
-  }
+  const bool negative = v->starts_with('-');
+  const std::optional<std::uint64_t> magnitude =
+      parse_decimal(std::string_view(*v).substr(negative ? 1 : 0));
+  constexpr auto kMax = static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  if (!magnitude || *magnitude > kMax) bad_value(name, "expected an integer", *v);
+  const auto value = static_cast<std::int64_t>(*magnitude);
+  return negative ? -value : value;
 }
 
 std::uint64_t Flags::get_uint(std::string_view name, std::uint64_t fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
-  std::int64_t parsed = 0;
-  try {
-    parsed = std::stoll(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + std::string(name) + ": not an integer: " + *v);
-  }
-  if (parsed < 0) {
-    throw std::invalid_argument("flag --" + std::string(name) + ": must be >= 0, got " + *v);
-  }
-  return static_cast<std::uint64_t>(parsed);
+  const std::optional<std::uint64_t> value = parse_decimal(*v);
+  if (!value) bad_value(name, "expected an integer >= 0", *v);
+  return *value;
 }
 
 double Flags::get_double(std::string_view name, double fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + std::string(name) + ": not a number: " + *v);
-  }
+  const std::optional<double> value = parse_finite(*v);
+  if (!value) bad_value(name, "expected a finite number", *v);
+  return *value;
 }
 
 bool Flags::get_bool(std::string_view name, bool fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
-  return parse_bool(*v, fallback);
+  const std::optional<bool> value = parse_bool(*v);
+  if (!value) bad_value(name, "expected 1/0/true/false/yes/no/on/off", *v);
+  return *value;
 }
 
 bool Flags::has(std::string_view name) const { return values_.find(name) != values_.end(); }

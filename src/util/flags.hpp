@@ -2,7 +2,9 @@
 //
 // Supports `--name value`, `--name=value`, and boolean `--name`
 // (no value). Also reads `BRB_`-prefixed environment variables as
-// defaults, so `BRB_PAPER=1 ./build/brbsim` runs at paper scale.
+// defaults, so `BRB_PAPER=1 ./build/brbsim` runs at paper scale. The
+// typed getters are strict: the whole value must parse, whether it
+// came from argv or the environment.
 #pragma once
 
 #include <cstdint>
@@ -16,9 +18,9 @@ namespace brb::util {
 
 class Flags {
  public:
-  /// Parses argv. Throws std::invalid_argument on a malformed flag
-  /// (missing value for `--name` followed by another flag is treated as
-  /// a boolean `true`).
+  /// Parses argv. Throws std::invalid_argument on a flag given more
+  /// than once (a missing value for `--name` followed by another flag
+  /// is treated as a boolean `true`).
   Flags(int argc, const char* const* argv);
 
   /// Builds an empty flag set (environment variables still consulted).
@@ -29,10 +31,12 @@ class Flags {
   std::optional<std::string> get(std::string_view name) const;
 
   std::string get_string(std::string_view name, std::string_view fallback) const;
+  /// The typed getters throw std::invalid_argument naming the flag
+  /// unless the whole value parses: an optionally signed decimal for
+  /// get_int, an unsigned decimal for get_uint (so "--tasks=-1" cannot
+  /// wrap and "--tasks=2e3" cannot read as 2), a finite number for
+  /// get_double, and 1/0/true/false/yes/no/on/off for get_bool.
   std::int64_t get_int(std::string_view name, std::int64_t fallback) const;
-  /// Non-negative integer flag (counts, sizes). Throws
-  /// std::invalid_argument on a negative value instead of letting a
-  /// "--tasks=-1" wrap through an unsigned cast.
   std::uint64_t get_uint(std::string_view name, std::uint64_t fallback) const;
   double get_double(std::string_view name, double fallback) const;
   bool get_bool(std::string_view name, bool fallback) const;
@@ -53,6 +57,14 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
+/// One flag's `--help` line: `--NAME=ARG  HELP` (no `=ARG` for a
+/// switch, whose `arg` is empty).
+struct FlagHelp {
+  std::string_view name;  // without the leading "--"
+  std::string_view arg;
+  std::string_view help;
+};
+
 /// Splits a comma-separated list, dropping empty parts
 /// ("a,,b," -> {"a", "b"}).
 std::vector<std::string> split_list(std::string_view list);
@@ -61,6 +73,10 @@ std::vector<std::string> split_list(std::string_view list);
 /// and nothing else (no sign, no spaces, no trailing characters), in
 /// range of uint64. nullopt otherwise.
 std::optional<std::uint64_t> parse_decimal(std::string_view text);
+
+/// Parses `text` as a finite decimal number with nothing trailing
+/// ("0.7", "-2", "1e3"; not "0.7x", "nan" or "inf"). nullopt otherwise.
+std::optional<double> parse_finite(std::string_view text);
 
 /// Damerau-ish edit distance for did-you-mean hints (insert, delete,
 /// substitute; no transposition). Exposed for tests.

@@ -692,13 +692,13 @@ TEST(PolicySwitchScenario, EndpointsFollowRuntimeResolution) {
 }
 
 TEST(PolicyScenarios, RejectConflictingPolicyFlags) {
+  // Both scenarios overwrite a base policy binding in every case, so
+  // flag validation rejects it before anything is planned.
+  for (const char* scenario : {"--scenario=policy-shootout", "--scenario=policy-switch"}) {
+    const char* argv[] = {"brbsim", scenario, "--policy=random"};
+    EXPECT_THROW(cli::validate_flags(util::Flags(3, argv)), std::invalid_argument) << scenario;
+  }
   const util::Flags flags;
-  core::ScenarioConfig bound;
-  bound.policy_spec = "random";
-  EXPECT_THROW(cli::build_sweep_plan("policy-shootout", bound, {1}, flags),
-               std::invalid_argument);
-  EXPECT_THROW(cli::build_sweep_plan("policy-switch", bound, {1}, flags),
-               std::invalid_argument);
   core::ScenarioConfig tenant_epoch;
   tenant_epoch.policy_switch_spec = "1s:ghost:c3";
   EXPECT_THROW(cli::build_sweep_plan("policy-switch", tenant_epoch, {1}, flags),

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/driver.hpp"
 #include "cli/sweep_plan.hpp"
 #include "core/scenario.hpp"
 #include "ctrl/dispatch_policy.hpp"
@@ -678,14 +679,12 @@ TEST(HedgingShootoutScenario, SweepsModesOverBothWorkloads) {
   EXPECT_TRUE(plan.cases[0].config.arrival_spec.empty());
   EXPECT_EQ(plan.cases[4].config.arrival_spec, "diurnal:0.5:1.5:1");
 
-  core::ScenarioConfig bound;
-  bound.dispatch_spec = "tied";
-  EXPECT_THROW(cli::build_sweep_plan("hedging-shootout", bound, {1}, flags),
-               std::invalid_argument);
-  core::ScenarioConfig picked;
-  picked.policy_spec = "random";
-  EXPECT_THROW(cli::build_sweep_plan("hedging-shootout", picked, {1}, flags),
-               std::invalid_argument);
+  // The scenario fixes the dispatch mode and replica policy per case,
+  // so flag validation rejects a base binding of either.
+  for (const char* binding : {"--dispatch=tied", "--policy=random"}) {
+    const char* argv[] = {"brbsim", "--scenario=hedging-shootout", binding};
+    EXPECT_THROW(cli::validate_flags(util::Flags(3, argv)), std::invalid_argument) << binding;
+  }
 }
 
 TEST(PolicySwitchScenario, ModeEpochsGetStaticModeEndpoints) {

@@ -345,9 +345,15 @@ TEST(MultiTenant, ParseErrorsNameTheOffendingField) {
 TEST(ScenarioExpanders, HeteroServersRejectsScalarFleetFlags) {
   const cli::ScenarioSpec* scenario = cli::find_scenario("hetero-servers");
   ASSERT_NE(scenario, nullptr);
-  const char* argv[] = {"brbsim", "--servers=5"};
-  const util::Flags flags(2, argv);
-  EXPECT_THROW(scenario->expand(cli::config_from_flags(flags), flags), std::invalid_argument);
+  // The scenario's profile overwrites the scalar fleet flags, so flag
+  // validation rejects them and names --cluster instead.
+  const char* argv[] = {"brbsim", "--scenario=hetero-servers", "--servers=5"};
+  try {
+    cli::validate_flags(util::Flags(3, argv));
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--cluster"), std::string::npos) << e.what();
+  }
   // An explicit profile wins over the scenario default.
   const char* cluster_argv[] = {"brbsim", "--cluster=hetero:2x2x3500,1x4x7000"};
   const util::Flags cluster_flags(2, cluster_argv);
@@ -376,6 +382,24 @@ TEST(ScenarioExpanders, ReplicationSweepRejectsNonIntegerFactors) {
   const char* argv[] = {"brbsim", "--replications=1.5,3"};
   const util::Flags flags(2, argv);
   EXPECT_THROW(scenario->expand(core::ScenarioConfig{}, flags), std::invalid_argument);
+  // Parts are whole decimals in [1, 2^32-1]: 1e30 used to pass the
+  // integer check and wrap through the uint32 cast to R=0.
+  for (const char* bad : {"--replications=1e30", "--replications=3x", "--replications=0",
+                          "--replications=-2", "--replications=4294967296"}) {
+    const char* bad_argv[] = {"brbsim", bad};
+    EXPECT_THROW(scenario->expand(core::ScenarioConfig{}, util::Flags(2, bad_argv)),
+                 std::invalid_argument)
+        << bad;
+  }
+  const char* good_argv[] = {"brbsim", "--replications=2,4294967295", "--systems=c3"};
+  const auto cases = scenario->expand(core::ScenarioConfig{}, util::Flags(3, good_argv));
+  ASSERT_EQ(cases.size(), 2u);
+  EXPECT_EQ(cases[1].label, "c3@R=4294967295");
+  // Every list flag parses its parts strictly.
+  const char* load_argv[] = {"brbsim", "--loads=0.5x"};
+  EXPECT_THROW(cli::find_scenario("load-sweep")->expand(core::ScenarioConfig{},
+                                                        util::Flags(2, load_argv)),
+               std::invalid_argument);
 }
 
 TEST(MultiTenant, ParseRejectsMalformedSpecs) {

@@ -44,6 +44,10 @@ TEST(Flags, BooleanSpellings) {
   EXPECT_FALSE(parse({"--x=no"}).get_bool("x", true));
   EXPECT_FALSE(parse({"--x=0"}).get_bool("x", true));
   EXPECT_FALSE(parse({"--x=off"}).get_bool("x", true));
+  // Any other spelling is an error, not the fallback.
+  EXPECT_THROW(parse({"--paced=maybe"}).get_bool("paced", false), std::invalid_argument);
+  EXPECT_THROW(parse({"--paced="}).get_bool("paced", true), std::invalid_argument);
+  EXPECT_THROW(parse({"--paced=TRUE"}).get_bool("paced", false), std::invalid_argument);
 }
 
 TEST(Flags, FallbacksWhenAbsent) {
@@ -67,6 +71,25 @@ TEST(Flags, MalformedNumberThrows) {
   EXPECT_THROW(flags.get_int("tasks", 0), std::invalid_argument);
   const Flags flags2 = parse({"--ratio", "x.y"});
   EXPECT_THROW(flags2.get_double("ratio", 0.0), std::invalid_argument);
+  // The whole value must parse: no silent prefix reads.
+  EXPECT_THROW(parse({"--tasks=2e3"}).get_int("tasks", 0), std::invalid_argument);
+  EXPECT_THROW(parse({"--tasks=2000x"}).get_int("tasks", 0), std::invalid_argument);
+  EXPECT_THROW(parse({"--tasks= 5"}).get_int("tasks", 0), std::invalid_argument);
+  EXPECT_THROW(parse({"--tasks=9223372036854775808"}).get_int("tasks", 0),
+               std::invalid_argument);
+  EXPECT_EQ(parse({"--tasks=-12"}).get_int("tasks", 0), -12);
+  EXPECT_THROW(parse({"--utilization=0.7x"}).get_double("utilization", 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(parse({"--utilization=nan"}).get_double("utilization", 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(parse({"--utilization=inf"}).get_double("utilization", 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(parse({"--utilization="}).get_double("utilization", 0.0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(parse({"--utilization=7e-1"}).get_double("utilization", 0.0), 0.7);
+  // Environment values go through the same parsers.
+  ::setenv("BRB_TEST_ONLY_RATIO", "0.5x", 1);
+  EXPECT_THROW(parse({}).get_double("test-only-ratio", 0.0), std::invalid_argument);
+  ::unsetenv("BRB_TEST_ONLY_RATIO");
 }
 
 TEST(Flags, GetUintParsesAndRejectsNegatives) {
@@ -78,6 +101,23 @@ TEST(Flags, GetUintParsesAndRejectsNegatives) {
   EXPECT_THROW(flags.get_uint("seeds", 1), std::invalid_argument);
   const Flags bad = parse({"--tasks", "many"});
   EXPECT_THROW(bad.get_uint("tasks", 0), std::invalid_argument);
+  EXPECT_THROW(parse({"--tasks=2e3"}).get_uint("tasks", 0), std::invalid_argument);
+  EXPECT_THROW(parse({"--tasks=2000x"}).get_uint("tasks", 0), std::invalid_argument);
+  EXPECT_THROW(parse({"--tasks=+5"}).get_uint("tasks", 0), std::invalid_argument);
+  EXPECT_THROW(parse({"--tasks=18446744073709551616"}).get_uint("tasks", 0),
+               std::invalid_argument);
+  EXPECT_EQ(parse({"--clients=4294967314"}).get_uint("clients", 0), 4294967314u);
+}
+
+TEST(Flags, RepeatedFlagRejected) {
+  // Keeping either copy would silently drop the other.
+  try {
+    parse({"--tasks=3000", "--tasks=2000"});
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flag --tasks given more than once");
+  }
+  EXPECT_THROW(parse({"--quiet", "--tasks", "5", "--quiet"}), std::invalid_argument);
 }
 
 TEST(Flags, EnvironmentFallback) {
