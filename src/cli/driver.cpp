@@ -1021,10 +1021,15 @@ int run_brbsim(int argc, const char* const* argv) {
       return 0;
     }
 
+    // A replayed trace, not --tasks, sets how many tasks each run has.
+    const std::size_t tasks_each =
+        quiet || base.trace_path.empty()
+            ? base.num_tasks
+            : workload::TraceReader::read_file(base.trace_path).size();
     if (spawn_requested) {
       if (!quiet) {
         std::cout << "# brbsim scenario=" << scenario_name << ": " << plan.cases.size()
-                  << " cases x " << seeds.size() << " seeds, " << base.num_tasks
+                  << " cases x " << seeds.size() << " seeds, " << tasks_each
                   << " tasks each, " << spawn << " worker processes\n";
       }
       return run_spawn(plan, static_cast<std::uint32_t>(spawn), run_options, flags, quiet);
@@ -1034,8 +1039,7 @@ int run_brbsim(int argc, const char* const* argv) {
     const ShardSpec effective = shard.value_or(ShardSpec{});
     if (!quiet) {
       std::cout << "# brbsim scenario=" << scenario_name << ": " << plan.cases.size()
-                << " cases x " << seeds.size() << " seeds, " << base.num_tasks
-                << " tasks each";
+                << " cases x " << seeds.size() << " seeds, " << tasks_each << " tasks each";
       if (shard) {
         std::cout << ", shard " << shard->describe() << " (" << plan.shard_units(*shard).size()
                   << " of " << plan.units.size() << " units)";

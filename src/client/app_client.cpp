@@ -11,10 +11,10 @@ AppClient::AppClient(sim::Simulator& sim, Config config, const store::Partitione
                      std::unique_ptr<ctrl::DispatchEndpoint> endpoint,
                      const policy::PriorityPolicy& priority_policy,
                      std::unique_ptr<DispatchGate> gate, util::Rng rng,
-                     ClientScratch& scratch)
+                     RequestBook& book)
     : Actor(sim),
       config_(config),
-      scratch_(&scratch),
+      book_(&book),
       partitioner_(&partitioner),
       cost_model_(&cost_model),
       endpoint_(std::move(endpoint)),
@@ -43,11 +43,11 @@ sim::Duration AppClient::forecast_cost(std::uint32_t size_hint) {
 
 void AppClient::submit(const workload::TaskView& view) {
   workload::TaskSpec spec;
-  if (!spec_pool_.empty()) {
+  if (!book_->spec_pool_.empty()) {
     // Recycle a requests vector from a completed task: assign() reuses
     // its capacity, so the copy out of the block slab is allocation-free.
-    spec.requests = std::move(spec_pool_.back());
-    spec_pool_.pop_back();
+    spec.requests = std::move(book_->spec_pool_.back());
+    book_->spec_pool_.pop_back();
   }
   spec.id = view.id;
   spec.client = view.client;
@@ -61,20 +61,20 @@ void AppClient::submit(workload::TaskSpec task) {
   if (task.requests.empty()) {
     throw std::invalid_argument("AppClient::submit: task with no requests");
   }
-  ClientScratch& scratch = *scratch_;
-  if (scratch.in_use) {
+  RequestBook& book = *book_;
+  if (book.in_use) {
     throw std::logic_error("AppClient::submit: re-entered while the planning scratch is in use");
   }
   struct Release {
     bool& in_use;
     ~Release() { in_use = false; }
-  } release{scratch.in_use};
-  scratch.in_use = true;
+  } release{book.in_use};
+  book.in_use = true;
   ++stats_.tasks_submitted;
   const store::TaskId task_id = task.id;  // spec is moved out below
 
   // 1. Plan: forecast costs and group requests by replica group.
-  policy::TaskPlan& plan = scratch.plan;
+  policy::TaskPlan& plan = book.plan;
   plan.task_id = task.id;
   plan.arrival = now();
   plan.bottleneck_cost = sim::Duration::zero();
@@ -104,8 +104,8 @@ void AppClient::submit(workload::TaskSpec task) {
   const bool all_writes =
       std::all_of(plan.requests.begin(), plan.requests.end(),
                   [](const policy::PlannedRequest& planned) { return planned.is_write; });
-  scratch.request_plans.clear();
-  scratch.request_plans.resize(plan.requests.size());
+  book.request_plans.clear();
+  book.request_plans.resize(plan.requests.size());
   if (all_writes) {
     // Generated write tasks are all-or-nothing per task.
   } else if (config_.select_per_subtask && plan.requests.size() == 1) {
@@ -114,25 +114,25 @@ void AppClient::submit(workload::TaskSpec task) {
     const ctrl::DispatchPlan dispatch =
         endpoint_->plan(partitioner_->replicas_of(planned.group), planned.expected_cost);
     planned.server = dispatch.primary();
-    scratch.request_plans.front() = dispatch;
+    book.request_plans.front() = dispatch;
   } else if (config_.select_per_subtask) {
-    scratch.group_costs.clear();
+    book.group_costs.clear();
     for (const policy::PlannedRequest& planned : plan.requests) {
-      scratch.group_costs.emplace_back(planned.group, planned.expected_cost.count_nanos());
+      book.group_costs.emplace_back(planned.group, planned.expected_cost.count_nanos());
     }
-    policy::collapse_group_costs(scratch.group_costs);
-    scratch.chosen.clear();
-    for (const auto& [group, cost] : scratch.group_costs) {
-      scratch.chosen.emplace_back(
+    policy::collapse_group_costs(book.group_costs);
+    book.chosen.clear();
+    for (const auto& [group, cost] : book.group_costs) {
+      book.chosen.emplace_back(
           group, endpoint_->plan(partitioner_->replicas_of(group), sim::Duration::nanos(cost)));
     }
     for (std::size_t i = 0; i < plan.requests.size(); ++i) {
       policy::PlannedRequest& planned = plan.requests[i];
       const auto it = std::lower_bound(
-          scratch.chosen.begin(), scratch.chosen.end(), planned.group,
+          book.chosen.begin(), book.chosen.end(), planned.group,
           [](const auto& entry, store::GroupId group) { return entry.first < group; });
       planned.server = it->second.primary();
-      scratch.request_plans[i] = it->second;
+      book.request_plans[i] = it->second;
     }
   } else {
     for (std::size_t i = 0; i < plan.requests.size(); ++i) {
@@ -140,7 +140,7 @@ void AppClient::submit(workload::TaskSpec task) {
       const ctrl::DispatchPlan dispatch =
           endpoint_->plan(partitioner_->replicas_of(planned.group), planned.expected_cost);
       planned.server = dispatch.primary();
-      scratch.request_plans[i] = dispatch;
+      book.request_plans[i] = dispatch;
     }
   }
 
@@ -167,14 +167,13 @@ void AppClient::submit(workload::TaskSpec task) {
   pending.spec = std::move(task);
   pending.remaining = wire_requests;
   pending.started = now();
-  pending_insert(task_id, std::move(pending));
+  pending.owner = config_.id;
+  book_->pending_insert(std::move(pending));
 
   const auto dispatch = [&](const policy::PlannedRequest& planned, store::ServerId server) {
     OutboundRequest out;
     out.server = server;
     out.group = planned.group;
-    out.request.request_id =
-        (static_cast<std::uint64_t>(config_.id) << 40) | next_request_serial_++;
     out.request.task_id = task_id;
     out.request.key = planned.key;
     out.request.client = config_.id;
@@ -196,11 +195,11 @@ void AppClient::submit(workload::TaskSpec task) {
       for (const store::ServerId replica : partitioner_->replicas_of(planned.group)) {
         dispatch(planned, replica);
       }
-    } else if (scratch.request_plans[i].mode == ctrl::DispatchMode::kSingle) {
-      if (scratch.request_plans[i].skipped_fresh) ++stats_.hedges_skipped_fresh;
+    } else if (book.request_plans[i].mode == ctrl::DispatchMode::kSingle) {
+      if (book.request_plans[i].skipped_fresh) ++stats_.hedges_skipped_fresh;
       dispatch(planned, planned.server);
     } else {
-      dispatch_plan(planned, scratch.request_plans[i], task_id);
+      dispatch_plan(planned, book.request_plans[i], task_id);
     }
   }
 }
@@ -208,25 +207,8 @@ void AppClient::submit(workload::TaskSpec task) {
 // ---------------------------------------------------------------------------
 // Multi-copy logical requests (hedge / tied / kofn executor)
 
-std::uint32_t AppClient::logical_alloc() {
-  ++logical_count_;
-  if (logical_free_head_ != kNoLogical) {
-    const std::uint32_t index = logical_free_head_;
-    logical_free_head_ = logicals_[index].next_free;
-    return index;
-  }
-  logicals_.emplace_back();
-  return static_cast<std::uint32_t>(logicals_.size() - 1);
-}
-
-void AppClient::logical_release(std::uint32_t index) {
-  logicals_[index].next_free = logical_free_head_;
-  logical_free_head_ = index;
-  --logical_count_;
-}
-
 void AppClient::maybe_release_logical(std::uint32_t index) {
-  LogicalRequest& lr = logicals_[index];
+  LogicalRequest& lr = book_->logicals_[index];
   // An armed hedge deadline keeps the slot live: its closure captures
   // this index, and recycling under it would fire onto a stranger.
   if (!lr.completed || lr.hedge_armed) return;
@@ -234,21 +216,19 @@ void AppClient::maybe_release_logical(std::uint32_t index) {
     const std::uint8_t state = lr.copy_state[c];
     if (state == kCopyInFlight || state == kTombstone) return;
   }
-  logical_release(index);
+  book_->logicals_.release(index);
+  --logical_count_;
 }
 
 void AppClient::issue_copy(std::uint32_t index, std::uint8_t copy) {
-  LogicalRequest& lr = logicals_[index];
+  LogicalRequest& lr = book_->logicals_[index];
   OutboundRequest out;
   out.server = lr.targets[copy];
   out.group = lr.group;
   out.logical = index;
   out.copy = copy;
   out.request = lr.request;
-  out.request.request_id =
-      (static_cast<std::uint64_t>(config_.id) << 40) | next_request_serial_++;
   out.request.sent_at = now();  // refined at actual transmit time
-  lr.copy_serial_plus1[copy] = (out.request.request_id & ((std::uint64_t{1} << 40) - 1)) + 1;
   lr.copy_state[copy] = kCopyInFlight;
   // Offer-time accounting, exactly like single-copy dispatch: a held
   // duplicate still counts against the server it is bound for.
@@ -257,7 +237,7 @@ void AppClient::issue_copy(std::uint32_t index, std::uint8_t copy) {
 }
 
 void AppClient::hedge_fire(std::uint32_t index) {
-  LogicalRequest& lr = logicals_[index];
+  LogicalRequest& lr = book_->logicals_[index];
   lr.hedge_armed = false;
   if (lr.completed) {
     // The response's cancel lost the race with this firing (the event
@@ -272,11 +252,11 @@ void AppClient::hedge_fire(std::uint32_t index) {
 
 void AppClient::dispatch_plan(const policy::PlannedRequest& planned,
                               const ctrl::DispatchPlan& dispatch, store::TaskId task_id) {
-  const std::uint32_t index = logical_alloc();
-  LogicalRequest& lr = logicals_[index];
+  const std::uint32_t index = book_->logicals_.alloc();
+  ++logical_count_;
+  LogicalRequest& lr = book_->logicals_[index];
   lr.group = planned.group;
   lr.targets = dispatch.targets;
-  lr.copy_serial_plus1.fill(0);
   lr.copy_state.fill(kUnissued);
   lr.num_targets = dispatch.num_targets;
   lr.needed = dispatch.needed;
@@ -285,7 +265,8 @@ void AppClient::dispatch_plan(const policy::PlannedRequest& planned,
   lr.completed = false;
   lr.claimed = false;
   lr.hedge_armed = false;
-  // Template for the copies: they differ only in request_id and server.
+  // Template for the copies: they differ only in request_id (stamped
+  // at transmit) and server.
   lr.request.request_id = 0;
   lr.request.task_id = task_id;
   lr.request.key = planned.key;
@@ -319,28 +300,22 @@ void AppClient::dispatch_plan(const policy::PlannedRequest& planned,
 }
 
 bool AppClient::admit_service(const store::ReadRequest& request) {
-  const std::uint64_t serial = request.request_id & ((std::uint64_t{1} << 40) - 1);
-  if (inflight_table_.empty()) return true;
-  InflightSlot& slot = inflight_table_[serial & (inflight_table_.size() - 1)];
-  // Unknown serials (another client's request routed here by mistake
-  // cannot happen — the wiring keys filters by request.client; writes
-  // and single-mode reads) admit unconditionally.
-  if (slot.serial_plus1 != serial + 1) return true;
-  const std::uint32_t logical_index = slot.data.logical;
-  if (logical_index == kNoLogical) return true;
-  LogicalRequest& lr = logicals_[logical_index];
-  const std::uint8_t copy = slot.data.copy;
+  InflightRequest* inflight = find_inflight(request.request_id);
+  // Unknown ids admit unconditionally (the wiring keys filters by
+  // request.client, so this does not happen in a run); so do writes
+  // and single-mode reads.
+  if (inflight == nullptr || inflight->logical == kNoLogical) return true;
+  const std::uint32_t logical_index = inflight->logical;
+  LogicalRequest& lr = book_->logicals_[logical_index];
+  const std::uint8_t copy = inflight->copy;
   if (lr.copy_state[copy] == kTombstone) {
     // Rejected at dequeue: the loser consumes no core and no
     // service-time draw. Finalize the copy here.
-    const store::ServerId server = slot.data.server;
-    const sim::Duration expected_cost = slot.data.expected_cost;
-    slot.serial_plus1 = 0;
+    endpoint_->on_cancel(inflight->server, inflight->expected_cost);
+    book_->inflight_erase(*inflight);
     --inflight_count_;
-    endpoint_->on_cancel(server, expected_cost);
     ++stats_.duplicates_cancelled;
     lr.copy_state[copy] = kCopyDone;
-    lr.copy_serial_plus1[copy] = 0;
     maybe_release_logical(logical_index);
     return false;
   }
@@ -357,129 +332,122 @@ bool AppClient::admit_service(const store::ReadRequest& request) {
 }
 
 // ---------------------------------------------------------------------------
-// Pending-task table
+// Request book
 
-std::size_t AppClient::pending_probe(store::TaskId task_id) const noexcept {
-  const std::size_t mask = pending_slots_.size() - 1;
-  std::size_t i = pending_home(task_id);
-  while (pending_slots_[i].task.remaining != 0 && pending_slots_[i].task_id != task_id) {
+store::RequestId RequestBook::inflight_insert(const InflightRequest& request) {
+  const std::uint32_t slot = inflight_.alloc();
+  InflightRequest& record = inflight_[slot];
+  const std::uint32_t generation = record.generation + 1;
+  record = request;
+  record.generation = generation;
+  return (std::uint64_t{generation} << 32) | slot;
+}
+
+InflightRequest* RequestBook::inflight_find(store::RequestId id) noexcept {
+  const auto slot = static_cast<std::uint32_t>(id);
+  const auto generation = static_cast<std::uint32_t>(id >> 32);
+  if ((generation & 1) == 0 || slot >= inflight_.size()) return nullptr;
+  InflightRequest& record = inflight_[slot];
+  return record.generation == generation ? &record : nullptr;
+}
+
+void RequestBook::inflight_erase(InflightRequest& request) {
+  ++request.generation;
+  inflight_.release(static_cast<std::uint32_t>(&request - &inflight_[0]));
+}
+
+std::size_t RequestBook::pending_probe(store::ClientId client,
+                                       store::TaskId task_id) const noexcept {
+  const std::size_t mask = pending_.size() - 1;
+  std::size_t i = pending_home(client, task_id);
+  while (pending_[i].remaining != 0 &&
+         (pending_[i].spec.id != task_id || pending_[i].owner != client)) {
     i = (i + 1) & mask;
   }
   return i;
 }
 
-void AppClient::pending_insert(store::TaskId task_id, PendingTask task) {
-  if ((pending_count_ + 1) * 2 > pending_slots_.size()) {
-    std::vector<PendingSlot> old = std::move(pending_slots_);
-    pending_slots_ = std::vector<PendingSlot>(std::max<std::size_t>(4, old.size() * 2));
-    pending_shift_ = 64 - std::countr_zero(pending_slots_.size());
-    for (PendingSlot& slot : old) {
-      if (slot.task.remaining != 0) pending_slots_[pending_probe(slot.task_id)] = std::move(slot);
+void RequestBook::pending_insert(PendingTask task) {
+  if ((pending_count_ + 1) * 2 > pending_.size()) {
+    std::vector<PendingTask> old = std::move(pending_);
+    pending_ = std::vector<PendingTask>(std::max<std::size_t>(4, old.size() * 2));
+    pending_shift_ = 64 - std::countr_zero(pending_.size());
+    for (PendingTask& live : old) {
+      if (live.remaining != 0) pending_[pending_probe(live.owner, live.spec.id)] = std::move(live);
     }
   }
-  PendingSlot& slot = pending_slots_[pending_probe(task_id)];
-  if (slot.task.remaining != 0) {
+  PendingTask& slot = pending_[pending_probe(task.owner, task.spec.id)];
+  if (slot.remaining != 0) {
     throw std::logic_error("AppClient::submit: task id already in flight on this client");
   }
-  slot.task_id = task_id;
-  slot.task = std::move(task);
+  slot = std::move(task);
   ++pending_count_;
 }
 
-void AppClient::pending_erase(std::size_t slot) {
+PendingTask* RequestBook::pending_find(store::ClientId client, store::TaskId task_id) noexcept {
+  if (pending_.empty()) return nullptr;
+  PendingTask& slot = pending_[pending_probe(client, task_id)];
+  return slot.remaining != 0 ? &slot : nullptr;
+}
+
+void RequestBook::pending_erase(PendingTask& task) {
   // Backward shift: pull back every later slot of the probe run whose
   // home does not lie cyclically in (hole, slot].
-  const std::size_t mask = pending_slots_.size() - 1;
-  std::size_t hole = slot;
-  for (std::size_t next = (hole + 1) & mask; pending_slots_[next].task.remaining != 0;
+  const std::size_t mask = pending_.size() - 1;
+  std::size_t hole = static_cast<std::size_t>(&task - pending_.data());
+  for (std::size_t next = (hole + 1) & mask; pending_[next].remaining != 0;
        next = (next + 1) & mask) {
-    const std::size_t home = pending_home(pending_slots_[next].task_id);
+    const std::size_t home = pending_home(pending_[next].owner, pending_[next].spec.id);
     if (((next - home) & mask) >= ((next - hole) & mask)) {
-      pending_slots_[hole] = std::move(pending_slots_[next]);
+      pending_[hole] = std::move(pending_[next]);
       hole = next;
     }
   }
-  pending_slots_[hole] = PendingSlot{};
+  pending_[hole] = PendingTask{};
   --pending_count_;
 }
 
 // ---------------------------------------------------------------------------
-// In-flight window table + wire path
+// Wire path
 
-void AppClient::inflight_grow() {
-  std::size_t capacity = inflight_table_.size() * 2;
-  for (;;) {
-    std::vector<InflightSlot> bigger(capacity);
-    bool collision_free = true;
-    for (InflightSlot& slot : inflight_table_) {
-      if (slot.serial_plus1 == 0) continue;
-      InflightSlot& target = bigger[(slot.serial_plus1 - 1) & (capacity - 1)];
-      if (target.serial_plus1 != 0) {
-        collision_free = false;
-        break;
-      }
-      target = slot;
-    }
-    if (collision_free) {
-      inflight_table_ = std::move(bigger);
-      return;
-    }
-    capacity *= 2;
-  }
-}
-
-void AppClient::inflight_insert(std::uint64_t serial, const InflightRequest& data) {
-  if (inflight_table_.empty()) inflight_table_.resize(8);
-  for (;;) {
-    InflightSlot& slot = inflight_table_[serial & (inflight_table_.size() - 1)];
-    if (slot.serial_plus1 == 0) {
-      slot.serial_plus1 = serial + 1;
-      slot.data = data;
-      ++inflight_count_;
-      return;
-    }
-    // Two live serials collide: the in-flight window outgrew the table.
-    inflight_grow();
-  }
+InflightRequest* AppClient::find_inflight(store::RequestId id) noexcept {
+  InflightRequest* inflight = book_->inflight_find(id);
+  return inflight != nullptr && inflight->client == config_.id ? inflight : nullptr;
 }
 
 void AppClient::transmit_now(OutboundRequest& out) {
   if (!network_send_) throw std::logic_error("AppClient: network send hook not installed");
-  if (out.logical != kNoLogical && logicals_[out.logical].copy_state[out.copy] == kTombstone) {
+  if (out.logical != kNoLogical &&
+      book_->logicals_[out.logical].copy_state[out.copy] == kTombstone) {
     // Cancelled while held at the gate: the copy never reaches the
     // wire. Release its offer-time accounting and finalize.
-    LogicalRequest& lr = logicals_[out.logical];
     endpoint_->on_cancel(out.server, out.request.expected_cost);
     ++stats_.duplicates_cancelled;
-    lr.copy_state[out.copy] = kCopyDone;
-    lr.copy_serial_plus1[out.copy] = 0;
+    book_->logicals_[out.logical].copy_state[out.copy] = kCopyDone;
     maybe_release_logical(out.logical);
     return;
   }
   out.request.sent_at = now();
   InflightRequest inflight;
   inflight.task_id = out.request.task_id;
-  inflight.server = out.server;
   inflight.sent_at = now();
   inflight.expected_cost = out.request.expected_cost;
+  inflight.server = out.server;
+  inflight.client = config_.id;
   inflight.logical = out.logical;
   inflight.copy = out.copy;
-  inflight_insert(out.request.request_id & ((std::uint64_t{1} << 40) - 1), inflight);
+  out.request.request_id = book_->inflight_insert(inflight);
+  ++inflight_count_;
   ++stats_.requests_sent;
   if (out.request.is_write) ++stats_.writes_sent;
   network_send_(out);
 }
 
 void AppClient::on_response(const store::ReadResponse& response) {
-  const std::uint64_t serial = response.request_id & ((std::uint64_t{1} << 40) - 1);
-  InflightSlot* slot = inflight_table_.empty()
-                           ? nullptr
-                           : &inflight_table_[serial & (inflight_table_.size() - 1)];
-  if (slot == nullptr || slot->serial_plus1 != serial + 1) {
-    throw std::logic_error("AppClient::on_response: unknown request id");
-  }
-  const InflightRequest inflight = slot->data;
-  slot->serial_plus1 = 0;
+  InflightRequest* record = find_inflight(response.request_id);
+  if (record == nullptr) throw std::logic_error("AppClient::on_response: unknown request id");
+  const InflightRequest inflight = *record;
+  book_->inflight_erase(*record);
   --inflight_count_;
   ++stats_.responses_received;
   if (response.is_write) ++stats_.writes_acked;
@@ -491,9 +459,8 @@ void AppClient::on_response(const store::ReadResponse& response) {
   gate_->on_response(inflight.server, response.feedback);
 
   if (inflight.logical != kNoLogical) {
-    LogicalRequest& lr = logicals_[inflight.logical];
+    LogicalRequest& lr = book_->logicals_[inflight.logical];
     lr.copy_state[inflight.copy] = kCopyDone;
-    lr.copy_serial_plus1[inflight.copy] = 0;
     if (lr.completed) {
       // Absorbed duplicate: it was already in (or past) service when
       // the logical request completed — the quantified wasted work.
@@ -522,24 +489,21 @@ void AppClient::on_response(const store::ReadResponse& response) {
     if (hooks_.on_request_complete) hooks_.on_request_complete(rtt);
   }
 
-  const std::size_t task_slot = pending_slots_.empty() ? 0 : pending_probe(response.task_id);
-  if (pending_slots_.empty() || pending_slots_[task_slot].task.remaining == 0) {
-    throw std::logic_error("AppClient::on_response: response for unknown task");
-  }
-  PendingTask& task = pending_slots_[task_slot].task;
-  if (--task.remaining == 0) {
+  PendingTask* task = book_->pending_find(config_.id, response.task_id);
+  if (task == nullptr) throw std::logic_error("AppClient::on_response: response for unknown task");
+  if (--task->remaining == 0) {
     ++stats_.tasks_completed;
-    const sim::Duration latency = now() - task.started;
+    const sim::Duration latency = now() - task->started;
     // Out of the table before the hook runs: the slot is reused (and
     // may move) as soon as it is erased.
-    workload::TaskSpec spec = std::move(task.spec);
-    pending_erase(task_slot);
+    workload::TaskSpec spec = std::move(task->spec);
+    book_->pending_erase(*task);
     if (hooks_.on_task_complete) hooks_.on_task_complete(spec, latency);
-    if (spec_pool_.size() < kSpecPoolMax) {
+    if (book_->spec_pool_.size() < RequestBook::kSpecPoolMax) {
       // Hand the spent requests vector back to the submit(TaskView)
       // slab pool; its capacity is reused by the next task.
       spec.requests.clear();
-      spec_pool_.push_back(std::move(spec.requests));
+      book_->spec_pool_.push_back(std::move(spec.requests));
     }
   }
 }

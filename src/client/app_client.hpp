@@ -72,15 +72,106 @@ struct ClientStats {
   std::uint64_t duplicates_served = 0;
 };
 
-/// Planning scratch for `AppClient::submit`, shared by every client of
-/// one run: each submit plans into it and is done with it before
-/// returning, so one set of buffers serves the whole fleet instead of
-/// every client keeping capacity for the largest fan-out it has seen.
-/// Sharing is safe because submit is never re-entered — network sends
-/// are scheduled events, not calls — and `in_use` turns a violation
-/// into an exception. Never share one scratch across threads: each run
-/// owns its own.
-struct ClientScratch {
+/// Sentinel: a wire request that is not part of a multi-copy logical
+/// request (single mode, writes).
+inline constexpr std::uint32_t kNoLogical = OutboundRequest::kNoLogical;
+
+/// Free-list pool: `alloc` reuses the most recently released slot and
+/// grows only when none is free, so the pool holds as many slots as
+/// were ever live at once.
+template <typename T>
+class FreeListPool {
+ public:
+  std::uint32_t alloc() {
+    if (free_.empty()) {
+      items_.emplace_back();
+      return static_cast<std::uint32_t>(items_.size() - 1);
+    }
+    const std::uint32_t index = free_.back();
+    free_.pop_back();
+    return index;
+  }
+  void release(std::uint32_t index) { free_.push_back(index); }
+  T& operator[](std::uint32_t index) noexcept { return items_[index]; }
+  std::size_t size() const noexcept { return items_.size(); }
+  std::size_t capacity() const noexcept { return items_.capacity(); }
+
+ private:
+  std::vector<T> items_;
+  std::vector<std::uint32_t> free_;
+};
+
+/// One wire request between transmit and response (or dequeue
+/// rejection).
+struct InflightRequest {
+  store::TaskId task_id = 0;
+  sim::Time sent_at;
+  sim::Duration expected_cost = sim::Duration::zero();
+  store::ServerId server = 0;
+  store::ClientId client = 0;          // the issuing client
+  std::uint32_t logical = kNoLogical;  // index into the logical pool
+  /// Odd while live; bumped at alloc and at release, so an id from an
+  /// earlier life of the slot no longer matches.
+  std::uint32_t generation = 0;
+  std::uint8_t copy = 0;  // which plan target this copy is
+};
+
+/// Per-copy lifecycle of a multi-copy logical request.
+enum CopyState : std::uint8_t {
+  kUnissued = 0,   // hedge back-up before the deadline fires
+  kCopyInFlight,   // offered (possibly gate-held or being serviced)
+  kTombstone,      // cancelled; finalize at gate/dequeue/response
+  kCopyDone,       // finalized (responded, dropped, or rejected)
+};
+
+/// One multi-copy logical request. `completed` means the needed
+/// responses arrived and the task-level accounting ran; the slot is
+/// recycled once every issued copy is finalized and no hedge timer can
+/// still fire.
+struct LogicalRequest {
+  store::ReadRequest request;  // template for issuing further copies
+  store::GroupId group = 0;
+  std::array<store::ServerId, ctrl::DispatchPlan::kMaxTargets> targets{};
+  std::array<std::uint8_t, ctrl::DispatchPlan::kMaxTargets> copy_state{};
+  std::uint8_t num_targets = 0;
+  std::uint8_t needed = 1;
+  std::uint8_t received = 0;
+  ctrl::DispatchMode mode = ctrl::DispatchMode::kSingle;
+  bool completed = false;
+  bool claimed = false;      // tied: a copy reached service first
+  bool hedge_armed = false;  // a cancellable deadline event is live
+  sim::EventId hedge_event = 0;
+};
+
+/// A task awaiting responses. A live task always awaits at least one,
+/// so `remaining == 0` marks an empty pending-table slot.
+struct PendingTask {
+  workload::TaskSpec spec;  // spec.id is the task id
+  sim::Time started;
+  std::uint32_t remaining = 0;
+  store::ClientId owner = 0;  // the client the task was submitted to
+};
+
+/// The request-tracking state of one run, shared by every client of
+/// that run, so it is sized by what the fleet has live at once rather
+/// than by the sum of each client's busiest moment:
+///  * the planning scratch of `AppClient::submit` — each submit plans
+///    into it and is done with it before returning. Sharing is safe
+///    because submit is never re-entered (network sends are scheduled
+///    events, not calls), and `in_use` turns a violation into an
+///    exception;
+///  * in-flight wire requests, a free-list pool whose handle
+///    `(generation << 32) | slot` is the request id;
+///  * multi-copy logical requests, a free-list pool;
+///  * pending tasks, a flat open-addressed table keyed by (client, task
+///    id): power-of-two capacity, linear probing, at most 1/2 load,
+///    backward-shift erase. It is iterated only to rehash, so its
+///    layout cannot reach completion order or artifacts;
+///  * requests vectors recycled from completed tasks (bounded).
+/// Per-client counters stay with each client. Never share one book
+/// across threads: each run owns its own.
+class RequestBook {
+ public:
   policy::TaskPlan plan;
   /// Sorted (group, summed cost) pairs for per-sub-task planning.
   std::vector<std::pair<store::GroupId, std::int64_t>> group_costs;
@@ -88,8 +179,49 @@ struct ClientScratch {
   /// Per-request plans (parallel to plan.requests) for the multi-copy
   /// dispatch step; single-mode plans never touch it.
   std::vector<ctrl::DispatchPlan> request_plans;
-  /// Set while a submit is using the scratch.
+  /// Set while a submit is using the planning scratch.
   bool in_use = false;
+
+  /// Slots held by each table (live or free), for capacity checks.
+  std::size_t inflight_capacity() const noexcept { return inflight_.capacity(); }
+  std::size_t logical_capacity() const noexcept { return logicals_.capacity(); }
+  std::size_t pending_capacity() const noexcept { return pending_.size(); }
+
+ private:
+  friend class AppClient;
+
+  /// Records `request` and returns its id.
+  store::RequestId inflight_insert(const InflightRequest& request);
+  /// The live record `id` names, or nullptr for a stale or bogus id.
+  InflightRequest* inflight_find(store::RequestId id) noexcept;
+  void inflight_erase(InflightRequest& request);
+
+  /// Home slot of (client, task id): the top bits of a Fibonacci hash.
+  std::size_t pending_home(store::ClientId client, store::TaskId task_id) const noexcept {
+    const std::uint64_t key = task_id + std::uint64_t{client} * 0xC2B2AE3D27D4EB4FULL;
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> pending_shift_);
+  }
+  /// Slot holding (client, task id), or the empty slot that ends its
+  /// probe run. Requires a non-empty table.
+  std::size_t pending_probe(store::ClientId client, store::TaskId task_id) const noexcept;
+  /// Throws std::logic_error when the task id is already in flight on
+  /// the same client.
+  void pending_insert(PendingTask task);
+  /// The live task (client, task id), or nullptr.
+  PendingTask* pending_find(store::ClientId client, store::TaskId task_id) noexcept;
+  /// Empties the slot of `task` by backward shift, so probing needs no
+  /// tombstones.
+  void pending_erase(PendingTask& task);
+
+  FreeListPool<InflightRequest> inflight_;
+  FreeListPool<LogicalRequest> logicals_;
+  std::vector<PendingTask> pending_;
+  std::size_t pending_count_ = 0;
+  int pending_shift_ = 64;
+  /// Requests vectors recycled from completed tasks, feeding the
+  /// TaskView submit path (bounded; steady state allocates nothing).
+  static constexpr std::size_t kSpecPoolMax = 64;
+  std::vector<std::vector<workload::RequestSpec>> spec_pool_;
 };
 
 class AppClient : public sim::Actor {
@@ -110,13 +242,13 @@ class AppClient : public sim::Actor {
     std::function<void(sim::Duration latency)> on_request_complete;
   };
 
-  /// `scratch` must outlive the client; every client of a run shares
-  /// one (see ClientScratch).
+  /// `book` must outlive the client; every client of a run shares
+  /// one (see RequestBook).
   AppClient(sim::Simulator& sim, Config config, const store::Partitioner& partitioner,
             const server::ServiceTimeModel& cost_model,
             std::unique_ptr<ctrl::DispatchEndpoint> endpoint,
             const policy::PriorityPolicy& priority_policy, std::unique_ptr<DispatchGate> gate,
-            util::Rng rng, ClientScratch& scratch);
+            util::Rng rng, RequestBook& book);
 
   /// Transport hook: actually puts a request on the wire. Installed by
   /// the cluster wiring.
@@ -129,8 +261,8 @@ class AppClient : public sim::Actor {
   /// in, and the client moves it again into its pending-task record —
   /// the per-task requests vector is never copied on the hot path.
   /// Throws std::logic_error when called from inside another submit
-  /// sharing this client's scratch (see ClientScratch), or with a task
-  /// id already in flight on this client.
+  /// sharing this client's book (see RequestBook), or with a task id
+  /// already in flight on this client.
   void submit(workload::TaskSpec task);
 
   /// Hot-path entry: a borrowed view into the generator's TaskBlock
@@ -164,85 +296,10 @@ class AppClient : public sim::Actor {
   std::uint64_t logical_in_flight() const noexcept { return logical_count_; }
 
  private:
-  /// Sentinel: this wire request is not part of a multi-copy logical
-  /// request (single mode, writes) — the zero-overhead legacy path.
-  static constexpr std::uint32_t kNoLogical = OutboundRequest::kNoLogical;
-
-  struct InflightRequest {
-    store::TaskId task_id = 0;
-    store::ServerId server = 0;
-    sim::Time sent_at;
-    sim::Duration expected_cost = sim::Duration::zero();
-    std::uint32_t logical = kNoLogical;  // index into logicals_
-    std::uint8_t copy = 0;               // which plan target this copy is
-  };
-  struct PendingTask {
-    workload::TaskSpec spec;
-    std::uint32_t remaining = 0;
-    sim::Time started;
-  };
-  /// One slot of the pending-task table. A live task always awaits at
-  /// least one response, so `task.remaining == 0` marks an empty slot.
-  struct PendingSlot {
-    store::TaskId task_id = 0;
-    PendingTask task;
-  };
-  /// One slot of the in-flight window table (serial_plus1 == 0: empty).
-  struct InflightSlot {
-    std::uint64_t serial_plus1 = 0;
-    InflightRequest data;
-  };
-
-  /// Per-copy lifecycle of a multi-copy logical request.
-  enum CopyState : std::uint8_t {
-    kUnissued = 0,   // hedge back-up before the deadline fires
-    kCopyInFlight,   // offered (possibly gate-held or being serviced)
-    kTombstone,      // cancelled; finalize at gate/dequeue/response
-    kCopyDone,       // finalized (responded, dropped, or rejected)
-  };
-
-  /// One multi-copy logical request (free-list pooled). `completed`
-  /// means the needed responses arrived and the task-level accounting
-  /// ran; the slot is recycled once every issued copy is finalized and
-  /// no hedge timer can still fire.
-  struct LogicalRequest {
-    store::ReadRequest request;  // template for issuing further copies
-    store::GroupId group = 0;
-    std::array<store::ServerId, ctrl::DispatchPlan::kMaxTargets> targets{};
-    std::array<std::uint64_t, ctrl::DispatchPlan::kMaxTargets> copy_serial_plus1{};
-    std::array<std::uint8_t, ctrl::DispatchPlan::kMaxTargets> copy_state{};
-    std::uint8_t num_targets = 0;
-    std::uint8_t needed = 1;
-    std::uint8_t received = 0;
-    ctrl::DispatchMode mode = ctrl::DispatchMode::kSingle;
-    bool completed = false;
-    bool claimed = false;      // tied: a copy reached service first
-    bool hedge_armed = false;  // a cancellable deadline event is live
-    sim::EventId hedge_event = 0;
-    std::uint32_t next_free = kNoLogical;
-  };
-
   /// Expected-cost forecast: `cost_model_->expected(size_hint)` plus
   /// the optional noise draw.
   sim::Duration forecast_cost(std::uint32_t size_hint);
-  /// Home slot of `task_id`: the top bits of a Fibonacci hash.
-  std::size_t pending_home(store::TaskId task_id) const noexcept {
-    return static_cast<std::size_t>((task_id * 0x9E3779B97F4A7C15ULL) >> pending_shift_);
-  }
-  /// Pending-task table slot holding `task_id`, or the empty slot that
-  /// ends its probe run. Requires a non-empty table.
-  std::size_t pending_probe(store::TaskId task_id) const noexcept;
-  void pending_insert(store::TaskId task_id, PendingTask task);
-  /// Empties `slot` by backward shift, so probing needs no tombstones.
-  void pending_erase(std::size_t slot);
 
-  void inflight_insert(std::uint64_t serial, const InflightRequest& data);
-  /// Doubles the window table until every live serial maps to a
-  /// distinct slot again.
-  void inflight_grow();
-
-  std::uint32_t logical_alloc();
-  void logical_release(std::uint32_t index);
   /// Recycles the slot once completed, all issued copies finalized,
   /// and no armed hedge deadline remains.
   void maybe_release_logical(std::uint32_t index);
@@ -253,14 +310,12 @@ class AppClient : public sim::Actor {
   /// Dispatches one read according to `plan` (multi-copy modes).
   void dispatch_plan(const policy::PlannedRequest& planned, const ctrl::DispatchPlan& plan,
                      store::TaskId task_id);
+  /// This client's live in-flight record for `id`, or nullptr.
+  InflightRequest* find_inflight(store::RequestId id) noexcept;
 
   Config config_;
-  /// Requests vectors recycled from completed tasks, feeding the
-  /// TaskView submit path (bounded; steady state allocates nothing).
-  static constexpr std::size_t kSpecPoolMax = 64;
-  std::vector<std::vector<workload::RequestSpec>> spec_pool_;
-  /// Planning scratch shared with the rest of the run's fleet.
-  ClientScratch* scratch_;
+  /// Request-tracking state shared with the rest of the run's fleet.
+  RequestBook* book_;
   const store::Partitioner* partitioner_;
   const server::ServiceTimeModel* cost_model_;
   std::unique_ptr<ctrl::DispatchEndpoint> endpoint_;
@@ -270,27 +325,8 @@ class AppClient : public sim::Actor {
   NetworkSendFn network_send_;
   Hooks hooks_;
   ClientStats stats_;
-  /// In-flight request state, keyed by the request's per-client serial
-  /// (the low 40 bits of its id — dense and monotonically increasing).
-  /// A power-of-two window table indexed by `serial & mask` replaces
-  /// the hash map: live serials span a bounded window, so the table
-  /// grows to the max in-flight span and then runs collision-free.
-  std::vector<InflightSlot> inflight_table_;
   std::uint64_t inflight_count_ = 0;
-  /// Multi-copy logical requests, free-list pooled (never shrinks;
-  /// bounded by the max simultaneous multi-copy window).
-  std::vector<LogicalRequest> logicals_;
-  std::uint32_t logical_free_head_ = kNoLogical;
   std::uint64_t logical_count_ = 0;
-  /// Tasks awaiting responses, keyed by global task id (not dense per
-  /// client): a flat open-addressed table — power-of-two capacity,
-  /// Fibonacci hash, linear probing, at most 1/2 load. Allocated at
-  /// the first submit and iterated only to rehash, so its layout cannot
-  /// reach completion order or artifacts.
-  std::vector<PendingSlot> pending_slots_;
-  std::size_t pending_count_ = 0;
-  int pending_shift_ = 64;
-  std::uint64_t next_request_serial_ = 0;
 };
 
 }  // namespace brb::client

@@ -95,7 +95,7 @@ Fig1Result run_fig1(const std::string& policy_name) {
   Fig1Result result;
   std::map<store::TaskId, double> completions;
 
-  client::ClientScratch client_scratch;
+  client::RequestBook request_book;
   std::vector<std::unique_ptr<client::AppClient>> clients;
   for (std::uint32_t c = 0; c < 2; ++c) {
     client::AppClient::Config config;
@@ -108,7 +108,7 @@ Fig1Result run_fig1(const std::string& policy_name) {
         client_rng, store::TenantId{0});
     clients.push_back(std::make_unique<client::AppClient>(
         sim, config, partitioner, service_model, std::move(endpoint), *priority_policy,
-        std::make_unique<client::DirectGate>(), client_rng, client_scratch));
+        std::make_unique<client::DirectGate>(), client_rng, request_book));
   }
 
   const auto key_name = [](store::KeyId key) {

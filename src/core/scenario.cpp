@@ -416,8 +416,8 @@ RunResult run_scenario(const ScenarioConfig& config) {
     }
   }
 
-  // One planning scratch for the whole fleet (this run's thread only).
-  client::ClientScratch client_scratch;
+  // One request book for the whole fleet (this run's thread only).
+  client::RequestBook request_book;
   std::vector<std::unique_ptr<client::AppClient>> clients;
   clients.reserve(num_clients);
   for (std::uint32_t c = 0; c < num_clients; ++c) {
@@ -442,7 +442,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
 
     clients.push_back(std::make_unique<client::AppClient>(
         sim, client_config, partitioner, service_model, std::move(endpoint), *priority_policy,
-        std::move(gate), rng_clients[c], client_scratch));
+        std::move(gate), rng_clients[c], request_book));
   }
 
   // Tail-cutting executor: loser copies are finalized at the server's

@@ -41,7 +41,8 @@ using ClientId = net::NodeId;
 /// Globally unique task identifier.
 using TaskId = std::uint64_t;
 
-/// Globally unique request identifier.
+/// Request identifier: an opaque handle the issuing client's request
+/// book assigns at transmit, unique among a run's live requests.
 using RequestId = std::uint64_t;
 
 /// Tenant index in a multi-tenant workload (0 in single-tenant runs).

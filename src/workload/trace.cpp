@@ -1,14 +1,41 @@
 #include "workload/trace.hpp"
 
 #include <fstream>
-#include <sstream>
+#include <limits>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/flags.hpp"
 
 namespace brb::workload {
 
 namespace {
 constexpr const char* kHeader = "#brb-trace-v1";
+
+/// Splits `text` at its first `separator`: returns the part before it
+/// and leaves the part after it in `text` (empty when there is none).
+std::string_view take(std::string_view& text, char separator) {
+  const std::size_t at = text.find(separator);
+  const std::string_view head = text.substr(0, at);
+  text.remove_prefix(at == std::string_view::npos ? text.size() : at + 1);
+  return head;
 }
+
+/// The whole of `text` as a decimal integer no larger than the maximum
+/// of `Int`.
+template <typename Int>
+Int parse_field(std::string_view text, const char* what) {
+  const std::optional<std::uint64_t> value = util::parse_decimal(text);
+  constexpr auto kMax = static_cast<std::uint64_t>(std::numeric_limits<Int>::max());
+  if (!value || *value > kMax) {
+    throw std::runtime_error(std::string("bad ") + what + " '" + std::string(text) +
+                             "' (expected a decimal integer in [0, " + std::to_string(kMax) +
+                             "])");
+  }
+  return static_cast<Int>(*value);
+}
+}  // namespace
 
 void TraceWriter::write(std::ostream& os, const std::vector<TaskSpec>& tasks) {
   os << kHeader << '\n';
@@ -39,25 +66,18 @@ std::vector<TaskSpec> TraceReader::read(std::istream& is) {
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty() || line.front() == '#') continue;
-    std::stringstream ss(line);
-    std::string field;
     TaskSpec task;
     try {
-      if (!std::getline(ss, field, ',')) throw std::runtime_error("missing task id");
-      task.id = std::stoull(field);
-      if (!std::getline(ss, field, ',')) throw std::runtime_error("missing client");
-      task.client = static_cast<store::ClientId>(std::stoul(field));
-      if (!std::getline(ss, field, ',')) throw std::runtime_error("missing arrival");
-      task.arrival = sim::Time::nanos(std::stoll(field));
-      if (!std::getline(ss, field)) throw std::runtime_error("missing requests");
-      std::stringstream reqs(field);
-      std::string req;
-      while (std::getline(reqs, req, ';')) {
-        const auto colon = req.find(':');
-        if (colon == std::string::npos) throw std::runtime_error("malformed request " + req);
+      std::string_view rest = line;
+      task.id = parse_field<store::TaskId>(take(rest, ','), "task id");
+      task.client = parse_field<store::ClientId>(take(rest, ','), "client");
+      task.arrival = sim::Time::nanos(parse_field<std::int64_t>(take(rest, ','), "arrival"));
+      for (bool more = !rest.empty(); more;) {
+        more = rest.find(';') != std::string_view::npos;
+        std::string_view request = take(rest, ';');
         RequestSpec spec;
-        spec.key = std::stoull(req.substr(0, colon));
-        spec.size_hint = static_cast<std::uint32_t>(std::stoul(req.substr(colon + 1)));
+        spec.key = parse_field<store::KeyId>(take(request, ':'), "key");
+        spec.size_hint = parse_field<std::uint32_t>(request, "size");
         task.requests.push_back(spec);
       }
       if (task.requests.empty()) throw std::runtime_error("task with no requests");

@@ -23,7 +23,9 @@ class TraceWriter {
 
 class TraceReader {
  public:
-  /// Parses a trace; throws std::runtime_error on malformed input.
+  /// Parses a trace; throws std::runtime_error, naming the line, on
+  /// malformed input. Every field is a whole unsigned decimal within
+  /// its type (arrival_ns a non-negative int64).
   static std::vector<TaskSpec> read(std::istream& is);
   static std::vector<TaskSpec> read_file(const std::string& path);
 };

@@ -36,7 +36,7 @@ struct ClientFixture {
   store::RingPartitioner partitioner{3, 2};
   server::SizeLinearServiceModel cost_model{Duration::zero(), 1000.0};  // 1us/byte
   std::unique_ptr<policy::PriorityPolicy> policy;
-  ClientScratch scratch;
+  RequestBook book;
   std::unique_ptr<AppClient> client;
   std::vector<OutboundRequest> sent;
   std::vector<std::pair<store::TaskId, Duration>> completed_tasks;
@@ -47,7 +47,7 @@ struct ClientFixture {
     client = std::make_unique<AppClient>(
         simulator, config, partitioner, cost_model,
         single_endpoint("first"), *policy,
-        std::make_unique<DirectGate>(), util::Rng(1), scratch);
+        std::make_unique<DirectGate>(), util::Rng(1), book);
     client->set_network_send([this](const OutboundRequest& out) { sent.push_back(out); });
     AppClient::Hooks hooks;
     hooks.on_task_complete = [this](const workload::TaskSpec& task, Duration latency) {
@@ -247,10 +247,10 @@ TEST(AppClient, PerRequestSelectionMode) {
   server::SizeLinearServiceModel cost_model(Duration::zero(), 1000.0);
   policy::FifoPolicy fifo;
   std::vector<OutboundRequest> sent;
-  ClientScratch scratch;
+  RequestBook book;
   AppClient client(simulator, config, partitioner, cost_model,
                    single_endpoint("round-robin"), fifo,
-                   std::make_unique<DirectGate>(), util::Rng(2), scratch);
+                   std::make_unique<DirectGate>(), util::Rng(2), book);
   client.set_network_send([&sent](const OutboundRequest& out) { sent.push_back(out); });
   workload::TaskSpec task;
   task.id = 1;
@@ -318,16 +318,17 @@ TEST(AppClient, ThousandsInFlightCompleteOutOfOrder) {
 }
 
 TEST(AppClient, ReentrantSubmitOnSharedScratchThrows) {
-  // Two clients of one run share one planning scratch. A submit issued
-  // from inside another submit (here: from the transport hook, which in
-  // a real run only schedules events) must throw rather than overwrite
-  // the plan in use, and the scratch must be free again afterwards.
+  // Two clients of one run share one request book and its planning
+  // scratch. A submit issued from inside another submit (here: from the
+  // transport hook, which in a real run only schedules events) must
+  // throw rather than overwrite the plan in use, and the scratch must
+  // be free again afterwards.
   ClientFixture f("equalmax");
   AppClient::Config config;
   config.id = 1;
   AppClient other(f.simulator, config, f.partitioner, f.cost_model,
                   single_endpoint("first"), *f.policy,
-                  std::make_unique<DirectGate>(), util::Rng(3), f.scratch);
+                  std::make_unique<DirectGate>(), util::Rng(3), f.book);
   other.set_network_send([](const OutboundRequest&) {});
   bool reentered = false;
   f.client->set_network_send([&](const OutboundRequest&) {
@@ -337,10 +338,112 @@ TEST(AppClient, ReentrantSubmitOnSharedScratchThrows) {
   });
   EXPECT_THROW(f.client->submit(f.task(1, {0, 1})), std::logic_error);
   EXPECT_TRUE(reentered);
-  EXPECT_FALSE(f.scratch.in_use);
+  EXPECT_FALSE(f.book.in_use);
   EXPECT_EQ(other.stats().tasks_submitted, 0u);
   EXPECT_NO_THROW(other.submit(f.task(3, {4})));
   EXPECT_EQ(other.stats().tasks_submitted, 1u);
+}
+
+TEST(AppClient, RepeatedTaskIdThrowsPerClientOnly) {
+  // A task id may be live once per client: a second submit of a live id
+  // on one client throws, while another client sharing the request book
+  // may use the same id (trace task ids can repeat across clients).
+  ClientFixture f("equalmax");
+  AppClient::Config config;
+  config.id = 1;
+  AppClient other(f.simulator, config, f.partitioner, f.cost_model,
+                  single_endpoint("first"), *f.policy,
+                  std::make_unique<DirectGate>(), util::Rng(3), f.book);
+  std::vector<OutboundRequest> other_sent;
+  other.set_network_send([&](const OutboundRequest& out) { other_sent.push_back(out); });
+  f.client->submit(f.task(7, {0}));
+  EXPECT_THROW(f.client->submit(f.task(7, {1})), std::logic_error);
+  EXPECT_NO_THROW(other.submit(f.task(7, {2})));
+  ASSERT_EQ(f.sent.size(), 1u);
+  ASSERT_EQ(other_sent.size(), 1u);
+  // Each response completes its own client's task 7.
+  other.on_response(f.response_for(other_sent[0]));
+  EXPECT_EQ(other.stats().tasks_completed, 1u);
+  EXPECT_EQ(f.client->stats().tasks_completed, 0u);
+  f.client->on_response(f.response_for(f.sent[0]));
+  EXPECT_EQ(f.client->stats().tasks_completed, 1u);
+  // Once completed, the id is free again on that client.
+  EXPECT_NO_THROW(f.client->submit(f.task(7, {3})));
+}
+
+TEST(AppClient, StaleBogusAndForeignRequestIdsThrow) {
+  ClientFixture f("equalmax");
+  f.client->submit(f.task(1, {0}));
+  ASSERT_EQ(f.sent.size(), 1u);
+  const OutboundRequest first = f.sent[0];
+  f.client->on_response(f.response_for(first));
+  // The next request reuses the released slot under a new generation:
+  // a second response to the first id is stale and must not complete
+  // the new request.
+  f.client->submit(f.task(2, {0}));
+  ASSERT_EQ(f.sent.size(), 2u);
+  EXPECT_NE(f.sent[1].request.request_id, first.request.request_id);
+  EXPECT_EQ(f.sent[1].request.request_id & 0xffffffffu, first.request.request_id & 0xffffffffu);
+  store::ReadResponse stale = f.response_for(first);
+  stale.task_id = 2;
+  EXPECT_THROW(f.client->on_response(stale), std::logic_error);
+  EXPECT_EQ(f.client->in_flight(), 1u);
+  // Ids naming a slot that does not exist, a free generation, or the
+  // live slot at a later generation.
+  const store::RequestId live = f.sent[1].request.request_id;
+  const store::RequestId generation = store::RequestId{1} << 32;
+  for (const store::RequestId bogus :
+       std::vector<store::RequestId>{0, generation | 999, live + generation,
+                                     live + 2 * generation}) {
+    store::ReadResponse response = f.response_for(f.sent[1]);
+    response.request_id = bogus;
+    EXPECT_THROW(f.client->on_response(response), std::logic_error) << bogus;
+  }
+  // Another client sharing the book does not own this id.
+  AppClient::Config config;
+  config.id = 1;
+  AppClient other(f.simulator, config, f.partitioner, f.cost_model,
+                  single_endpoint("first"), *f.policy,
+                  std::make_unique<DirectGate>(), util::Rng(3), f.book);
+  EXPECT_THROW(other.on_response(f.response_for(f.sent[1])), std::logic_error);
+  f.client->on_response(f.response_for(f.sent[1]));
+  EXPECT_EQ(f.client->in_flight(), 0u);
+  EXPECT_EQ(f.client->stats().tasks_completed, 2u);
+}
+
+TEST(AppClient, SharedBookIsSizedByFleetLivePeak) {
+  // 64 clients take turns: each submits one 512-request task, which
+  // drains before the next client submits. Per-client tables would
+  // hold 64 x 512 in-flight slots; the shared book holds the fleet's
+  // live peak, 512.
+  constexpr std::uint32_t kClients = 64;
+  constexpr store::KeyId kFanout = 512;
+  ClientFixture f("equalmax");
+  std::vector<std::unique_ptr<AppClient>> clients;
+  std::vector<OutboundRequest> sent;
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    AppClient::Config config;
+    config.id = c + 1;
+    clients.push_back(std::make_unique<AppClient>(
+        f.simulator, config, f.partitioner, f.cost_model, single_endpoint("first"), *f.policy,
+        std::make_unique<DirectGate>(), util::Rng(c), f.book));
+    clients.back()->set_network_send([&sent](const OutboundRequest& out) { sent.push_back(out); });
+  }
+  std::vector<store::KeyId> keys(kFanout);
+  for (store::KeyId k = 0; k < kFanout; ++k) keys[k] = k;
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    sent.clear();
+    clients[c]->submit(f.task(c, keys));
+    ASSERT_EQ(sent.size(), kFanout);
+    ASSERT_EQ(clients[c]->in_flight(), kFanout);
+    for (const OutboundRequest& out : sent) clients[c]->on_response(f.response_for(out));
+    ASSERT_EQ(clients[c]->in_flight(), 0u);
+    ASSERT_EQ(clients[c]->stats().tasks_completed, 1u);
+  }
+  EXPECT_GE(f.book.inflight_capacity(), kFanout);
+  EXPECT_LE(f.book.inflight_capacity(), 2 * kFanout);
+  EXPECT_LE(f.book.pending_capacity(), 4u);
+  EXPECT_EQ(f.book.logical_capacity(), 0u);
 }
 
 // ---------------------------------------------------------------------------

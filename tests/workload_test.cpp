@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <unordered_set>
@@ -596,6 +597,43 @@ TEST(Trace, RejectsMalformedLine) {
 TEST(Trace, RejectsTaskWithoutRequests) {
   std::stringstream buffer("#brb-trace-v1\n1,0,100,\n");
   EXPECT_THROW(TraceReader::read(buffer), std::runtime_error);
+}
+
+TEST(Trace, RejectsFieldsThatAreNotWholeInRangeIntegers) {
+  // Each line is read strictly: the whole field must be a decimal
+  // integer within its type's range, and the error names the line.
+  for (const std::string bad :
+       {"2x,0,100,5:10",            // trailing characters in the task id
+        "1,0,100,5:4294967396",     // size past 2^32-1 (was truncated to 100)
+        "1,4294967297,100,5:10",    // client past 2^32-1
+        "1,0,-5000,5:10",           // negative arrival
+        "1,0,9223372036854775808,5:10",  // arrival past int64
+        "18446744073709551616,0,100,5:10",  // task id past 2^64-1
+        "1,0,100,5x:10", "1,0,100,5:10;", "1,0,100,5:10,7:1", "1,0,100", "1,0,+100,5:10",
+        "1, 0,100,5:10"}) {
+    std::stringstream buffer("#brb-trace-v1\n# comment\n" + bad + "\n");
+    try {
+      TraceReader::read(buffer);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(Trace, AcceptsEachFieldAtItsLimit) {
+  std::stringstream buffer(
+      "#brb-trace-v1\n18446744073709551615,4294967295,9223372036854775807,"
+      "18446744073709551615:4294967295;0:0\n");
+  const auto tasks = TraceReader::read(buffer);
+  ASSERT_EQ(tasks.size(), 1u);
+  EXPECT_EQ(tasks[0].id, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(tasks[0].client, std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(tasks[0].arrival.count_nanos(), std::numeric_limits<std::int64_t>::max());
+  ASSERT_EQ(tasks[0].requests.size(), 2u);
+  EXPECT_EQ(tasks[0].requests[0].key, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(tasks[0].requests[0].size_hint, std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(tasks[0].requests[1].key, 0u);
 }
 
 TEST(Trace, SkipsCommentsAndBlankLines) {
