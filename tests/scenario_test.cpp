@@ -311,6 +311,35 @@ TEST(Scenario, PolicyMatrixObservablesArePinned) {
   }
 }
 
+// The cubic rate gate releases each server's held requests in arrival
+// order. Plain c3 cannot show that order: its FIFO priority stamps
+// arrival time, so a priority-ordered hold queue would drain the same
+// way. Task-aware priorities behind the rate gate, and hedged copies
+// stamped at their later issue time, would not; these pins would move.
+void expect_paper_run(const char* system, const char* extra_flag,
+                      std::uint64_t events_processed, std::uint64_t network_messages,
+                      std::int64_t p50_ns, std::int64_t p99_ns) {
+  const char* argv[] = {"brbsim", "--tasks=3000", "--seed-list=1", system, extra_flag};
+  const util::Flags flags(5, argv);
+  const auto cases = cli::find_scenario("paper")->expand(cli::config_from_flags(flags), flags);
+  ASSERT_EQ(cases.size(), 1u);
+  const RunResult result = run_scenario(cases.front().config);
+  EXPECT_EQ(result.events_processed, events_processed);
+  EXPECT_EQ(result.network_messages, network_messages);
+  EXPECT_EQ(result.task_latency.percentile(50).count_nanos(), p50_ns);
+  EXPECT_EQ(result.task_latency.percentile(99).count_nanos(), p99_ns);
+}
+
+TEST(Scenario, RateGateHoldOrderUnderTaskPrioritiesIsPinned) {
+  expect_paper_run("--systems=equalmax-direct", "--admission=cubic-rate", 108854u, 52586u,
+                   705280, 72581120);
+}
+
+TEST(Scenario, RateGateHoldOrderUnderHedgingIsPinned) {
+  expect_paper_run("--systems=c3", "--dispatch=hedge:q95", 188192u, 53657u, 40484864,
+                   557056000);
+}
+
 TEST(Scenario, CreditsObservablesArePinned) {
   // The credits realization's control loop, pinned on both credit-pair
   // layouts: every pair pinned (credits-interval's adaptation-cadence
