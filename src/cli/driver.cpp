@@ -58,7 +58,7 @@ using Cfg = ScenarioConfig;
 using Cluster = workload::ClusterSpec;
 using Credits = core::CreditsConfig;
 using C3 = policy::C3Config;
-using Rate = policy::CubicRateController::Config;
+using Rate = policy::CubicRateConfig;
 
 /// The config field at a member-pointer path: `at<&Cfg::credits,
 /// &Credits::recovery_step>` is `config.credits.recovery_step`.

@@ -13,156 +13,7 @@ namespace {
 // are dropped from the controller's books. With the default alpha of
 // 0.5 a 1 req/s pair is forgotten after ~30 idle reports (~3 s).
 constexpr double kDemandRetentionFloor = 1e-9;
-
-// Orders a gate's slots by server, for std::lower_bound.
-constexpr auto kSlotBefore = [](const auto& slot, store::ServerId id) { return slot.server < id; };
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// CreditGate
-
-CreditGate::CreditGate(sim::Simulator& sim, std::uint32_t num_servers, CreditsConfig config,
-                       const CreditList& pinned, double first_touch_credit)
-    : sim_(&sim),
-      config_(config),
-      num_servers_(num_servers),
-      first_touch_credit_(first_touch_credit) {
-  if (num_servers == 0) throw std::invalid_argument("CreditGate: no servers");
-  if (first_touch_credit < 0.0) {
-    throw std::invalid_argument("CreditGate: negative first-touch credit");
-  }
-  slots_.reserve(pinned.size());
-  for (const auto& [server, balance] : pinned) {
-    if (server >= num_servers || (!slots_.empty() && server <= slots_.back().server)) {
-      throw std::invalid_argument("CreditGate: pinned servers must ascend below the fleet size");
-    }
-    Slot& opened = slots_.emplace_back();
-    opened.server = server;
-    opened.pinned = true;
-    opened.balance = balance;
-  }
-}
-
-CreditGate::Slot& CreditGate::slot(store::ServerId server) {
-  // All-pinned layout: slot index == server id.
-  if (server < slots_.size() && slots_[server].server == server) return slots_[server];
-  if (server >= num_servers_) throw std::out_of_range("CreditGate: bad server");
-  const auto it = std::lower_bound(slots_.begin(), slots_.end(), server, kSlotBefore);
-  if (it != slots_.end() && it->server == server) return *it;
-  Slot& opened = *slots_.emplace(it);
-  opened.server = server;
-  opened.balance = first_touch_credit_;
-  sync_balance(server, opened.balance);
-  return opened;
-}
-
-void CreditGate::attach_signals(ctrl::SignalTable* signals) {
-  signals_ = signals;
-  if (signals_ == nullptr) return;
-  for (const Slot& slot : slots_) sync_balance(slot.server, slot.balance);
-}
-
-bool CreditGate::later(const Held& a, const Held& b) noexcept {
-  if (a.priority != b.priority) return a.priority > b.priority;
-  return a.seq > b.seq;
-}
-
-void CreditGate::heap_push(Slot& slot, Held held) {
-  std::vector<Held>& heap = slot.heap;
-  heap.push_back(std::move(held));
-  std::size_t i = heap.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!later(heap[parent], heap[i])) break;
-    std::swap(heap[parent], heap[i]);
-    i = parent;
-  }
-}
-
-CreditGate::Held CreditGate::heap_pop(Slot& slot) {
-  std::vector<Held>& heap = slot.heap;
-  Held out = std::move(heap.front());
-  heap.front() = std::move(heap.back());
-  heap.pop_back();
-  std::size_t i = 0;
-  const std::size_t n = heap.size();
-  for (;;) {
-    std::size_t smallest = i;
-    const std::size_t left = 2 * i + 1;
-    const std::size_t right = 2 * i + 2;
-    if (left < n && later(heap[smallest], heap[left])) smallest = left;
-    if (right < n && later(heap[smallest], heap[right])) smallest = right;
-    if (smallest == i) break;
-    std::swap(heap[i], heap[smallest]);
-    i = smallest;
-  }
-  return out;
-}
-
-void CreditGate::start() {
-  running_ = true;
-  sim_->schedule_after(config_.measure_interval, [this] { measure_tick(); });
-}
-
-void CreditGate::measure_tick() {
-  if (!running_) return;
-  if (report_) {
-    rates_scratch_.clear();
-    const double window_sec = config_.measure_interval.as_seconds();
-    for (Slot& slot : slots_) {
-      if (!slot.pinned && slot.offered_in_window == 0) continue;
-      rates_scratch_.emplace_back(slot.server,
-                                  static_cast<double>(slot.offered_in_window) / window_sec);
-      slot.offered_in_window = 0;
-    }
-    // Idle first-touch ticks send nothing: a million dormant clients
-    // must not produce a million empty control messages per interval.
-    if (!rates_scratch_.empty()) report_(rates_scratch_);
-  }
-  sim_->schedule_after(config_.measure_interval, [this] { measure_tick(); });
-}
-
-void CreditGate::offer(client::OutboundRequest out) {
-  Slot& target = slot(out.server);
-  ++target.offered_in_window;
-  if (target.heap.empty() && target.balance >= 1.0) {
-    target.balance -= 1.0;
-    sync_balance(target.server, target.balance);
-    transmit(out);
-    return;
-  }
-  heap_push(target, Held{out.request.priority, next_seq_++, sim_->now(), std::move(out)});
-  ++held_;
-  ++hold_events_;
-}
-
-void CreditGate::on_grant(const CreditList& credits) {
-  for (const auto& [server, amount] : credits) {
-    Slot& target = slot(server);
-    // Credits are shares of the *coming* interval; a bounded carryover
-    // of unused balance smooths bursts across grant boundaries.
-    const double carryover = std::min(target.balance, config_.carryover_cap_factor * amount);
-    target.balance = amount + std::max(0.0, carryover);
-    drain(target);
-  }
-}
-
-void CreditGate::drain(Slot& slot) {
-  while (!slot.heap.empty() && slot.balance >= 1.0) {
-    Held held = heap_pop(slot);
-    slot.balance -= 1.0;
-    --held_;
-    total_hold_time_ += sim_->now() - held.held_at;
-    transmit(held.out);
-  }
-  sync_balance(slot.server, slot.balance);
-}
-
-double CreditGate::balance(store::ServerId server) const {
-  if (server >= num_servers_) throw std::out_of_range("CreditGate::balance: bad server");
-  const auto it = std::lower_bound(slots_.begin(), slots_.end(), server, kSlotBefore);
-  return it != slots_.end() && it->server == server ? it->balance : first_touch_credit_;
-}
 
 // ---------------------------------------------------------------------------
 // CreditsController

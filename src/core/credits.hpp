@@ -13,9 +13,10 @@
 //     demand reports, allocates each server's (possibly congestion-
 //     reduced) capacity proportionally to client demands every
 //     adaptation interval, and pushes grants to clients.
-//   CreditGate — client side. Measures per-server demand, reports it
-//     every measurement interval, spends credits to transmit, and holds
-//     excess requests in a local priority queue until the next grant.
+//   client::DispatchGate's grant law — client side. Measures per-server
+//     demand, reports it every measurement interval, spends credits to
+//     transmit, and holds excess requests in a local priority queue
+//     until the next grant.
 //   CongestionMonitor — server side. Watches queue lengths and signals
 //     the controller when a server's backlog exceeds its capacity
 //     threshold.
@@ -30,8 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "client/dispatch_gate.hpp"
-#include "ctrl/signal_table.hpp"
 #include "server/backend_server.hpp"
 #include "sim/simulator.hpp"
 #include "store/types.hpp"
@@ -82,102 +81,6 @@ struct ControllerStats {
 /// (server, value) pairs, ascending by server id: the wire format of
 /// demand reports and grants.
 using CreditList = std::vector<std::pair<store::ServerId, double>>;
-
-/// Client-side credit gate (one per client).
-///
-/// Each (client, server) credit pair is either *pinned* or
-/// *first-touch*. A pinned pair's slot exists from construction with
-/// its own opening balance and is reported every tick, zero rate
-/// included. A first-touch slot opens on the first offer to its server
-/// with one scalar opening balance and is reported only for windows
-/// with offers. Slots are one flat vector, ascending by server: with
-/// every pair pinned, slot index equals server id and lookup is O(1);
-/// otherwise per-client memory is O(servers actually contacted), which
-/// is what makes a million-client credits fleet representable at all.
-class CreditGate final : public client::DispatchGate {
- public:
-  /// Ships this client's per-server demand rates (requests/s since the
-  /// previous report) to the controller over the network.
-  using ReportFn = std::function<void(const CreditList& rates)>;
-
-  /// `pinned` lists the pinned servers with their opening balances
-  /// (ascending, each below `num_servers`); every other server opens
-  /// on first offer with `first_touch_credit`.
-  CreditGate(sim::Simulator& sim, std::uint32_t num_servers, CreditsConfig config,
-             const CreditList& pinned, double first_touch_credit = 0.0);
-
-  void set_report(ReportFn fn) { report_ = std::move(fn); }
-
-  /// Mirrors this gate's per-server balances into the client's
-  /// SignalTable (immediately, then on every change), so selection
-  /// policies read balances from the unified table instead of the gate.
-  void attach_signals(ctrl::SignalTable* signals);
-
-  /// Starts the periodic demand measurement loop.
-  void start();
-  /// Stops scheduling further measurements (lets the simulation drain).
-  void stop() noexcept { running_ = false; }
-
-  void offer(client::OutboundRequest out) override;
-  std::size_t held() const noexcept override { return held_; }
-  std::string name() const override { return "credits"; }
-
-  /// Grant delivery from the controller: each listed server's balance
-  /// resets to its new allocation (plus bounded carryover) and its held
-  /// requests drain in priority order, in list order. Unlisted servers
-  /// keep their balance.
-  void on_grant(const CreditList& credits);
-
-  /// Current balance. A server whose slot has not opened reports the
-  /// first-touch credit it would open with.
-  double balance(store::ServerId server) const;
-
-  /// Requests that were ever held for lack of credits.
-  std::uint64_t hold_events() const noexcept { return hold_events_; }
-  /// Cumulative time held requests spent waiting for credits.
-  sim::Duration total_hold_time() const noexcept { return total_hold_time_; }
-
- private:
-  struct Held {
-    store::Priority priority;
-    std::uint64_t seq;
-    sim::Time held_at;
-    client::OutboundRequest out;
-  };
-  struct Slot {
-    store::ServerId server = 0;
-    bool pinned = false;
-    double balance = 0.0;
-    std::uint64_t offered_in_window = 0;
-    std::vector<Held> heap;  // min-heap on (priority, seq)
-  };
-
-  void measure_tick();
-  void drain(Slot& slot);
-  /// Bounds-checked find-or-open: a missing slot opens first-touch
-  /// (mirrored into the signal table).
-  Slot& slot(store::ServerId server);
-  static bool later(const Held& a, const Held& b) noexcept;
-  void heap_push(Slot& slot, Held held);
-  Held heap_pop(Slot& slot);
-  void sync_balance(store::ServerId server, double balance) {
-    if (signals_ != nullptr) signals_->set_credit_balance(server, balance);
-  }
-
-  sim::Simulator* sim_;
-  CreditsConfig config_;
-  std::uint32_t num_servers_;
-  double first_touch_credit_;
-  std::vector<Slot> slots_;  // ascending by server
-  ctrl::SignalTable* signals_ = nullptr;
-  CreditList rates_scratch_;  // reused per measure tick
-  ReportFn report_;
-  bool running_ = false;
-  std::uint64_t next_seq_ = 0;
-  std::size_t held_ = 0;
-  std::uint64_t hold_events_ = 0;
-  sim::Duration total_hold_time_ = sim::Duration::zero();
-};
 
 /// The logically-centralized allocator.
 ///

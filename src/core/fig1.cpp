@@ -108,7 +108,7 @@ Fig1Result run_fig1(const std::string& policy_name) {
         client_rng, store::TenantId{0});
     clients.push_back(std::make_unique<client::AppClient>(
         sim, config, partitioner, service_model, std::move(endpoint), *priority_policy,
-        std::make_unique<client::DirectGate>(), client_rng, request_book));
+        std::make_unique<client::DispatchGate>(), client_rng, request_book));
   }
 
   const auto key_name = [](store::KeyId key) {

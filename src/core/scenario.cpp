@@ -374,7 +374,6 @@ RunResult run_scenario(const ScenarioConfig& config) {
   // effect).
   std::unique_ptr<CreditsController> controller;
   std::unique_ptr<CongestionMonitor> monitor;
-  std::vector<CreditGate*> credit_gates(num_clients, nullptr);
 
   // Mean per-server capacity seeds the C3 rate limiter; the credits
   // machinery below uses true per-server capacities (they differ in a
@@ -385,35 +384,29 @@ RunResult run_scenario(const ScenarioConfig& config) {
           : static_cast<double>(config.cluster.cores_per_server) *
                 config.cluster.service_rate_per_core;
 
-  // Admission context shared by every client; only the signal table
-  // differs per client.
-  ctrl::AdmissionContext admission;
-  admission.sim = &sim;
-  admission.num_servers = num_servers;
+  // Gate parameters shared by every client.
+  CreditList pinned_credits;
+  double first_touch_credit = 0.0;
+  policy::CubicRateConfig rate = config.rate;
   if (credits_admission) {
-    admission.credits = config.credits;
     const double interval_sec = config.credits.adapt_interval.as_seconds();
     // Bootstrap: an equal share of each server's capacity per interval.
     if (pin_credit_pairs) {
-      admission.pinned_credits.reserve(num_servers);
+      pinned_credits.reserve(num_servers);
       for (std::uint32_t s = 0; s < num_servers; ++s) {
-        admission.pinned_credits.emplace_back(
+        pinned_credits.emplace_back(
             s, config.cluster.capacity_of(s) * interval_sec / static_cast<double>(num_clients));
       }
     }
     // First-touch pairs open with an equal share of the *mean* server
     // capacity (heterogeneous fleets get the exact per-server share
     // with their first grant, one interval later).
-    admission.first_touch_credit =
-        per_server_capacity * interval_sec / static_cast<double>(num_clients);
-  } else if (admission_name == "cubic-rate") {
-    admission.rate = config.rate;
-    if (admission.rate.initial_rate <= 0.0) {
-      admission.rate.initial_rate = per_server_capacity / static_cast<double>(num_clients);
-      // A fair share below the rate floor (large client fleets) lowers
-      // the floor with it; an explicit initial rate keeps the check.
-      admission.rate.min_rate = std::min(admission.rate.min_rate, admission.rate.initial_rate);
-    }
+    first_touch_credit = per_server_capacity * interval_sec / static_cast<double>(num_clients);
+  } else if (admission_name == "cubic-rate" && rate.initial_rate <= 0.0) {
+    rate.initial_rate = per_server_capacity / static_cast<double>(num_clients);
+    // A fair share below the rate floor (large client fleets) lowers
+    // the floor with it; an explicit initial rate keeps the check.
+    rate.min_rate = std::min(rate.min_rate, rate.initial_rate);
   }
 
   // One request book for the whole fleet (this run's thread only).
@@ -433,12 +426,18 @@ RunResult run_scenario(const ScenarioConfig& config) {
     std::unique_ptr<ctrl::DispatchEndpoint> endpoint =
         runtime.bind_client(c, tenant_of_client(c), selector_rng);
 
-    // Admission policy by name; stateful gates mirror balances / rate
-    // caps into this client's SignalTable.
-    admission.signals = &runtime.signals_of(c);
-    std::unique_ptr<client::DispatchGate> gate =
-        ctrl::make_admission_policy(admission_name, admission);
-    if (credits_admission) credit_gates[c] = static_cast<CreditGate*>(gate.get());
+    // The gate by admission name; a credits gate mirrors its balances
+    // into this client's SignalTable.
+    std::unique_ptr<client::DispatchGate> gate;
+    if (credits_admission) {
+      gate = std::make_unique<client::DispatchGate>(sim, num_servers, config.credits,
+                                                    pinned_credits, first_touch_credit);
+      gate->attach_signals(&runtime.signals_of(c));
+    } else if (admission_name == "cubic-rate") {
+      gate = std::make_unique<client::DispatchGate>(sim, num_servers, rate);
+    } else {
+      gate = std::make_unique<client::DispatchGate>();
+    }
 
     clients.push_back(std::make_unique<client::AppClient>(
         sim, client_config, partitioner, service_model, std::move(endpoint), *priority_policy,
@@ -502,23 +501,23 @@ RunResult run_scenario(const ScenarioConfig& config) {
       capacities[s] = config.cluster.capacity_of(s);
     }
     std::vector<store::ServerId> pinned_servers;
-    for (const auto& [server, balance] : admission.pinned_credits) pinned_servers.push_back(server);
+    for (const auto& [server, balance] : pinned_credits) pinned_servers.push_back(server);
     controller = std::make_unique<CreditsController>(sim, num_clients, std::move(capacities),
                                                      config.credits, pinned_servers);
     for (std::uint32_t c = 0; c < num_clients; ++c) {
-      CreditGate* gate = credit_gates[c];
+      client::DispatchGate& gate = clients[c]->gate();
       const net::NodeId client_node = num_servers + c;
-      gate->set_report([&network, client_node, controller_node, c,
-                        ctrl = controller.get()](const CreditList& rates) {
+      gate.set_report([&network, client_node, controller_node, c,
+                       ctrl = controller.get()](const CreditList& rates) {
         network.send(client_node, controller_node, 64,
                      [ctrl, c, rates] { ctrl->on_demand_report(c, rates); });
       });
-      gate->start();
+      gate.start();
     }
-    controller->set_grant_sender([&network, controller_node, num_servers, &credit_gates](
+    controller->set_grant_sender([&network, controller_node, num_servers, &clients](
                                      store::ClientId client, const CreditList& credits) {
       const net::NodeId client_node = num_servers + client;
-      CreditGate* gate = credit_gates[client];
+      client::DispatchGate* gate = &clients[client]->gate();
       network.send(controller_node, client_node, 64,
                    [gate, credits] { gate->on_grant(credits); });
     });
@@ -670,10 +669,9 @@ RunResult run_scenario(const ScenarioConfig& config) {
   if (controller) {
     result.congestion_signals = controller->stats().congestion_signals;
     result.controller_adaptations = controller->stats().adaptations;
-    for (const CreditGate* gate : credit_gates) {
-      if (gate == nullptr) continue;
-      result.credit_hold_events += gate->hold_events();
-      result.credit_hold_time += gate->total_hold_time();
+    for (const auto& client : clients) {
+      result.credit_hold_events += client->gate().hold_events();
+      result.credit_hold_time += client->gate().total_hold_time();
     }
   }
   std::uint64_t held = 0;

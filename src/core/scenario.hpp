@@ -94,7 +94,7 @@ struct ScenarioConfig {
   std::uint64_t seed = 1;
   CreditsConfig credits{};
   policy::C3Config c3{};
-  policy::CubicRateController::Config rate{};
+  policy::CubicRateConfig rate{};
   /// Override the replica selector ("" = system default). Accepts any
   /// registered replica policy name or alias (ctrl/replica_policy.hpp);
   /// equivalent to a tenant-less `policy_spec` binding.

@@ -30,27 +30,4 @@ std::string canonical_admission_name(const std::string& name) {
   throw std::invalid_argument(message);
 }
 
-std::unique_ptr<client::DispatchGate> make_admission_policy(const std::string& name,
-                                                            const AdmissionContext& context) {
-  const std::string canonical = canonical_admission_name(name);
-  if (canonical == "direct") return std::make_unique<client::DirectGate>();
-  if (canonical == "cubic-rate") {
-    if (context.sim == nullptr) {
-      throw std::invalid_argument("make_admission_policy: cubic-rate needs a simulator");
-    }
-    return std::make_unique<client::RateLimitedGate>(*context.sim, context.rate);
-  }
-  if (canonical == "credits") {
-    if (context.sim == nullptr || context.num_servers == 0) {
-      throw std::invalid_argument("make_admission_policy: credits needs a simulator and servers");
-    }
-    auto gate = std::make_unique<core::CreditGate>(*context.sim, context.num_servers,
-                                                   context.credits, context.pinned_credits,
-                                                   context.first_touch_credit);
-    if (context.signals != nullptr) gate->attach_signals(context.signals);
-    return gate;
-  }
-  throw std::logic_error("make_admission_policy: catalog/factory mismatch for " + canonical);
-}
-
 }  // namespace brb::ctrl

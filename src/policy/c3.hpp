@@ -21,14 +21,12 @@
 //    server's reported queue grows while we are transmitting above the
 //    receive rate, cubic recovery toward the previous maximum
 //    otherwise. The gate delays (never drops) requests that exceed the
-//    current rate.
+//    current rate (client::DispatchGate's cubic law).
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/time.hpp"
-#include "store/types.hpp"
 
 namespace brb::policy {
 
@@ -41,78 +39,63 @@ struct C3Config {
   sim::Duration prior_service_time = sim::Duration::micros(285);
 };
 
-/// CUBIC-style sending-rate controller for one client (all servers).
+/// Knobs of C3's CUBIC-style sending-rate law (one instance per
+/// client, applied to each of its servers separately).
 ///
 /// Decisions are made per measurement window: if the transmit rate
 /// sustainedly exceeds the receive rate (the server is falling behind),
-/// the per-server cap decreases multiplicatively; otherwise it grows
-/// along the cubic curve toward the pre-decrease maximum and beyond.
-class CubicRateController {
- public:
-  struct Config {
-    /// Initial per-server rate cap, requests/second. 0 means "resolve
-    /// to a fair share of server capacity" — the experiment runner
-    /// substitutes capacity/num_clients before construction, lowering
-    /// min_rate to that share when it is smaller.
-    double initial_rate = 0.0;
-    /// Multiplicative decrease factor on congestion.
-    double beta = 0.2;
-    /// Cubic growth coefficient (rate units per second^3).
-    double scaling = 250'000.0;
-    /// Ceiling on the rate cap.
-    double max_rate = 1e7;
-    /// Floor on the rate cap (keeps recovery possible).
-    double min_rate = 10.0;
-    /// Token bucket depth (burst tolerance), in requests.
-    double burst = 8.0;
-    /// Rate measurement / decision window (C3 uses 20 ms).
-    sim::Duration window = sim::Duration::millis(20);
-    /// Send rate must exceed receive rate by this factor to count as
-    /// congestion. Generous: pipeline fill during bursts makes
-    /// send > receive transiently without any server distress.
-    double congestion_tolerance = 1.4;
-    /// Minimum sends in a window before a congestion verdict.
-    std::uint32_t min_window_samples = 8;
-  };
+/// the pair's cap decreases multiplicatively; otherwise it grows along
+/// the cubic curve toward the pre-decrease maximum and beyond.
+struct CubicRateConfig {
+  /// Initial per-server rate cap, requests/second. 0 means "resolve
+  /// to a fair share of server capacity" — the experiment runner
+  /// substitutes capacity/num_clients before construction, lowering
+  /// min_rate to that share when it is smaller.
+  double initial_rate = 0.0;
+  /// Multiplicative decrease factor on congestion.
+  double beta = 0.2;
+  /// Cubic growth coefficient (rate units per second^3).
+  double scaling = 250'000.0;
+  /// Ceiling on the rate cap.
+  double max_rate = 1e7;
+  /// Floor on the rate cap (keeps recovery possible).
+  double min_rate = 10.0;
+  /// Token bucket depth (burst tolerance), in requests.
+  double burst = 8.0;
+  /// Rate measurement / decision window (C3 uses 20 ms).
+  sim::Duration window = sim::Duration::millis(20);
+  /// Send rate must exceed receive rate by this factor to count as
+  /// congestion. Generous: pipeline fill during bursts makes
+  /// send > receive transiently without any server distress.
+  double congestion_tolerance = 1.4;
+  /// Minimum sends in a window before a congestion verdict.
+  std::uint32_t min_window_samples = 8;
 
-  explicit CubicRateController(Config config);
+  /// Throws std::invalid_argument unless the knobs are usable
+  /// (initial_rate must already be resolved).
+  void validate() const;
+};
 
-  /// True if a request to `server` may be transmitted at `now`
-  /// (consumes a token and counts as a send). Otherwise the caller
-  /// should retry at `earliest_send(server, now)`.
-  bool try_acquire(store::ServerId server, sim::Time now);
+/// One (client, server) pair's CUBIC rate state. The token bucket it
+/// refills lives with the caller (client::DispatchGate's slot); this
+/// is the refill rate and the window that adapts it.
+struct CubicRate {
+  double rate = 0.0;       // current cap, req/s
+  double rate_max = 0.0;   // pre-decrease maximum (CUBIC W_max)
+  sim::Time epoch_start;   // time of last decrease
+  sim::Time window_start;  // current measurement window
+  std::uint32_t sent_in_window = 0;
+  std::uint32_t received_in_window = 0;
 
-  /// Earliest instant at which a token will be available.
-  sim::Time earliest_send(store::ServerId server, sim::Time now);
+  /// A pair first touched at `now`: initial rate, window opening.
+  static CubicRate open(const CubicRateConfig& config, sim::Time now);
 
-  /// Feedback hook: closes measurement windows and adapts the rate.
-  void on_response(store::ServerId server, const store::ServerFeedback& feedback, sim::Time now);
-
-  double rate_of(store::ServerId server) const;
-  std::uint64_t decreases() const noexcept { return decreases_; }
+  /// Feedback hook: counts a response and, once the window has run its
+  /// length, closes it and adapts the rate.
+  void on_response(const CubicRateConfig& config, sim::Time now);
 
  private:
-  struct ServerRate {
-    double rate = 0.0;        // current cap, req/s
-    double tokens = 0.0;      // token bucket level
-    sim::Time last_refill;    // bucket bookkeeping
-    double rate_max = 0.0;    // pre-decrease maximum (CUBIC W_max)
-    sim::Time epoch_start;    // time of last decrease
-    sim::Time window_start;   // current measurement window
-    std::uint32_t sent_in_window = 0;
-    std::uint32_t received_in_window = 0;
-    bool initialized = false;
-  };
-
-  ServerRate& slot(store::ServerId server, sim::Time now);
-  void refill(ServerRate& s, sim::Time now) const;
-  void close_window(ServerRate& s, sim::Time now);
-
-  Config config_;
-  /// Dense per-server table indexed by ServerId; entries self-
-  /// initialize on first use (`initialized` flag).
-  std::vector<ServerRate> rates_;
-  std::uint64_t decreases_ = 0;
+  void close_window(const CubicRateConfig& config, sim::Time now);
 };
 
 }  // namespace brb::policy

@@ -47,7 +47,7 @@ struct ClientFixture {
     client = std::make_unique<AppClient>(
         simulator, config, partitioner, cost_model,
         single_endpoint("first"), *policy,
-        std::make_unique<DirectGate>(), util::Rng(1), book);
+        std::make_unique<DispatchGate>(), util::Rng(1), book);
     client->set_network_send([this](const OutboundRequest& out) { sent.push_back(out); });
     AppClient::Hooks hooks;
     hooks.on_task_complete = [this](const workload::TaskSpec& task, Duration latency) {
@@ -250,7 +250,7 @@ TEST(AppClient, PerRequestSelectionMode) {
   RequestBook book;
   AppClient client(simulator, config, partitioner, cost_model,
                    single_endpoint("round-robin"), fifo,
-                   std::make_unique<DirectGate>(), util::Rng(2), book);
+                   std::make_unique<DispatchGate>(), util::Rng(2), book);
   client.set_network_send([&sent](const OutboundRequest& out) { sent.push_back(out); });
   workload::TaskSpec task;
   task.id = 1;
@@ -328,7 +328,7 @@ TEST(AppClient, ReentrantSubmitOnSharedScratchThrows) {
   config.id = 1;
   AppClient other(f.simulator, config, f.partitioner, f.cost_model,
                   single_endpoint("first"), *f.policy,
-                  std::make_unique<DirectGate>(), util::Rng(3), f.book);
+                  std::make_unique<DispatchGate>(), util::Rng(3), f.book);
   other.set_network_send([](const OutboundRequest&) {});
   bool reentered = false;
   f.client->set_network_send([&](const OutboundRequest&) {
@@ -353,7 +353,7 @@ TEST(AppClient, RepeatedTaskIdThrowsPerClientOnly) {
   config.id = 1;
   AppClient other(f.simulator, config, f.partitioner, f.cost_model,
                   single_endpoint("first"), *f.policy,
-                  std::make_unique<DirectGate>(), util::Rng(3), f.book);
+                  std::make_unique<DispatchGate>(), util::Rng(3), f.book);
   std::vector<OutboundRequest> other_sent;
   other.set_network_send([&](const OutboundRequest& out) { other_sent.push_back(out); });
   f.client->submit(f.task(7, {0}));
@@ -404,7 +404,7 @@ TEST(AppClient, StaleBogusAndForeignRequestIdsThrow) {
   config.id = 1;
   AppClient other(f.simulator, config, f.partitioner, f.cost_model,
                   single_endpoint("first"), *f.policy,
-                  std::make_unique<DirectGate>(), util::Rng(3), f.book);
+                  std::make_unique<DispatchGate>(), util::Rng(3), f.book);
   EXPECT_THROW(other.on_response(f.response_for(f.sent[1])), std::logic_error);
   f.client->on_response(f.response_for(f.sent[1]));
   EXPECT_EQ(f.client->in_flight(), 0u);
@@ -426,7 +426,7 @@ TEST(AppClient, SharedBookIsSizedByFleetLivePeak) {
     config.id = c + 1;
     clients.push_back(std::make_unique<AppClient>(
         f.simulator, config, f.partitioner, f.cost_model, single_endpoint("first"), *f.policy,
-        std::make_unique<DirectGate>(), util::Rng(c), f.book));
+        std::make_unique<DispatchGate>(), util::Rng(c), f.book));
     clients.back()->set_network_send([&sent](const OutboundRequest& out) { sent.push_back(out); });
   }
   std::vector<store::KeyId> keys(kFanout);
@@ -447,13 +447,13 @@ TEST(AppClient, SharedBookIsSizedByFleetLivePeak) {
 }
 
 // ---------------------------------------------------------------------------
-// RateLimitedGate
+// DispatchGate under the cubic law (C3's rate limiter)
 
 TEST(RateLimitedGate, TransmitsWithinRateImmediately) {
   sim::Simulator simulator;
-  policy::CubicRateController::Config config;
+  policy::CubicRateConfig config;
   config.initial_rate = 1000.0;
-  RateLimitedGate gate(simulator, config);
+  DispatchGate gate(simulator, 2, config);
   int transmitted = 0;
   gate.set_transmit([&](OutboundRequest&) { ++transmitted; });
   OutboundRequest out;
@@ -465,9 +465,9 @@ TEST(RateLimitedGate, TransmitsWithinRateImmediately) {
 
 TEST(RateLimitedGate, HoldsBeyondBurstAndDrainsLater) {
   sim::Simulator simulator;
-  policy::CubicRateController::Config config;
+  policy::CubicRateConfig config;
   config.initial_rate = 1000.0;  // burst 8
-  RateLimitedGate gate(simulator, config);
+  DispatchGate gate(simulator, 2, config);
   std::vector<Time> transmit_times;
   gate.set_transmit([&](OutboundRequest&) { transmit_times.push_back(simulator.now()); });
   simulator.schedule_at(Time::zero(), [&] {
@@ -488,9 +488,9 @@ TEST(RateLimitedGate, HoldsBeyondBurstAndDrainsLater) {
 
 TEST(RateLimitedGate, PerServerIndependence) {
   sim::Simulator simulator;
-  policy::CubicRateController::Config config;
+  policy::CubicRateConfig config;
   config.initial_rate = 1000.0;
-  RateLimitedGate gate(simulator, config);
+  DispatchGate gate(simulator, 2, config);
   int transmitted = 0;
   gate.set_transmit([&](OutboundRequest&) { ++transmitted; });
   simulator.schedule_at(Time::zero(), [&] {
@@ -505,6 +505,29 @@ TEST(RateLimitedGate, PerServerIndependence) {
     EXPECT_EQ(transmitted, 9);
   });
   simulator.run();
+}
+
+TEST(RateLimitedGate, OpensSlotsOnlyForOfferedServers) {
+  // Slots are first-touch: a client that talks to 2 of 1000 servers
+  // keeps 2 slots, not a dense row of 1000.
+  sim::Simulator simulator;
+  policy::CubicRateConfig config;
+  config.initial_rate = 1000.0;
+  DispatchGate gate(simulator, 1000, config);
+  gate.set_transmit([](OutboundRequest&) {});
+  EXPECT_EQ(gate.slots(), 0u);
+  for (const store::ServerId server : {999u, 0u, 999u}) {
+    OutboundRequest out;
+    out.server = server;
+    gate.offer(out);
+  }
+  EXPECT_EQ(gate.slots(), 2u);
+  EXPECT_DOUBLE_EQ(gate.balance(0), config.burst - 1.0);
+  EXPECT_DOUBLE_EQ(gate.balance(999), config.burst - 2.0);
+  EXPECT_DOUBLE_EQ(gate.balance(500), config.burst);  // unopened: a full bucket
+  OutboundRequest beyond;
+  beyond.server = 1000;
+  EXPECT_THROW(gate.offer(beyond), std::out_of_range);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "cli/driver.hpp"
 #include "cli/sweep_plan.hpp"
+#include "client/dispatch_gate.hpp"
 #include "core/scenario.hpp"
 #include "ctrl/admission.hpp"
 #include "ctrl/dispatch_policy.hpp"
@@ -655,25 +656,35 @@ TEST(AdmissionRegistry, NamesAndErrors) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("cubic-rate"), std::string::npos);
   }
-  // Credits admission needs a simulator and a fleet.
-  ctrl::AdmissionContext bare;
-  EXPECT_THROW(ctrl::make_admission_policy("credits", bare), std::invalid_argument);
-  EXPECT_EQ(ctrl::make_admission_policy("direct", bare)->name(), "direct");
+  // Each catalog name has its gate, and a token gate needs a fleet.
+  sim::Simulator sim;
+  const core::CreditsConfig credits;
+  policy::CubicRateConfig rate;
+  rate.initial_rate = 1000.0;
+  using client::DispatchGate;
+  EXPECT_EQ(DispatchGate().name(), "direct");
+  EXPECT_EQ(DispatchGate(sim, 3, credits, {}).name(), "credits");
+  EXPECT_EQ(DispatchGate(sim, 3, rate).name(), "cubic-rate");
+  EXPECT_THROW(DispatchGate(sim, 0, credits, {}), std::invalid_argument);
+  EXPECT_THROW(DispatchGate(sim, 0, rate), std::invalid_argument);
 }
 
 TEST(AdmissionRegistry, CubicRateLeavesSignalsUntouched) {
-  // The rate gate keeps its caps to itself: it writes no signal-table
-  // entry, so it pins nothing in a sparse store.
+  // The rate gate keeps its tokens and caps to itself: even with a
+  // table attached it writes no signal-table entry, so it pins nothing
+  // in a sparse store.
   sim::Simulator sim;
   ctrl::SignalTable signals;
-  ctrl::AdmissionContext context;
-  context.sim = &sim;
-  context.num_servers = 3;
-  context.rate.initial_rate = 1000.0;
-  context.signals = &signals;
-  const auto gate = ctrl::make_admission_policy("cubic-rate", context);
-  EXPECT_EQ(gate->name(), "cubic-rate");
-  gate->on_response(1, store::ServerFeedback{});
+  policy::CubicRateConfig rate;
+  rate.initial_rate = 1000.0;
+  client::DispatchGate gate(sim, 3, rate);
+  gate.attach_signals(&signals);
+  gate.set_transmit([](client::OutboundRequest&) {});
+  client::OutboundRequest out;
+  out.server = 2;
+  gate.offer(out);
+  gate.on_response(1, store::ServerFeedback{});
+  EXPECT_EQ(gate.slots(), 2u);
   EXPECT_EQ(signals.size(), 0u);
 }
 

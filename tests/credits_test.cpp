@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "client/dispatch_gate.hpp"
 #include "core/credits.hpp"
 #include "ctrl/dispatch_policy.hpp"
 #include "ctrl/signal_table.hpp"
@@ -50,7 +51,7 @@ TEST(AllocateProportional, ConservesCapacity) {
 }
 
 // ---------------------------------------------------------------------------
-// CreditGate
+// DispatchGate under the grant law (the credits gate)
 
 client::OutboundRequest make_out(store::ServerId server, store::Priority priority,
                                  store::RequestId id) {
@@ -74,17 +75,16 @@ CreditList every_server(const std::vector<double>& values) {
 struct GateFixture {
   sim::Simulator simulator;
   CreditsConfig config;
-  std::unique_ptr<CreditGate> gate;
+  client::DispatchGate gate;
   std::vector<store::RequestId> transmitted;
 
   /// Every server pinned with the given opening balances.
   explicit GateFixture(const std::vector<double>& initial)
       : GateFixture(static_cast<std::uint32_t>(initial.size()), every_server(initial), 0.0) {}
 
-  GateFixture(std::uint32_t num_servers, const CreditList& pinned, double first_touch_credit) {
-    gate = std::make_unique<CreditGate>(simulator, num_servers, config, pinned,
-                                        first_touch_credit);
-    gate->set_transmit([this](client::OutboundRequest& out) {
+  GateFixture(std::uint32_t num_servers, const CreditList& pinned, double first_touch_credit)
+      : gate(simulator, num_servers, config, pinned, first_touch_credit) {
+    gate.set_transmit([this](client::OutboundRequest& out) {
       transmitted.push_back(out.request.request_id);
     });
   }
@@ -92,82 +92,82 @@ struct GateFixture {
 
 TEST(CreditGate, SpendsCreditsToTransmit) {
   GateFixture f({2.0, 2.0});
-  f.gate->offer(make_out(0, 1.0, 1));
-  f.gate->offer(make_out(0, 1.0, 2));
+  f.gate.offer(make_out(0, 1.0, 1));
+  f.gate.offer(make_out(0, 1.0, 2));
   EXPECT_EQ(f.transmitted.size(), 2u);
-  EXPECT_DOUBLE_EQ(f.gate->balance(0), 0.0);
+  EXPECT_DOUBLE_EQ(f.gate.balance(0), 0.0);
 }
 
 TEST(CreditGate, HoldsWhenBroke) {
   GateFixture f({1.0, 1.0});
-  f.gate->offer(make_out(0, 1.0, 1));
-  f.gate->offer(make_out(0, 1.0, 2));
+  f.gate.offer(make_out(0, 1.0, 1));
+  f.gate.offer(make_out(0, 1.0, 2));
   EXPECT_EQ(f.transmitted.size(), 1u);
-  EXPECT_EQ(f.gate->held(), 1u);
-  EXPECT_EQ(f.gate->hold_events(), 1u);
+  EXPECT_EQ(f.gate.held(), 1u);
+  EXPECT_EQ(f.gate.hold_events(), 1u);
 }
 
 TEST(CreditGate, GrantDrainsInPriorityOrder) {
   GateFixture f({0.0, 0.0});
-  f.gate->offer(make_out(0, 5.0, 1));
-  f.gate->offer(make_out(0, 1.0, 2));
-  f.gate->offer(make_out(0, 3.0, 3));
-  EXPECT_EQ(f.gate->held(), 3u);
-  f.gate->on_grant(every_server({10.0, 10.0}));
+  f.gate.offer(make_out(0, 5.0, 1));
+  f.gate.offer(make_out(0, 1.0, 2));
+  f.gate.offer(make_out(0, 3.0, 3));
+  EXPECT_EQ(f.gate.held(), 3u);
+  f.gate.on_grant(every_server({10.0, 10.0}));
   ASSERT_EQ(f.transmitted.size(), 3u);
   EXPECT_EQ(f.transmitted, (std::vector<store::RequestId>{2, 3, 1}));
 }
 
 TEST(CreditGate, PartialGrantDrainsHighestPriorityOnly) {
   GateFixture f({0.0});
-  f.gate->offer(make_out(0, 5.0, 1));
-  f.gate->offer(make_out(0, 1.0, 2));
-  f.gate->on_grant({{0, 1.0}});
+  f.gate.offer(make_out(0, 5.0, 1));
+  f.gate.offer(make_out(0, 1.0, 2));
+  f.gate.on_grant({{0, 1.0}});
   ASSERT_EQ(f.transmitted.size(), 1u);
   EXPECT_EQ(f.transmitted[0], 2u);
-  EXPECT_EQ(f.gate->held(), 1u);
+  EXPECT_EQ(f.gate.held(), 1u);
 }
 
 TEST(CreditGate, CarryoverIsBounded) {
   GateFixture f({100.0});
   // Nothing spent; carryover cap 0.5 * grant.
-  f.gate->on_grant({{0, 10.0}});
-  EXPECT_DOUBLE_EQ(f.gate->balance(0), 10.0 + 5.0);
+  f.gate.on_grant({{0, 10.0}});
+  EXPECT_DOUBLE_EQ(f.gate.balance(0), 10.0 + 5.0);
 }
 
 TEST(CreditGate, GrantLeavesUnlistedServersAlone) {
   GateFixture f({0.0, 4.0});
-  f.gate->on_grant({{0, 2.0}});
-  EXPECT_DOUBLE_EQ(f.gate->balance(0), 2.0);
-  EXPECT_DOUBLE_EQ(f.gate->balance(1), 4.0);
+  f.gate.on_grant({{0, 2.0}});
+  EXPECT_DOUBLE_EQ(f.gate.balance(0), 2.0);
+  EXPECT_DOUBLE_EQ(f.gate.balance(1), 4.0);
 }
 
 TEST(CreditGate, HoldTimeAccumulates) {
   GateFixture f({0.0});
-  f.simulator.schedule_at(Time::millis(1), [&] { f.gate->offer(make_out(0, 1.0, 1)); });
-  f.simulator.schedule_at(Time::millis(5), [&] { f.gate->on_grant({{0, 1.0}}); });
+  f.simulator.schedule_at(Time::millis(1), [&] { f.gate.offer(make_out(0, 1.0, 1)); });
+  f.simulator.schedule_at(Time::millis(5), [&] { f.gate.on_grant({{0, 1.0}}); });
   f.simulator.run();
-  EXPECT_EQ(f.gate->total_hold_time().count_nanos(), Duration::millis(4).count_nanos());
+  EXPECT_EQ(f.gate.total_hold_time().count_nanos(), Duration::millis(4).count_nanos());
 }
 
 TEST(CreditGate, FifoWithinEqualPriority) {
   GateFixture f({0.0});
-  for (store::RequestId id = 1; id <= 10; ++id) f.gate->offer(make_out(0, 7.0, id));
-  f.gate->on_grant({{0, 10.0}});
+  for (store::RequestId id = 1; id <= 10; ++id) f.gate.offer(make_out(0, 7.0, id));
+  f.gate.on_grant({{0, 10.0}});
   for (store::RequestId id = 1; id <= 10; ++id) ASSERT_EQ(f.transmitted[id - 1], id);
 }
 
 TEST(CreditGate, MeasurementReportsDemandRates) {
   GateFixture f({100.0, 100.0});
   std::vector<CreditList> reports;
-  f.gate->set_report([&](const CreditList& rates) { reports.push_back(rates); });
-  f.gate->start();
+  f.gate.set_report([&](const CreditList& rates) { reports.push_back(rates); });
+  f.gate.start();
   f.simulator.schedule_at(Time::millis(10), [&] {
-    for (int i = 0; i < 7; ++i) f.gate->offer(make_out(0, 1.0, static_cast<std::uint64_t>(i)));
-    f.gate->offer(make_out(1, 1.0, 99));
+    for (int i = 0; i < 7; ++i) f.gate.offer(make_out(0, 1.0, static_cast<std::uint64_t>(i)));
+    f.gate.offer(make_out(1, 1.0, 99));
   });
   f.simulator.run_until(Time::millis(250));
-  f.gate->stop();
+  f.gate.stop();
   ASSERT_EQ(reports.size(), 2u);
   // 7 offers to server 0 in a 100ms window -> 70 req/s.
   ASSERT_EQ(reports[0].size(), 2u);
@@ -182,35 +182,35 @@ TEST(CreditGate, MeasurementReportsDemandRates) {
 TEST(CreditGate, FirstTouchBalanceIsMirroredIntoSignals) {
   GateFixture f(4, {}, 2.5);
   ctrl::SignalTable signals;
-  f.gate->attach_signals(&signals);
+  f.gate.attach_signals(&signals);
   // An unopened server reads the balance it would open with.
-  EXPECT_DOUBLE_EQ(f.gate->balance(2), 2.5);
-  f.gate->offer(make_out(2, 1.0, 1));
+  EXPECT_DOUBLE_EQ(f.gate.balance(2), 2.5);
+  f.gate.offer(make_out(2, 1.0, 1));
   ASSERT_EQ(f.transmitted.size(), 1u);
   EXPECT_DOUBLE_EQ(signals.credit_balance(2), 1.5);
-  EXPECT_DOUBLE_EQ(f.gate->balance(2), 1.5);
+  EXPECT_DOUBLE_EQ(f.gate.balance(2), 1.5);
 
   // Below one credit the first request is held, and the opening
   // balance itself is what the table shows.
   GateFixture poor(4, {}, 0.25);
-  poor.gate->attach_signals(&signals);
-  poor.gate->offer(make_out(3, 1.0, 1));
-  EXPECT_EQ(poor.gate->held(), 1u);
+  poor.gate.attach_signals(&signals);
+  poor.gate.offer(make_out(3, 1.0, 1));
+  EXPECT_EQ(poor.gate.held(), 1u);
   EXPECT_DOUBLE_EQ(signals.credit_balance(3), 0.25);
 }
 
 TEST(CreditGate, IdleFirstTouchGateSendsNoReport) {
   GateFixture f(3, {}, 1.0);
   std::vector<CreditList> reports;
-  f.gate->set_report([&](const CreditList& rates) { reports.push_back(rates); });
-  f.gate->start();
+  f.gate.set_report([&](const CreditList& rates) { reports.push_back(rates); });
+  f.gate.start();
   f.simulator.run_until(Time::millis(350));
   EXPECT_TRUE(reports.empty());
   // One offer: the next tick lists only that server; later ticks are
   // silent again.
-  f.simulator.schedule_at(Time::millis(360), [&] { f.gate->offer(make_out(1, 1.0, 1)); });
+  f.simulator.schedule_at(Time::millis(360), [&] { f.gate.offer(make_out(1, 1.0, 1)); });
   f.simulator.run_until(Time::millis(650));
-  f.gate->stop();
+  f.gate.stop();
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0], (CreditList{{1, 10.0}}));
 }
@@ -219,11 +219,11 @@ TEST(CreditGate, PinnedAndFirstTouchSlotsShareOneReport) {
   // Server 0 pinned, the others first-touch.
   GateFixture f(3, {{0, 5.0}}, 1.0);
   std::vector<CreditList> reports;
-  f.gate->set_report([&](const CreditList& rates) { reports.push_back(rates); });
-  f.gate->start();
-  f.simulator.schedule_at(Time::millis(10), [&] { f.gate->offer(make_out(2, 1.0, 1)); });
+  f.gate.set_report([&](const CreditList& rates) { reports.push_back(rates); });
+  f.gate.start();
+  f.simulator.schedule_at(Time::millis(10), [&] { f.gate.offer(make_out(2, 1.0, 1)); });
   f.simulator.run_until(Time::millis(250));
-  f.gate->stop();
+  f.gate.stop();
   ASSERT_EQ(reports.size(), 2u);
   EXPECT_EQ(reports[0], (CreditList{{0, 0.0}, {2, 10.0}}));
   EXPECT_EQ(reports[1], (CreditList{{0, 0.0}}));
@@ -232,17 +232,18 @@ TEST(CreditGate, PinnedAndFirstTouchSlotsShareOneReport) {
 TEST(CreditGate, RejectsMalformedInput) {
   sim::Simulator simulator;
   CreditsConfig config;
-  EXPECT_THROW(CreditGate(simulator, 0, config, {}), std::invalid_argument);
-  EXPECT_THROW(CreditGate(simulator, 2, config, {{2, 1.0}}), std::invalid_argument);
-  EXPECT_THROW(CreditGate(simulator, 2, config, {{1, 1.0}, {0, 1.0}}), std::invalid_argument);
-  EXPECT_THROW(CreditGate(simulator, 2, config, {}, -1.0), std::invalid_argument);
+  using client::DispatchGate;
+  EXPECT_THROW(DispatchGate(simulator, 0, config, {}), std::invalid_argument);
+  EXPECT_THROW(DispatchGate(simulator, 2, config, {{2, 1.0}}), std::invalid_argument);
+  EXPECT_THROW(DispatchGate(simulator, 2, config, {{1, 1.0}, {0, 1.0}}), std::invalid_argument);
+  EXPECT_THROW(DispatchGate(simulator, 2, config, {}, -1.0), std::invalid_argument);
   GateFixture f({1.0});
-  EXPECT_THROW(f.gate->offer(make_out(5, 1.0, 1)), std::out_of_range);
-  EXPECT_THROW(f.gate->on_grant({{1, 2.0}}), std::out_of_range);
-  EXPECT_THROW(f.gate->balance(9), std::out_of_range);
+  EXPECT_THROW(f.gate.offer(make_out(5, 1.0, 1)), std::out_of_range);
+  EXPECT_THROW(f.gate.on_grant({{1, 2.0}}), std::out_of_range);
+  EXPECT_THROW(f.gate.balance(9), std::out_of_range);
   GateFixture first_touch(2, {}, 1.0);
-  EXPECT_THROW(first_touch.gate->offer(make_out(2, 1.0, 1)), std::out_of_range);
-  EXPECT_THROW(first_touch.gate->on_grant({{2, 1.0}}), std::out_of_range);
+  EXPECT_THROW(first_touch.gate.offer(make_out(2, 1.0, 1)), std::out_of_range);
+  EXPECT_THROW(first_touch.gate.on_grant({{2, 1.0}}), std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------
@@ -489,7 +490,7 @@ TEST(CreditAwarePolicy, PrefersFundedReplicas) {
   sim::Simulator simulator;
   CreditsConfig config;
   ctrl::SignalTable signals;
-  CreditGate gate(simulator, 3, config, every_server({0.0, 5.0, 0.0}));
+  client::DispatchGate gate(simulator, 3, config, every_server({0.0, 5.0, 0.0}));
   gate.attach_signals(&signals);
   const auto aware = credit_aware("round-robin");
   // Only server 1 is funded.
@@ -502,7 +503,7 @@ TEST(CreditAwarePolicy, FallsBackWhenAllBroke) {
   sim::Simulator simulator;
   CreditsConfig config;
   ctrl::SignalTable signals;
-  CreditGate gate(simulator, 3, config, every_server({0.0, 0.0, 0.0}));
+  client::DispatchGate gate(simulator, 3, config, every_server({0.0, 0.0, 0.0}));
   gate.attach_signals(&signals);
   const auto aware = credit_aware("first");
   EXPECT_EQ(aware->plan(signals, {2, 1, 0}, Duration::zero()).primary(), 2u);  // rule decides
@@ -512,7 +513,7 @@ TEST(CreditAwarePolicy, PassThroughWhenAllFunded) {
   sim::Simulator simulator;
   CreditsConfig config;
   ctrl::SignalTable signals;
-  CreditGate gate(simulator, 3, config, every_server({5.0, 5.0, 5.0}));
+  client::DispatchGate gate(simulator, 3, config, every_server({5.0, 5.0, 5.0}));
   gate.attach_signals(&signals);
   const auto aware = credit_aware("round-robin");
   EXPECT_EQ(aware->plan(signals, {0, 1, 2}, Duration::zero()).primary(), 0u);
@@ -525,7 +526,7 @@ TEST(CreditAwarePolicy, MirrorTracksSpends) {
   sim::Simulator simulator;
   CreditsConfig config;
   ctrl::SignalTable signals;
-  CreditGate gate(simulator, 2, config, every_server({1.0, 5.0}));
+  client::DispatchGate gate(simulator, 2, config, every_server({1.0, 5.0}));
   gate.attach_signals(&signals);
   EXPECT_DOUBLE_EQ(signals.credit_balance(0), 1.0);
   bool sent = false;

@@ -2,11 +2,13 @@
 // priority-assignment policies (the paper's core algorithms).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "client/dispatch_gate.hpp"
 #include "ctrl/dispatch_policy.hpp"
 #include "ctrl/signal_table.hpp"
 #include "policy/c3.hpp"
@@ -229,162 +231,192 @@ TEST(C3ScorePolicy, RejectsBadConfig) {
 }
 
 // ---------------------------------------------------------------------------
-// Cubic rate controller
+// Cubic rate law, driven through a cubic-law DispatchGate: server 1 is
+// the pair under test.
 
-CubicRateController::Config rate_config(double initial = 1000.0) {
-  CubicRateController::Config config;
+CubicRateConfig rate_config(double initial = 1000.0) {
+  CubicRateConfig config;
   config.initial_rate = initial;
   return config;
 }
 
+struct RateGate {
+  sim::Simulator simulator;
+  client::DispatchGate gate;
+  std::vector<Time> sent_at;
+
+  explicit RateGate(const CubicRateConfig& config)
+      : gate(simulator, 2, config) {
+    gate.set_transmit([this](client::OutboundRequest&) { sent_at.push_back(simulator.now()); });
+  }
+
+  /// Offers `n` requests at `t`; returns how many went out at once.
+  int offer(Time t, int n) {
+    simulator.run_until(t);
+    const std::size_t before = sent_at.size();
+    for (int i = 0; i < n; ++i) {
+      client::OutboundRequest out;
+      out.server = 1;
+      gate.offer(out);
+    }
+    return static_cast<int>(sent_at.size() - before);
+  }
+
+  void respond(Time t, std::uint32_t queue, double service_rate) {
+    simulator.run_until(t);
+    gate.on_response(1, feedback(queue, service_rate));
+  }
+
+  double rate() const { return gate.rate(1); }
+};
+
 TEST(CubicRateController, TokenBucketLimitsBurst) {
-  CubicRateController controller(rate_config());
-  const Time t0 = Time::zero();
-  int sent = 0;
-  while (controller.try_acquire(1, t0)) ++sent;
-  EXPECT_EQ(sent, 8);  // burst depth
+  RateGate f(rate_config());
+  EXPECT_EQ(f.offer(Time::zero(), 20), 8);  // burst depth
+  EXPECT_EQ(f.gate.held(), 12u);
 }
 
 TEST(CubicRateController, TokensRefillAtRate) {
-  CubicRateController controller(rate_config(1000.0));
-  Time t = Time::zero();
-  while (controller.try_acquire(1, t)) {
-  }
-  // After 10ms at 1000 req/s, ~10 tokens are back (capped at burst 8).
-  t = Time::millis(10);
-  int sent = 0;
-  while (controller.try_acquire(1, t)) ++sent;
-  EXPECT_EQ(sent, 8);
-  // After 2ms, exactly 2 tokens.
-  t = Time::millis(12);
-  sent = 0;
-  while (controller.try_acquire(1, t)) ++sent;
-  EXPECT_EQ(sent, 2);
+  RateGate f(rate_config(1000.0));
+  ASSERT_EQ(f.offer(Time::zero(), 8), 8);
+  // After 10ms at 1000 req/s, ~10 tokens are back (capped at burst 8):
+  // the ninth offer waits, and goes out 1ms later with the next token.
+  EXPECT_EQ(f.offer(Time::millis(10), 9), 8);
+  f.simulator.run_until(Time::millis(11));
+  ASSERT_EQ(f.sent_at.size(), 17u);
+  EXPECT_EQ(f.sent_at.back(), Time::millis(11));
+  // After 2 more ms, exactly 2 tokens.
+  EXPECT_EQ(f.offer(Time::millis(13), 3), 2);
 }
 
 TEST(CubicRateController, EarliestSendIsConsistent) {
-  CubicRateController controller(rate_config(1000.0));
-  Time t = Time::zero();
-  while (controller.try_acquire(1, t)) {
-  }
-  const Time when = controller.earliest_send(1, t);
-  EXPECT_GT(when, t);
-  // At the promised time a token is indeed available.
-  EXPECT_TRUE(controller.try_acquire(1, when));
+  RateGate f(rate_config(1000.0));
+  ASSERT_EQ(f.offer(Time::zero(), 9), 8);
+  // The held request schedules one wake, for when a token accrues ...
+  EXPECT_EQ(f.simulator.pending_events(), 1u);
+  f.simulator.run();
+  // ... and at the promised time a token is indeed available: it goes
+  // out on that wake, with no retry.
+  EXPECT_EQ(f.simulator.events_processed(), 1u);
+  ASSERT_EQ(f.sent_at.size(), 9u);
+  EXPECT_GT(f.sent_at.back(), Time::zero());
+  EXPECT_EQ(f.gate.held(), 0u);
 }
 
 TEST(CubicRateController, DecreasesWhenReceiveLagsSend) {
-  CubicRateController controller(rate_config(1000.0));
-  // Window 1: send 10, receive only 2 -> congestion on window close.
-  Time t = Time::zero();
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(controller.try_acquire(1, t));
-  t = Time::millis(2);
-  controller.try_acquire(1, t);
-  t = Time::millis(4);
-  controller.try_acquire(1, t);
-  t = Time::millis(25);  // past the 20ms window
-  controller.on_response(1, feedback(5, 10'000), t);
-  EXPECT_LT(controller.rate_of(1), 1000.0);
-  EXPECT_EQ(controller.decreases(), 1u);
+  RateGate f(rate_config(1000.0));
+  // Window 1: send 10, receive only 1 -> congestion on window close.
+  ASSERT_EQ(f.offer(Time::zero(), 8), 8);
+  ASSERT_EQ(f.offer(Time::millis(2), 1), 1);
+  ASSERT_EQ(f.offer(Time::millis(4), 1), 1);
+  f.respond(Time::millis(25), 5, 10'000);  // past the 20ms window
+  // Exactly one multiplicative decrease (beta 0.2).
+  EXPECT_DOUBLE_EQ(f.rate(), 800.0);
 }
 
 TEST(CubicRateController, GrowsWhenBalanced) {
-  CubicRateController controller(rate_config(1000.0));
+  RateGate f(rate_config(1000.0));
   Time t = Time::zero();
   // Balanced traffic across several windows -> cubic growth kicks in.
   for (int w = 1; w <= 50; ++w) {
-    for (int i = 0; i < 4; ++i) controller.try_acquire(1, t);
+    ASSERT_EQ(f.offer(t, 4), 4);
     t = Time::millis(w * 21);
-    for (int i = 0; i < 4; ++i) controller.on_response(1, feedback(0, 10'000), t);
+    for (int i = 0; i < 4; ++i) f.respond(t, 0, 10'000);
   }
-  EXPECT_GT(controller.rate_of(1), 1000.0);
-  EXPECT_EQ(controller.decreases(), 0u);
+  EXPECT_GT(f.rate(), 1000.0);
+  // No decrease on the way: the rate is still on the curve that began
+  // when the pair opened, W_max = 1000 at epoch 0.
+  const double k = std::cbrt(1000.0 * 0.2 / 250'000.0);
+  EXPECT_NEAR(f.rate(), 250'000.0 * std::pow(t.as_seconds() - k, 3.0) + 1000.0, 1e-6);
 }
 
 TEST(CubicRateController, RecoveryApproachesPreDecreaseRate) {
-  CubicRateController controller(rate_config(1000.0));
-  Time t = Time::zero();
+  RateGate f(rate_config(1000.0));
   // Force one decrease.
-  for (int i = 0; i < 8; ++i) controller.try_acquire(1, t);
-  t = Time::millis(25);
-  controller.on_response(1, feedback(9, 10'000), t);
-  const double post_decrease = controller.rate_of(1);
+  f.offer(Time::zero(), 8);
+  Time t = Time::millis(25);
+  f.respond(t, 9, 10'000);
+  const double post_decrease = f.rate();
   ASSERT_LT(post_decrease, 1000.0);
   // Balanced windows afterwards: rate recovers toward 1000 within ~1s.
   for (int w = 1; w <= 50; ++w) {
-    controller.try_acquire(1, t);
+    f.offer(t, 1);
     t = t + Duration::millis(21);
-    controller.on_response(1, feedback(0, 10'000), t);
+    f.respond(t, 0, 10'000);
   }
-  EXPECT_GE(controller.rate_of(1), 1000.0 * 0.95);
+  EXPECT_GE(f.rate(), 1000.0 * 0.95);
 }
 
 TEST(CubicRateController, RecoveryCrossesWmaxAndKeepsGrowing) {
   // Full CUBIC episode: a decrease records W_max = 1000, the recovery
   // curve climbs back, crosses W_max (the curve's inflection point),
   // and continues into the convex probing region beyond it.
-  CubicRateController controller(rate_config(1000.0));
-  Time t = Time::zero();
-  for (int i = 0; i < 8; ++i) controller.try_acquire(1, t);
-  t = Time::millis(25);
-  controller.on_response(1, feedback(9, 10'000), t);  // congestion verdict
-  ASSERT_EQ(controller.decreases(), 1u);
-  const double post_decrease = controller.rate_of(1);
-  ASSERT_LT(post_decrease, 1000.0);
+  RateGate f(rate_config(1000.0));
+  f.offer(Time::zero(), 8);
+  Time t = Time::millis(25);
+  f.respond(t, 9, 10'000);  // congestion verdict
+  ASSERT_DOUBLE_EQ(f.rate(), 800.0);  // one decrease
 
-  // Balanced windows until the cap crosses W_max.
+  // Balanced windows until the cap crosses W_max. The recovery curve
+  // only rises, so any drop would be a spurious decrease.
+  double previous = f.rate();
   double rate_at_crossing = 0.0;
   for (int w = 1; w <= 400 && rate_at_crossing == 0.0; ++w) {
-    controller.try_acquire(1, t);
+    f.offer(t, 1);
     t = t + Duration::millis(21);
-    controller.on_response(1, feedback(0, 10'000), t);
-    if (controller.rate_of(1) > 1000.0) rate_at_crossing = controller.rate_of(1);
+    f.respond(t, 0, 10'000);
+    ASSERT_GE(f.rate(), previous);
+    previous = f.rate();
+    if (f.rate() > 1000.0) rate_at_crossing = f.rate();
   }
   ASSERT_GT(rate_at_crossing, 1000.0) << "recovery never crossed W_max";
 
   // Past W_max the curve is convex: growth must continue, not plateau.
   for (int w = 0; w < 100; ++w) {
-    controller.try_acquire(1, t);
+    f.offer(t, 1);
     t = t + Duration::millis(21);
-    controller.on_response(1, feedback(0, 10'000), t);
+    f.respond(t, 0, 10'000);
+    ASSERT_GE(f.rate(), previous);
+    previous = f.rate();
   }
-  EXPECT_GT(controller.rate_of(1), rate_at_crossing);
-  EXPECT_EQ(controller.decreases(), 1u);  // no spurious decreases en route
+  EXPECT_GT(f.rate(), rate_at_crossing);
 }
 
 TEST(CubicRateController, RespectsMinAndMaxRate) {
-  CubicRateController::Config config = rate_config(100.0);
+  CubicRateConfig config = rate_config(100.0);
   config.min_rate = 50.0;
   config.max_rate = 200.0;
-  CubicRateController controller(config);
+  RateGate f(config);
   Time t = Time::zero();
   // Hammer with congestion verdicts.
   for (int w = 1; w <= 30; ++w) {
-    for (int i = 0; i < 10; ++i) controller.try_acquire(1, t);
+    f.offer(t, 10);
     t = t + Duration::millis(21);
-    controller.on_response(1, feedback(99, 1'000), t);
+    f.respond(t, 99, 1'000);
   }
-  EXPECT_GE(controller.rate_of(1), 50.0);
+  EXPECT_GE(f.rate(), 50.0);
   // And with long balanced growth.
   for (int w = 1; w <= 200; ++w) {
-    controller.try_acquire(1, t);
+    f.offer(t, 1);
     t = t + Duration::millis(21);
-    controller.on_response(1, feedback(0, 10'000), t);
+    f.respond(t, 0, 10'000);
   }
-  EXPECT_LE(controller.rate_of(1), 200.0);
+  EXPECT_LE(f.rate(), 200.0);
 }
 
 TEST(CubicRateController, RejectsBadConfig) {
-  EXPECT_THROW(CubicRateController(rate_config(0.0)), std::invalid_argument);
+  sim::Simulator simulator;
+  using client::DispatchGate;
+  EXPECT_THROW(DispatchGate(simulator, 2, rate_config(0.0)), std::invalid_argument);
   auto bad = rate_config();
   bad.beta = 1.5;
-  EXPECT_THROW(CubicRateController{bad}, std::invalid_argument);
+  EXPECT_THROW(DispatchGate(simulator, 2, bad), std::invalid_argument);
   bad = rate_config();
   bad.burst = 0.5;
-  EXPECT_THROW(CubicRateController{bad}, std::invalid_argument);
+  EXPECT_THROW(DispatchGate(simulator, 2, bad), std::invalid_argument);
   bad = rate_config();
   bad.congestion_tolerance = 0.9;
-  EXPECT_THROW(CubicRateController{bad}, std::invalid_argument);
+  EXPECT_THROW(DispatchGate(simulator, 2, bad), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
