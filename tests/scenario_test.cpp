@@ -340,6 +340,13 @@ TEST(Scenario, RateGateHoldOrderUnderHedgingIsPinned) {
                    557056000);
 }
 
+// No other scenario-level pin runs the network with jitter, where the
+// per-pair FIFO horizon clamps deliveries.
+TEST(Scenario, JitteredNetworkObservablesArePinned) {
+  expect_paper_run("--systems=equalmax-credits", "--net-jitter-us=20", 81953u, 52622u, 449152,
+                   7014400);
+}
+
 TEST(Scenario, CreditsObservablesArePinned) {
   // The credits realization's control loop, pinned on both credit-pair
   // layouts: every pair pinned (credits-interval's adaptation-cadence

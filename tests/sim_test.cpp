@@ -243,5 +243,50 @@ TEST(Simulator, NestedSchedulingAtSameInstantRunsAfterEarlierPeers) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(Simulator, CancelOfSameInstantPeerSuppressesIt) {
+  Simulator sim;
+  std::vector<int> order;
+  EventId peer = 0;
+  sim.schedule_at(Time::micros(3), [&] {
+    order.push_back(1);
+    EXPECT_TRUE(sim.cancel(peer));
+  });
+  peer = sim.schedule_at(Time::micros(3), [&] { order.push_back(2); });
+  sim.schedule_at(Time::micros(3), [&] { order.push_back(3); });
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_FALSE(sim.cancel(peer));
+}
+
+TEST(Simulator, StopLeavesSameInstantPeersPendingAndCancellable) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(Time::micros(1), [&] { order.push_back(0); });
+  sim.schedule_at(Time::micros(4), [&] {
+    order.push_back(1);
+    sim.stop();
+  });
+  const EventId second = sim.schedule_at(Time::micros(4), [&] { order.push_back(2); });
+  sim.schedule_at(Time::micros(4), [&] { order.push_back(3); });
+  const EventId fourth = sim.schedule_at(Time::micros(4), [&] { order.push_back(4); });
+  sim.schedule_at(Time::micros(9), [&] { order.push_back(5); });
+
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(sim.now(), Time::micros(4));
+  EXPECT_EQ(sim.pending_events(), 4u);
+
+  EXPECT_TRUE(sim.cancel(second));
+  EXPECT_EQ(sim.now(), Time::micros(4));
+  EXPECT_EQ(sim.pending_events(), 3u);
+
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4, 5}));
+  EXPECT_EQ(sim.now(), Time::micros(9));
+  EXPECT_EQ(sim.events_processed(), 5u);
+  EXPECT_FALSE(sim.cancel(fourth));
+}
+
 }  // namespace
 }  // namespace brb::sim
