@@ -221,7 +221,6 @@ void CongestionMonitor::tick() {
   if (num_over_ > 0) {
     for (std::size_t i = 0; i < servers_.size(); ++i) {
       if (!over_[i]) continue;
-      ++signals_;
       signal_(servers_[i]->config().id, servers_[i]->queue_length());
     }
   }

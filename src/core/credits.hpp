@@ -173,7 +173,6 @@ class CongestionMonitor {
 
   void start();
   void stop() noexcept { running_ = false; }
-  std::uint64_t signals_emitted() const noexcept { return signals_; }
 
  private:
   void tick();
@@ -185,7 +184,6 @@ class CongestionMonitor {
   CreditsConfig config_;
   SignalFn signal_;
   bool running_ = false;
-  std::uint64_t signals_ = 0;
   std::vector<std::uint32_t> thresholds_;
   std::vector<bool> over_;
   std::size_t num_over_ = 0;

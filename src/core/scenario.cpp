@@ -153,9 +153,6 @@ RunResult run_scenario(const ScenarioConfig& config) {
   net::Network::Config net_config;
   net_config.one_way_latency = config.net_latency;
   net_config.jitter_max = config.net_jitter;
-  // Topology size is known upfront (servers, clients, controller,
-  // global queue), so the network's dense pair tables never reallocate.
-  net_config.num_nodes = num_servers + num_clients + 2;
   net::Network network(sim, net_config, rng_network);
 
   store::RingPartitioner partitioner(num_servers, config.replication);

@@ -48,7 +48,6 @@ SignalTable::Signals SignalTable::of(store::ServerId server) const {
 }
 
 void SignalTable::on_send(store::ServerId server, sim::Duration expected_cost) {
-  ++sends_;
   Entry& e = touch(server);
   ++e.outstanding;
   e.pending_cost_ns += expected_cost.count_nanos();
@@ -56,7 +55,6 @@ void SignalTable::on_send(store::ServerId server, sim::Duration expected_cost) {
 
 void SignalTable::on_response(store::ServerId server, const store::ServerFeedback& feedback,
                               sim::Duration rtt, sim::Duration expected_cost, sim::Time at) {
-  ++responses_;
   Entry& e = touch(server);
   // The underflow guards match the old per-selector counters: a
   // duplicate response must not underflow either account.
@@ -87,12 +85,11 @@ void SignalTable::on_response(store::ServerId server, const store::ServerFeedbac
 }
 
 void SignalTable::on_cancel(store::ServerId server, sim::Duration expected_cost) {
-  ++cancels_;
   Entry& e = touch(server);
   // Release the accounting the copy's on_send charged, with the same
-  // underflow guards as the response-side release. No EWMA fold and no
-  // response count: a cancelled copy produced no feedback, and folding
-  // one in would corrupt C3's estimates with phantom samples.
+  // underflow guards as the response-side release. No EWMA fold: a
+  // cancelled copy produced no feedback, and folding one in would
+  // corrupt C3's estimates with phantom samples.
   if (e.outstanding > 0) --e.outstanding;
   e.pending_cost_ns -= expected_cost.count_nanos();
   if (e.pending_cost_ns < 0) e.pending_cost_ns = 0;

@@ -136,8 +136,8 @@ class SignalTable {
 
   /// A request bound to `server` was cancelled before service (hedge
   /// loser dropped at the gate or rejected at dequeue): releases the
-  /// in-flight accounting its on_send charged. No EWMA fold and no
-  /// response count — cancelled copies produce no feedback.
+  /// in-flight accounting its on_send charged. No EWMA fold —
+  /// cancelled copies produce no feedback.
   void on_cancel(store::ServerId server, sim::Duration expected_cost);
 
   /// Admission mirror (called by the credit gate whenever a balance
@@ -195,11 +195,6 @@ class SignalTable {
   /// Entries evicted into group aggregates (always 0 server-indexed).
   std::uint64_t evictions() const noexcept { return evictions_; }
   const SignalTableConfig& config() const noexcept { return config_; }
-
-  /// Cumulative update counts (observability + bench).
-  std::uint64_t sends_recorded() const noexcept { return sends_; }
-  std::uint64_t responses_recorded() const noexcept { return responses_; }
-  std::uint64_t cancels_recorded() const noexcept { return cancels_; }
 
  private:
   struct Entry {
@@ -270,10 +265,6 @@ class SignalTable {
   std::uint64_t evictions_ = 0;
   /// Indexed by group id; empty until the first eviction.
   std::vector<GroupAggregate> groups_;
-
-  std::uint64_t sends_ = 0;
-  std::uint64_t responses_ = 0;
-  std::uint64_t cancels_ = 0;
 };
 
 }  // namespace brb::ctrl

@@ -7,27 +7,17 @@
 // and per-pair FIFO (jitter can reorder across pairs, matching a
 // datacenter fabric with per-flow ordering).
 //
-// Per-pair state (FIFO delivery horizon) lives in a dense NodeId x
-// NodeId table — ids are small dense integers assigned by the cluster
-// wiring, so a flat array replaces the per-send hash lookup that
-// dominated large-cluster runs. The table is allocated at its first
-// use, not at construction. Per-pair latency overrides (used only
-// by tests and heterogeneous-latency ablations) stay in a sparse map
-// that the common path skips entirely.
-//
-// Scale: the horizon is only *needed* when jitter can reorder a pair —
-// with a constant per-pair delay, successive sends depart at
-// nondecreasing times and arrive in order automatically. The zero-
-// jitter/no-override path therefore skips horizon bookkeeping entirely
-// (bit-identical: the clamp could never fire), and topologies beyond
-// kDenseHorizonLimit nodes store what horizon they do need in a sparse
-// map instead of the O(nodes^2) table — at a million clients the dense
-// table would be terabytes.
+// The per-pair FIFO horizon is only needed when jitter can reorder a
+// pair: with a constant delay, successive sends depart at
+// nondecreasing times and arrive in order automatically, so the
+// zero-jitter path keeps no per-pair state at all. Under jitter, one
+// lookup-only map keyed by the ordered pair holds the horizon of each
+// pair that actually communicates — at a million clients a dense
+// pair table would be terabytes.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "net/node_id.hpp"
 #include "sim/simulator.hpp"
@@ -44,20 +34,11 @@ struct NetworkStats {
 
 class Network {
  public:
-  /// Largest `num_nodes` for which the FIFO horizon uses the dense
-  /// pair table; beyond it (mega-fleet topologies) a sparse map holds
-  /// only the pairs actually communicating under jitter.
-  static constexpr std::uint32_t kDenseHorizonLimit = 4096;
-
   struct Config {
     /// Base one-way propagation + switching delay.
     sim::Duration one_way_latency = sim::Duration::micros(50);
     /// Uniform jitter added on top: U[0, jitter_max].
     sim::Duration jitter_max = sim::Duration::zero();
-    /// Number of endpoints, when known upfront (servers + clients +
-    /// controller + global queue). Sizes the dense pair table once, at
-    /// its first use; 0 lets it grow on demand as node ids appear.
-    std::uint32_t num_nodes = 0;
   };
 
   Network(sim::Simulator& sim, Config config, util::Rng rng);
@@ -74,12 +55,6 @@ class Network {
     sim_->schedule_at(deliver_at, std::forward<F>(on_deliver));
   }
 
-  /// Overrides the latency for one ordered pair (used in tests and in
-  /// heterogeneous-topology ablations).
-  void set_pair_latency(NodeId from, NodeId to, sim::Duration latency);
-
-  sim::Duration latency(NodeId from, NodeId to) const;
-
   const NetworkStats& stats() const noexcept { return stats_; }
   const Config& config() const noexcept { return config_; }
 
@@ -88,32 +63,15 @@ class Network {
   /// precedes the previous one even with jitter.
   sim::Time reserve_delivery_slot(NodeId from, NodeId to);
 
-  /// Allocates or grows the dense table so ids up to `node` are
-  /// addressable.
-  void ensure_node(NodeId node);
-
-  std::size_t pair_index(NodeId from, NodeId to) const noexcept {
-    return static_cast<std::size_t>(from) * stride_ + to;
-  }
-
   sim::Simulator* sim_;
   Config config_;
   util::Rng rng_;
   NetworkStats stats_;
-  /// Dense FIFO horizon per ordered pair, `stride_` x `stride_`; empty
-  /// (stride 0) until the first send that needs a horizon.
-  std::vector<sim::Time> last_delivery_;
-  std::size_t stride_ = 0;
-  /// Sparse-horizon mode (num_nodes > kDenseHorizonLimit): per-pair
-  /// horizons materialize on demand. Lookup-only (operator[] by packed
-  /// pair key) — never iterated, so hash order cannot reach delivery
-  /// order or artifacts.
-  bool sparse_horizon_ = false;
-  std::unordered_map<std::uint64_t, sim::Time> sparse_last_delivery_;  // brblint:allow(BRB-D01): lookup-only, never iterated
-  /// Sparse latency overrides; empty in every homogeneous run.
-  /// Lookup-only (find/insert by packed pair key) — never iterated, so
-  /// hash order cannot reach delivery order or artifacts.
-  std::unordered_map<std::uint64_t, sim::Duration> pair_latency_override_;  // brblint:allow(BRB-D01): lookup-only, never iterated
+  /// FIFO horizon per ordered pair, keyed `(from << 32) | to`; empty
+  /// without jitter. Lookup-only (operator[] by packed pair key) —
+  /// never iterated, so hash order cannot reach delivery order or
+  /// artifacts.
+  std::unordered_map<std::uint64_t, sim::Time> last_delivery_;  // brblint:allow(BRB-D01): lookup-only, never iterated
 };
 
 }  // namespace brb::net

@@ -112,10 +112,6 @@ class BackendServer : public sim::Actor {
     return source_ == nullptr ? 0 : static_cast<std::uint32_t>(source_->backlog(config_.id));
   }
 
-  /// Advertised service rate (requests/s, whole server). Before any
-  /// completion this is cores / expected(mean) — a neutral prior.
-  double advertised_service_rate() const noexcept { return ewma_rate_; }
-
   const ServerStats& stats() const noexcept { return stats_; }
   const Config& config() const noexcept { return config_; }
 
@@ -151,6 +147,9 @@ class BackendServer : public sim::Actor {
   bool watch_over_ = false;
   store::StorageEngine storage_;
   std::uint32_t busy_cores_ = 0;
+  /// Service rate advertised in feedback (requests/s, whole server).
+  /// Before any completion this is cores / expected(mean) — a neutral
+  /// prior.
   double ewma_rate_ = 0.0;
   ServerStats stats_;
 };

@@ -54,7 +54,6 @@ void EventQueue::release_slot(std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
   s.fn.reset();
   ++s.generation;  // odd -> even: free
-  s.tier = Tier::kLoose;
   free_slots_.push_back(slot);
 }
 
@@ -285,12 +284,11 @@ bool EventQueue::cancel(EventId id) {
       heap_remove_at(s.heap_pos);
       break;
     case Tier::kReady:
-    case Tier::kLoose:
-      // The ready-run entry (or the caller's popped batch entry) goes
-      // stale via the generation bump and is skipped lazily.
+      // The ready-run entry goes stale via the generation bump and is
+      // skipped lazily.
       break;
   }
-  if (s.tier != Tier::kLoose) --live_;
+  --live_;
   release_slot(slot);
   return true;
 }
@@ -334,61 +332,9 @@ std::optional<EventQueue::Entry> EventQueue::pop() {
   return out;
 }
 
-bool EventQueue::pop_batch(std::vector<Ready>& out) {
-  ensure_ready();
-  const bool have_ready = ready_pos_ < ready_.size();
-  const bool have_heap = !heap_.empty();
-  if (!have_ready && !have_heap) return false;
-  Time t = have_ready ? ready_[ready_pos_].when : heap_.front().when;
-  if (have_ready && have_heap && heap_.front().when < t) t = heap_.front().when;
-  // Merge both tiers' run of events at exactly t, by seq. Each tier
-  // yields its t-run in seq order already (the ready run is sorted;
-  // the heap pops (when, seq) ascending).
-  for (;;) {
-    skip_dead_ready();  // cancelled entries can sit behind live ones
-    const bool r_ok = ready_pos_ < ready_.size() && ready_[ready_pos_].when == t;
-    const bool h_ok = !heap_.empty() && heap_.front().when == t;
-    if (!r_ok && !h_ok) break;
-    bool take_ready = r_ok;
-    if (r_ok && h_ok) take_ready = ready_[ready_pos_].seq < heap_.front().seq;
-    if (take_ready) {
-      const Ready r = ready_[ready_pos_];
-      ++ready_pos_;
-      slots_[r.slot].tier = Tier::kLoose;
-      out.push_back(r);
-    } else {
-      const HeapItem h = heap_.front();
-      heap_remove_at(0);
-      Slot& s = slots_[h.slot];
-      s.tier = Tier::kLoose;
-      out.push_back(Ready{h.when, h.seq, h.slot, s.generation});
-    }
-    --live_;
-  }
-  return true;
-}
-
-bool EventQueue::claim(const Ready& ev, Callback& fn) {
-  Slot& s = slots_[ev.slot];
-  if (s.generation != ev.generation) return false;  // cancelled mid-batch
-  fn = std::move(s.fn);
-  release_slot(ev.slot);
-  return true;
-}
-
-void EventQueue::restore(const Ready& ev) {
-  Slot& s = slots_[ev.slot];
-  if (s.generation != ev.generation) return;  // cancelled mid-batch
-  assert(s.tier == Tier::kLoose);
-  place(ev.slot);
-  ++live_;
-}
-
 void EventQueue::clear() {
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if ((slots_[slot].generation & 1u) != 0 && slots_[slot].tier != Tier::kLoose) {
-      release_slot(slot);
-    }
+    if ((slots_[slot].generation & 1u) != 0) release_slot(slot);
   }
   head_.fill(kNil);
   tail_.fill(kNil);

@@ -20,20 +20,14 @@
 // generation discipline, so cancellation stays O(1) in the wheel and
 // O(log n) in the heap with ids never observably reused.
 //
-// Ordering. Pops interleave both tiers in exact (time, sequence)
-// order — the stability that makes whole simulations bit-reproducible.
-// A wheel slot can hold several distinct timestamps (the granule is
-// coarser than 1 ns), so a slot is drained into a small sorted "ready
-// run" which is then merge-popped against the heap top; same-timestamp
-// events come out in scheduling order by construction.
-//
-// Batched delivery. `pop_batch()` removes *every* event at the
-// earliest pending timestamp in one call (the simulator dispatches the
-// batch without re-touching the queue per event); `claim()` /
-// `restore()` let the caller execute the batch while cancellation —
-// and a mid-batch stop() — keep exact old-engine semantics: an
-// unexecuted event goes back with its original time, sequence number,
-// and EventId still valid.
+// Ordering. `pop()` removes one event at a time, interleaving both
+// tiers in exact (time, sequence) order — the stability that makes
+// whole simulations bit-reproducible. A wheel slot can hold several
+// distinct timestamps (the granule is coarser than 1 ns), so a slot is
+// drained into a small sorted "ready run" which is then merge-popped
+// against the heap top; same-timestamp events come out in scheduling
+// order by construction. An event stays in its slot until it is
+// popped, so its id cancels up to that moment.
 #pragma once
 
 #include <array>
@@ -60,16 +54,6 @@ class EventQueue {
     Time when;
     EventId id = 0;
     Callback fn;
-  };
-
-  /// One event of a popped batch. The callback stays in the queue's
-  /// slot table until `claim()`ed, so the event's id remains valid (and
-  /// cancellable) while earlier batch members execute.
-  struct Ready {
-    Time when;
-    std::uint64_t seq = 0;
-    std::uint32_t slot = 0;
-    std::uint32_t generation = 0;
   };
 
   EventQueue();
@@ -105,22 +89,7 @@ class EventQueue {
   /// Removes and returns the earliest live event; empty when drained.
   std::optional<Entry> pop();
 
-  /// Removes every event at the earliest pending timestamp, appending
-  /// them to `out` in scheduling (seq) order. Returns false when the
-  /// queue is empty. The callbacks remain claimable afterwards.
-  bool pop_batch(std::vector<Ready>& out);
-
-  /// Moves a popped batch event's callback into `fn` and releases the
-  /// slot (the id becomes stale). Returns false — and leaves `fn`
-  /// untouched — if the event was cancelled after pop_batch().
-  bool claim(const Ready& ev, Callback& fn);
-
-  /// Puts an unexecuted batch event back into the queue with its
-  /// original time and sequence number; its EventId stays valid. Used
-  /// when stop() interrupts a half-dispatched batch.
-  void restore(const Ready& ev);
-
-  /// Number of live events (batch events not yet claimed count as live).
+  /// Number of live events.
   std::size_t size() const noexcept { return live_; }
   bool empty() const noexcept { return live_ == 0; }
 
@@ -148,7 +117,6 @@ class EventQueue {
     kWheel,  // linked into a wheel slot list
     kHeap,   // indexed by heap_pos in heap_
     kReady,  // in the sorted ready run (current wheel bucket, drained)
-    kLoose,  // handed out by pop_batch, awaiting claim/restore
   };
 
   static constexpr std::uint32_t kNil = 0xffff'ffffu;
@@ -160,12 +128,22 @@ class EventQueue {
     Time when;
     std::uint64_t seq = 0;
     std::uint32_t generation = 0;  // odd while occupied
-    Tier tier = Tier::kLoose;
+    Tier tier = Tier::kWheel;
     std::uint8_t level = 0;       // wheel tier: level index
     std::uint16_t bucket = 0;     // wheel tier: slot within level
     std::uint32_t prev = kNil;    // wheel tier: intrusive list links
     std::uint32_t next = kNil;
     std::uint32_t heap_pos = 0;   // heap tier
+  };
+
+  /// One entry of the ready run: the event's ordering key plus the
+  /// slot generation it was drained at, so an entry whose event was
+  /// cancelled meanwhile is recognised as stale and skipped.
+  struct Ready {
+    Time when;
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+    std::uint32_t generation = 0;
   };
 
   /// What the heap actually orders: trivially-copyable, so sifts are

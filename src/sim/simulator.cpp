@@ -1,15 +1,11 @@
 #include "sim/simulator.hpp"
 
-#include <cassert>
-#include <utility>
-
 namespace brb::sim {
 
 std::uint64_t Simulator::run() {
   stopped_ = false;
   std::uint64_t executed = 0;
-  while (!stopped_ && run_batch(executed)) {
-  }
+  while (!stopped_ && step()) ++executed;
   return executed;
 }
 
@@ -19,54 +15,20 @@ std::uint64_t Simulator::run_until(Time until) {
   while (!stopped_) {
     const auto next = queue_.peek_time();
     if (!next || *next > until) break;
-    run_batch(executed);
+    step();
+    ++executed;
   }
   if (!stopped_ && until > now_) now_ = until;
   return executed;
 }
 
-bool Simulator::run_batch(std::uint64_t& executed) {
-  batch_.clear();
-  if (!queue_.pop_batch(batch_)) return false;
-  now_ = batch_.front().when;
-#ifndef NDEBUG
-  // Batched delivery must not reorder same-timestamp events: the queue
-  // hands them over in strictly increasing scheduling sequence, the
-  // order the one-pop-per-event engine would have produced.
-  for (std::size_t i = 1; i < batch_.size(); ++i) {
-    assert(batch_[i - 1].seq < batch_[i].seq &&
-           "same-timestamp batch out of seq order");
-  }
-#endif
-  Callback fn;
-  for (std::size_t i = 0; i < batch_.size(); ++i) {
-    if (stopped_) {
-      // stop() mid-batch: the rest of the batch goes back untouched —
-      // original time, sequence, and EventId all stay valid, exactly
-      // as if those events had never been popped.
-      for (std::size_t j = i; j < batch_.size(); ++j) queue_.restore(batch_[j]);
-      return true;
-    }
-    if (!queue_.claim(batch_[i], fn)) continue;  // cancelled mid-batch
-    ++processed_;
-    ++executed;
-    fn();
-    fn.reset();  // drop captures before the next event runs
-  }
-  return true;
-}
-
 bool Simulator::step() {
   auto entry = queue_.pop();
   if (!entry) return false;
-  advance_and_execute(*entry);
-  return true;
-}
-
-void Simulator::advance_and_execute(EventQueue::Entry& entry) {
-  now_ = entry.when;
+  now_ = entry->when;
   ++processed_;
-  entry.fn();
+  entry->fn();
+  return true;
 }
 
 }  // namespace brb::sim

@@ -2,23 +2,16 @@
 //
 // A `Simulator` owns the virtual clock and the pending-event set.
 // Components schedule closures at absolute or relative times; `run()`
-// drains events in (time, scheduling-order) sequence. Delivery is
-// batched: every event at the earliest pending timestamp is drained
-// from the queue in one `pop_batch()` call and dispatched from a
-// scratch vector, so the queue is not re-touched per event — the
-// common burst shapes (a wave of network deliveries at the same
-// instant, a fan-out of feedback ticks) pay the tier bookkeeping once.
-// Batch members dispatch in strictly increasing scheduling-sequence
-// order (debug-asserted), which keeps batched replay bit-identical to
-// the one-pop-per-event engine. The engine is single-threaded by
-// design — determinism is a feature of the evaluation methodology (the
-// paper repeats runs over seeds, which requires bit-stable replay per
-// seed).
+// pops and executes one event at a time in (time, scheduling-order)
+// sequence, so an event can cancel a same-instant peer scheduled after
+// it, and a `stop()` leaves those peers pending for the next run. The
+// engine is single-threaded by design — determinism is a feature of
+// the evaluation methodology (the paper repeats runs over seeds, which
+// requires bit-stable replay per seed).
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
-#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -86,17 +79,7 @@ class Simulator {
   std::uint64_t events_processed() const noexcept { return processed_; }
 
  private:
-  /// By reference: the popped entry's callback is invoked in place
-  /// rather than moved a second time.
-  void advance_and_execute(EventQueue::Entry& entry);
-
-  /// Pops and dispatches one same-timestamp batch. Returns false when
-  /// the queue is empty; on stop() mid-batch, unexecuted events are
-  /// restored to the queue with their original time/sequence/id.
-  bool run_batch(std::uint64_t& executed);
-
   EventQueue queue_;
-  std::vector<EventQueue::Ready> batch_;  // scratch, reused across batches
   Time now_ = Time::zero();
   std::uint64_t processed_ = 0;
   bool stopped_ = false;

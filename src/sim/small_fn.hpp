@@ -1,51 +1,39 @@
-// Small-buffer-optimized, non-allocating callback for the event loop.
+// Non-allocating callback for the event loop.
 //
-// Every scheduled event used to heap-allocate a `std::function` —
-// paper-scale runs spend millions of events, so the closure allocation
-// dominated the hot path. `SmallFn` stores captures up to
-// `kInlineCapacity` bytes inline (sized for the closures the simulator
-// actually schedules: network deliveries, service completions, the
-// arrival pump). Larger captures fall back to fixed-size blocks drawn
-// from a per-thread freelist pool, so steady-state scheduling performs
-// no heap allocation once the pool is warm; only captures beyond
-// `kPooledBlockSize` hit the global allocator.
-//
-// Per-thread pooling keeps the multi-seed runner (`run_seeds`, one
-// simulation per thread) lock-free and bit-deterministic.
+// Paper-scale runs schedule millions of events, so a heap-allocating
+// `std::function` per event would dominate the hot path. `SmallFn`
+// stores its capture in a fixed `kInlineCapacity`-byte buffer, sized
+// for the closures the simulator actually schedules (network
+// deliveries, service completions, the arrival pump), so scheduling
+// never allocates. A larger or over-aligned capture does not compile:
+// the constructor is constrained on the size and `emplace` repeats the
+// bound as a `static_assert`.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 namespace brb::sim {
 
-/// Allocation counters for the pooled fallback path, exposed so tests
-/// can pin the no-steady-state-allocation property. Thread-local: each
-/// simulation thread owns an independent pool.
-struct SmallFnPoolStats {
-  std::uint64_t pooled_constructs = 0;  // callbacks that needed a block
-  std::uint64_t pool_hits = 0;          // blocks reused from the freelist
-  std::uint64_t pool_misses = 0;        // blocks newly heap-allocated
-  std::uint64_t oversize_constructs = 0;  // captures beyond the block size
-};
-
 class SmallFn {
  public:
-  /// Inline capture capacity. Covers the largest hot-path closure
-  /// (server completion: a by-value `QueuedRead` + durations ≈ 80 B).
+  /// Capture capacity. Covers the largest hot-path closure (server
+  /// completion: a by-value `QueuedRead` + durations ≈ 80 B).
   static constexpr std::size_t kInlineCapacity = 96;
-  /// Pooled-block payload size for the fallback path.
-  static constexpr std::size_t kPooledBlockSize = 256;
+
+  /// True when a callable of type F fits the buffer.
+  template <typename F>
+  static constexpr bool fits = sizeof(std::decay_t<F>) <= kInlineCapacity &&
+                               alignof(std::decay_t<F>) <= alignof(std::max_align_t);
 
   SmallFn() noexcept = default;
 
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, SmallFn> &&
-                                        std::is_invocable_r_v<void, std::decay_t<F>&>>>
+                                        std::is_invocable_r_v<void, std::decay_t<F>&> &&
+                                        fits<F>>>
   SmallFn(F&& fn) {  // NOLINT(google-explicit-constructor): callable sink
     emplace(std::forward<F>(fn));
   }
@@ -69,18 +57,8 @@ class SmallFn {
 
   explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
-  /// True when the capture lives in the inline buffer (test hook).
-  bool is_inline() const noexcept {
-    return invoke_ != nullptr && storage_kind_ == Storage::kInline;
-  }
-
-  /// True when the capture moves/destroys without a manager call —
-  /// trivially-copyable inline captures, the event loop's hot closures
-  /// (test hook).
-  bool is_trivial() const noexcept { return invoke_ != nullptr && manage_ == nullptr; }
-
   void reset() noexcept {
-    if (manage_ != nullptr) manage_(Op::kDestroy, *this, nullptr);
+    if (manage_ != nullptr) manage_(*this, nullptr);
     invoke_ = nullptr;
     manage_ = nullptr;
   }
@@ -98,140 +76,55 @@ class SmallFn {
     }
   }
 
-  /// This thread's pool counters (test hook).
-  static const SmallFnPoolStats& pool_stats() noexcept { return pool().stats; }
-
-  /// Releases every cached block on this thread (test hook; the pool
-  /// otherwise holds blocks until thread exit).
-  static void trim_pool() noexcept { pool().trim(); }
-
  private:
-  enum class Op : std::uint8_t { kDestroy, kMove };
-  enum class Storage : std::uint8_t { kInline, kPooled, kHeap };
-
-  /// Per-thread freelist of fixed-size fallback blocks.
-  struct Pool {
-    std::vector<void*> free_blocks;
-    SmallFnPoolStats stats;
-
-    void* acquire() {
-      ++stats.pooled_constructs;
-      if (!free_blocks.empty()) {
-        ++stats.pool_hits;
-        void* block = free_blocks.back();
-        free_blocks.pop_back();
-        return block;
-      }
-      ++stats.pool_misses;
-      return ::operator new(kPooledBlockSize, std::align_val_t{alignof(std::max_align_t)});
-    }
-
-    void release(void* block) noexcept { free_blocks.push_back(block); }
-
-    void trim() noexcept {
-      for (void* block : free_blocks) {
-        ::operator delete(block, std::align_val_t{alignof(std::max_align_t)});
-      }
-      free_blocks.clear();
-    }
-
-    ~Pool() { trim(); }
-  };
-
-  static Pool& pool() noexcept {
-    // brblint:allow(BRB-D02): allocation cache only — every node is fully constructed before any read
-    thread_local Pool instance;
-    return instance;
-  }
-
   template <typename F>
   void emplace(F&& fn) {
     using Fn = std::decay_t<F>;
-    void* where = nullptr;
-    if constexpr (sizeof(Fn) <= kInlineCapacity && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>) {
-      // Trivial inline fast path: no manager function at all. Moves
-      // byte-copy the buffer and destruction is a no-op, which keeps
-      // the event queue's claim/release cycle free of indirect calls —
-      // the simulator's hot closures (deliveries, completions) capture
-      // only ids, times, and raw pointers, so they all land here.
-      storage_kind_ = Storage::kInline;
-      ::new (static_cast<void*>(inline_)) Fn(std::forward<F>(fn));
-      invoke_ = [](SmallFn& self) { (*static_cast<Fn*>(self.target()))(); };
-      manage_ = nullptr;
-      return;
-    } else if constexpr (sizeof(Fn) <= kInlineCapacity &&
-                         alignof(Fn) <= alignof(std::max_align_t)) {
-      storage_kind_ = Storage::kInline;
-      where = inline_;
-    } else if constexpr (sizeof(Fn) <= kPooledBlockSize &&
-                         alignof(Fn) <= alignof(std::max_align_t)) {
-      storage_kind_ = Storage::kPooled;
-      heap_ = pool().acquire();
-      where = heap_;
-    } else {
-      storage_kind_ = Storage::kHeap;
-      ++pool().stats.oversize_constructs;
-      heap_ = ::operator new(sizeof(Fn), std::align_val_t{alignof(Fn)});
-      where = heap_;
-    }
-    ::new (where) Fn(std::forward<F>(fn));
+    static_assert(fits<Fn>, "SmallFn: capture exceeds the inline buffer");
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
     invoke_ = [](SmallFn& self) { (*static_cast<Fn*>(self.target()))(); };
-    manage_ = [](Op op, SmallFn& self, SmallFn* to) {
-      Fn* fn_ptr = static_cast<Fn*>(self.target());
-      switch (op) {
-        case Op::kMove:
-          // Out-of-line storage transfers by pointer; inline storage
-          // move-constructs into the destination buffer.
-          to->storage_kind_ = self.storage_kind_;
-          if (self.storage_kind_ == Storage::kInline) {
-            ::new (static_cast<void*>(to->inline_)) Fn(std::move(*fn_ptr));
-            fn_ptr->~Fn();
-          } else {
-            to->heap_ = self.heap_;
-          }
-          return;
-        case Op::kDestroy:
-          fn_ptr->~Fn();
-          if (self.storage_kind_ == Storage::kPooled) {
-            pool().release(self.heap_);
-          } else if (self.storage_kind_ == Storage::kHeap) {
-            ::operator delete(self.heap_, std::align_val_t{alignof(Fn)});
-          }
-          return;
-      }
-    };
+    if constexpr (std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>) {
+      // No manager at all: moves byte-copy the buffer and destruction
+      // is a no-op, which keeps the event queue's pop/release cycle
+      // free of indirect calls — the simulator's hot closures
+      // (deliveries, completions) capture only ids, times, and raw
+      // pointers, so they all land here.
+      manage_ = nullptr;
+    } else {
+      manage_ = [](SmallFn& self, SmallFn* to) {
+        Fn* target = static_cast<Fn*>(self.target());
+        if (to != nullptr) ::new (static_cast<void*>(to->buf_)) Fn(std::move(*target));
+        target->~Fn();
+      };
+    }
   }
 
-  void* target() noexcept { return storage_kind_ == Storage::kInline ? inline_ : heap_; }
+  void* target() noexcept { return buf_; }
 
   void move_from(SmallFn& other) noexcept {
     invoke_ = other.invoke_;
     manage_ = other.manage_;
-    if (other.manage_ != nullptr) {
-      other.manage_(Op::kMove, other, this);
-    } else if (other.invoke_ != nullptr) {
-      // Trivial inline capture: a fixed-size byte copy beats a managed
+    if (manage_ != nullptr) {
+      manage_(other, this);
+    } else if (invoke_ != nullptr) {
+      // Trivial capture: a fixed-size byte copy beats a managed
       // member-wise move (straight-line, no indirect call). Copying the
       // full buffer over-reads past sizeof(Fn) but never past the
-      // union, and the source needs no teardown.
-      storage_kind_ = Storage::kInline;
-      __builtin_memcpy(inline_, other.inline_, kInlineCapacity);
+      // buffer, and the source needs no teardown.
+      __builtin_memcpy(buf_, other.buf_, kInlineCapacity);
     }
     other.invoke_ = nullptr;
     other.manage_ = nullptr;
   }
 
   using InvokeFn = void (*)(SmallFn&);
-  using ManageFn = void (*)(Op, SmallFn&, SmallFn*);
+  /// Move-constructs the target into `to` and destroys the source;
+  /// with `to` null, only destroys.
+  using ManageFn = void (*)(SmallFn&, SmallFn*);
 
   InvokeFn invoke_ = nullptr;
   ManageFn manage_ = nullptr;
-  Storage storage_kind_ = Storage::kInline;
-  union {
-    alignas(std::max_align_t) unsigned char inline_[kInlineCapacity];
-    void* heap_;
-  };
+  alignas(std::max_align_t) unsigned char buf_[kInlineCapacity];
 };
 
 }  // namespace brb::sim

@@ -43,7 +43,6 @@ class LatencyRecorder {
 
   const Histogram& histogram() const noexcept { return histogram_; }
   const Summary& summary() const noexcept { return summary_; }
-  bool keeps_raw() const noexcept { return keep_raw_; }
 
   /// Opt-in mergeable sketch (`--stats=sketch`): subsequent samples are
   /// additionally recorded into a `QuantileSketch`, whose serialized

@@ -23,7 +23,6 @@ class Table {
   /// Comma-separated form with the same content.
   void print_csv(std::ostream& os) const;
 
-  std::size_t num_rows() const noexcept { return rows_.size(); }
   const std::vector<std::string>& headers() const noexcept { return headers_; }
   const std::vector<std::vector<std::string>>& rows() const noexcept { return rows_; }
 

@@ -1,11 +1,12 @@
 // Regression tests for the dense-ID engine refactor: thread-count
 // determinism of artifacts, handle-based O(log n) event cancellation,
-// and the pooled-callback fallback path of the allocation-free event
-// loop.
+// and the fixed capture bound of the allocation-free event loop.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cli/driver.hpp"
@@ -117,74 +118,46 @@ TEST(EventQueueCancel, InterleavedWithSimulatorRun) {
 }
 
 // ---------------------------------------------------------------------------
-// SmallFn storage tiers
+// SmallFn capture bound
 
-TEST(SmallFnStorage, SmallCapturesStayInline) {
-  int hits = 0;
-  std::array<char, 32> small{};
-  small[0] = 42;
-  SmallFn fn([&hits, small] { hits += small[0]; });
-  EXPECT_TRUE(fn.is_inline());
-  fn();
-  EXPECT_EQ(hits, 42);
-}
+template <std::size_t N>
+struct Blob {
+  std::array<char, N> bytes{};
+  void operator()() const {}
+};
 
-TEST(SmallFnStorage, LargeCapturesUsePooledFallbackAndReuseBlocks) {
-  struct Big {
-    std::array<char, SmallFn::kInlineCapacity + 8> payload;
+TEST(SmallFnStorage, CapturesUpToTheBufferSizeCompileAndRun) {
+  // A capture up to the buffer size compiles, one byte more does not.
+  static_assert(sizeof(Blob<SmallFn::kInlineCapacity>) == SmallFn::kInlineCapacity);
+  static_assert(std::is_constructible_v<SmallFn, Blob<SmallFn::kInlineCapacity>>);
+  static_assert(!std::is_constructible_v<SmallFn, Blob<SmallFn::kInlineCapacity + 1>>);
+
+  // A vector member makes a full-size capture non-trivial, so moves
+  // and destruction go through the manager rather than a byte copy.
+  struct Capture {
+    std::array<char, 64> blob{};
+    std::vector<int> values;
+    int* seen = nullptr;
+    void operator()() const { *seen = blob[7] + static_cast<int>(values.size()); }
   };
-  Big big{};
-  big.payload[0] = 1;
+  static_assert(sizeof(Capture) == SmallFn::kInlineCapacity);
+  static_assert(!std::is_trivially_copyable_v<Capture>);
 
-  SmallFn::trim_pool();
-  const auto before = SmallFn::pool_stats();
-
-  int runs = 0;
-  {
-    SmallFn fn([&runs, big] { runs += big.payload[0]; });
-    EXPECT_FALSE(fn.is_inline());
-    fn();
-  }
-  const auto after_first = SmallFn::pool_stats();
-  EXPECT_EQ(after_first.pooled_constructs, before.pooled_constructs + 1);
-  EXPECT_EQ(after_first.pool_misses, before.pool_misses + 1);
-
-  // The block returned to the freelist: the next oversize capture must
-  // reuse it instead of allocating (the steady-state guarantee).
-  {
-    SmallFn fn([&runs, big] { runs += big.payload[0]; });
-    fn();
-  }
-  const auto after_second = SmallFn::pool_stats();
-  EXPECT_EQ(after_second.pooled_constructs, before.pooled_constructs + 2);
-  EXPECT_EQ(after_second.pool_misses, after_first.pool_misses);
-  EXPECT_EQ(after_second.pool_hits, after_first.pool_hits + 1);
-  EXPECT_EQ(runs, 2);
-}
-
-TEST(SmallFnStorage, PooledCallbacksRunThroughTheEventQueue) {
   EventQueue q;
-  std::array<char, SmallFn::kPooledBlockSize / 2> blob{};
-  blob[7] = 9;
   int seen = 0;
-  q.push(Time::micros(1), [blob, &seen] { seen = blob[7]; });
+  Capture capture;
+  capture.blob[7] = 9;
+  capture.values = {1, 2, 3};
+  capture.seen = &seen;
+  q.push(Time::micros(2), [] {});
+  q.push(Time::micros(1), std::move(capture));
   auto e = q.pop();
   ASSERT_TRUE(e.has_value());
-  EXPECT_FALSE(e->fn.is_inline());
-  e->fn();
-  EXPECT_EQ(seen, 9);
-}
-
-TEST(SmallFnStorage, OversizeCapturesStillWork) {
-  // Beyond the pooled block size: plain heap allocation, same behavior.
-  std::array<char, SmallFn::kPooledBlockSize + 64> huge{};
-  huge[1] = 5;
-  int seen = 0;
-  SmallFn fn([huge, &seen] { seen = huge[1]; });
-  EXPECT_FALSE(fn.is_inline());
-  SmallFn moved = std::move(fn);
+  EXPECT_EQ(e->when, Time::micros(1));
+  SmallFn moved = std::move(e->fn);
+  EXPECT_FALSE(e->fn);
   moved();
-  EXPECT_EQ(seen, 5);
+  EXPECT_EQ(seen, 12);
 }
 
 // ---------------------------------------------------------------------------

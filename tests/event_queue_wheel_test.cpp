@@ -9,7 +9,7 @@
 // far-future overflow into the heap tier — including the
 // aligned-cursor inclusive-scan case that the fuzzer originally
 // caught, plus generation-reuse checks for ids recycled through
-// cancel and the pop_batch claim/restore protocol.
+// cancel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -308,118 +308,6 @@ TEST(EventQueueWheel, CancelIsHonoredInBothTiers) {
   EXPECT_EQ(q.heap_resident(), 0u);
   EXPECT_TRUE(q.empty());
   EXPECT_FALSE(q.pop().has_value());
-}
-
-// ---------------------------------------------------------------------------
-// Batched same-timestamp drain (pop_batch / claim / restore)
-
-TEST(EventQueueBatch, DrainsExactlyTheEarliestTimestampInSeqOrder) {
-  EventQueue q;
-  const Time t = Time::micros(50);
-  int ran = 0;
-  for (int i = 0; i < 5; ++i) {
-    q.push(t, [&ran, i] { ran += 1 << i; });
-  }
-  q.push(Time::micros(50) + sim::Duration::nanos(1), [] {});  // same tick, later ns
-  q.push(Time::micros(900), [] {});
-
-  std::vector<EventQueue::Ready> batch;
-  ASSERT_TRUE(q.pop_batch(batch));
-  ASSERT_EQ(batch.size(), 5u);  // not the +1ns neighbor, not the far one
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch[i].when, t);
-    if (i > 0) EXPECT_LT(batch[i - 1].seq, batch[i].seq);
-  }
-  EXPECT_EQ(q.size(), 2u);  // batch members no longer counted live
-
-  EventQueue::Callback fn;
-  for (const EventQueue::Ready& ev : batch) {
-    ASSERT_TRUE(q.claim(ev, fn));
-    fn();
-    fn.reset();
-  }
-  EXPECT_EQ(ran, 0b11111);
-}
-
-TEST(EventQueueBatch, CancelBetweenPopAndClaimSuppressesExecution) {
-  EventQueue q;
-  const Time t = Time::micros(10);
-  int ran = 0;
-  q.push(t, [&ran] { ran += 1; });
-  const EventId middle = q.push(t, [&ran] { ran += 10; });
-  q.push(t, [&ran] { ran += 100; });
-
-  std::vector<EventQueue::Ready> batch;
-  ASSERT_TRUE(q.pop_batch(batch));
-  ASSERT_EQ(batch.size(), 3u);
-
-  // The id stays valid while the batch is in flight — cancel it.
-  EXPECT_TRUE(q.cancel(middle));
-  EXPECT_FALSE(q.cancel(middle));
-
-  EventQueue::Callback fn;
-  int claimed = 0;
-  for (const EventQueue::Ready& ev : batch) {
-    if (q.claim(ev, fn)) {
-      fn();
-      fn.reset();
-      ++claimed;
-    }
-  }
-  EXPECT_EQ(claimed, 2);
-  EXPECT_EQ(ran, 101);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueBatch, RestorePutsUnexecutedEventsBackUnchanged) {
-  EventQueue q;
-  const Time t = Time::micros(10);
-  int ran = 0;
-  q.push(t, [&ran] { ran += 1; });
-  const EventId second_id = q.push(t, [&ran] { ran += 10; });
-  q.push(Time::micros(20), [&ran] { ran += 100; });
-
-  std::vector<EventQueue::Ready> batch;
-  ASSERT_TRUE(q.pop_batch(batch));
-  ASSERT_EQ(batch.size(), 2u);
-
-  // Execute the first, put the second back (as a mid-batch stop()
-  // would), remembering its seq.
-  EventQueue::Callback fn;
-  ASSERT_TRUE(q.claim(batch[0], fn));
-  fn();
-  const std::uint64_t kept_seq = batch[1].seq;
-  q.restore(batch[1]);
-  EXPECT_EQ(q.size(), 2u);
-
-  // Its id survived the round-trip; its time and seq are unchanged,
-  // so it still pops before the later event and cancels normally.
-  std::vector<EventQueue::Ready> next;
-  ASSERT_TRUE(q.pop_batch(next));
-  ASSERT_EQ(next.size(), 1u);
-  EXPECT_EQ(next[0].when, t);
-  EXPECT_EQ(next[0].seq, kept_seq);
-  ASSERT_TRUE(q.claim(next[0], fn));
-  fn();
-  EXPECT_EQ(ran, 11);
-  EXPECT_TRUE(q.cancel(second_id) == false);  // claimed: id now stale
-
-  next.clear();  // pop_batch appends
-  ASSERT_TRUE(q.pop_batch(next));
-  ASSERT_EQ(next.size(), 1u);
-  EXPECT_EQ(next[0].when, Time::micros(20));
-}
-
-TEST(EventQueueBatch, RestoredEventRemainsCancellable) {
-  EventQueue q;
-  const EventId id = q.push(Time::micros(5), [] {});
-  std::vector<EventQueue::Ready> batch;
-  ASSERT_TRUE(q.pop_batch(batch));
-  ASSERT_EQ(batch.size(), 1u);
-  q.restore(batch[0]);
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.pop_batch(batch));
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -44,18 +43,6 @@ TEST(Network, CountsMessagesAndBytes) {
   EXPECT_EQ(network.stats().bytes_sent, 350u);
 }
 
-TEST(Network, PairLatencyOverride) {
-  sim::Simulator simulator;
-  net::Network network(simulator, {Duration::micros(50), Duration::zero()}, util::Rng(3));
-  network.set_pair_latency(0, 1, Duration::micros(200));
-  EXPECT_EQ(network.latency(0, 1), Duration::micros(200));
-  EXPECT_EQ(network.latency(1, 0), Duration::micros(50));  // directional
-  Time delivered = Time::zero();
-  network.send(0, 1, 10, [&] { delivered = simulator.now(); });
-  simulator.run();
-  EXPECT_EQ(delivered, Time::micros(200));
-}
-
 TEST(Network, JitterStaysWithinBound) {
   sim::Simulator simulator;
   net::Network network(simulator, {Duration::micros(50), Duration::micros(20)}, util::Rng(4));
@@ -87,75 +74,11 @@ TEST(Network, PerPairFifoEvenWithJitter) {
   for (int i = 0; i < 50; ++i) ASSERT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(Network, LateOverrideKeepsPairFifoWithKnownNodeCount) {
-  // Zero jitter and no override: the FIFO horizon is never needed, so
-  // the table does not exist yet when the overrides below arrive. The
-  // first horizon use allocates it at num_nodes (the pair uses the
-  // highest ids), and a later, faster override must still queue behind
-  // the slower message already on the pair.
-  sim::Simulator simulator;
-  net::Network::Config config;
-  config.one_way_latency = Duration::micros(50);
-  config.num_nodes = 8;
-  net::Network network(simulator, config, util::Rng(8));
-  std::vector<std::pair<int, Time>> deliveries;
-  const auto send = [&](int tag) {
-    network.send(6, 7, 10, [&deliveries, &simulator, tag] {
-      deliveries.emplace_back(tag, simulator.now());
-    });
-  };
-  simulator.schedule_at(Time::zero(), [&] { send(0); });
-  simulator.schedule_at(Time::micros(1), [&] {
-    network.set_pair_latency(6, 7, Duration::micros(200));
-    send(1);
-  });
-  simulator.schedule_at(Time::micros(2), [&] {
-    network.set_pair_latency(6, 7, Duration::micros(10));
-    send(2);  // 12 us on its own; FIFO holds it behind message 1
-  });
-  simulator.run();
-  ASSERT_EQ(deliveries.size(), 3u);
-  EXPECT_EQ(deliveries[0], std::make_pair(0, Time::micros(50)));
-  EXPECT_EQ(deliveries[1], std::make_pair(1, Time::micros(201)));
-  EXPECT_EQ(deliveries[2], std::make_pair(2, Time::micros(201)));
-}
-
-TEST(Network, JitterDeliveriesIndependentOfNodeCountHint) {
-  // The jitter path keeps a horizon from the first send; sizing it from
-  // num_nodes or growing it as ids appear must deliver identically.
-  const auto run = [](std::uint32_t num_nodes) {
-    sim::Simulator simulator;
-    net::Network::Config config;
-    config.one_way_latency = Duration::micros(50);
-    config.jitter_max = Duration::micros(40);
-    config.num_nodes = num_nodes;
-    net::Network network(simulator, config, util::Rng(9));
-    std::vector<std::int64_t> deliveries;
-    for (int i = 0; i < 200; ++i) {
-      simulator.schedule_at(Time::micros(i / 4), [&network, &simulator, &deliveries, i] {
-        const auto from = static_cast<net::NodeId>(i % 5);
-        const auto to = static_cast<net::NodeId>(5 + i % 3);
-        network.send(from, to, 10, [&simulator, &deliveries] {
-          deliveries.push_back(simulator.now().count_nanos());
-        });
-      });
-    }
-    simulator.run();
-    return deliveries;
-  };
-  const std::vector<std::int64_t> sized = run(8);
-  EXPECT_EQ(sized.size(), 200u);
-  EXPECT_EQ(sized, run(0));
-}
-
 TEST(Network, RejectsNegativeLatency) {
   sim::Simulator simulator;
   EXPECT_THROW(net::Network(simulator,
                             {Duration::micros(50) - Duration::micros(100), Duration::zero()},
                             util::Rng(6)),
-               std::invalid_argument);
-  net::Network network(simulator, {Duration::micros(50), Duration::zero()}, util::Rng(7));
-  EXPECT_THROW(network.set_pair_latency(0, 1, Duration::zero() - Duration::micros(1)),
                std::invalid_argument);
 }
 
