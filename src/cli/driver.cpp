@@ -74,10 +74,33 @@ const ConfigFlag* find_config_flag(std::string_view name) {
   return nullptr;
 }
 
+/// Builds the workload spec that a --keys, --fanout, --sizes or
+/// --arrivals value names, so a bad one fails at flag parsing (under
+/// --plan too) rather than mid-run. Other string rows pass through.
+void build_workload_spec(std::string_view name, const std::string& spec) {
+  if (name == "keys") {
+    workload::make_key_distribution(spec);
+  } else if (name == "fanout") {
+    workload::make_fanout_distribution(spec);
+  } else if (name == "sizes") {
+    workload::make_size_distribution(spec);
+  } else if (name == "arrivals") {
+    workload::make_arrival_process(spec, 1.0);
+  }
+}
+
 /// Strict parse of the row's flag (command line, else environment)
-/// into its field.
+/// into its field. A workload spec is built once here; its error
+/// names the flag.
 void parse_into(const util::Flags& flags, const ConfigFlag& row, ScenarioConfig& config) {
   const std::string flag = "flag --" + std::string(row.name);
+  const auto naming_flag = [&flag](const auto& build) {
+    try {
+      build();
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(flag + ": " + e.what());
+    }
+  };
   std::visit(
       [&](auto field) {
         using T = std::remove_reference_t<decltype(field(config))>;
@@ -93,8 +116,9 @@ void parse_into(const util::Flags& flags, const ConfigFlag& row, ScenarioConfig&
         } else if constexpr (std::is_same_v<T, std::string>) {
           field(config) = flags.get_string(row.name, "");
           if (field(config).empty()) throw std::invalid_argument(flag + ": empty value");
+          naming_flag([&] { build_workload_spec(row.name, field(config)); });
         } else if constexpr (std::is_same_v<T, Cluster>) {
-          field(config) = Cluster::parse(flags.get_string(row.name, ""));
+          naming_flag([&] { field(config) = Cluster::parse(flags.get_string(row.name, "")); });
         } else {
           const double value = flags.get_double(row.name, 0.0);
           if (value < 0.0) throw std::invalid_argument(flag + ": must be >= 0");

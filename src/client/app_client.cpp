@@ -7,11 +7,9 @@
 namespace brb::client {
 
 AppClient::AppClient(sim::Simulator& sim, Config config, const store::Partitioner& partitioner,
-                     const server::ServiceTimeModel& cost_model,
-                     std::unique_ptr<ctrl::DispatchEndpoint> endpoint,
-                     const policy::PriorityPolicy& priority_policy,
-                     std::unique_ptr<DispatchGate> gate, util::Rng rng,
-                     RequestBook& book)
+                     const server::ServiceTimeModel& cost_model, ctrl::DispatchEndpoint endpoint,
+                     const policy::PriorityPolicy& priority_policy, DispatchGate gate,
+                     util::Rng rng, RequestBook& book)
     : Actor(sim),
       config_(config),
       book_(&book),
@@ -21,12 +19,11 @@ AppClient::AppClient(sim::Simulator& sim, Config config, const store::Partitione
       priority_policy_(&priority_policy),
       gate_(std::move(gate)),
       rng_(rng) {
-  if (!endpoint_) throw std::invalid_argument("AppClient: null dispatch endpoint");
-  if (!gate_) throw std::invalid_argument("AppClient: null gate");
   if (config_.cost_noise_sigma < 0.0) {
     throw std::invalid_argument("AppClient: negative cost noise sigma");
   }
-  gate_->set_transmit([this](OutboundRequest& out) { transmit_now(out); });
+  gate_.set_transmit([this](OutboundRequest& out) { transmit_now(out); });
+  gate_.attach_signals(&endpoint_.signals());
 }
 
 sim::Duration AppClient::forecast_cost(std::uint32_t size_hint) {
@@ -112,7 +109,7 @@ void AppClient::submit(workload::TaskSpec task) {
     // Median fan-out is 1-2 requests: skip the aggregation machinery.
     policy::PlannedRequest& planned = plan.requests.front();
     const ctrl::DispatchPlan dispatch =
-        endpoint_->plan(partitioner_->replicas_of(planned.group), planned.expected_cost);
+        endpoint_.plan(partitioner_->replicas_of(planned.group), planned.expected_cost);
     planned.server = dispatch.primary();
     book.request_plans.front() = dispatch;
   } else if (config_.select_per_subtask) {
@@ -124,7 +121,7 @@ void AppClient::submit(workload::TaskSpec task) {
     book.chosen.clear();
     for (const auto& [group, cost] : book.group_costs) {
       book.chosen.emplace_back(
-          group, endpoint_->plan(partitioner_->replicas_of(group), sim::Duration::nanos(cost)));
+          group, endpoint_.plan(partitioner_->replicas_of(group), sim::Duration::nanos(cost)));
     }
     for (std::size_t i = 0; i < plan.requests.size(); ++i) {
       policy::PlannedRequest& planned = plan.requests[i];
@@ -138,7 +135,7 @@ void AppClient::submit(workload::TaskSpec task) {
     for (std::size_t i = 0; i < plan.requests.size(); ++i) {
       policy::PlannedRequest& planned = plan.requests[i];
       const ctrl::DispatchPlan dispatch =
-          endpoint_->plan(partitioner_->replicas_of(planned.group), planned.expected_cost);
+          endpoint_.plan(partitioner_->replicas_of(planned.group), planned.expected_cost);
       planned.server = dispatch.primary();
       book.request_plans[i] = dispatch;
     }
@@ -186,8 +183,8 @@ void AppClient::submit(workload::TaskSpec task) {
     // gate (credits exhausted, rate limited) still count against the
     // server they are bound for — otherwise the client keeps piling
     // work onto a throttled replica it believes is idle.
-    endpoint_->on_send(out.server, out.request.expected_cost);
-    gate_->offer(std::move(out));
+    endpoint_.on_send(out.server, out.request.expected_cost);
+    gate_.offer(std::move(out));
   };
   for (std::size_t i = 0; i < plan.requests.size(); ++i) {
     const policy::PlannedRequest& planned = plan.requests[i];
@@ -232,8 +229,8 @@ void AppClient::issue_copy(std::uint32_t index, std::uint8_t copy) {
   lr.copy_state[copy] = kCopyInFlight;
   // Offer-time accounting, exactly like single-copy dispatch: a held
   // duplicate still counts against the server it is bound for.
-  endpoint_->on_send(out.server, out.request.expected_cost);
-  gate_->offer(std::move(out));
+  endpoint_.on_send(out.server, out.request.expected_cost);
+  gate_.offer(std::move(out));
 }
 
 void AppClient::hedge_fire(std::uint32_t index) {
@@ -311,7 +308,7 @@ bool AppClient::admit_service(const store::ReadRequest& request) {
   if (lr.copy_state[copy] == kTombstone) {
     // Rejected at dequeue: the loser consumes no core and no
     // service-time draw. Finalize the copy here.
-    endpoint_->on_cancel(inflight->server, inflight->expected_cost);
+    endpoint_.on_cancel(inflight->server, inflight->expected_cost);
     book_->inflight_erase(*inflight);
     --inflight_count_;
     ++stats_.duplicates_cancelled;
@@ -416,12 +413,14 @@ InflightRequest* AppClient::find_inflight(store::RequestId id) noexcept {
 }
 
 void AppClient::transmit_now(OutboundRequest& out) {
-  if (!network_send_) throw std::logic_error("AppClient: network send hook not installed");
+  if (network_send_ == nullptr) {
+    throw std::logic_error("AppClient: network send hook not installed");
+  }
   if (out.logical != kNoLogical &&
       book_->logicals_[out.logical].copy_state[out.copy] == kTombstone) {
     // Cancelled while held at the gate: the copy never reaches the
     // wire. Release its offer-time accounting and finalize.
-    endpoint_->on_cancel(out.server, out.request.expected_cost);
+    endpoint_.on_cancel(out.server, out.request.expected_cost);
     ++stats_.duplicates_cancelled;
     book_->logicals_[out.logical].copy_state[out.copy] = kCopyDone;
     maybe_release_logical(out.logical);
@@ -440,7 +439,7 @@ void AppClient::transmit_now(OutboundRequest& out) {
   ++inflight_count_;
   ++stats_.requests_sent;
   if (out.request.is_write) ++stats_.writes_sent;
-  network_send_(out);
+  (*network_send_)(out);
 }
 
 void AppClient::on_response(const store::ReadResponse& response) {
@@ -455,8 +454,8 @@ void AppClient::on_response(const store::ReadResponse& response) {
   const sim::Duration rtt = now() - inflight.sent_at;
   // Real server work produced real feedback — fold it even for
   // absorbed duplicates; only *cancelled* copies skip the EWMA path.
-  endpoint_->on_response(inflight.server, response.feedback, rtt, inflight.expected_cost, now());
-  gate_->on_response(inflight.server, response.feedback);
+  endpoint_.on_response(inflight.server, response.feedback, rtt, inflight.expected_cost, now());
+  gate_.on_response(inflight.server, response.feedback);
 
   if (inflight.logical != kNoLogical) {
     LogicalRequest& lr = book_->logicals_[inflight.logical];
@@ -469,7 +468,7 @@ void AppClient::on_response(const store::ReadResponse& response) {
       return;
     }
     ++lr.received;
-    if (hooks_.on_request_complete) hooks_.on_request_complete(rtt);
+    if (hooks_ != nullptr && hooks_->on_request_complete) hooks_->on_request_complete(rtt);
     if (lr.received < lr.needed) return;
 
     lr.completed = true;
@@ -486,7 +485,7 @@ void AppClient::on_response(const store::ReadResponse& response) {
     maybe_release_logical(inflight.logical);
     // Fall through to task accounting: the logical unit completed.
   } else {
-    if (hooks_.on_request_complete) hooks_.on_request_complete(rtt);
+    if (hooks_ != nullptr && hooks_->on_request_complete) hooks_->on_request_complete(rtt);
   }
 
   PendingTask* task = book_->pending_find(config_.id, response.task_id);
@@ -498,7 +497,7 @@ void AppClient::on_response(const store::ReadResponse& response) {
     // may move) as soon as it is erased.
     workload::TaskSpec spec = std::move(task->spec);
     book_->pending_erase(*task);
-    if (hooks_.on_task_complete) hooks_.on_task_complete(spec, latency);
+    if (hooks_ != nullptr && hooks_->on_task_complete) hooks_->on_task_complete(spec, latency);
     if (book_->spec_pool_.size() < RequestBook::kSpecPoolMax) {
       // Hand the spent requests vector back to the submit(TaskView)
       // slab pool; its capacity is reused by the next task.

@@ -27,7 +27,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -241,20 +240,24 @@ class AppClient : public sim::Actor {
     std::function<void(const workload::TaskSpec&, sim::Duration latency)> on_task_complete;
     std::function<void(sim::Duration latency)> on_request_complete;
   };
+  /// Transport: actually puts a request on the wire. The request's
+  /// `client` field names the sender, so one function serves a fleet.
+  using NetworkSendFn = std::function<void(const OutboundRequest&)>;
 
   /// `book` must outlive the client; every client of a run shares
-  /// one (see RequestBook).
+  /// one (see RequestBook). The client wires the gate to its transmit
+  /// path and mirrors a credits gate's balances into the endpoint's
+  /// SignalTable.
   AppClient(sim::Simulator& sim, Config config, const store::Partitioner& partitioner,
-            const server::ServiceTimeModel& cost_model,
-            std::unique_ptr<ctrl::DispatchEndpoint> endpoint,
-            const policy::PriorityPolicy& priority_policy, std::unique_ptr<DispatchGate> gate,
-            util::Rng rng, RequestBook& book);
+            const server::ServiceTimeModel& cost_model, ctrl::DispatchEndpoint endpoint,
+            const policy::PriorityPolicy& priority_policy, DispatchGate gate, util::Rng rng,
+            RequestBook& book);
 
-  /// Transport hook: actually puts a request on the wire. Installed by
-  /// the cluster wiring.
-  using NetworkSendFn = std::function<void(const OutboundRequest&)>;
-  void set_network_send(NetworkSendFn fn) { network_send_ = std::move(fn); }
-  void set_hooks(Hooks hooks) { hooks_ = std::move(hooks); }
+  /// The client keeps these pointers, so one transport and one hook set
+  /// serve a whole fleet; each must outlive the client. Null hooks (the
+  /// default) report nothing; a send before the transport is set throws.
+  void set_network_send(const NetworkSendFn* fn) noexcept { network_send_ = fn; }
+  void set_hooks(const Hooks* hooks) noexcept { hooks_ = hooks; }
 
   /// Entry point: a task arrives at this application server. By value:
   /// callers that are done with the spec (trace replay, tests) move it
@@ -289,8 +292,8 @@ class AppClient : public sim::Actor {
 
   const ClientStats& stats() const noexcept { return stats_; }
   const Config& config() const noexcept { return config_; }
-  DispatchGate& gate() noexcept { return *gate_; }
-  ctrl::DispatchEndpoint& endpoint() noexcept { return *endpoint_; }
+  DispatchGate& gate() noexcept { return gate_; }
+  ctrl::DispatchEndpoint& endpoint() noexcept { return endpoint_; }
   std::uint64_t in_flight() const noexcept { return inflight_count_; }
   /// Logical (multi-copy) requests still live — 0 once drained.
   std::uint64_t logical_in_flight() const noexcept { return logical_count_; }
@@ -318,12 +321,12 @@ class AppClient : public sim::Actor {
   RequestBook* book_;
   const store::Partitioner* partitioner_;
   const server::ServiceTimeModel* cost_model_;
-  std::unique_ptr<ctrl::DispatchEndpoint> endpoint_;
+  ctrl::DispatchEndpoint endpoint_;
   const policy::PriorityPolicy* priority_policy_;
-  std::unique_ptr<DispatchGate> gate_;
+  DispatchGate gate_;
   util::Rng rng_;
-  NetworkSendFn network_send_;
-  Hooks hooks_;
+  const NetworkSendFn* network_send_ = nullptr;
+  const Hooks* hooks_ = nullptr;
   ClientStats stats_;
   std::uint64_t inflight_count_ = 0;
   std::uint64_t logical_count_ = 0;

@@ -47,6 +47,14 @@ DispatchGate::DispatchGate(sim::Simulator& sim, std::uint32_t num_servers,
   state_ = std::make_unique<TokenState>(TokenState{&sim, num_servers, Cubic{config}, {}});
 }
 
+DispatchGate::DispatchGate(DispatchGate&& other) {
+  const Grant* law = other.state_ ? std::get_if<Grant>(&other.state_->law) : nullptr;
+  if (other.transmit_ || (law != nullptr && law->running)) {
+    throw std::logic_error("DispatchGate: a wired or started gate cannot move");
+  }
+  state_ = std::move(other.state_);
+}
+
 std::string DispatchGate::name() const {
   if (!state_) return "direct";
   return std::holds_alternative<Grant>(state_->law) ? "credits" : "cubic-rate";

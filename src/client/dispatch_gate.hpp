@@ -60,8 +60,8 @@ struct OutboundRequest {
 /// contacted). A grant gate may pin every server from construction;
 /// then slot index equals server id and lookup is O(1).
 ///
-/// Scheduled events hold the gate's address, so it is neither copied
-/// nor moved.
+/// Scheduled events hold the gate's address, so it is never copied,
+/// and moves only before it is wired (see the move constructor).
 class DispatchGate {
  public:
   /// Installed by the client: stamps send-time state and transmits.
@@ -85,8 +85,14 @@ class DispatchGate {
   DispatchGate(sim::Simulator& sim, std::uint32_t num_servers,
                const policy::CubicRateConfig& config);
 
+  /// Moves a gate that has no transmit installed and has not started:
+  /// it has offered nothing and scheduled nothing, so no event holds
+  /// its address. Throws std::logic_error on any other gate. A client
+  /// takes its gate this way, then wires it in place.
+  DispatchGate(DispatchGate&& other);
   DispatchGate(const DispatchGate&) = delete;
   DispatchGate& operator=(const DispatchGate&) = delete;
+  DispatchGate& operator=(DispatchGate&&) = delete;
 
   void set_transmit(TransmitFn fn) { transmit_ = std::move(fn); }
 

@@ -101,14 +101,14 @@ Fig1Result run_fig1(const std::string& policy_name) {
     client::AppClient::Config config;
     config.id = c;
     util::Rng client_rng = rng.split();
-    auto endpoint = std::make_unique<ctrl::DispatchEndpoint>(
+    ctrl::DispatchEndpoint endpoint(
         ctrl::SignalTableConfig{},
-        ctrl::make_dispatch_policy("first", {}, {}, false, ctrl::C3ScoreConfig{}.prior_service_time,
-                                   client_rng),
+        ctrl::DispatchPolicy(ctrl::ReplicaRule::kFirst, {}, {}, false,
+                             ctrl::C3ScoreConfig{}.prior_service_time, client_rng),
         client_rng, store::TenantId{0});
     clients.push_back(std::make_unique<client::AppClient>(
         sim, config, partitioner, service_model, std::move(endpoint), *priority_policy,
-        std::make_unique<client::DispatchGate>(), client_rng, request_book));
+        client::DispatchGate(), client_rng, request_book));
   }
 
   const auto key_name = [](store::KeyId key) {
@@ -128,20 +128,21 @@ Fig1Result run_fig1(const std::string& policy_name) {
     }
   };
 
-  for (std::uint32_t c = 0; c < 2; ++c) {
-    const net::NodeId client_node = 3 + c;
-    clients[c]->set_network_send(
-        [&network, &servers, client_node](const client::OutboundRequest& out) {
-          server::BackendServer* target = servers[out.server].get();
-          network.send(client_node, out.server, store::kRequestWireBytes,
-                       [target, request = out.request] { target->receive(request); });
-        });
-    client::AppClient::Hooks hooks;
-    hooks.on_task_complete = [&completions, &sim, unit](const workload::TaskSpec& task,
-                                                        sim::Duration) {
-      completions[task.id] = sim.now().as_millis() / unit.as_millis();
-    };
-    clients[c]->set_hooks(hooks);
+  // Clients are nodes 3 and 4, after the three servers.
+  const client::AppClient::NetworkSendFn network_send =
+      [&network, &servers](const client::OutboundRequest& out) {
+        server::BackendServer* target = servers[out.server].get();
+        network.send(3 + out.request.client, out.server, store::kRequestWireBytes,
+                     [target, request = out.request] { target->receive(request); });
+      };
+  client::AppClient::Hooks hooks;
+  hooks.on_task_complete = [&completions, &sim, unit](const workload::TaskSpec& task,
+                                                      sim::Duration) {
+    completions[task.id] = sim.now().as_millis() / unit.as_millis();
+  };
+  for (const auto& client : clients) {
+    client->set_network_send(&network_send);
+    client->set_hooks(&hooks);
   }
   for (std::uint32_t s = 0; s < 3; ++s) {
     servers[s]->set_response_handler([&, s](const store::ReadResponse& response) {

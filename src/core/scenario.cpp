@@ -406,6 +406,17 @@ RunResult run_scenario(const ScenarioConfig& config) {
     rate.min_rate = std::min(rate.min_rate, rate.initial_rate);
   }
 
+  // The gate by admission name; the client mirrors a credits gate's
+  // balances into its SignalTable.
+  const auto make_gate = [&] {
+    if (credits_admission) {
+      return client::DispatchGate(sim, num_servers, config.credits, pinned_credits,
+                                  first_touch_credit);
+    }
+    if (admission_name == "cubic-rate") return client::DispatchGate(sim, num_servers, rate);
+    return client::DispatchGate();
+  };
+
   // One request book for the whole fleet (this run's thread only).
   client::RequestBook request_book;
   std::vector<std::unique_ptr<client::AppClient>> clients;
@@ -420,26 +431,13 @@ RunResult run_scenario(const ScenarioConfig& config) {
     // unspecified and both expressions touch rng_clients[c]. One split
     // per client for the policy stream, exactly as before the runtime.
     util::Rng selector_rng = rng_clients[c].split();
-    std::unique_ptr<ctrl::DispatchEndpoint> endpoint =
-        runtime.bind_client(c, tenant_of_client(c), selector_rng);
-
-    // The gate by admission name; a credits gate mirrors its balances
-    // into this client's SignalTable.
-    std::unique_ptr<client::DispatchGate> gate;
-    if (credits_admission) {
-      gate = std::make_unique<client::DispatchGate>(sim, num_servers, config.credits,
-                                                    pinned_credits, first_touch_credit);
-      gate->attach_signals(&runtime.signals_of(c));
-    } else if (admission_name == "cubic-rate") {
-      gate = std::make_unique<client::DispatchGate>(sim, num_servers, rate);
-    } else {
-      gate = std::make_unique<client::DispatchGate>();
-    }
-
+    ctrl::DispatchEndpoint endpoint = runtime.make_endpoint(tenant_of_client(c), selector_rng);
     clients.push_back(std::make_unique<client::AppClient>(
         sim, client_config, partitioner, service_model, std::move(endpoint), *priority_policy,
-        std::move(gate), rng_clients[c], request_book));
+        make_gate(), rng_clients[c], request_book));
   }
+  // Every stream has been handed to its client.
+  std::vector<util::Rng>().swap(rng_clients);
 
   // Tail-cutting executor: loser copies are finalized at the server's
   // dequeue point by asking the issuing client whether the copy is
@@ -453,34 +451,33 @@ RunResult run_scenario(const ScenarioConfig& config) {
     }
   }
 
-  // --- transport wiring ---
-  for (std::uint32_t c = 0; c < num_clients; ++c) {
-    client::AppClient* client = clients[c].get();
-    const net::NodeId client_node = num_servers + c;
-    if (uses_global_queue(config.system)) {
-      // Writes are pinned to their replica: each copy must execute on
-      // its own server, so it may not float freely within the group.
-      client->set_network_send([&network, &sim, client_node, global_queue_node,
-                                queue = global_queue.get()](const client::OutboundRequest& out) {
-        network.send(client_node, global_queue_node, store::request_wire_bytes(out.request),
-                     [queue, request = out.request, group = out.group, server = out.server,
-                      &sim] {
-                       if (request.is_write) {
-                         queue->submit_pinned(server::QueuedRead{request, sim.now()}, server);
-                       } else {
-                         queue->submit(server::QueuedRead{request, sim.now()}, group);
-                       }
-                     });
-      });
-    } else {
-      client->set_network_send(
-          [&network, &sim, client_node, &servers](const client::OutboundRequest& out) {
-            server::BackendServer* target = servers[out.server].get();
-            network.send(client_node, out.server, store::request_wire_bytes(out.request),
-                         [target, request = out.request] { target->receive(request); });
-          });
-    }
+  // --- transport wiring: one send function for the fleet; the
+  // request's client field names the sending node. ---
+  client::AppClient::NetworkSendFn network_send;
+  if (uses_global_queue(config.system)) {
+    // Writes are pinned to their replica: each copy must execute on
+    // its own server, so it may not float freely within the group.
+    network_send = [&network, &sim, num_servers, global_queue_node,
+                    queue = global_queue.get()](const client::OutboundRequest& out) {
+      network.send(num_servers + out.request.client, global_queue_node,
+                   store::request_wire_bytes(out.request),
+                   [queue, request = out.request, group = out.group, server = out.server, &sim] {
+                     if (request.is_write) {
+                       queue->submit_pinned(server::QueuedRead{request, sim.now()}, server);
+                     } else {
+                       queue->submit(server::QueuedRead{request, sim.now()}, group);
+                     }
+                   });
+    };
+  } else {
+    network_send = [&network, num_servers, &servers](const client::OutboundRequest& out) {
+      server::BackendServer* target = servers[out.server].get();
+      network.send(num_servers + out.request.client, out.server,
+                   store::request_wire_bytes(out.request),
+                   [target, request = out.request] { target->receive(request); });
+    };
   }
+  for (const auto& client : clients) client->set_network_send(&network_send);
   for (std::uint32_t s = 0; s < num_servers; ++s) {
     servers[s]->set_response_handler(
         [&network, &clients, s, num_servers](const store::ReadResponse& response) {
@@ -492,6 +489,13 @@ RunResult run_scenario(const ScenarioConfig& config) {
   }
 
   // --- credits wiring ---
+  // One demand-report route for the fleet; each gate's report function
+  // captures only it and the client id, so it is held inline.
+  const auto send_report = [&network, &controller, num_servers, controller_node](
+                               store::ClientId c, const CreditList& rates) {
+    network.send(num_servers + c, controller_node, 64,
+                 [ctrl = controller.get(), c, rates] { ctrl->on_demand_report(c, rates); });
+  };
   if (credits_admission) {
     std::vector<double> capacities(num_servers);
     for (std::uint32_t s = 0; s < num_servers; ++s) {
@@ -503,12 +507,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
                                                      config.credits, pinned_servers);
     for (std::uint32_t c = 0; c < num_clients; ++c) {
       client::DispatchGate& gate = clients[c]->gate();
-      const net::NodeId client_node = num_servers + c;
-      gate.set_report([&network, client_node, controller_node, c,
-                       ctrl = controller.get()](const CreditList& rates) {
-        network.send(client_node, controller_node, 64,
-                     [ctrl, c, rates] { ctrl->on_demand_report(c, rates); });
-      });
+      gate.set_report([&send_report, c](const CreditList& rates) { send_report(c, rates); });
       gate.start();
     }
     controller->set_grant_sender([&network, controller_node, num_servers, &clients](
@@ -540,36 +539,34 @@ RunResult run_scenario(const ScenarioConfig& config) {
     result.tenants[t].name = tenant_mixes[t].name;
   }
 
-  // --- completion accounting ---
+  // --- completion accounting (one hook set for the fleet) ---
   std::uint64_t completed = 0;
-  for (const auto& client : clients) {
-    client::AppClient::Hooks hooks;
-    hooks.on_task_complete = [&result, &completed, &sim, &config, total_tasks, warmup_tasks](
-                                 const workload::TaskSpec& task, sim::Duration latency) {
-      ++completed;
-      ++result.tasks_completed;
-      const bool measured = task.id >= warmup_tasks;
+  client::AppClient::Hooks hooks;
+  hooks.on_task_complete = [&result, &completed, &sim, &config, total_tasks, warmup_tasks](
+                               const workload::TaskSpec& task, sim::Duration latency) {
+    ++completed;
+    ++result.tasks_completed;
+    const bool measured = task.id >= warmup_tasks;
+    if (measured) {
+      result.task_latency.record(latency);
+      ++result.tasks_measured;
+    }
+    if (!result.tenants.empty()) {
+      TenantResult& tenant = result.tenants[task.tenant.value()];
+      ++tenant.tasks_completed;
       if (measured) {
-        result.task_latency.record(latency);
-        ++result.tasks_measured;
+        tenant.task_latency.record(latency);
+        ++tenant.tasks_measured;
       }
-      if (!result.tenants.empty()) {
-        TenantResult& tenant = result.tenants[task.tenant.value()];
-        ++tenant.tasks_completed;
-        if (measured) {
-          tenant.task_latency.record(latency);
-          ++tenant.tasks_measured;
-        }
-      }
-      if (config.on_task_complete) config.on_task_complete(task, latency);
-      if (completed == total_tasks) sim.stop();
-    };
-    hooks.on_request_complete = [&result](sim::Duration latency) {
-      result.request_latency.record(latency);
-      ++result.requests_completed;
-    };
-    client->set_hooks(hooks);
-  }
+    }
+    if (config.on_task_complete) config.on_task_complete(task, latency);
+    if (completed == total_tasks) sim.stop();
+  };
+  hooks.on_request_complete = [&result](sim::Duration latency) {
+    result.request_latency.record(latency);
+    ++result.requests_completed;
+  };
+  for (const auto& client : clients) client->set_hooks(&hooks);
 
   // --- workload ---
   workload::TaskGenerator::Config gen_config;
@@ -626,7 +623,10 @@ RunResult run_scenario(const ScenarioConfig& config) {
   sim.schedule_at(deadline, [&sim] { sim.stop(); });
 
   // Arm the policy-switch epochs (no-op for static bindings).
-  runtime.start();
+  std::vector<ctrl::DispatchEndpoint*> endpoints;
+  endpoints.reserve(num_clients);
+  for (const auto& client : clients) endpoints.push_back(&client->endpoint());
+  runtime.start(std::move(endpoints));
 
   sim.run();
 
@@ -642,8 +642,8 @@ RunResult run_scenario(const ScenarioConfig& config) {
   result.events_processed = sim.events_processed();
   if (sparse_store) {
     result.sparse_signal_store = true;
-    for (std::uint32_t c = 0; c < num_clients; ++c) {
-      const ctrl::SignalTable& signals = runtime.signals_of(c);
+    for (const auto& client : clients) {
+      const ctrl::SignalTable& signals = client->endpoint().signals();
       result.signal_entries_live += signals.size();
       result.signal_evictions += signals.evictions();
     }

@@ -389,16 +389,8 @@ std::unique_ptr<DispatchPolicy> make_dispatch_policy(const std::string& policy_n
 // ---------------------------------------------------------------------------
 // DispatchEndpoint
 
-DispatchEndpoint::DispatchEndpoint(SignalTableConfig signals,
-                                   std::unique_ptr<DispatchPolicy> policy, util::Rng rng,
-                                   store::TenantId tenant)
-    : signals_(signals), policy_(std::move(policy)), rng_(rng), tenant_(tenant) {
-  if (!policy_) throw std::invalid_argument("DispatchEndpoint: null policy");
-}
-
-void DispatchEndpoint::rebind(std::unique_ptr<DispatchPolicy> policy) {
-  if (!policy) throw std::invalid_argument("DispatchEndpoint::rebind: null policy");
-  policy_ = std::move(policy);
-}
+DispatchEndpoint::DispatchEndpoint(SignalTableConfig signals, DispatchPolicy policy,
+                                   util::Rng rng, store::TenantId tenant)
+    : signals_(signals), policy_(std::move(policy)), rng_(rng), tenant_(tenant) {}
 
 }  // namespace brb::ctrl

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ctrl/replica_policy.hpp"
@@ -127,9 +128,10 @@ struct DispatchModeConfig {
 /// the primary's last feedback is younger than `fresh_age`, the plan
 /// degrades to single with `skipped_fresh` set.
 ///
-/// One object per client and one direct plan() call. It holds only
-/// private decision state (RNG stream, cursor), so the PolicyRuntime
-/// can swap it mid-run over the same signals.
+/// One value per client (its endpoint holds it inline) and one direct
+/// plan() call. It holds only private decision state (RNG stream,
+/// cursor), so the PolicyRuntime can swap it mid-run over the same
+/// signals.
 class DispatchPolicy final {
  public:
   /// Throws std::invalid_argument on a C3 rule with queue_exponent < 1
@@ -149,6 +151,8 @@ class DispatchPolicy final {
   /// Rule wrapped by mode and credit filter, e.g. "round-robin",
   /// "tied(round-robin)", "credit-aware(hedge:q95(c3))".
   std::string name() const;
+  ReplicaRule rule() const noexcept { return rule_; }
+  const DispatchModeConfig& mode() const noexcept { return mode_; }
 
  private:
   /// One pick by `rule_` over a non-empty list.
@@ -204,14 +208,15 @@ class PolicyRuntime;
 /// DispatchPolicy, with the *single* feedback entry point the client
 /// drives. All outstanding/pending-cost accounting funnels through
 /// on_send/on_response/on_cancel here — there is no second forwarding
-/// path a hedged duplicate could double-count through.
+/// path a hedged duplicate could double-count through. Both parts are
+/// held by value, so an endpoint is one object inside its client.
 class DispatchEndpoint final {
  public:
-  DispatchEndpoint(SignalTableConfig signals, std::unique_ptr<DispatchPolicy> policy,
-                   util::Rng rng, store::TenantId tenant);
+  DispatchEndpoint(SignalTableConfig signals, DispatchPolicy policy, util::Rng rng,
+                   store::TenantId tenant);
 
   DispatchPlan plan(const std::vector<store::ServerId>& replicas, sim::Duration expected_cost) {
-    return policy_->plan(signals_, replicas, expected_cost);
+    return policy_.plan(signals_, replicas, expected_cost);
   }
   /// A copy was bound to `server` (offer time, before any gate hold).
   void on_send(store::ServerId server, sim::Duration expected_cost) {
@@ -231,19 +236,19 @@ class DispatchEndpoint final {
     signals_.on_cancel(server, expected_cost);
   }
 
-  std::string name() const { return policy_->name(); }
+  std::string name() const { return policy_.name(); }
   SignalTable& signals() noexcept { return signals_; }
   const SignalTable& signals() const noexcept { return signals_; }
   store::TenantId tenant() const noexcept { return tenant_; }
 
   /// Swaps the decision procedure; the accumulated signals survive.
-  void rebind(std::unique_ptr<DispatchPolicy> policy);
+  void rebind(DispatchPolicy policy) { policy_ = std::move(policy); }
 
  private:
   friend class PolicyRuntime;
 
   SignalTable signals_;
-  std::unique_ptr<DispatchPolicy> policy_;
+  DispatchPolicy policy_;
   /// Stream for policies constructed at switch epochs (split per
   /// rebind; the t=0 policy uses the client's original stream copy).
   util::Rng rng_;

@@ -254,62 +254,46 @@ bool PolicyRuntime::may_dispatch_duplicates() const {
          may_dispatch(DispatchMode::kKofn);
 }
 
-std::unique_ptr<DispatchEndpoint> PolicyRuntime::bind_client(store::ClientId id,
-                                                             store::TenantId tenant,
-                                                             util::Rng rng) {
+DispatchEndpoint PolicyRuntime::make_endpoint(store::TenantId tenant, util::Rng rng) const {
   if (tenant.value() >= initial_policy_.size()) {
-    throw std::invalid_argument("PolicyRuntime::bind_client: tenant index out of range");
+    throw std::invalid_argument("PolicyRuntime::make_endpoint: tenant index out of range");
   }
-  const ReplicaRule policy = initial_policy_[tenant.value()];
-  const DispatchModeConfig& mode = initial_mode_[tenant.value()];
   // Credits systems select jointly over replica load *and* credit
   // balances (the gate mirrors balances into the SignalTable).
-  auto endpoint = std::make_unique<DispatchEndpoint>(
-      config_.signals,
-      std::make_unique<DispatchPolicy>(policy, mode, config_.c3, config_.credit_aware,
-                                       config_.c3.prior_service_time, rng, sim_),
-      rng, tenant);
-  if (id >= clients_.size()) clients_.resize(id + 1);
-  if (clients_[id].endpoint != nullptr) {
-    throw std::logic_error("PolicyRuntime::bind_client: client bound twice");
-  }
-  clients_[id] = ClientBinding{endpoint.get(), mode, tenant, policy};
-  return endpoint;
-}
-
-SignalTable& PolicyRuntime::signals_of(store::ClientId id) {
-  if (id >= clients_.size() || clients_[id].endpoint == nullptr) {
-    throw std::out_of_range("PolicyRuntime::signals_of: unbound client");
-  }
-  return clients_[id].endpoint->signals_;
+  return DispatchEndpoint(config_.signals,
+                          DispatchPolicy(initial_policy_[tenant.value()],
+                                         initial_mode_[tenant.value()], config_.c3,
+                                         config_.credit_aware, config_.c3.prior_service_time, rng,
+                                         sim_),
+                          rng, tenant);
 }
 
 void PolicyRuntime::apply_epoch(std::size_t epoch_index) {
   const PolicySwitch& epoch = epochs_[epoch_index];
-  for (ClientBinding& client : clients_) {
-    if (client.endpoint == nullptr) continue;
-    if (!epoch.tenant.empty() && config_.tenants[client.tenant.value()] != epoch.tenant) {
+  for (DispatchEndpoint* endpoint : endpoints_) {
+    if (!epoch.tenant.empty() && config_.tenants[endpoint->tenant().value()] != epoch.tenant) {
       continue;
     }
     // A switch replaces one axis of the (rule, mode) pair and keeps
     // the other; the replacement policy reads the same SignalTable the
     // old one fed from — it starts with warm estimates, not a cold
     // cache.
-    if (epoch.kind == PolicySwitch::Kind::kPolicy) {
-      client.policy = replica_rule(epoch.policy);
-    } else {
-      client.mode = epoch.mode;
-    }
-    client.endpoint->policy_ = std::make_unique<DispatchPolicy>(
-        client.policy, client.mode, config_.c3, config_.credit_aware,
-        config_.c3.prior_service_time, client.endpoint->rng_.split(), sim_);
+    const DispatchPolicy& current = endpoint->policy_;
+    const ReplicaRule rule =
+        epoch.kind == PolicySwitch::Kind::kPolicy ? replica_rule(epoch.policy) : current.rule();
+    const DispatchModeConfig mode =
+        epoch.kind == PolicySwitch::Kind::kMode ? epoch.mode : current.mode();
+    endpoint->rebind(DispatchPolicy(rule, mode, config_.c3, config_.credit_aware,
+                                    config_.c3.prior_service_time, endpoint->rng_.split(), sim_));
     ++switches_applied_;
   }
 }
 
-void PolicyRuntime::start() {
+void PolicyRuntime::start(std::vector<DispatchEndpoint*> endpoints) {
   if (started_) throw std::logic_error("PolicyRuntime::start: called twice");
   started_ = true;
+  if (epochs_.empty()) return;
+  endpoints_ = std::move(endpoints);
   for (std::size_t i = 0; i < epochs_.size(); ++i) {
     sim_->schedule_at(epochs_[i].at, [this, i] { apply_epoch(i); });
   }

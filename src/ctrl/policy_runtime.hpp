@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -114,21 +113,18 @@ class PolicyRuntime {
   /// runs pay nothing.
   bool may_dispatch_duplicates() const;
 
-  /// Creates client `id`'s control-plane endpoint: a SignalTable plus
-  /// the tenant's bound DispatchPolicy. `rng` seeds randomized rules
+  /// Creates a client's control-plane endpoint: a SignalTable plus the
+  /// tenant's bound DispatchPolicy. `rng` seeds randomized rules
   /// exactly as the pre-runtime wiring did (by value; the endpoint
   /// keeps its own copy for constructing replacement policies at
   /// switch epochs).
-  std::unique_ptr<DispatchEndpoint> bind_client(store::ClientId id, store::TenantId tenant,
-                                                util::Rng rng);
+  DispatchEndpoint make_endpoint(store::TenantId tenant, util::Rng rng) const;
 
-  /// The client's SignalTable (valid for the bound endpoint's
-  /// lifetime) — admission gates attach their mirrors here.
-  SignalTable& signals_of(store::ClientId id);
-
-  /// Schedules the switch epochs on the simulator. Call once, after
-  /// every client is bound. No-op without a switch spec.
-  void start();
+  /// Schedules the switch epochs on the simulator over `endpoints`, the
+  /// run's clients in id order. Call once, after every client is
+  /// built; each endpoint must stay where it is until the run ends.
+  /// Without a switch spec nothing is scheduled or kept.
+  void start(std::vector<DispatchEndpoint*> endpoints);
 
   /// Per-client rebinds actually applied (epochs past the end of the
   /// run never fire).
@@ -138,15 +134,6 @@ class PolicyRuntime {
   const Config& config() const noexcept { return config_; }
 
  private:
-  /// One bound client: the endpoint plus its current (rule, mode)
-  /// pair, so a switch can replace one axis and keep the other.
-  struct ClientBinding {
-    DispatchEndpoint* endpoint = nullptr;  // non-owning; the client owns it
-    DispatchModeConfig mode;
-    store::TenantId tenant{0};
-    ReplicaRule policy = ReplicaRule::kRandom;
-  };
-
   store::TenantId tenant_index(const std::string& name) const;
   void apply_epoch(std::size_t epoch_index);
 
@@ -155,7 +142,7 @@ class PolicyRuntime {
   std::vector<ReplicaRule> initial_policy_;       // per tenant
   std::vector<DispatchModeConfig> initial_mode_;  // per tenant
   std::vector<PolicySwitch> epochs_;              // time-ordered, t > 0 only
-  std::vector<ClientBinding> clients_;
+  std::vector<DispatchEndpoint*> endpoints_;  // non-owning; kept only with epochs
   std::uint64_t switches_applied_ = 0;
   bool started_ = false;
 };

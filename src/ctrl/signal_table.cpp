@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "util/ewma.hpp"
@@ -33,8 +35,6 @@ SignalTable::Signals SignalTable::of(store::ServerId server) const {
     s.outstanding = e->outstanding;
     s.pending_cost_ns = e->pending_cost_ns;
     s.credit_balance = e->credit_balance;
-    s.last_queue_length = e->last_queue_length;
-    s.last_service_rate = e->last_service_rate;
     s.last_feedback_ns = e->last_feedback_ns;
     return s;
   }
@@ -61,8 +61,6 @@ void SignalTable::on_response(store::ServerId server, const store::ServerFeedbac
   if (e.outstanding > 0) --e.outstanding;
   e.pending_cost_ns -= expected_cost.count_nanos();
   if (e.pending_cost_ns < 0) e.pending_cost_ns = 0;
-  e.last_queue_length = feedback.queue_length;
-  e.last_service_rate = feedback.service_rate;
   e.last_feedback_ns = at.count_nanos();
 
   const double rtt_ns = static_cast<double>(rtt.count_nanos());
@@ -109,8 +107,9 @@ SignalTable::Entry& SignalTable::touch_windowed(store::ServerId server) {
   if (!index_.empty()) {
     const std::uint32_t position_plus1 = index_[probe(server)];
     if (position_plus1 != 0) {
+      const std::uint32_t tick = next_tick();
       Entry& e = entries_[position_plus1 - 1];
-      e.lru_tick = ++tick_;
+      e.lru_tick = tick;
       return e;
     }
   }
@@ -120,9 +119,10 @@ SignalTable::Entry& SignalTable::touch_windowed(store::ServerId server) {
   // Probe after eviction and growth: both may have moved the hole.
   index_[probe(server)] = static_cast<std::uint32_t>(entries_.size() + 1);
 
+  const std::uint32_t tick = next_tick();
   Entry& e = entries_.emplace_back();
   e.server = server;
-  e.lru_tick = ++tick_;
+  e.lru_tick = tick;
   if (const GroupAggregate* agg = group_of(server)) {
     // Seed from the group prior: an evicted-then-recontacted server
     // resumes from its group's collective memory, and the first real
@@ -154,6 +154,19 @@ const SignalTable::Entry* SignalTable::find_windowed(store::ServerId server) con
   if (index_.empty()) return nullptr;
   const std::uint32_t position_plus1 = index_[probe(server)];
   return position_plus1 != 0 ? &entries_[position_plus1 - 1] : nullptr;
+}
+
+std::uint32_t SignalTable::next_tick() {
+  if (tick_ == std::numeric_limits<std::uint32_t>::max()) {
+    std::vector<std::uint32_t> by_tick(entries_.size());
+    std::iota(by_tick.begin(), by_tick.end(), 0u);
+    std::sort(by_tick.begin(), by_tick.end(), [this](std::uint32_t a, std::uint32_t b) {
+      return entries_[a].lru_tick < entries_[b].lru_tick;
+    });
+    tick_ = 0;
+    for (const std::uint32_t position : by_tick) entries_[position].lru_tick = ++tick_;
+  }
+  return ++tick_;
 }
 
 void SignalTable::grow_index() {

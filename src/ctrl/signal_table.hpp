@@ -13,17 +13,17 @@
 // them swappable mid-run: a policy switch binds a new decision
 // procedure to the *same* accumulated signals.
 //
-// Layout: one vector of 80-byte entries, each holding every signal of
-// one server, and every feedback call is applied to its entry at once
-// (the first response seeds the EWMAs, later ones blend through
-// `util::ewma_update`). Only the lookup has two layouts:
+// Layout: one vector of 64-byte entries (one cache line), each holding
+// every signal of one server, and every feedback call is applied to its
+// entry at once (the first response seeds the EWMAs, later ones blend
+// through `util::ewma_update`). Only the lookup has two layouts:
 //
 //   * server-indexed (the default): entry position == ServerId. The
 //     table grows on first contact out to the highest server touched,
 //     and servers it never touched read as the neutral zero state.
 //     Exact and O(1), but every client pays O(num_servers), which is
 //     O(clients x servers) across a fleet — a 10k-server x 1M-client
-//     run would spend ~0.8 TB on entries alone.
+//     run would spend ~0.64 TB on entries alone.
 //   * windowed (`SignalTableConfig::sparse`, million-client scale): only
 //     the pairs a client has touched, back to back, found through a
 //     power-of-two index of 4-byte slots holding entry position + 1
@@ -48,10 +48,12 @@
 //         aggregate, so an evicted-then-recontacted server starts from
 //         the group prior rather than from scratch.
 //
-// Determinism: ticks are a simple write counter, unique per entry, so
-// the eviction victim (the minimum tick among unpinned entries) and
-// therefore every group fold are pure functions of the operation
-// history — entry positions and index layout never reach a decision.
+// Determinism: ticks are a simple write counter, unique per entry (32
+// bits; on wrap the live entries are renumbered by rank, which keeps
+// their order), so the eviction victim (the minimum tick among unpinned
+// entries) and therefore every group fold are pure functions of the
+// operation history — entry positions and index layout never reach a
+// decision.
 // When the cap exceeds the fleet size nothing is ever evicted and every
 // read is bit-identical across the two layouts (the differential tests
 // in tests/control_plane_test.cpp pin this), so selection policies
@@ -110,9 +112,6 @@ class SignalTable {
     /// Current credit balance (credits systems; 0 otherwise).
     double credit_balance = 0.0;
 
-    // --- raw last feedback (un-smoothed) ---
-    std::uint32_t last_queue_length = 0;
-    double last_service_rate = 0.0;
     /// Simulated time of the last response fold (-1: never) — the
     /// freshness signal hedge suppression reads.
     std::int64_t last_feedback_ns = -1;
@@ -197,21 +196,22 @@ class SignalTable {
   const SignalTableConfig& config() const noexcept { return config_; }
 
  private:
+  friend class SignalTableTestPeer;
+
+  /// One cache line: every signal of one server.
   struct Entry {
     store::ServerId server = 0;  // windowed only
     std::uint32_t outstanding = 0;
-    std::uint32_t last_queue_length = 0;
+    std::uint32_t lru_tick = 0;  // windowed only
     std::uint8_t seen = 0;
-    std::uint64_t lru_tick = 0;  // windowed only
     std::int64_t pending_cost_ns = 0;
     std::int64_t last_feedback_ns = -1;
     double ewma_response_ns = 0.0;
     double ewma_queue = 0.0;
     double ewma_service_ns = 0.0;
     double credit_balance = 0.0;
-    double last_service_rate = 0.0;
   };
-  static_assert(sizeof(Entry) == 80);
+  static_assert(sizeof(Entry) == 64);
 
   /// Running means of the response-path EWMAs folded out of evicted
   /// entries — the group's collective memory of servers the window no
@@ -246,6 +246,10 @@ class SignalTable {
   /// run. Requires a non-empty index; the load cap keeps a slot free.
   std::size_t probe(store::ServerId server) const noexcept;
   const Entry* find_windowed(store::ServerId server) const;
+  /// The next LRU tick. When the 32-bit counter is spent, the live
+  /// entries are renumbered 1..n by tick rank first: eviction compares
+  /// ticks only, so ranks pick the same victims.
+  std::uint32_t next_tick();
   void grow_index();
   void evict_one();
   /// Removes the entry at `position`: backward-shift deletes its index
@@ -261,7 +265,7 @@ class SignalTable {
   /// Capacity 0 or a power of two, at most 1/2 full.
   std::vector<std::uint32_t> index_;
   int shift_ = 64;
-  std::uint64_t tick_ = 0;
+  std::uint32_t tick_ = 0;
   std::uint64_t evictions_ = 0;
   /// Indexed by group id; empty until the first eviction.
   std::vector<GroupAggregate> groups_;

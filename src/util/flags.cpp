@@ -89,6 +89,24 @@ std::optional<double> parse_finite(std::string_view text) {
   return value;
 }
 
+double parse_spec_number(std::string_view field, std::string_view spec) {
+  const std::optional<double> value = parse_finite(field);
+  if (!value) {
+    throw std::invalid_argument("spec '" + std::string(spec) + "': '" + std::string(field) +
+                                "' is not a number");
+  }
+  return *value;
+}
+
+std::uint64_t parse_spec_count(std::string_view field, std::string_view spec, std::uint64_t max) {
+  const double value = parse_spec_number(field, spec);
+  if (!(value >= 0.0 && value <= static_cast<double>(max) && value == std::floor(value))) {
+    throw std::invalid_argument("spec '" + std::string(spec) + "': '" + std::string(field) +
+                                "' is not a whole number in [0, " + std::to_string(max) + "]");
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
 std::optional<std::string> Flags::get(std::string_view name) const {
   if (const auto it = values_.find(name); it != values_.end()) return it->second;
   // BRB_* env vars are explicit run configuration — the same input class as

@@ -78,6 +78,15 @@ std::optional<std::uint64_t> parse_decimal(std::string_view text);
 /// ("0.7", "-2", "1e3"; not "0.7x", "nan" or "inf"). nullopt otherwise.
 std::optional<double> parse_finite(std::string_view text);
 
+/// Parses `field`, one numeric field of the workload spec `spec`, whole
+/// as parse_finite does; throws std::invalid_argument naming the field
+/// and the spec otherwise.
+double parse_spec_number(std::string_view field, std::string_view spec);
+
+/// parse_spec_number for a count: a whole number in [0, max] ("100000",
+/// "1e5"; not "1e5x", "2.5" or "-1").
+std::uint64_t parse_spec_count(std::string_view field, std::string_view spec, std::uint64_t max);
+
 /// Damerau-ish edit distance for did-you-mean hints (insert, delete,
 /// substitute; no transposition). Exposed for tests.
 std::size_t edit_distance(std::string_view a, std::string_view b);

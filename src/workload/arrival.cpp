@@ -4,6 +4,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "util/flags.hpp"
+
 namespace brb::workload {
 
 PoissonArrivals::PoissonArrivals(double rate_per_sec) : rate_(rate_per_sec) {
@@ -98,13 +100,7 @@ std::unique_ptr<ArrivalProcess> make_arrival_process(const std::string& spec,
   std::vector<std::string> parts;
   std::stringstream ss(spec);
   for (std::string part; std::getline(ss, part, ':');) parts.push_back(part);
-  const auto number = [&](std::size_t i) {
-    try {
-      return std::stod(parts.at(i));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("make_arrival_process: bad field in '" + spec + "'");
-    }
-  };
+  const auto number = [&](std::size_t i) { return util::parse_spec_number(parts.at(i), spec); };
   if (parts[0] == "diurnal") {
     if (parts.size() != 4) {
       throw std::invalid_argument("make_arrival_process: expected diurnal:LOW:HIGH:PERIOD_S");
@@ -119,12 +115,7 @@ std::unique_ptr<ArrivalProcess> make_arrival_process(const std::string& spec,
     std::vector<double> multipliers;
     std::stringstream ms(parts[1]);
     for (std::string m; std::getline(ms, m, ',');) {
-      if (m.empty()) continue;
-      try {
-        multipliers.push_back(std::stod(m));
-      } catch (const std::exception&) {
-        throw std::invalid_argument("make_arrival_process: bad step '" + m + "'");
-      }
+      if (!m.empty()) multipliers.push_back(util::parse_spec_number(m, spec));
     }
     return std::make_unique<ModulatedArrivals>(
         rate_per_sec,

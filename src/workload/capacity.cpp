@@ -1,5 +1,6 @@
 #include "workload/capacity.hpp"
 
+#include <limits>
 #include <sstream>
 
 #include "util/flags.hpp"
@@ -19,7 +20,8 @@ void validate_classes(const std::vector<ServerClass>& classes) {
   }
 }
 
-ServerClass parse_class(const std::string& part) {
+/// One class of the profile `spec`.
+ServerClass parse_class(const std::string& part, const std::string& spec) {
   // COUNTxCORESxRATE, e.g. "6x4x3500".
   std::vector<std::string> fields;
   std::stringstream ss(part);
@@ -27,14 +29,14 @@ ServerClass parse_class(const std::string& part) {
   if (fields.size() != 3) {
     throw std::invalid_argument("ClusterSpec: expected COUNTxCORESxRATE, got '" + part + "'");
   }
+  const auto whole = [&](const std::string& field) {
+    return static_cast<std::uint32_t>(
+        util::parse_spec_count(field, spec, std::numeric_limits<std::uint32_t>::max()));
+  };
   ServerClass c;
-  try {
-    c.count = static_cast<std::uint32_t>(std::stoul(fields[0]));
-    c.cores = static_cast<std::uint32_t>(std::stoul(fields[1]));
-    c.rate_per_core = std::stod(fields[2]);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("ClusterSpec: non-numeric field in '" + part + "'");
-  }
+  c.count = whole(fields[0]);
+  c.cores = whole(fields[1]);
+  c.rate_per_core = util::parse_spec_number(fields[2], spec);
   return c;
 }
 
@@ -87,7 +89,7 @@ ClusterSpec ClusterSpec::parse(const std::string& spec) {
   const std::string body = spec.substr(colon + 1);
   ClusterSpec out;
   if (kind == "uniform") {
-    const ServerClass c = parse_class(body);
+    const ServerClass c = parse_class(body, spec);
     validate_classes({c});
     out.num_servers = c.count;
     out.cores_per_server = c.cores;
@@ -97,7 +99,9 @@ ClusterSpec ClusterSpec::parse(const std::string& spec) {
   if (kind != "hetero") {
     throw std::invalid_argument("ClusterSpec: unknown profile kind '" + kind + "'");
   }
-  for (const std::string& part : util::split_list(body)) out.classes.push_back(parse_class(part));
+  for (const std::string& part : util::split_list(body)) {
+    out.classes.push_back(parse_class(part, spec));
+  }
   validate_classes(out.classes);
   if (out.classes.empty()) throw std::invalid_argument("ClusterSpec: empty hetero profile");
   std::uint64_t total = 0;

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <vector>
+
+#include "util/flags.hpp"
 
 namespace brb::workload {
 
@@ -101,18 +104,23 @@ std::unique_ptr<FanoutDistribution> make_fanout_distribution(const std::string& 
   for (std::string item; std::getline(ss, item, ':');) parts.push_back(item);
   if (parts.empty()) throw std::invalid_argument("make_fanout_distribution: empty spec");
   const auto arg = [&](std::size_t i, double fallback) {
-    return parts.size() > i ? std::stod(parts[i]) : fallback;
+    return parts.size() > i ? util::parse_spec_number(parts[i], spec) : fallback;
+  };
+  const auto count = [&](std::size_t i, std::uint32_t fallback) {
+    return parts.size() > i ? static_cast<std::uint32_t>(util::parse_spec_count(
+                                  parts[i], spec, std::numeric_limits<std::uint32_t>::max()))
+                            : fallback;
   };
   const std::string& kind = parts[0];
   if (kind == "fixed") {
-    return std::make_unique<FixedFanout>(static_cast<std::uint32_t>(arg(1, 8)));
+    return std::make_unique<FixedFanout>(count(1, 8));
   }
   if (kind == "geometric") {
     return std::make_unique<GeometricFanout>(arg(1, 8.6));
   }
   if (kind == "lognormal") {
-    return std::make_unique<LogNormalFanout>(LogNormalFanout::for_mean(
-        arg(1, 8.6), arg(2, 0.8), static_cast<std::uint32_t>(arg(3, 1024))));
+    return std::make_unique<LogNormalFanout>(
+        LogNormalFanout::for_mean(arg(1, 8.6), arg(2, 0.8), count(3, 1024)));
   }
   throw std::invalid_argument("make_fanout_distribution: unknown kind: " + kind);
 }

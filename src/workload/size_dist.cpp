@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <vector>
+
+#include "util/flags.hpp"
 
 namespace brb::workload {
 
@@ -129,24 +132,26 @@ std::unique_ptr<SizeDistribution> make_size_distribution(const std::string& spec
   if (parts.empty()) throw std::invalid_argument("make_size_distribution: empty spec");
   const std::string& kind = parts[0];
   const auto arg = [&](std::size_t i, double fallback) {
-    return parts.size() > i ? std::stod(parts[i]) : fallback;
+    return parts.size() > i ? util::parse_spec_number(parts[i], spec) : fallback;
+  };
+  // Sizes and caps in bytes.
+  const auto bytes = [&](std::size_t i, std::uint32_t fallback) {
+    return parts.size() > i ? static_cast<std::uint32_t>(util::parse_spec_count(
+                                  parts[i], spec, std::numeric_limits<std::uint32_t>::max()))
+                            : fallback;
   };
   if (kind == "gpareto") {
     return std::make_unique<GeneralizedParetoSizeDist>(arg(1, 0.0), arg(2, 214.476),
-                                                       arg(3, 0.348238),
-                                                       static_cast<std::uint32_t>(arg(4, 1 << 20)));
+                                                       arg(3, 0.348238), bytes(4, 1 << 20));
   }
   if (kind == "fixed") {
-    return std::make_unique<FixedSizeDist>(static_cast<std::uint32_t>(arg(1, 1024)));
+    return std::make_unique<FixedSizeDist>(bytes(1, 1024));
   }
   if (kind == "bpareto") {
-    return std::make_unique<BoundedParetoSizeDist>(arg(1, 1.2),
-                                                   static_cast<std::uint32_t>(arg(2, 64)),
-                                                   static_cast<std::uint32_t>(arg(3, 1 << 20)));
+    return std::make_unique<BoundedParetoSizeDist>(arg(1, 1.2), bytes(2, 64), bytes(3, 1 << 20));
   }
   if (kind == "lognormal") {
-    return std::make_unique<LogNormalSizeDist>(arg(1, 5.0), arg(2, 1.0),
-                                               static_cast<std::uint32_t>(arg(3, 1 << 20)));
+    return std::make_unique<LogNormalSizeDist>(arg(1, 5.0), arg(2, 1.0), bytes(3, 1 << 20));
   }
   throw std::invalid_argument("make_size_distribution: unknown kind: " + kind);
 }

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/flags.hpp"
+
 namespace brb::workload {
 
 Dataset::Dataset(std::uint64_t num_keys, const SizeDistribution& sizes, util::Rng rng) {
@@ -48,15 +50,7 @@ std::vector<TenantMix> parse_tenant_mixes(const std::string& spec) {
       }
       const std::string key = field.substr(0, eq);
       const std::string value = field.substr(eq + 1);
-      // stod failures get field context here; the nested distribution
-      // factories already throw self-describing invalid_arguments.
-      const auto number = [&] {
-        try {
-          return std::stod(value);
-        } catch (const std::exception&) {
-          throw std::invalid_argument("parse_tenant_mixes: bad value in '" + field + "'");
-        }
-      };
+      const auto number = [&] { return util::parse_spec_number(value, spec); };
       if (key == "share") {
         mix.share = number();
       } else if (key == "fanout") {

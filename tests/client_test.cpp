@@ -23,10 +23,10 @@ using sim::Duration;
 using sim::Time;
 
 /// Single-mode endpoint over one replica rule.
-std::unique_ptr<ctrl::DispatchEndpoint> single_endpoint(const std::string& rule) {
-  return std::make_unique<ctrl::DispatchEndpoint>(
+ctrl::DispatchEndpoint single_endpoint(const std::string& rule) {
+  return ctrl::DispatchEndpoint(
       ctrl::SignalTableConfig{},
-      ctrl::make_dispatch_policy(rule, {}, {}, false, Duration::millis(1), util::Rng(99)),
+      *ctrl::make_dispatch_policy(rule, {}, {}, false, Duration::millis(1), util::Rng(99)),
       util::Rng(99), store::TenantId{0});
 }
 
@@ -41,22 +41,23 @@ struct ClientFixture {
   std::vector<OutboundRequest> sent;
   std::vector<std::pair<store::TaskId, Duration>> completed_tasks;
   std::vector<Duration> completed_requests;
+  AppClient::NetworkSendFn capture = [this](const OutboundRequest& out) { sent.push_back(out); };
+  AppClient::Hooks hooks;
 
   explicit ClientFixture(const std::string& policy_name, AppClient::Config config = {})
       : policy(policy::make_priority_policy(policy_name)) {
     client = std::make_unique<AppClient>(
         simulator, config, partitioner, cost_model,
         single_endpoint("first"), *policy,
-        std::make_unique<DispatchGate>(), util::Rng(1), book);
-    client->set_network_send([this](const OutboundRequest& out) { sent.push_back(out); });
-    AppClient::Hooks hooks;
+        DispatchGate(), util::Rng(1), book);
+    client->set_network_send(&capture);
     hooks.on_task_complete = [this](const workload::TaskSpec& task, Duration latency) {
       completed_tasks.emplace_back(task.id, latency);
     };
     hooks.on_request_complete = [this](Duration latency) {
       completed_requests.push_back(latency);
     };
-    client->set_hooks(hooks);
+    client->set_hooks(&hooks);
   }
 
   workload::TaskSpec task(store::TaskId id, std::vector<store::KeyId> keys,
@@ -250,8 +251,11 @@ TEST(AppClient, PerRequestSelectionMode) {
   RequestBook book;
   AppClient client(simulator, config, partitioner, cost_model,
                    single_endpoint("round-robin"), fifo,
-                   std::make_unique<DispatchGate>(), util::Rng(2), book);
-  client.set_network_send([&sent](const OutboundRequest& out) { sent.push_back(out); });
+                   DispatchGate(), util::Rng(2), book);
+  const AppClient::NetworkSendFn capture = [&sent](const OutboundRequest& out) {
+    sent.push_back(out);
+  };
+  client.set_network_send(&capture);
   workload::TaskSpec task;
   task.id = 1;
   task.requests = {{0, 10}, {1, 10}, {2, 10}};
@@ -328,14 +332,16 @@ TEST(AppClient, ReentrantSubmitOnSharedScratchThrows) {
   config.id = 1;
   AppClient other(f.simulator, config, f.partitioner, f.cost_model,
                   single_endpoint("first"), *f.policy,
-                  std::make_unique<DispatchGate>(), util::Rng(3), f.book);
-  other.set_network_send([](const OutboundRequest&) {});
+                  DispatchGate(), util::Rng(3), f.book);
+  const AppClient::NetworkSendFn drop = [](const OutboundRequest&) {};
+  other.set_network_send(&drop);
   bool reentered = false;
-  f.client->set_network_send([&](const OutboundRequest&) {
+  const AppClient::NetworkSendFn reenter = [&](const OutboundRequest&) {
     if (reentered) return;
     reentered = true;
     other.submit(f.task(2, {5}));
-  });
+  };
+  f.client->set_network_send(&reenter);
   EXPECT_THROW(f.client->submit(f.task(1, {0, 1})), std::logic_error);
   EXPECT_TRUE(reentered);
   EXPECT_FALSE(f.book.in_use);
@@ -353,9 +359,12 @@ TEST(AppClient, RepeatedTaskIdThrowsPerClientOnly) {
   config.id = 1;
   AppClient other(f.simulator, config, f.partitioner, f.cost_model,
                   single_endpoint("first"), *f.policy,
-                  std::make_unique<DispatchGate>(), util::Rng(3), f.book);
+                  DispatchGate(), util::Rng(3), f.book);
   std::vector<OutboundRequest> other_sent;
-  other.set_network_send([&](const OutboundRequest& out) { other_sent.push_back(out); });
+  const AppClient::NetworkSendFn capture = [&](const OutboundRequest& out) {
+    other_sent.push_back(out);
+  };
+  other.set_network_send(&capture);
   f.client->submit(f.task(7, {0}));
   EXPECT_THROW(f.client->submit(f.task(7, {1})), std::logic_error);
   EXPECT_NO_THROW(other.submit(f.task(7, {2})));
@@ -404,7 +413,7 @@ TEST(AppClient, StaleBogusAndForeignRequestIdsThrow) {
   config.id = 1;
   AppClient other(f.simulator, config, f.partitioner, f.cost_model,
                   single_endpoint("first"), *f.policy,
-                  std::make_unique<DispatchGate>(), util::Rng(3), f.book);
+                  DispatchGate(), util::Rng(3), f.book);
   EXPECT_THROW(other.on_response(f.response_for(f.sent[1])), std::logic_error);
   f.client->on_response(f.response_for(f.sent[1]));
   EXPECT_EQ(f.client->in_flight(), 0u);
@@ -421,13 +430,16 @@ TEST(AppClient, SharedBookIsSizedByFleetLivePeak) {
   ClientFixture f("equalmax");
   std::vector<std::unique_ptr<AppClient>> clients;
   std::vector<OutboundRequest> sent;
+  const AppClient::NetworkSendFn capture = [&sent](const OutboundRequest& out) {
+    sent.push_back(out);
+  };
   for (std::uint32_t c = 0; c < kClients; ++c) {
     AppClient::Config config;
     config.id = c + 1;
     clients.push_back(std::make_unique<AppClient>(
         f.simulator, config, f.partitioner, f.cost_model, single_endpoint("first"), *f.policy,
-        std::make_unique<DispatchGate>(), util::Rng(c), f.book));
-    clients.back()->set_network_send([&sent](const OutboundRequest& out) { sent.push_back(out); });
+        DispatchGate(), util::Rng(c), f.book));
+    clients.back()->set_network_send(&capture);
   }
   std::vector<store::KeyId> keys(kFanout);
   for (store::KeyId k = 0; k < kFanout; ++k) keys[k] = k;

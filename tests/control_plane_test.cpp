@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -25,6 +26,17 @@
 #include "util/rng.hpp"
 
 namespace brb {
+
+namespace ctrl {
+/// Test access to a SignalTable's LRU counter, so a short history can
+/// cross the 32-bit wrap.
+class SignalTableTestPeer {
+ public:
+  static void set_tick(SignalTable& table, std::uint32_t tick) { table.tick_ = tick; }
+  static std::uint32_t tick(const SignalTable& table) { return table.tick_; }
+};
+}  // namespace ctrl
+
 namespace {
 
 using sim::Duration;
@@ -75,7 +87,6 @@ TEST(SignalTable, EwmaSeedsThenBlends) {
   EXPECT_DOUBLE_EQ(blended.ewma_response_ns,
                    util::ewma_update(1'000'000.0, 0.5, 2'000'000.0));
   EXPECT_DOUBLE_EQ(blended.ewma_queue, util::ewma_update(4.0, 0.5, 8.0));
-  EXPECT_EQ(blended.last_queue_length, 8u);
 }
 
 TEST(SignalTable, UnseenServersReadAsZero) {
@@ -161,8 +172,6 @@ TEST(SparseSignalTable, BitIdenticalToDenseWhenCapCoversFleet) {
     ASSERT_EQ(d.ewma_queue, s.ewma_queue) << "round " << round;
     ASSERT_EQ(d.ewma_service_time_ns, s.ewma_service_time_ns) << "round " << round;
     ASSERT_EQ(d.credit_balance, s.credit_balance) << "round " << round;
-    ASSERT_EQ(d.last_queue_length, s.last_queue_length) << "round " << round;
-    ASSERT_EQ(d.last_service_rate, s.last_service_rate) << "round " << round;
     ASSERT_EQ(d.last_feedback_ns, s.last_feedback_ns) << "round " << round;
   }
   ASSERT_TRUE(sparse.config().sparse);
@@ -275,8 +284,9 @@ TEST(SparseSignalTable, PinnedEntriesSurviveTheCap) {
 }
 
 /// Brute-force reference for the differential fuzz below: the earlier
-/// single-array store — 96-byte slots holding the entries themselves,
-/// found by linear probing, evicting by a scan over the slots.
+/// single-array store — slots holding the entries themselves, found by
+/// linear probing, evicting by a scan over the slots, with a 64-bit LRU
+/// counter that never wraps.
 class SlotTableReference {
  public:
   SlotTableReference(double ewma_alpha, std::uint32_t entry_cap, std::uint32_t group_size)
@@ -292,8 +302,6 @@ class SlotTableReference {
     Entry& e = touch(server);
     if (e.outstanding > 0) --e.outstanding;
     e.pending_cost_ns = std::max<std::int64_t>(0, e.pending_cost_ns - expected_cost.count_nanos());
-    e.last_queue_length = feedback.queue_length;
-    e.last_service_rate = feedback.service_rate;
     e.last_feedback_ns = at.count_nanos();
     const double rtt_ns = static_cast<double>(rtt.count_nanos());
     const double queue = static_cast<double>(feedback.queue_length);
@@ -330,8 +338,6 @@ class SlotTableReference {
       s.outstanding = e->outstanding;
       s.pending_cost_ns = e->pending_cost_ns;
       s.credit_balance = e->credit_balance;
-      s.last_queue_length = e->last_queue_length;
-      s.last_service_rate = e->last_service_rate;
       s.last_feedback_ns = e->last_feedback_ns;
     } else if (const Group* g = group_of(server)) {
       s.seen = true;
@@ -357,8 +363,6 @@ class SlotTableReference {
     double ewma_queue = 0.0;
     double ewma_service_ns = 0.0;
     double credit_balance = 0.0;
-    std::uint32_t last_queue_length = 0;
-    double last_service_rate = 0.0;
   };
   struct Group {
     std::uint64_t folds = 0;
@@ -526,8 +530,6 @@ void fuzz_against_reference(ctrl::SignalTable& table, SlotTableReference& ref,
       ASSERT_EQ(got.ewma_queue, want.ewma_queue) << where();
       ASSERT_EQ(got.ewma_service_time_ns, want.ewma_service_time_ns) << where();
       ASSERT_EQ(got.credit_balance, want.credit_balance) << where();
-      ASSERT_EQ(got.last_queue_length, want.last_queue_length) << where();
-      ASSERT_EQ(got.last_service_rate, want.last_service_rate) << where();
       ASSERT_EQ(got.last_feedback_ns, want.last_feedback_ns) << where();
       // The single-signal readers answer exactly what the row snapshot does.
       ASSERT_EQ(table.seen(s), want.seen) << where();
@@ -559,6 +561,37 @@ TEST(SparseSignalTableFuzz, MatchesSlotTableReferenceOnEveryRead) {
       EXPECT_GT(coverage.max_size, static_cast<std::size_t>(cap)) << "cap " << cap;
       EXPECT_GT(coverage.group_answers, 0u) << "cap " << cap;
     }
+  }
+}
+
+TEST(SparseSignalTable, LruTickWrapKeepsEvictionOrder) {
+  // Servers 0, 1, 2 fill a cap-3 window and 0 is touched again, so the
+  // LRU order (1, 2, 0) differs from the entry order (0, 1, 2). With
+  // the 32-bit counter spent, touching 2 renumbers the ticks by rank;
+  // inserting 3 must then evict 1, as the reference's 64-bit counter
+  // does.
+  ctrl::SignalTable table = windowed_table(/*ewma_alpha=*/0.5, /*cap=*/3, /*group_size=*/4);
+  SlotTableReference ref(/*ewma_alpha=*/0.5, /*entry_cap=*/3, /*group_size=*/4);
+  const auto respond = [&](store::ServerId s) {
+    const Duration rtt = Duration::micros(100 * (s + 1));
+    table.on_response(s, feedback(1, 10'000.0), rtt, Duration::zero(), Time::nanos(7));
+    ref.on_response(s, feedback(1, 10'000.0), rtt, Duration::zero(), Time::nanos(7));
+  };
+  for (const store::ServerId s : {0u, 1u, 2u, 0u}) respond(s);
+  ctrl::SignalTableTestPeer::set_tick(table, std::numeric_limits<std::uint32_t>::max());
+  respond(2);
+  respond(3);
+
+  // Renumbered 1..3, then 2 took 4 and the new entry for 3 took 5.
+  EXPECT_EQ(ctrl::SignalTableTestPeer::tick(table), 5u);
+  EXPECT_EQ(table.evictions(), 1u);
+  EXPECT_EQ(table.last_feedback_ns(1), -1);  // evicted into its group
+  for (store::ServerId s = 0; s < 8; ++s) {
+    const ctrl::SignalTable::Signals want = ref.of(s);
+    const ctrl::SignalTable::Signals got = table.of(s);
+    EXPECT_EQ(got.seen, want.seen) << "server " << s;
+    EXPECT_EQ(got.ewma_response_ns, want.ewma_response_ns) << "server " << s;
+    EXPECT_EQ(got.last_feedback_ns, want.last_feedback_ns) << "server " << s;
   }
 }
 
@@ -791,18 +824,18 @@ TEST(PolicyRuntime, SwitchesAtEpochAndKeepsSignals) {
   ctrl::PolicyRuntime runtime(sim, config);
   ASSERT_EQ(runtime.num_epochs(), 1u);
 
-  const auto selector = runtime.bind_client(0, store::TenantId{0}, util::Rng(3));
-  EXPECT_EQ(selector->name(), "round-robin");
-  selector->on_send(7, Duration::micros(100));
-  runtime.start();
+  ctrl::DispatchEndpoint selector = runtime.make_endpoint(store::TenantId{0}, util::Rng(3));
+  EXPECT_EQ(selector.name(), "round-robin");
+  selector.on_send(7, Duration::micros(100));
+  runtime.start({&selector});
 
   sim.schedule_at(Time::seconds(3.0), [&sim] { sim.stop(); });
   sim.run();
 
-  EXPECT_EQ(selector->name(), "least-outstanding");
+  EXPECT_EQ(selector.name(), "least-outstanding");
   EXPECT_EQ(runtime.switches_applied(), 1u);
   // The accumulated signals survived the swap.
-  EXPECT_EQ(runtime.signals_of(0).outstanding(7), 1u);
+  EXPECT_EQ(selector.signals().outstanding(7), 1u);
 }
 
 TEST(PolicyRuntime, TenantScopedSwitchTouchesOnlyThatTenant) {
@@ -812,13 +845,13 @@ TEST(PolicyRuntime, TenantScopedSwitchTouchesOnlyThatTenant) {
   config.switch_spec = "1s:batch:random";
   config.tenants = {"interactive", "batch"};
   ctrl::PolicyRuntime runtime(sim, config);
-  const auto fg = runtime.bind_client(0, store::TenantId{0}, util::Rng(1));
-  const auto bg = runtime.bind_client(1, store::TenantId{1}, util::Rng(2));
-  runtime.start();
+  ctrl::DispatchEndpoint fg = runtime.make_endpoint(store::TenantId{0}, util::Rng(1));
+  ctrl::DispatchEndpoint bg = runtime.make_endpoint(store::TenantId{1}, util::Rng(2));
+  runtime.start({&fg, &bg});
   sim.schedule_at(Time::seconds(2.0), [&sim] { sim.stop(); });
   sim.run();
-  EXPECT_EQ(fg->name(), "round-robin");
-  EXPECT_EQ(bg->name(), "random");
+  EXPECT_EQ(fg.name(), "round-robin");
+  EXPECT_EQ(bg.name(), "random");
   EXPECT_EQ(runtime.switches_applied(), 1u);
 }
 

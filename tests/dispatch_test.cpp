@@ -525,12 +525,12 @@ TEST(PolicyRuntimeDispatch, ModeEpochRebindsKeepingPolicyAxis) {
   config.default_policy = "round-robin";
   config.switch_spec = "1s:tied";
   ctrl::PolicyRuntime runtime(sim, config);
-  const auto endpoint = runtime.bind_client(0, store::TenantId{0}, util::Rng(3));
-  EXPECT_EQ(endpoint->name(), "round-robin");
-  runtime.start();
+  ctrl::DispatchEndpoint endpoint = runtime.make_endpoint(store::TenantId{0}, util::Rng(3));
+  EXPECT_EQ(endpoint.name(), "round-robin");
+  runtime.start({&endpoint});
   sim.schedule_at(Time::seconds(2.0), [&sim] { sim.stop(); });
   sim.run();
-  EXPECT_EQ(endpoint->name(), "tied(round-robin)");
+  EXPECT_EQ(endpoint.name(), "tied(round-robin)");
   EXPECT_EQ(runtime.switches_applied(), 1u);
 }
 

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -206,6 +207,54 @@ TEST(ConfigTable, MalformedValuesThrow) {
                std::invalid_argument);
   // 2^32-1 still fits a 32-bit row.
   EXPECT_EQ(cli::config_from_flags(flags_of({"--clients=4294967295"})).num_clients, 4294967295u);
+}
+
+TEST(ConfigTable, WorkloadSpecNumbersParseWhole) {
+  // Each numeric field of a workload spec parses whole, and the error
+  // names both the flag and the spec.
+  for (const std::string arg :
+       {"--keys=zipf:1e5x:0.9", "--keys=zipf:abc", "--keys=uniform:-5", "--fanout=lognormal:abc",
+        "--fanout=fixed:2.5", "--sizes=gpareto:x", "--sizes=fixed:1kb",
+        "--arrivals=diurnal:0.5:x:60", "--arrivals=steps:1,2y:10",
+        "--cluster=hetero:6x4x3500,3.5x8x7000", "--cluster=uniform:3x2x1e3z"}) {
+    const std::size_t eq = arg.find('=');
+    try {
+      cli::config_from_flags(flags_of({arg}));
+      ADD_FAILURE() << arg << " parsed";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("flag " + arg.substr(0, eq)), std::string::npos) << message;
+      EXPECT_NE(message.find(arg.substr(eq + 1)), std::string::npos) << message;
+    }
+  }
+  // Whole numbers still parse, exponents included.
+  EXPECT_EQ(cli::config_from_flags(flags_of({"--keys=zipf:1e5:0.9"})).key_spec, "zipf:1e5:0.9");
+  EXPECT_EQ(cli::config_from_flags(flags_of({"--cluster=uniform:3x2x1e3"})).cluster.num_servers,
+            3u);
+}
+
+/// Runs brbsim on `args`; returns its exit code and what it wrote to
+/// stderr.
+std::pair<int, std::string> run_brbsim(const std::vector<std::string>& args) {
+  std::vector<const char*> argv = {"brbsim"};
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  const int code = cli::run_brbsim(static_cast<int>(argv.size()), argv.data());
+  ::testing::internal::GetCapturedStdout();
+  return {code, ::testing::internal::GetCapturedStderr()};
+}
+
+TEST(Driver, PlanRejectsBadWorkloadSpecs) {
+  // --plan runs nothing, but each workload spec is still built once at
+  // flag parsing: a bad one exits 1 and names its flag.
+  for (const std::string arg : {"--keys=zipf:abc", "--fanout=bogus", "--sizes=gpareto:x",
+                                "--arrivals=sawtooth:1", "--cluster=hetero:axbxc"}) {
+    const auto [code, err] = run_brbsim({"--scenario=paper", arg, "--plan"});
+    EXPECT_EQ(code, 1) << arg;
+    EXPECT_NE(err.find("flag " + arg.substr(0, arg.find('='))), std::string::npos) << err;
+  }
+  EXPECT_EQ(run_brbsim({"--scenario=paper", "--fanout=fixed:4", "--plan"}).first, 0);
 }
 
 TEST(ConfigTable, UsageListsEveryFlagOnce) {
