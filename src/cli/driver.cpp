@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -112,6 +113,7 @@ void parse_into(const util::Flags& flags, const ConfigFlag& row, ScenarioConfig&
             throw std::invalid_argument(flag + ": must be <= " +
                                         std::to_string(std::numeric_limits<T>::max()));
           }
+          if (row.positive && value == 0) throw std::invalid_argument(flag + ": must be > 0");
           field(config) = static_cast<T>(value);
         } else if constexpr (std::is_same_v<T, std::string>) {
           field(config) = flags.get_string(row.name, "");
@@ -193,7 +195,7 @@ const std::vector<ConfigFlag>& config_flags() {
        .field = &at<&Cfg::cluster>, .json = "cluster", .case_slot = 4,
        .conflicts = "servers,cores,rate", .recorded = true},
       {.name = "replication", .arg = "R", .help = "replicas per key",
-       .field = &at<&Cfg::replication>, .json = "replication", .case_slot = 6},
+       .field = &at<&Cfg::replication>, .json = "replication", .case_slot = 6, .positive = true},
       {.name = "clients", .arg = "N", .help = "client processes", .field = &at<&Cfg::num_clients>,
        .json = "clients", .recorded = true},
       {.name = "tasks", .arg = "N", .help = "tasks per run (60000; 500000 at paper scale)",
@@ -423,8 +425,48 @@ ScenarioConfig config_from_flags(const util::Flags& flags) {
     }
     parse_into(flags, row, config);
   }
-  core::validate(config);
+  // A scenario preset may still resize the fleet (large-cluster's 100
+  // servers), so the replication factor meets the fleet only in each
+  // expanded case (build_sweep_plan).
+  ScenarioConfig unsized = config;
+  unsized.replication = 1;
+  core::validate(unsized);
   return config;
+}
+
+std::string set_config_flag(ScenarioConfig& config, std::string_view name,
+                            const std::string& value) {
+  const ConfigFlag* row = find_config_flag(name);
+  if (row == nullptr) throw std::logic_error("no config flag --" + std::string(name));
+  const std::string arg = "--" + std::string(name) + "=" + value;
+  const char* argv[] = {"brbsim", arg.c_str()};
+  parse_into(util::Flags(2, argv), *row, config);
+  std::ostringstream text;
+  std::visit(
+      [&](auto field) {
+        const auto& parsed = field(config);
+        using T = std::remove_cvref_t<decltype(parsed)>;
+        if constexpr (std::is_same_v<T, sim::Duration>) {
+          text << static_cast<double>(parsed.count_nanos()) / row->unit_ns;
+        } else if constexpr (std::is_same_v<T, Cluster>) {
+          text << parsed.describe();
+        } else {
+          text << parsed;
+        }
+      },
+      row->field);
+  return text.str();
+}
+
+bool config_flag_set(const util::Flags& flags, std::string_view name) {
+  for (const ConfigFlag& row : config_flags()) {
+    for (const std::string& other : util::split_list(row.conflicts)) {
+      if ((row.name == name && flags.get(other)) || (other == name && flags.get(row.name))) {
+        return true;
+      }
+    }
+  }
+  return flags.get(name).has_value();
 }
 
 std::vector<std::uint64_t> seeds_from_flags(const util::Flags& flags,

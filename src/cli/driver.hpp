@@ -49,10 +49,10 @@ struct ConfigFlag {
   template <typename T>
   using Ref = T& (*)(core::ScenarioConfig&);
   /// The field the flag sets. Each type has one strict parser: integers
-  /// are whole decimals (at most 2^32-1 for 32-bit fields), reals and
-  /// durations are finite and >= 0, switches take
-  /// 1/0/true/false/yes/no/on/off, text must be non-empty, and a
-  /// cluster is a `ClusterSpec` profile.
+  /// are whole decimals (at most 2^32-1 for 32-bit fields, at least 1
+  /// for a `positive` row), reals and durations are finite and >= 0,
+  /// switches take 1/0/true/false/yes/no/on/off, text must be non-empty,
+  /// and a cluster is a `ClusterSpec` profile.
   using Field = std::variant<Ref<std::uint32_t>, Ref<std::uint64_t>, Ref<double>, Ref<bool>,
                              Ref<std::string>, Ref<sim::Duration>, Ref<workload::ClusterSpec>>;
 
@@ -67,6 +67,7 @@ struct ConfigFlag {
   int case_slot = 0;             // position in every case block (0 = config block only)
   std::string_view conflicts{};  // comma list of flags that may not be given with this one
   bool recorded = false;         // read by `--record-trace`
+  bool positive = false;         // an integer field rejects 0
   /// Set when every scenario run overwrites the field: the run-control
   /// flag to use instead.
   std::string_view runs_instead{};
@@ -87,8 +88,19 @@ void validate_flags(const util::Flags& flags);
 
 /// Builds the driver's base config: paper defaults (60k tasks unless
 /// `--paper`), then every config flag set on the command line or in
-/// the environment, then `core::validate`.
+/// the environment, then `core::validate` on all but the replication
+/// factor's fit to the fleet, which `build_sweep_plan` checks per case.
 core::ScenarioConfig config_from_flags(const util::Flags& flags);
+
+/// Parses `value` into config flag `name`'s field with that flag's own
+/// parser, and returns the parsed field as text (`0.70` reads back
+/// `0.7`). Throws std::invalid_argument naming the flag.
+std::string set_config_flag(core::ScenarioConfig& config, std::string_view name,
+                            const std::string& value);
+
+/// True when the command line or the environment sets config flag
+/// `name` or a flag it conflicts with (either side of `conflicts`).
+bool config_flag_set(const util::Flags& flags, std::string_view name);
 
 /// Seed list: `--seed-list=1,5,9` wins, else 1..`--seeds`.
 std::vector<std::uint64_t> seeds_from_flags(const util::Flags& flags,

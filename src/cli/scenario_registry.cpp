@@ -1,11 +1,11 @@
 #include "cli/scenario_registry.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 
+#include "cli/driver.hpp"
 #include "ctrl/dispatch_policy.hpp"
 #include "ctrl/policy_runtime.hpp"
 #include "ctrl/replica_policy.hpp"
@@ -17,16 +17,129 @@ namespace {
 using core::ScenarioConfig;
 using core::SystemKind;
 
-std::vector<ExperimentCase> per_system(const ScenarioConfig& base,
-                                       const std::vector<SystemKind>& systems) {
-  std::vector<ExperimentCase> cases;
-  cases.reserve(systems.size());
-  for (const SystemKind kind : systems) {
-    ScenarioConfig config = base;
-    config.system = kind;
-    cases.push_back({to_string(kind), std::move(config)});
+std::vector<double> doubles_from_flag(const util::Flags& flags, std::string_view name,
+                                      std::vector<double> fallback) {
+  const auto value = flags.get(name);
+  if (!value) return fallback;
+  std::vector<double> out;
+  for (const std::string& part : util::split_list(*value)) {
+    const std::optional<double> number = util::parse_finite(part);
+    if (!number) {
+      throw std::invalid_argument("--" + std::string(name) + ": not a finite number: " + part);
+    }
+    out.push_back(*number);
   }
+  if (out.empty()) throw std::invalid_argument(std::string("--") + std::string(name) +
+                                               ": empty list");
+  return out;
+}
+
+/// Applies one "--flag=value" setting through the flag's own parser.
+void apply_setting(ScenarioConfig& config, const std::string& setting) {
+  const std::size_t eq = setting.find('=');
+  set_config_flag(config, setting.substr(2, eq - 2), setting.substr(eq + 1));
+}
+
+/// `base` with each "--flag=value" preset applied, unless the command
+/// line or the environment sets that flag or one it conflicts with.
+ScenarioConfig with_presets(ScenarioConfig base, const util::Flags& flags,
+                            const std::vector<std::string>& presets) {
+  for (const std::string& preset : presets) {
+    const std::string flag = preset.substr(2, preset.find('=') - 2);
+    if (!config_flag_set(flags, flag)) apply_setting(base, preset);
+  }
+  return base;
+}
+
+/// A swept config field: each value of the list flag (else the
+/// defaults) goes through the config flag's parser, and its case
+/// labels read "<system>@<key>=<parsed value>".
+struct Axis {
+  std::string list;      // expander flag, e.g. "loads"
+  std::string flag;      // config flag it sweeps, e.g. "utilization"
+  std::string key;       // label key, e.g. "util"
+  std::string defaults;  // comma list
+};
+
+/// A reference case outside the grid, with "--flag=value" settings
+/// that always apply.
+struct Fixed {
+  std::string label;
+  SystemKind system;
+  std::vector<std::string> sets;
+};
+
+/// A scenario as data: presets on the base config, then one case per
+/// (axis value, system), framed by fixed reference cases.
+struct Row {
+  std::string name{};
+  std::string summary{};
+  std::vector<std::string> presets{};  // "--flag=value"
+  std::vector<SystemKind> systems{};   // the grid's default systems (none = no grid)
+  std::optional<Axis> axis{};
+  std::vector<Overwrite> overwrites{};  // besides the axis's config flag
+  std::vector<Fixed> before{};          // reference cases ahead of the grid
+  std::vector<Fixed> after{};           // ablations after it, dropped under --systems
+  bool sweeps_systems = true;           // reads --systems in place of `systems`
+  std::string needs{};  // "flag=ARG (hint)": a config flag every case needs
+};
+
+std::vector<ExperimentCase> expand_grid(const Row& row, const ScenarioConfig& base,
+                                        const util::Flags& flags) {
+  if (!row.needs.empty() && !flags.get(row.needs.substr(0, row.needs.find('=')))) {
+    throw std::invalid_argument("scenario " + row.name + " needs --" + row.needs);
+  }
+  const ScenarioConfig preset = with_presets(base, flags, row.presets);
+  std::vector<ExperimentCase> cases;
+  const auto add_fixed = [&](const std::vector<Fixed>& fixed) {
+    for (const Fixed& reference : fixed) {
+      ScenarioConfig config = preset;
+      config.system = reference.system;
+      for (const std::string& setting : reference.sets) apply_setting(config, setting);
+      cases.push_back({reference.label, std::move(config)});
+    }
+  };
+  add_fixed(row.before);
+  const bool systems_given = row.sweeps_systems && flags.get("systems").has_value();
+  const std::vector<SystemKind> systems =
+      row.sweeps_systems ? systems_from_flags(flags, row.systems) : row.systems;
+  std::vector<std::string> values = {""};  // one unswept value without an axis
+  if (row.axis) {
+    values = util::split_list(flags.get(row.axis->list).value_or(row.axis->defaults));
+    if (values.empty()) throw std::invalid_argument("--" + row.axis->list + ": empty list");
+  }
+  for (const std::string& value : values) {
+    ScenarioConfig config = preset;
+    std::string suffix;
+    if (row.axis) {
+      try {
+        suffix = "@" + row.axis->key + "=" + set_config_flag(config, row.axis->flag, value);
+      } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument("--" + row.axis->list + ": " + e.what());
+      }
+    }
+    for (const SystemKind kind : systems) {
+      cases.push_back({to_string(kind) + suffix, config});
+      cases.back().config.system = kind;
+    }
+  }
+  if (!systems_given) add_fixed(row.after);
   return cases;
+}
+
+/// The registry entry of a grid row: its reads and the axis's
+/// overwrite are derived from the row.
+ScenarioSpec grid(Row row) {
+  ScenarioSpec spec{row.name, row.summary, {}, row.overwrites, {}};
+  if (row.axis) {
+    spec.reads.push_back(row.axis->list);
+    spec.overwrites.insert(spec.overwrites.begin(), {row.axis->flag, row.axis->list});
+  }
+  if (row.sweeps_systems) spec.reads.emplace_back("systems");
+  spec.expand = [row = std::move(row)](const ScenarioConfig& base, const util::Flags& flags) {
+    return expand_grid(row, base, flags);
+  };
+  return spec;
 }
 
 /// Figure 2's five systems: C3 against the BRB matrix.
@@ -47,214 +160,35 @@ const std::vector<SystemKind> kMatrixSystems = {
     SystemKind::kCumSlackModel,
 };
 
-std::vector<ExperimentCase> expand_paper(const ScenarioConfig& base, const util::Flags& flags) {
-  return per_system(base, systems_from_flags(flags, kPaperSystems));
-}
-
-std::vector<ExperimentCase> expand_policy_matrix(const ScenarioConfig& base,
-                                                 const util::Flags& flags) {
-  std::vector<ExperimentCase> cases = per_system(base, systems_from_flags(flags, kMatrixSystems));
-  // Selector ablation on the direct BRB system: how much of the tail is
-  // replica-selection quality? Skipped when --systems narrows the
-  // matrix to an explicit set.
-  if (!flags.has("systems")) {
-    for (const char* selector : {"c3", "least-pending-cost", "least-outstanding", "random"}) {
-      ScenarioConfig config = base;
-      config.system = SystemKind::kEqualMaxDirect;
-      config.selector_override = selector;
-      cases.push_back({std::string("equalmax-direct/") + selector, std::move(config)});
-    }
-  }
-  return cases;
-}
-
-std::vector<ExperimentCase> expand_load_sweep(const ScenarioConfig& base,
-                                              const util::Flags& flags) {
-  const std::vector<double> loads =
-      doubles_from_flag(flags, "loads", {0.50, 0.60, 0.70, 0.80, 0.90});
-  const auto systems = systems_from_flags(
-      flags, {SystemKind::kC3, SystemKind::kEqualMaxCredits, SystemKind::kEqualMaxModel});
-  std::vector<ExperimentCase> cases;
-  for (const double util : loads) {
-    for (const SystemKind kind : systems) {
-      ScenarioConfig config = base;
-      config.system = kind;
-      config.utilization = util;
-      std::ostringstream label;
-      label << to_string(kind) << "@util=" << util;
-      cases.push_back({label.str(), std::move(config)});
-    }
-  }
-  return cases;
-}
-
-std::vector<ExperimentCase> expand_fanout_sweep(const ScenarioConfig& base,
-                                                const util::Flags& flags) {
-  // Fan-out ladder: degenerate fan-out 1 up to the skewed log-normal
-  // the paper's workload uses.
-  std::vector<std::string> specs = {
-      "fixed:1",  "fixed:4", "geometric:8.6", "lognormal:8.6:1.0:512", "lognormal:8.6:2.0:512",
-      "fixed:32",
-  };
-  if (const auto custom = flags.get("fanouts")) specs = util::split_list(*custom);
-  const auto systems =
-      systems_from_flags(flags, {SystemKind::kC3, SystemKind::kEqualMaxCredits});
-  std::vector<ExperimentCase> cases;
-  for (const std::string& spec : specs) {
-    for (const SystemKind kind : systems) {
-      ScenarioConfig config = base;
-      config.system = kind;
-      config.fanout_spec = spec;
-      cases.push_back({to_string(kind) + "@fanout=" + spec, std::move(config)});
-    }
-  }
-  return cases;
-}
-
-std::vector<ExperimentCase> expand_large_cluster(const ScenarioConfig& base,
-                                                 const util::Flags& flags) {
-  // Scale sweep target: two orders of magnitude past the paper's 9x18
-  // cluster. The dense-ID engine keeps per-(client,server) state flat,
-  // so this runs as a routine CI case rather than a hash-map stress
-  // test. Explicit --servers / --cluster / --clients / --tasks flags
-  // still win (a --cluster profile fixes the whole fleet shape, so it
-  // must not be partially overwritten here).
-  ScenarioConfig config = base;
-  if (!flags.has("servers") && !flags.has("cluster")) config.cluster.num_servers = 100;
-  if (!flags.has("clients")) config.num_clients = 1000;
-  if (!flags.has("tasks")) config.num_tasks = 100'000;
-  return per_system(config, systems_from_flags(flags, {SystemKind::kEqualMaxCredits,
-                                                       SystemKind::kC3}));
-}
-
-std::vector<ExperimentCase> expand_mega_fleet(const ScenarioConfig& base,
-                                              const util::Flags& flags) {
-  // Million-client scale case: 10k servers x 1M clients — three orders
-  // of magnitude past the paper's fleet on the client axis. The pair
-  // cross-product (1e10) is far past the sparse auto threshold, so the
-  // control plane runs the windowed per-client store with first-touch
-  // credit pairs, and stats default to mergeable sketches so
-  // per-seed artifacts stay O(sketch). Two selection policies on the
-  // fixed FIFO/direct substrate probe the windowed SignalTable under
-  // load; the credits case drives first-touch credits end to end. Runs
-  // as a nightly job under wall/RSS budgets (check_claims.py
-  // --scale-sanity), sharded over the plan layer.
-  ScenarioConfig config = base;
-  if (!flags.has("servers") && !flags.has("cluster")) config.cluster.num_servers = 10'000;
-  if (!flags.has("clients")) config.num_clients = 1'000'000;
-  if (!flags.has("tasks")) config.num_tasks = 1'000'000;
-  if (config.stats_spec.empty()) config.stats_spec = "sketch";
-  std::vector<ExperimentCase> cases;
-  for (const char* policy : {"two-choices", "c3-noderate"}) {
-    ScenarioConfig c = config;
-    c.system = SystemKind::kFifoDirect;
-    c.policy_spec = policy;
-    cases.push_back({policy, std::move(c)});
-  }
-  ScenarioConfig credits = config;
-  credits.system = SystemKind::kEqualMaxCredits;
-  cases.push_back({"equalmax-credits", std::move(credits)});
-  return cases;
-}
-
-std::vector<ExperimentCase> expand_trace_replay(const ScenarioConfig& base,
-                                                const util::Flags& flags) {
-  if (base.trace_path.empty()) {
-    throw std::invalid_argument(
-        "scenario trace-replay needs --trace=PATH (record one with "
-        "brbsim --record-trace=PATH or example_trace_replay)");
-  }
-  return per_system(base,
-                    systems_from_flags(flags, {SystemKind::kC3, SystemKind::kEqualMaxCredits}));
-}
+const std::vector<SystemKind> kC3Credits = {SystemKind::kC3, SystemKind::kEqualMaxCredits};
+const std::vector<SystemKind> kC3CreditsModel = {SystemKind::kC3, SystemKind::kEqualMaxCredits,
+                                                 SystemKind::kEqualMaxModel};
 
 // --------------------------------------------------------------------------
-// Scenario-diversity suite: the workload realism the paper's fixed setup
-// leaves out (heterogeneous fleets, diurnal load, writes, tenancy, skew).
-
-std::vector<ExperimentCase> expand_hetero_servers(const ScenarioConfig& base,
-                                                  const util::Flags& flags) {
-  // Mixed fleet at the paper's 9-server count: six small 4-core boxes
-  // plus three big 8-core boxes at twice the per-core rate. Capacity
-  // planning spreads the same 70% utilization over the mixed fleet.
-  ScenarioConfig config = base;
-  if (!flags.has("cluster")) {
-    config.cluster = workload::ClusterSpec::parse("hetero:6x4x3500,3x8x7000");
-  }
-  return per_system(config,
-                    systems_from_flags(flags, {SystemKind::kC3, SystemKind::kEqualMaxCredits,
-                                               SystemKind::kEqualMaxModel}));
-}
-
-std::vector<ExperimentCase> expand_diurnal(const ScenarioConfig& base,
-                                           const util::Flags& flags) {
-  // Sinusoidal rate envelope swinging 0.5x..1.5x around the mean with
-  // a 1 s period — short enough that even small CI runs cover several
-  // peaks and troughs.
-  ScenarioConfig config = base;
-  if (!flags.has("arrivals")) config.arrival_spec = "diurnal:0.5:1.5:1";
-  return per_system(config,
-                    systems_from_flags(flags, {SystemKind::kC3, SystemKind::kEqualMaxCredits,
-                                               SystemKind::kEqualMaxModel}));
-}
-
-std::vector<ExperimentCase> expand_write_heavy(const ScenarioConfig& base,
-                                               const util::Flags& flags) {
-  const std::vector<double> fractions = doubles_from_flag(flags, "writes", {0.05, 0.20});
-  const auto systems =
-      systems_from_flags(flags, {SystemKind::kC3, SystemKind::kEqualMaxCredits});
-  std::vector<ExperimentCase> cases;
-  for (const double fraction : fractions) {
-    for (const SystemKind kind : systems) {
-      ScenarioConfig config = base;
-      config.system = kind;
-      config.write_fraction = fraction;
-      std::ostringstream label;
-      label << to_string(kind) << "@writes=" << fraction;
-      cases.push_back({label.str(), std::move(config)});
-    }
-  }
-  return cases;
-}
-
-std::vector<ExperimentCase> expand_multi_tenant(const ScenarioConfig& base,
-                                                const util::Flags& flags) {
-  // Two-tenant default: a latency-sensitive foreground mixing with a
-  // heavy batch tenant that also writes. Fairness (per-tenant p99
-  // spread) is the scenario's headline metric.
-  ScenarioConfig config = base;
-  if (!flags.has("tenants")) {
-    config.tenant_spec =
-        "interactive,share=0.7,fanout=lognormal:2.5:1.0:64;"
-        "batch,share=0.3,fanout=lognormal:24:1.5:512,write=0.1";
-  }
-  return per_system(config,
-                    systems_from_flags(flags, {SystemKind::kC3, SystemKind::kEqualMaxCredits}));
-}
+// Code-built scenarios: each varies something a single config flag
+// cannot (a value that builds a key spec, canonical policy labels,
+// endpoints derived from a schedule, two dimensions, one value setting
+// two fields).
 
 std::vector<ExperimentCase> expand_replication_skew(const ScenarioConfig& base,
                                                     const util::Flags& flags) {
   // Reuses the key-distribution layer to skew load across replica
   // groups: Zipf exponent 0 (uniform control) up past 1, at a reduced
   // replication factor so hot groups have little selection freedom.
-  const std::vector<double> skews = doubles_from_flag(flags, "skews", {0.0, 0.9, 1.2});
-  const auto systems =
-      systems_from_flags(flags, {SystemKind::kC3, SystemKind::kEqualMaxCredits});
+  const ScenarioConfig preset = with_presets(base, flags, {"--replication=2"});
+  const auto systems = systems_from_flags(flags, kC3Credits);
   std::vector<ExperimentCase> cases;
-  for (const double skew : skews) {
+  for (const double skew : doubles_from_flag(flags, "skews", {0.0, 0.9, 1.2})) {
+    std::ostringstream spec;
+    if (skew == 0.0) {
+      spec << "uniform:100000";
+    } else {
+      spec << "zipf:100000:" << skew;
+    }
     for (const SystemKind kind : systems) {
-      ScenarioConfig config = base;
+      ScenarioConfig config = preset;
       config.system = kind;
-      if (!flags.has("replication")) config.replication = 2;
-      if (!flags.has("keys")) {
-        std::ostringstream spec;
-        if (skew == 0.0) {
-          spec << "uniform:100000";
-        } else {
-          spec << "zipf:100000:" << skew;
-        }
-        config.key_spec = spec.str();
-      }
+      config.key_spec = spec.str();
       std::ostringstream label;
       label << to_string(kind) << "@skew=" << skew;
       cases.push_back({label.str(), std::move(config)});
@@ -262,10 +196,6 @@ std::vector<ExperimentCase> expand_replication_skew(const ScenarioConfig& base,
   }
   return cases;
 }
-
-// --------------------------------------------------------------------------
-// Control-plane scenarios: the policy runtime's bake-off and mid-run
-// switching cases.
 
 std::vector<ExperimentCase> expand_policy_shootout(const ScenarioConfig& base,
                                                    const util::Flags& flags) {
@@ -276,7 +206,8 @@ std::vector<ExperimentCase> expand_policy_shootout(const ScenarioConfig& base,
   // along as the literature reference.
   std::vector<std::string> names = {"random",      "round-robin",        "least-outstanding",
                                     "two-choices", "least-pending-cost", "c3-noderate"};
-  if (const auto custom = flags.get("policies")) names = util::split_list(*custom);
+  const auto custom = flags.get("policies");
+  if (custom) names = util::split_list(*custom);
   if (names.empty()) throw std::invalid_argument("--policies: empty list");
   std::vector<ExperimentCase> cases;
   for (const std::string& name : names) {
@@ -285,7 +216,7 @@ std::vector<ExperimentCase> expand_policy_shootout(const ScenarioConfig& base,
     config.policy_spec = ctrl::canonical_policy_name(name);
     cases.push_back({config.policy_spec, std::move(config)});
   }
-  if (!flags.has("policies")) {
+  if (!custom) {
     ScenarioConfig config = base;
     config.system = SystemKind::kC3;
     cases.push_back({"c3", std::move(config)});
@@ -397,26 +328,22 @@ std::vector<ExperimentCase> expand_hedging_shootout(const ScenarioConfig& base,
       {"diurnal", "diurnal:0.5:1.5:1"},
   };
 
+  const ScenarioConfig preset = with_presets(base, flags, {"--servers=100", "--clients=1000"});
   std::vector<ExperimentCase> cases;
   for (const Workload& workload : workloads) {
     for (const std::string& mode_spec : modes) {
       // Parse for validation + canonical labels ("hedge" -> "hedge:q95").
       const ctrl::DispatchModeConfig mode = ctrl::parse_dispatch_mode(mode_spec);
-      ScenarioConfig config = base;
+      ScenarioConfig config = preset;
       config.system = SystemKind::kFifoDirect;
       config.policy_spec = "c3-noderate";
       config.dispatch_spec = mode.is_single() ? "" : mode.canonical();
-      if (!flags.has("servers") && !flags.has("cluster")) config.cluster.num_servers = 100;
-      if (!flags.has("clients")) config.num_clients = 1000;
       config.arrival_spec = workload.arrival_spec;
       cases.push_back({workload.label + "/" + mode.canonical(), std::move(config)});
     }
   }
   return cases;
 }
-
-// --------------------------------------------------------------------------
-// Ablation sweeps: control-loop cadence, forecast noise, replication.
 
 std::vector<ExperimentCase> expand_credits_interval(const ScenarioConfig& base,
                                                     const util::Flags& flags) {
@@ -440,69 +367,32 @@ std::vector<ExperimentCase> expand_credits_interval(const ScenarioConfig& base,
   return cases;
 }
 
-std::vector<ExperimentCase> expand_forecast_noise(const ScenarioConfig& base,
-                                                  const util::Flags& flags) {
-  // Forecast-quality sweep, with the forecast-independent FIFO
-  // baseline as the reference case.
-  const std::vector<double> sigmas =
-      doubles_from_flag(flags, "noise-sigmas", {0.0, 0.25, 0.5, 1.0, 2.0});
-  std::vector<ExperimentCase> cases;
-  ScenarioConfig fifo = base;
-  fifo.system = SystemKind::kFifoDirect;
-  cases.push_back({"fifo-direct", std::move(fifo)});
-  for (const double sigma : sigmas) {
-    ScenarioConfig config = base;
-    config.system = SystemKind::kEqualMaxCredits;
-    config.cost_noise_sigma = sigma;
-    std::ostringstream label;
-    label << "equalmax-credits@noise=" << sigma;
-    cases.push_back({label.str(), std::move(config)});
-  }
-  return cases;
-}
-
-std::vector<ExperimentCase> expand_replication_sweep(const ScenarioConfig& base,
-                                                     const util::Flags& flags) {
-  std::vector<std::uint32_t> factors = {1, 2, 3, 5, 9};
-  if (const auto custom = flags.get("replications")) {
-    factors.clear();
-    for (const std::string& part : util::split_list(*custom)) {
-      const std::optional<std::uint64_t> factor = util::parse_decimal(part);
-      if (!factor || *factor < 1 || *factor > std::numeric_limits<std::uint32_t>::max()) {
-        throw std::invalid_argument("--replications: not an integer in [1, 2^32-1]: " + part);
-      }
-      factors.push_back(static_cast<std::uint32_t>(*factor));
-    }
-    if (factors.empty()) throw std::invalid_argument("--replications: empty list");
-  }
-  const auto systems = systems_from_flags(
-      flags, {SystemKind::kC3, SystemKind::kEqualMaxCredits, SystemKind::kEqualMaxModel});
-  std::vector<ExperimentCase> cases;
-  for (const std::uint32_t factor : factors) {
-    for (const SystemKind kind : systems) {
-      ScenarioConfig config = base;
-      config.system = kind;
-      config.replication = factor;
-      std::ostringstream label;
-      label << to_string(kind) << "@R=" << factor;
-      cases.push_back({label.str(), std::move(config)});
-    }
-  }
-  return cases;
-}
-
 }  // namespace
 
 const std::vector<ScenarioSpec>& scenario_registry() {
+  using S = SystemKind;
   static const std::vector<ScenarioSpec> registry = {
-      {"paper", "Figure 2: the five-system comparison at paper defaults", {"systems"}, {},
-       expand_paper},
-      {"load-sweep", "utilization sweep over C3 / credits / model", {"loads", "systems"},
-       {{"utilization", "loads"}}, expand_load_sweep},
-      {"fanout-sweep", "fan-out distribution sweep", {"fanouts", "systems"},
-       {{"fanout", "fanouts"}}, expand_fanout_sweep},
-      {"policy-matrix", "all 13 systems: baselines, BRB, ablations", {"systems"}, {},
-       expand_policy_matrix},
+      grid({.name = "paper", .summary = "Figure 2: the five-system comparison at paper defaults",
+            .systems = kPaperSystems}),
+      grid({.name = "load-sweep", .summary = "utilization sweep over C3 / credits / model",
+            .systems = kC3CreditsModel,
+            .axis = Axis{"loads", "utilization", "util", "0.5,0.6,0.7,0.8,0.9"}}),
+      // Fan-out ladder: degenerate fan-out 1 up to the skewed log-normal
+      // the paper's workload uses.
+      grid({.name = "fanout-sweep", .summary = "fan-out distribution sweep", .systems = kC3Credits,
+            .axis = Axis{"fanouts", "fanout", "fanout",
+                         "fixed:1,fixed:4,geometric:8.6,lognormal:8.6:1.0:512,"
+                         "lognormal:8.6:2.0:512,fixed:32"}}),
+      // Selector ablation on the direct BRB system: how much of the tail
+      // is replica-selection quality?
+      grid({.name = "policy-matrix", .summary = "all 13 systems: baselines, BRB, ablations",
+            .systems = kMatrixSystems,
+            .after = {{"equalmax-direct/c3", S::kEqualMaxDirect, {"--selector=c3"}},
+                      {"equalmax-direct/least-pending-cost", S::kEqualMaxDirect,
+                       {"--selector=least-pending-cost"}},
+                      {"equalmax-direct/least-outstanding", S::kEqualMaxDirect,
+                       {"--selector=least-outstanding"}},
+                      {"equalmax-direct/random", S::kEqualMaxDirect, {"--selector=random"}}}}),
       {"policy-shootout", "replica-policy bake-off on a fixed FIFO/direct substrate + full C3",
        {"policies"}, {{"policy", "policies"}, {"selector", "policies"}}, expand_policy_shootout},
       {"policy-switch", "mid-run policy switching vs its static endpoints", {},
@@ -515,34 +405,77 @@ const std::vector<ScenarioSpec>& scenario_registry() {
        {{"dispatch", "dispatches"}, {"policy", ""}, {"selector", ""}, {"arrivals", ""},
         {"paced", ""}},
        expand_hedging_shootout},
-      {"large-cluster", "100 servers x 1000 clients scale case (credits + C3)", {"systems"}, {},
-       expand_large_cluster},
-      {"mega-fleet",
-       "10k servers x 1M clients: sparse control plane + sketch stats (nightly scale case)", {},
-       {{"policy", ""}, {"selector", ""}}, expand_mega_fleet},
-      {"trace-replay", "replay a recorded trace across systems", {"systems"},
-       {{"tasks", "record-trace"}, {"utilization", "record-trace"}, {"fanout", "record-trace"}},
-       expand_trace_replay},
-      {"hetero-servers", "mixed fleet (6x4-core + 3x8-core at 2x rate) via a cluster profile",
-       {"systems"}, {{"servers", "cluster"}, {"cores", "cluster"}, {"rate", "cluster"}},
-       expand_hetero_servers},
-      {"diurnal", "sinusoidal 0.5x..1.5x arrival envelope", {"systems"},
-       {{"paced", "arrivals"}}, expand_diurnal},
-      {"write-heavy", "task-level write mix; writes fan out to all replicas",
-       {"writes", "systems"}, {{"write-fraction", "writes"}}, expand_write_heavy},
-      {"multi-tenant", "interactive + batch tenant mix, per-tenant p99 fairness", {"systems"}, {},
-       expand_multi_tenant},
-      {"replication-skew", "key-popularity skew over R=2 placement", {"skews", "systems"}, {},
-       expand_replication_skew},
+      // Two orders of magnitude past the paper's 9x18 cluster; the
+      // dense-ID engine keeps per-(client,server) state flat, so this is
+      // a routine CI case.
+      grid({.name = "large-cluster",
+            .summary = "100 servers x 1000 clients scale case (credits + C3)",
+            .presets = {"--servers=100", "--clients=1000", "--tasks=100000"},
+            .systems = {S::kEqualMaxCredits, S::kC3}}),
+      // 10k servers x 1M clients: the pair cross-product (1e10) is far
+      // past the sparse auto threshold, so the control plane runs the
+      // windowed per-client store with first-touch credit pairs, and
+      // stats default to mergeable sketches so per-seed artifacts stay
+      // O(sketch). Two selection policies on the fixed FIFO/direct
+      // substrate probe the windowed SignalTable under load; the credits
+      // case drives first-touch credits end to end. A nightly job under
+      // wall/RSS budgets (check_claims.py --scale-sanity), sharded over
+      // the plan layer.
+      grid({.name = "mega-fleet",
+            .summary = "10k servers x 1M clients: sparse control plane + sketch stats "
+                       "(nightly scale case)",
+            .presets = {"--servers=10000", "--clients=1000000", "--tasks=1000000",
+                        "--stats=sketch"},
+            .overwrites = {{"policy", ""}, {"selector", ""}},
+            .before = {{"two-choices", S::kFifoDirect, {"--policy=two-choices"}},
+                       {"c3-noderate", S::kFifoDirect, {"--policy=c3-noderate"}},
+                       {"equalmax-credits", S::kEqualMaxCredits, {}}},
+            .sweeps_systems = false}),
+      grid({.name = "trace-replay", .summary = "replay a recorded trace across systems",
+            .systems = kC3Credits,
+            .overwrites = {{"tasks", "record-trace"},
+                           {"utilization", "record-trace"},
+                           {"fanout", "record-trace"}},
+            .needs = "trace=PATH (record one with brbsim --record-trace=PATH or "
+                     "example_trace_replay)"}),
+      // The scenario-diversity suite: the workload realism the paper's
+      // fixed setup leaves out. A mixed fleet at the paper's 9-server
+      // count: six 4-core boxes plus three 8-core boxes at twice the
+      // per-core rate, planned to the same 70% utilization.
+      grid({.name = "hetero-servers",
+            .summary = "mixed fleet (6x4-core + 3x8-core at 2x rate) via a cluster profile",
+            .presets = {"--cluster=hetero:6x4x3500,3x8x7000"}, .systems = kC3CreditsModel,
+            .overwrites = {{"servers", "cluster"}, {"cores", "cluster"}, {"rate", "cluster"}}}),
+      // A 1 s period: even small CI runs cover several peaks and troughs.
+      grid({.name = "diurnal", .summary = "sinusoidal 0.5x..1.5x arrival envelope",
+            .presets = {"--arrivals=diurnal:0.5:1.5:1"}, .systems = kC3CreditsModel,
+            .overwrites = {{"paced", "arrivals"}}}),
+      grid({.name = "write-heavy",
+            .summary = "task-level write mix; writes fan out to all replicas",
+            .systems = kC3Credits, .axis = Axis{"writes", "write-fraction", "writes", "0.05,0.2"}}),
+      // A latency-sensitive foreground mixing with a heavy batch tenant
+      // that also writes; per-tenant p99 spread is the headline metric.
+      grid({.name = "multi-tenant",
+            .summary = "interactive + batch tenant mix, per-tenant p99 fairness",
+            .presets = {"--tenants=interactive,share=0.7,fanout=lognormal:2.5:1.0:64;"
+                        "batch,share=0.3,fanout=lognormal:24:1.5:512,write=0.1"},
+            .systems = kC3Credits}),
+      {"replication-skew", "key-popularity skew over R=2 placement", {"skews", "systems"},
+       {{"keys", "skews"}}, expand_replication_skew},
       {"credits-interval", "credits adaptation-cadence sweep vs the ideal model",
        {"intervals-ms"},
        {{"credits-adapt-s", "intervals-ms"}, {"credits-measure-ms", "intervals-ms"}},
        expand_credits_interval},
-      {"forecast-noise", "cost-forecast noise sweep vs task-oblivious FIFO", {"noise-sigmas"},
-       {{"cost-noise", "noise-sigmas"}}, expand_forecast_noise},
-      {"replication-sweep", "replication-factor sweep across C3/credits/model",
-       {"replications", "systems"}, {{"replication", "replications"}},
-       expand_replication_sweep},
+      // Forecast quality, against the forecast-independent FIFO baseline.
+      grid({.name = "forecast-noise",
+            .summary = "cost-forecast noise sweep vs task-oblivious FIFO",
+            .systems = {S::kEqualMaxCredits},
+            .axis = Axis{"noise-sigmas", "cost-noise", "noise", "0,0.25,0.5,1,2"},
+            .before = {{"fifo-direct", S::kFifoDirect, {}}}, .sweeps_systems = false}),
+      grid({.name = "replication-sweep",
+            .summary = "replication-factor sweep across C3/credits/model",
+            .systems = kC3CreditsModel,
+            .axis = Axis{"replications", "replication", "R", "1,2,3,5,9"}}),
   };
   return registry;
 }
@@ -580,23 +513,6 @@ std::vector<SystemKind> systems_from_flags(const util::Flags& flags,
   }
   if (systems.empty()) throw std::invalid_argument("--systems: empty list");
   return systems;
-}
-
-std::vector<double> doubles_from_flag(const util::Flags& flags, std::string_view name,
-                                      std::vector<double> fallback) {
-  const auto value = flags.get(name);
-  if (!value) return fallback;
-  std::vector<double> out;
-  for (const std::string& part : util::split_list(*value)) {
-    const std::optional<double> number = util::parse_finite(part);
-    if (!number) {
-      throw std::invalid_argument("--" + std::string(name) + ": not a finite number: " + part);
-    }
-    out.push_back(*number);
-  }
-  if (out.empty()) throw std::invalid_argument(std::string("--") + std::string(name) +
-                                               ": empty list");
-  return out;
 }
 
 }  // namespace brb::cli

@@ -3,9 +3,14 @@
 // A scenario expands one flag-configured base `ScenarioConfig` into the
 // concrete (label, config) cases it studies — one per (system, swept
 // value) pair. Every figure and ablation sweep is reachable as
-// `brbsim --scenario=<name>`. Each registry row also declares the
-// expander flags it reads and the config flags its cases overwrite, so
-// the driver can reject a flag the scenario would silently ignore.
+// `brbsim --scenario=<name>`. Most scenarios are data rows: presets
+// ("--flag=value" defaults the user's own flags win over), default
+// systems, at most one axis that sweeps a config flag through that
+// flag's own parser, and fixed reference cases; one grid expansion
+// turns a row into cases. The few whose values do more than set one
+// config flag are code. Each entry declares the expander flags it
+// reads and the config flags its cases overwrite (derived for rows),
+// so the driver can reject a flag the scenario would silently ignore.
 #pragma once
 
 #include <functional>
@@ -59,10 +64,5 @@ const std::vector<util::FlagHelp>& expander_flags();
 /// Throws std::invalid_argument on an unknown system name.
 std::vector<core::SystemKind> systems_from_flags(const util::Flags& flags,
                                                  std::vector<core::SystemKind> fallback);
-
-/// Parses a comma-separated list flag of finite doubles; `fallback`
-/// when absent. Throws std::invalid_argument on a malformed part.
-std::vector<double> doubles_from_flag(const util::Flags& flags, std::string_view name,
-                                      std::vector<double> fallback);
 
 }  // namespace brb::cli

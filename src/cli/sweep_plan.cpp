@@ -94,6 +94,21 @@ SweepPlan build_sweep_plan(const std::string& scenario_name, const core::Scenari
   plan.units.reserve(plan.cases.size() * seeds.size());
   for (std::uint32_t case_index = 0; case_index < plan.cases.size(); ++case_index) {
     const std::string& label = plan.cases[case_index].label;
+    // A label names one case: artifact lookups by label (the paper
+    // claims, merge) would silently read only the first of two.
+    for (std::uint32_t earlier = 0; earlier < case_index; ++earlier) {
+      if (plan.cases[earlier].label == label) {
+        throw std::invalid_argument("scenario '" + scenario_name +
+                                    "': duplicate case label " + label);
+      }
+    }
+    // Every case is checked here, so a bad one fails --plan rather than
+    // a run midway through the sweep.
+    try {
+      core::validate(plan.cases[case_index].config);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("case " + label + ": " + e.what());
+    }
     for (const std::uint64_t seed : seeds) {
       SweepUnit unit;
       unit.case_index = case_index;

@@ -77,7 +77,8 @@ std::uint64_t sweep_unit_hash(const std::string& scenario, std::uint32_t case_in
 
 /// Expands `scenario_name` from the registry against the flag-resolved
 /// base config and enumerates every unit. Throws std::invalid_argument
-/// on an unknown scenario; an empty expansion yields an empty plan.
+/// on an unknown scenario, on two cases with one label, and on a case
+/// `core::validate` rejects; an empty expansion yields an empty plan.
 SweepPlan build_sweep_plan(const std::string& scenario_name, const core::ScenarioConfig& base,
                            const std::vector<std::uint64_t>& seeds, const util::Flags& flags);
 

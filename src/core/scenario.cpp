@@ -29,6 +29,13 @@ namespace brb::core {
 
 void validate(const ScenarioConfig& config) {
   if (config.num_clients == 0) throw std::invalid_argument("config: no clients");
+  const workload::ClusterSpec& fleet = config.cluster;
+  if (!(fleet.num_servers > 0 && fleet.cores_per_server > 0 && fleet.service_rate_per_core > 0.0)) {
+    throw std::invalid_argument("config: empty fleet (no servers, cores or service rate)");
+  }
+  if (config.replication < 1 || config.replication > fleet.num_servers) {
+    throw std::invalid_argument("config: replication factor outside [1, servers]");
+  }
   if (config.num_tasks == 0 && config.tasks_override == nullptr && config.trace_path.empty()) {
     throw std::invalid_argument("config: no tasks");
   }

@@ -216,9 +216,10 @@ struct RunResult {
 };
 
 /// The config's cross-field and range checks (client and task counts,
-/// utilization, warmup and write fractions, arrival-shape and trace
-/// conflicts). Throws std::invalid_argument. Both run_scenario and the
-/// driver's flag parsing call it, so each check is written once.
+/// a non-empty fleet, a replication factor in [1, servers], utilization,
+/// warmup and write fractions, arrival-shape and trace conflicts).
+/// Throws std::invalid_argument. run_scenario, the driver's flag
+/// parsing and its sweep plan call it, so each check is written once.
 void validate(const ScenarioConfig& config);
 
 /// Builds, runs and tears down one full system instance.

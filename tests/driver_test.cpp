@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -162,6 +165,8 @@ TEST(ConfigTable, SilentlyIgnoredFlagsFail) {
       {{"--scenario=forecast-noise", "--cost-noise=2"}, "use --noise-sigmas"},
       {{"--scenario=paper", "--seed=7"}, "use --seed-list"},
       {{"--scenario=paper", "--system=c3"}, "did you mean --systems"},
+      // Each case sets its own key spec from --skews.
+      {{"--scenario=replication-skew", "--keys=uniform:1000"}, "use --skews"},
   };
   for (const auto& c : cases) {
     const std::string message = rejection(c.args);
@@ -233,6 +238,215 @@ TEST(ConfigTable, WorkloadSpecNumbersParseWhole) {
             3u);
 }
 
+/// FNV-1a over each case's system and every config-table field, so a
+/// pin moves when any case's config does.
+std::string expansion_digest(const std::vector<cli::ExperimentCase>& cases) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](const std::string& text) {
+    for (const char c : text) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+    h ^= 0xff;  // separator
+    h *= 1099511628211ULL;
+  };
+  for (const cli::ExperimentCase& experiment : cases) {
+    core::ScenarioConfig config = experiment.config;
+    mix(to_string(config.system));
+    for (const cli::ConfigFlag& row : cli::config_flags()) {
+      std::visit(
+          [&](auto field) {
+            const auto& value = field(config);
+            using T = std::remove_cvref_t<decltype(value)>;
+            std::ostringstream text;
+            text.precision(17);
+            text << row.name << "=";
+            if constexpr (std::is_same_v<T, sim::Duration>) {
+              text << value.count_nanos();
+            } else if constexpr (std::is_same_v<T, workload::ClusterSpec>) {
+              text << value.describe();
+            } else {
+              text << value;
+            }
+            mix(text.str());
+          },
+          row.field);
+    }
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+TEST(ScenarioExpansion, EveryScenarioIsPinned) {
+  // Every scenario's default cases, plus user lists that pin how a
+  // swept value is parsed and labelled. The expectations were recorded
+  // from the hand-written expanders; any change to a case's label,
+  // system or config field moves them.
+  const struct {
+    std::vector<std::string> args;
+    std::string labels;  // space-joined, in case order
+    std::string digest;
+  } pins[] = {
+      {{"--scenario=paper"},
+       "c3 equalmax-credits equalmax-model unifincr-credits unifincr-model",
+       "1c0e01e17e84f7e5"},
+      {{"--scenario=load-sweep"},
+       "c3@util=0.5 equalmax-credits@util=0.5 equalmax-model@util=0.5 c3@util=0.6 "
+       "equalmax-credits@util=0.6 equalmax-model@util=0.6 c3@util=0.7 "
+       "equalmax-credits@util=0.7 equalmax-model@util=0.7 c3@util=0.8 "
+       "equalmax-credits@util=0.8 equalmax-model@util=0.8 c3@util=0.9 "
+       "equalmax-credits@util=0.9 equalmax-model@util=0.9",
+       "cbc1175d0f1dc654"},
+      {{"--scenario=fanout-sweep"},
+       "c3@fanout=fixed:1 equalmax-credits@fanout=fixed:1 c3@fanout=fixed:4 "
+       "equalmax-credits@fanout=fixed:4 c3@fanout=geometric:8.6 "
+       "equalmax-credits@fanout=geometric:8.6 c3@fanout=lognormal:8.6:1.0:512 "
+       "equalmax-credits@fanout=lognormal:8.6:1.0:512 c3@fanout=lognormal:8.6:2.0:512 "
+       "equalmax-credits@fanout=lognormal:8.6:2.0:512 c3@fanout=fixed:32 "
+       "equalmax-credits@fanout=fixed:32",
+       "5e78376da6b6ecbf"},
+      {{"--scenario=policy-matrix"},
+       "random-fifo fifo-direct request-sjf-direct c3 equalmax-direct unifincr-direct "
+       "equalmax-credits unifincr-credits cumslack-credits fifo-model equalmax-model "
+       "unifincr-model cumslack-model equalmax-direct/c3 equalmax-direct/least-pending-cost "
+       "equalmax-direct/least-outstanding equalmax-direct/random",
+       "aecdd7c59b3f524b"},
+      {{"--scenario=policy-shootout"},
+       "random round-robin least-outstanding two-choices least-pending-cost c3-noderate c3",
+       "0d88420ea4b77810"},
+      {{"--scenario=policy-switch"},
+       "static/random static/c3-noderate switch/t0:random,1s:c3-noderate",
+       "466598f2c7cd0361"},
+      {{"--scenario=hedging-shootout"},
+       "steady/single steady/hedge:q98 steady/tied steady/kofn:2 diurnal/single "
+       "diurnal/hedge:q98 diurnal/tied diurnal/kofn:2",
+       "d13e081f2381dfe3"},
+      {{"--scenario=large-cluster"}, "equalmax-credits c3", "dcc48c619d816eaa"},
+      {{"--scenario=mega-fleet"}, "two-choices c3-noderate equalmax-credits", "7d68f04aef49f71b"},
+      {{"--scenario=trace-replay", "--trace=pin.trace"}, "c3 equalmax-credits", "8d41e5b0cc512ff6"},
+      {{"--scenario=hetero-servers"}, "c3 equalmax-credits equalmax-model", "3003a87f2bd87148"},
+      {{"--scenario=diurnal"}, "c3 equalmax-credits equalmax-model", "eeaa6b6e52c79bed"},
+      {{"--scenario=write-heavy"},
+       "c3@writes=0.05 equalmax-credits@writes=0.05 c3@writes=0.2 equalmax-credits@writes=0.2",
+       "a79279b668b0a191"},
+      {{"--scenario=multi-tenant"}, "c3 equalmax-credits", "e6df59f286a5d75e"},
+      {{"--scenario=replication-skew"},
+       "c3@skew=0 equalmax-credits@skew=0 c3@skew=0.9 equalmax-credits@skew=0.9 c3@skew=1.2 "
+       "equalmax-credits@skew=1.2",
+       "4e4630083ac15716"},
+      {{"--scenario=credits-interval"},
+       "equalmax-model equalmax-credits@adapt-ms=100 equalmax-credits@adapt-ms=250 "
+       "equalmax-credits@adapt-ms=500 equalmax-credits@adapt-ms=1000 "
+       "equalmax-credits@adapt-ms=2000 equalmax-credits@adapt-ms=4000",
+       "57058ee18f9bde43"},
+      {{"--scenario=forecast-noise"},
+       "fifo-direct equalmax-credits@noise=0 equalmax-credits@noise=0.25 "
+       "equalmax-credits@noise=0.5 equalmax-credits@noise=1 equalmax-credits@noise=2",
+       "ee47ef4010d5fe19"},
+      {{"--scenario=replication-sweep"},
+       "c3@R=1 equalmax-credits@R=1 equalmax-model@R=1 c3@R=2 equalmax-credits@R=2 "
+       "equalmax-model@R=2 c3@R=3 equalmax-credits@R=3 equalmax-model@R=3 c3@R=5 "
+       "equalmax-credits@R=5 equalmax-model@R=5 c3@R=9 equalmax-credits@R=9 equalmax-model@R=9",
+       "06a31e50a094e8cb"},
+      {{"--scenario=load-sweep", "--loads=0.70,0.55"},
+       "c3@util=0.7 equalmax-credits@util=0.7 equalmax-model@util=0.7 c3@util=0.55 "
+       "equalmax-credits@util=0.55 equalmax-model@util=0.55",
+       "6bdc0575bd00b242"},
+      {{"--scenario=replication-sweep", "--replications=02,3"},
+       "c3@R=2 equalmax-credits@R=2 equalmax-model@R=2 c3@R=3 equalmax-credits@R=3 "
+       "equalmax-model@R=3",
+       "5b419727f9de4f90"},
+      {{"--scenario=forecast-noise", "--noise-sigmas=0.10,1e0"},
+       "fifo-direct equalmax-credits@noise=0.1 equalmax-credits@noise=1",
+       "1feec277a4356b16"},
+      {{"--scenario=policy-matrix", "--systems=c3,random-fifo"},
+       "c3 random-fifo",
+       "9cadd3cbacd1f2a1"},
+      {{"--scenario=fanout-sweep", "--fanouts=fixed:2,geometric:3", "--systems=c3"},
+       "c3@fanout=fixed:2 c3@fanout=geometric:3",
+       "a142cdca21754747"},
+      {{"--scenario=write-heavy", "--writes=0.1,0.30"},
+       "c3@writes=0.1 equalmax-credits@writes=0.1 c3@writes=0.3 equalmax-credits@writes=0.3",
+       "27ed1660483d2761"},
+      {{"--scenario=large-cluster", "--cluster=hetero:6x4x3500,3x8x7000", "--clients=50"},
+       "equalmax-credits c3",
+       "a9105f7a7f1c4ed2"},
+      {{"--scenario=large-cluster", "--servers=40", "--tasks=1000"},
+       "equalmax-credits c3",
+       "862a870919408372"},
+      {{"--scenario=hetero-servers", "--cluster=uniform:3x2x1000"},
+       "c3 equalmax-credits equalmax-model",
+       "f69a5e22ec59b7dc"},
+      {{"--scenario=mega-fleet", "--stats=exact", "--servers=10", "--clients=100"},
+       "two-choices c3-noderate equalmax-credits",
+       "8fbd6fe7abd76e10"},
+      {{"--scenario=diurnal", "--arrivals=steps:1,2:10"},
+       "c3 equalmax-credits equalmax-model",
+       "37c30ce87bd88def"},
+      {{"--scenario=multi-tenant", "--tenants=a;b"}, "c3 equalmax-credits", "d5ab3190283def02"},
+      {{"--scenario=hedging-shootout", "--dispatches=hedge,tied", "--servers=20"},
+       "steady/hedge:q95 steady/tied diurnal/hedge:q95 diurnal/tied",
+       "525b1c8a245bbe59"},
+      {{"--scenario=policy-shootout", "--policies=lor,random"},
+       "least-outstanding random",
+       "ded0975fe8d3606a"},
+      {{"--scenario=policy-switch", "--policy-switch=t0:c3,2s:random"},
+       "static/c3 static/random switch/t0:c3,2s:random",
+       "e728079ec9a801d8"},
+      {{"--scenario=credits-interval", "--intervals-ms=50,300"},
+       "equalmax-model equalmax-credits@adapt-ms=50 equalmax-credits@adapt-ms=300",
+       "8388d38dc2ea65a9"},
+      {{"--scenario=replication-skew", "--skews=0.5", "--replication=3"},
+       "c3@skew=0.5 equalmax-credits@skew=0.5",
+       "f0a49b3c905504fc"},
+      {{"--scenario=paper", "--replication=2", "--systems=c3,fifo-model"},
+       "c3 fifo-model",
+       "b4708232eee95917"},
+      {{"--scenario=trace-replay", "--trace=pin.trace", "--systems=c3"}, "c3", "b251490572a1032f"},
+  };
+  std::vector<std::string> pinned;
+  for (const auto& pin : pins) {
+    std::string command;
+    for (const std::string& arg : pin.args) command += (command.empty() ? "" : " ") + arg;
+    const util::Flags flags = flags_of(pin.args);
+    ASSERT_EQ(rejection(pin.args), "") << command;
+    const cli::ScenarioSpec* scenario = cli::find_scenario(flags.get_string("scenario", ""));
+    ASSERT_NE(scenario, nullptr) << command;
+    const std::vector<cli::ExperimentCase> cases =
+        scenario->expand(cli::config_from_flags(flags), flags);
+    std::string labels;
+    for (const cli::ExperimentCase& experiment : cases) {
+      labels += (labels.empty() ? "" : " ") + experiment.label;
+    }
+    EXPECT_EQ(labels, pin.labels) << command;
+    EXPECT_EQ(expansion_digest(cases), pin.digest) << command;
+    pinned.push_back(pin.args.front());
+  }
+  // Every registered scenario is pinned.
+  for (const cli::ScenarioSpec& scenario : cli::scenario_registry()) {
+    EXPECT_NE(std::find(pinned.begin(), pinned.end(), "--scenario=" + scenario.name),
+              pinned.end())
+        << scenario.name;
+  }
+}
+
+TEST(ScenarioExpansion, EnvironmentDefaultsBeatPresets) {
+  // A BRB_<NAME> default is set like the flag itself: a scenario preset
+  // keeps off it, so the config block and every case agree.
+  ::setenv("BRB_SERVERS", "20", 1);
+  for (const char* name : {"large-cluster", "hedging-shootout"}) {
+    const util::Flags flags = flags_of({std::string("--scenario=") + name});
+    const core::ScenarioConfig base = cli::config_from_flags(flags);
+    EXPECT_EQ(base.cluster.num_servers, 20u) << name;
+    for (const cli::ExperimentCase& experiment : cli::find_scenario(name)->expand(base, flags)) {
+      EXPECT_EQ(experiment.config.cluster.num_servers, 20u) << name << " " << experiment.label;
+      EXPECT_EQ(experiment.config.num_clients, 1000u) << name << " " << experiment.label;
+    }
+  }
+  ::unsetenv("BRB_SERVERS");
+}
+
 /// Runs brbsim on `args`; returns its exit code and what it wrote to
 /// stderr.
 std::pair<int, std::string> run_brbsim(const std::vector<std::string>& args) {
@@ -255,6 +469,48 @@ TEST(Driver, PlanRejectsBadWorkloadSpecs) {
     EXPECT_NE(err.find("flag " + arg.substr(0, arg.find('='))), std::string::npos) << err;
   }
   EXPECT_EQ(run_brbsim({"--scenario=paper", "--fanout=fixed:4", "--plan"}).first, 0);
+}
+
+TEST(Driver, PlanRejectsDuplicateCaseLabels) {
+  // Label lookups (the paper claims, merge) would read only the first.
+  for (const auto& [args, label] : std::vector<std::pair<std::vector<std::string>, std::string>>{
+           {{"--scenario=load-sweep", "--loads=0.7,0.70"}, "c3@util=0.7"},
+           {{"--scenario=policy-shootout", "--policies=lor,least-outstanding"},
+            "least-outstanding"}}) {
+    std::vector<std::string> argv = args;
+    argv.push_back("--plan");
+    const auto [code, err] = run_brbsim(argv);
+    EXPECT_EQ(code, 1) << args[1];
+    EXPECT_NE(err.find("duplicate case label " + label), std::string::npos) << err;
+  }
+}
+
+TEST(Driver, PlanRejectsInvalidFleetsAndCases) {
+  // --plan runs nothing, yet a config no run could start fails it.
+  for (const std::string arg : {"--servers=0", "--cores=0", "--rate=0", "--replication=0",
+                                "--replication=10"}) {
+    EXPECT_EQ(run_brbsim({"--scenario=paper", arg, "--plan"}).first, 1) << arg;
+  }
+  // Every expanded case is validated, not only the base config.
+  const auto [code, err] = run_brbsim({"--scenario=load-sweep", "--loads=0.5,2", "--plan"});
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(err.find("case c3@util=2: config: utilization"), std::string::npos) << err;
+  EXPECT_EQ(run_brbsim({"--scenario=replication-sweep", "--replications=2,10", "--plan"}).first,
+            1);
+  EXPECT_EQ(run_brbsim({"--scenario=replication-sweep", "--replications=2,9", "--plan"}).first,
+            0);
+  // The same checks guard configs built in code.
+  core::ScenarioConfig config;
+  config.cluster.num_servers = 0;
+  EXPECT_THROW(core::validate(config), std::invalid_argument);
+  config = core::ScenarioConfig{};
+  config.cluster.service_rate_per_core = 0.0;
+  EXPECT_THROW(core::validate(config), std::invalid_argument);
+  config = core::ScenarioConfig{};
+  config.replication = config.cluster.num_servers + 1;
+  EXPECT_THROW(core::validate(config), std::invalid_argument);
+  config.replication = config.cluster.num_servers;
+  EXPECT_NO_THROW(core::validate(config));
 }
 
 TEST(ConfigTable, UsageListsEveryFlagOnce) {
