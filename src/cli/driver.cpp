@@ -1,17 +1,19 @@
 #include "cli/driver.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <exception>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <memory>
+#include <mutex>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -38,7 +40,6 @@ namespace brb::cli {
 
 namespace {
 
-using core::AggregateResult;
 using core::RunResult;
 using core::ScenarioConfig;
 
@@ -313,8 +314,9 @@ const std::vector<util::FlagHelp>& run_control_flags() {
       {"scenario", "NAME", "the scenario to run (default paper)"},
       {"seeds", "N", "run seeds 1..N (default 3; 6 at paper scale)"},
       {"seed-list", "1,5,9", "explicit seed list (wins over the seed count)"},
-      {"serial", "", "disable the per-seed worker threads"},
-      {"threads", "N", "cap seed workers (0 = one per seed); results are identical for any N"},
+      {"serial", "", "run one (case, seed) unit at a time"},
+      {"threads", "N",
+       "workers over (case, seed) units (0 = one per planned seed); identical results for any N"},
       {"paper", "", "full paper scale (500k tasks, 6 seeds)"},
       {"json", "PATH", "write the JSON artifact"},
       {"csv", "PATH", "write the CSV artifact"},
@@ -526,29 +528,6 @@ void record_trace(const ScenarioConfig& base, const std::string& path) {
   workload::TraceWriter::write_file(path, tasks);
 }
 
-std::vector<CaseResult> execute_shard(
-    const SweepPlan& plan, const ShardSpec& shard, core::RunSeedsOptions options,
-    const std::function<void(const ExperimentCase&, std::size_t runs)>& progress) {
-  // Group this shard's units back into per-case seed lists (plan order
-  // on both axes), so the thread-pool `run_seeds` path is unchanged.
-  std::vector<std::vector<std::uint64_t>> seeds_by_case(plan.cases.size());
-  for (const SweepUnit* unit : plan.shard_units(shard)) {
-    seeds_by_case[unit->case_index].push_back(unit->seed);
-  }
-  std::vector<CaseResult> results;
-  results.reserve(plan.cases.size());
-  for (std::size_t i = 0; i < plan.cases.size(); ++i) {
-    const ExperimentCase& experiment = plan.cases[i];
-    AggregateResult aggregate =
-        seeds_by_case[i].empty()
-            ? core::aggregate_runs(experiment.config.system, {})
-            : core::run_seeds(experiment.config, seeds_by_case[i], options);
-    if (progress) progress(experiment, seeds_by_case[i].size());
-    results.push_back({experiment, std::move(aggregate)});
-  }
-  return results;
-}
-
 namespace {
 
 /// One per-seed row. Deterministic fields only: wall-clock time lives
@@ -631,67 +610,89 @@ stats::Json run_json(const RunResult& run) {
 
 }  // namespace
 
-stats::Json report_json(const std::string& scenario, const ScenarioConfig& base,
-                        const std::vector<std::uint64_t>& seeds,
-                        const std::vector<CaseResult>& results, const ShardSpec* shard) {
+stats::Json execute_shard(const SweepPlan& plan, const ShardSpec* shard, std::size_t threads,
+                          const std::function<void(const ExperimentCase&)>& progress) {
+  const std::vector<const SweepUnit*> units = plan.shard_units(shard ? *shard : ShardSpec{});
+  // Unit-indexed slots, each written only by the worker that claimed
+  // the unit; a case's progress fires when its last owned unit ends.
+  std::vector<stats::Json> rows(units.size());
+  std::vector<double> walls(units.size());
+  std::vector<std::exception_ptr> errors(units.size());
+  std::vector<std::size_t> left(plan.cases.size());
+  for (const SweepUnit* unit : units) ++left[unit->case_index];
+  std::atomic<std::size_t> next{0};
+  std::mutex progress_mutex;
+  // brblint:allow(BRB-R01): disjoint unit-indexed slots (rows[i], walls[i], errors[i]) pre-sized above; `left` under the mutex; read after the join
+  const auto work = [&] {
+    for (std::size_t i; (i = next.fetch_add(1)) < units.size();) {
+      const ExperimentCase& experiment = plan.cases[units[i]->case_index];
+      try {
+        ScenarioConfig config = experiment.config;
+        config.seed = units[i]->seed;
+        const RunResult run = core::run_scenario(config);
+        rows[i] = run_json(run);
+        walls[i] = run.wall_seconds;
+      } catch (...) {
+        // Units are claimed in plan order, so every unit before this
+        // one is already claimed and the first failure is the same
+        // for any worker count; claim nothing more.
+        errors[i] = std::current_exception();
+        next.store(units.size());
+        return;
+      }
+      const std::lock_guard<std::mutex> lock(progress_mutex);
+      if (--left[units[i]->case_index] == 0 && progress) progress(experiment);
+    }
+  };
+  const std::size_t workers = std::min(units.size(), threads == 0 ? plan.seeds.size() : threads);
+  if (workers <= 1) {
+    work();
+  } else {
+    std::vector<std::thread> pool;
+    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(work);
+    for (std::thread& worker : pool) worker.join();
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+
   stats::Json root = stats::Json::object();
   root["tool"] = "brbsim";
   root["format"] = stats::kArtifactFormat;
-  root["scenario"] = scenario;
+  root["scenario"] = plan.scenario;
   if (shard != nullptr) root["shard"] = shard->describe();
   stats::Json config = stats::Json::object();
-  echo_config(config, base, /*case_block=*/false);
+  echo_config(config, plan.base, /*case_block=*/false);
   root["config"] = std::move(config);
   stats::Json seed_array = stats::Json::array();
-  for (const std::uint64_t s : seeds) seed_array.push_back(s);
+  for (const std::uint64_t s : plan.seeds) seed_array.push_back(s);
   root["seeds"] = std::move(seed_array);
 
   double total_wall_seconds = 0.0;
   stats::Json timing_cases = stats::Json::array();
   stats::Json cases = stats::Json::array();
-  for (const CaseResult& result : results) {
+  std::size_t u = 0;  // units are case-major
+  for (std::uint32_t case_index = 0; case_index < plan.cases.size(); ++case_index) {
+    const ExperimentCase& experiment = plan.cases[case_index];
     stats::Json c = stats::Json::object();
-    c["label"] = result.spec.label;
-    c["system"] = to_string(result.spec.config.system);
+    c["label"] = experiment.label;
+    c["system"] = to_string(experiment.config.system);
     // Per-case copies of every dimension a scenario expander may sweep,
     // so each case stays self-describing even when it diverges from
     // the base config block above.
-    echo_config(c, result.spec.config, /*case_block=*/true);
-    stats::Json latency = stats::Json::object();
-    latency["p50_ms"] = stats::summary_json(result.aggregate.p50_ms);
-    latency["p95_ms"] = stats::summary_json(result.aggregate.p95_ms);
-    latency["p99_ms"] = stats::summary_json(result.aggregate.p99_ms);
-    latency["mean_ms"] = stats::summary_json(result.aggregate.mean_ms);
-    c["task_latency_ms"] = std::move(latency);
+    echo_config(c, experiment.config, /*case_block=*/true);
     stats::Json runs = stats::Json::array();
-    stats::Json walls = stats::Json::array();
-    for (const RunResult& run : result.aggregate.runs) {
-      runs.push_back(run_json(run));
-      walls.push_back(run.wall_seconds);
-      total_wall_seconds += run.wall_seconds;
+    stats::Json case_walls = stats::Json::array();
+    for (; u < units.size() && units[u]->case_index == case_index; ++u) {
+      runs.push_back(std::move(rows[u]));
+      case_walls.push_back(walls[u]);
+      total_wall_seconds += walls[u];
     }
-    c["runs"] = std::move(runs);
-    // Case-level pooled sketch (--stats=sketch only), merged across
-    // seeds. Emitted after "runs" so `brbsim merge` — which rebuilds
-    // this block from the per-seed sketches — lands it in the same
-    // position whether or not shard #1 executed any seed of the case.
-    std::unique_ptr<stats::QuantileSketch> pooled_sketch;
-    for (const RunResult& run : result.aggregate.runs) {
-      const stats::QuantileSketch* sketch = run.task_latency.sketch();
-      if (sketch == nullptr || sketch->empty()) continue;
-      if (pooled_sketch == nullptr) {
-        pooled_sketch = std::make_unique<stats::QuantileSketch>(*sketch);
-      } else {
-        pooled_sketch->merge(*sketch);
-      }
-    }
-    if (pooled_sketch != nullptr) {
-      c["task_latency_sketch"] = stats::sketch_block_json(*pooled_sketch);
-    }
+    stats::set_case_runs(c, std::move(runs));
     cases.push_back(std::move(c));
     stats::Json timing_case = stats::Json::object();
-    timing_case["label"] = result.spec.label;
-    timing_case["wall_seconds"] = std::move(walls);
+    timing_case["label"] = experiment.label;
+    timing_case["wall_seconds"] = std::move(case_walls);
     timing_cases.push_back(std::move(timing_case));
   }
   root["cases"] = std::move(cases);
@@ -868,15 +869,17 @@ void print_usage(std::ostream& os) {
 
 namespace {
 
-/// Emits the finished artifact: console readout, JSON, CSV. Shared by
-/// the in-process, sharded, and spawn-merge paths so all three produce
-/// the same bytes for the same document.
-void emit_outputs(const stats::Json& doc, const util::Flags& flags, bool quiet) {
+/// Emits the finished artifact: console readout, JSON (to `json_path`,
+/// if set), CSV. Shared by the in-process, sharded, spawn-merge and
+/// `brbsim merge` paths so all four produce the same bytes for the same
+/// document.
+void emit_outputs(const stats::Json& doc, const std::optional<std::string>& json_path,
+                  const util::Flags& flags, bool quiet) {
   if (!quiet) {
     print_case_table(std::cout, doc);
     print_paper_claims(std::cout, doc);  // prints only for the paper scenario
   }
-  if (const auto json_path = flags.get("json")) {
+  if (json_path) {
     write_artifact(*json_path, doc);
     if (!quiet) std::cout << "wrote " << *json_path << "\n";
   }
@@ -912,27 +915,20 @@ int run_merge(const util::Flags& flags) {
     for (const stats::Json& item : merged.at("cases").items()) units += item.at("runs").size();
     std::cout << "# brbsim merge: " << shards.size() << " shards, " << units << " units -> "
               << out_path << "\n";
-    print_case_table(std::cout, merged);
-    print_paper_claims(std::cout, merged);
   }
-  write_artifact(out_path, merged);
-  if (const auto csv_path = flags.get("csv")) {
-    auto os = open_or_throw(*csv_path);
-    stats::artifact_csv(os, merged);
-    if (!quiet) std::cout << "wrote " << *csv_path << "\n";
-  }
+  emit_outputs(merged, out_path, flags, quiet);
   return 0;
 }
 
 /// `--spawn=K`: fork K shard workers over the plan, collect their
 /// artifacts, and merge in-process. The cross-machine equivalent is
 /// running `--shard=i/N` on each machine and `brbsim merge` once.
-int run_spawn(const SweepPlan& plan, std::uint32_t spawn_count, core::RunSeedsOptions options,
+int run_spawn(const SweepPlan& plan, std::uint32_t spawn_count, std::size_t threads,
               const util::Flags& flags, bool quiet) {
 #ifndef __unix__
   (void)plan;
   (void)spawn_count;
-  (void)options;
+  (void)threads;
   (void)flags;
   (void)quiet;
   throw std::runtime_error("--spawn needs a POSIX host; use --shard=i/N plus brbsim merge");
@@ -958,9 +954,7 @@ int run_spawn(const SweepPlan& plan, std::uint32_t spawn_count, core::RunSeedsOp
         ShardSpec shard;
         shard.index = index;
         shard.count = spawn_count;
-        const std::vector<CaseResult> results = execute_shard(plan, shard, options);
-        write_artifact(shard_path(index),
-                       report_json(plan.scenario, plan.base, plan.seeds, results, &shard));
+        write_artifact(shard_path(index), execute_shard(plan, &shard, threads));
       } catch (const std::exception& e) {
         std::cerr << "brbsim[shard " << index << "/" << spawn_count << "]: " << e.what() << "\n";
         code = 1;
@@ -990,7 +984,7 @@ int run_spawn(const SweepPlan& plan, std::uint32_t spawn_count, core::RunSeedsOp
   for (std::uint32_t index = 1; index <= spawn_count; ++index) {
     std::remove(shard_path(index).c_str());
   }
-  emit_outputs(merged, flags, quiet);
+  emit_outputs(merged, flags.get("json"), flags, quiet);
   return 0;
 #endif
 }
@@ -1047,12 +1041,11 @@ int run_brbsim(int argc, const char* const* argv) {
     if (serial && flags.has("threads")) {
       throw std::invalid_argument("--serial and --threads conflict; use --threads=1");
     }
-    // Worker-thread cap: 0 = one thread per seed. Any value produces
-    // identical artifacts (seeds are independent simulations). An
-    // explicit --serial always wins — including over a BRB_THREADS
-    // environment default.
-    core::RunSeedsOptions run_options;
-    run_options.max_threads = serial ? 1 : flags.get_uint("threads", 0);
+    // Workers over the (case, seed) units: 0 = one per planned seed.
+    // Any count produces identical artifacts (units are independent
+    // simulations). An explicit --serial always wins — including over
+    // a BRB_THREADS environment default.
+    const std::size_t threads = serial ? 1 : flags.get_uint("threads", 0);
     const bool quiet = flags.get_bool("quiet", false);
 
     // --- layer 1: plan ---
@@ -1098,11 +1091,10 @@ int run_brbsim(int argc, const char* const* argv) {
                   << " cases x " << seeds.size() << " seeds, " << tasks_each
                   << " tasks each, " << spawn << " worker processes\n";
       }
-      return run_spawn(plan, static_cast<std::uint32_t>(spawn), run_options, flags, quiet);
+      return run_spawn(plan, static_cast<std::uint32_t>(spawn), threads, flags, quiet);
     }
 
-    // --- layer 2: execute (this process's shard; 1/1 = everything) ---
-    const ShardSpec effective = shard.value_or(ShardSpec{});
+    // --- layer 2: execute (this process's shard, or everything) ---
     if (!quiet) {
       std::cout << "# brbsim scenario=" << scenario_name << ": " << plan.cases.size()
                 << " cases x " << seeds.size() << " seeds, " << tasks_each << " tasks each";
@@ -1112,15 +1104,11 @@ int run_brbsim(int argc, const char* const* argv) {
       }
       std::cout << "\n";
     }
-    const auto progress = [&](const ExperimentCase& experiment, std::size_t runs) {
-      if (!quiet && runs > 0) std::cerr << "[brbsim] finished " << experiment.label << "\n";
+    const auto progress = [&](const ExperimentCase& experiment) {
+      if (!quiet) std::cerr << "[brbsim] finished " << experiment.label << "\n";
     };
-    const std::vector<CaseResult> results =
-        execute_shard(plan, effective, run_options, progress);
-
-    const stats::Json doc = report_json(scenario_name, base, seeds, results,
-                                        shard ? &effective : nullptr);
-    emit_outputs(doc, flags, quiet);
+    const stats::Json doc = execute_shard(plan, shard ? &*shard : nullptr, threads, progress);
+    emit_outputs(doc, flags.get("json"), flags, quiet);
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "brbsim: " << e.what() << "\n";

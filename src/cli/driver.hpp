@@ -3,10 +3,12 @@
 //
 // The one experiment runner: pick a scenario from the registry,
 // override any `ScenarioConfig` field with a flag, run every (case,
-// seed) unit across worker threads — or only one shard of them across
-// worker *processes / machines* — and get an aligned console table
-// (plus the paper's Figure 2 claims for the five paper cases) and
+// seed) unit on one pool of worker threads — or only one shard of them
+// across worker *processes / machines* — and get an aligned console
+// table (plus the paper's Figure 2 claims for the five paper cases) and
 // machine-readable JSON / CSV artifacts that merge byte-identically.
+// Every case of an artifact is built from its per-seed rows by
+// `stats::set_case_runs`, in-process and in `brbsim merge` alike.
 //
 //   brbsim --scenario=paper --seeds=3 --json=out.json
 //   brbsim --scenario=load-sweep --loads=0.6,0.8 --tasks=30000 --csv=sweep.csv
@@ -32,14 +34,6 @@
 #include "util/flags.hpp"
 
 namespace brb::cli {
-
-/// One executed case with its cross-seed aggregate (over the seeds
-/// this process actually ran — a shard may cover only a subset, or
-/// none, of a case's seeds).
-struct CaseResult {
-  ExperimentCase spec;
-  core::AggregateResult aggregate;
-};
 
 /// One `ScenarioConfig` flag. The `config_flags()` table is the only
 /// place a config flag's name, help line, parser and artifact echo are
@@ -109,22 +103,17 @@ std::vector<std::uint64_t> seeds_from_flags(const util::Flags& flags,
 /// Generates the base config's workload and writes it as a trace file.
 void record_trace(const core::ScenarioConfig& base, const std::string& path);
 
-/// Layer 2 (execute): runs the plan's units owned by `shard`, one
-/// `run_seeds` call per case over that case's owned seeds (cases with
-/// no owned seeds yield an empty aggregate). `progress`, if set, is
-/// called after each case with the number of runs executed for it.
-std::vector<CaseResult> execute_shard(
-    const SweepPlan& plan, const ShardSpec& shard, core::RunSeedsOptions options,
-    const std::function<void(const ExperimentCase&, std::size_t runs)>& progress = {});
-
-/// The JSON artifact (stats/artifact.hpp format 2) for one executed
-/// shard; pass `shard` = nullptr for an unsharded run. Wall-clock time
-/// lands in the trailing "timing" object, everything else is
-/// deterministic.
-stats::Json report_json(const std::string& scenario, const core::ScenarioConfig& base,
-                        const std::vector<std::uint64_t>& seeds,
-                        const std::vector<CaseResult>& results,
-                        const ShardSpec* shard = nullptr);
+/// Layer 2 (execute): runs the plan's units owned by `shard` (nullptr
+/// = all of them) and returns their JSON artifact (stats/artifact.hpp
+/// format 2). Workers claim units in plan order from one pool of
+/// `min(units, threads)` threads, `threads` = 0 meaning one per planned
+/// seed; one worker runs in the calling thread. Any count gives the
+/// same bytes above the trailing "timing" object, which holds the wall
+/// clock and peak RSS. The first failing unit in plan order is
+/// rethrown. `progress`, if set, is called (serialized) when a case's
+/// last owned unit ends; cases with no owned unit get empty runs.
+stats::Json execute_shard(const SweepPlan& plan, const ShardSpec* shard, std::size_t threads,
+                          const std::function<void(const ExperimentCase&)>& progress = {});
 
 /// Console summary table of an artifact document (cases with at least
 /// one executed run).

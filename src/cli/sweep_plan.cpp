@@ -86,10 +86,15 @@ SweepPlan build_sweep_plan(const std::string& scenario_name, const core::Scenari
     throw std::invalid_argument("unknown scenario '" + scenario_name +
                                 "' (see brbsim --list)");
   }
+  return plan_cases(scenario_name, base, scenario->expand(base, flags), seeds);
+}
+
+SweepPlan plan_cases(const std::string& scenario_name, const core::ScenarioConfig& base,
+                     std::vector<ExperimentCase> cases, const std::vector<std::uint64_t>& seeds) {
   SweepPlan plan;
   plan.scenario = scenario_name;
   plan.base = base;
-  plan.cases = scenario->expand(base, flags);
+  plan.cases = std::move(cases);
   plan.seeds = seeds;
   plan.units.reserve(plan.cases.size() * seeds.size());
   for (std::uint32_t case_index = 0; case_index < plan.cases.size(); ++case_index) {

@@ -76,11 +76,17 @@ std::uint64_t sweep_unit_hash(const std::string& scenario, std::uint32_t case_in
                               const std::string& label, std::uint64_t seed);
 
 /// Expands `scenario_name` from the registry against the flag-resolved
-/// base config and enumerates every unit. Throws std::invalid_argument
-/// on an unknown scenario, on two cases with one label, and on a case
-/// `core::validate` rejects; an empty expansion yields an empty plan.
+/// base config and plans its cases with `plan_cases`. Throws
+/// std::invalid_argument on an unknown scenario; an empty expansion
+/// yields an empty plan.
 SweepPlan build_sweep_plan(const std::string& scenario_name, const core::ScenarioConfig& base,
                            const std::vector<std::uint64_t>& seeds, const util::Flags& flags);
+
+/// Plans already-expanded cases: checks them and enumerates the unit
+/// grid. Throws std::invalid_argument on two cases with one label and
+/// on a case `core::validate` rejects.
+SweepPlan plan_cases(const std::string& scenario_name, const core::ScenarioConfig& base,
+                     std::vector<ExperimentCase> cases, const std::vector<std::uint64_t>& seeds);
 
 /// `--plan`: one line per unit. With `shard_count` > 1 a shard column
 /// is added; `selected` (if set) marks that shard's units with '*'.

@@ -5,10 +5,8 @@
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "client/app_client.hpp"
 #include "core/global_queue.hpp"
@@ -735,66 +733,6 @@ LatencySummary summarize_tasks(const RunResult& result) {
   summary.p99_ms = result.task_latency.percentile(99).as_millis();
   summary.mean_ms = result.task_latency.mean().as_millis();
   return summary;
-}
-
-void accumulate_summary(AggregateResult& aggregate, const LatencySummary& summary) {
-  aggregate.p50_ms.add(summary.p50_ms);
-  aggregate.p95_ms.add(summary.p95_ms);
-  aggregate.p99_ms.add(summary.p99_ms);
-  aggregate.mean_ms.add(summary.mean_ms);
-}
-
-AggregateResult aggregate_runs(SystemKind system, std::vector<RunResult> runs) {
-  AggregateResult aggregate;
-  aggregate.system = system;
-  for (RunResult& run : runs) {
-    accumulate_summary(aggregate, summarize_tasks(run));
-    aggregate.runs.push_back(std::move(run));
-  }
-  return aggregate;
-}
-
-AggregateResult run_seeds(const ScenarioConfig& config, const std::vector<std::uint64_t>& seeds,
-                          RunSeedsOptions options) {
-  if (seeds.empty()) throw std::invalid_argument("run_seeds: no seeds");
-  std::vector<RunResult> runs(seeds.size());
-  const std::size_t num_workers =
-      options.max_threads == 0 ? seeds.size() : std::min(options.max_threads, seeds.size());
-  if (num_workers > 1) {
-    // Strided seed assignment across workers: simulations share no
-    // mutable state and land in their seed-indexed slot, so the result
-    // (and any artifact derived from it) is identical for any worker
-    // count. First exception (if any) is rethrown after all join.
-    std::vector<std::thread> workers;
-    std::vector<std::exception_ptr> errors(seeds.size());
-    workers.reserve(num_workers);
-    for (std::size_t w = 0; w < num_workers; ++w) {
-      // brblint:allow(BRB-R01): disjoint seed-indexed slots (runs[i], errors[i]) pre-sized above; workers joined before any read
-      workers.emplace_back([&, w] {
-        for (std::size_t i = w; i < seeds.size(); i += num_workers) {
-          try {
-            ScenarioConfig run_config = config;
-            run_config.seed = seeds[i];
-            runs[i] = run_scenario(run_config);
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
-  } else {
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      ScenarioConfig run_config = config;
-      run_config.seed = seeds[i];
-      runs[i] = run_scenario(run_config);
-    }
-  }
-
-  return aggregate_runs(config.system, std::move(runs));
 }
 
 }  // namespace brb::core

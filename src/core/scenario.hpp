@@ -19,7 +19,6 @@
 #include "policy/c3.hpp"
 #include "sim/time.hpp"
 #include "stats/latency_recorder.hpp"
-#include "stats/summary.hpp"
 #include "workload/capacity.hpp"
 #include "workload/task.hpp"
 
@@ -89,8 +88,9 @@ struct ScenarioConfig {
   // --- system under test ---
   /// Set per case by each scenario (no flag: `--systems` picks them).
   SystemKind system = SystemKind::kEqualMaxCredits;
-  /// Set per run by `run_seeds` from the seed list; only the driver's
-  /// trace recording reads the `--seed` flag.
+  /// Set per (case, seed) unit by the driver's `execute_shard` from the
+  /// seed list; only the driver's trace recording reads the `--seed`
+  /// flag.
   std::uint64_t seed = 1;
   CreditsConfig credits{};
   policy::C3Config c3{};
@@ -234,43 +234,5 @@ struct LatencySummary {
   double mean_ms = 0.0;
 };
 LatencySummary summarize_tasks(const RunResult& result);
-
-/// Multi-seed aggregate: percentile means and standard deviations
-/// across runs (the paper averages 6 seeds and reports that the
-/// standard deviation is negligible).
-struct AggregateResult {
-  SystemKind system{};
-  stats::Summary p50_ms;
-  stats::Summary p95_ms;
-  stats::Summary p99_ms;
-  stats::Summary mean_ms;
-  std::vector<RunResult> runs;
-};
-
-/// Accumulates one per-seed latency summary into the aggregate's
-/// cross-seed statistics. Order matters for bit-identical artifacts:
-/// callers must accumulate in planned seed order (run_seeds and the
-/// sharded-sweep merge both do).
-void accumulate_summary(AggregateResult& aggregate, const LatencySummary& summary);
-
-/// Re-aggregates already-executed runs into the cross-seed aggregate —
-/// the primitive run_seeds and the sharded driver share. `runs` may be
-/// empty (a shard that owns no seeds of this case).
-AggregateResult aggregate_runs(SystemKind system, std::vector<RunResult> runs);
-
-/// Worker-thread policy for run_seeds.
-struct RunSeedsOptions {
-  /// Maximum worker threads; 0 = one thread per seed, 1 = serial.
-  /// Whatever the count, results are bit-identical: every seed is an
-  /// independent simulation and aggregation happens in seed order.
-  std::size_t max_threads = 0;
-};
-
-/// Runs one scenario per seed. Seeds are independent simulations, so
-/// with more than one worker they execute concurrently (results are
-/// bit-identical to the serial path and aggregated in seed order).
-/// `config.on_task_complete`, if set, must then be thread-safe.
-AggregateResult run_seeds(const ScenarioConfig& config, const std::vector<std::uint64_t>& seeds,
-                          RunSeedsOptions options);
 
 }  // namespace brb::core

@@ -4,12 +4,16 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
-#include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "stats/summary.hpp"
+
 namespace brb::stats {
+
+namespace {
 
 Json summary_json(const Summary& summary) {
   Json j = Json::object();
@@ -20,47 +24,50 @@ Json summary_json(const Summary& summary) {
   return j;
 }
 
-Json sketch_block_json(const QuantileSketch& sketch) {
-  // Sketches record nanoseconds; artifacts report milliseconds.
-  Json j = Json::object();
-  j["count"] = sketch.count();
-  j["p50_ms"] = sketch.percentile(50) / 1e6;
-  j["p95_ms"] = sketch.percentile(95) / 1e6;
-  j["p99_ms"] = sketch.percentile(99) / 1e6;
-  j["p999_ms"] = sketch.percentile(99.9) / 1e6;
-  j["sketch"] = sketch.to_json();
-  return j;
-}
-
-namespace {
-
 [[noreturn]] void merge_fail(const std::string& what) {
   throw std::runtime_error("merge_artifacts: " + what);
 }
 
 void validate_envelope(const Json& doc, const std::string& context) {
-  const auto need = [&](const char* key) -> const Json& {
-    const Json* value = doc.find(key);
+  const auto need = [&](const Json& parent, const char* key, Json::Kind kind) -> const Json& {
+    static const char* const kKinds[] = {"null",     "a boolean", "an integer", "a number",
+                                         "a string", "an array",  "an object"};
+    const Json* value = parent.find(key);
     if (value == nullptr) {
-      throw std::runtime_error(context + ": not a brbsim artifact (missing '" +
-                               std::string(key) + "')");
+      throw std::runtime_error(context + ": not a brbsim artifact (missing '" + key + "')");
+    }
+    if (value->kind() != kind) {
+      throw std::runtime_error(context + ": '" + key + "' is not " +
+                               kKinds[static_cast<int>(kind)]);
     }
     return *value;
   };
-  if (!doc.is_object() || need("tool").as_string() != "brbsim") {
+  if (!doc.is_object() || need(doc, "tool", Json::Kind::kString).as_string() != "brbsim") {
     throw std::runtime_error(context + ": not a brbsim artifact");
   }
-  const std::int64_t format = need("format").as_int();
+  const std::int64_t format = need(doc, "format", Json::Kind::kInt).as_int();
   if (format != kArtifactFormat) {
     throw std::runtime_error(context + ": artifact format " + std::to_string(format) +
                              " (this build reads format " + std::to_string(kArtifactFormat) +
                              ")");
   }
-  need("scenario");
-  need("config");
-  need("seeds");
-  need("cases");
-  need("timing");
+  need(doc, "scenario", Json::Kind::kString);
+  need(doc, "config", Json::Kind::kObject);
+  need(doc, "seeds", Json::Kind::kArray);
+  const Json& cases = need(doc, "cases", Json::Kind::kArray);
+  const Json& timing = need(need(doc, "timing", Json::Kind::kObject), "cases", Json::Kind::kArray);
+  if (timing.size() != cases.size()) {
+    throw std::runtime_error(context + ": timing.cases has " + std::to_string(timing.size()) +
+                             " entries for " + std::to_string(cases.size()) + " cases");
+  }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const std::string& label = need(cases.at(i), "label", Json::Kind::kString).as_string();
+    if (need(timing.at(i), "wall_seconds", Json::Kind::kArray).size() !=
+        need(cases.at(i), "runs", Json::Kind::kArray).size()) {
+      throw std::runtime_error(context + ", case '" + label +
+                               "': timing rows do not match runs");
+    }
+  }
 }
 
 /// The shard-invariant part of an artifact: everything except which
@@ -80,6 +87,48 @@ std::string plan_fingerprint(const Json& doc) {
 }
 
 }  // namespace
+
+void set_case_runs(Json& item, Json runs) {
+  Summary p50, p95, p99, mean;
+  // Sketch merging is exact (integer bucket addition), so the pooled
+  // block does not depend on which process ran each seed.
+  std::optional<QuantileSketch> pooled;
+  for (const Json& run : runs.items()) {
+    p50.add(run.at("p50_ms").as_double());
+    p95.add(run.at("p95_ms").as_double());
+    p99.add(run.at("p99_ms").as_double());
+    mean.add(run.at("mean_ms").as_double());
+    if (const Json* block = run.find("task_latency_sketch")) {
+      const QuantileSketch sketch = QuantileSketch::from_json(block->at("sketch"));
+      if (pooled) {
+        pooled->merge(sketch);
+      } else {
+        pooled = sketch;
+      }
+    }
+  }
+  Json latency = Json::object();
+  latency["p50_ms"] = summary_json(p50);
+  latency["p95_ms"] = summary_json(p95);
+  latency["p99_ms"] = summary_json(p99);
+  latency["mean_ms"] = summary_json(mean);
+  item["task_latency_ms"] = std::move(latency);
+  item["runs"] = std::move(runs);
+  item.erase("task_latency_sketch");
+  if (pooled && !pooled->empty()) item["task_latency_sketch"] = sketch_block_json(*pooled);
+}
+
+Json sketch_block_json(const QuantileSketch& sketch) {
+  // Sketches record nanoseconds; artifacts report milliseconds.
+  Json j = Json::object();
+  j["count"] = sketch.count();
+  j["p50_ms"] = sketch.percentile(50) / 1e6;
+  j["p95_ms"] = sketch.percentile(95) / 1e6;
+  j["p99_ms"] = sketch.percentile(99) / 1e6;
+  j["p999_ms"] = sketch.percentile(99.9) / 1e6;
+  j["sketch"] = sketch.to_json();
+  return j;
+}
 
 Json read_artifact_file(const std::string& path) {
   std::ifstream is(path);
@@ -119,57 +168,39 @@ Json merge_artifacts(const std::vector<Json>& shards) {
   Json timing_cases = Json::array();
 
   for (std::size_t case_index = 0; case_index < cases.size(); ++case_index) {
-    // By value: inserting task_latency_ms/runs below may reallocate the
-    // case object's member storage.
+    // By value: set_case_runs below may reallocate the case object's
+    // member storage.
     const std::string label = cases.at(case_index).at("label").as_string();
     // (seed -> (run row, wall seconds)), unioned across shards.
     std::map<std::int64_t, std::pair<Json, double>> by_seed;
-    for (const Json& shard : shards) {
-      const Json& shard_case = shard.at("cases").at(case_index);
-      const Json& runs = shard_case.at("runs");
-      const Json& walls = shard.at("timing").at("cases").at(case_index).at("wall_seconds");
-      if (walls.size() != runs.size()) {
-        merge_fail("case '" + label + "': timing rows do not match runs");
-      }
-      for (std::size_t j = 0; j < runs.size(); ++j) {
-        const std::int64_t seed = runs.at(j).at("seed").as_int();
-        if (!by_seed.emplace(seed, std::make_pair(runs.at(j), walls.at(j).as_double()))
-                 .second) {
-          merge_fail("case '" + label + "' seed " + std::to_string(seed) +
-                     " executed by more than one shard");
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      const Json& runs = shards[i].at("cases").at(case_index).at("runs");
+      const Json& walls = shards[i].at("timing").at("cases").at(case_index).at("wall_seconds");
+      try {
+        for (std::size_t j = 0; j < runs.size(); ++j) {
+          const std::int64_t seed = runs.at(j).at("seed").as_int();
+          const std::string which = "seed " + std::to_string(seed);
+          if (std::find(seed_order.begin(), seed_order.end(), seed) == seed_order.end()) {
+            throw std::runtime_error(which + " is not a planned seed");
+          }
+          if (!by_seed.emplace(seed, std::make_pair(runs.at(j), walls.at(j).as_double()))
+                   .second) {
+            throw std::runtime_error(which + " executed by more than one shard");
+          }
         }
+      } catch (const std::exception& e) {
+        merge_fail("artifact #" + std::to_string(i + 1) + ", case '" + label + "': " + e.what());
       }
     }
 
-    // Reassemble in planned seed order and re-aggregate the cross-seed
-    // summaries from the per-seed percentiles (exact: doubles
-    // round-trip through the artifact bit for bit).
+    // Reassemble in planned seed order.
     Json runs = Json::array();
     Json walls = Json::array();
-    Summary p50, p95, p99, mean;
-    // Case-level pooled sketch, rebuilt from the per-seed sketches in
-    // planned seed order. Sketch merging is exact (integer bucket
-    // addition), so this reproduces the unsharded pooled block byte
-    // for byte.
-    std::unique_ptr<QuantileSketch> pooled_sketch;
     for (const std::int64_t seed : seed_order) {
       const auto it = by_seed.find(seed);
       if (it == by_seed.end()) {
         merge_fail("case '" + label + "' seed " + std::to_string(seed) +
                    " missing from every shard");
-      }
-      const Json& run = it->second.first;
-      p50.add(run.at("p50_ms").as_double());
-      p95.add(run.at("p95_ms").as_double());
-      p99.add(run.at("p99_ms").as_double());
-      mean.add(run.at("mean_ms").as_double());
-      if (const Json* run_sketch = run.find("task_latency_sketch")) {
-        const QuantileSketch parsed = QuantileSketch::from_json(run_sketch->at("sketch"));
-        if (pooled_sketch == nullptr) {
-          pooled_sketch = std::make_unique<QuantileSketch>(parsed);
-        } else {
-          pooled_sketch->merge(parsed);
-        }
       }
       // Wall seconds live in the timing subtree of the artifact, which the
       // identity gate drops; order-sensitivity here cannot affect identity.
@@ -178,24 +209,10 @@ Json merge_artifacts(const std::vector<Json>& shards) {
       walls.push_back(it->second.second);
       runs.push_back(std::move(it->second.first));
     }
-    if (by_seed.size() != seed_order.size()) {
-      merge_fail("case '" + label + "' has runs for unplanned seeds");
-    }
-
-    Json latency = Json::object();
-    latency["p50_ms"] = summary_json(p50);
-    latency["p95_ms"] = summary_json(p95);
-    latency["p99_ms"] = summary_json(p99);
-    latency["mean_ms"] = summary_json(mean);
-    Json& merged_case = cases.at(case_index);
-    merged_case["task_latency_ms"] = std::move(latency);
-    merged_case["runs"] = std::move(runs);
-    // Erase-then-append keeps the pooled block in its emitted position
-    // (the case object's last key) whether or not shard #1's slice of
-    // this case carried one.
-    merged_case.erase("task_latency_sketch");
-    if (pooled_sketch != nullptr && !pooled_sketch->empty()) {
-      merged_case["task_latency_sketch"] = sketch_block_json(*pooled_sketch);
+    try {
+      set_case_runs(cases.at(case_index), std::move(runs));
+    } catch (const std::exception& e) {
+      merge_fail("case '" + label + "': " + e.what());
     }
 
     Json timing_case = Json::object();

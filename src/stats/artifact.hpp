@@ -16,11 +16,10 @@
 //             artifact diffs and byte-identity checks drop exactly one
 //             top-level subtree instead of excluding fields everywhere
 //
-// `merge_artifacts` reassembles N shard artifacts into the document the
-// single-process run would have written: per-seed rows are unioned by
-// (case, seed), re-ordered by the planned seed order, and the
-// cross-seed summaries re-aggregated from the parsed per-seed
-// percentiles. Because doubles serialize with shortest-round-trip
+// Every case is built from its per-seed rows by `set_case_runs`: the
+// driver calls it on the rows it just ran, and `merge_artifacts` on the
+// rows it unioned from N shard artifacts, re-ordered by the planned
+// seed order. Because doubles serialize with shortest-round-trip
 // precision, the merged document is byte-identical to the unsharded
 // one for any shard count (timing aside).
 #pragma once
@@ -31,37 +30,38 @@
 
 #include "stats/report.hpp"
 #include "stats/sketch.hpp"
-#include "stats/summary.hpp"
 
 namespace brb::stats {
 
 /// Artifact schema version emitted by this build.
 inline constexpr int kArtifactFormat = 2;
 
-/// The {mean, stddev, min, max} block used for every cross-seed
-/// statistic in an artifact (shared by the driver and the merger so
-/// both serialize aggregates identically).
-Json summary_json(const Summary& summary);
+/// Sets one case's results from its per-seed rows, in planned seed
+/// order: "task_latency_ms" (the cross-seed {mean, stddev, min, max}
+/// of each row's p50/p95/p99/mean), then "runs", then the
+/// "task_latency_sketch" block pooled from the rows' sketches
+/// (`--stats=sketch` runs only). Existing keys keep their position; the
+/// sketch block is always the case's last key. The one place a case's
+/// cross-seed statistics are computed.
+void set_case_runs(Json& item, Json runs);
 
-/// The "task_latency_sketch" block (`--stats=sketch` runs only):
-/// quantiles in milliseconds plus the serialized sketch itself. Shared
-/// by the driver and the merger — `merge_artifacts` re-pools the
-/// per-seed sketches and re-emits this block, so the merged case-level
-/// sketch is byte-identical to the unsharded one. Throws
-/// std::logic_error on an empty sketch.
+/// The "task_latency_sketch" block: quantiles in milliseconds plus the
+/// serialized sketch itself. Throws std::logic_error on an empty
+/// sketch.
 Json sketch_block_json(const QuantileSketch& sketch);
 
 /// Parses one artifact file and validates the envelope (tool, format,
-/// scenario/config/seeds/cases present). Throws std::runtime_error
-/// with the path on any problem.
+/// scenario, config, seeds, cases and timing present with their types,
+/// one timing row per case and run). Throws std::runtime_error with
+/// the path on any problem.
 Json read_artifact_file(const std::string& path);
 
 /// Merges shard artifacts of one sweep into the single-process
 /// document. Validates that every shard describes the same plan
 /// (scenario, config, seeds, case specs), that each planned
 /// (case, seed) unit was executed exactly once across the shards, and
-/// re-aggregates the cross-seed summaries. Throws std::runtime_error
-/// on any inconsistency.
+/// rebuilds each case with `set_case_runs`. Throws std::runtime_error
+/// on any inconsistency, naming the artifact and case.
 Json merge_artifacts(const std::vector<Json>& shards);
 
 /// The CSV projection of an artifact (one row per case x seed plus an

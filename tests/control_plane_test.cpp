@@ -874,11 +874,7 @@ core::ScenarioConfig small_config(core::SystemKind system) {
 /// config block and the per-case "policy"/"policy_switch"/"admission"
 /// descriptors legitimately *name* the explicit binding, so they are
 /// stripped — everything measured must match byte-for-byte.
-std::string cases_fingerprint(const std::string& scenario,
-                              const core::ScenarioConfig& base,
-                              const std::vector<std::uint64_t>& seeds,
-                              const std::vector<cli::CaseResult>& results) {
-  stats::Json doc = cli::report_json(scenario, base, seeds, results);
+std::string cases_fingerprint(stats::Json doc) {
   stats::Json& cases = doc["cases"];
   for (std::size_t i = 0; i < cases.size(); ++i) {
     cases.at(i).erase("policy");
@@ -888,22 +884,17 @@ std::string cases_fingerprint(const std::string& scenario,
   return doc.at("cases").dump_string(-1);
 }
 
-std::string artifact_csv_string(const std::string& scenario, const core::ScenarioConfig& base,
-                                const std::vector<std::uint64_t>& seeds,
-                                const std::vector<cli::CaseResult>& results) {
-  const stats::Json doc = cli::report_json(scenario, base, seeds, results);
+std::string artifact_csv_string(const stats::Json& doc) {
   std::ostringstream os;
   stats::artifact_csv(os, doc);
   return os.str();
 }
 
-std::vector<cli::CaseResult> run_case(const core::ScenarioConfig& config,
-                                      const std::vector<std::uint64_t>& seeds,
-                                      const std::string& label) {
-  cli::CaseResult result;
-  result.spec = {label, config};
-  result.aggregate = core::run_seeds(config, seeds, {.max_threads = 1});
-  return {std::move(result)};
+/// The serial artifact of one hand-made case over `seeds`.
+stats::Json run_case(const core::ScenarioConfig& config, const std::vector<std::uint64_t>& seeds,
+                     const std::string& label) {
+  return cli::execute_shard(cli::plan_cases("golden", config, {{label, config}}, seeds), nullptr,
+                            1);
 }
 
 TEST(GoldenEquivalence, ExplicitPolicyMatchesProfileDefault) {
@@ -915,12 +906,10 @@ TEST(GoldenEquivalence, ExplicitPolicyMatchesProfileDefault) {
   core::ScenarioConfig bound = legacy;
   bound.policy_spec = "least-pending-cost";
 
-  const auto legacy_results = run_case(legacy, seeds, "equalmax-credits");
-  const auto bound_results = run_case(bound, seeds, "equalmax-credits");
-  EXPECT_EQ(cases_fingerprint("golden", legacy, seeds, legacy_results),
-            cases_fingerprint("golden", bound, seeds, bound_results));
-  EXPECT_EQ(artifact_csv_string("golden", legacy, seeds, legacy_results),
-            artifact_csv_string("golden", bound, seeds, bound_results));
+  const stats::Json legacy_doc = run_case(legacy, seeds, "equalmax-credits");
+  const stats::Json bound_doc = run_case(bound, seeds, "equalmax-credits");
+  EXPECT_EQ(cases_fingerprint(legacy_doc), cases_fingerprint(bound_doc));
+  EXPECT_EQ(artifact_csv_string(legacy_doc), artifact_csv_string(bound_doc));
 }
 
 TEST(GoldenEquivalence, PaperSystemsMatchUnderExplicitBinding) {
@@ -938,10 +927,8 @@ TEST(GoldenEquivalence, PaperSystemsMatchUnderExplicitBinding) {
     const core::ScenarioConfig legacy = small_config(entry.system);
     core::ScenarioConfig bound = legacy;
     bound.policy_spec = entry.selector;
-    EXPECT_EQ(cases_fingerprint("golden", legacy, seeds,
-                                run_case(legacy, seeds, to_string(entry.system))),
-              cases_fingerprint("golden", bound, seeds,
-                                run_case(bound, seeds, to_string(entry.system))))
+    EXPECT_EQ(cases_fingerprint(run_case(legacy, seeds, to_string(entry.system))),
+              cases_fingerprint(run_case(bound, seeds, to_string(entry.system))))
         << to_string(entry.system);
   }
 }
@@ -955,8 +942,8 @@ TEST(GoldenEquivalence, MultiTenantPerTenantBindingMatchesDefault) {
   core::ScenarioConfig bound = legacy;
   bound.policy_spec = "interactive:least-pending-cost,batch:least-pending-cost";
 
-  EXPECT_EQ(cases_fingerprint("golden", legacy, seeds, run_case(legacy, seeds, "multi-tenant")),
-            cases_fingerprint("golden", bound, seeds, run_case(bound, seeds, "multi-tenant")));
+  EXPECT_EQ(cases_fingerprint(run_case(legacy, seeds, "multi-tenant")),
+            cases_fingerprint(run_case(bound, seeds, "multi-tenant")));
 }
 
 TEST(GoldenEquivalence, LargeClusterScaledDownMatches) {
@@ -967,8 +954,8 @@ TEST(GoldenEquivalence, LargeClusterScaledDownMatches) {
   core::ScenarioConfig bound = legacy;
   bound.policy_spec = "lpc";  // alias resolves to the profile default
 
-  EXPECT_EQ(cases_fingerprint("golden", legacy, seeds, run_case(legacy, seeds, "large")),
-            cases_fingerprint("golden", bound, seeds, run_case(bound, seeds, "large")));
+  EXPECT_EQ(cases_fingerprint(run_case(legacy, seeds, "large")),
+            cases_fingerprint(run_case(bound, seeds, "large")));
 }
 
 TEST(GoldenEquivalence, SwitchBeyondEndOfRunIsInert) {
@@ -977,9 +964,8 @@ TEST(GoldenEquivalence, SwitchBeyondEndOfRunIsInert) {
   core::ScenarioConfig switched = legacy;
   switched.policy_switch_spec = "t0:least-outstanding,3600s:random";
 
-  EXPECT_EQ(cases_fingerprint("golden", legacy, seeds, run_case(legacy, seeds, "fifo-direct")),
-            cases_fingerprint("golden", switched, seeds,
-                              run_case(switched, seeds, "fifo-direct")));
+  EXPECT_EQ(cases_fingerprint(run_case(legacy, seeds, "fifo-direct")),
+            cases_fingerprint(run_case(switched, seeds, "fifo-direct")));
 }
 
 TEST(ControlPlane, MidRunSwitchCompletesAndCounts) {

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "ctrl/replica_policy.hpp"
 #include "ctrl/signal_table.hpp"
 #include "sim/simulator.hpp"
+#include "stats/report.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
 
@@ -619,32 +621,26 @@ TEST(DispatchScenario, TiedLoserIsAlwaysRejectedAtDequeue) {
 }
 
 TEST(DispatchScenario, KofnCancelsStragglersAndIsThreadInvariant) {
-  core::ScenarioConfig config = dispatch_config("kofn:2");
-  const std::vector<std::uint64_t> seeds = {1, 2};
-  const core::AggregateResult serial = core::run_seeds(config, seeds, {.max_threads = 1});
-  const core::AggregateResult parallel = core::run_seeds(config, seeds, {.max_threads = 0});
+  const core::ScenarioConfig config = dispatch_config("kofn:2");
+  const cli::SweepPlan plan = cli::plan_cases("kofn", config, {{"kofn", config}}, {1, 2});
+  stats::Json serial = cli::execute_shard(plan, nullptr, 1);
+  stats::Json parallel = cli::execute_shard(plan, nullptr, 0);
 
   // Worker threads must not move a single sample or counter.
-  ASSERT_EQ(serial.runs.size(), parallel.runs.size());
-  EXPECT_EQ(serial.p99_ms.mean(), parallel.p99_ms.mean());
-  for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-    const core::RunResult& a = serial.runs[i];
-    const core::RunResult& b = parallel.runs[i];
-    EXPECT_EQ(a.task_latency.percentile(99), b.task_latency.percentile(99));
-    EXPECT_EQ(a.duplicates_sent, b.duplicates_sent);
-    EXPECT_EQ(a.duplicates_cancelled, b.duplicates_cancelled);
-    EXPECT_EQ(a.duplicates_served, b.duplicates_served);
-    EXPECT_EQ(a.events_processed, b.events_processed);
-  }
+  serial.erase("timing");
+  parallel.erase("timing");
+  EXPECT_EQ(serial.dump_string(), parallel.dump_string());
 
   // Fan-out beyond k produces duplicates; stragglers are cancelled at
   // their dequeue, so wasted full services stay a bounded fraction.
-  const core::RunResult& run = serial.runs[0];
-  EXPECT_GT(run.duplicates_sent, 0u);
-  EXPECT_GT(run.duplicates_cancelled, 0u);
-  EXPECT_LE(run.duplicates_cancelled + run.duplicates_served, run.duplicates_sent);
-  EXPECT_GT(run.duplicate_work_fraction, 0.0);
-  EXPECT_LT(run.duplicate_work_fraction, 0.5);
+  const stats::Json& run = serial.at("cases").at(0).at("runs").at(0);
+  const std::int64_t sent = run.at("duplicates_sent").as_int();
+  const std::int64_t cancelled = run.at("duplicates_cancelled").as_int();
+  EXPECT_GT(sent, 0);
+  EXPECT_GT(cancelled, 0);
+  EXPECT_LE(cancelled + run.at("duplicates_served").as_int(), sent);
+  EXPECT_GT(run.at("duplicate_work_fraction").as_double(), 0.0);
+  EXPECT_LT(run.at("duplicate_work_fraction").as_double(), 0.5);
 }
 
 TEST(DispatchScenario, DuplicateModesRejectGlobalQueueSystems) {

@@ -11,6 +11,7 @@
 
 #include "cli/driver.hpp"
 #include "cli/scenario_registry.hpp"
+#include "cli/sweep_plan.hpp"
 #include "core/scenario.hpp"
 #include "server/backend_server.hpp"
 #include "server/queue_discipline.hpp"
@@ -578,26 +579,18 @@ TEST(DiversityDeterminism, NewScenarioReportsByteIdenticalAcrossWorkerCounts) {
 
   for (const char* name :
        {"hetero-servers", "diurnal", "write-heavy", "multi-tenant", "replication-skew"}) {
-    const cli::ScenarioSpec* scenario = cli::find_scenario(name);
-    ASSERT_NE(scenario, nullptr) << name;
     const bool hetero = std::string(name) == "hetero-servers";
     const util::Flags& scenario_flags = hetero ? hetero_flags : flags;
     const core::ScenarioConfig scenario_base = cli::config_from_flags(scenario_flags);
-    const std::vector<cli::ExperimentCase> cases = scenario->expand(scenario_base, scenario_flags);
-    ASSERT_FALSE(cases.empty()) << name;
+    const cli::SweepPlan plan =
+        cli::build_sweep_plan(name, scenario_base, seeds, scenario_flags);
+    ASSERT_FALSE(plan.cases.empty()) << name;
 
     std::vector<std::string> dumps;
-    for (const std::size_t max_threads : {std::size_t{1}, std::size_t{2}}) {
-      core::RunSeedsOptions options;
-      options.max_threads = max_threads;
-      std::vector<cli::CaseResult> results;
-      for (const cli::ExperimentCase& experiment : cases) {
-        core::AggregateResult aggregate = core::run_seeds(experiment.config, seeds, options);
-        results.push_back({experiment, std::move(aggregate)});
-      }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
       // Wall-clock time lives in the trailing "timing" object; drop it
       // and demand byte-identical artifacts across thread counts.
-      stats::Json doc = cli::report_json(name, scenario_base, seeds, results);
+      stats::Json doc = cli::execute_shard(plan, nullptr, threads);
       doc.erase("timing");
       dumps.push_back(doc.dump_string());
     }

@@ -76,9 +76,9 @@ TEST(ConfigTable, ArtifactBlocksArePinned) {
   config.signal_store = "sparse:8";
   config.stats_spec = "sketch";
   config.system = core::SystemKind::kC3;
-  std::vector<cli::CaseResult> results;
-  results.push_back({{"case", config}, core::aggregate_runs(config.system, {})});
-  const stats::Json doc = cli::report_json("pin", config, {1}, results);
+  // A plan with no units: the artifact's blocks without a single run.
+  const cli::SweepPlan plan{"pin", config, {{"case", config}}, {1}, {}};
+  const stats::Json doc = cli::execute_shard(plan, nullptr, 1);
 
   EXPECT_EQ(doc.at("config").dump_string(-1),
             R"({"servers":3,"cores_per_server":4,"service_rate_per_core":3.5e+03,)"

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "cli/driver.hpp"
+#include "cli/sweep_plan.hpp"
 #include "core/scenario.hpp"
 #include "ctrl/replica_policy.hpp"
 #include "sim/event_queue.hpp"
@@ -163,6 +166,16 @@ TEST(SmallFnStorage, CapturesUpToTheBufferSizeCompileAndRun) {
 // ---------------------------------------------------------------------------
 // Thread-count determinism of driver artifacts
 
+/// One case's artifact over `seeds` from the driver's executor on
+/// `threads` workers, minus the wall-clock "timing" subtree.
+std::string artifact_at(const core::ScenarioConfig& config, const std::string& label,
+                        const std::vector<std::uint64_t>& seeds, std::size_t threads) {
+  const cli::SweepPlan plan = cli::plan_cases(label, config, {{label, config}}, seeds);
+  stats::Json doc = cli::execute_shard(plan, nullptr, threads);
+  doc.erase("timing");
+  return doc.dump_string();
+}
+
 TEST(ThreadDeterminism, ReportJsonByteIdenticalAcrossWorkerCounts) {
   core::ScenarioConfig config;
   config.system = core::SystemKind::kEqualMaxCredits;
@@ -171,33 +184,11 @@ TEST(ThreadDeterminism, ReportJsonByteIdenticalAcrossWorkerCounts) {
   config.num_clients = 6;
   const std::vector<std::uint64_t> seeds = {1, 2, 3, 4};
 
-  core::RunSeedsOptions serial;
-  serial.max_threads = 1;
-  core::RunSeedsOptions threaded;
-  threaded.max_threads = 0;  // one worker per seed
-  core::RunSeedsOptions capped;
-  capped.max_threads = 3;  // strided assignment exercises the cap path
-
-  std::vector<core::AggregateResult> results;
-  results.push_back(core::run_seeds(config, seeds, serial));
-  results.push_back(core::run_seeds(config, seeds, threaded));
-  results.push_back(core::run_seeds(config, seeds, capped));
-
   // Wall-clock time is quarantined in the artifact's trailing "timing"
   // object; drop it, then demand byte-identical serialized artifacts.
-  std::vector<std::string> dumps;
-  for (core::AggregateResult& result : results) {
-    cli::CaseResult case_result;
-    case_result.spec = {"determinism", config};
-    case_result.aggregate = std::move(result);
-    std::vector<cli::CaseResult> cases;
-    cases.push_back(std::move(case_result));
-    stats::Json doc = cli::report_json("determinism", config, seeds, cases);
-    doc.erase("timing");
-    dumps.push_back(doc.dump_string());
-  }
-  EXPECT_EQ(dumps[0], dumps[1]);
-  EXPECT_EQ(dumps[0], dumps[2]);
+  const std::string serial = artifact_at(config, "determinism", seeds, 1);
+  EXPECT_EQ(serial, artifact_at(config, "determinism", seeds, 0));  // one worker per seed
+  EXPECT_EQ(serial, artifact_at(config, "determinism", seeds, 3));  // fewer workers than units
 }
 
 TEST(ThreadDeterminism, PolicyShootoutSubstrateByteIdenticalAcrossWorkerCounts) {
@@ -214,27 +205,8 @@ TEST(ThreadDeterminism, PolicyShootoutSubstrateByteIdenticalAcrossWorkerCounts) 
   config.num_clients = 6;
   const std::vector<std::uint64_t> seeds = {11, 12, 13};
 
-  core::RunSeedsOptions serial;
-  serial.max_threads = 1;
-  core::RunSeedsOptions threaded;
-  threaded.max_threads = 0;  // one worker per seed
-
-  std::vector<core::AggregateResult> results;
-  results.push_back(core::run_seeds(config, seeds, serial));
-  results.push_back(core::run_seeds(config, seeds, threaded));
-
-  std::vector<std::string> dumps;
-  for (core::AggregateResult& result : results) {
-    cli::CaseResult case_result;
-    case_result.spec = {"shootout-determinism", config};
-    case_result.aggregate = std::move(result);
-    std::vector<cli::CaseResult> cases;
-    cases.push_back(std::move(case_result));
-    stats::Json doc = cli::report_json("shootout-determinism", config, seeds, cases);
-    doc.erase("timing");
-    dumps.push_back(doc.dump_string());
-  }
-  EXPECT_EQ(dumps[0], dumps[1]);
+  EXPECT_EQ(artifact_at(config, "shootout-determinism", seeds, 1),
+            artifact_at(config, "shootout-determinism", seeds, 0));  // one worker per seed
 }
 
 TEST(ThreadDeterminism, BatchedArrivalPumpByteIdenticalAcrossWorkerCounts) {
@@ -253,27 +225,8 @@ TEST(ThreadDeterminism, BatchedArrivalPumpByteIdenticalAcrossWorkerCounts) {
   config.tenant_spec = "fg,share=0.7,fanout=fixed:2;bg,share=0.3,fanout=fixed:16,write=0.5";
   const std::vector<std::uint64_t> seeds = {21, 22, 23};
 
-  core::RunSeedsOptions serial;
-  serial.max_threads = 1;
-  core::RunSeedsOptions threaded;
-  threaded.max_threads = 0;  // one worker per seed
-
-  std::vector<core::AggregateResult> results;
-  results.push_back(core::run_seeds(config, seeds, serial));
-  results.push_back(core::run_seeds(config, seeds, threaded));
-
-  std::vector<std::string> dumps;
-  for (core::AggregateResult& result : results) {
-    cli::CaseResult case_result;
-    case_result.spec = {"pump-determinism", config};
-    case_result.aggregate = std::move(result);
-    std::vector<cli::CaseResult> cases;
-    cases.push_back(std::move(case_result));
-    stats::Json doc = cli::report_json("pump-determinism", config, seeds, cases);
-    doc.erase("timing");
-    dumps.push_back(doc.dump_string());
-  }
-  EXPECT_EQ(dumps[0], dumps[1]);
+  EXPECT_EQ(artifact_at(config, "pump-determinism", seeds, 1),
+            artifact_at(config, "pump-determinism", seeds, 0));  // one worker per seed
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@
 
 #include "cli/driver.hpp"
 #include "cli/scenario_registry.hpp"
+#include "cli/sweep_plan.hpp"
+#include "stats/report.hpp"
 #include "util/flags.hpp"
 
 namespace brb::core {
@@ -141,30 +143,51 @@ TEST(Scenario, SummaryMatchesRecorder) {
   EXPECT_GE(summary.p95_ms, summary.p50_ms);
 }
 
+/// One case's artifact from the driver's executor on `threads`
+/// workers, its wall-clock "timing" subtree dropped.
+stats::Json seeds_artifact(const ScenarioConfig& config, const std::vector<std::uint64_t>& seeds,
+                           std::size_t threads) {
+  const cli::SweepPlan plan = cli::plan_cases("seeds", config, {{"case", config}}, seeds);
+  stats::Json doc = cli::execute_shard(plan, nullptr, threads);
+  doc.erase("timing");
+  return doc;
+}
+
 TEST(Scenario, RunSeedsAggregatesAcrossRuns) {
   ScenarioConfig config = quick_config(SystemKind::kEqualMaxModel);
   config.num_tasks = 2000;
-  const AggregateResult agg = run_seeds(config, {1, 2, 3}, {.max_threads = 1});
-  EXPECT_EQ(agg.runs.size(), 3u);
-  EXPECT_EQ(agg.p99_ms.count(), 3u);
-  EXPECT_GT(agg.p50_ms.mean(), 0.0);
+  const stats::Json doc = seeds_artifact(config, {1, 2, 3}, 1);
+  const stats::Json& item = doc.at("cases").at(0);
+  const stats::Json& runs = item.at("runs");
+  ASSERT_EQ(runs.size(), 3u);
+  // The cross-seed block summarizes exactly the three rows, in seed order.
+  double sum = 0.0;
+  double lo = runs.at(0).at("p99_ms").as_double();
+  double hi = lo;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs.at(i).at("seed").as_int(), static_cast<std::int64_t>(i + 1));
+    const double p99 = runs.at(i).at("p99_ms").as_double();
+    sum += p99;
+    lo = std::min(lo, p99);
+    hi = std::max(hi, p99);
+  }
+  const stats::Json& p99 = item.at("task_latency_ms").at("p99_ms");
+  EXPECT_DOUBLE_EQ(p99.at("mean").as_double(), sum / 3.0);
+  EXPECT_EQ(p99.at("min").as_double(), lo);
+  EXPECT_EQ(p99.at("max").as_double(), hi);
+  EXPECT_GT(item.at("task_latency_ms").at("p50_ms").at("mean").as_double(), 0.0);
   // Seeds differ, so some spread exists but is finite.
-  EXPECT_GE(agg.p99_ms.stddev(), 0.0);
+  EXPECT_GE(p99.at("stddev").as_double(), 0.0);
 }
 
 TEST(Scenario, ParallelSeedsMatchSerialBitExactly) {
   ScenarioConfig config = quick_config(SystemKind::kEqualMaxCredits);
   config.num_tasks = 3000;
-  const AggregateResult serial = run_seeds(config, {1, 2, 3}, {.max_threads = 1});
-  const AggregateResult parallel = run_seeds(config, {1, 2, 3}, {.max_threads = 0});
-  ASSERT_EQ(serial.runs.size(), parallel.runs.size());
-  for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-    EXPECT_EQ(serial.runs[i].task_latency.percentile(99).count_nanos(),
-              parallel.runs[i].task_latency.percentile(99).count_nanos());
-    EXPECT_EQ(serial.runs[i].events_processed, parallel.runs[i].events_processed);
-    EXPECT_EQ(serial.runs[i].network_messages, parallel.runs[i].network_messages);
-  }
-  EXPECT_DOUBLE_EQ(serial.p99_ms.mean(), parallel.p99_ms.mean());
+  const stats::Json serial = seeds_artifact(config, {1, 2, 3}, 1);
+  const stats::Json parallel = seeds_artifact(config, {1, 2, 3}, 0);
+  ASSERT_EQ(serial.at("cases").at(0).at("runs").size(), 3u);
+  // Every row (p99, events, messages, ...) and the cross-seed block.
+  EXPECT_EQ(serial.dump_string(), parallel.dump_string());
 }
 
 TEST(Scenario, ModelNeverWorseThanCreditsAtP99) {

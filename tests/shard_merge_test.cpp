@@ -5,8 +5,10 @@
 // Also the paper-claims readout brbsim prints from an artifact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -201,8 +203,7 @@ TEST(ShardMerge, MergedArtifactByteIdenticalToUnsharded) {
         "--servers=5", "--clients=6"}},
   };
   util::Rng rng(42);
-  core::RunSeedsOptions options;
-  options.max_threads = 2;
+  const std::size_t threads = 2;
 
   for (const SweepCase& combo : combos) {
     SCOPED_TRACE(combo.scenario);
@@ -215,8 +216,7 @@ TEST(ShardMerge, MergedArtifactByteIdenticalToUnsharded) {
     const std::vector<std::uint64_t> seeds = {1, 2, 3};
     const cli::SweepPlan plan = cli::build_sweep_plan(combo.scenario, base, seeds, flags);
 
-    const Json full_doc = cli::report_json(
-        combo.scenario, base, seeds, cli::execute_shard(plan, cli::ShardSpec{}, options));
+    const Json full_doc = cli::execute_shard(plan, nullptr, threads);
     const std::string full_dump = deterministic_dump(full_doc);
     const std::string full_csv = csv_of(full_doc);
 
@@ -227,8 +227,7 @@ TEST(ShardMerge, MergedArtifactByteIdenticalToUnsharded) {
         cli::ShardSpec shard;
         shard.index = i;
         shard.count = n;
-        const Json doc = cli::report_json(combo.scenario, base, seeds,
-                                          cli::execute_shard(plan, shard, options), &shard);
+        const Json doc = cli::execute_shard(plan, &shard, threads);
         // Artifacts travel between machines as text; round-trip each
         // shard through serialization exactly as `brbsim merge` does —
         // which also asserts parse(dump(doc)) is byte-faithful.
@@ -256,11 +255,9 @@ TEST(ShardMerge, SketchArtifactsMergeByteIdentically) {
   const core::ScenarioConfig base = cli::config_from_flags(flags);
   const std::vector<std::uint64_t> seeds = {1, 2, 3};
   const cli::SweepPlan plan = cli::build_sweep_plan("paper", base, seeds, flags);
-  core::RunSeedsOptions options;
-  options.max_threads = 2;
+  const std::size_t threads = 2;
 
-  const Json full_doc = cli::report_json(
-      "paper", base, seeds, cli::execute_shard(plan, cli::ShardSpec{}, options));
+  const Json full_doc = cli::execute_shard(plan, nullptr, threads);
   for (const Json& item : full_doc.at("cases").items()) {
     const Json* pooled = item.find("task_latency_sketch");
     ASSERT_NE(pooled, nullptr);
@@ -280,8 +277,7 @@ TEST(ShardMerge, SketchArtifactsMergeByteIdentically) {
       cli::ShardSpec shard;
       shard.index = i;
       shard.count = n;
-      shards.push_back(cli::report_json("paper", base, seeds,
-                                        cli::execute_shard(plan, shard, options), &shard));
+      shards.push_back(cli::execute_shard(plan, &shard, threads));
     }
     const Json merged = stats::merge_artifacts(shards);
     EXPECT_EQ(deterministic_dump(merged), deterministic_dump(full_doc));
@@ -298,16 +294,14 @@ TEST(ShardMerge, PeakRssIsMaxOverShards) {
   const core::ScenarioConfig base = cli::config_from_flags(flags);
   const std::vector<std::uint64_t> seeds = {1, 2};
   const cli::SweepPlan plan = cli::build_sweep_plan("paper", base, seeds, flags);
-  core::RunSeedsOptions options;
-  options.max_threads = 2;
+  const std::size_t threads = 2;
 
   std::vector<Json> shards;
   for (std::uint32_t i = 1; i <= 2; ++i) {
     cli::ShardSpec shard;
     shard.index = i;
     shard.count = 2;
-    shards.push_back(cli::report_json("paper", base, seeds,
-                                      cli::execute_shard(plan, shard, options), &shard));
+    shards.push_back(cli::execute_shard(plan, &shard, threads));
   }
   shards[0]["timing"]["peak_rss_mb"] = 512.0;
   shards[1]["timing"]["peak_rss_mb"] = 7168.0;
@@ -328,10 +322,8 @@ TEST(ShardMerge, ArtifactQuarantinesTimingLast) {
   const core::ScenarioConfig base = cli::config_from_flags(flags);
   const std::vector<std::uint64_t> seeds = {1, 2};
   const cli::SweepPlan plan = cli::build_sweep_plan("paper", base, seeds, flags);
-  core::RunSeedsOptions options;
-  options.max_threads = 2;
-  const Json doc =
-      cli::report_json("paper", base, seeds, cli::execute_shard(plan, cli::ShardSpec{}, options));
+  const std::size_t threads = 2;
+  const Json doc = cli::execute_shard(plan, nullptr, threads);
 
   ASSERT_FALSE(doc.members().empty());
   EXPECT_EQ(doc.members().back().first, "timing");
@@ -356,8 +348,7 @@ TEST(ShardMerge, RejectsInconsistentShards) {
   const core::ScenarioConfig base = cli::config_from_flags(flags);
   const std::vector<std::uint64_t> seeds = {1, 2};
   const cli::SweepPlan plan = cli::build_sweep_plan("paper", base, seeds, flags);
-  core::RunSeedsOptions options;
-  options.max_threads = 1;
+  const std::size_t threads = 1;
 
   cli::ShardSpec one_of_two;
   one_of_two.index = 1;
@@ -365,10 +356,8 @@ TEST(ShardMerge, RejectsInconsistentShards) {
   cli::ShardSpec two_of_two;
   two_of_two.index = 2;
   two_of_two.count = 2;
-  const Json shard1 = cli::report_json("paper", base, seeds,
-                                       cli::execute_shard(plan, one_of_two, options), &one_of_two);
-  const Json shard2 = cli::report_json("paper", base, seeds,
-                                       cli::execute_shard(plan, two_of_two, options), &two_of_two);
+  const Json shard1 = cli::execute_shard(plan, &one_of_two, threads);
+  const Json shard2 = cli::execute_shard(plan, &two_of_two, threads);
 
   // Happy path: both halves merge.
   EXPECT_NO_THROW(stats::merge_artifacts({shard1, shard2}));
@@ -380,14 +369,44 @@ TEST(ShardMerge, RejectsInconsistentShards) {
   // A shard of a different sweep (different seed plan) is rejected.
   const std::vector<std::uint64_t> other_seeds = {7, 8};
   const cli::SweepPlan other_plan = cli::build_sweep_plan("paper", base, other_seeds, flags);
-  const Json other = cli::report_json(
-      "paper", base, other_seeds, cli::execute_shard(other_plan, one_of_two, options),
-      &one_of_two);
+  const Json other = cli::execute_shard(other_plan, &one_of_two, threads);
   EXPECT_THROW(stats::merge_artifacts({shard1, other}), std::runtime_error);
 
   // Garbage documents are rejected up front.
   EXPECT_THROW(stats::merge_artifacts({Json::parse("{\"tool\":\"other\"}")}),
                std::runtime_error);
+
+  // Malformed shards fail with a message naming the artifact: a
+  // timing block with fewer rows than cases, and a format of the wrong
+  // type.
+  const auto merge_error = [](const std::vector<Json>& shards) {
+    try {
+      stats::merge_artifacts(shards);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no error)");
+  };
+  Json short_timing = shard2;
+  Json timing_cases = Json::array();
+  timing_cases.push_back(short_timing.at("timing").at("cases").at(0));
+  short_timing["timing"]["cases"] = std::move(timing_cases);
+  EXPECT_EQ(merge_error({shard1, short_timing}),
+            "artifact #2: timing.cases has 1 entries for 2 cases");
+  Json text_format = shard1;
+  text_format["format"] = "2";
+  EXPECT_EQ(merge_error({text_format, shard2}), "artifact #1: 'format' is not an integer");
+
+  // Per-case failures name the artifact and the case.
+  Json bad_seed = shard2;
+  Json& bad_case = bad_seed["cases"].at(0);
+  Json runs = bad_case.at("runs");
+  ASSERT_GT(runs.size(), 0u);
+  runs.at(0)["seed"] = "1";
+  bad_case["runs"] = std::move(runs);
+  const std::string message = merge_error({shard1, bad_seed});
+  EXPECT_EQ(message.rfind("merge_artifacts: artifact #2, case 'equalmax-credits': ", 0), 0u)
+      << message;
 }
 
 TEST(ShardMerge, EmptyShardContributesNothing) {
@@ -400,23 +419,79 @@ TEST(ShardMerge, EmptyShardContributesNothing) {
   const std::vector<std::uint64_t> seeds = {1};
   const cli::SweepPlan plan = cli::build_sweep_plan("paper", base, seeds, flags);
   ASSERT_EQ(plan.units.size(), 1u);
-  core::RunSeedsOptions options;
-  options.max_threads = 1;
+  const std::size_t threads = 1;
 
-  const Json full = cli::report_json("paper", base, seeds,
-                                     cli::execute_shard(plan, cli::ShardSpec{}, options));
+  const Json full = cli::execute_shard(plan, nullptr, threads);
   std::vector<Json> shards;
   for (std::uint32_t i = 1; i <= 3; ++i) {
     cli::ShardSpec shard;
     shard.index = i;
     shard.count = 3;
-    shards.push_back(cli::report_json("paper", base, seeds,
-                                      cli::execute_shard(plan, shard, options), &shard));
+    shards.push_back(cli::execute_shard(plan, &shard, threads));
   }
   const Json merged = stats::merge_artifacts(shards);
   EXPECT_EQ(deterministic_dump(merged), deterministic_dump(full));
 }
 
+
+// ---------------------------------------------------------------------------
+// The executor: one pool of workers over every (case, seed) unit
+
+Json plan_artifact(const char* scenario, std::vector<const char*> argv,
+                   const std::vector<std::uint64_t>& seeds, std::size_t threads,
+                   std::vector<std::string>* finished = nullptr) {
+  const util::Flags flags(static_cast<int>(argv.size()), argv.data());
+  const cli::SweepPlan plan =
+      cli::build_sweep_plan(scenario, cli::config_from_flags(flags), seeds, flags);
+  return cli::execute_shard(plan, nullptr, threads, [&](const cli::ExperimentCase& experiment) {
+    if (finished != nullptr) finished->push_back(experiment.label);
+  });
+}
+
+TEST(ExecuteShard, CrossCasePoolMatchesSerialBytes) {
+  // One seed, many cases: only a pool that spans cases runs units of
+  // different cases at once.
+  const std::vector<const char*> argv = {"brbsim", "--tasks=600", "--servers=5", "--clients=6"};
+  std::vector<std::string> serial_finished;
+  std::vector<std::string> pooled_finished;
+  const Json serial = plan_artifact("policy-matrix", argv, {1}, 1, &serial_finished);
+  const Json pooled = plan_artifact("policy-matrix", argv, {1}, 4, &pooled_finished);
+  ASSERT_GT(serial.at("cases").size(), 4u);
+  EXPECT_EQ(deterministic_dump(pooled), deterministic_dump(serial));
+  EXPECT_EQ(csv_of(pooled), csv_of(serial));
+
+  // Each case reports done once, after its last unit; serially, in
+  // plan order.
+  std::vector<std::string> labels;
+  for (const Json& item : serial.at("cases").items()) labels.push_back(item.at("label").as_string());
+  EXPECT_EQ(serial_finished, labels);
+  std::sort(labels.begin(), labels.end());
+  std::sort(pooled_finished.begin(), pooled_finished.end());
+  EXPECT_EQ(pooled_finished, labels);
+}
+
+TEST(ExecuteShard, RethrowsTheFailingUnitsErrorAtAnyThreadCount) {
+  // Tied dispatch issues duplicates, which run_scenario rejects for the
+  // global-queue model systems: the paper's third case fails.
+  const std::vector<const char*> argv = {"brbsim", "--dispatch=tied", "--tasks=400",
+                                         "--servers=4", "--clients=4"};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<std::string> finished;
+    try {
+      plan_artifact("paper", argv, {1, 2}, threads, &finished);
+      ADD_FAILURE() << "expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("global-queue model systems"), std::string::npos)
+          << e.what();
+    }
+    // Serially the run stops at the first failure: the two cases before
+    // it finished, nothing after it ran.
+    if (threads == 1) {
+      EXPECT_EQ(finished, (std::vector<std::string>{"c3", "equalmax-credits"}));
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Paper claims readout (brbsim's console output after the case table)
@@ -427,10 +502,8 @@ Json small_paper_artifact(std::vector<const char*> argv) {
   const core::ScenarioConfig base = cli::config_from_flags(flags);
   const std::vector<std::uint64_t> seeds = {1};
   const cli::SweepPlan plan = cli::build_sweep_plan("paper", base, seeds, flags);
-  core::RunSeedsOptions options;
-  options.max_threads = 1;
-  return cli::report_json("paper", base, seeds,
-                          cli::execute_shard(plan, cli::ShardSpec{}, options));
+  const std::size_t threads = 1;
+  return cli::execute_shard(plan, nullptr, threads);
 }
 
 TEST(PaperClaims, PrintedWhenAllFivePaperCasesRan) {

@@ -255,8 +255,8 @@ TEST(ExactQuantiles, CacheInvalidatedByClearAndRefill) {
 }
 
 TEST(ExactQuantiles, ConcurrentQuantileReadsAreSafeAndConsistent) {
-  // The parallel multi-seed runner reads AggregateResult percentiles
-  // from several threads; racing first reads must agree.
+  // An ExactQuantiles shared across threads may see racing first
+  // reads (the sorted cache is built lazily); they must agree.
   ExactQuantiles eq;
   util::Rng rng(18);
   for (int i = 0; i < 20000; ++i) eq.add(rng.exponential(1.0));
