@@ -49,6 +49,11 @@ MicroResult run_micro(const std::string& name, std::uint64_t ops, Body&& body) {
 }
 
 MicroResult bench_event_queue_push_pop(std::uint64_t rounds) {
+  // Absolute times in [0, 1 ms) every round: after the first round the
+  // cursor sits near 1 ms, so every push lands at or before it and
+  // merge-inserts into the ready run (O(run length)). No simulation
+  // schedules behind the cursor like this; wheel_short_delta_push_pop
+  // is the steady-state pattern.
   brb::sim::EventQueue queue;
   brb::util::Rng rng(1);
   const std::uint64_t batch = 1024;
@@ -66,8 +71,8 @@ MicroResult bench_event_queue_push_pop(std::uint64_t rounds) {
 
 MicroResult bench_event_queue_cancel(std::uint64_t rounds) {
   // Schedule/cancel churn: every event is cancelled before it can run.
-  // O(log n) cancellation keeps this linear in the event count; the
-  // seed-era linear scan made it quadratic.
+  // O(1) cancellation (an intrusive-list unlink) keeps this linear in
+  // the event count; the seed-era linear scan made it quadratic.
   brb::sim::EventQueue queue;
   brb::util::Rng rng(2);
   const std::uint64_t batch = 1024;
@@ -88,8 +93,8 @@ MicroResult bench_wheel_short_delta_push_pop(std::uint64_t rounds) {
   // Steady-state wheel traffic: every push lands a short delta ahead
   // of the advancing cursor (levels 0-1), every pop drains in tick
   // order — the pattern network deliveries and service completions
-  // produce at paper scale. Everything stays wheel-resident, so this
-  // isolates the O(1) link/unlink path from the heap tier.
+  // produce at paper scale. Every push is past the cursor's granule,
+  // so this isolates the O(1) link/unlink path from ready-run inserts.
   brb::sim::EventQueue queue;
   brb::util::Rng rng(3);
   const std::uint64_t batch = 1024;
@@ -99,7 +104,7 @@ MicroResult bench_wheel_short_delta_push_pop(std::uint64_t rounds) {
       for (std::uint64_t i = 0; i < batch; ++i) {
         queue.push(brb::sim::Time::nanos(now + rng.uniform_int(4'096, 1'000'000)), [] {});
       }
-      if (queue.wheel_resident() + queue.heap_resident() != batch) std::abort();
+      if (queue.size() != batch) std::abort();
       while (auto entry = queue.pop()) now = entry->when.count_nanos();
     }
   });
@@ -120,31 +125,6 @@ MicroResult bench_wheel_cascade(std::uint64_t rounds) {
                    [] {});
       }
       while (auto entry = queue.pop()) now = entry->when.count_nanos();
-    }
-  });
-}
-
-MicroResult bench_event_queue_cancel_heap(std::uint64_t rounds) {
-  // Same churn as event_queue_cancel but with every event beyond the
-  // wheel horizon: cancel pays the O(log n) heap unlink instead of the
-  // O(1) intrusive-list unlink, giving the two tiers' cancellation
-  // costs side by side in the artifact.
-  brb::sim::EventQueue queue;
-  brb::util::Rng rng(7);
-  const std::int64_t horizon_ns = brb::sim::EventQueue::kWheelSpanTicks
-                                  << brb::sim::EventQueue::kGranularityBits;
-  const std::uint64_t batch = 1024;
-  std::vector<brb::sim::EventId> ids(batch);
-  return run_micro("event_queue_cancel_heap", rounds * batch, [&] {
-    for (std::uint64_t r = 0; r < rounds; ++r) {
-      for (std::uint64_t i = 0; i < batch; ++i) {
-        ids[i] = queue.push(
-            brb::sim::Time::nanos(horizon_ns + rng.uniform_int(0, 1'000'000)), [] {});
-      }
-      if (queue.heap_resident() != batch) std::abort();
-      for (std::uint64_t i = 0; i < batch; ++i) {
-        if (!queue.cancel(ids[i])) std::abort();
-      }
     }
   });
 }
@@ -349,7 +329,6 @@ int main(int argc, char** argv) {
   micro.push_back(bench_event_queue_cancel(rounds));
   micro.push_back(bench_wheel_short_delta_push_pop(rounds));
   micro.push_back(bench_wheel_cascade(rounds));
-  micro.push_back(bench_event_queue_cancel_heap(rounds));
   micro.push_back(bench_same_timestamp_burst(rounds));
   micro.push_back(bench_simulator_self_scheduling(quick ? 20 : 200));
   micro.push_back(bench_priority_discipline(rounds));

@@ -92,24 +92,6 @@ void CreditsController::on_congestion_signal(store::ServerId server, std::uint32
   congested_this_interval_[server] = true;
 }
 
-std::vector<double> CreditsController::allocate_proportional(const std::vector<double>& demands,
-                                                             double capacity_per_interval) {
-  std::vector<double> grants(demands.size(), 0.0);
-  double total = 0.0;
-  for (const double d : demands) total += std::max(0.0, d);
-  if (total <= 0.0) {
-    // No demand on record: hand out equal shares so newly active
-    // clients are not starved until their first report lands.
-    const double share = capacity_per_interval / static_cast<double>(demands.size());
-    for (double& g : grants) g = share;
-    return grants;
-  }
-  for (std::size_t c = 0; c < demands.size(); ++c) {
-    grants[c] = std::max(0.0, demands[c]) / total * capacity_per_interval;
-  }
-  return grants;
-}
-
 void CreditsController::adapt_tick() {
   if (!running_) return;
   ++stats_.adaptations;

@@ -119,12 +119,6 @@ class CreditsController {
   /// Network delivery of a server congestion signal.
   void on_congestion_signal(store::ServerId server, std::uint32_t queue_length);
 
-  /// Proportional allocation (exposed for tests): given per-client
-  /// demand for one server and its allocatable capacity, returns each
-  /// client's credit share for one adaptation interval.
-  static std::vector<double> allocate_proportional(const std::vector<double>& demands,
-                                                   double capacity_per_interval);
-
   const ControllerStats& stats() const noexcept { return stats_; }
   double capacity_factor(store::ServerId server) const;
 

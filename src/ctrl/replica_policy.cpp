@@ -8,8 +8,6 @@
 namespace brb::ctrl {
 
 double c3_score(const C3ScoreConfig& config, const SignalTable& signals, store::ServerId server) {
-  // Column reads, not an of() row snapshot: scoring strides the same
-  // few columns across every replica, so this keeps the scan cache-hot.
   const bool seen = signals.seen(server);
   const double ewma_service_ns = signals.ewma_service_time_ns(server);
   const double prior_ns = static_cast<double>(config.prior_service_time.count_nanos());

@@ -25,28 +25,6 @@ SignalTable::SignalTable(SignalTableConfig config) : config_(config) {
   }
 }
 
-SignalTable::Signals SignalTable::of(store::ServerId server) const {
-  Signals s;
-  if (const Entry* e = find(server)) {
-    s.ewma_response_ns = e->ewma_response_ns;
-    s.ewma_queue = e->ewma_queue;
-    s.ewma_service_time_ns = e->ewma_service_ns;
-    s.seen = e->seen != 0;
-    s.outstanding = e->outstanding;
-    s.pending_cost_ns = e->pending_cost_ns;
-    s.credit_balance = e->credit_balance;
-    s.last_feedback_ns = e->last_feedback_ns;
-    return s;
-  }
-  if (const GroupAggregate* agg = group_of(server)) {
-    s.seen = true;
-    s.ewma_response_ns = agg->mean_response_ns;
-    s.ewma_queue = agg->mean_queue;
-    s.ewma_service_time_ns = agg->mean_service_ns;
-  }
-  return s;
-}
-
 void SignalTable::on_send(store::ServerId server, sim::Duration expected_cost) {
   Entry& e = touch(server);
   ++e.outstanding;

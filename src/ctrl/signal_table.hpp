@@ -89,34 +89,6 @@ struct SignalTableConfig {
 /// One client's view of every server it has contacted.
 class SignalTable {
  public:
-  /// Snapshot of one server's signals (taken at call time, does not
-  /// track later updates).
-  struct Signals {
-    // --- response-path estimates (seeded by the first response) ---
-    /// EWMA of measured response time (request RTT), nanoseconds.
-    double ewma_response_ns = 0.0;
-    /// EWMA of the server-reported queue length.
-    double ewma_queue = 0.0;
-    /// EWMA of the server-reported per-request service time, ns.
-    double ewma_service_time_ns = 0.0;
-    /// At least one response has been observed from this server.
-    bool seen = false;
-
-    // --- in-flight accounting (updated at offer / response) ---
-    /// Requests bound for this server that have not yet responded.
-    std::uint32_t outstanding = 0;
-    /// Forecast work in flight (summed expected costs), nanoseconds.
-    std::int64_t pending_cost_ns = 0;
-
-    // --- admission-side state (mirrored by the credit gate) ---
-    /// Current credit balance (credits systems; 0 otherwise).
-    double credit_balance = 0.0;
-
-    /// Simulated time of the last response fold (-1: never) — the
-    /// freshness signal hedge suppression reads.
-    std::int64_t last_feedback_ns = -1;
-  };
-
   explicit SignalTable(SignalTableConfig config = {});
 
   /// A request was bound to `server` (counted at *offer* time, before
@@ -144,45 +116,51 @@ class SignalTable {
   /// into gate internals).
   void set_credit_balance(store::ServerId server, double balance);
 
-  /// Row snapshot. A pair the table does not hold answers with its
-  /// group aggregate when one exists (seen, EWMAs = group means, all
-  /// counters and mirrors zero), else the neutral zero state.
-  Signals of(store::ServerId server) const;
-
-  // --- single-signal reads, with the same fallback as of() ---
+  // Single-signal reads. A pair the table does not hold answers with
+  // its group aggregate when one exists (seen, EWMAs = group means,
+  // all counters and mirrors zero), else the neutral zero state
+  // (unseen, EWMAs and counters zero, last feedback -1).
+  /// Requests bound for this server that have not yet responded.
   std::uint32_t outstanding(store::ServerId server) const {
     const Entry* e = find(server);
     return e != nullptr ? e->outstanding : 0;
   }
+  /// Forecast work in flight (summed expected costs).
   sim::Duration pending_cost(store::ServerId server) const {
     const Entry* e = find(server);
     return sim::Duration::nanos(e != nullptr ? e->pending_cost_ns : 0);
   }
+  /// At least one response has been observed from this server.
   bool seen(store::ServerId server) const {
     const Entry* e = find(server);
     return e != nullptr ? e->seen != 0 : group_of(server) != nullptr;
   }
+  /// EWMA of measured response time (request RTT), nanoseconds.
   double ewma_response_ns(store::ServerId server) const {
     if (const Entry* e = find(server)) return e->ewma_response_ns;
     const GroupAggregate* agg = group_of(server);
     return agg != nullptr ? agg->mean_response_ns : 0.0;
   }
+  /// EWMA of the server-reported queue length.
   double ewma_queue(store::ServerId server) const {
     if (const Entry* e = find(server)) return e->ewma_queue;
     const GroupAggregate* agg = group_of(server);
     return agg != nullptr ? agg->mean_queue : 0.0;
   }
+  /// EWMA of the server-reported per-request service time, ns.
   double ewma_service_time_ns(store::ServerId server) const {
     if (const Entry* e = find(server)) return e->ewma_service_ns;
     const GroupAggregate* agg = group_of(server);
     return agg != nullptr ? agg->mean_service_ns : 0.0;
   }
+  /// Current credit balance (credits systems; 0 otherwise).
   double credit_balance(store::ServerId server) const {
     const Entry* e = find(server);
     return e != nullptr ? e->credit_balance : 0.0;
   }
   /// Simulated nanoseconds of the last response fold; -1 when this
-  /// server has never produced feedback (or the pair was evicted).
+  /// server has never produced feedback (or the pair was evicted) —
+  /// the freshness signal hedge suppression reads.
   std::int64_t last_feedback_ns(store::ServerId server) const {
     const Entry* e = find(server);
     return e != nullptr ? e->last_feedback_ns : -1;

@@ -39,23 +39,4 @@ SizeLinearServiceModel SizeLinearServiceModel::calibrate(double target_rate_per_
   return SizeLinearServiceModel(base, size_budget_ns / mean_size_bytes, noise_sigma);
 }
 
-ExponentialServiceModel::ExponentialServiceModel(sim::Duration mean) : mean_(mean) {
-  if (mean_ <= sim::Duration::zero()) {
-    throw std::invalid_argument("ExponentialServiceModel: mean must be positive");
-  }
-}
-
-sim::Duration ExponentialServiceModel::sample(std::uint32_t, util::Rng& rng) const {
-  const double ns = rng.exponential(static_cast<double>(mean_.count_nanos()));
-  return sim::Duration::nanos(ns < 1.0 ? 1 : static_cast<std::int64_t>(ns));
-}
-
-sim::Duration ExponentialServiceModel::expected(std::uint32_t) const { return mean_; }
-
-DeterministicServiceModel::DeterministicServiceModel(sim::Duration value) : value_(value) {
-  if (value_ <= sim::Duration::zero()) {
-    throw std::invalid_argument("DeterministicServiceModel: value must be positive");
-  }
-}
-
 }  // namespace brb::server

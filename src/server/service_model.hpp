@@ -5,8 +5,10 @@
 // value's size. `SizeLinearServiceModel` captures that: a fixed
 // per-request overhead plus a size-proportional term, calibrated so the
 // *mean* service time over a given size distribution equals the target
-// rate. An exponential model is provided for analytic validation
-// against M/M/c queueing formulas.
+// rate. It is the only model a run builds; with a zero per-byte cost it
+// is a constant service time (the M/D/c case). The queueing-theory
+// tests validate the servers against M/M/c formulas with their own
+// exponential model.
 #pragma once
 
 #include <cstdint>
@@ -59,31 +61,6 @@ class SizeLinearServiceModel final : public ServiceTimeModel {
   double per_byte_nanos_;
   double noise_sigma_;
   double noise_mu_;  // -sigma^2/2 so the noise factor has mean exactly 1
-};
-
-/// Exponentially distributed service time with a size-independent mean;
-/// turns each server core into an M/M/1-style station for validation.
-class ExponentialServiceModel final : public ServiceTimeModel {
- public:
-  explicit ExponentialServiceModel(sim::Duration mean);
-
-  sim::Duration sample(std::uint32_t size, util::Rng& rng) const override;
-  sim::Duration expected(std::uint32_t size) const override;
-
- private:
-  sim::Duration mean_;
-};
-
-/// Deterministic size-independent service time (M/D/c validation).
-class DeterministicServiceModel final : public ServiceTimeModel {
- public:
-  explicit DeterministicServiceModel(sim::Duration value);
-
-  sim::Duration sample(std::uint32_t, util::Rng&) const override { return value_; }
-  sim::Duration expected(std::uint32_t) const override { return value_; }
-
- private:
-  sim::Duration value_;
 };
 
 }  // namespace brb::server

@@ -13,22 +13,21 @@ namespace brb::sim {
 // generation check afterwards — stale cancels are always rejected.
 //
 // Wheel invariants (checked by event_queue_wheel_test's differential
-// fuzz against a pure-heap reference):
-//   W1  every wheel-resident event has tick(when) >= cursor_tick_;
-//       past pushes and beyond-horizon pushes route to the heap tier.
+// fuzz against a brute-force reference):
+//   W1  outside ensure_ready, every wheel-resident event has
+//       tick(when) > cursor_tick_; pushes at or before the cursor's
+//       tick merge into the ready run, which therefore only holds
+//       events earlier than every wheel event.
 //   W2  a level-l bucket only holds events whose tick falls inside
 //       that bucket's current rotation window; the bucket is cascaded
 //       (l > 0) or drained (l == 0) before the cursor passes it.
-//   W3  the ready run always belongs to the bucket at cursor_tick_;
-//       pushes landing on that exact tick while the run is live are
-//       merge-inserted so slot-internal order stays exact.
+//   W3  the ready run holds the drained bucket at cursor_tick_ plus
+//       every later push at or before that tick, sorted by (when, seq),
+//       so slot-internal order stays exact.
 
 namespace {
 constexpr std::uint32_t kSlotMask = EventQueue::kSlotsPerLevel - 1;
 constexpr int kWordsPerLevel = EventQueue::kSlotsPerLevel / 64;
-}  // namespace
-
-namespace {
 constexpr std::int64_t kNoHint = std::numeric_limits<std::int64_t>::max();
 }  // namespace
 
@@ -60,15 +59,9 @@ void EventQueue::release_slot(std::uint32_t slot) noexcept {
 void EventQueue::place(std::uint32_t slot) {
   Slot& s = slots_[slot];
   const std::int64_t tick = tick_of(s.when);
-  if (tick == cursor_tick_ && ready_pos_ < ready_.size()) {
-    // The bucket at the cursor is already drained; late arrivals for
-    // the same granule merge into the sorted run (W3).
+  if (tick <= cursor_tick_) {
+    // No wheel event is this early (W1): join the sorted run (W3).
     ready_insert(slot);
-    return;
-  }
-  const std::int64_t delta = tick - cursor_tick_;
-  if (delta < 0 || delta >= kWheelSpanTicks) {
-    heap_link(slot);
     return;
   }
   wheel_link(slot, tick);
@@ -94,7 +87,7 @@ void EventQueue::wheel_link(std::uint32_t slot, std::int64_t tick) {
   const std::int64_t start =
       (tick >> (kLevelBits * level)) << (kLevelBits * level);
   if (start < level_hint_[level]) level_hint_[level] = start;
-  s.tier = Tier::kWheel;
+  s.in_ready = false;
   s.level = static_cast<std::uint8_t>(level);
   s.bucket = bucket;
   ++wheel_count_;
@@ -121,6 +114,11 @@ void EventQueue::wheel_unlink(std::uint32_t slot) noexcept {
 }
 
 void EventQueue::ready_insert(std::uint32_t slot) {
+  if (ready_live_ == 0) {
+    // A spent run (popped or cancelled): start over rather than grow.
+    ready_.clear();
+    ready_pos_ = 0;
+  }
   Slot& s = slots_[slot];
   const Ready r{s.when, s.seq, slot, s.generation};
   const auto begin = ready_.begin() + static_cast<std::ptrdiff_t>(ready_pos_);
@@ -129,7 +127,8 @@ void EventQueue::ready_insert(std::uint32_t slot) {
     return a.seq < b.seq;
   });
   ready_.insert(pos, r);
-  s.tier = Tier::kReady;
+  s.in_ready = true;
+  ++ready_live_;
 }
 
 int EventQueue::next_occupied(int level, std::uint32_t from, bool inclusive) const noexcept {
@@ -199,10 +198,7 @@ void EventQueue::skip_dead_ready() {
 }
 
 void EventQueue::ensure_ready() {
-  skip_dead_ready();
-  while (ready_pos_ >= ready_.size() && wheel_count_ > 0) {
-    ready_.clear();
-    ready_pos_ = 0;
+  while (ready_live_ == 0 && wheel_count_ > 0) {
     // Advance the cursor to the earliest wheel content: pick the
     // minimum of the next occupied level-0 bucket (inclusive of the
     // cursor's own bucket) and the start of the next occupied bucket
@@ -223,11 +219,11 @@ void EventQueue::ensure_ready() {
     }
     for (int level = 1; level < kLevels; ++level) {
       // The hint is a lower bound on this level's earliest bucket
-      // start; when it cannot beat (or tie) the best candidate, the
-      // level's bitmap scan is skipped entirely. Ties must scan: the
-      // tie-break below needs the true start to cascade the higher
-      // level first.
-      if (level_hint_[level] > best_tick) continue;
+      // start (kNoHint only when the level is empty); when it cannot
+      // beat (or tie) the best candidate, the level's bitmap scan is
+      // skipped entirely. Ties must scan: the tie-break below needs the
+      // true start to cascade the higher level first.
+      if (level_hint_[level] == kNoHint || level_hint_[level] > best_tick) continue;
       const int shift = kLevelBits * level;
       const std::int64_t cb = cursor_tick_ >> shift;
       const std::uint32_t il = static_cast<std::uint32_t>(cb) & kSlotMask;
@@ -262,12 +258,8 @@ void EventQueue::ensure_ready() {
                      static_cast<std::uint16_t>((best_tick >> (kLevelBits * best_level)) &
                                                 kSlotMask));
     }
-    skip_dead_ready();
   }
-  if (ready_pos_ >= ready_.size()) {
-    ready_.clear();
-    ready_pos_ = 0;
-  }
+  skip_dead_ready();
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -276,17 +268,12 @@ bool EventQueue::cancel(EventId id) {
   if ((generation & 1u) == 0 || slot >= slots_.size()) return false;
   Slot& s = slots_[slot];
   if (s.generation != generation) return false;
-  switch (s.tier) {
-    case Tier::kWheel:
-      wheel_unlink(slot);
-      break;
-    case Tier::kHeap:
-      heap_remove_at(s.heap_pos);
-      break;
-    case Tier::kReady:
-      // The ready-run entry goes stale via the generation bump and is
-      // skipped lazily.
-      break;
+  if (s.in_ready) {
+    // The run's entry goes stale via the generation bump and is
+    // skipped lazily.
+    --ready_live_;
+  } else {
+    wheel_unlink(slot);
   }
   --live_;
   release_slot(slot);
@@ -295,121 +282,20 @@ bool EventQueue::cancel(EventId id) {
 
 std::optional<Time> EventQueue::peek_time() {
   ensure_ready();
-  const bool have_ready = ready_pos_ < ready_.size();
-  if (!have_ready && heap_.empty()) return std::nullopt;
-  if (!have_ready) return heap_.front().when;
-  const Time tr = ready_[ready_pos_].when;
-  if (heap_.empty()) return tr;
-  return std::min(tr, heap_.front().when);
+  if (ready_live_ == 0) return std::nullopt;
+  return ready_[ready_pos_].when;
 }
 
 std::optional<EventQueue::Entry> EventQueue::pop() {
   ensure_ready();
-  const bool have_ready = ready_pos_ < ready_.size();
-  const bool have_heap = !heap_.empty();
-  if (!have_ready && !have_heap) return std::nullopt;
-  bool from_ready = have_ready;
-  if (have_ready && have_heap) {
-    const Ready& r = ready_[ready_pos_];
-    const HeapItem& h = heap_.front();
-    from_ready = h.when != r.when ? r.when < h.when : r.seq < h.seq;
-  }
-  std::uint32_t slot;
-  Time when;
-  if (from_ready) {
-    slot = ready_[ready_pos_].slot;
-    when = ready_[ready_pos_].when;
-    ++ready_pos_;
-  } else {
-    slot = heap_.front().slot;
-    when = heap_.front().when;
-    heap_remove_at(0);
-  }
-  Slot& s = slots_[slot];
-  Entry out{when, make_id(slot, s.generation), std::move(s.fn)};
-  release_slot(slot);
+  if (ready_live_ == 0) return std::nullopt;
+  --ready_live_;
+  const Ready& r = ready_[ready_pos_++];
+  Slot& s = slots_[r.slot];
+  Entry out{r.when, make_id(r.slot, s.generation), std::move(s.fn)};
+  release_slot(r.slot);
   --live_;
   return out;
-}
-
-void EventQueue::clear() {
-  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if ((slots_[slot].generation & 1u) != 0) release_slot(slot);
-  }
-  head_.fill(kNil);
-  tail_.fill(kNil);
-  bitmap_.fill(0);
-  level_hint_.fill(kNoHint);
-  wheel_count_ = 0;
-  ready_.clear();
-  ready_pos_ = 0;
-  heap_.clear();
-  live_ = 0;
-}
-
-// --- heap tier -------------------------------------------------------------
-
-void EventQueue::heap_link(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  heap_.push_back(HeapItem{s.when, s.seq, slot});
-  s.tier = Tier::kHeap;
-  s.heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
-  sift_up(heap_.size() - 1);
-}
-
-void EventQueue::heap_remove_at(std::size_t pos) {
-  const std::size_t last = heap_.size() - 1;
-  if (pos != last) {
-    heap_place(pos, heap_[last]);
-    heap_.pop_back();
-    // The displaced item may violate the heap property in either
-    // direction relative to its new neighbourhood.
-    sift_up(pos);
-    sift_down(pos);
-  } else {
-    heap_.pop_back();
-  }
-}
-
-void EventQueue::heap_place(std::size_t pos, HeapItem item) noexcept {
-  heap_[pos] = item;
-  slots_[item.slot].heap_pos = static_cast<std::uint32_t>(pos);
-}
-
-// 4-ary hole-based sifts: the displaced item is held aside while
-// children / parents shift into the hole, halving the writes of
-// swap-based sifts; the wider fan-out halves tree depth and keeps each
-// sibling scan inside one or two cache lines of 24-byte items. Pop
-// order is layout-independent ((when, seq) is a total order), so the
-// arity is purely a performance choice.
-
-void EventQueue::sift_up(std::size_t i) {
-  const HeapItem item = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kArity;
-    if (!later(heap_[parent], item)) break;
-    heap_place(i, heap_[parent]);
-    i = parent;
-  }
-  heap_place(i, item);
-}
-
-void EventQueue::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  const HeapItem item = heap_[i];
-  for (;;) {
-    const std::size_t first_child = kArity * i + 1;
-    if (first_child >= n) break;
-    const std::size_t last_child = std::min(first_child + kArity, n);
-    std::size_t best = first_child;
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (later(heap_[best], heap_[c])) best = c;
-    }
-    if (!later(item, heap_[best])) break;
-    heap_place(i, heap_[best]);
-    i = best;
-  }
-  heap_place(i, item);
 }
 
 }  // namespace brb::sim

@@ -105,29 +105,6 @@ std::int64_t Histogram::value_at_quantile(double q) const {
   return max_;
 }
 
-void Histogram::merge(const Histogram& other) {
-  if (other.sub_bucket_bits_ != sub_bucket_bits_ || other.counts_.size() != counts_.size()) {
-    // Different geometry: re-record representative values.
-    for (std::size_t i = 0; i < other.counts_.size(); ++i) {
-      if (other.counts_[i] > 0) record_n(other.bucket_representative(i), other.counts_[i]);
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  if (other.count_ > 0) {
-    if (count_ == 0) {
-      min_ = other.min_;
-      max_ = other.max_;
-    } else {
-      min_ = std::min(min_, other.min_);
-      max_ = std::max(max_, other.max_);
-    }
-  }
-  count_ += other.count_;
-  overflow_ += other.overflow_;
-  sum_ += other.sum_;
-}
-
 void Histogram::reset() {
   std::fill(counts_.begin(), counts_.end(), 0);
   count_ = 0;

@@ -35,7 +35,6 @@ class Histogram {
   std::int64_t max() const noexcept { return count_ > 0 ? max_ : 0; }
   double mean() const noexcept { return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0; }
 
-  void merge(const Histogram& other);
   void reset();
 
   /// Largest relative error a recorded value can incur.

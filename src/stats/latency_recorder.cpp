@@ -60,15 +60,6 @@ sim::Duration LatencyRecorder::percentile(double p) const {
   return sim::Duration::nanos(histogram_.percentile(p));
 }
 
-void LatencyRecorder::merge(const LatencyRecorder& other) {
-  histogram_.merge(other.histogram_);
-  summary_.merge(other.summary_);
-  if (keep_raw_ && other.keep_raw_) {
-    for (const double v : other.raw_.values()) raw_.add(v);
-  }
-  if (sketch_ && other.sketch_) sketch_->merge(*other.sketch_);
-}
-
 void LatencyRecorder::reset() {
   histogram_.reset();
   summary_.reset();

@@ -51,7 +51,6 @@ class LatencyRecorder {
   void enable_sketch(double alpha = QuantileSketch::kDefaultAlpha);
   const QuantileSketch* sketch() const noexcept { return sketch_.get(); }
 
-  void merge(const LatencyRecorder& other);
   void reset();
 
  private:

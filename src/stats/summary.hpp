@@ -11,9 +11,6 @@ class Summary {
  public:
   void add(double x) noexcept;
 
-  /// Merges another accumulator (parallel Welford / Chan et al.).
-  void merge(const Summary& other) noexcept;
-
   std::uint64_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
   /// Population variance; 0 for fewer than two samples.

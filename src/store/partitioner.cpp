@@ -1,8 +1,5 @@
 #include "store/partitioner.hpp"
 
-#include <algorithm>
-#include <set>
-
 namespace brb::store {
 
 RingPartitioner::RingPartitioner(std::uint32_t num_servers, std::uint32_t replication_factor)
@@ -27,106 +24,6 @@ GroupId RingPartitioner::group_of(KeyId key) const {
 const std::vector<ServerId>& RingPartitioner::replicas_of(GroupId group) const {
   if (group >= groups_.size()) throw std::out_of_range("RingPartitioner: bad group");
   return groups_[group];
-}
-
-ConsistentHashPartitioner::ConsistentHashPartitioner(std::vector<ServerId> servers,
-                                                     std::uint32_t replication_factor,
-                                                     std::uint32_t vnodes_per_server)
-    : servers_(std::move(servers)), replication_(replication_factor), vnodes_(vnodes_per_server) {
-  if (servers_.empty()) throw std::invalid_argument("ConsistentHashPartitioner: no servers");
-  if (replication_ == 0 || replication_ > servers_.size()) {
-    throw std::invalid_argument("ConsistentHashPartitioner: bad replication factor");
-  }
-  if (vnodes_ == 0) throw std::invalid_argument("ConsistentHashPartitioner: vnodes == 0");
-  std::sort(servers_.begin(), servers_.end());
-  for (const ServerId s : servers_) {
-    for (std::uint32_t v = 0; v < vnodes_; ++v) {
-      ring_.emplace(hash_key((static_cast<std::uint64_t>(s) << 20) ^ v), s);
-    }
-  }
-  rebuild_groups();
-}
-
-std::vector<ServerId> ConsistentHashPartitioner::walk_ring(std::uint64_t point) const {
-  std::vector<ServerId> replicas;
-  replicas.reserve(replication_);
-  auto it = ring_.lower_bound(point);
-  std::set<ServerId> seen;
-  while (replicas.size() < replication_) {
-    if (it == ring_.end()) it = ring_.begin();
-    if (seen.insert(it->second).second) replicas.push_back(it->second);
-    ++it;
-  }
-  return replicas;
-}
-
-void ConsistentHashPartitioner::rebuild_groups() {
-  groups_.clear();
-  point_to_group_.clear();
-  std::map<std::vector<ServerId>, GroupId> dedup;
-  for (const auto& [point, server] : ring_) {
-    auto replicas = walk_ring(point);
-    auto [it, inserted] = dedup.emplace(replicas, static_cast<GroupId>(groups_.size()));
-    if (inserted) groups_.push_back(std::move(replicas));
-    point_to_group_[point] = it->second;
-  }
-}
-
-GroupId ConsistentHashPartitioner::group_of(KeyId key) const {
-  const std::uint64_t point = hash_key(key);
-  auto it = point_to_group_.lower_bound(point);
-  if (it == point_to_group_.end()) it = point_to_group_.begin();
-  return it->second;
-}
-
-const std::vector<ServerId>& ConsistentHashPartitioner::replicas_of(GroupId group) const {
-  if (group >= groups_.size()) throw std::out_of_range("ConsistentHashPartitioner: bad group");
-  return groups_[group];
-}
-
-std::uint32_t ConsistentHashPartitioner::num_groups() const noexcept {
-  return static_cast<std::uint32_t>(groups_.size());
-}
-
-std::uint32_t ConsistentHashPartitioner::num_servers() const noexcept {
-  return static_cast<std::uint32_t>(servers_.size());
-}
-
-void ConsistentHashPartitioner::add_server(ServerId server) {
-  if (std::binary_search(servers_.begin(), servers_.end(), server)) {
-    throw std::invalid_argument("ConsistentHashPartitioner: server already present");
-  }
-  servers_.insert(std::upper_bound(servers_.begin(), servers_.end(), server), server);
-  for (std::uint32_t v = 0; v < vnodes_; ++v) {
-    ring_.emplace(hash_key((static_cast<std::uint64_t>(server) << 20) ^ v), server);
-  }
-  rebuild_groups();
-}
-
-void ConsistentHashPartitioner::remove_server(ServerId server) {
-  const auto it = std::lower_bound(servers_.begin(), servers_.end(), server);
-  if (it == servers_.end() || *it != server) {
-    throw std::invalid_argument("ConsistentHashPartitioner: unknown server");
-  }
-  if (servers_.size() - 1 < replication_) {
-    throw std::invalid_argument("ConsistentHashPartitioner: would drop below replication factor");
-  }
-  servers_.erase(it);
-  for (std::uint32_t v = 0; v < vnodes_; ++v) {
-    ring_.erase(hash_key((static_cast<std::uint64_t>(server) << 20) ^ v));
-  }
-  rebuild_groups();
-}
-
-std::map<ServerId, double> ConsistentHashPartitioner::ownership(std::size_t probe_keys) const {
-  std::map<ServerId, double> share;
-  for (const ServerId s : servers_) share[s] = 0.0;
-  for (std::size_t i = 0; i < probe_keys; ++i) {
-    const auto& replicas = replicas_of(group_of(static_cast<KeyId>(i) * 2'654'435'761ULL));
-    share[replicas.front()] += 1.0;
-  }
-  for (auto& [server, count] : share) count /= static_cast<double>(probe_keys);
-  return share;
 }
 
 }  // namespace brb::store

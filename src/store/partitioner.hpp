@@ -4,12 +4,11 @@
 // server belongs to R replica groups; a replica group is the set of
 // servers holding one data partition. We implement the Cassandra-style
 // ring placement that induces exactly this structure (group g is served
-// by servers g, g+1, ..., g+R-1 mod |S|), plus a consistent-hash ring
-// with virtual nodes for cluster-resizing scenarios.
+// by servers g, g+1, ..., g+R-1 mod |S|). The membership is fixed for a
+// run: no scenario adds or removes servers.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -62,39 +61,6 @@ class RingPartitioner final : public Partitioner {
   std::uint32_t num_servers_;
   std::uint32_t replication_;
   std::vector<std::vector<ServerId>> groups_;
-};
-
-/// Consistent-hash ring with virtual nodes; groups are the distinct
-/// replica sets formed by walking the ring. Supports add/remove of
-/// servers with minimal key movement — exercised by tests and the
-/// elasticity example, not by the paper's fixed 9-server evaluation.
-class ConsistentHashPartitioner final : public Partitioner {
- public:
-  ConsistentHashPartitioner(std::vector<ServerId> servers, std::uint32_t replication_factor,
-                            std::uint32_t vnodes_per_server = 64);
-
-  GroupId group_of(KeyId key) const override;
-  const std::vector<ServerId>& replicas_of(GroupId group) const override;
-  std::uint32_t num_groups() const noexcept override;
-  std::uint32_t num_servers() const noexcept override;
-  std::uint32_t replication_factor() const noexcept override { return replication_; }
-
-  void add_server(ServerId server);
-  void remove_server(ServerId server);
-
-  /// Fraction of a uniform keyspace owned by each server as primary.
-  std::map<ServerId, double> ownership(std::size_t probe_keys = 100'000) const;
-
- private:
-  void rebuild_groups();
-  std::vector<ServerId> walk_ring(std::uint64_t point) const;
-
-  std::vector<ServerId> servers_;
-  std::uint32_t replication_;
-  std::uint32_t vnodes_;
-  std::map<std::uint64_t, ServerId> ring_;  // hash point -> server
-  std::vector<std::vector<ServerId>> groups_;
-  std::map<std::uint64_t, GroupId> point_to_group_;  // ring point -> group index
 };
 
 }  // namespace brb::store

@@ -82,43 +82,6 @@ Rng Rng::split() noexcept {
   return Rng(child_seed);
 }
 
-std::int64_t Rng::poisson(double mean) {
-  if (mean < 0.0) throw std::invalid_argument("Rng::poisson: mean < 0");
-  if (mean == 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth: multiply uniforms until the product drops below e^-mean.
-    const double limit = std::exp(-mean);
-    std::int64_t count = -1;
-    double product = 1.0;
-    do {
-      product *= uniform();
-      ++count;
-    } while (product > limit);
-    return count;
-  }
-  // Normal approximation with continuity correction, clamped at zero;
-  // adequate for the large-mean counts used in tests and calibration.
-  const double draw = normal(mean, std::sqrt(mean));
-  return std::max<std::int64_t>(0, static_cast<std::int64_t>(std::lround(draw)));
-}
-
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (const double w : weights) {
-    if (w < 0.0) throw std::invalid_argument("Rng::weighted_index: negative weight");
-    total += w;
-  }
-  if (total <= 0.0) {
-    throw std::invalid_argument("Rng::weighted_index: no positive weight");
-  }
-  double target = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target < 0.0) return i;
-  }
-  return weights.size() - 1;  // numerical slack: land on the last entry
-}
-
 ZipfDistribution::ZipfDistribution(double exponent, std::uint64_t num_elements)
     : s_(exponent), n_(num_elements) {
   if (num_elements == 0) {

@@ -203,11 +203,6 @@ class Rng {
     return std::pow(-(u * hi_a - u * lo_a - hi_a) / (hi_a * lo_a), -1.0 / shape);
   }
 
-  /// Poisson-distributed count with the given mean. Knuth's product
-  /// method for small means, PTRS-style normal-based rejection cutover
-  /// for large means. Requires mean >= 0.
-  std::int64_t poisson(double mean);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {
@@ -218,10 +213,6 @@ class Rng {
       swap(v[i - 1], v[j]);
     }
   }
-
-  /// Picks an index in [0, weights.size()) with probability proportional
-  /// to weights[i]. Requires at least one strictly positive weight.
-  std::size_t weighted_index(const std::vector<double>& weights);
 
  private:
   Xoshiro256StarStar gen_;

@@ -50,6 +50,32 @@ store::ServerFeedback feedback(std::uint32_t queue, double rate) {
   return f;
 }
 
+/// One server's signals, as a policy sees them.
+struct Signals {
+  double ewma_response_ns = 0.0;
+  double ewma_queue = 0.0;
+  double ewma_service_time_ns = 0.0;
+  bool seen = false;
+  std::uint32_t outstanding = 0;
+  std::int64_t pending_cost_ns = 0;
+  double credit_balance = 0.0;
+  std::int64_t last_feedback_ns = -1;
+};
+
+/// Reads one server's row through the single-signal getters policies use.
+Signals row_of(const ctrl::SignalTable& table, store::ServerId server) {
+  Signals s;
+  s.ewma_response_ns = table.ewma_response_ns(server);
+  s.ewma_queue = table.ewma_queue(server);
+  s.ewma_service_time_ns = table.ewma_service_time_ns(server);
+  s.seen = table.seen(server);
+  s.outstanding = table.outstanding(server);
+  s.pending_cost_ns = table.pending_cost(server).count_nanos();
+  s.credit_balance = table.credit_balance(server);
+  s.last_feedback_ns = table.last_feedback_ns(server);
+  return s;
+}
+
 // ---------------------------------------------------------------------------
 // SignalTable
 
@@ -76,14 +102,14 @@ TEST(SignalTable, TracksOutstandingAndPendingCost) {
 TEST(SignalTable, EwmaSeedsThenBlends) {
   ctrl::SignalTable table(ctrl::SignalTableConfig{0.5});
   table.on_response(1, feedback(4, 10'000), Duration::micros(1000), Duration::zero());
-  const ctrl::SignalTable::Signals& seeded = table.of(1);
+  const Signals seeded = row_of(table, 1);
   EXPECT_TRUE(seeded.seen);
   EXPECT_DOUBLE_EQ(seeded.ewma_response_ns, 1'000'000.0);
   EXPECT_DOUBLE_EQ(seeded.ewma_queue, 4.0);
   EXPECT_DOUBLE_EQ(seeded.ewma_service_time_ns, 1e9 / 10'000.0);
 
   table.on_response(1, feedback(8, 10'000), Duration::micros(2000), Duration::zero());
-  const ctrl::SignalTable::Signals& blended = table.of(1);
+  const Signals blended = row_of(table, 1);
   EXPECT_DOUBLE_EQ(blended.ewma_response_ns,
                    util::ewma_update(1'000'000.0, 0.5, 2'000'000.0));
   EXPECT_DOUBLE_EQ(blended.ewma_queue, util::ewma_update(4.0, 0.5, 8.0));
@@ -93,7 +119,7 @@ TEST(SignalTable, UnseenServersReadAsZero) {
   ctrl::SignalTable table;
   EXPECT_EQ(table.outstanding(42), 0u);
   EXPECT_EQ(table.pending_cost(42), Duration::zero());
-  EXPECT_FALSE(table.of(42).seen);
+  EXPECT_FALSE(row_of(table, 42).seen);
   EXPECT_EQ(table.size(), 0u);
 }
 
@@ -101,7 +127,6 @@ TEST(SignalTable, AdmissionMirrors) {
   ctrl::SignalTable table;
   table.set_credit_balance(2, 7.5);
   EXPECT_DOUBLE_EQ(table.credit_balance(2), 7.5);
-  EXPECT_DOUBLE_EQ(table.of(2).credit_balance, 7.5);
 }
 
 TEST(SignalTable, RejectsBadAlpha) {
@@ -163,8 +188,8 @@ TEST(SparseSignalTable, BitIdenticalToDenseWhenCapCoversFleet) {
         break;
     }
     const store::ServerId probe = history.uniform_u64_below(fleet + 2);  // also unseen
-    const ctrl::SignalTable::Signals d = dense.of(probe);
-    const ctrl::SignalTable::Signals s = sparse.of(probe);
+    const Signals d = row_of(dense, probe);
+    const Signals s = row_of(sparse, probe);
     ASSERT_EQ(d.seen, s.seen) << "round " << round;
     ASSERT_EQ(d.outstanding, s.outstanding) << "round " << round;
     ASSERT_EQ(d.pending_cost_ns, s.pending_cost_ns) << "round " << round;
@@ -202,7 +227,7 @@ TEST(SparseSignalTable, EvictsLruIntoGroupAggregate) {
 
   // An evicted pair answers with its group aggregate: seen, EWMAs =
   // group means, counters and mirrors zero, freshness stale.
-  const ctrl::SignalTable::Signals evicted = table.of(0);
+  const Signals evicted = row_of(table, 0);
   EXPECT_TRUE(evicted.seen);
   EXPECT_DOUBLE_EQ(evicted.ewma_response_ns, folded_sum / 4.0);
   EXPECT_EQ(evicted.outstanding, 0u);
@@ -210,7 +235,7 @@ TEST(SparseSignalTable, EvictsLruIntoGroupAggregate) {
   EXPECT_EQ(evicted.last_feedback_ns, -1);
 
   // A never-touched server in a group with no history stays zero.
-  EXPECT_FALSE(table.of(11).seen);
+  EXPECT_FALSE(row_of(table, 11).seen);
 }
 
 TEST(SparseSignalStore, ScenarioDecisionsIdenticalToDense) {
@@ -328,8 +353,8 @@ class SlotTableReference {
     touch(server).credit_balance = balance;
   }
 
-  ctrl::SignalTable::Signals of(store::ServerId server) const {
-    ctrl::SignalTable::Signals s;
+  Signals of(store::ServerId server) const {
+    Signals s;
     if (const Entry* e = find(server)) {
       s.ewma_response_ns = e->ewma_response_ns;
       s.ewma_queue = e->ewma_queue;
@@ -469,7 +494,7 @@ struct FuzzCoverage {
 
 /// Drives `table` and `ref` through the seeded random history
 /// `history_seed` over a 40-server fleet, and after every operation
-/// checks every reader and of() for every server (tracked, folded into
+/// checks every reader for every server (tracked, folded into
 /// a group, or never seen) against the reference, bit for bit.
 /// `compare_size` also checks size() against the reference's live
 /// entries; server-indexed, size() is the growth high-water mark.
@@ -517,8 +542,8 @@ void fuzz_against_reference(ctrl::SignalTable& table, SlotTableReference& ref,
         << "history " << history_seed << " round " << round;
     coverage.max_size = std::max(coverage.max_size, table.size());
     for (store::ServerId s = 0; s < kFleet + 4; ++s) {
-      const ctrl::SignalTable::Signals want = ref.of(s);
-      const ctrl::SignalTable::Signals got = table.of(s);
+      const Signals want = ref.of(s);
+      const Signals got = row_of(table, s);
       const auto where = [&] {
         return ::testing::Message() << "history " << history_seed << " round " << round
                                     << " server " << s;
@@ -531,15 +556,6 @@ void fuzz_against_reference(ctrl::SignalTable& table, SlotTableReference& ref,
       ASSERT_EQ(got.ewma_service_time_ns, want.ewma_service_time_ns) << where();
       ASSERT_EQ(got.credit_balance, want.credit_balance) << where();
       ASSERT_EQ(got.last_feedback_ns, want.last_feedback_ns) << where();
-      // The single-signal readers answer exactly what the row snapshot does.
-      ASSERT_EQ(table.seen(s), want.seen) << where();
-      ASSERT_EQ(table.outstanding(s), want.outstanding) << where();
-      ASSERT_EQ(table.pending_cost(s).count_nanos(), want.pending_cost_ns) << where();
-      ASSERT_EQ(table.ewma_response_ns(s), want.ewma_response_ns) << where();
-      ASSERT_EQ(table.ewma_queue(s), want.ewma_queue) << where();
-      ASSERT_EQ(table.ewma_service_time_ns(s), want.ewma_service_time_ns) << where();
-      ASSERT_EQ(table.credit_balance(s), want.credit_balance) << where();
-      ASSERT_EQ(table.last_feedback_ns(s), want.last_feedback_ns) << where();
       if (want.seen && want.last_feedback_ns < 0 && want.outstanding == 0) ++coverage.group_answers;
     }
   }
@@ -587,8 +603,8 @@ TEST(SparseSignalTable, LruTickWrapKeepsEvictionOrder) {
   EXPECT_EQ(table.evictions(), 1u);
   EXPECT_EQ(table.last_feedback_ns(1), -1);  // evicted into its group
   for (store::ServerId s = 0; s < 8; ++s) {
-    const ctrl::SignalTable::Signals want = ref.of(s);
-    const ctrl::SignalTable::Signals got = table.of(s);
+    const Signals want = ref.of(s);
+    const Signals got = row_of(table, s);
     EXPECT_EQ(got.seen, want.seen) << "server " << s;
     EXPECT_EQ(got.ewma_response_ns, want.ewma_response_ns) << "server " << s;
     EXPECT_EQ(got.last_feedback_ns, want.last_feedback_ns) << "server " << s;

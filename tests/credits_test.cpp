@@ -22,35 +22,6 @@ using sim::Duration;
 using sim::Time;
 
 // ---------------------------------------------------------------------------
-// Proportional allocation (pure function)
-
-TEST(AllocateProportional, ProportionalToDemand) {
-  const auto grants = CreditsController::allocate_proportional({100.0, 300.0}, 1000.0);
-  ASSERT_EQ(grants.size(), 2u);
-  EXPECT_DOUBLE_EQ(grants[0], 250.0);
-  EXPECT_DOUBLE_EQ(grants[1], 750.0);
-}
-
-TEST(AllocateProportional, ZeroDemandGivesEqualShares) {
-  const auto grants = CreditsController::allocate_proportional({0.0, 0.0, 0.0, 0.0}, 1000.0);
-  for (const double g : grants) EXPECT_DOUBLE_EQ(g, 250.0);
-}
-
-TEST(AllocateProportional, NegativeDemandTreatedAsZero) {
-  const auto grants = CreditsController::allocate_proportional({-50.0, 100.0}, 300.0);
-  EXPECT_DOUBLE_EQ(grants[0], 0.0);
-  EXPECT_DOUBLE_EQ(grants[1], 300.0);
-}
-
-TEST(AllocateProportional, ConservesCapacity) {
-  const auto grants =
-      CreditsController::allocate_proportional({17.0, 3.0, 42.0, 8.0, 30.0}, 12345.0);
-  double total = 0.0;
-  for (const double g : grants) total += g;
-  EXPECT_NEAR(total, 12345.0, 1e-9);
-}
-
-// ---------------------------------------------------------------------------
 // DispatchGate under the grant law (the credits gate)
 
 client::OutboundRequest make_out(store::ServerId server, store::Priority priority,
@@ -432,7 +403,7 @@ TEST(CreditsController, StatsCount) {
 
 TEST(CongestionMonitor, SignalsOnlyAboveThreshold) {
   sim::Simulator simulator;
-  server::DeterministicServiceModel model(Duration::millis(10));
+  server::SizeLinearServiceModel model(Duration::millis(10), 0.0);
   server::BackendServer::Config server_config;
   server_config.id = 0;
   server_config.cores = 1;

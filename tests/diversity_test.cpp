@@ -189,7 +189,7 @@ TEST(ModulatedArrivals, SpecParsingAndErrors) {
 
 TEST(WritePath, ServerInstallsNewSizeAndAcks) {
   sim::Simulator sim;
-  server::DeterministicServiceModel model(sim::Duration::micros(10));
+  server::SizeLinearServiceModel model(sim::Duration::micros(10), 0.0);
   server::BackendServer::Config config;
   config.id = 0;
   config.cores = 1;

@@ -1,19 +1,19 @@
-// Correctness suite for the two-tier event scheduler (hierarchical
-// timing wheel + generation-validated heap) behind `EventQueue`.
+// Correctness suite for `EventQueue`, one hierarchical timing wheel
+// over the whole clock with a sorted ready run at its cursor.
 //
 // The heart of the suite is a randomized differential fuzz against a
 // brute-force reference queue: same operation stream in, identical pop
 // order, peek times, and cancel outcomes out. Around it sit
-// deterministic regressions for the cascade edge cases that a wheel
-// can get wrong — bucket-boundary deltas, slot 0, level rollover,
-// far-future overflow into the heap tier — including the
+// deterministic regressions for the cases a wheel can get wrong —
+// bucket-boundary deltas up to the top of the int64 clock, slot 0,
+// level rollover, pushes before the cursor — including the
 // aligned-cursor inclusive-scan case that the fuzzer originally
 // caught, plus generation-reuse checks for ids recycled through
 // cancel.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -96,8 +96,8 @@ class RefQueue {
 
 TEST(EventQueueWheelFuzz, MatchesHeapReferencePopOrderAndCancels) {
   // Deltas span every routing class: level 0/1 (sub-ms), level 2
-  // (hundreds of ms), level 3 (tens of seconds), past-of-cursor and
-  // beyond-horizon (both heap tier).
+  // (hundreds of ms), level 3 (tens of seconds), far future up to
+  // 2^61 ns (levels 4-6), and before the cursor (the ready run).
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     util::Rng rng(seed);
     EventQueue q;
@@ -117,7 +117,7 @@ TEST(EventQueueWheelFuzz, MatchesHeapReferencePopOrderAndCancels) {
         } else if (d < 0.85) {
           when_ns = now_ns + rng.uniform_int(0, 60'000'000'000);
         } else if (d < 0.93) {
-          when_ns = now_ns + rng.uniform_int(0, std::int64_t{1} << 45);  // past horizon
+          when_ns = now_ns + rng.uniform_int(0, std::int64_t{1} << 61);  // far future
         } else {
           when_ns = now_ns - rng.uniform_int(0, 1'000'000'000);  // before cursor
         }
@@ -172,27 +172,22 @@ TEST(EventQueueWheelFuzz, MatchesHeapReferencePopOrderAndCancels) {
 
 TEST(EventQueueWheel, BoundaryDeltasRouteAndPopInOrder) {
   // One event per routing boundary: the last tick of each level, the
-  // first tick of the next, and one past it. Everything below the
-  // horizon must be wheel-resident; the horizon itself spills to the
-  // heap tier, as does a pre-cursor (past) event.
+  // first tick of the next, and one past it, up to the largest tick an
+  // int64 nanosecond time has; plus a negative (pre-cursor) time. All
+  // of them pop in time order.
   EventQueue q;
-  const std::vector<std::int64_t> wheel_ticks = {
-      0,       1,        255,      256,        257,        65'535,   65'536,
-      65'537,  16'777'215, 16'777'216, 16'777'217, EventQueue::kWheelSpanTicks - 1};
-  for (const std::int64_t tick : wheel_ticks) q.push(at_tick(tick), [] {});
-  EXPECT_EQ(q.wheel_resident(), wheel_ticks.size());
-  EXPECT_EQ(q.heap_resident(), 0u);
+  const std::int64_t top = std::numeric_limits<std::int64_t>::max() >> EventQueue::kGranularityBits;
+  const std::vector<std::int64_t> ticks = {
+      0,          1,          255,        256,        257,
+      65'535,     65'536,     65'537,     16'777'215, 16'777'216,
+      16'777'217, (std::int64_t{1} << 32) - 1, std::int64_t{1} << 32,
+      (std::int64_t{1} << 40) + 3, top};
+  for (auto it = ticks.rbegin(); it != ticks.rend(); ++it) q.push(at_tick(*it), [] {});
+  q.push(Time::nanos(-5), [] {});
+  EXPECT_EQ(q.size(), ticks.size() + 1);
 
-  q.push(at_tick(EventQueue::kWheelSpanTicks), [] {});  // horizon -> heap
-  q.push(Time::nanos(-5), [] {});                       // past -> heap
-  EXPECT_EQ(q.heap_resident(), 2u);
-
-  std::vector<std::int64_t> expected;
-  expected.push_back(-5);
-  for (const std::int64_t tick : wheel_ticks) expected.push_back(tick << 12);
-  expected.push_back(EventQueue::kWheelSpanTicks << 12);
-  std::sort(expected.begin(), expected.end());
-
+  std::vector<std::int64_t> expected = {-5};
+  for (const std::int64_t tick : ticks) expected.push_back(tick << EventQueue::kGranularityBits);
   for (const std::int64_t when_ns : expected) {
     auto e = q.pop();
     ASSERT_TRUE(e.has_value());
@@ -206,7 +201,8 @@ TEST(EventQueueWheel, SlotZeroCascadesThroughEveryLevel) {
   // index 0 (or 1) of their level and cascade down through slot 0 of
   // every lower level — the all-zero-low-bits path.
   EventQueue q;
-  std::vector<std::int64_t> ticks = {0, 256, 65'536, 16'777'216};
+  std::vector<std::int64_t> ticks = {0, 256, 65'536, 16'777'216, std::int64_t{1} << 32,
+                                     std::int64_t{1} << 40, std::int64_t{1} << 48};
   for (auto it = ticks.rbegin(); it != ticks.rend(); ++it) q.push(at_tick(*it), [] {});
   for (const std::int64_t tick : ticks) {
     auto e = q.pop();
@@ -214,7 +210,6 @@ TEST(EventQueueWheel, SlotZeroCascadesThroughEveryLevel) {
     EXPECT_EQ(e->when.count_nanos(), tick << 12);
   }
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.wheel_resident(), 0u);
 }
 
 TEST(EventQueueWheel, AlignedCursorCascadeScansOwnBucketInclusively) {
@@ -273,7 +268,7 @@ TEST(EventQueueWheel, LevelRolloverWrapsTheLevelZeroRing) {
 }
 
 // ---------------------------------------------------------------------------
-// Generation reuse and cancellation across tiers
+// Generation reuse and cancellation
 
 TEST(EventQueueWheel, CancelledIdsStayStaleAcrossSlotReuse) {
   EventQueue q;
@@ -295,17 +290,20 @@ TEST(EventQueueWheel, CancelledIdsStayStaleAcrossSlotReuse) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueueWheel, CancelIsHonoredInBothTiers) {
+TEST(EventQueueWheel, CancelIsHonoredNearAndFarFuture) {
   EventQueue q;
-  const EventId wheel_id = q.push(at_tick(100), [] {});
-  const EventId heap_id = q.push(at_tick(EventQueue::kWheelSpanTicks + 7), [] {});
-  EXPECT_EQ(q.wheel_resident(), 1u);
-  EXPECT_EQ(q.heap_resident(), 1u);
+  const EventId near_id = q.push(at_tick(100), [] {});
+  const EventId far_id = q.push(at_tick((std::int64_t{1} << 50) + 7), [] {});
+  const EventId kept_id = q.push(at_tick(std::int64_t{1} << 49), [] {});
+  EXPECT_EQ(q.size(), 3u);
 
-  EXPECT_TRUE(q.cancel(wheel_id));
-  EXPECT_EQ(q.wheel_resident(), 0u);
-  EXPECT_TRUE(q.cancel(heap_id));
-  EXPECT_EQ(q.heap_resident(), 0u);
+  EXPECT_TRUE(q.cancel(near_id));
+  EXPECT_TRUE(q.cancel(far_id));
+  EXPECT_FALSE(q.cancel(far_id));
+  EXPECT_EQ(q.size(), 1u);
+  auto e = q.pop();
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->id, kept_id);
   EXPECT_TRUE(q.empty());
   EXPECT_FALSE(q.pop().has_value());
 }

@@ -23,7 +23,7 @@ using sim::Time;
 struct ModelFixture {
   sim::Simulator simulator;
   store::RingPartitioner partitioner{3, 2};  // groups {0,1},{1,2},{2,0}
-  server::DeterministicServiceModel model{Duration::micros(100)};
+  server::SizeLinearServiceModel model{Duration::micros(100), 0.0};
   std::vector<std::unique_ptr<server::BackendServer>> servers;
   std::unique_ptr<GlobalQueueModel> queue;
   std::vector<std::pair<store::ServerId, store::RequestId>> completions;

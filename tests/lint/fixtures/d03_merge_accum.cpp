@@ -13,11 +13,15 @@ double merge_shards(const std::vector<double>& shard_means) {
 }
 
 // Sanctioned helper name: must NOT fire.
-double accumulate_summary(const std::vector<double>& values) {
-  double total = 0.0;
-  for (const double v : values) total += v;
-  return total;
-}
+class Summary {
+ public:
+  void add(double x);
+
+ private:
+  double total_ = 0.0;
+};
+
+void Summary::add(double x) { total_ += x; }
 
 // Not a merge path (per-run accumulation): must NOT fire.
 double run_mean(const std::vector<double>& samples) {

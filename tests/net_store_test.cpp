@@ -152,71 +152,6 @@ TEST(RingPartitioner, RejectsBadConfig) {
 }
 
 // ---------------------------------------------------------------------------
-// ConsistentHashPartitioner
-
-std::vector<store::ServerId> servers_0_to(std::uint32_t n) {
-  std::vector<store::ServerId> servers;
-  for (store::ServerId s = 0; s < n; ++s) servers.push_back(s);
-  return servers;
-}
-
-TEST(ConsistentHash, ReplicaSetsAreDistinctServers) {
-  store::ConsistentHashPartitioner partitioner(servers_0_to(9), 3, 32);
-  for (store::GroupId g = 0; g < partitioner.num_groups(); ++g) {
-    const auto& replicas = partitioner.replicas_of(g);
-    ASSERT_EQ(replicas.size(), 3u);
-    std::set<store::ServerId> unique(replicas.begin(), replicas.end());
-    ASSERT_EQ(unique.size(), 3u);
-  }
-}
-
-TEST(ConsistentHash, OwnershipRoughlyBalanced) {
-  store::ConsistentHashPartitioner partitioner(servers_0_to(9), 3, 128);
-  const auto ownership = partitioner.ownership(50'000);
-  for (const auto& [server, share] : ownership) {
-    EXPECT_GT(share, 0.04) << "server " << server;
-    EXPECT_LT(share, 0.22) << "server " << server;
-  }
-}
-
-TEST(ConsistentHash, MinimalDisruptionOnAdd) {
-  store::ConsistentHashPartitioner before(servers_0_to(9), 3, 64);
-  store::ConsistentHashPartitioner after(servers_0_to(9), 3, 64);
-  after.add_server(9);
-  int moved = 0;
-  const int probes = 20000;
-  for (int i = 0; i < probes; ++i) {
-    const auto key = static_cast<store::KeyId>(i) * 40503ULL;
-    if (before.replicas_for_key(key).front() != after.replicas_for_key(key).front()) ++moved;
-  }
-  // Adding 1 of 10 servers should move roughly 1/10th of primaries,
-  // certainly far less than half.
-  EXPECT_LT(moved, probes / 2);
-  EXPECT_GT(moved, 0);
-}
-
-TEST(ConsistentHash, RemoveRestoresCapacityInvariant) {
-  store::ConsistentHashPartitioner partitioner(servers_0_to(5), 3, 32);
-  partitioner.remove_server(4);
-  EXPECT_EQ(partitioner.num_servers(), 4u);
-  EXPECT_THROW(partitioner.remove_server(4), std::invalid_argument);
-  // Cannot drop below the replication factor.
-  partitioner.remove_server(3);
-  EXPECT_THROW(partitioner.remove_server(2), std::invalid_argument);
-}
-
-TEST(ConsistentHash, AddDuplicateRejected) {
-  store::ConsistentHashPartitioner partitioner(servers_0_to(3), 2, 16);
-  EXPECT_THROW(partitioner.add_server(1), std::invalid_argument);
-}
-
-TEST(ConsistentHash, RejectsBadConfig) {
-  EXPECT_THROW(store::ConsistentHashPartitioner({}, 1, 16), std::invalid_argument);
-  EXPECT_THROW(store::ConsistentHashPartitioner(servers_0_to(2), 3, 16), std::invalid_argument);
-  EXPECT_THROW(store::ConsistentHashPartitioner(servers_0_to(2), 1, 0), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
 // StorageEngine
 
 TEST(StorageEngine, PutMetaAndLookup) {

@@ -267,27 +267,6 @@ TEST(Rng, BoundedParetoStaysInBounds) {
   }
 }
 
-TEST(Rng, PoissonSmallMean) {
-  Rng rng(17);
-  stats::Summary s;
-  for (int i = 0; i < 100000; ++i) s.add(static_cast<double>(rng.poisson(3.0)));
-  EXPECT_NEAR(s.mean(), 3.0, 0.05);
-  EXPECT_NEAR(s.variance(), 3.0, 0.15);
-}
-
-TEST(Rng, PoissonLargeMean) {
-  Rng rng(18);
-  stats::Summary s;
-  for (int i = 0; i < 50000; ++i) s.add(static_cast<double>(rng.poisson(200.0)));
-  EXPECT_NEAR(s.mean(), 200.0, 1.0);
-  EXPECT_NEAR(s.variance(), 200.0, 10.0);
-}
-
-TEST(Rng, PoissonZeroMean) {
-  Rng rng(19);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.poisson(0.0), 0);
-}
-
 TEST(Rng, SplitStreamsAreIndependent) {
   Rng parent(20);
   Rng child = parent.split();
@@ -314,21 +293,6 @@ TEST(Rng, SplitIsDeterministic) {
     ASSERT_EQ(child_a.next_u64(), child_b.next_u64());
     ASSERT_EQ(a.next_u64(), b.next_u64());
   }
-}
-
-TEST(Rng, WeightedIndexRespectsWeights) {
-  Rng rng(22);
-  const std::vector<double> weights = {1.0, 0.0, 3.0};
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 40000; ++i) ++counts[rng.weighted_index(weights)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.25);
-}
-
-TEST(Rng, WeightedIndexRejectsDegenerateInput) {
-  Rng rng(23);
-  EXPECT_THROW(rng.weighted_index({0.0, 0.0}), std::invalid_argument);
-  EXPECT_THROW(rng.weighted_index({1.0, -2.0}), std::invalid_argument);
 }
 
 TEST(Rng, ShuffleIsAPermutation) {

@@ -27,6 +27,23 @@ using sim::Time;
 // ---------------------------------------------------------------------------
 // Service-time models
 
+/// Exponential service time with a size-independent mean: turns each
+/// server core into the M/M/1 station the queueing-theory oracles below
+/// assume. No run builds it.
+class ExponentialServiceModel final : public ServiceTimeModel {
+ public:
+  explicit ExponentialServiceModel(Duration mean) : mean_(mean) {}
+
+  Duration sample(std::uint32_t, util::Rng& rng) const override {
+    const double ns = rng.exponential(static_cast<double>(mean_.count_nanos()));
+    return Duration::nanos(ns < 1.0 ? 1 : static_cast<std::int64_t>(ns));
+  }
+  Duration expected(std::uint32_t) const override { return mean_; }
+
+ private:
+  Duration mean_;
+};
+
 TEST(SizeLinearServiceModel, ExpectedIsAffineInSize) {
   SizeLinearServiceModel model(Duration::micros(10), 2.0);  // 2 ns per byte
   EXPECT_EQ(model.expected(0).count_nanos(), 10'000);
@@ -87,14 +104,6 @@ TEST(ExponentialServiceModel, MeanAndMemorylessness) {
   EXPECT_NEAR(s.mean(), 100'000.0, 1'500.0);
   EXPECT_NEAR(s.stddev() / s.mean(), 1.0, 0.02);  // CV = 1
   EXPECT_EQ(model.expected(1).count_nanos(), 100'000);
-  EXPECT_THROW(ExponentialServiceModel(Duration::zero()), std::invalid_argument);
-}
-
-TEST(DeterministicServiceModel, Constant) {
-  DeterministicServiceModel model(Duration::micros(42));
-  util::Rng rng(4);
-  EXPECT_EQ(model.sample(1, rng).count_nanos(), 42'000);
-  EXPECT_THROW(DeterministicServiceModel(Duration::zero()), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -283,7 +292,7 @@ TEST(DisciplineFactory, KnownNames) {
 
 struct ServerFixture {
   sim::Simulator simulator;
-  DeterministicServiceModel model{Duration::micros(100)};
+  SizeLinearServiceModel model{Duration::micros(100), 0.0};
   std::unique_ptr<BackendServer> server;
   std::vector<store::ReadResponse> responses;
 
@@ -415,7 +424,7 @@ TEST(BackendServer, WriteLandingMidServiceShowsInReadResponse) {
 
 TEST(BackendServer, RejectsZeroCores) {
   sim::Simulator simulator;
-  DeterministicServiceModel model(Duration::micros(1));
+  SizeLinearServiceModel model(Duration::micros(1), 0.0);
   BackendServer::Config config;
   config.cores = 0;
   EXPECT_THROW(BackendServer(simulator, config, model, util::Rng(7)), std::invalid_argument);
@@ -423,7 +432,7 @@ TEST(BackendServer, RejectsZeroCores) {
 
 TEST(BackendServer, ReceiveWithoutQueueThrows) {
   sim::Simulator simulator;
-  DeterministicServiceModel model(Duration::micros(1));
+  SizeLinearServiceModel model(Duration::micros(1), 0.0);
   BackendServer::Config config;
   config.cores = 1;
   BackendServer server(simulator, config, model, util::Rng(8));
@@ -483,7 +492,7 @@ TEST(QueueingTheory, MM1SojournMatchesAnalytic) {
 TEST(QueueingTheory, MD1WaitMatchesPollaczekKhinchine) {
   // M/D/1: E[W] = rho / (2 mu (1 - rho)); rho = 0.7, mu = 10k/s
   // -> E[W] = 116.7us, E[T] = W + 100us.
-  DeterministicServiceModel model(Duration::micros(100));
+  SizeLinearServiceModel model(Duration::micros(100), 0.0);
   QueueingHarness h(1, model);
   h.run(7000.0, 200'000);
   const double rho = 0.7;

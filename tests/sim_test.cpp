@@ -178,6 +178,25 @@ TEST(Simulator, RunUntilAdvancesClockWhenIdle) {
   EXPECT_EQ(sim.now(), Time::millis(5));
 }
 
+TEST(Simulator, SchedulesAfterRunUntilRunBeforeThePeekedEvent) {
+  // run_until's peek drains the later event's wheel bucket, which moves
+  // the queue's cursor past now(). Events scheduled afterwards at now(),
+  // between the stop time and that event, and in its own 4.096 us
+  // granule must still run first, in time order.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(Time::millis(10), [&] { order.push_back(4); });
+  EXPECT_EQ(sim.run_until(Time::millis(1)), 0u);
+  EXPECT_EQ(sim.now(), Time::millis(1));
+
+  sim.schedule_at(Time::millis(10) - Duration::micros(1), [&] { order.push_back(3); });
+  sim.schedule_at(Time::millis(5), [&] { order.push_back(2); });
+  sim.schedule_at(sim.now(), [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.now(), Time::millis(10));
+}
+
 TEST(Simulator, StopPreemptsRemainingEvents) {
   Simulator sim;
   int fired = 0;

@@ -52,36 +52,6 @@ TEST(Summary, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(Summary, MergeEqualsSequential) {
-  util::Rng rng(1);
-  Summary all;
-  Summary left;
-  Summary right;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.normal(10, 3);
-    all.add(v);
-    (i % 2 == 0 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(left.min(), all.min());
-  EXPECT_EQ(left.max(), all.max());
-}
-
-TEST(Summary, MergeWithEmpty) {
-  Summary a;
-  a.add(1.0);
-  a.add(2.0);
-  Summary b;
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.5);
-}
-
 TEST(Summary, NumericalStabilityLargeOffset) {
   Summary s;
   for (int i = 0; i < 10000; ++i) s.add(1e9 + (i % 2));
@@ -152,31 +122,6 @@ TEST(Histogram, NegativeClampsToZero) {
   h.record(-17);
   EXPECT_EQ(h.min(), 0);
   EXPECT_EQ(h.value_at_quantile(0.5), 0);
-}
-
-TEST(Histogram, MergeSameGeometry) {
-  Histogram a;
-  Histogram b;
-  util::Rng rng(3);
-  Histogram reference;
-  for (int i = 0; i < 10000; ++i) {
-    const std::int64_t v = rng.uniform_int(1, 10'000'000);
-    (i % 2 == 0 ? a : b).record(v);
-    reference.record(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), reference.count());
-  EXPECT_EQ(a.value_at_quantile(0.99), reference.value_at_quantile(0.99));
-  EXPECT_EQ(a.min(), reference.min());
-  EXPECT_EQ(a.max(), reference.max());
-}
-
-TEST(Histogram, MergeDifferentGeometryApproximates) {
-  Histogram coarse(1'000'000, 2);
-  Histogram fine(1'000'000, 4);
-  for (int i = 1; i <= 1000; ++i) fine.record(i * 997 % 1'000'000 + 1);
-  coarse.merge(fine);
-  EXPECT_EQ(coarse.count(), 1000u);
 }
 
 TEST(Histogram, ResetClears) {
@@ -463,16 +408,6 @@ TEST(LatencyRecorder, NegativeDurationsClampToZero) {
   EXPECT_EQ(r.min().count_nanos(), 0);
 }
 
-TEST(LatencyRecorder, MergeCombines) {
-  LatencyRecorder a(false);
-  LatencyRecorder b(false);
-  a.record(sim::Duration::millis(1));
-  b.record(sim::Duration::millis(3));
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_NEAR(a.mean().as_millis(), 2.0, 0.01);
-}
-
 TEST(LatencyRecorder, SketchIsOptIn) {
   LatencyRecorder off(false);
   off.record(sim::Duration::millis(1));
@@ -486,16 +421,12 @@ TEST(LatencyRecorder, SketchIsOptIn) {
   EXPECT_NEAR(on.sketch()->percentile(99) / 1e6, 99.0, 99.0 * 0.02);
 }
 
-TEST(LatencyRecorder, MergeAndCopyCarryTheSketch) {
+TEST(LatencyRecorder, CopyCarriesTheSketch) {
   LatencyRecorder a(false);
   a.enable_sketch();
-  LatencyRecorder b(false);
-  b.enable_sketch();
   a.record(sim::Duration::millis(1));
-  b.record(sim::Duration::millis(2));
-  a.merge(b);
+  a.record(sim::Duration::millis(2));
   ASSERT_NE(a.sketch(), nullptr);
-  EXPECT_EQ(a.sketch()->count(), 2u);
 
   // Copies must deep-copy: recording into the original cannot leak
   // into the copy (run results are copied into aggregates).
