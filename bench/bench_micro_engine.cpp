@@ -8,7 +8,6 @@
 //   bench_micro_engine [--quick]
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -60,7 +59,7 @@ MicroResult bench_event_queue_push_pop(std::uint64_t rounds) {
   return run_micro("event_queue_push_pop", rounds * batch, [&] {
     for (std::uint64_t r = 0; r < rounds; ++r) {
       for (std::uint64_t i = 0; i < batch; ++i) {
-        queue.push(brb::sim::Time::nanos(rng.uniform_int(0, 1'000'000)), [] {});
+        queue.push(brb::sim::Time::nanos(rng.uniform_int(0, 1'000'000)), brb::sim::Event{});
       }
       while (auto entry = queue.pop()) {
         if (entry->when.count_nanos() < 0) std::abort();  // keep the loop live
@@ -80,7 +79,8 @@ MicroResult bench_event_queue_cancel(std::uint64_t rounds) {
   return run_micro("event_queue_cancel", rounds * batch, [&] {
     for (std::uint64_t r = 0; r < rounds; ++r) {
       for (std::uint64_t i = 0; i < batch; ++i) {
-        ids[i] = queue.push(brb::sim::Time::nanos(rng.uniform_int(0, 1'000'000)), [] {});
+        ids[i] =
+            queue.push(brb::sim::Time::nanos(rng.uniform_int(0, 1'000'000)), brb::sim::Event{});
       }
       for (std::uint64_t i = 0; i < batch; ++i) {
         if (!queue.cancel(ids[i])) std::abort();
@@ -102,7 +102,8 @@ MicroResult bench_wheel_short_delta_push_pop(std::uint64_t rounds) {
   return run_micro("wheel_short_delta_push_pop", rounds * batch, [&] {
     for (std::uint64_t r = 0; r < rounds; ++r) {
       for (std::uint64_t i = 0; i < batch; ++i) {
-        queue.push(brb::sim::Time::nanos(now + rng.uniform_int(4'096, 1'000'000)), [] {});
+        queue.push(brb::sim::Time::nanos(now + rng.uniform_int(4'096, 1'000'000)),
+                   brb::sim::Event{});
       }
       if (queue.size() != batch) std::abort();
       while (auto entry = queue.pop()) now = entry->when.count_nanos();
@@ -122,7 +123,7 @@ MicroResult bench_wheel_cascade(std::uint64_t rounds) {
     for (std::uint64_t r = 0; r < rounds; ++r) {
       for (std::uint64_t i = 0; i < batch; ++i) {
         queue.push(brb::sim::Time::nanos(now + rng.uniform_int(300'000'000, 50'000'000'000)),
-                   [] {});
+                   brb::sim::Event{});
       }
       while (auto entry = queue.pop()) now = entry->when.count_nanos();
     }
@@ -132,9 +133,10 @@ MicroResult bench_wheel_cascade(std::uint64_t rounds) {
 MicroResult bench_same_timestamp_burst(std::uint64_t rounds) {
   // Same-timestamp burst delivery (a wave of network deliveries at one
   // instant): the whole coincident group drains into one ready run,
-  // then pop() hands out each event in scheduling order — the path
+  // then pop() hands out each record in scheduling order — the path
   // Simulator::run() drives for every event.
   brb::sim::EventQueue queue;
+  const brb::sim::Event one{brb::sim::EventKind::kCallable, 0, 1};
   const std::uint64_t batch = 1024;
   std::int64_t now = 0;
   std::uint64_t ran = 0;
@@ -142,11 +144,11 @@ MicroResult bench_same_timestamp_burst(std::uint64_t rounds) {
     for (std::uint64_t r = 0; r < rounds; ++r) {
       now += 1'000'000;
       for (std::uint64_t i = 0; i < batch; ++i) {
-        queue.push(brb::sim::Time::nanos(now), [&ran] { ++ran; });
+        queue.push(brb::sim::Time::nanos(now), one);
       }
       while (auto entry = queue.pop()) {
         if (entry->when.count_nanos() != now) std::abort();
-        entry->fn();
+        ran += entry->event.payload;
       }
     }
   });
@@ -155,18 +157,52 @@ MicroResult bench_same_timestamp_burst(std::uint64_t rounds) {
 }
 
 MicroResult bench_simulator_self_scheduling(std::uint64_t rounds) {
-  const std::uint64_t chain = 10'000;
-  return run_micro("simulator_self_scheduling", rounds * chain, [&] {
+  // One chain on a fresh Simulator per round: each event schedules the
+  // next 100 ns later, so every event is one pop, one dispatch and one
+  // push of an 8-byte callable.
+  struct Chain {
+    brb::sim::Simulator sim;
+    std::uint64_t remaining = 10'000;
+    void tick() {
+      if (--remaining > 0) sim.schedule_after(brb::sim::Duration::nanos(100), [this] { tick(); });
+    }
+  };
+  return run_micro("simulator_self_scheduling", rounds * 10'000, [&] {
     for (std::uint64_t r = 0; r < rounds; ++r) {
-      brb::sim::Simulator sim;
-      std::uint64_t remaining = chain;
-      std::function<void()> tick = [&] {
-        if (--remaining > 0) sim.schedule_after(brb::sim::Duration::nanos(100), [&tick] { tick(); });
-      };
-      sim.schedule_after(brb::sim::Duration::nanos(100), [&tick] { tick(); });
-      sim.run();
+      Chain chain;
+      chain.sim.schedule_after(brb::sim::Duration::nanos(100), [&chain] { chain.tick(); });
+      chain.sim.run();
     }
   });
+}
+
+MicroResult bench_simulator_chains(std::uint64_t events) {
+  // 100 concurrent self-rescheduling chains with exponential gaps
+  // (mean 30 us), bench/perf's engine replay at paper-like
+  // concurrency: pushes spread over the wheel's low levels.
+  struct Chains {
+    brb::sim::Simulator sim;
+    std::vector<brb::sim::Duration> gaps;
+    std::size_t cursor = 0;
+    std::uint64_t remaining = 0;
+    void fire() {
+      if (remaining == 0) return;
+      --remaining;
+      sim.schedule_after(gaps[cursor++ & (gaps.size() - 1)], [this] { fire(); });
+    }
+  } chains;
+  chains.remaining = events;
+  brb::util::Rng rng(7);
+  for (int i = 0; i < 4096; ++i) {
+    chains.gaps.push_back(
+        brb::sim::Duration::nanos(1 + static_cast<std::int64_t>(rng.exponential(30'000.0))));
+  }
+  MicroResult result = run_micro("simulator_chains_100", events, [&] {
+    for (int c = 0; c < 100; ++c) chains.fire();
+    chains.sim.run();
+  });
+  if (chains.sim.events_processed() != events) std::abort();
+  return result;
 }
 
 MicroResult bench_priority_discipline(std::uint64_t rounds) {
@@ -331,6 +367,7 @@ int main(int argc, char** argv) {
   micro.push_back(bench_wheel_cascade(rounds));
   micro.push_back(bench_same_timestamp_burst(rounds));
   micro.push_back(bench_simulator_self_scheduling(quick ? 20 : 200));
+  micro.push_back(bench_simulator_chains(quick ? 200'000 : 2'000'000));
   micro.push_back(bench_priority_discipline(rounds));
   micro.push_back(bench_c3_scoring(ops));
   micro.push_back(bench_signal_table_update(ops));

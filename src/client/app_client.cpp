@@ -18,7 +18,8 @@ AppClient::AppClient(sim::Simulator& sim, Config config, const store::Partitione
       endpoint_(std::move(endpoint)),
       priority_policy_(&priority_policy),
       gate_(std::move(gate)),
-      rng_(rng) {
+      rng_(rng),
+      target_(sim.attach(*this)) {
   if (config_.cost_noise_sigma < 0.0) {
     throw std::invalid_argument("AppClient: negative cost noise sigma");
   }
@@ -206,7 +207,7 @@ void AppClient::submit(workload::TaskSpec task) {
 
 void AppClient::maybe_release_logical(std::uint32_t index) {
   LogicalRequest& lr = book_->logicals_[index];
-  // An armed hedge deadline keeps the slot live: its closure captures
+  // An armed hedge deadline keeps the slot live: its event carries
   // this index, and recycling under it would fire onto a stranger.
   if (!lr.completed || lr.hedge_armed) return;
   for (std::uint8_t c = 0; c < lr.num_targets; ++c) {
@@ -279,7 +280,7 @@ void AppClient::dispatch_plan(const policy::PlannedRequest& planned,
       issue_copy(index, 0);
       lr.hedge_armed = true;
       lr.hedge_event =
-          sim().schedule_after(dispatch.hedge_delay, [this, index] { hedge_fire(index); });
+          sim().post_after(dispatch.hedge_delay, {sim::EventKind::kHedgeFire, target_, index});
       break;
     case ctrl::DispatchMode::kTied:
       issue_copy(index, 0);

@@ -156,7 +156,7 @@ struct PendingTask {
 /// than by the sum of each client's busiest moment:
 ///  * the planning scratch of `AppClient::submit` — each submit plans
 ///    into it and is done with it before returning. Sharing is safe
-///    because submit is never re-entered (network sends are scheduled
+///    because submit is never re-entered (network sends are posted
 ///    events, not calls), and `in_use` turns a violation into an
 ///    exception;
 ///  * in-flight wire requests, a free-list pool whose handle
@@ -297,8 +297,12 @@ class AppClient : public sim::Actor {
   std::uint64_t in_flight() const noexcept { return inflight_count_; }
   /// Logical (multi-copy) requests still live — 0 once drained.
   std::uint64_t logical_in_flight() const noexcept { return logical_count_; }
+  /// This client's event target (responses address it).
+  std::uint32_t target() const noexcept { return target_; }
 
  private:
+  friend class sim::Simulator;  // dispatches kHedgeFire
+
   /// Expected-cost forecast: `cost_model_->expected(size_hint)` plus
   /// the optional noise draw.
   sim::Duration forecast_cost(std::uint32_t size_hint);
@@ -329,7 +333,10 @@ class AppClient : public sim::Actor {
   const Hooks* hooks_ = nullptr;
   ClientStats stats_;
   std::uint64_t inflight_count_ = 0;
-  std::uint64_t logical_count_ = 0;
+  /// 32 bits, so the event target shares its word: a fleet holds one
+  /// client per row, and every 8 bytes is 8 MB at a million clients.
+  std::uint32_t logical_count_ = 0;
+  std::uint32_t target_;
 };
 
 }  // namespace brb::client

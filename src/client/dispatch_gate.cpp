@@ -48,8 +48,7 @@ DispatchGate::DispatchGate(sim::Simulator& sim, std::uint32_t num_servers,
 }
 
 DispatchGate::DispatchGate(DispatchGate&& other) {
-  const Grant* law = other.state_ ? std::get_if<Grant>(&other.state_->law) : nullptr;
-  if (other.transmit_ || (law != nullptr && law->running)) {
+  if (other.transmit_ || (other.state_ && other.state_->target)) {
     throw std::logic_error("DispatchGate: a wired or started gate cannot move");
   }
   state_ = std::move(other.state_);
@@ -155,11 +154,19 @@ void DispatchGate::schedule_wake(Slot& slot) {
     const double wait_sec = (1.0 - slot.tokens) / slot.cubic.rate;
     when = when + std::max(sim::Duration::nanos(1), sim::Duration::seconds(wait_sec));
   }
-  state_->sim->schedule_at(when, [this, server = slot.server] {
-    Slot& woken = this->slot(server);
-    woken.wake_pending = false;
-    drain(woken);
-  });
+  state_->sim->post_at(when, {sim::EventKind::kGateWake, target(), slot.server});
+}
+
+void DispatchGate::wake(store::ServerId server) {
+  Slot& woken = slot(server);
+  woken.wake_pending = false;
+  drain(woken);
+}
+
+std::uint32_t DispatchGate::target() {
+  if (!state_) throw std::logic_error("DispatchGate: a direct gate receives no events");
+  if (!state_->target) state_->target = state_->sim->attach(*this);
+  return *state_->target;
 }
 
 void DispatchGate::on_token_response(store::ServerId server) {
@@ -203,7 +210,8 @@ void DispatchGate::sync_balance(const Slot& slot) {
 
 void DispatchGate::start() {
   grant_law().running = true;
-  state_->sim->schedule_after(grant_law().config.measure_interval, [this] { measure_tick(); });
+  state_->sim->post_after(grant_law().config.measure_interval,
+                          {sim::EventKind::kMeasureTick, target(), 0});
 }
 
 void DispatchGate::stop() { grant_law().running = false; }
@@ -224,7 +232,7 @@ void DispatchGate::measure_tick() {
     // must not produce a million empty control messages per interval.
     if (!law.rates_scratch.empty()) law.report(law.rates_scratch);
   }
-  state_->sim->schedule_after(law.config.measure_interval, [this] { measure_tick(); });
+  state_->sim->post_after(law.config.measure_interval, {sim::EventKind::kMeasureTick, target(), 0});
 }
 
 void DispatchGate::on_grant(const core::CreditList& credits) {

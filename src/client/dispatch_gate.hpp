@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -60,8 +61,9 @@ struct OutboundRequest {
 /// contacted). A grant gate may pin every server from construction;
 /// then slot index equals server id and lookup is O(1).
 ///
-/// Scheduled events hold the gate's address, so it is never copied,
-/// and moves only before it is wired (see the move constructor).
+/// Pending events address the gate through its registration with the
+/// simulator, so it is never copied, and moves only before it is
+/// wired (see the move constructor).
 class DispatchGate {
  public:
   /// Installed by the client: stamps send-time state and transmits.
@@ -85,10 +87,10 @@ class DispatchGate {
   DispatchGate(sim::Simulator& sim, std::uint32_t num_servers,
                const policy::CubicRateConfig& config);
 
-  /// Moves a gate that has no transmit installed and has not started:
-  /// it has offered nothing and scheduled nothing, so no event holds
-  /// its address. Throws std::logic_error on any other gate. A client
-  /// takes its gate this way, then wires it in place.
+  /// Moves a gate that has no transmit installed and no event target
+  /// yet, so no event can address it. Throws std::logic_error on any
+  /// other gate. A client takes its gate this way, then wires it in
+  /// place.
   DispatchGate(DispatchGate&& other);
   DispatchGate(const DispatchGate&) = delete;
   DispatchGate& operator=(const DispatchGate&) = delete;
@@ -148,7 +150,13 @@ class DispatchGate {
   /// keep their balance.
   void on_grant(const core::CreditList& credits);
 
+  /// A token gate's event target (grants address it), registered with
+  /// the simulator on first use.
+  std::uint32_t target();
+
  private:
+  friend class sim::Simulator;  // dispatches kGateWake and kMeasureTick
+
   struct Grant {
     core::CreditsConfig config;
     double first_touch_credit = 0.0;
@@ -186,6 +194,7 @@ class DispatchGate {
     std::variant<Grant, Cubic> law;
     std::vector<Slot> slots;  // ascending by server
     ctrl::SignalTable* signals = nullptr;
+    std::optional<std::uint32_t> target = std::nullopt;
     std::uint64_t next_seq = 0;
     std::size_t held = 0;
     std::uint64_t hold_events = 0;
@@ -207,6 +216,8 @@ class DispatchGate {
   void drain(Slot& slot);
   /// Cubic: schedules one wake for when the slot's next token accrues.
   void schedule_wake(Slot& slot);
+  /// The kGateWake handler.
+  void wake(store::ServerId server);
   void refill(Slot& slot, const Cubic& law) const;
   void measure_tick();
   void sync_balance(const Slot& slot);

@@ -24,7 +24,8 @@ CreditsController::CreditsController(sim::Simulator& sim, std::uint32_t num_clie
     : sim_(&sim),
       num_clients_(num_clients),
       capacities_(std::move(capacities)),
-      config_(config) {
+      config_(config),
+      target_(sim.attach(*this)) {
   if (num_clients_ == 0) throw std::invalid_argument("CreditsController: no clients");
   if (capacities_.empty()) throw std::invalid_argument("CreditsController: no servers");
   for (const double c : capacities_) {
@@ -50,7 +51,7 @@ CreditsController::CreditsController(sim::Simulator& sim, std::uint32_t num_clie
 
 void CreditsController::start() {
   running_ = true;
-  sim_->schedule_after(config_.adapt_interval, [this] { adapt_tick(); });
+  sim_->post_after(config_.adapt_interval, {sim::EventKind::kAdaptTick, target_, 0});
 }
 
 void CreditsController::on_demand_report(store::ClientId client, const CreditList& rates) {
@@ -150,7 +151,7 @@ void CreditsController::adapt_tick() {
       ++stats_.grants_sent;
     }
   }
-  sim_->schedule_after(config_.adapt_interval, [this] { adapt_tick(); });
+  sim_->post_after(config_.adapt_interval, {sim::EventKind::kAdaptTick, target_, 0});
 }
 
 double CreditsController::capacity_factor(store::ServerId server) const {
@@ -166,7 +167,11 @@ double CreditsController::capacity_factor(store::ServerId server) const {
 CongestionMonitor::CongestionMonitor(sim::Simulator& sim,
                                      std::vector<server::BackendServer*> servers,
                                      CreditsConfig config, SignalFn signal)
-    : sim_(&sim), servers_(std::move(servers)), config_(config), signal_(std::move(signal)) {
+    : sim_(&sim),
+      servers_(std::move(servers)),
+      config_(config),
+      signal_(std::move(signal)),
+      target_(sim.attach(*this)) {
   if (servers_.empty()) throw std::invalid_argument("CongestionMonitor: no servers");
   if (!signal_) throw std::invalid_argument("CongestionMonitor: null signal fn");
   thresholds_.reserve(servers_.size());
@@ -182,7 +187,7 @@ void CongestionMonitor::start() {
   for (std::size_t i = 0; i < servers_.size(); ++i) {
     servers_[i]->set_queue_watch(thresholds_[i], [this, i](bool over) { update(i, over); });
   }
-  sim_->schedule_after(config_.monitor_interval, [this] { tick(); });
+  sim_->post_after(config_.monitor_interval, {sim::EventKind::kMonitorTick, target_, 0});
 }
 
 void CongestionMonitor::update(std::size_t index, bool over) {
@@ -206,7 +211,7 @@ void CongestionMonitor::tick() {
       signal_(servers_[i]->config().id, servers_[i]->queue_length());
     }
   }
-  sim_->schedule_after(config_.monitor_interval, [this] { tick(); });
+  sim_->post_after(config_.monitor_interval, {sim::EventKind::kMonitorTick, target_, 0});
 }
 
 }  // namespace brb::core

@@ -78,9 +78,7 @@ struct ControllerStats {
   std::uint64_t grants_sent = 0;
 };
 
-/// (server, value) pairs, ascending by server id: the wire format of
-/// demand reports and grants.
-using CreditList = std::vector<std::pair<store::ServerId, double>>;
+using store::CreditList;
 
 /// The logically-centralized allocator.
 ///
@@ -121,8 +119,12 @@ class CreditsController {
 
   const ControllerStats& stats() const noexcept { return stats_; }
   double capacity_factor(store::ServerId server) const;
+  /// The controller's event target (reports and signals address it).
+  std::uint32_t target() const noexcept { return target_; }
 
  private:
+  friend class sim::Simulator;  // dispatches kAdaptTick
+
   struct Demand {
     store::ServerId server;
     bool pinned;
@@ -149,6 +151,7 @@ class CreditsController {
   std::vector<double> server_prop_budget_;
   CreditList grant_scratch_;
   ControllerStats stats_;
+  std::uint32_t target_;
 };
 
 /// Server-side queue watchdog that emits congestion signals.
@@ -169,6 +172,8 @@ class CongestionMonitor {
   void stop() noexcept { running_ = false; }
 
  private:
+  friend class sim::Simulator;  // dispatches kMonitorTick
+
   void tick();
   /// O(1) per threshold crossing: flips the server's congestion flag.
   void update(std::size_t index, bool over);
@@ -181,6 +186,7 @@ class CongestionMonitor {
   std::vector<std::uint32_t> thresholds_;
   std::vector<bool> over_;
   std::size_t num_over_ = 0;
+  std::uint32_t target_;
 };
 
 }  // namespace brb::core

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "client/app_client.hpp"
+#include "core/arrival_pump.hpp"
 #include "ctrl/dispatch_policy.hpp"
 #include "net/network.hpp"
 #include "policy/priority_policy.hpp"
@@ -131,9 +132,10 @@ Fig1Result run_fig1(const std::string& policy_name) {
   // Clients are nodes 3 and 4, after the three servers.
   const client::AppClient::NetworkSendFn network_send =
       [&network, &servers](const client::OutboundRequest& out) {
-        server::BackendServer* target = servers[out.server].get();
-        network.send(3 + out.request.client, out.server, store::kRequestWireBytes,
-                     [target, request = out.request] { target->receive(request); });
+        network
+            .send_message(3 + out.request.client, out.server, store::kRequestWireBytes,
+                          sim::EventKind::kRequestDelivery, servers[out.server]->target())
+            .request = out.request;
       };
   client::AppClient::Hooks hooks;
   hooks.on_task_complete = [&completions, &sim, unit](const workload::TaskSpec& task,
@@ -152,10 +154,10 @@ Fig1Result run_fig1(const std::string& policy_name) {
         result.schedule.push_back(Fig1Entry{key_name(response.key), "S" + std::to_string(s + 1),
                                             start, end});
       }
-      const net::NodeId client_node = 3 + response.client;
-      client::AppClient* target = clients[response.client].get();
-      network.send(s, client_node, store::kResponseHeaderBytes,
-                   [target, response] { target->on_response(response); });
+      network
+          .send_message(s, 3 + response.client, store::kResponseHeaderBytes,
+                        sim::EventKind::kResponseDelivery, clients[response.client]->target())
+          .response = response;
     });
   }
 
@@ -175,9 +177,9 @@ Fig1Result run_fig1(const std::string& policy_name) {
   t2.client = 1;
   t2.requests = {workload::RequestSpec{kD, kUnitBytes}, workload::RequestSpec{kE, kUnitBytes}};
 
-  sim.schedule_at(sim::Time::zero(), [&] { clients[0]->submit(warmup); });
-  sim.schedule_at(sim::Time::zero(), [&] { clients[0]->submit(t1); });
-  sim.schedule_at(sim::Time::zero(), [&] { clients[1]->submit(t2); });
+  const std::vector<workload::TaskSpec> tasks = {warmup, t1, t2};
+  ArrivalPump arrivals(sim, clients);
+  arrivals.replay(tasks);
   sim.run();
 
   if (completions.size() != 3) throw std::logic_error("run_fig1: not all tasks completed");

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "client/app_client.hpp"
+#include "core/arrival_pump.hpp"
 #include "core/global_queue.hpp"
 #include "ctrl/admission.hpp"
 #include "ctrl/policy_runtime.hpp"
@@ -457,39 +458,39 @@ RunResult run_scenario(const ScenarioConfig& config) {
   }
 
   // --- transport wiring: one send function for the fleet; the
-  // request's client field names the sending node. ---
+  // request's client field names the sending node. Every message is a
+  // snapshot in the simulator's pool. ---
   client::AppClient::NetworkSendFn network_send;
   if (uses_global_queue(config.system)) {
-    // Writes are pinned to their replica: each copy must execute on
-    // its own server, so it may not float freely within the group.
-    network_send = [&network, &sim, num_servers, global_queue_node,
-                    queue = global_queue.get()](const client::OutboundRequest& out) {
-      network.send(num_servers + out.request.client, global_queue_node,
-                   store::request_wire_bytes(out.request),
-                   [queue, request = out.request, group = out.group, server = out.server, &sim] {
-                     if (request.is_write) {
-                       queue->submit_pinned(server::QueuedRead{request, sim.now()}, server);
-                     } else {
-                       queue->submit(server::QueuedRead{request, sim.now()}, group);
-                     }
-                   });
+    const std::uint32_t queue_target = sim.attach(*global_queue);
+    network_send = [&network, num_servers, global_queue_node,
+                    queue_target](const client::OutboundRequest& out) {
+      net::Message& message =
+          network.send_message(num_servers + out.request.client, global_queue_node,
+                               store::request_wire_bytes(out.request),
+                               sim::EventKind::kQueueSubmit, queue_target);
+      message.request = out.request;
+      message.group = out.group;
+      message.server = out.server;
     };
   } else {
     network_send = [&network, num_servers, &servers](const client::OutboundRequest& out) {
-      server::BackendServer* target = servers[out.server].get();
-      network.send(num_servers + out.request.client, out.server,
-                   store::request_wire_bytes(out.request),
-                   [target, request = out.request] { target->receive(request); });
+      network
+          .send_message(num_servers + out.request.client, out.server,
+                        store::request_wire_bytes(out.request), sim::EventKind::kRequestDelivery,
+                        servers[out.server]->target())
+          .request = out.request;
     };
   }
   for (const auto& client : clients) client->set_network_send(&network_send);
   for (std::uint32_t s = 0; s < num_servers; ++s) {
     servers[s]->set_response_handler(
         [&network, &clients, s, num_servers](const store::ReadResponse& response) {
-          const net::NodeId client_node = num_servers + response.client;
-          client::AppClient* target = clients[response.client].get();
-          network.send(s, client_node, store::kResponseHeaderBytes + response.value_size,
-                       [target, response] { target->on_response(response); });
+          network
+              .send_message(s, num_servers + response.client,
+                            store::kResponseHeaderBytes + response.value_size,
+                            sim::EventKind::kResponseDelivery, clients[response.client]->target())
+              .response = response;
         });
   }
 
@@ -498,8 +499,11 @@ RunResult run_scenario(const ScenarioConfig& config) {
   // captures only it and the client id, so it is held inline.
   const auto send_report = [&network, &controller, num_servers, controller_node](
                                store::ClientId c, const CreditList& rates) {
-    network.send(num_servers + c, controller_node, 64,
-                 [ctrl = controller.get(), c, rates] { ctrl->on_demand_report(c, rates); });
+    net::Message& message = network.send_message(num_servers + c, controller_node, 64,
+                                                 sim::EventKind::kDemandReport,
+                                                 controller->target());
+    message.client = c;
+    message.credits.assign(rates.begin(), rates.end());
   };
   if (credits_admission) {
     std::vector<double> capacities(num_servers);
@@ -510,6 +514,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
     for (const auto& [server, balance] : pinned_credits) pinned_servers.push_back(server);
     controller = std::make_unique<CreditsController>(sim, num_clients, std::move(capacities),
                                                      config.credits, pinned_servers);
+    const std::uint32_t controller_target = controller->target();
     for (std::uint32_t c = 0; c < num_clients; ++c) {
       client::DispatchGate& gate = clients[c]->gate();
       gate.set_report([&send_report, c](const CreditList& rates) { send_report(c, rates); });
@@ -517,10 +522,10 @@ RunResult run_scenario(const ScenarioConfig& config) {
     }
     controller->set_grant_sender([&network, controller_node, num_servers, &clients](
                                      store::ClientId client, const CreditList& credits) {
-      const net::NodeId client_node = num_servers + client;
-      client::DispatchGate* gate = &clients[client]->gate();
-      network.send(controller_node, client_node, 64,
-                   [gate, credits] { gate->on_grant(credits); });
+      network
+          .send_message(controller_node, num_servers + client, 64, sim::EventKind::kGrant,
+                        clients[client]->gate().target())
+          .credits.assign(credits.begin(), credits.end());
     });
     controller->start();
 
@@ -529,11 +534,11 @@ RunResult run_scenario(const ScenarioConfig& config) {
     for (const auto& s : servers) raw.push_back(s.get());
     monitor = std::make_unique<CongestionMonitor>(
         sim, std::move(raw), config.credits,
-        [&network, controller_node, ctrl = controller.get()](store::ServerId server,
-                                                             std::uint32_t queue_length) {
-          network.send(server, controller_node, 64, [ctrl, server, queue_length] {
-            ctrl->on_congestion_signal(server, queue_length);
-          });
+        [&network, controller_node, controller_target](store::ServerId server,
+                                                       std::uint32_t queue_length) {
+          network.send(server, controller_node, 64,
+                       {sim::EventKind::kCongestionSignal, controller_target,
+                        (std::uint64_t{server} << 32) | queue_length});
         });
     monitor->start();
   }
@@ -584,48 +589,19 @@ RunResult run_scenario(const ScenarioConfig& config) {
   generator.set_write_traffic(config.write_fraction, size_dist.get());
   if (!tenant_mixes.empty()) generator.set_tenants(std::move(tenant_mixes));
 
-  // Arrival pump. Trace replay schedules everything upfront (arrival
-  // order is arbitrary but times are fixed); generated workloads pump
-  // lazily in pregenerated blocks: the generator fills a TaskBlock of
-  // up to kArrivalBlock tasks at once (slab-backed requests), and
-  // each arrival event submits its task straight from the block and
-  // chains the next. Event order is identical to the
-  // one-task-at-a-time pump — exactly one arrival is outstanding, and
-  // the block is refilled only after its last task is consumed.
-  constexpr std::size_t kArrivalBlock = 256;
-  workload::TaskBlock arrival_block;
-  std::size_t arrival_next = 0;
-  std::function<void()> schedule_next = [&] {
-    if (arrival_next == arrival_block.size()) {
-      const std::uint64_t remaining = total_tasks - generator.tasks_generated();
-      if (remaining == 0) return;
-      generator.fill_block(arrival_block, static_cast<std::size_t>(std::min<std::uint64_t>(
-                                              kArrivalBlock, remaining)));
-      arrival_next = 0;
-    }
-    result.tasks_submitted++;
-    sim.schedule_at(arrival_block.view(arrival_next).arrival, [&] {
-      const workload::TaskView task = arrival_block.view(arrival_next++);
-      clients[task.client]->submit(task);
-      schedule_next();
-    });
-  };
+  // Arrivals (core/arrival_pump.hpp).
+  ArrivalPump arrivals(sim, clients);
   if (replay != nullptr) {
-    for (const workload::TaskSpec& task : *replay) {
-      result.tasks_submitted++;
-      sim.schedule_at(task.arrival, [&clients, &task, num_clients] {
-        clients[task.client % num_clients]->submit(task);
-      });
-    }
+    arrivals.replay(*replay);
   } else {
-    schedule_next();
+    arrivals.generate(generator, total_tasks);
   }
 
   // Watchdog: generous bound on total simulated time; a healthy run
   // stops at task completion long before this fires.
   const double expected_span_sec = static_cast<double>(total_tasks) / task_rate;
   const sim::Time deadline = sim::Time::seconds(expected_span_sec * 3.0 + 120.0);
-  sim.schedule_at(deadline, [&sim] { sim.stop(); });
+  sim.post_at(deadline, {sim::EventKind::kStop});
 
   // Arm the policy-switch epochs (no-op for static bindings).
   std::vector<ctrl::DispatchEndpoint*> endpoints;
@@ -634,6 +610,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
   runtime.start(std::move(endpoints));
 
   sim.run();
+  result.tasks_submitted = arrivals.posted();
 
   // --- teardown checks & result assembly ---
   if (result.tasks_completed != total_tasks) {

@@ -294,8 +294,9 @@ void PolicyRuntime::start(std::vector<DispatchEndpoint*> endpoints) {
   started_ = true;
   if (epochs_.empty()) return;
   endpoints_ = std::move(endpoints);
+  const std::uint32_t target = sim_->attach(*this);
   for (std::size_t i = 0; i < epochs_.size(); ++i) {
-    sim_->schedule_at(epochs_[i].at, [this, i] { apply_epoch(i); });
+    sim_->post_at(epochs_[i].at, {sim::EventKind::kPolicyEpoch, target, i});
   }
 }
 

@@ -134,6 +134,8 @@ class PolicyRuntime {
   const Config& config() const noexcept { return config_; }
 
  private:
+  friend class sim::Simulator;  // dispatches kPolicyEpoch
+
   store::TenantId tenant_index(const std::string& name) const;
   void apply_epoch(std::size_t epoch_index);
 

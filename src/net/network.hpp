@@ -2,10 +2,13 @@
 //
 // The paper's simulation assumes a fixed one-way latency (50 us) between
 // application servers and the backend tier. `Network` models point-to-
-// point delivery with a base latency plus optional jitter, delivering a
-// typed closure at the receiver after that delay. Delivery is reliable
-// and per-pair FIFO (jitter can reorder across pairs, matching a
-// datacenter fabric with per-flow ordering).
+// point delivery with a base latency plus optional jitter, posting an
+// event record at the receiver after that delay. A message with a body
+// (a request, a response, a credits report or grant) is a snapshot in
+// the simulator's message pool (net/message.hpp), and the event's
+// payload is its slot. Delivery is reliable and per-pair FIFO (jitter
+// can reorder across pairs, matching a datacenter fabric with per-flow
+// ordering).
 //
 // The per-pair FIFO horizon is only needed when jitter can reorder a
 // pair: with a constant delay, successive sends depart at
@@ -43,16 +46,22 @@ class Network {
 
   Network(sim::Simulator& sim, Config config, util::Rng rng);
 
-  /// Delivers `on_deliver` at the receiver after the one-way delay.
-  /// `bytes` is accounted in stats only (the model is latency-bound, as
-  /// in the paper; bandwidth is not a simulated resource). Any
-  /// callable; the closure lands directly in the event queue.
-  template <typename F>
-  void send(NodeId from, NodeId to, std::uint32_t bytes, F&& on_deliver) {
+  /// Posts `event` at the receiver after the one-way delay. `bytes` is
+  /// accounted in stats only (the model is latency-bound, as in the
+  /// paper; bandwidth is not a simulated resource).
+  void send(NodeId from, NodeId to, std::uint32_t bytes, sim::Event event) {
     ++stats_.messages_sent;
     stats_.bytes_sent += bytes;
-    const sim::Time deliver_at = reserve_delivery_slot(from, to);
-    sim_->schedule_at(deliver_at, std::forward<F>(on_deliver));
+    sim_->post_at(reserve_delivery_slot(from, to), event);
+  }
+
+  /// Sends a pooled message of `kind` to the actor `target`; the
+  /// caller fills the returned message before the event can fire.
+  Message& send_message(NodeId from, NodeId to, std::uint32_t bytes, sim::EventKind kind,
+                        std::uint32_t target) {
+    const std::uint32_t slot = sim_->messages().alloc();
+    send(from, to, bytes, {kind, target, slot});
+    return sim_->messages()[slot];
   }
 
   const NetworkStats& stats() const noexcept { return stats_; }

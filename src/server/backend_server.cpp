@@ -10,8 +10,14 @@ namespace brb::server {
 
 BackendServer::BackendServer(sim::Simulator& sim, Config config,
                              const ServiceTimeModel& service_model, util::Rng rng)
-    : Actor(sim), config_(config), service_model_(&service_model), rng_(rng) {
+    : Actor(sim),
+      config_(config),
+      service_model_(&service_model),
+      rng_(rng),
+      in_service_(config.cores),
+      target_(sim.attach(*this)) {
   if (config_.cores == 0) throw std::invalid_argument("BackendServer: zero cores");
+  for (std::uint32_t core = config_.cores; core-- > 0;) idle_.push_back(core);
   if (config_.rate_ewma_alpha <= 0.0 || config_.rate_ewma_alpha > 1.0) {
     throw std::invalid_argument("BackendServer: rate_ewma_alpha must be in (0,1]");
   }
@@ -25,7 +31,7 @@ void BackendServer::receive(const store::ReadRequest& request) {
   if (!queue_) {
     throw std::logic_error("BackendServer::receive: no private queue (model mode pulls instead)");
   }
-  if (busy_cores_ < config_.cores && server::size(*queue_) == 0) {
+  if (!idle_.empty() && server::size(*queue_) == 0) {
     // Idle core, empty queue: the enqueue/pop round-trip through the
     // discipline is an identity — serve directly.
     start_service(request);
@@ -41,7 +47,7 @@ void BackendServer::pump() {
     throw std::logic_error("BackendServer::pump: no work source");
   }
   bool pulled = false;
-  while (busy_cores_ < config_.cores) {
+  while (!idle_.empty()) {
     std::optional<QueuedRead> read =
         queue_ ? server::pop(*queue_) : source_->next_for(config_.id);
     if (!read) break;
@@ -58,26 +64,25 @@ void BackendServer::start_service(const store::ReadRequest& request) {
     // the next item, and the receive fast path falls through idle.
     return;
   }
-  ++busy_cores_;
+  const std::uint32_t core = idle_.back();
+  idle_.pop_back();
   // Actual work is driven by the replica's stored value size; absent
   // keys (possible in unit tests) serve as 1-byte values. Writes do
   // work proportional to the payload being installed instead.
   const std::uint32_t size = request.is_write ? std::max(1u, request.write_size)
                                              : storage_.size_of(request.key).value_or(1);
   const sim::Duration service_time = service_model_->sample(size, rng_);
-  const sim::Time done_at = now() + service_time;
-  sim().schedule_at(done_at, [this, request_id = request.request_id, task_id = request.task_id,
-                              key = request.key, client = request.client, service_time, size,
-                              is_write = request.is_write, version = storage_.version()] {
-    complete(request_id, task_id, key, client, service_time, size, is_write, version);
-  });
+  in_service_[core] = {{request.request_id, request.task_id, request.key, request.client,
+                        config_.id, size, request.is_write, {0, 0.0, service_time}},
+                       storage_.version()};
+  sim().post_after(service_time, {sim::EventKind::kServiceDone, target_, core});
 }
 
-void BackendServer::complete(store::RequestId request_id, store::TaskId task_id,
-                             store::KeyId key, store::ClientId client,
-                             sim::Duration service_time, std::uint32_t size, bool is_write,
-                             std::uint64_t version) {
-  --busy_cores_;
+void BackendServer::complete(std::uint32_t core) {
+  store::ReadResponse response = in_service_[core].response;
+  const std::uint64_t version = in_service_[core].version;
+  const sim::Duration service_time = response.feedback.service_time;
+  idle_.push_back(core);
   ++stats_.served;
   stats_.busy_time += service_time;
 
@@ -87,28 +92,19 @@ void BackendServer::complete(store::RequestId request_id, store::TaskId task_id,
       1e9 / static_cast<double>(service_time.count_nanos()) * config_.cores;
   ewma_rate_ = util::ewma_update(ewma_rate_, config_.rate_ewma_alpha, rate_sample);
 
-  store::ReadResponse response;
-  response.request_id = request_id;
-  response.task_id = task_id;
-  response.key = key;
-  response.client = client;
-  response.server = config_.id;
-  if (is_write) {
+  if (response.is_write) {
     // The replica resizes its stored value at completion and sends a
     // bare acknowledgement (no payload travels back).
-    storage_.put_meta(key, size);
-    response.is_write = true;
+    storage_.put_meta(response.key, response.value_size);
     response.value_size = 0;
-  } else {
+  } else if (storage_.version() != version) {
     // The response reports the size stored at completion, so a write
     // landing mid-service shows; the size read at service start is
     // still current unless the store changed since.
-    response.value_size =
-        storage_.version() == version ? size : storage_.size_of(key).value_or(1);
+    response.value_size = storage_.size_of(response.key).value_or(1);
   }
   response.feedback.queue_length = queue_length();
   response.feedback.service_rate = ewma_rate_;
-  response.feedback.service_time = service_time;
   if (on_response_) on_response_(response);
 
   pump();

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "server/queue_discipline.hpp"
 #include "server/service_model.hpp"
@@ -103,8 +104,12 @@ class BackendServer : public sim::Actor {
   /// work arrives that this server could serve.
   void pump();
 
-  std::uint32_t idle_cores() const noexcept { return config_.cores - busy_cores_; }
-  std::uint32_t busy_cores() const noexcept { return busy_cores_; }
+  std::uint32_t idle_cores() const noexcept {
+    return static_cast<std::uint32_t>(idle_.size());
+  }
+  std::uint32_t busy_cores() const noexcept { return config_.cores - idle_cores(); }
+  /// This server's event target (network deliveries address it).
+  std::uint32_t target() const noexcept { return target_; }
 
   /// Queue length advertised in feedback (waiting requests only).
   std::uint32_t queue_length() const {
@@ -116,16 +121,21 @@ class BackendServer : public sim::Actor {
   const Config& config() const noexcept { return config_; }
 
  private:
+  friend class sim::Simulator;  // dispatches kServiceDone
+
+  /// What a core in service keeps for its completion: the response
+  /// as of service start, whose `value_size` is the size service
+  /// started with (the stored size for a read, read at storage
+  /// `version`; the new size for a write, which the replica installs
+  /// before acknowledging).
+  struct InService {
+    store::ReadResponse response;
+    std::uint64_t version = 0;
+  };
+
   void start_service(const store::ReadRequest& request);
-  /// Completion takes only the response-relevant request fields — the
-  /// scheduled closure stays small enough for the event queue's inline
-  /// callback storage instead of copying the whole QueuedRead.
-  /// `size` is the size service started with: the stored size for a
-  /// read, read at storage `version`; the new size for a write, which
-  /// the replica installs before acknowledging.
-  void complete(store::RequestId request_id, store::TaskId task_id, store::KeyId key,
-                store::ClientId client, sim::Duration service_time, std::uint32_t size,
-                bool is_write, std::uint64_t version);
+  /// The kServiceDone handler: `core` finished its request.
+  void complete(std::uint32_t core);
   void check_watch() {
     if (!queue_watch_) return;
     const bool over = queue_length() > watch_threshold_;
@@ -146,7 +156,10 @@ class BackendServer : public sim::Actor {
   std::uint32_t watch_threshold_ = 0;
   bool watch_over_ = false;
   store::StorageEngine storage_;
-  std::uint32_t busy_cores_ = 0;
+  /// One in-service slot per core, and the idle cores' slots.
+  std::vector<InService> in_service_;
+  std::vector<std::uint32_t> idle_;
+  std::uint32_t target_;
   /// Service rate advertised in feedback (requests/s, whole server).
   /// Before any completion this is cores / expected(mean) — a neutral
   /// prior.

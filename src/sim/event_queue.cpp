@@ -51,7 +51,6 @@ std::uint32_t EventQueue::acquire_slot() {
 
 void EventQueue::release_slot(std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
-  s.fn.reset();
   ++s.generation;  // odd -> even: free
   free_slots_.push_back(slot);
 }
@@ -292,7 +291,7 @@ std::optional<EventQueue::Entry> EventQueue::pop() {
   --ready_live_;
   const Ready& r = ready_[ready_pos_++];
   Slot& s = slots_[r.slot];
-  Entry out{r.when, make_id(r.slot, s.generation), std::move(s.fn)};
+  const Entry out{r.when, make_id(r.slot, s.generation), s.event};
   release_slot(r.slot);
   --live_;
   return out;

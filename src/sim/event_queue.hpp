@@ -24,17 +24,55 @@
 // come out in scheduling order by construction. An event stays in its
 // slot until it is popped, so its id cancels up to that moment, in
 // O(1).
+//
+// Events are data. A pending event is a trivially copyable 16-byte
+// record {kind, target, payload}; `Simulator` dispatches it with one
+// switch over the closed set of kinds below, so a wheel slot (record,
+// ordering key, generation and links) is 48 bytes and a push or pop
+// moves no callable.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
-#include "sim/small_fn.hpp"
 #include "sim/time.hpp"
 
 namespace brb::sim {
+
+/// Every kind of event the library schedules. `Simulator::dispatch`
+/// maps each to its handler; `target` names the handler object (see
+/// `Simulator::attach`) and `payload` is the kind's argument. The kinds
+/// from kRequestDelivery to kGrant carry a pooled network message.
+enum class EventKind : std::uint32_t {
+  kCallable,          // tests, examples, benches: payload holds the callable
+  kArrival,           // generated-workload arrival pump
+  kReplayArrival,     // trace replay: payload = task index
+  kStop,              // run watchdog
+  kRequestDelivery,   // network -> server: payload = message slot
+  kQueueSubmit,       // network -> global queue: payload = message slot
+  kResponseDelivery,  // network -> client: payload = message slot
+  kDemandReport,      // network -> credits controller: payload = message slot
+  kGrant,             // network -> gate: payload = message slot
+  kCongestionSignal,  // network -> controller: payload = (server << 32) | queue length
+  kServiceDone,       // server: payload = core
+  kGateWake,          // cubic gate: payload = server
+  kMeasureTick,       // grant gate's demand measurement
+  kAdaptTick,         // credits controller's allocation
+  kMonitorTick,       // congestion monitor
+  kHedgeFire,         // client: payload = logical request
+  kPolicyEpoch,       // policy runtime: payload = epoch index
+};
+
+/// One pending event.
+struct Event {
+  EventKind kind = EventKind::kCallable;
+  std::uint32_t target = 0;
+  std::uint64_t payload = 0;
+};
+static_assert(sizeof(Event) == 16 && std::is_trivially_copyable_v<Event>);
 
 /// Identifies a scheduled event for cancellation. Encodes a slot index
 /// plus a per-slot generation, so ids are never observably reused: a
@@ -44,12 +82,10 @@ using EventId = std::uint64_t;
 
 class EventQueue {
  public:
-  using Callback = SmallFn;
-
   struct Entry {
     Time when;
     EventId id = 0;
-    Callback fn;
+    Event event;
   };
 
   EventQueue();
@@ -58,13 +94,10 @@ class EventQueue {
   /// granule, a sorted insert into the ready run otherwise;
   /// allocation-free once the slot table has grown to the steady-state
   /// pending count.
-  /// Accepts any callable and constructs the callback directly in its
-  /// slot (no intermediate SmallFn move on the hot path).
-  template <typename F>
-  EventId push(Time when, F&& fn) {
+  EventId push(Time when, Event event) {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slots_[slot];
-    s.fn.assign(std::forward<F>(fn));
+    s.event = event;
     ++s.generation;  // even -> odd: occupied
     s.when = when;
     s.seq = next_seq_++;
@@ -84,6 +117,7 @@ class EventQueue {
   std::optional<Time> peek_time();
 
   /// Removes and returns the earliest live event; empty when drained.
+  /// Its slot is free again before the caller sees the record.
   std::optional<Entry> pop();
 
   /// Number of live events.
@@ -99,14 +133,16 @@ class EventQueue {
   static constexpr int kLevels = 7;
   static_assert(kGranularityBits + kLevelBits * kLevels >= 63,
                 "the wheel must span every non-negative int64 nanosecond time");
+  /// Bytes per wheel slot: the queue's working set per pending event.
+  static constexpr std::size_t slot_bytes() noexcept { return sizeof(Slot); }
 
  private:
   static constexpr std::uint32_t kNil = 0xffff'ffffu;
 
-  /// Stable home of a pending event: callback, ordering key, and the
+  /// Stable home of a pending event: record, ordering key, and the
   /// wheel location needed for O(1) cancellation.
   struct Slot {
-    Callback fn;
+    Event event;
     Time when;
     std::uint64_t seq = 0;
     std::uint32_t generation = 0;  // odd while occupied
@@ -116,6 +152,7 @@ class EventQueue {
     std::uint32_t prev = kNil;    // wheel: intrusive list links
     std::uint32_t next = kNil;
   };
+  static_assert(sizeof(Slot) <= 48, "a wheel slot must stay within 48 bytes");
 
   /// One entry of the ready run: the event's ordering key plus the
   /// slot generation it was drained at, so an entry whose event was

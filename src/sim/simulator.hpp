@@ -1,18 +1,27 @@
 // The discrete-event simulation core.
 //
-// A `Simulator` owns the virtual clock and the pending-event set.
-// Components schedule closures at absolute or relative times; `run()`
-// pops and executes one event at a time in (time, scheduling-order)
-// sequence, so an event can cancel a same-instant peer scheduled after
-// it, and a `stop()` leaves those peers pending for the next run. The
-// engine is single-threaded by design — determinism is a feature of
-// the evaluation methodology (the paper repeats runs over seeds, which
-// requires bit-stable replay per seed).
+// A `Simulator` owns the virtual clock, the pending-event set and the
+// run's network message pool. Components post typed event records
+// (sim/event_queue.hpp) at absolute or relative times; `run()` pops
+// one event at a time in (time, scheduling-order) sequence and
+// dispatches it with one switch over the event kinds, so an event can
+// cancel a same-instant peer scheduled after it, and a `stop()` leaves
+// those peers pending for the next run. A component that receives
+// events registers itself once with `attach`; the record's `target`
+// is that registration. The engine is single-threaded by design —
+// determinism is a feature of the evaluation methodology (the paper
+// repeats runs over seeds, which requires bit-stable replay per seed).
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <type_traits>
+#include <vector>
 
+#include "net/message.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
@@ -27,10 +36,14 @@ class ScheduleInPastError : public std::logic_error {
                          " requested=" + to_string(requested)) {}
 };
 
+/// A callable the callable path accepts: trivially copyable and no
+/// larger than an event's payload.
+template <typename F>
+concept PayloadCallable = std::is_trivially_copyable_v<F> && sizeof(F) <= sizeof(std::uint64_t) &&
+                          alignof(F) <= alignof(std::uint64_t) && std::is_invocable_v<F&>;
+
 class Simulator {
  public:
-  using Callback = EventQueue::Callback;
-
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -38,19 +51,39 @@ class Simulator {
   /// Current simulated instant.
   Time now() const noexcept { return now_; }
 
-  /// Schedules `fn` at absolute time `t` (>= now, else throws). Any
-  /// callable; constructed in place in the event queue.
-  template <typename F>
-  EventId schedule_at(Time t, F&& fn) {
+  /// Posts `event` at absolute time `t` (>= now, else throws).
+  EventId post_at(Time t, Event event) {
     if (t < now_) throw ScheduleInPastError(now_, t);
-    return queue_.push(t, std::forward<F>(fn));
+    return queue_.push(t, event);
   }
 
-  /// Schedules `fn` after a non-negative delay.
-  template <typename F>
-  EventId schedule_after(Duration delay, F&& fn) {
-    if (delay.is_negative()) throw ScheduleInPastError(now_, now_ + delay);
-    return queue_.push(now_ + delay, std::forward<F>(fn));
+  /// Posts `event` after a non-negative delay.
+  EventId post_after(Duration delay, Event event) { return post_at(now_ + delay, event); }
+
+  /// Registers `actor` as the handler of the events whose `target` is
+  /// the returned index. The actor must outlive its pending events and
+  /// must not move while any is pending.
+  template <typename T>
+  std::uint32_t attach(T& actor) {
+    actors_.push_back(&actor);
+    return static_cast<std::uint32_t>(actors_.size() - 1);
+  }
+
+  /// The callable path, for tests, examples and benches: `fn` travels
+  /// in the record's payload and runs when the event fires.
+  template <PayloadCallable F>
+  Event callable(F fn) {
+    Event event{EventKind::kCallable, thunk_index(&invoke<F>), 0};
+    std::memcpy(&event.payload, &fn, sizeof(F));
+    return event;
+  }
+  template <PayloadCallable F>
+  EventId schedule_at(Time t, F fn) {
+    return post_at(t, callable(fn));
+  }
+  template <PayloadCallable F>
+  EventId schedule_after(Duration delay, F fn) {
+    return post_after(delay, callable(fn));
   }
 
   /// Cancels a pending event; returns false if it already ran or was
@@ -78,8 +111,38 @@ class Simulator {
   /// Total events executed over the simulator's lifetime.
   std::uint64_t events_processed() const noexcept { return processed_; }
 
+  /// The run's network messages; a delivery frees its slot after its
+  /// handler returns.
+  net::MessagePool& messages() noexcept { return messages_; }
+
  private:
+  using Thunk = void (*)(std::uint64_t payload);
+
+  template <typename F>
+  static void invoke(std::uint64_t payload) {
+    std::array<unsigned char, sizeof(F)> bytes{};
+    std::memcpy(bytes.data(), &payload, sizeof(F));
+    std::bit_cast<F>(bytes)();
+  }
+  /// A run schedules a handful of callable types, so a scan suffices.
+  std::uint32_t thunk_index(Thunk thunk) {
+    for (std::uint32_t i = 0; i < thunks_.size(); ++i) {
+      if (thunks_[i] == thunk) return i;
+    }
+    thunks_.push_back(thunk);
+    return static_cast<std::uint32_t>(thunks_.size() - 1);
+  }
+  template <typename T>
+  T& actor(std::uint32_t target) const noexcept {
+    return *static_cast<T*>(actors_[target]);
+  }
+  /// The one switch from an event record to its handler.
+  void dispatch(const Event& event);
+
   EventQueue queue_;
+  net::MessagePool messages_;
+  std::vector<void*> actors_;
+  std::vector<Thunk> thunks_;
   Time now_ = Time::zero();
   std::uint64_t processed_ = 0;
   bool stopped_ = false;

@@ -3,9 +3,9 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "net/network.hpp"
 #include "sim/time.hpp"
 #include "store/ids.hpp"
 
@@ -59,6 +59,10 @@ struct ReadResponse {
   bool is_write = false;
   ServerFeedback feedback;
 };
+
+/// (server, value) pairs, ascending by server id: the wire format of
+/// credits demand reports and grants.
+using CreditList = std::vector<std::pair<ServerId, double>>;
 
 /// Approximate wire sizes for traffic accounting (header + key for a
 /// request; header + value payload for a response). Writes invert the

@@ -15,6 +15,7 @@
 #include "sim/simulator.hpp"
 #include "store/partitioner.hpp"
 #include "util/rng.hpp"
+#include "deferred.hpp"
 
 namespace brb::client {
 namespace {
@@ -113,6 +114,7 @@ TEST(AppClient, SubtaskRequestsShareOneServer) {
 }
 
 TEST(AppClient, EqualMaxStampsBottleneckOnEveryRequest) {
+  testutil::Deferred later;
   ClientFixture f("equalmax");
   // Keys chosen so that one group receives two requests: bottleneck =
   // sum of that group's costs. All sizes 100 bytes -> 100us each.
@@ -125,7 +127,7 @@ TEST(AppClient, EqualMaxStampsBottleneckOnEveryRequest) {
       ++group_counts[g];
     }
   }
-  f.simulator.schedule_at(Time::zero(), [&] { f.client->submit(f.task(1, keys)); });
+  f.simulator.schedule_at(Time::zero(), later([&] { f.client->submit(f.task(1, keys)); }));
   f.simulator.run();
   ASSERT_EQ(f.sent.size(), 3u);
   int max_group_requests = 0;
@@ -239,6 +241,7 @@ TEST(AppClient, CostNoiseProducesUnbiasedForecasts) {
 }
 
 TEST(AppClient, PerRequestSelectionMode) {
+  testutil::Deferred later;
   AppClient::Config config;
   config.select_per_subtask = false;
   // Round-robin per request: requests in one group may go to different
@@ -259,7 +262,7 @@ TEST(AppClient, PerRequestSelectionMode) {
   workload::TaskSpec task;
   task.id = 1;
   task.requests = {{0, 10}, {1, 10}, {2, 10}};
-  simulator.schedule_at(Time::zero(), [&] { client.submit(task); });
+  simulator.schedule_at(Time::zero(), later([&] { client.submit(task); }));
   simulator.run();
   std::set<store::ServerId> servers;
   for (const auto& out : sent) servers.insert(out.server);
@@ -267,6 +270,7 @@ TEST(AppClient, PerRequestSelectionMode) {
 }
 
 TEST(AppClient, ThousandsInFlightCompleteOutOfOrder) {
+  testutil::Deferred later;
   // 1200 tasks in flight on one client, answered in a random order:
   // the pending-task table grows from its first 4 slots, erases from
   // the middle of probe runs, and every task completes exactly once —
@@ -279,14 +283,14 @@ TEST(AppClient, ThousandsInFlightCompleteOutOfOrder) {
   util::Rng id_stream(5);
   for (store::TaskId i = 0; i < kTasks; ++i) ids.push_back(id_stream.next_u64());
   std::map<store::TaskId, std::size_t> remaining;
-  f.simulator.schedule_at(Time::zero(), [&] {
+  f.simulator.schedule_at(Time::zero(), later([&] {
     for (store::TaskId i = 0; i < kTasks; ++i) {
       std::vector<store::KeyId> keys;
       for (store::TaskId k = 0; k <= i % 3; ++k) keys.push_back(i * 3 + k);
       remaining[ids[i]] = keys.size();
       f.client->submit(f.task(ids[i], keys));
     }
-  });
+  }));
   f.simulator.run();
   ASSERT_EQ(f.client->in_flight(), f.sent.size());
 
@@ -295,7 +299,8 @@ TEST(AppClient, ThousandsInFlightCompleteOutOfOrder) {
   shuffle.shuffle(order);
   for (std::size_t i = 0; i < order.size(); ++i) {
     const OutboundRequest& out = order[i];
-    f.simulator.schedule_at(Time::micros(static_cast<std::int64_t>(i + 1)), [&f, &remaining, out] {
+    const Time at = Time::micros(static_cast<std::int64_t>(i + 1));
+    f.simulator.schedule_at(at, later([&f, &remaining, out] {
       const std::size_t completed_before = f.completed_tasks.size();
       f.client->on_response(f.response_for(out));
       const bool last = --remaining[out.request.task_id] == 0;
@@ -304,7 +309,7 @@ TEST(AppClient, ThousandsInFlightCompleteOutOfOrder) {
         EXPECT_EQ(f.completed_tasks.back().first, out.request.task_id);
         EXPECT_EQ(f.completed_tasks.back().second, f.simulator.now() - Time::zero());
       }
-    });
+    }));
   }
   f.simulator.run();
   ASSERT_EQ(remaining.size(), kTasks);  // ids were distinct
@@ -499,13 +504,14 @@ TEST(RateLimitedGate, HoldsBeyondBurstAndDrainsLater) {
 }
 
 TEST(RateLimitedGate, PerServerIndependence) {
+  testutil::Deferred later;
   sim::Simulator simulator;
   policy::CubicRateConfig config;
   config.initial_rate = 1000.0;
   DispatchGate gate(simulator, 2, config);
   int transmitted = 0;
   gate.set_transmit([&](OutboundRequest&) { ++transmitted; });
-  simulator.schedule_at(Time::zero(), [&] {
+  simulator.schedule_at(Time::zero(), later([&] {
     for (int i = 0; i < 8; ++i) {
       OutboundRequest a;
       a.server = 0;
@@ -515,7 +521,7 @@ TEST(RateLimitedGate, PerServerIndependence) {
     b.server = 1;  // different token bucket: goes out immediately
     gate.offer(b);
     EXPECT_EQ(transmitted, 9);
-  });
+  }));
   simulator.run();
 }
 

@@ -1,6 +1,6 @@
 // Regression tests for the dense-ID engine refactor: thread-count
-// determinism of artifacts, handle-based O(log n) event cancellation,
-// and the fixed capture bound of the allocation-free event loop.
+// determinism of artifacts, handle-based O(1) event cancellation, and
+// the fixed sizes of the event record and its callable path.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,16 +17,16 @@
 #include "ctrl/replica_policy.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
-#include "sim/small_fn.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
+#include "deferred.hpp"
 
 namespace brb {
 namespace {
 
+using sim::Event;
 using sim::EventId;
 using sim::EventQueue;
-using sim::SmallFn;
 using sim::Time;
 
 // ---------------------------------------------------------------------------
@@ -37,7 +37,7 @@ TEST(EventQueueCancel, HeavyChurnKeepsOrderAndSize) {
   EventQueue q;
   std::vector<EventId> ids;
   for (int i = 0; i < 20'000; ++i) {
-    ids.push_back(q.push(Time::nanos(rng.uniform_int(0, 1'000'000)), [] {}));
+    ids.push_back(q.push(Time::nanos(rng.uniform_int(0, 1'000'000)), Event{}));
   }
   // Cancel every other event, in a scrambled order.
   std::vector<std::size_t> order;
@@ -64,9 +64,9 @@ TEST(EventQueueCancel, SizeDropsImmediatelyNoTombstones) {
   // reached the top; the handle-based queue unlinks them eagerly, so
   // size() and pop order agree at every step.
   EventQueue q;
-  const EventId a = q.push(Time::micros(1), [] {});
-  const EventId b = q.push(Time::micros(2), [] {});
-  const EventId c = q.push(Time::micros(3), [] {});
+  const EventId a = q.push(Time::micros(1), Event{});
+  const EventId b = q.push(Time::micros(2), Event{});
+  const EventId c = q.push(Time::micros(3), Event{});
   EXPECT_TRUE(q.cancel(b));
   EXPECT_EQ(q.size(), 2u);
   EXPECT_TRUE(q.cancel(a));
@@ -82,37 +82,38 @@ TEST(EventQueueCancel, StaleIdsRejectedAfterSlotReuse) {
   // Generation validation: an executed event's id must not cancel a
   // later event that happens to recycle the same slot.
   EventQueue q;
-  const EventId first = q.push(Time::micros(1), [] {});
+  const EventId first = q.push(Time::micros(1), Event{});
   ASSERT_TRUE(q.pop().has_value());  // slot returns to the freelist
-  int fired = 0;
-  q.push(Time::micros(2), [&] { ++fired; });  // likely reuses the slot
+  const EventId second = q.push(Time::micros(2), Event{sim::EventKind::kCallable, 0, 42});
+  EXPECT_EQ(second & 0xffff'ffffu, first & 0xffff'ffffu);  // the same slot
   EXPECT_FALSE(q.cancel(first));
   EXPECT_EQ(q.size(), 1u);
   auto e = q.pop();
   ASSERT_TRUE(e.has_value());
-  e->fn();
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(e->event.payload, 42u);
 }
 
 TEST(EventQueueCancel, CancelledIdCannotCancelTwiceAcrossReuse) {
   EventQueue q;
-  const EventId id = q.push(Time::micros(1), [] {});
+  const EventId id = q.push(Time::micros(1), Event{});
   EXPECT_TRUE(q.cancel(id));
-  q.push(Time::micros(2), [] {});  // reuses the slot
+  q.push(Time::micros(2), Event{});  // reuses the slot
   EXPECT_FALSE(q.cancel(id));
   EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(EventQueueCancel, InterleavedWithSimulatorRun) {
+  testutil::Deferred later;
   sim::Simulator simulator;
   std::vector<int> fired;
   std::vector<EventId> ids;
   for (int i = 0; i < 100; ++i) {
-    ids.push_back(simulator.schedule_at(Time::micros(10 + i), [&fired, i] { fired.push_back(i); }));
+    ids.push_back(
+        simulator.schedule_at(Time::micros(10 + i), later([&fired, i] { fired.push_back(i); })));
   }
-  simulator.schedule_at(Time::micros(5), [&] {
+  simulator.schedule_at(Time::micros(5), later([&] {
     for (int i = 0; i < 100; i += 2) EXPECT_TRUE(simulator.cancel(ids[static_cast<std::size_t>(i)]));
-  });
+  }));
   simulator.run();
   ASSERT_EQ(fired.size(), 50u);
   for (std::size_t i = 0; i < fired.size(); ++i) {
@@ -121,7 +122,7 @@ TEST(EventQueueCancel, InterleavedWithSimulatorRun) {
 }
 
 // ---------------------------------------------------------------------------
-// SmallFn capture bound
+// Event record and callable bound
 
 template <std::size_t N>
 struct Blob {
@@ -129,38 +130,34 @@ struct Blob {
   void operator()() const {}
 };
 
-TEST(SmallFnStorage, CapturesUpToTheBufferSizeCompileAndRun) {
-  // A capture up to the buffer size compiles, one byte more does not.
-  static_assert(sizeof(Blob<SmallFn::kInlineCapacity>) == SmallFn::kInlineCapacity);
-  static_assert(std::is_constructible_v<SmallFn, Blob<SmallFn::kInlineCapacity>>);
-  static_assert(!std::is_constructible_v<SmallFn, Blob<SmallFn::kInlineCapacity + 1>>);
+/// True when the simulator's callable path accepts an `F`.
+template <typename F>
+constexpr bool kSchedulable = requires(sim::Simulator& s, F fn) {
+  s.schedule_at(Time::zero(), fn);
+};
 
-  // A vector member makes a full-size capture non-trivial, so moves
-  // and destruction go through the manager rather than a byte copy.
-  struct Capture {
-    std::array<char, 64> blob{};
+TEST(EventRecord, SizesAndCallableBoundHoldAtCompileTime) {
+  // The record is 16 bytes and a wheel slot at most 48.
+  static_assert(sizeof(Event) == 16);
+  static_assert(std::is_trivially_copyable_v<Event>);
+  static_assert(EventQueue::slot_bytes() <= 48);
+
+  // A trivially copyable callable up to the 8-byte payload compiles;
+  // one byte more, or a non-trivial capture, does not.
+  static_assert(kSchedulable<Blob<8>>);
+  static_assert(!kSchedulable<Blob<9>>);
+  struct Owning {
     std::vector<int> values;
-    int* seen = nullptr;
-    void operator()() const { *seen = blob[7] + static_cast<int>(values.size()); }
+    void operator()() const {}
   };
-  static_assert(sizeof(Capture) == SmallFn::kInlineCapacity);
-  static_assert(!std::is_trivially_copyable_v<Capture>);
+  static_assert(!kSchedulable<Owning>);
 
-  EventQueue q;
+  // The payload carries the callable's bytes to the firing.
+  sim::Simulator simulator;
   int seen = 0;
-  Capture capture;
-  capture.blob[7] = 9;
-  capture.values = {1, 2, 3};
-  capture.seen = &seen;
-  q.push(Time::micros(2), [] {});
-  q.push(Time::micros(1), std::move(capture));
-  auto e = q.pop();
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->when, Time::micros(1));
-  SmallFn moved = std::move(e->fn);
-  EXPECT_FALSE(e->fn);
-  moved();
-  EXPECT_EQ(seen, 12);
+  simulator.schedule_at(Time::micros(1), [p = &seen] { *p += 7; });
+  simulator.run();
+  EXPECT_EQ(seen, 7);
 }
 
 // ---------------------------------------------------------------------------

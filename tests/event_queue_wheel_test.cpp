@@ -121,7 +121,7 @@ TEST(EventQueueWheelFuzz, MatchesHeapReferencePopOrderAndCancels) {
         } else {
           when_ns = now_ns - rng.uniform_int(0, 1'000'000'000);  // before cursor
         }
-        const EventId id = q.push(Time::nanos(when_ns), [] {});
+        const EventId id = q.push(Time::nanos(when_ns), sim::Event{});
         ref.push(when_ns, id);
         ref.note_push();
         issued.push_back(id);
@@ -182,8 +182,8 @@ TEST(EventQueueWheel, BoundaryDeltasRouteAndPopInOrder) {
       65'535,     65'536,     65'537,     16'777'215, 16'777'216,
       16'777'217, (std::int64_t{1} << 32) - 1, std::int64_t{1} << 32,
       (std::int64_t{1} << 40) + 3, top};
-  for (auto it = ticks.rbegin(); it != ticks.rend(); ++it) q.push(at_tick(*it), [] {});
-  q.push(Time::nanos(-5), [] {});
+  for (auto it = ticks.rbegin(); it != ticks.rend(); ++it) q.push(at_tick(*it), sim::Event{});
+  q.push(Time::nanos(-5), sim::Event{});
   EXPECT_EQ(q.size(), ticks.size() + 1);
 
   std::vector<std::int64_t> expected = {-5};
@@ -203,7 +203,7 @@ TEST(EventQueueWheel, SlotZeroCascadesThroughEveryLevel) {
   EventQueue q;
   std::vector<std::int64_t> ticks = {0, 256, 65'536, 16'777'216, std::int64_t{1} << 32,
                                      std::int64_t{1} << 40, std::int64_t{1} << 48};
-  for (auto it = ticks.rbegin(); it != ticks.rend(); ++it) q.push(at_tick(*it), [] {});
+  for (auto it = ticks.rbegin(); it != ticks.rend(); ++it) q.push(at_tick(*it), sim::Event{});
   for (const std::int64_t tick : ticks) {
     auto e = q.pop();
     ASSERT_TRUE(e.has_value());
@@ -230,14 +230,14 @@ TEST(EventQueueWheel, AlignedCursorCascadeScansOwnBucketInclusively) {
   // exactly aligned — while B still sits in level-1 bucket 0. B
   // (0x100F8) must pop before A (0x1FFF0).
   EventQueue q;
-  q.push(at_tick(0x1FFF0), [] {});
-  q.push(at_tick(0x0FFF0), [] {});
+  q.push(at_tick(0x1FFF0), sim::Event{});
+  q.push(at_tick(0x0FFF0), sim::Event{});
 
   auto f = q.pop();
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f->when.count_nanos(), std::int64_t{0x0FFF0} << 12);
 
-  q.push(at_tick(0x100F8), [] {});
+  q.push(at_tick(0x100F8), sim::Event{});
 
   auto b = q.pop();
   ASSERT_TRUE(b.has_value());
@@ -254,11 +254,11 @@ TEST(EventQueueWheel, LevelRolloverWrapsTheLevelZeroRing) {
   // rotation, then schedule into the next rotation (bucket indices
   // numerically below the cursor's). The circular scan must wrap.
   EventQueue q;
-  q.push(at_tick(250), [] {});
+  q.push(at_tick(250), sim::Event{});
   ASSERT_TRUE(q.pop().has_value());  // cursor now at tick 250
 
-  q.push(at_tick(260), [] {});  // next rotation, bucket index 4
-  q.push(at_tick(255), [] {});  // this rotation, bucket index 255
+  q.push(at_tick(260), sim::Event{});  // next rotation, bucket index 4
+  q.push(at_tick(255), sim::Event{});  // this rotation, bucket index 255
   auto first = q.pop();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->when.count_nanos(), std::int64_t{255} << 12);
@@ -278,7 +278,7 @@ TEST(EventQueueWheel, CancelledIdsStayStaleAcrossSlotReuse) {
   // after its slot is reoccupied.
   EventId previous = 0;
   for (int i = 0; i < 1'000; ++i) {
-    const EventId id = q.push(at_tick(10 + i), [] {});
+    const EventId id = q.push(at_tick(10 + i), sim::Event{});
     EXPECT_TRUE(seen.insert(id).second) << "EventId reused at iteration " << i;
     if (previous != 0) {
       EXPECT_FALSE(q.cancel(previous));  // already cancelled; slot reused
@@ -292,9 +292,9 @@ TEST(EventQueueWheel, CancelledIdsStayStaleAcrossSlotReuse) {
 
 TEST(EventQueueWheel, CancelIsHonoredNearAndFarFuture) {
   EventQueue q;
-  const EventId near_id = q.push(at_tick(100), [] {});
-  const EventId far_id = q.push(at_tick((std::int64_t{1} << 50) + 7), [] {});
-  const EventId kept_id = q.push(at_tick(std::int64_t{1} << 49), [] {});
+  const EventId near_id = q.push(at_tick(100), sim::Event{});
+  const EventId far_id = q.push(at_tick((std::int64_t{1} << 50) + 7), sim::Event{});
+  const EventId kept_id = q.push(at_tick(std::int64_t{1} << 49), sim::Event{});
   EXPECT_EQ(q.size(), 3u);
 
   EXPECT_TRUE(q.cancel(near_id));

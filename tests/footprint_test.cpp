@@ -1,10 +1,11 @@
-// Heap footprint of a sparse fleet: what one run costs per client at
-// fleet scale, where per-client state (the windowed SignalTable, the
-// client row and its gate and endpoint) sets peak memory. A counting
-// global allocator measures the run's peak live heap, so this suite
-// is its own binary: the replacement operator new serves every test
-// in it. Sanitizer runtimes bring their own allocator; under them the
-// test is skipped.
+// Heap footprint: what one run costs per client at fleet scale, where
+// per-client state (the windowed SignalTable, the client row and its
+// gate and endpoint) sets peak memory, and what the credits control
+// loop allocates per message once warm. A counting global allocator
+// measures the run's peak live heap and its allocation calls, so this
+// suite is its own binary: the replacement operator new serves every
+// test in it. Sanitizer runtimes bring their own allocator; under them
+// the tests are skipped.
 #include <gtest/gtest.h>
 
 #include <malloc.h>
@@ -13,6 +14,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "core/scenario.hpp"
 
@@ -27,14 +29,17 @@
 
 namespace {
 
-/// Usable bytes of every live heap block, and their high-water mark.
+/// Usable bytes of every live heap block, their high-water mark, and
+/// the allocation calls made.
 std::atomic<std::size_t> live_bytes{0};
 std::atomic<std::size_t> peak_bytes{0};
+std::atomic<std::size_t> allocations{0};
 
 #ifndef BRB_FOOTPRINT_SANITIZED
 void* counted_alloc(std::size_t size) {
   void* block = std::malloc(size == 0 ? 1 : size);
   if (block == nullptr) throw std::bad_alloc();
+  allocations.fetch_add(1, std::memory_order_relaxed);
   const std::size_t bytes = malloc_usable_size(block);
   const std::size_t live = live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   std::size_t peak = peak_bytes.load(std::memory_order_relaxed);
@@ -95,6 +100,48 @@ TEST(Footprint, SparseFleetPeakHeapPerClient) {
   constexpr double kMeasuredBytes = 1142.0;
   RecordProperty("peak_heap_bytes_per_client", static_cast<int>(per_client));
   EXPECT_LE(per_client, kMeasuredBytes * 1.1) << "peak live heap per client grew";
+}
+
+TEST(Footprint, CreditsControlMessagesAllocateNothingOnceWarm) {
+#ifdef BRB_FOOTPRINT_SANITIZED
+  GTEST_SKIP() << "a sanitizer runtime owns the allocator";
+#endif
+  // The paper fleet under the credits gate at a trickle of load: every
+  // client reports its pinned demand every 100 ms and receives a grant
+  // every second, so control messages outnumber the task traffic by
+  // far. Each report and grant carries a credit list; in the message
+  // pool those lists reuse their capacity, so the window between two
+  // late task completions allocates almost nothing.
+  core::ScenarioConfig config;
+  config.system = core::SystemKind::kEqualMaxCredits;
+  config.num_tasks = 300;
+  config.utilization = 0.0002;
+  config.fanout_spec = "fixed:2";
+
+  struct Mark {
+    std::size_t allocations = 0;
+    double at_s = 0.0;
+  };
+  std::vector<Mark> marks;
+  marks.reserve(config.num_tasks);
+  config.on_task_complete = [&marks](const workload::TaskSpec& task, sim::Duration latency) {
+    marks.push_back({allocations.load(), (task.arrival + latency).as_seconds()});
+  };
+  const core::RunResult run = core::run_scenario(config);
+  ASSERT_EQ(run.tasks_completed, config.num_tasks);
+
+  const Mark& first = marks[100];
+  const Mark& last = marks[250];
+  const double window_s = last.at_s - first.at_s;
+  ASSERT_GT(window_s, 5.0);
+  // Every client reports every measurement interval (its pairs are
+  // pinned), so the window carries at least this many reports.
+  const double reports = static_cast<double>(config.num_clients) * window_s /
+                         config.credits.measure_interval.as_seconds();
+  const auto allocated = static_cast<double>(last.allocations - first.allocations);
+  RecordProperty("allocations_in_window", static_cast<int>(allocated));
+  RecordProperty("reports_in_window", static_cast<int>(reports));
+  EXPECT_LT(allocated, reports / 20) << "control messages allocate per message";
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 // DispatchEndpoint on_send/on_response/on_cancel feedback hooks, which
 // rewrite per-request slot state and SignalTable accounting) and behind
 // the workload block entry point (fill_block advances the shared
-// generator's RNG stream and rewrites the TaskBlock slab).
-// expect: BRB-R01=4
+// generator's RNG stream and rewrites the TaskBlock slab), and behind
+// the event record API (post_at relinks the wheel; the message pool's
+// alloc/free rewrite its free list).
+// expect: BRB-R01=5
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -65,6 +67,21 @@ void race_through_batch_generation(FakeGenerator& gen, int& block) {
   for (int w = 0; w < 4; ++w) {
     workers.emplace_back([&] {
       gen.fill_block(block, 256);  // advances shared RNG + rewrites the slab
+    });
+  }
+  for (auto& worker : workers) worker.join();
+}
+
+struct FakeMessagePool {
+  std::uint32_t alloc();
+  void free(std::uint32_t slot);
+};
+
+void race_through_message_pool(FakeMessagePool& pool) {
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w) {
+    workers.emplace_back([&] {
+      pool.free(pool.alloc());  // pops and pushes the shared free list
     });
   }
   for (auto& worker : workers) worker.join();

@@ -14,6 +14,7 @@
 #include "store/partitioner.hpp"
 #include "store/storage_engine.hpp"
 #include "util/rng.hpp"
+#include "deferred.hpp"
 
 namespace brb {
 namespace {
@@ -25,10 +26,11 @@ using sim::Time;
 // Network
 
 TEST(Network, DeliversAfterOneWayLatency) {
+  testutil::Deferred later;
   sim::Simulator simulator;
   net::Network network(simulator, {Duration::micros(50), Duration::zero()}, util::Rng(1));
   Time delivered = Time::zero();
-  network.send(0, 1, 100, [&] { delivered = simulator.now(); });
+  network.send(0, 1, 100, simulator.callable(later([&] { delivered = simulator.now(); })));
   simulator.run();
   EXPECT_EQ(delivered, Time::micros(50));
 }
@@ -36,20 +38,21 @@ TEST(Network, DeliversAfterOneWayLatency) {
 TEST(Network, CountsMessagesAndBytes) {
   sim::Simulator simulator;
   net::Network network(simulator, {Duration::micros(50), Duration::zero()}, util::Rng(2));
-  network.send(0, 1, 100, [] {});
-  network.send(1, 0, 250, [] {});
+  network.send(0, 1, 100, simulator.callable([] {}));
+  network.send(1, 0, 250, simulator.callable([] {}));
   simulator.run();
   EXPECT_EQ(network.stats().messages_sent, 2u);
   EXPECT_EQ(network.stats().bytes_sent, 350u);
 }
 
 TEST(Network, JitterStaysWithinBound) {
+  testutil::Deferred later;
   sim::Simulator simulator;
   net::Network network(simulator, {Duration::micros(50), Duration::micros(20)}, util::Rng(4));
   std::vector<Time> deliveries;
   for (int i = 0; i < 200; ++i) {
     network.send(0, static_cast<net::NodeId>(i + 1), 10,
-                 [&] { deliveries.push_back(simulator.now()); });
+                 simulator.callable(later([&] { deliveries.push_back(simulator.now()); })));
   }
   simulator.run();
   for (const Time t : deliveries) {
@@ -59,15 +62,16 @@ TEST(Network, JitterStaysWithinBound) {
 }
 
 TEST(Network, PerPairFifoEvenWithJitter) {
+  testutil::Deferred later;
   sim::Simulator simulator;
   net::Network network(simulator, {Duration::micros(50), Duration::micros(40)}, util::Rng(5));
   std::vector<int> order;
   // Staggered sends on one pair; jitter could reorder without the
   // FIFO reservation.
   for (int i = 0; i < 50; ++i) {
-    simulator.schedule_at(Time::micros(i), [&network, &order, i] {
-      network.send(3, 4, 10, [&order, i] { order.push_back(i); });
-    });
+    simulator.schedule_at(Time::micros(i), later([&, i] {
+      network.send(3, 4, 10, simulator.callable(later([&order, i] { order.push_back(i); })));
+    }));
   }
   simulator.run();
   ASSERT_EQ(order.size(), 50u);

@@ -17,6 +17,7 @@
 #include "stats/summary.hpp"
 #include "util/rng.hpp"
 #include "workload/size_dist.hpp"
+#include "deferred.hpp"
 
 namespace brb::server {
 namespace {
@@ -377,17 +378,19 @@ TEST(BackendServer, StatsAccumulate) {
 }
 
 TEST(BackendServer, MissingKeyServesMinimalValue) {
+  testutil::Deferred later;
   ServerFixture f(1);
   store::ReadRequest r;
   r.request_id = 9;
   r.key = 404;  // not populated
-  f.simulator.schedule_at(Time::zero(), [&] { f.server->receive(r); });
+  f.simulator.schedule_at(Time::zero(), later([&] { f.server->receive(r); }));
   f.simulator.run();
   ASSERT_EQ(f.responses.size(), 1u);
   EXPECT_EQ(f.responses[0].value_size, 1u);
 }
 
 TEST(BackendServer, WriteLandingMidServiceShowsInReadResponse) {
+  testutil::Deferred later;
   // A read of a 100 kB value is in service on one core when a write
   // shrinks the value on the other. The write completes first, so the
   // read's response must report the new size, while its service time
@@ -411,8 +414,8 @@ TEST(BackendServer, WriteLandingMidServiceShowsInReadResponse) {
   write.key = 7;
   write.is_write = true;
   write.write_size = 10;
-  simulator.schedule_at(Time::zero(), [&] { server.receive(read); });
-  simulator.schedule_at(Time::micros(10), [&] { server.receive(write); });
+  simulator.schedule_at(Time::zero(), later([&] { server.receive(read); }));
+  simulator.schedule_at(Time::micros(10), later([&] { server.receive(write); }));
   simulator.run();
 
   ASSERT_EQ(responses.size(), 2u);
@@ -449,6 +452,7 @@ struct QueueingHarness {
   std::unique_ptr<BackendServer> server;
   stats::Summary sojourn_us;
   std::uint64_t completed = 0;
+  testutil::Deferred later;
 
   QueueingHarness(std::uint32_t cores, const ServiceTimeModel& model) {
     BackendServer::Config config;
@@ -469,12 +473,12 @@ struct QueueingHarness {
     for (store::RequestId id = 0; id < n; ++id) {
       t += Duration::seconds(arrivals_rng.exponential(1.0 / lambda));
       admitted[id] = t;
-      simulator.schedule_at(t, [this, id] {
+      simulator.schedule_at(t, later([this, id] {
         store::ReadRequest request;
         request.request_id = id;
         request.key = 999;  // unpopulated: size 1
         server->receive(request);
-      });
+      }));
     }
     simulator.run();
   }
@@ -526,6 +530,7 @@ TEST(QueueingTheory, MMcSojournMatchesErlangC) {
 }
 
 TEST(QueueingTheory, MG1WaitMatchesPollaczekKhinchineForSizeDrivenService) {
+  testutil::Deferred later;
   // The evaluation's actual service process: deterministic-in-size
   // times over Atikoglu generalized-Pareto value sizes. For M/G/1 FIFO,
   // E[W] = lambda E[S^2] / (2 (1 - rho)) (Pollaczek-Khinchine). We
@@ -571,12 +576,12 @@ TEST(QueueingTheory, MG1WaitMatchesPollaczekKhinchineForSizeDrivenService) {
     admitted[id] = t;
     const auto key = static_cast<store::KeyId>(
         key_rng.uniform_int(0, static_cast<std::int64_t>(kKeys) - 1));
-    h.simulator.schedule_at(t, [&h, id, key] {
+    h.simulator.schedule_at(t, later([&h, id, key] {
       store::ReadRequest request;
       request.request_id = id;
       request.key = key;
       h.server->receive(request);
-    });
+    }));
   }
   h.simulator.run();
   const double rho = lambda * s1;

@@ -7,6 +7,7 @@
 #include "sim/simulator.hpp"
 #include "stats/histogram.hpp"
 #include "util/rng.hpp"
+#include "deferred.hpp"
 
 namespace brb {
 namespace {
@@ -16,8 +17,8 @@ using sim::Time;
 
 TEST(EventQueueEdge, SizeTracksCancellations) {
   sim::EventQueue queue;
-  const auto a = queue.push(Time::micros(1), [] {});
-  const auto b = queue.push(Time::micros(2), [] {});
+  const auto a = queue.push(Time::micros(1), sim::Event{});
+  const auto b = queue.push(Time::micros(2), sim::Event{});
   EXPECT_EQ(queue.size(), 2u);
   queue.cancel(a);
   EXPECT_EQ(queue.size(), 1u);
@@ -27,15 +28,18 @@ TEST(EventQueueEdge, SizeTracksCancellations) {
 
 TEST(EventQueueEdge, InterleavedPushPopKeepsOrder) {
   sim::EventQueue queue;
-  std::vector<int> order;
-  queue.push(Time::micros(10), [&] { order.push_back(10); });
-  queue.push(Time::micros(5), [&] { order.push_back(5); });
+  const auto tagged = [](std::uint64_t tag) {
+    return sim::Event{sim::EventKind::kCallable, 0, tag};
+  };
+  std::vector<std::uint64_t> order;
+  queue.push(Time::micros(10), tagged(10));
+  queue.push(Time::micros(5), tagged(5));
   auto entry = queue.pop();
-  entry->fn();  // 5
-  queue.push(Time::micros(7), [&] { order.push_back(7); });
-  queue.push(Time::micros(3), [&] { order.push_back(3); });  // "past" is legal here
-  while ((entry = queue.pop())) entry->fn();
-  EXPECT_EQ(order, (std::vector<int>{5, 3, 7, 10}));
+  order.push_back(entry->event.payload);  // 5
+  queue.push(Time::micros(7), tagged(7));
+  queue.push(Time::micros(3), tagged(3));  // "past" is legal here
+  while ((entry = queue.pop())) order.push_back(entry->event.payload);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{5, 3, 7, 10}));
 }
 
 TEST(SimulatorEdge, RunOnEmptyQueueReturnsZero) {
@@ -45,22 +49,24 @@ TEST(SimulatorEdge, RunOnEmptyQueueReturnsZero) {
 }
 
 TEST(SimulatorEdge, ZeroDelayScheduleRunsAtCurrentInstant) {
+  testutil::Deferred later;
   sim::Simulator simulator;
   Time seen = Time::max();
-  simulator.schedule_at(Time::micros(5), [&] {
-    simulator.schedule_after(Duration::zero(), [&] { seen = simulator.now(); });
-  });
+  simulator.schedule_at(Time::micros(5), later([&] {
+    simulator.schedule_after(Duration::zero(), later([&] { seen = simulator.now(); }));
+  }));
   simulator.run();
   EXPECT_EQ(seen, Time::micros(5));
 }
 
 TEST(SimulatorEdge, StopThenRunResumes) {
+  testutil::Deferred later;
   sim::Simulator simulator;
   int fired = 0;
-  simulator.schedule_at(Time::micros(1), [&] {
+  simulator.schedule_at(Time::micros(1), later([&] {
     ++fired;
     simulator.stop();
-  });
+  }));
   simulator.schedule_at(Time::micros(2), [&] { ++fired; });
   simulator.run();
   EXPECT_EQ(fired, 1);
@@ -84,12 +90,13 @@ TEST(HistogramEdge, QuantileExtremes) {
 }
 
 TEST(NetworkEdge, ZeroLatencyDeliversSameInstant) {
+  testutil::Deferred later;
   sim::Simulator simulator;
   net::Network network(simulator, {Duration::zero(), Duration::zero()}, util::Rng(1));
   Time delivered = Time::max();
-  simulator.schedule_at(Time::micros(3), [&] {
-    network.send(0, 1, 1, [&] { delivered = simulator.now(); });
-  });
+  simulator.schedule_at(Time::micros(3), later([&] {
+    network.send(0, 1, 1, simulator.callable(later([&] { delivered = simulator.now(); })));
+  }));
   simulator.run();
   EXPECT_EQ(delivered, Time::micros(3));
 }
