@@ -10,7 +10,7 @@ AppClient::AppClient(sim::Simulator& sim, Config config, const store::Partitione
                      const server::ServiceTimeModel& cost_model, ctrl::DispatchEndpoint endpoint,
                      const policy::PriorityPolicy& priority_policy, DispatchGate gate,
                      util::Rng rng, RequestBook& book)
-    : Actor(sim),
+    : sim_(&sim),
       config_(config),
       book_(&book),
       partitioner_(&partitioner),
@@ -74,7 +74,7 @@ void AppClient::submit(workload::TaskSpec task) {
   // 1. Plan: forecast costs and group requests by replica group.
   policy::TaskPlan& plan = book.plan;
   plan.task_id = task.id;
-  plan.arrival = now();
+  plan.arrival = sim_->now();
   plan.bottleneck_cost = sim::Duration::zero();
   plan.requests.clear();
   plan.requests.reserve(task.requests.size());
@@ -164,7 +164,7 @@ void AppClient::submit(workload::TaskSpec task) {
   PendingTask pending;
   pending.spec = std::move(task);
   pending.remaining = wire_requests;
-  pending.started = now();
+  pending.started = sim_->now();
   pending.owner = config_.id;
   book_->pending_insert(std::move(pending));
 
@@ -177,7 +177,7 @@ void AppClient::submit(workload::TaskSpec task) {
     out.request.client = config_.id;
     out.request.priority = planned.priority;
     out.request.expected_cost = planned.expected_cost;
-    out.request.sent_at = now();  // refined at actual transmit time
+    out.request.sent_at = sim_->now();  // refined at actual transmit time
     out.request.is_write = planned.is_write;
     out.request.write_size = planned.is_write ? planned.size_hint : 0;
     // The endpoint sees load at *offer* time so that requests held by a
@@ -226,7 +226,7 @@ void AppClient::issue_copy(std::uint32_t index, std::uint8_t copy) {
   out.logical = index;
   out.copy = copy;
   out.request = lr.request;
-  out.request.sent_at = now();  // refined at actual transmit time
+  out.request.sent_at = sim_->now();  // refined at actual transmit time
   lr.copy_state[copy] = kCopyInFlight;
   // Offer-time accounting, exactly like single-copy dispatch: a held
   // duplicate still counts against the server it is bound for.
@@ -271,7 +271,7 @@ void AppClient::dispatch_plan(const policy::PlannedRequest& planned,
   lr.request.client = config_.id;
   lr.request.priority = planned.priority;
   lr.request.expected_cost = planned.expected_cost;
-  lr.request.sent_at = now();
+  lr.request.sent_at = sim_->now();
   lr.request.is_write = false;
   lr.request.write_size = 0;
 
@@ -280,7 +280,7 @@ void AppClient::dispatch_plan(const policy::PlannedRequest& planned,
       issue_copy(index, 0);
       lr.hedge_armed = true;
       lr.hedge_event =
-          sim().post_after(dispatch.hedge_delay, {sim::EventKind::kHedgeFire, target_, index});
+          sim_->post_after(dispatch.hedge_delay, {sim::EventKind::kHedgeFire, target_, index});
       break;
     case ctrl::DispatchMode::kTied:
       issue_copy(index, 0);
@@ -427,10 +427,10 @@ void AppClient::transmit_now(OutboundRequest& out) {
     maybe_release_logical(out.logical);
     return;
   }
-  out.request.sent_at = now();
+  out.request.sent_at = sim_->now();
   InflightRequest inflight;
   inflight.task_id = out.request.task_id;
-  inflight.sent_at = now();
+  inflight.sent_at = sim_->now();
   inflight.expected_cost = out.request.expected_cost;
   inflight.server = out.server;
   inflight.client = config_.id;
@@ -452,10 +452,11 @@ void AppClient::on_response(const store::ReadResponse& response) {
   ++stats_.responses_received;
   if (response.is_write) ++stats_.writes_acked;
 
-  const sim::Duration rtt = now() - inflight.sent_at;
+  const sim::Duration rtt = sim_->now() - inflight.sent_at;
   // Real server work produced real feedback — fold it even for
   // absorbed duplicates; only *cancelled* copies skip the EWMA path.
-  endpoint_.on_response(inflight.server, response.feedback, rtt, inflight.expected_cost, now());
+  endpoint_.on_response(inflight.server, response.feedback, rtt, inflight.expected_cost,
+                        sim_->now());
   gate_.on_response(inflight.server, response.feedback);
 
   if (inflight.logical != kNoLogical) {
@@ -474,7 +475,7 @@ void AppClient::on_response(const store::ReadResponse& response) {
 
     lr.completed = true;
     if (lr.mode == ctrl::DispatchMode::kHedge && inflight.copy != 0) ++stats_.hedges_won;
-    if (lr.hedge_armed && sim().cancel(lr.hedge_event)) {
+    if (lr.hedge_armed && sim_->cancel(lr.hedge_event)) {
       // O(1) wheel cancel; on failure the already-claimed firing will
       // see `completed`, disarm itself, and release the slot.
       lr.hedge_armed = false;
@@ -493,7 +494,7 @@ void AppClient::on_response(const store::ReadResponse& response) {
   if (task == nullptr) throw std::logic_error("AppClient::on_response: response for unknown task");
   if (--task->remaining == 0) {
     ++stats_.tasks_completed;
-    const sim::Duration latency = now() - task->started;
+    const sim::Duration latency = sim_->now() - task->started;
     // Out of the table before the hook runs: the slot is reused (and
     // may move) as soon as it is erased.
     workload::TaskSpec spec = std::move(task->spec);

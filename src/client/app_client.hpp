@@ -223,7 +223,7 @@ class RequestBook {
   std::vector<std::vector<workload::RequestSpec>> spec_pool_;
 };
 
-class AppClient : public sim::Actor {
+class AppClient {
  public:
   struct Config {
     store::ClientId id = 0;
@@ -320,6 +320,7 @@ class AppClient : public sim::Actor {
   /// This client's live in-flight record for `id`, or nullptr.
   InflightRequest* find_inflight(store::RequestId id) noexcept;
 
+  sim::Simulator* sim_;
   Config config_;
   /// Request-tracking state shared with the rest of the run's fleet.
   RequestBook* book_;

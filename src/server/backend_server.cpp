@@ -10,7 +10,7 @@ namespace brb::server {
 
 BackendServer::BackendServer(sim::Simulator& sim, Config config,
                              const ServiceTimeModel& service_model, util::Rng rng)
-    : Actor(sim),
+    : sim_(&sim),
       config_(config),
       service_model_(&service_model),
       rng_(rng),
@@ -37,7 +37,7 @@ void BackendServer::receive(const store::ReadRequest& request) {
     start_service(request);
     return;
   }
-  server::push(*queue_, QueuedRead{request, now()});
+  server::push(*queue_, QueuedRead{request, sim_->now()});
   pump();
   check_watch();
 }
@@ -75,7 +75,7 @@ void BackendServer::start_service(const store::ReadRequest& request) {
   in_service_[core] = {{request.request_id, request.task_id, request.key, request.client,
                         config_.id, size, request.is_write, {0, 0.0, service_time}},
                        storage_.version()};
-  sim().post_after(service_time, {sim::EventKind::kServiceDone, target_, core});
+  sim_->post_after(service_time, {sim::EventKind::kServiceDone, target_, core});
 }
 
 void BackendServer::complete(std::uint32_t core) {

@@ -45,7 +45,7 @@ struct ServerStats {
   sim::Duration busy_time = sim::Duration::zero();
 };
 
-class BackendServer : public sim::Actor {
+class BackendServer {
  public:
   struct Config {
     store::ServerId id = 0;
@@ -145,6 +145,7 @@ class BackendServer : public sim::Actor {
     }
   }
 
+  sim::Simulator* sim_;
   Config config_;
   const ServiceTimeModel* service_model_;
   util::Rng rng_;

@@ -148,19 +148,4 @@ class Simulator {
   bool stopped_ = false;
 };
 
-/// Convenience base for simulation components that hold a simulator
-/// reference. Non-owning: the simulator must outlive its actors.
-class Actor {
- public:
-  explicit Actor(Simulator& sim) noexcept : sim_(&sim) {}
-  virtual ~Actor() = default;
-
- protected:
-  Simulator& sim() const noexcept { return *sim_; }
-  Time now() const noexcept { return sim_->now(); }
-
- private:
-  Simulator* sim_;
-};
-
 }  // namespace brb::sim
