@@ -15,13 +15,11 @@
 //   $ ./example_playlist_fanout
 #include <array>
 #include <iostream>
-#include <memory>
 #include <vector>
 
-#include "core/scenario.hpp"
+#include "core/run_builder.hpp"
 #include "stats/latency_recorder.hpp"
 #include "stats/table.hpp"
-#include "workload/task_gen.hpp"
 
 namespace {
 
@@ -51,18 +49,9 @@ int main() {
   std::vector<brb::workload::TaskSpec> trace;
   {
     brb::util::Rng rng(base.seed);
-    const auto sizes = brb::workload::make_size_distribution(base.size_spec);
-    const auto keys = brb::workload::make_key_distribution(base.key_spec);
-    const auto fanout = brb::workload::make_fanout_distribution(base.fanout_spec);
-    brb::workload::Dataset dataset(keys->num_keys(), *sizes, rng.split());
-    brb::workload::TaskGenerator::Config gen_config;
-    gen_config.num_clients = base.num_clients;
-    brb::workload::CapacityPlanner planner(base.cluster);
-    auto arrivals = std::make_unique<brb::workload::PoissonArrivals>(
-        planner.task_rate_for_utilization(base.utilization, fanout->mean()));
-    brb::workload::TaskGenerator generator(gen_config, dataset, *keys, *fanout,
-                                           std::move(arrivals), rng.split());
-    trace = generator.generate(base.num_tasks);
+    const brb::util::Rng dataset_rng = rng.split();
+    brb::core::Workload stream(base, dataset_rng, rng.split());
+    trace = stream.generator.generate(base.num_tasks);
   }
 
   std::array<std::uint64_t, 4> bucket_counts{};

@@ -10,12 +10,10 @@
 //   $ ./example_trace_replay [trace.csv]
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <string>
 
-#include "core/scenario.hpp"
+#include "core/run_builder.hpp"
 #include "stats/table.hpp"
-#include "workload/task_gen.hpp"
 #include "workload/trace.hpp"
 
 int main(int argc, char** argv) {
@@ -26,18 +24,9 @@ int main(int argc, char** argv) {
   base.num_tasks = 30'000;
   {
     brb::util::Rng rng(123);
-    const auto sizes = brb::workload::make_size_distribution(base.size_spec);
-    const auto keys = brb::workload::make_key_distribution(base.key_spec);
-    const auto fanout = brb::workload::make_fanout_distribution(base.fanout_spec);
-    brb::workload::Dataset dataset(keys->num_keys(), *sizes, rng.split());
-    brb::workload::TaskGenerator::Config gen_config;
-    gen_config.num_clients = base.num_clients;
-    brb::workload::CapacityPlanner planner(base.cluster);
-    auto arrivals = std::make_unique<brb::workload::PoissonArrivals>(
-        planner.task_rate_for_utilization(base.utilization, fanout->mean()));
-    brb::workload::TaskGenerator generator(gen_config, dataset, *keys, *fanout,
-                                           std::move(arrivals), rng.split());
-    const auto tasks = generator.generate(base.num_tasks);
+    const brb::util::Rng dataset_rng = rng.split();
+    brb::core::Workload stream(base, dataset_rng, rng.split());
+    const auto tasks = stream.generator.generate(base.num_tasks);
     brb::workload::TraceWriter::write_file(path, tasks);
     std::cout << "wrote " << tasks.size() << " tasks ("
               << tasks.back().arrival.as_seconds() << "s of arrivals) to " << path << "\n";

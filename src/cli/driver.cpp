@@ -24,6 +24,7 @@
 #include <unistd.h>
 #endif
 
+#include "core/run_builder.hpp"
 #include "ctrl/dispatch_policy.hpp"
 #include "ctrl/replica_policy.hpp"
 #include "stats/artifact.hpp"
@@ -33,7 +34,6 @@
 #include "workload/fanout_dist.hpp"
 #include "workload/key_dist.hpp"
 #include "workload/size_dist.hpp"
-#include "workload/task_gen.hpp"
 #include "workload/trace.hpp"
 
 namespace brb::cli {
@@ -508,23 +508,14 @@ void record_trace(const ScenarioConfig& base, const std::string& path) {
         "--record-trace conflicts with --write-fraction/--tenants (traces are read-only, "
         "single-tenant)");
   }
+  // Recording keeps its own stream derivation (dataset, then tasks,
+  // straight from the seed), so recorded traces do not change with the
+  // runner's stream layout. Arrival times are baked into the
+  // trace, so a diurnal recording replays with its envelope intact.
   util::Rng rng(base.seed);
-  const auto sizes = workload::make_size_distribution(base.size_spec);
-  const auto keys = workload::make_key_distribution(base.key_spec);
-  const auto fanout = workload::make_fanout_distribution(base.fanout_spec);
-  workload::Dataset dataset(keys->num_keys(), *sizes, rng.split());
-  workload::TaskGenerator::Config gen_config;
-  gen_config.num_clients = base.num_clients;
-  const workload::CapacityPlanner planner(base.cluster);
-  const double task_rate = planner.task_rate_for_utilization(base.utilization, fanout->mean());
-  // Arrival times are baked into the trace, so a diurnal recording
-  // replays with its envelope intact.
-  workload::TaskGenerator generator(
-      gen_config, dataset, *keys, *fanout,
-      workload::make_arrival_process(base.paced_arrivals ? "paced" : base.arrival_spec,
-                                     task_rate),
-      rng.split());
-  const auto tasks = generator.generate(base.num_tasks);
+  const util::Rng dataset_rng = rng.split();
+  core::Workload stream(base, dataset_rng, rng.split());
+  const auto tasks = stream.generator.generate(base.num_tasks);
   workload::TraceWriter::write_file(path, tasks);
 }
 

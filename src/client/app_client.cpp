@@ -6,7 +6,7 @@
 
 namespace brb::client {
 
-AppClient::AppClient(sim::Simulator& sim, Config config, const store::Partitioner& partitioner,
+AppClient::AppClient(sim::Simulator& sim, Config config, const store::RingPartitioner& partitioner,
                      const server::ServiceTimeModel& cost_model, ctrl::DispatchEndpoint endpoint,
                      const policy::PriorityPolicy& priority_policy, DispatchGate gate,
                      util::Rng rng, RequestBook& book)

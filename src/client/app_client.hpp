@@ -248,7 +248,7 @@ class AppClient {
   /// one (see RequestBook). The client wires the gate to its transmit
   /// path and mirrors a credits gate's balances into the endpoint's
   /// SignalTable.
-  AppClient(sim::Simulator& sim, Config config, const store::Partitioner& partitioner,
+  AppClient(sim::Simulator& sim, Config config, const store::RingPartitioner& partitioner,
             const server::ServiceTimeModel& cost_model, ctrl::DispatchEndpoint endpoint,
             const policy::PriorityPolicy& priority_policy, DispatchGate gate, util::Rng rng,
             RequestBook& book);
@@ -324,7 +324,7 @@ class AppClient {
   Config config_;
   /// Request-tracking state shared with the rest of the run's fleet.
   RequestBook* book_;
-  const store::Partitioner* partitioner_;
+  const store::RingPartitioner* partitioner_;
   const server::ServiceTimeModel* cost_model_;
   ctrl::DispatchEndpoint endpoint_;
   const policy::PriorityPolicy* priority_policy_;

@@ -4,7 +4,7 @@
 
 namespace brb::core {
 
-GlobalQueueModel::GlobalQueueModel(const store::Partitioner& partitioner,
+GlobalQueueModel::GlobalQueueModel(const store::RingPartitioner& partitioner,
                                    std::string_view discipline)
     : partitioner_(&partitioner),
       empty_queue_(server::make_discipline(discipline)),

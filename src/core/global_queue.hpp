@@ -30,7 +30,7 @@ class GlobalQueueModel final : public server::WorkSource {
  public:
   /// `discipline` names the per-group queue order — "priority" for
   /// BRB-model, "fifo" for the task-oblivious ideal ablation.
-  GlobalQueueModel(const store::Partitioner& partitioner, std::string_view discipline);
+  GlobalQueueModel(const store::RingPartitioner& partitioner, std::string_view discipline);
 
   /// Registers the serving fleet; must cover every ServerId the
   /// partitioner references.
@@ -55,7 +55,7 @@ class GlobalQueueModel final : public server::WorkSource {
   std::size_t total_backlog() const noexcept { return total_queued_; }
 
  private:
-  const store::Partitioner* partitioner_;
+  const store::RingPartitioner* partitioner_;
   /// An empty queue of the configured discipline, copied per queue.
   const server::QueueDiscipline empty_queue_;
   std::vector<server::QueueDiscipline> group_queues_;

@@ -17,13 +17,4 @@ RingPartitioner::RingPartitioner(std::uint32_t num_servers, std::uint32_t replic
   }
 }
 
-GroupId RingPartitioner::group_of(KeyId key) const {
-  return static_cast<GroupId>(hash_key(key) % num_servers_);
-}
-
-const std::vector<ServerId>& RingPartitioner::replicas_of(GroupId group) const {
-  if (group >= groups_.size()) throw std::out_of_range("RingPartitioner: bad group");
-  return groups_[group];
-}
-
 }  // namespace brb::store

@@ -16,8 +16,8 @@
 
 namespace brb::store {
 
-/// Deterministic 64-bit key hash (SplitMix64 finalizer) used by every
-/// partitioner so placement is stable across runs and platforms.
+/// Deterministic 64-bit key hash (SplitMix64 finalizer) behind key
+/// placement, so it is stable across runs and platforms.
 /// Inline: sits inside the Zipf key-scramble on the workload hot path.
 inline std::uint64_t hash_key(KeyId key) noexcept {
   std::uint64_t z = key + 0x9e3779b97f4a7c15ULL;
@@ -26,36 +26,28 @@ inline std::uint64_t hash_key(KeyId key) noexcept {
   return z ^ (z >> 31);
 }
 
-/// Maps keys to replica groups and groups to server sets.
-class Partitioner {
+/// Ring placement, the one placement type: one group per server;
+/// group g -> servers {g, g+1, ..., g+R-1 mod S}; key -> group via hash
+/// mod S. This is the paper's "flexible servers" model (each server
+/// participates in R groups) in its simplest deterministic form.
+class RingPartitioner {
  public:
-  virtual ~Partitioner() = default;
+  RingPartitioner(std::uint32_t num_servers, std::uint32_t replication_factor);
 
-  virtual GroupId group_of(KeyId key) const = 0;
-  virtual const std::vector<ServerId>& replicas_of(GroupId group) const = 0;
-  virtual std::uint32_t num_groups() const noexcept = 0;
-  virtual std::uint32_t num_servers() const noexcept = 0;
-  virtual std::uint32_t replication_factor() const noexcept = 0;
-
+  GroupId group_of(KeyId key) const noexcept {
+    return static_cast<GroupId>(hash_key(key) % num_servers_);
+  }
+  const std::vector<ServerId>& replicas_of(GroupId group) const {
+    if (group >= groups_.size()) throw std::out_of_range("RingPartitioner: bad group");
+    return groups_[group];
+  }
   /// Replica set for a key (convenience).
   const std::vector<ServerId>& replicas_for_key(KeyId key) const {
     return replicas_of(group_of(key));
   }
-};
-
-/// Ring placement: one group per server; group g -> servers
-/// {g, g+1, ..., g+R-1 mod S}; key -> group via hash mod S. This is the
-/// paper's "flexible servers" model (each server participates in R
-/// groups) in its simplest deterministic form.
-class RingPartitioner final : public Partitioner {
- public:
-  RingPartitioner(std::uint32_t num_servers, std::uint32_t replication_factor);
-
-  GroupId group_of(KeyId key) const override;
-  const std::vector<ServerId>& replicas_of(GroupId group) const override;
-  std::uint32_t num_groups() const noexcept override { return num_servers_; }
-  std::uint32_t num_servers() const noexcept override { return num_servers_; }
-  std::uint32_t replication_factor() const noexcept override { return replication_; }
+  std::uint32_t num_groups() const noexcept { return num_servers_; }
+  std::uint32_t num_servers() const noexcept { return num_servers_; }
+  std::uint32_t replication_factor() const noexcept { return replication_; }
 
  private:
   std::uint32_t num_servers_;

@@ -258,6 +258,36 @@ TEST(ScenarioTrace, FileRoundTripThroughRunner) {
   std::remove(path.c_str());
 }
 
+TEST(ScenarioTrace, WarmupCountsArrivalsWhateverTheIds) {
+  // Ids offset far past the task count: warm-up still leaves out the
+  // first 5% of arrivals, N - floor(0.05 N) measured.
+  auto tasks = tiny_trace();
+  for (auto& task : tasks) task.id += 1'000'000;
+  ScenarioConfig config;
+  config.system = SystemKind::kEqualMaxCredits;
+  config.tasks_override = &tasks;
+  const RunResult result = run_scenario(config);
+  EXPECT_EQ(result.tasks_completed, tasks.size());
+  EXPECT_EQ(result.tasks_measured, tasks.size() - tasks.size() * 5 / 100);
+}
+
+TEST(ScenarioTrace, RepeatedIdsInFlightTogetherComplete) {
+  // Tasks 2k and 2k+1 share an id and arrive 97 us apart at clients 0
+  // and 18, which fold onto client 0 of 18: both are in flight there at
+  // once, and the run still completes every task.
+  auto tasks = tiny_trace();
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i].id = i / 2;
+    tasks[i].client = static_cast<store::ClientId>(i % 2 * 18);
+  }
+  ScenarioConfig config;
+  config.system = SystemKind::kEqualMaxCredits;
+  config.tasks_override = &tasks;
+  const RunResult result = run_scenario(config);
+  EXPECT_EQ(result.tasks_completed, tasks.size());
+  EXPECT_EQ(result.tasks_measured, tasks.size() - tasks.size() * 5 / 100);
+}
+
 TEST(ScenarioTrace, EmptyTraceRejected) {
   const std::vector<workload::TaskSpec> empty;
   ScenarioConfig config;
