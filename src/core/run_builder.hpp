@@ -100,7 +100,6 @@ struct Fleet {
   /// installs its own handler and forwards here.
   void respond(store::ServerId s, const store::ReadResponse& response);
 
-  const FleetSpec& spec;
   const std::uint32_t num_servers;
   sim::Simulator sim;
   net::Network network;

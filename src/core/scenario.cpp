@@ -323,7 +323,7 @@ RunResult run(const ScenarioConfig& config, Resolved& plan, Fleet& fleet) {
   // Only the task sketch reaches artifacts; the request recorder keeps
   // its histogram-only footprint even in sketch runs.
   if (plan.sketch_stats) result.task_latency.enable_sketch();
-  for (const std::string& name : fleet.spec.runtime.tenants) result.tenants.push_back({name});
+  for (const std::string& name : plan.fleet.runtime.tenants) result.tenants.push_back({name});
 
   // --- completion accounting (one hook set for the fleet) ---
   client::AppClient::Hooks hooks;
@@ -476,8 +476,8 @@ Workload::Workload(const ScenarioConfig& config, util::Rng dataset_rng, util::Rn
       dataset(keys->num_keys(), *sizes, dataset_rng),
       task_rate(planned_task_rate(config, *fanout)),
       generator({.num_clients = config.num_clients}, dataset, *keys, *fanout,
-                workload::make_arrival_process(config.paced_arrivals ? "paced" : config.arrival_spec,
-                                               task_rate),
+                workload::make_arrival_process(
+                    config.paced_arrivals ? "paced" : config.arrival_spec, task_rate),
                 workload_rng) {
   generator.set_write_traffic(config.write_fraction, sizes.get());
   if (!config.tenant_spec.empty()) {
@@ -486,8 +486,7 @@ Workload::Workload(const ScenarioConfig& config, util::Rng dataset_rng, util::Rn
 }
 
 Fleet::Fleet(const FleetSpec& spec, util::Rng network_rng, util::Rng& streams)
-    : spec(spec),
-      num_servers(spec.cluster.num_servers),
+    : num_servers(spec.cluster.num_servers),
       network(sim, spec.network, network_rng),
       runtime(sim, spec.runtime),
       priority_policy(policy::make_priority_policy(spec.priority_policy)) {

@@ -43,6 +43,8 @@ struct ScenarioConfig {
   /// trace file path or an in-memory task list (takes precedence).
   /// Arrival times, fan-outs and value sizes then come from the trace;
   /// num_tasks/utilization/fanout_spec/size_spec/key_spec are ignored.
+  /// Replayed tasks are numbered by arrival position: a trace's own
+  /// task ids are not read.
   std::string trace_path;
   const std::vector<workload::TaskSpec>* tasks_override = nullptr;
   /// Mean 8.6 (the SoundCloud trace's published mean). Sigma 2.0 gives
@@ -81,7 +83,8 @@ struct ScenarioConfig {
   double cost_noise_sigma = 0.0;
 
   // --- measurement ---
-  /// Leading fraction of tasks excluded from latency statistics.
+  /// Leading fraction of tasks, by arrival, excluded from latency
+  /// statistics.
   double warmup_fraction = 0.05;
   bool keep_raw_latencies = false;
 
@@ -222,7 +225,8 @@ struct RunResult {
 /// parsing and its sweep plan call it, so each check is written once.
 void validate(const ScenarioConfig& config);
 
-/// Builds, runs and tears down one full system instance.
+/// Builds, runs and tears down one full system instance: validate,
+/// resolve, build the fleet, run, collect (core/run_builder.hpp).
 /// Throws std::runtime_error if the run fails to complete every task.
 RunResult run_scenario(const ScenarioConfig& config);
 
