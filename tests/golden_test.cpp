@@ -22,6 +22,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -97,10 +98,11 @@ std::vector<std::string> strings_of(const Json& list) {
   return out;
 }
 
-brb::util::Flags flags_of(const std::vector<std::string>& args) {
+/// A brbsim argv over `args`, which must outlive it.
+std::vector<const char*> argv_of(const std::vector<std::string>& args) {
   std::vector<const char*> argv = {"brbsim"};
   for (const std::string& arg : args) argv.push_back(arg.c_str());
-  return brb::util::Flags(static_cast<int>(argv.size()), argv.data());
+  return argv;
 }
 
 /// The entry as this build computes it: name, args, setup, digest and
@@ -116,9 +118,8 @@ Json compute(const Json& entry) {
     return actual;
   }
   if (const Json* setup = entry.find("setup")) {
-    std::vector<std::string> setup_args = strings_of(*setup);
-    std::vector<const char*> argv = {"brbsim"};
-    for (const std::string& arg : setup_args) argv.push_back(arg.c_str());
+    const std::vector<std::string> setup_args = strings_of(*setup);
+    const std::vector<const char*> argv = argv_of(setup_args);
     if (brb::cli::run_brbsim(static_cast<int>(argv.size()), argv.data()) != 0) {
       throw std::runtime_error("setup command failed");
     }
@@ -126,7 +127,9 @@ Json compute(const Json& entry) {
   }
   actual["args"] = *args;
 
-  const brb::util::Flags flags = flags_of(strings_of(*args));
+  const std::vector<std::string> run_args = strings_of(*args);
+  const std::vector<const char*> argv = argv_of(run_args);
+  const brb::util::Flags flags(static_cast<int>(argv.size()), argv.data());
   brb::cli::validate_flags(flags);
   const brb::core::ScenarioConfig base = brb::cli::config_from_flags(flags);
   const brb::cli::SweepPlan plan =
