@@ -39,9 +39,9 @@ Fig1Result run_fig1(const std::string& policy_name) {
   std::vector<workload::TaskSpec> tasks(3);
   for (const Fig1Key& key : kKeys) {
     tasks[key.task].id = key.task;
-    tasks[key.task].client = key.task == 2 ? 1 : 0;
     tasks[key.task].requests.push_back({key.id, key.task == 0 ? kWarmupBytes : kUnitBytes});
   }
+  tasks[2].client = 1;
 
   FleetSpec spec;
   spec.cluster.num_servers = 3;

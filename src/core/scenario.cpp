@@ -323,7 +323,9 @@ RunResult run(const ScenarioConfig& config, Resolved& plan, Fleet& fleet) {
   // Only the task sketch reaches artifacts; the request recorder keeps
   // its histogram-only footprint even in sketch runs.
   if (plan.sketch_stats) result.task_latency.enable_sketch();
-  for (const std::string& name : plan.fleet.runtime.tenants) result.tenants.push_back({name});
+  const std::vector<std::string>& tenants = plan.fleet.runtime.tenants;
+  result.tenants.resize(tenants.size());
+  for (std::size_t t = 0; t < tenants.size(); ++t) result.tenants[t].name = tenants[t];
 
   // --- completion accounting (one hook set for the fleet) ---
   client::AppClient::Hooks hooks;
@@ -516,6 +518,7 @@ Fleet::Fleet(const FleetSpec& spec, util::Rng network_rng, util::Rng& streams)
     for (const auto& s : servers) s->storage().attach_base(spec.dataset_sizes);
   }
   std::vector<server::BackendServer*> raw_servers;
+  raw_servers.reserve(num_servers);
   for (const auto& s : servers) raw_servers.push_back(s.get());
   if (spec.global_queue) {
     global_queue = std::make_unique<GlobalQueueModel>(spec.placement, spec.discipline);
