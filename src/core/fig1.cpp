@@ -73,7 +73,8 @@ Fig1Result run_fig1(const std::string& policy_name) {
         return k.id == response.key;
       });
       if (key.task != 0) {
-        result.schedule.push_back(Fig1Entry{key.name, "S" + std::to_string(s + 1),
+        // "S" + to_string(s + 1) trips GCC 12's false -Wrestrict (bug 105329).
+        result.schedule.push_back(Fig1Entry{key.name, std::string{'S', static_cast<char>('1' + s)},
                                             (end - response.feedback.service_time).as_millis(),
                                             end.as_millis()});
       }
