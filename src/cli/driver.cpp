@@ -171,7 +171,9 @@ void echo_config(stats::Json& j, const ScenarioConfig& config, bool case_block) 
   }
   for (const ConfigFlag* row : rows) {
     stats::Json value = field_json(*row, config);
-    if (row->when_set && value.as_string().empty()) continue;
+    if (row->when_set && (value.is_bool() ? !value.as_bool() : value.as_string().empty())) {
+      continue;
+    }
     j[std::string(row->json)] = std::move(value);
   }
 }
@@ -238,7 +240,7 @@ const std::vector<ConfigFlag>& config_flags() {
       {.name = "warmup", .arg = "F", .help = "leading fraction of tasks left out of the statistics",
        .field = &at<&Cfg::warmup_fraction>, .json = "warmup_fraction"},
       {.name = "keep-raw", .help = "keep raw latency samples",
-       .field = &at<&Cfg::keep_raw_latencies>},
+       .field = &at<&Cfg::keep_raw_latencies>, .json = "keep_raw", .when_set = true},
 
       {.heading = "system under test / control plane", .name = "seed", .arg = "N",
        .help = "seed of a recorded trace (scenario runs take the seed list)",

@@ -57,7 +57,7 @@ struct ConfigFlag {
   Field field{};
   double unit_ns = 0.0;          // duration fields: nanoseconds per unit of the value
   std::string_view json{};       // artifact key ("" = not echoed)
-  bool when_set = false;         // echo only a non-empty value
+  bool when_set = false;         // echo only a non-empty string or a set switch
   int case_slot = 0;             // position in every case block (0 = config block only)
   std::string_view conflicts{};  // comma list of flags that may not be given with this one
   bool recorded = false;         // read by `--record-trace`

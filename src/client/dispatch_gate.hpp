@@ -2,7 +2,7 @@
 //
 // BRB's realizations differ exactly here — direct transmission, C3's
 // cubic rate limiting, the credits scheme (core/credits.hpp), or
-// submission into the ideal global queue (core/global_queue.hpp). The
+// submission into the ideal global queue (server/global_queue.hpp). The
 // gate receives fully-planned requests (replica chosen, priority
 // stamped) and decides *when* to hand them to the transport.
 //

@@ -51,7 +51,7 @@ Fig1Result run_fig1(const std::string& policy_name) {
   spec.network.one_way_latency = sim::Duration::micros(10);
   // 1 us per byte, no base cost and no noise: exactly unit-cost requests.
   spec.forecast = server::SizeLinearServiceModel(sim::Duration::zero(), 1000.0, 0.0);
-  // Priority queues reveal the policy; with FifoPolicy all priorities
+  // Priority queues reveal the policy; with the fifo rule all priorities
   // equal the task arrival time, which degrades to FIFO order.
   spec.discipline = "priority";
   spec.priority_policy = policy_name;

@@ -17,7 +17,6 @@
 
 #include "client/app_client.hpp"
 #include "core/credits.hpp"
-#include "core/global_queue.hpp"
 #include "core/scenario.hpp"
 #include "ctrl/policy_runtime.hpp"
 #include "net/network.hpp"
@@ -104,7 +103,7 @@ struct Fleet {
   sim::Simulator sim;
   net::Network network;
   std::vector<std::unique_ptr<server::BackendServer>> servers;
-  std::unique_ptr<GlobalQueueModel> global_queue;
+  std::unique_ptr<server::GlobalQueueModel> global_queue;
   ctrl::PolicyRuntime runtime;
   std::unique_ptr<policy::PriorityPolicy> priority_policy;
   client::RequestBook book;

@@ -16,6 +16,43 @@
 
 namespace brb::core {
 
+namespace {
+
+/// An explicit --signal-store layout: the windowed (sparse) table and
+/// its per-client cap, or the server-indexed (dense) one.
+struct SignalStoreLayout {
+  bool sparse = false;
+  std::uint32_t cap = 128;
+};
+
+/// Parses auto|dense|sparse[:CAP]; nullopt for auto (empty or "auto"),
+/// whose layout follows the fleet size.
+std::optional<SignalStoreLayout> parse_signal_store(const std::string& spec) {
+  const auto bad_spec = [] {
+    return std::invalid_argument("run_scenario: signal store must be auto|dense|sparse[:CAP]");
+  };
+  if (spec.empty() || spec == "auto") return std::nullopt;
+  if (spec == "dense") return SignalStoreLayout{};
+  if (spec == "sparse") return SignalStoreLayout{.sparse = true};
+  if (!spec.starts_with("sparse:")) throw bad_spec();
+  const std::optional<std::uint64_t> cap = util::parse_decimal(spec.substr(7));
+  if (!cap || *cap == 0 || *cap > std::numeric_limits<std::uint32_t>::max()) throw bad_spec();
+  return SignalStoreLayout{.sparse = true, .cap = static_cast<std::uint32_t>(*cap)};
+}
+
+/// Runs `parse` over a non-empty `spec`, naming `field` in its error.
+template <typename Parse>
+void check_spec(std::string_view field, const std::string& spec, Parse parse) {
+  if (spec.empty()) return;
+  try {
+    parse(spec);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("config: " + std::string(field) + ": " + e.what());
+  }
+}
+
+}  // namespace
+
 void validate(const ScenarioConfig& config) {
   if (config.num_clients == 0) throw std::invalid_argument("config: no clients");
   const workload::ClusterSpec& fleet = config.cluster;
@@ -53,6 +90,17 @@ void validate(const ScenarioConfig& config) {
   }
   if (replaying && !config.tenant_spec.empty()) {
     throw std::invalid_argument("config: trace replay conflicts with a tenant mix");
+  }
+  // The specs' grammar, checked here so that --plan rejects what a run
+  // would.
+  check_spec("tenants", config.tenant_spec, workload::parse_tenant_mixes);
+  check_spec("policy", config.policy_spec, ctrl::parse_policy_spec);
+  check_spec("dispatch", config.dispatch_spec, ctrl::parse_dispatch_spec);
+  check_spec("policy-switch", config.policy_switch_spec, ctrl::parse_policy_switch_spec);
+  check_spec("admission", config.admission_override, ctrl::canonical_admission_name);
+  parse_signal_store(config.signal_store);
+  if (!config.stats_spec.empty() && config.stats_spec != "exact" && config.stats_spec != "sketch") {
+    throw std::invalid_argument("config: stats must be exact|sketch");
   }
 }
 
@@ -122,25 +170,10 @@ Resolved resolve(const ScenarioConfig& config, util::Rng dataset_rng, util::Rng 
   // memory problem. The threshold (2^24 pairs = over a GB of entries
   // fleet-wide) keeps every nightly scenario short of mega-fleet on the
   // server-indexed layout.
-  std::uint32_t sparse_cap = 128;
   constexpr std::uint64_t kAutoSparsePairs = 1ull << 24;
   const std::uint64_t pairs = static_cast<std::uint64_t>(num_clients) * num_servers;
-  const std::string& store_spec = config.signal_store;
-  const auto bad_spec = [] {
-    return std::invalid_argument("run_scenario: signal store must be auto|dense|sparse[:CAP]");
-  };
-  if (store_spec.empty() || store_spec == "auto") {
-    plan.sparse_store = pairs > kAutoSparsePairs;
-  } else if (store_spec == "sparse") {
-    plan.sparse_store = true;
-  } else if (store_spec.starts_with("sparse:")) {
-    plan.sparse_store = true;
-    const std::optional<std::uint64_t> cap = util::parse_decimal(store_spec.substr(7));
-    if (!cap || *cap == 0 || *cap > std::numeric_limits<std::uint32_t>::max()) throw bad_spec();
-    sparse_cap = static_cast<std::uint32_t>(*cap);
-  } else if (store_spec != "dense") {
-    throw bad_spec();
-  }
+  const std::optional<SignalStoreLayout> layout = parse_signal_store(config.signal_store);
+  plan.sparse_store = layout ? layout->sparse : pairs > kAutoSparsePairs;
   // Credit pairs are all pinned (per-server bootstrap balances, every
   // pair reported, granted and on the controller's books from the
   // start) unless the sparse store is in use past the auto threshold,
@@ -154,9 +187,6 @@ Resolved resolve(const ScenarioConfig& config, util::Rng dataset_rng, util::Rng 
 
   // --- latency statistics resolution ---
   plan.sketch_stats = config.stats_spec == "sketch";
-  if (!config.stats_spec.empty() && config.stats_spec != "exact" && !plan.sketch_stats) {
-    throw std::invalid_argument("run_scenario: stats must be exact|sketch");
-  }
 
   // --- workload: a replayed trace (a file or an in-memory list) or a
   // generated stream. Replayed tasks are numbered by arrival position,
@@ -247,7 +277,7 @@ Resolved resolve(const ScenarioConfig& config, util::Rng dataset_rng, util::Rng 
   runtime.switch_spec = config.policy_switch_spec;
   runtime.signals.ewma_alpha = config.c3.ewma_alpha;
   runtime.signals.sparse = plan.sparse_store;
-  runtime.signals.sparse_cap = sparse_cap;
+  runtime.signals.sparse_cap = layout ? layout->cap : SignalStoreLayout{}.cap;
   runtime.c3.queue_exponent = config.c3.queue_exponent;
   runtime.c3.num_clients = num_clients;
   runtime.c3.prior_service_time = config.c3.prior_service_time;
@@ -521,7 +551,7 @@ Fleet::Fleet(const FleetSpec& spec, util::Rng network_rng, util::Rng& streams)
   raw_servers.reserve(num_servers);
   for (const auto& s : servers) raw_servers.push_back(s.get());
   if (spec.global_queue) {
-    global_queue = std::make_unique<GlobalQueueModel>(spec.placement, spec.discipline);
+    global_queue = std::make_unique<server::GlobalQueueModel>(spec.placement, spec.discipline);
     global_queue->attach_servers(raw_servers);
   } else {
     for (const auto& s : servers) s->use_private_queue(server::make_discipline(spec.discipline));

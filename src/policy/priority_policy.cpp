@@ -1,6 +1,7 @@
 #include "policy/priority_policy.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <vector>
 
@@ -8,14 +9,27 @@ namespace brb::policy {
 
 namespace {
 
-/// Per-group accumulation without a per-task hash map: pairs are
-/// gathered into a thread-local scratch vector, sorted by group, and
-/// summed per run. Integer sums make the result order-independent.
+/// Per-group accumulation without a per-task hash map: one
+/// thread-local (group, cost) table, cleared for every task. Integer
+/// sums make the result order-independent.
 std::vector<std::pair<store::GroupId, std::int64_t>>& group_scratch() {
   // brblint:allow(BRB-D02): content-free reuse — cleared before every use, only capacity survives
   thread_local std::vector<std::pair<store::GroupId, std::int64_t>> scratch;
   return scratch;
 }
+
+/// The running cost sum of `group` in a small linear-scan table
+/// (tasks touch few distinct groups), appended at zero on first use.
+std::int64_t& group_sum(std::vector<std::pair<store::GroupId, std::int64_t>>& table,
+                        store::GroupId group) {
+  for (auto& entry : table) {
+    if (entry.first == group) return entry.second;
+  }
+  return table.emplace_back(group, 0).second;
+}
+
+/// Indexed by PriorityPolicy::Rule.
+constexpr const char* kRuleNames[] = {"fifo", "equalmax", "unifincr", "request-sjf", "cumslack"};
 
 }  // namespace
 
@@ -53,83 +67,67 @@ void compute_bottleneck(TaskPlan& plan) {
   }
   // Only the max of the per-group sums is needed, and int64 sums are
   // exact in any accumulation order — so skip the sort-and-collapse
-  // pass and accumulate into a small linear-scan table (tasks touch
-  // few distinct groups).
+  // pass and accumulate into the linear-scan table.
   auto& scratch = group_scratch();
   scratch.clear();
   for (const PlannedRequest& request : plan.requests) {
-    std::int64_t* sum = nullptr;
-    for (auto& entry : scratch) {
-      if (entry.first == request.group) {
-        sum = &entry.second;
-        break;
-      }
-    }
-    if (sum == nullptr) {
-      scratch.emplace_back(request.group, 0);
-      sum = &scratch.back().second;
-    }
-    *sum += request.expected_cost.count_nanos();
+    group_sum(scratch, request.group) += request.expected_cost.count_nanos();
   }
   std::int64_t bottleneck = 0;
   for (const auto& [group, cost] : scratch) bottleneck = std::max(bottleneck, cost);
   plan.bottleneck_cost = sim::Duration::nanos(bottleneck);
 }
 
-void FifoPolicy::assign(TaskPlan& plan) const {
-  const auto arrival_ns = static_cast<store::Priority>(plan.arrival.count_nanos());
-  for (PlannedRequest& request : plan.requests) request.priority = arrival_ns;
-}
-
-void EqualMaxPolicy::assign(TaskPlan& plan) const {
-  const auto bottleneck = static_cast<store::Priority>(plan.bottleneck_cost.count_nanos());
-  for (PlannedRequest& request : plan.requests) request.priority = bottleneck;
-}
-
-void UnifIncrPolicy::assign(TaskPlan& plan) const {
+void PriorityPolicy::assign(TaskPlan& plan) const {
   const std::int64_t bottleneck = plan.bottleneck_cost.count_nanos();
-  for (PlannedRequest& request : plan.requests) {
-    const std::int64_t slack = bottleneck - request.expected_cost.count_nanos();
-    request.priority = static_cast<store::Priority>(slack < 0 ? 0 : slack);
-  }
-}
-
-void RequestSjfPolicy::assign(TaskPlan& plan) const {
-  for (PlannedRequest& request : plan.requests) {
-    request.priority = static_cast<store::Priority>(request.expected_cost.count_nanos());
-  }
-}
-
-void CumSlackPolicy::assign(TaskPlan& plan) const {
-  const std::int64_t bottleneck = plan.bottleneck_cost.count_nanos();
-  // Small linear-scan table: tasks touch few distinct groups, and the
-  // running sum must follow request order, so a sort is not an option.
-  auto& running = group_scratch();
-  running.clear();
-  for (PlannedRequest& request : plan.requests) {
-    std::int64_t* cumulative = nullptr;
-    for (auto& entry : running) {
-      if (entry.first == request.group) {
-        cumulative = &entry.second;
-        break;
+  const auto slack_priority = [bottleneck](std::int64_t cost) {
+    const std::int64_t slack = bottleneck - cost;
+    return static_cast<store::Priority>(slack < 0 ? 0 : slack);
+  };
+  switch (rule_) {
+    case Rule::kFifo: {
+      const auto arrival_ns = static_cast<store::Priority>(plan.arrival.count_nanos());
+      for (PlannedRequest& request : plan.requests) request.priority = arrival_ns;
+      return;
+    }
+    case Rule::kEqualMax:
+      for (PlannedRequest& request : plan.requests) {
+        request.priority = static_cast<store::Priority>(bottleneck);
       }
+      return;
+    case Rule::kUnifIncr:
+      for (PlannedRequest& request : plan.requests) {
+        request.priority = slack_priority(request.expected_cost.count_nanos());
+      }
+      return;
+    case Rule::kRequestSjf:
+      for (PlannedRequest& request : plan.requests) {
+        request.priority = static_cast<store::Priority>(request.expected_cost.count_nanos());
+      }
+      return;
+    case Rule::kCumSlack: {
+      // The running sum must follow request order, so a sort is not an
+      // option.
+      auto& running = group_scratch();
+      running.clear();
+      for (PlannedRequest& request : plan.requests) {
+        std::int64_t& cumulative = group_sum(running, request.group);
+        cumulative += request.expected_cost.count_nanos();
+        request.priority = slack_priority(cumulative);
+      }
+      return;
     }
-    if (cumulative == nullptr) {
-      running.emplace_back(request.group, 0);
-      cumulative = &running.back().second;
-    }
-    *cumulative += request.expected_cost.count_nanos();
-    const std::int64_t slack = bottleneck - *cumulative;
-    request.priority = static_cast<store::Priority>(slack < 0 ? 0 : slack);
   }
 }
+
+std::string PriorityPolicy::name() const { return kRuleNames[static_cast<int>(rule_)]; }
 
 std::unique_ptr<PriorityPolicy> make_priority_policy(const std::string& name) {
-  if (name == "fifo") return std::make_unique<FifoPolicy>();
-  if (name == "equalmax") return std::make_unique<EqualMaxPolicy>();
-  if (name == "unifincr") return std::make_unique<UnifIncrPolicy>();
-  if (name == "request-sjf") return std::make_unique<RequestSjfPolicy>();
-  if (name == "cumslack") return std::make_unique<CumSlackPolicy>();
+  for (int rule = 0; rule < static_cast<int>(std::size(kRuleNames)); ++rule) {
+    if (name == kRuleNames[rule]) {
+      return std::make_unique<PriorityPolicy>(static_cast<PriorityPolicy::Rule>(rule));
+    }
+  }
   throw std::invalid_argument("make_priority_policy: unknown policy: " + name);
 }
 

@@ -59,60 +59,47 @@ void compute_bottleneck(TaskPlan& plan);
 /// between the two; integer sums keep the result order-independent.
 void collapse_group_costs(std::vector<std::pair<store::GroupId, std::int64_t>>& pairs);
 
+/// Stamps every request of a task with its priority under one fixed
+/// rule.
 class PriorityPolicy {
  public:
-  virtual ~PriorityPolicy() = default;
+  enum class Rule {
+    /// Task-oblivious: FIFO by task arrival time.
+    kFifo,
+    /// BRB EqualMax (paper 2.1).
+    kEqualMax,
+    /// BRB UnifIncr (paper 2.1).
+    kUnifIncr,
+    /// Per-request SJF (ablation): priority = own expected cost,
+    /// ignoring task structure. Separates "size-aware" from
+    /// "task-aware" gains.
+    kRequestSjf,
+    /// CumSlack (this reproduction's extension of UnifIncr): requests
+    /// in one sub-task serialize at their replica, so the slack of
+    /// request i is really the bottleneck cost minus the *cumulative*
+    /// cost of its sub-task up to and including i — the last request
+    /// of the bottleneck sub-task has exactly zero slack, and earlier
+    /// siblings inherit the serialization they impose on later ones.
+    /// UnifIncr approximates this with the per-request cost alone
+    /// (paper 2.1); CumSlack computes it exactly. Requests within a
+    /// sub-task accumulate in plan order, which is the order the
+    /// client transmits them.
+    kCumSlack,
+  };
+
+  explicit PriorityPolicy(Rule rule) : rule_(rule) {}
 
   /// Stamps request.priority for every request in the plan.
-  virtual void assign(TaskPlan& plan) const = 0;
+  void assign(TaskPlan& plan) const;
 
-  virtual std::string name() const = 0;
+  /// "fifo", "equalmax", "unifincr", "request-sjf" or "cumslack".
+  std::string name() const;
+
+ private:
+  Rule rule_;
 };
 
-/// Task-oblivious: FIFO by task arrival time.
-class FifoPolicy final : public PriorityPolicy {
- public:
-  void assign(TaskPlan& plan) const override;
-  std::string name() const override { return "fifo"; }
-};
-
-/// BRB EqualMax (paper 2.1).
-class EqualMaxPolicy final : public PriorityPolicy {
- public:
-  void assign(TaskPlan& plan) const override;
-  std::string name() const override { return "equalmax"; }
-};
-
-/// BRB UnifIncr (paper 2.1).
-class UnifIncrPolicy final : public PriorityPolicy {
- public:
-  void assign(TaskPlan& plan) const override;
-  std::string name() const override { return "unifincr"; }
-};
-
-/// Per-request SJF (ablation): priority = own expected cost, ignoring
-/// task structure. Separates "size-aware" from "task-aware" gains.
-class RequestSjfPolicy final : public PriorityPolicy {
- public:
-  void assign(TaskPlan& plan) const override;
-  std::string name() const override { return "request-sjf"; }
-};
-
-/// CumSlack (this reproduction's extension of UnifIncr): requests in
-/// one sub-task serialize at their replica, so the slack of request i
-/// is really the bottleneck cost minus the *cumulative* cost of its
-/// sub-task up to and including i — the last request of the bottleneck
-/// sub-task has exactly zero slack, and earlier siblings inherit the
-/// serialization they impose on later ones. UnifIncr approximates this
-/// with the per-request cost alone (paper 2.1); CumSlack computes it
-/// exactly. Requests within a sub-task accumulate in plan order, which
-/// is the order the client transmits them.
-class CumSlackPolicy final : public PriorityPolicy {
- public:
-  void assign(TaskPlan& plan) const override;
-  std::string name() const override { return "cumslack"; }
-};
-
+/// The policy `name()` names; throws std::invalid_argument otherwise.
 std::unique_ptr<PriorityPolicy> make_priority_policy(const std::string& name);
 
 }  // namespace brb::policy

@@ -43,13 +43,13 @@ void BackendServer::receive(const store::ReadRequest& request) {
 }
 
 void BackendServer::pump() {
-  if (!queue_ && source_ == nullptr) {
-    throw std::logic_error("BackendServer::pump: no work source");
+  if (!queue_ && global_queue_ == nullptr) {
+    throw std::logic_error("BackendServer::pump: no queue");
   }
   bool pulled = false;
   while (!idle_.empty()) {
     std::optional<QueuedRead> read =
-        queue_ ? server::pop(*queue_) : source_->next_for(config_.id);
+        queue_ ? server::pop(*queue_) : global_queue_->next_for(config_.id);
     if (!read) break;
     pulled = true;
     start_service(read->request);

@@ -4,7 +4,7 @@
 // work. In the normal (decentralized) configuration the server owns a
 // private queue discipline; in the paper's ideal "model" configuration
 // all servers share the global priority queue and work-pull from it
-// (see core/global_queue.hpp).
+// (see server/global_queue.hpp).
 //
 // Every response piggybacks load feedback (queue length and an EWMA of
 // the observed service rate) — the signal C3 consumes; BRB is free to
@@ -16,6 +16,7 @@
 #include <optional>
 #include <vector>
 
+#include "server/global_queue.hpp"
 #include "server/queue_discipline.hpp"
 #include "server/service_model.hpp"
 #include "sim/simulator.hpp"
@@ -24,20 +25,6 @@
 #include "util/rng.hpp"
 
 namespace brb::server {
-
-/// Where an idle core of a server without a private queue looks for
-/// its next request: the seam to `core::GlobalQueueModel`, which keeps
-/// `server/` independent of `core/`.
-class WorkSource {
- public:
-  virtual ~WorkSource() = default;
-
-  /// Next request this server may serve, if any.
-  virtual std::optional<QueuedRead> next_for(store::ServerId server) = 0;
-
-  /// Requests currently waiting that this server could serve.
-  virtual std::size_t backlog(store::ServerId server) const = 0;
-};
 
 /// Cumulative per-server counters for reports and tests.
 struct ServerStats {
@@ -68,7 +55,7 @@ class BackendServer {
   void use_private_queue(QueueDiscipline discipline) { queue_ = std::move(discipline); }
   /// Attaches the ideal model's shared global queue instead; the
   /// server then only work-pulls. A private queue takes precedence.
-  void set_work_source(WorkSource& source) { source_ = &source; }
+  void set_global_queue(GlobalQueueModel& queue) { global_queue_ = &queue; }
   void set_response_handler(ResponseHandler handler) { on_response_ = std::move(handler); }
 
   /// Incremental backlog watch: `fn(over)` fires when the private
@@ -100,7 +87,7 @@ class BackendServer {
   /// Delivery of a read request from the network (private-queue mode).
   void receive(const store::ReadRequest& request);
 
-  /// Makes idle cores pull work; called by the work source when new
+  /// Makes idle cores pull work; called by the global queue when new
   /// work arrives that this server could serve.
   void pump();
 
@@ -114,7 +101,9 @@ class BackendServer {
   /// Queue length advertised in feedback (waiting requests only).
   std::uint32_t queue_length() const {
     if (queue_) return static_cast<std::uint32_t>(server::size(*queue_));
-    return source_ == nullptr ? 0 : static_cast<std::uint32_t>(source_->backlog(config_.id));
+    return global_queue_ == nullptr
+               ? 0
+               : static_cast<std::uint32_t>(global_queue_->backlog(config_.id));
   }
 
   const ServerStats& stats() const noexcept { return stats_; }
@@ -149,8 +138,8 @@ class BackendServer {
   Config config_;
   const ServiceTimeModel* service_model_;
   util::Rng rng_;
-  std::optional<QueueDiscipline> queue_;  // private-queue mode
-  WorkSource* source_ = nullptr;          // global-queue mode
+  std::optional<QueueDiscipline> queue_;      // private-queue mode
+  GlobalQueueModel* global_queue_ = nullptr;  // global-queue mode
   ResponseHandler on_response_;
   ServiceFilterFn service_filter_;
   QueueWatchFn queue_watch_;

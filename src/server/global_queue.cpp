@@ -1,13 +1,15 @@
-#include "core/global_queue.hpp"
+#include "server/global_queue.hpp"
 
 #include <stdexcept>
 
-namespace brb::core {
+#include "server/backend_server.hpp"
+
+namespace brb::server {
 
 GlobalQueueModel::GlobalQueueModel(const store::RingPartitioner& partitioner,
                                    std::string_view discipline)
     : partitioner_(&partitioner),
-      empty_queue_(server::make_discipline(discipline)),
+      empty_queue_(make_discipline(discipline)),
       group_queues_(partitioner_->num_groups(), empty_queue_) {
   const std::uint32_t num_groups = partitioner_->num_groups();
 
@@ -22,20 +24,20 @@ GlobalQueueModel::GlobalQueueModel(const store::RingPartitioner& partitioner,
   }
 }
 
-void GlobalQueueModel::attach_servers(std::vector<server::BackendServer*> servers) {
+void GlobalQueueModel::attach_servers(std::vector<BackendServer*> servers) {
   servers_ = std::move(servers);
-  for (server::BackendServer* server : servers_) {
+  for (BackendServer* server : servers_) {
     if (server == nullptr) throw std::invalid_argument("GlobalQueueModel: null server");
-    server->set_work_source(*this);
+    server->set_global_queue(*this);
   }
 }
 
-void GlobalQueueModel::submit(server::QueuedRead read, store::GroupId group) {
+void GlobalQueueModel::submit(QueuedRead read, store::GroupId group) {
   if (group >= group_queues_.size()) {
     throw std::out_of_range("GlobalQueueModel::submit: bad group");
   }
   read.submit_seq = next_submit_seq_++;
-  server::push(group_queues_[group], std::move(read));
+  push(group_queues_[group], std::move(read));
   ++total_queued_;
 
   // Work-pull: wake an idle replica of this group (the queue "knows"
@@ -48,25 +50,25 @@ void GlobalQueueModel::submit(server::QueuedRead read, store::GroupId group) {
   }
 }
 
-void GlobalQueueModel::submit_pinned(server::QueuedRead read, store::ServerId server) {
+void GlobalQueueModel::submit_pinned(QueuedRead read, store::ServerId server) {
   if (server >= groups_of_.size()) {
     throw std::out_of_range("GlobalQueueModel::submit_pinned: bad server");
   }
   if (pinned_queues_.empty()) pinned_queues_.assign(groups_of_.size(), empty_queue_);
   read.submit_seq = next_submit_seq_++;
-  server::push(pinned_queues_[server], std::move(read));
+  push(pinned_queues_[server], std::move(read));
   ++total_queued_;
   if (server < servers_.size() && servers_[server]->idle_cores() > 0) {
     servers_[server]->pump();
   }
 }
 
-std::optional<server::QueuedRead> GlobalQueueModel::next_for(store::ServerId server) {
+std::optional<QueuedRead> GlobalQueueModel::next_for(store::ServerId server) {
   if (server >= groups_of_.size()) return std::nullopt;
-  server::QueueDiscipline* best_queue = nullptr;
-  server::QueueHead best_head{};
-  const auto consider = [&](server::QueueDiscipline& queue) {
-    const auto head = server::peek(queue);
+  QueueDiscipline* best_queue = nullptr;
+  QueueHead best_head{};
+  const auto consider = [&](QueueDiscipline& queue) {
+    const auto head = peek(queue);
     if (!head) return;
     const bool wins = best_queue == nullptr || head->priority < best_head.priority ||
                       (head->priority == best_head.priority &&
@@ -79,7 +81,7 @@ std::optional<server::QueuedRead> GlobalQueueModel::next_for(store::ServerId ser
   for (const store::GroupId g : groups_of_[server]) consider(group_queues_[g]);
   if (server < pinned_queues_.size()) consider(pinned_queues_[server]);
   if (best_queue == nullptr) return std::nullopt;
-  auto read = server::pop(*best_queue);
+  auto read = pop(*best_queue);
   if (read) --total_queued_;
   return read;
 }
@@ -87,9 +89,9 @@ std::optional<server::QueuedRead> GlobalQueueModel::next_for(store::ServerId ser
 std::size_t GlobalQueueModel::backlog(store::ServerId server) const {
   if (server >= groups_of_.size()) return 0;
   std::size_t total = 0;
-  for (const store::GroupId g : groups_of_[server]) total += server::size(group_queues_[g]);
-  if (server < pinned_queues_.size()) total += server::size(pinned_queues_[server]);
+  for (const store::GroupId g : groups_of_[server]) total += size(group_queues_[g]);
+  if (server < pinned_queues_.size()) total += size(pinned_queues_[server]);
   return total;
 }
 
-}  // namespace brb::core
+}  // namespace brb::server

@@ -16,17 +16,19 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
-#include "server/backend_server.hpp"
 #include "server/queue_discipline.hpp"
 #include "store/partitioner.hpp"
 #include "store/types.hpp"
 
-namespace brb::core {
+namespace brb::server {
 
-class GlobalQueueModel final : public server::WorkSource {
+class BackendServer;
+
+class GlobalQueueModel {
  public:
   /// `discipline` names the per-group queue order — "priority" for
   /// BRB-model, "fifo" for the task-oblivious ideal ablation.
@@ -34,22 +36,25 @@ class GlobalQueueModel final : public server::WorkSource {
 
   /// Registers the serving fleet; must cover every ServerId the
   /// partitioner references.
-  void attach_servers(std::vector<server::BackendServer*> servers);
+  void attach_servers(std::vector<BackendServer*> servers);
 
   /// A request reaches the (logically centralized) queue. Stamps the
   /// global submission sequence and immediately offers work to an idle
   /// replica if one exists.
-  void submit(server::QueuedRead read, store::GroupId group);
+  void submit(QueuedRead read, store::GroupId group);
 
   /// A request bound to one specific server (a write: every replica
   /// must execute its own copy, so the work cannot float freely within
   /// the group). Pinned requests compete with group-queue work by the
   /// same (priority, submission order) total order.
-  void submit_pinned(server::QueuedRead read, store::ServerId server);
+  void submit_pinned(QueuedRead read, store::ServerId server);
 
-  // WorkSource interface (invoked by idle servers work-pulling).
-  std::optional<server::QueuedRead> next_for(store::ServerId server) override;
-  std::size_t backlog(store::ServerId server) const override;
+  /// Next request `server` may serve, if any (an idle core's
+  /// work-pull).
+  std::optional<QueuedRead> next_for(store::ServerId server);
+
+  /// Requests currently waiting that `server` could serve.
+  std::size_t backlog(store::ServerId server) const;
 
   /// Total queued requests across all groups.
   std::size_t total_backlog() const noexcept { return total_queued_; }
@@ -57,16 +62,16 @@ class GlobalQueueModel final : public server::WorkSource {
  private:
   const store::RingPartitioner* partitioner_;
   /// An empty queue of the configured discipline, copied per queue.
-  const server::QueueDiscipline empty_queue_;
-  std::vector<server::QueueDiscipline> group_queues_;
+  const QueueDiscipline empty_queue_;
+  std::vector<QueueDiscipline> group_queues_;
   /// pinned_queues_[s] = server-bound requests (writes); created at the
   /// first pinned submit so read-only runs pay nothing.
-  std::vector<server::QueueDiscipline> pinned_queues_;
+  std::vector<QueueDiscipline> pinned_queues_;
   /// groups_of_[s] = replica groups server s participates in.
   std::vector<std::vector<store::GroupId>> groups_of_;
-  std::vector<server::BackendServer*> servers_;
+  std::vector<BackendServer*> servers_;
   std::uint64_t next_submit_seq_ = 0;
   std::size_t total_queued_ = 0;
 };
 
-}  // namespace brb::core
+}  // namespace brb::server

@@ -3,7 +3,6 @@
 #include "client/app_client.hpp"
 #include "core/arrival_pump.hpp"
 #include "core/credits.hpp"
-#include "core/global_queue.hpp"
 #include "ctrl/policy_runtime.hpp"
 #include "server/backend_server.hpp"
 
@@ -56,7 +55,7 @@ void Simulator::dispatch(const Event& event) {
       // Writes are pinned to their replica: each copy must execute on
       // its own server, so it may not float freely within the group.
       const net::Message& message = messages_[arg];
-      auto& queue = actor<core::GlobalQueueModel>(target);
+      auto& queue = actor<server::GlobalQueueModel>(target);
       const server::QueuedRead read{message.request, now_};
       if (message.request.is_write) {
         queue.submit_pinned(read, message.server);

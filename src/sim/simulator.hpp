@@ -1,6 +1,6 @@
 // The discrete-event simulation core.
 //
-// A `Simulator` owns the virtual clock, the pending-event set and the
+// A `Simulator` owns the simulated clock, the pending-event set and the
 // run's network message pool. Components post typed event records
 // (sim/event_queue.hpp) at absolute or relative times; `run()` pops
 // one event at a time in (time, scheduling-order) sequence and

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <system_error>
 
@@ -105,6 +106,12 @@ std::uint64_t parse_spec_count(std::string_view field, std::string_view spec, st
                                 "' is not a whole number in [0, " + std::to_string(max) + "]");
   }
   return static_cast<std::uint64_t>(value);
+}
+
+ModelSpec::ModelSpec(std::string_view spec, std::string_view who) : spec_(spec) {
+  std::stringstream ss(spec_);
+  for (std::string part; std::getline(ss, part, ':');) parts_.push_back(part);
+  if (parts_.empty()) throw std::invalid_argument(std::string(who) + ": empty spec");
 }
 
 std::optional<std::string> Flags::get(std::string_view name) const {

@@ -8,10 +8,12 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace brb::util {
@@ -86,6 +88,36 @@ double parse_spec_number(std::string_view field, std::string_view spec);
 /// parse_spec_number for a count: a whole number in [0, max] ("100000",
 /// "1e5"; not "1e5x", "2.5" or "-1").
 std::uint64_t parse_spec_count(std::string_view field, std::string_view spec, std::uint64_t max);
+
+/// A model spec "NAME:ARG:..." split on ':', as the workload factories
+/// (make_key_distribution, make_size_distribution, ...) read it. Its
+/// arguments parse through parse_spec_number and parse_spec_count.
+class ModelSpec {
+ public:
+  /// Throws std::invalid_argument "WHO: empty spec" for an empty spec.
+  ModelSpec(std::string_view spec, std::string_view who);
+
+  const std::string& name() const noexcept { return parts_.front(); }
+  std::size_t size() const noexcept { return parts_.size(); }
+  const std::string& operator[](std::size_t i) const { return parts_.at(i); }
+  /// Argument i as a number; it must be present.
+  double number(std::size_t i) const { return parse_spec_number(parts_.at(i), spec_); }
+  /// Argument i as a number, or `fallback` when the spec stops before it.
+  double number_or(std::size_t i, double fallback) const {
+    return i < parts_.size() ? number(i) : fallback;
+  }
+  /// Argument i as a whole number in [0, max], or `fallback` when the
+  /// spec stops before it.
+  template <typename T = std::uint32_t>
+  T count_or(std::size_t i, std::type_identity_t<T> fallback,
+             std::uint64_t max = std::numeric_limits<T>::max()) const {
+    return i < parts_.size() ? static_cast<T>(parse_spec_count(parts_[i], spec_, max)) : fallback;
+  }
+
+ private:
+  std::string spec_;
+  std::vector<std::string> parts_;
+};
 
 /// Damerau-ish edit distance for did-you-mean hints (insert, delete,
 /// substitute; no transposition). Exposed for tests.

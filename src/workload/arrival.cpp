@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/flags.hpp"
 
@@ -97,29 +96,26 @@ std::unique_ptr<ArrivalProcess> make_arrival_process(const std::string& spec,
   }
   if (spec == "paced") return std::make_unique<PacedArrivals>(rate_per_sec);
 
-  std::vector<std::string> parts;
-  std::stringstream ss(spec);
-  for (std::string part; std::getline(ss, part, ':');) parts.push_back(part);
-  const auto number = [&](std::size_t i) { return util::parse_spec_number(parts.at(i), spec); };
-  if (parts[0] == "diurnal") {
+  const util::ModelSpec parts(spec, "make_arrival_process");
+  if (parts.name() == "diurnal") {
     if (parts.size() != 4) {
       throw std::invalid_argument("make_arrival_process: expected diurnal:LOW:HIGH:PERIOD_S");
     }
     return std::make_unique<ModulatedArrivals>(
-        rate_per_sec, ModulatedArrivals::Envelope::diurnal(number(1), number(2), number(3)));
+        rate_per_sec,
+        ModulatedArrivals::Envelope::diurnal(parts.number(1), parts.number(2), parts.number(3)));
   }
-  if (parts[0] == "steps") {
+  if (parts.name() == "steps") {
     if (parts.size() != 3) {
       throw std::invalid_argument("make_arrival_process: expected steps:M1,M2,...:PERIOD_S");
     }
     std::vector<double> multipliers;
-    std::stringstream ms(parts[1]);
-    for (std::string m; std::getline(ms, m, ',');) {
-      if (!m.empty()) multipliers.push_back(util::parse_spec_number(m, spec));
+    for (const std::string& m : util::split_list(parts[1])) {
+      multipliers.push_back(util::parse_spec_number(m, spec));
     }
     return std::make_unique<ModulatedArrivals>(
         rate_per_sec,
-        ModulatedArrivals::Envelope::piecewise(std::move(multipliers), number(2)));
+        ModulatedArrivals::Envelope::piecewise(std::move(multipliers), parts.number(2)));
   }
   throw std::invalid_argument("make_arrival_process: unknown arrival spec '" + spec + "'");
 }

@@ -2,23 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <sstream>
 #include <vector>
 
 #include "util/flags.hpp"
 
 namespace brb::workload {
 
-FixedFanout::FixedFanout(std::uint32_t n) : n_(n) {
-  if (n_ == 0) throw std::invalid_argument("FixedFanout: n == 0");
+FanoutDistribution FanoutDistribution::fixed(std::uint32_t n) {
+  if (n == 0) throw std::invalid_argument("FanoutDistribution: n == 0");
+  return FanoutDistribution(Kind::kFixed, n, static_cast<double>(n));
 }
 
-GeometricFanout::GeometricFanout(double mean) : mean_(mean) {
-  if (mean_ < 1.0) throw std::invalid_argument("GeometricFanout: mean < 1");
+FanoutDistribution FanoutDistribution::geometric(double mean) {
+  if (mean < 1.0) throw std::invalid_argument("FanoutDistribution: mean < 1");
+  FanoutDistribution f(Kind::kGeometric, 0, mean);
   // X = 1 + G where G ~ Geometric(p) counts failures before success:
   // E[X] = 1 + (1-p)/p  =>  p = 1 / mean.
-  p_ = 1.0 / mean_;
+  f.p_ = 1.0 / mean;
+  return f;
 }
 
 namespace {
@@ -71,15 +72,11 @@ double discretized_mean(const GaussianWeights& g, double mu, double sigma, std::
 
 }  // namespace
 
-LogNormalFanout::LogNormalFanout(double mu, double sigma, std::uint32_t cap)
-    : mu_(mu), sigma_(sigma), cap_(cap) {
-  if (sigma_ <= 0.0) throw std::invalid_argument("LogNormalFanout: sigma <= 0");
-  if (cap_ == 0) throw std::invalid_argument("LogNormalFanout: cap == 0");
-  mean_ = discretized_mean(gaussian_weights(), mu_, sigma_, cap_);
-}
-
-LogNormalFanout LogNormalFanout::for_mean(double target_mean, double sigma, std::uint32_t cap) {
-  if (target_mean < 1.0) throw std::invalid_argument("LogNormalFanout: target mean < 1");
+FanoutDistribution FanoutDistribution::lognormal_for_mean(double target_mean, double sigma,
+                                                          std::uint32_t cap) {
+  if (target_mean < 1.0) throw std::invalid_argument("FanoutDistribution: target mean < 1");
+  if (sigma <= 0.0) throw std::invalid_argument("FanoutDistribution: sigma <= 0");
+  if (cap == 0) throw std::invalid_argument("FanoutDistribution: cap == 0");
   // Bisection on mu; the discretized mean is monotone in mu. A step
   // that leaves the bracket unchanged would repeat itself every
   // remaining step, so stopping there returns what 80 steps would. It
@@ -95,34 +92,27 @@ LogNormalFanout LogNormalFanout::for_mean(double target_mean, double sigma, std:
     if (end == mid) break;
     end = mid;
   }
-  return LogNormalFanout(0.5 * (lo + hi), sigma, cap);
+  const double mu = 0.5 * (lo + hi);
+  FanoutDistribution f(Kind::kLogNormal, cap, discretized_mean(weights, mu, sigma, cap));
+  f.mu_ = mu;
+  f.sigma_ = sigma;
+  return f;
 }
 
 std::unique_ptr<FanoutDistribution> make_fanout_distribution(const std::string& spec) {
-  std::vector<std::string> parts;
-  std::stringstream ss(spec);
-  for (std::string item; std::getline(ss, item, ':');) parts.push_back(item);
-  if (parts.empty()) throw std::invalid_argument("make_fanout_distribution: empty spec");
-  const auto arg = [&](std::size_t i, double fallback) {
-    return parts.size() > i ? util::parse_spec_number(parts[i], spec) : fallback;
-  };
-  const auto count = [&](std::size_t i, std::uint32_t fallback) {
-    return parts.size() > i ? static_cast<std::uint32_t>(util::parse_spec_count(
-                                  parts[i], spec, std::numeric_limits<std::uint32_t>::max()))
-                            : fallback;
-  };
-  const std::string& kind = parts[0];
-  if (kind == "fixed") {
-    return std::make_unique<FixedFanout>(count(1, 8));
+  const util::ModelSpec parts(spec, "make_fanout_distribution");
+  if (parts.name() == "fixed") {
+    return std::make_unique<FanoutDistribution>(FanoutDistribution::fixed(parts.count_or(1, 8)));
   }
-  if (kind == "geometric") {
-    return std::make_unique<GeometricFanout>(arg(1, 8.6));
+  if (parts.name() == "geometric") {
+    return std::make_unique<FanoutDistribution>(
+        FanoutDistribution::geometric(parts.number_or(1, 8.6)));
   }
-  if (kind == "lognormal") {
-    return std::make_unique<LogNormalFanout>(
-        LogNormalFanout::for_mean(arg(1, 8.6), arg(2, 0.8), count(3, 1024)));
+  if (parts.name() == "lognormal") {
+    return std::make_unique<FanoutDistribution>(FanoutDistribution::lognormal_for_mean(
+        parts.number_or(1, 8.6), parts.number_or(2, 0.8), parts.count_or(3, 1024)));
   }
-  throw std::invalid_argument("make_fanout_distribution: unknown kind: " + kind);
+  throw std::invalid_argument("make_fanout_distribution: unknown kind: " + parts.name());
 }
 
 }  // namespace brb::workload

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -17,77 +18,54 @@
 
 namespace brb::workload {
 
+/// One fan-out law, its kind fixed at construction.
 class FanoutDistribution {
  public:
-  virtual ~FanoutDistribution() = default;
+  /// Every task has exactly `n` requests.
+  static FanoutDistribution fixed(std::uint32_t n);
+  /// 1 + Geometric: support {1, 2, ...}, mean = 1 + (1-p)/p, built
+  /// from the target mean (>= 1).
+  static FanoutDistribution geometric(double mean);
+  /// Discretized log-normal clamped to [1, cap]: round(exp(N(mu,
+  /// sigma))), with mu solved (bisection at construction) so that the
+  /// discretized, clamped mean hits `target_mean`.
+  static FanoutDistribution lognormal_for_mean(double target_mean, double sigma = 0.8,
+                                               std::uint32_t cap = 1024);
 
   /// Number of requests in one task; always >= 1.
-  virtual std::uint32_t sample(util::Rng& rng) const = 0;
-
-  /// Mean fan-out (analytic or numerically derived at construction).
-  virtual double mean() const = 0;
-};
-
-/// Every task has exactly `n` requests.
-class FixedFanout final : public FanoutDistribution {
- public:
-  explicit FixedFanout(std::uint32_t n);
-
-  std::uint32_t sample(util::Rng&) const override { return n_; }
-  double mean() const override { return static_cast<double>(n_); }
-
- private:
-  std::uint32_t n_;
-};
-
-/// 1 + Geometric: support {1, 2, ...}, mean = 1 + (1-p)/p.
-class GeometricFanout final : public FanoutDistribution {
- public:
-  /// Constructs with the target mean (>= 1).
-  explicit GeometricFanout(double mean);
-
-  std::uint32_t sample(util::Rng& rng) const override {
-    if (p_ >= 1.0) return 1;
-    double u = rng.uniform();
-    if (u <= 0.0) u = 1e-300;
-    const double g = std::floor(std::log(u) / std::log(1.0 - p_));
-    const double value = 1.0 + std::max(0.0, g);
-    return value > 4096.0 ? 4096u : static_cast<std::uint32_t>(value);
-  }
-  double mean() const override { return mean_; }
-
- private:
-  double mean_;
-  double p_;  // success probability of the underlying geometric
-};
-
-/// Discretized log-normal clamped to [1, cap]: round(exp(N(mu, sigma))).
-/// `for_mean` solves for mu so the discretized, clamped mean hits the
-/// target (bisection at construction).
-class LogNormalFanout final : public FanoutDistribution {
- public:
-  LogNormalFanout(double mu, double sigma, std::uint32_t cap);
-
-  /// Factory calibrated so that mean() == target_mean.
-  static LogNormalFanout for_mean(double target_mean, double sigma = 0.8,
-                                  std::uint32_t cap = 1024);
-
-  std::uint32_t sample(util::Rng& rng) const override {
+  std::uint32_t sample(util::Rng& rng) const {
+    if (kind_ == Kind::kFixed) return n_;
+    if (kind_ == Kind::kGeometric) {
+      if (p_ >= 1.0) return 1;
+      double u = rng.uniform();
+      if (u <= 0.0) u = 1e-300;
+      const double g = std::floor(std::log(u) / std::log(1.0 - p_));
+      const double value = 1.0 + std::max(0.0, g);
+      return value > 4096.0 ? 4096u : static_cast<std::uint32_t>(value);
+    }
     const double v = std::round(rng.lognormal(mu_, sigma_));
     if (v < 1.0) return 1;
-    if (v > static_cast<double>(cap_)) return cap_;
+    if (v > static_cast<double>(n_)) return n_;
     return static_cast<std::uint32_t>(v);
   }
-  double mean() const override { return mean_; }
 
+  /// Mean fan-out (analytic or numerically derived at construction).
+  double mean() const noexcept { return mean_; }
   double mu() const noexcept { return mu_; }
   double sigma() const noexcept { return sigma_; }
 
  private:
-  double mu_;
-  double sigma_;
-  std::uint32_t cap_;
+  enum class Kind { kFixed, kGeometric, kLogNormal };
+
+  FanoutDistribution(Kind kind, std::uint32_t n, double mean)
+      : kind_(kind), n_(n), mean_(mean) {}
+
+  Kind kind_;
+  std::uint32_t n_;  // kFixed: the fan-out; kLogNormal: the cap
   double mean_;
+  double p_ = 0.0;  // kGeometric: success probability of the geometric
+  double mu_ = 0.0;  // kLogNormal
+  double sigma_ = 0.0;
 };
 
 /// Parses "fixed:N", "geometric:MEAN", "lognormal:MEAN[:SIGMA[:CAP]]".

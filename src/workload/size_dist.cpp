@@ -2,21 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <sstream>
-#include <vector>
 
 #include "util/flags.hpp"
 
 namespace brb::workload {
 
 namespace {
-
-std::uint32_t clamp_size(double v, std::uint32_t cap) {
-  if (v < 1.0) return 1;
-  if (v > static_cast<double>(cap)) return cap;
-  return static_cast<std::uint32_t>(v);
-}
 
 /// Mean of min(max(X,1),cap) estimated by quadrature over the quantile
 /// function: E[g(X)] = integral_0^1 g(Q(u)) du. 64k panels of midpoint
@@ -27,61 +18,66 @@ double truncated_mean(QuantileFn q, std::uint32_t cap) {
   double acc = 0.0;
   for (int i = 0; i < kPanels; ++i) {
     const double u = (static_cast<double>(i) + 0.5) / kPanels;
-    acc += static_cast<double>(clamp_size(q(u), cap));
+    acc += static_cast<double>(SizeDistribution::clamp_size(q(u), cap));
   }
   return acc / kPanels;
 }
 
 }  // namespace
 
-GeneralizedParetoSizeDist::GeneralizedParetoSizeDist(double location, double scale, double shape,
-                                                     std::uint32_t cap)
-    : location_(location), scale_(scale), shape_(shape), cap_(cap) {
-  if (scale_ <= 0.0) throw std::invalid_argument("GeneralizedParetoSizeDist: scale <= 0");
-  if (cap_ < 1) throw std::invalid_argument("GeneralizedParetoSizeDist: cap < 1");
-  const auto quantile = [this](double u) {
+SizeDistribution SizeDistribution::generalized_pareto(double location, double scale, double shape,
+                                                      std::uint32_t cap) {
+  if (scale <= 0.0) throw std::invalid_argument("SizeDistribution: scale <= 0");
+  if (cap < 1) throw std::invalid_argument("SizeDistribution: cap < 1");
+  SizeDistribution d(Kind::kGeneralizedPareto, cap);
+  d.location_ = location;
+  d.scale_ = scale;
+  d.shape_ = shape;
+  const auto quantile = [&](double u) {
     // Inverse CDF with survival s = 1-u.
     const double s = 1.0 - u;
-    if (std::abs(shape_) < 1e-12) return location_ - scale_ * std::log(s);
-    return location_ + scale_ * (std::pow(s, -shape_) - 1.0) / shape_;
+    if (std::abs(shape) < 1e-12) return location - scale * std::log(s);
+    return location + scale * (std::pow(s, -shape) - 1.0) / shape;
   };
-  mean_ = truncated_mean(quantile, cap_);
+  d.mean_ = truncated_mean(quantile, cap);
+  return d;
 }
 
-double GeneralizedParetoSizeDist::mean() const { return mean_; }
-
-FixedSizeDist::FixedSizeDist(std::uint32_t size) : size_(size) {
-  if (size_ == 0) throw std::invalid_argument("FixedSizeDist: size == 0");
+SizeDistribution SizeDistribution::fixed(std::uint32_t size) {
+  if (size == 0) throw std::invalid_argument("SizeDistribution: size == 0");
+  SizeDistribution d(Kind::kFixed, size);
+  d.mean_ = static_cast<double>(size);
+  return d;
 }
 
-BoundedParetoSizeDist::BoundedParetoSizeDist(double shape, std::uint32_t lo, std::uint32_t hi)
-    : shape_(shape), lo_(lo), hi_(hi) {
-  if (shape_ <= 0.0) throw std::invalid_argument("BoundedParetoSizeDist: shape <= 0");
-  if (lo_ == 0 || lo_ >= hi_) throw std::invalid_argument("BoundedParetoSizeDist: need 0 < lo < hi");
-}
-
-std::uint32_t BoundedParetoSizeDist::sample(util::Rng& rng) const {
-  return clamp_size(rng.bounded_pareto(shape_, lo_, hi_), hi_);
-}
-
-double BoundedParetoSizeDist::mean() const {
-  const double a = shape_;
-  const double l = lo_;
-  const double h = hi_;
+SizeDistribution SizeDistribution::bounded_pareto(double shape, std::uint32_t lo,
+                                                  std::uint32_t hi) {
+  if (shape <= 0.0) throw std::invalid_argument("SizeDistribution: shape <= 0");
+  if (lo == 0 || lo >= hi) throw std::invalid_argument("SizeDistribution: need 0 < lo < hi");
+  SizeDistribution d(Kind::kBoundedPareto, hi);
+  d.lo_ = lo;
+  d.shape_ = shape;
+  const double a = shape;
+  const double l = lo;
+  const double h = hi;
   if (std::abs(a - 1.0) < 1e-12) {
-    return (l * h) / (h - l) * std::log(h / l);
+    d.mean_ = (l * h) / (h - l) * std::log(h / l);
+    return d;
   }
   const double la = std::pow(l, a);
   const double ha = std::pow(h, a);
   // Standard truncated-Pareto mean.
-  return la / (1.0 - la / ha) * (a / (a - 1.0)) *
-         (1.0 / std::pow(l, a - 1.0) - 1.0 / std::pow(h, a - 1.0));
+  d.mean_ = la / (1.0 - la / ha) * (a / (a - 1.0)) *
+            (1.0 / std::pow(l, a - 1.0) - 1.0 / std::pow(h, a - 1.0));
+  return d;
 }
 
-LogNormalSizeDist::LogNormalSizeDist(double mu, double sigma, std::uint32_t cap)
-    : mu_(mu), sigma_(sigma), cap_(cap) {
-  if (sigma_ <= 0.0) throw std::invalid_argument("LogNormalSizeDist: sigma <= 0");
-  if (cap_ < 1) throw std::invalid_argument("LogNormalSizeDist: cap < 1");
+SizeDistribution SizeDistribution::lognormal(double mu, double sigma, std::uint32_t cap) {
+  if (sigma <= 0.0) throw std::invalid_argument("SizeDistribution: sigma <= 0");
+  if (cap < 1) throw std::invalid_argument("SizeDistribution: cap < 1");
+  SizeDistribution d(Kind::kLogNormal, cap);
+  d.location_ = mu;
+  d.scale_ = sigma;
   // Quantile via inverse error function is overkill; estimate the
   // truncated mean by large-sample quadrature over the normal quantile
   // approximated with the Acklam rational fit embedded below.
@@ -115,45 +111,31 @@ LogNormalSizeDist::LogNormalSizeDist(double mu, double sigma, std::uint32_t cap)
     return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1);
   };
-  const auto quantile = [&](double u) { return std::exp(mu_ + sigma_ * normal_quantile(u)); };
-  mean_ = truncated_mean(quantile, cap_);
+  const auto quantile = [&](double u) { return std::exp(mu + sigma * normal_quantile(u)); };
+  d.mean_ = truncated_mean(quantile, cap);
+  return d;
 }
-
-std::uint32_t LogNormalSizeDist::sample(util::Rng& rng) const {
-  return clamp_size(rng.lognormal(mu_, sigma_), cap_);
-}
-
-double LogNormalSizeDist::mean() const { return mean_; }
 
 std::unique_ptr<SizeDistribution> make_size_distribution(const std::string& spec) {
-  std::vector<std::string> parts;
-  std::stringstream ss(spec);
-  for (std::string item; std::getline(ss, item, ':');) parts.push_back(item);
-  if (parts.empty()) throw std::invalid_argument("make_size_distribution: empty spec");
-  const std::string& kind = parts[0];
-  const auto arg = [&](std::size_t i, double fallback) {
-    return parts.size() > i ? util::parse_spec_number(parts[i], spec) : fallback;
-  };
-  // Sizes and caps in bytes.
-  const auto bytes = [&](std::size_t i, std::uint32_t fallback) {
-    return parts.size() > i ? static_cast<std::uint32_t>(util::parse_spec_count(
-                                  parts[i], spec, std::numeric_limits<std::uint32_t>::max()))
-                            : fallback;
-  };
-  if (kind == "gpareto") {
-    return std::make_unique<GeneralizedParetoSizeDist>(arg(1, 0.0), arg(2, 214.476),
-                                                       arg(3, 0.348238), bytes(4, 1 << 20));
+  // Sizes and caps are counts of bytes.
+  const util::ModelSpec parts(spec, "make_size_distribution");
+  const auto make = [](SizeDistribution d) { return std::make_unique<SizeDistribution>(d); };
+  if (parts.name() == "gpareto") {
+    return make(SizeDistribution::generalized_pareto(parts.number_or(1, 0.0),
+                                                     parts.number_or(2, 214.476),
+                                                     parts.number_or(3, 0.348238),
+                                                     parts.count_or(4, 1 << 20)));
   }
-  if (kind == "fixed") {
-    return std::make_unique<FixedSizeDist>(bytes(1, 1024));
+  if (parts.name() == "fixed") return make(SizeDistribution::fixed(parts.count_or(1, 1024)));
+  if (parts.name() == "bpareto") {
+    return make(SizeDistribution::bounded_pareto(parts.number_or(1, 1.2), parts.count_or(2, 64),
+                                                 parts.count_or(3, 1 << 20)));
   }
-  if (kind == "bpareto") {
-    return std::make_unique<BoundedParetoSizeDist>(arg(1, 1.2), bytes(2, 64), bytes(3, 1 << 20));
+  if (parts.name() == "lognormal") {
+    return make(SizeDistribution::lognormal(parts.number_or(1, 5.0), parts.number_or(2, 1.0),
+                                            parts.count_or(3, 1 << 20)));
   }
-  if (kind == "lognormal") {
-    return std::make_unique<LogNormalSizeDist>(arg(1, 5.0), arg(2, 1.0), bytes(3, 1 << 20));
-  }
-  throw std::invalid_argument("make_size_distribution: unknown kind: " + kind);
+  throw std::invalid_argument("make_size_distribution: unknown kind: " + parts.name());
 }
 
 }  // namespace brb::workload

@@ -249,7 +249,7 @@ TEST(AppClient, PerRequestSelectionMode) {
   sim::Simulator simulator;
   store::RingPartitioner partitioner(3, 3);  // every key: all 3 servers
   server::SizeLinearServiceModel cost_model(Duration::zero(), 1000.0);
-  policy::FifoPolicy fifo;
+  const policy::PriorityPolicy fifo(policy::PriorityPolicy::Rule::kFifo);
   std::vector<OutboundRequest> sent;
   RequestBook book;
   AppClient client(simulator, config, partitioner, cost_model,

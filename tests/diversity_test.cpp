@@ -425,10 +425,10 @@ TEST(MultiTenant, ParseRejectsMalformedSpecs) {
 
 TEST(MultiTenant, ClientsPartitionIntoShareProportionalBlocks) {
   util::Rng rng(1);
-  const workload::FixedSizeDist sizes(100);
+  const auto sizes = workload::SizeDistribution::fixed(100);
   workload::Dataset dataset(1000, sizes, rng.split());
-  const workload::UniformKeys keys(1000);
-  const workload::FixedFanout fanout(4);
+  const auto keys = workload::KeyDistribution::uniform(1000);
+  const auto fanout = workload::FanoutDistribution::fixed(4);
   auto generator =
       make_tenant_generator(dataset, keys, fanout, "fg,share=0.7,fanout=fixed:2;bg,share=0.3");
 
@@ -459,10 +459,10 @@ TEST(MultiTenant, ClientsPartitionIntoShareProportionalBlocks) {
 
 TEST(MultiTenant, TenantWriteFractionNeedsSizes) {
   util::Rng rng(1);
-  const workload::FixedSizeDist sizes(100);
+  const auto sizes = workload::SizeDistribution::fixed(100);
   workload::Dataset dataset(100, sizes, rng.split());
-  const workload::UniformKeys keys(100);
-  const workload::FixedFanout fanout(2);
+  const auto keys = workload::KeyDistribution::uniform(100);
+  const auto fanout = workload::FanoutDistribution::fixed(2);
   workload::TaskGenerator::Config config;
   config.num_clients = 4;
   workload::TaskGenerator generator(config, dataset, keys, fanout,

@@ -471,6 +471,23 @@ TEST(Driver, PlanRejectsBadWorkloadSpecs) {
   EXPECT_EQ(run_brbsim({"--scenario=paper", "--fanout=fixed:4", "--plan"}).first, 0);
 }
 
+TEST(Driver, PlanRejectsBadControlPlaneAndTenantSpecs) {
+  // The grammar of these specs is checked by core::validate, so --plan
+  // fails on a spec the first run would die on, and says which one.
+  for (const auto& [arg, names] : std::vector<std::pair<std::string, std::string>>{
+           {"--tenants=a,fanout=bogus:3", "config: tenants:"},
+           {"--signal-store=bogus", "signal store"},
+           {"--stats=bogus", "config: stats"},
+           {"--admission=bogus", "config: admission:"},
+           {"--policy=bogus", "config: policy:"},
+           {"--dispatch=bogus", "config: dispatch:"},
+           {"--policy-switch=bogus", "config: policy-switch:"}}) {
+    const auto [code, err] = run_brbsim({"--scenario=paper", arg, "--plan"});
+    EXPECT_EQ(code, 1) << arg;
+    EXPECT_NE(err.find(names), std::string::npos) << arg << ": " << err;
+  }
+}
+
 TEST(Driver, PlanRejectsDuplicateCaseLabels) {
   // Label lookups (the paper claims, merge) would read only the first.
   for (const auto& [args, label] : std::vector<std::pair<std::vector<std::string>, std::string>>{

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "core/fig1.hpp"
-#include "core/global_queue.hpp"
+#include "server/global_queue.hpp"
 #include "server/backend_server.hpp"
 #include "server/service_model.hpp"
 #include "sim/simulator.hpp"
@@ -17,6 +17,7 @@
 namespace brb::core {
 namespace {
 
+using server::GlobalQueueModel;
 using sim::Duration;
 using sim::Time;
 

@@ -449,7 +449,7 @@ TEST(ComputeBottleneck, SingleRequest) {
 
 TEST(FifoPolicy, PriorityIsArrivalTime) {
   TaskPlan plan = make_plan({{0, 1000}, {1, 2000}});
-  FifoPolicy policy;
+  const PriorityPolicy policy(PriorityPolicy::Rule::kFifo);
   policy.assign(plan);
   for (const auto& request : plan.requests) {
     EXPECT_DOUBLE_EQ(request.priority, 123'000.0);
@@ -458,7 +458,7 @@ TEST(FifoPolicy, PriorityIsArrivalTime) {
 
 TEST(EqualMaxPolicy, AllRequestsGetBottleneckCost) {
   TaskPlan plan = make_plan({{0, 1000}, {1, 1000}, {1, 1000}});
-  EqualMaxPolicy policy;
+  const PriorityPolicy policy(PriorityPolicy::Rule::kEqualMax);
   policy.assign(plan);
   for (const auto& request : plan.requests) {
     EXPECT_DOUBLE_EQ(request.priority, 2000.0);
@@ -470,7 +470,7 @@ TEST(EqualMaxPolicy, ShorterTasksGetBetterPriority) {
   // requests outrank T1's everywhere.
   TaskPlan t1 = make_plan({{0, 1000}, {1, 1000}, {1, 1000}});
   TaskPlan t2 = make_plan({{2, 1000}, {0, 1000}});
-  EqualMaxPolicy policy;
+  const PriorityPolicy policy(PriorityPolicy::Rule::kEqualMax);
   policy.assign(t1);
   policy.assign(t2);
   EXPECT_LT(t2.requests[1].priority, t1.requests[0].priority);
@@ -478,7 +478,7 @@ TEST(EqualMaxPolicy, ShorterTasksGetBetterPriority) {
 
 TEST(UnifIncrPolicy, PriorityIsSlackBehindBottleneck) {
   TaskPlan plan = make_plan({{0, 1000}, {1, 1500}, {2, 3000}});
-  UnifIncrPolicy policy;
+  const PriorityPolicy policy(PriorityPolicy::Rule::kUnifIncr);
   policy.assign(plan);
   EXPECT_DOUBLE_EQ(plan.requests[0].priority, 2000.0);  // 3000 - 1000
   EXPECT_DOUBLE_EQ(plan.requests[1].priority, 1500.0);  // 3000 - 1500
@@ -487,7 +487,7 @@ TEST(UnifIncrPolicy, PriorityIsSlackBehindBottleneck) {
 
 TEST(UnifIncrPolicy, BottleneckRequestHasZeroSlack) {
   TaskPlan plan = make_plan({{0, 100}, {1, 100}, {2, 100}});
-  UnifIncrPolicy policy;
+  const PriorityPolicy policy(PriorityPolicy::Rule::kUnifIncr);
   policy.assign(plan);
   // All groups equal: every request is its group's bottleneck.
   for (const auto& request : plan.requests) EXPECT_DOUBLE_EQ(request.priority, 0.0);
@@ -495,7 +495,7 @@ TEST(UnifIncrPolicy, BottleneckRequestHasZeroSlack) {
 
 TEST(UnifIncrPolicy, SlackNeverNegative) {
   TaskPlan plan = make_plan({{0, 500}, {0, 700}});  // same group sums to 1200
-  UnifIncrPolicy policy;
+  const PriorityPolicy policy(PriorityPolicy::Rule::kUnifIncr);
   policy.assign(plan);
   for (const auto& request : plan.requests) EXPECT_GE(request.priority, 0.0);
 }
@@ -503,7 +503,7 @@ TEST(UnifIncrPolicy, SlackNeverNegative) {
 TEST(CumSlackPolicy, LastBottleneckRequestHasZeroSlack) {
   // Group 1 holds two 1000ns requests (bottleneck 2000ns).
   TaskPlan plan = make_plan({{0, 1000}, {1, 1000}, {1, 1000}});
-  CumSlackPolicy policy;
+  const PriorityPolicy policy(PriorityPolicy::Rule::kCumSlack);
   policy.assign(plan);
   EXPECT_DOUBLE_EQ(plan.requests[0].priority, 1000.0);  // 2000 - 1000
   EXPECT_DOUBLE_EQ(plan.requests[1].priority, 1000.0);  // first of group 1
@@ -513,8 +513,8 @@ TEST(CumSlackPolicy, LastBottleneckRequestHasZeroSlack) {
 TEST(CumSlackPolicy, MatchesUnifIncrForSingletonSubtasks) {
   TaskPlan a = make_plan({{0, 500}, {1, 1500}, {2, 900}});
   TaskPlan b = a;
-  CumSlackPolicy cumslack;
-  UnifIncrPolicy unifincr;
+  const PriorityPolicy cumslack(PriorityPolicy::Rule::kCumSlack);
+  const PriorityPolicy unifincr(PriorityPolicy::Rule::kUnifIncr);
   cumslack.assign(a);
   unifincr.assign(b);
   for (std::size_t i = 0; i < a.requests.size(); ++i) {
@@ -524,14 +524,14 @@ TEST(CumSlackPolicy, MatchesUnifIncrForSingletonSubtasks) {
 
 TEST(CumSlackPolicy, SlackNeverNegative) {
   TaskPlan plan = make_plan({{0, 300}, {0, 300}, {0, 300}, {1, 100}});
-  CumSlackPolicy policy;
+  const PriorityPolicy policy(PriorityPolicy::Rule::kCumSlack);
   policy.assign(plan);
   for (const auto& request : plan.requests) EXPECT_GE(request.priority, 0.0);
 }
 
 TEST(RequestSjfPolicy, PriorityIsOwnCost) {
   TaskPlan plan = make_plan({{0, 111}, {1, 222}});
-  RequestSjfPolicy policy;
+  const PriorityPolicy policy(PriorityPolicy::Rule::kRequestSjf);
   policy.assign(plan);
   EXPECT_DOUBLE_EQ(plan.requests[0].priority, 111.0);
   EXPECT_DOUBLE_EQ(plan.requests[1].priority, 222.0);

@@ -536,7 +536,7 @@ TEST(QueueingTheory, MG1WaitMatchesPollaczekKhinchineForSizeDrivenService) {
   // E[W] = lambda E[S^2] / (2 (1 - rho)) (Pollaczek-Khinchine). We
   // estimate E[S], E[S^2] from the same dataset the server serves.
   util::Rng data_rng(41);
-  workload::GeneralizedParetoSizeDist sizes;
+  const auto sizes = workload::SizeDistribution::generalized_pareto();
   const auto model = SizeLinearServiceModel::calibrate(3500.0, sizes.mean(), Duration::zero());
 
   // One-key-per-request workload with sizes drawn from the dataset.

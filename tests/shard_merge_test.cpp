@@ -409,6 +409,31 @@ TEST(ShardMerge, RejectsInconsistentShards) {
       << message;
 }
 
+TEST(ShardMerge, RejectsShardsThatDifferInKeepRaw) {
+  // --keep-raw switches the percentile method (exact over raw samples),
+  // so the config block echoes it and shards with and without it do not
+  // merge. Unset, it stays out of the block.
+  const auto shard_of = [](std::vector<const char*> argv, std::uint32_t index) {
+    const util::Flags flags(static_cast<int>(argv.size()), argv.data());
+    const core::ScenarioConfig base = cli::config_from_flags(flags);
+    const cli::SweepPlan plan = cli::build_sweep_plan("paper", base, {1, 2}, flags);
+    cli::ShardSpec shard;
+    shard.index = index;
+    shard.count = 2;
+    return cli::execute_shard(plan, &shard, 1);
+  };
+  const std::vector<const char*> plain = {"brbsim", "--systems=c3", "--tasks=400",
+                                          "--servers=4", "--clients=4"};
+  std::vector<const char*> keep_raw = plain;
+  keep_raw.push_back("--keep-raw");
+  const Json first = shard_of(plain, 1);
+  const Json second_raw = shard_of(keep_raw, 2);
+  EXPECT_EQ(first.at("config").find("keep_raw"), nullptr);
+  EXPECT_TRUE(second_raw.at("config").at("keep_raw").as_bool());
+  EXPECT_NO_THROW(stats::merge_artifacts({first, shard_of(plain, 2)}));
+  EXPECT_THROW(stats::merge_artifacts({first, second_raw}), std::runtime_error);
+}
+
 TEST(ShardMerge, EmptyShardContributesNothing) {
   // More shards than units: some shards own nothing, and the merge of
   // all of them still reassembles the whole sweep.

@@ -27,7 +27,7 @@ namespace {
 // Size distributions
 
 TEST(GeneralizedParetoSizeDist, AtikogluDefaultsSampleInRange) {
-  GeneralizedParetoSizeDist dist;
+  const auto dist = SizeDistribution::generalized_pareto();
   util::Rng rng(1);
   for (int i = 0; i < 50000; ++i) {
     const std::uint32_t v = dist.sample(rng);
@@ -37,7 +37,7 @@ TEST(GeneralizedParetoSizeDist, AtikogluDefaultsSampleInRange) {
 }
 
 TEST(GeneralizedParetoSizeDist, EmpiricalMeanMatchesAnalytic) {
-  GeneralizedParetoSizeDist dist;
+  const auto dist = SizeDistribution::generalized_pareto();
   util::Rng rng(2);
   stats::Summary s;
   for (int i = 0; i < 400000; ++i) s.add(dist.sample(rng));
@@ -47,13 +47,13 @@ TEST(GeneralizedParetoSizeDist, EmpiricalMeanMatchesAnalytic) {
 TEST(GeneralizedParetoSizeDist, UncappedMeanApproximatesFormula) {
   // For GP(shape k < 1, location 0): E[X] = scale / (1 - k); the 1 MiB
   // cap and the 1-byte floor barely move it for the Atikoglu fit.
-  GeneralizedParetoSizeDist dist;
+  const auto dist = SizeDistribution::generalized_pareto();
   const double formula = 214.476 / (1.0 - 0.348238);
   EXPECT_NEAR(dist.mean(), formula, formula * 0.05);
 }
 
 TEST(GeneralizedParetoSizeDist, HeavyTail) {
-  GeneralizedParetoSizeDist dist;
+  const auto dist = SizeDistribution::generalized_pareto();
   util::Rng rng(3);
   std::uint32_t max_seen = 0;
   for (int i = 0; i < 200000; ++i) max_seen = std::max(max_seen, dist.sample(rng));
@@ -62,15 +62,15 @@ TEST(GeneralizedParetoSizeDist, HeavyTail) {
 }
 
 TEST(FixedSizeDist, AlwaysSame) {
-  FixedSizeDist dist(777);
+  const auto dist = SizeDistribution::fixed(777);
   util::Rng rng(4);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(dist.sample(rng), 777u);
   EXPECT_DOUBLE_EQ(dist.mean(), 777.0);
-  EXPECT_THROW(FixedSizeDist(0), std::invalid_argument);
+  EXPECT_THROW(SizeDistribution::fixed(0), std::invalid_argument);
 }
 
 TEST(BoundedParetoSizeDist, StaysWithinBoundsAndMatchesMean) {
-  BoundedParetoSizeDist dist(1.3, 64, 65536);
+  const auto dist = SizeDistribution::bounded_pareto(1.3, 64, 65536);
   util::Rng rng(5);
   stats::Summary s;
   for (int i = 0; i < 400000; ++i) {
@@ -83,32 +83,30 @@ TEST(BoundedParetoSizeDist, StaysWithinBoundsAndMatchesMean) {
 }
 
 TEST(BoundedParetoSizeDist, RejectsBadParameters) {
-  EXPECT_THROW(BoundedParetoSizeDist(0.0, 1, 10), std::invalid_argument);
-  EXPECT_THROW(BoundedParetoSizeDist(1.0, 10, 10), std::invalid_argument);
-  EXPECT_THROW(BoundedParetoSizeDist(1.0, 0, 10), std::invalid_argument);
+  EXPECT_THROW(SizeDistribution::bounded_pareto(0.0, 1, 10), std::invalid_argument);
+  EXPECT_THROW(SizeDistribution::bounded_pareto(1.0, 10, 10), std::invalid_argument);
+  EXPECT_THROW(SizeDistribution::bounded_pareto(1.0, 0, 10), std::invalid_argument);
 }
 
 TEST(LogNormalSizeDist, MeanMatchesQuadrature) {
-  LogNormalSizeDist dist(6.0, 1.0, 1 << 20);
+  const auto dist = SizeDistribution::lognormal(6.0, 1.0, 1 << 20);
   util::Rng rng(6);
   stats::Summary s;
   for (int i = 0; i < 400000; ++i) s.add(dist.sample(rng));
   EXPECT_NEAR(s.mean(), dist.mean(), dist.mean() * 0.03);
 }
 
-/// True when `spec` builds a size distribution of type T.
-template <typename T>
-bool sizes_are(const std::string& spec) {
-  const auto dist = make_size_distribution(spec);
-  return dynamic_cast<const T*>(dist.get()) != nullptr;
+/// True when `spec` builds a size distribution of kind `kind`.
+bool sizes_are(SizeDistribution::Kind kind, const std::string& spec) {
+  return make_size_distribution(spec)->kind() == kind;
 }
 
 TEST(SizeDistFactory, ParsesSpecs) {
-  EXPECT_TRUE(sizes_are<GeneralizedParetoSizeDist>("gpareto"));
+  EXPECT_TRUE(sizes_are(SizeDistribution::Kind::kGeneralizedPareto, "gpareto"));
   EXPECT_EQ(make_size_distribution("fixed:512")->mean(), 512.0);
-  EXPECT_TRUE(sizes_are<BoundedParetoSizeDist>("bpareto:1.2:64:4096"));
+  EXPECT_TRUE(sizes_are(SizeDistribution::Kind::kBoundedPareto, "bpareto:1.2:64:4096"));
   EXPECT_EQ(make_size_distribution("bpareto:1.2:64:4096")->max_size(), 4096u);
-  EXPECT_TRUE(sizes_are<LogNormalSizeDist>("lognormal:5:1:100000"));
+  EXPECT_TRUE(sizes_are(SizeDistribution::Kind::kLogNormal, "lognormal:5:1:100000"));
   EXPECT_EQ(make_size_distribution("lognormal:5:1:100000")->max_size(), 100000u);
   EXPECT_THROW(make_size_distribution("nope"), std::invalid_argument);
   EXPECT_THROW(make_size_distribution(""), std::invalid_argument);
@@ -118,14 +116,14 @@ TEST(SizeDistFactory, ParsesSpecs) {
 // Fan-out distributions
 
 TEST(FixedFanout, Constant) {
-  FixedFanout f(8);
+  const auto f = FanoutDistribution::fixed(8);
   util::Rng rng(7);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(f.sample(rng), 8u);
-  EXPECT_THROW(FixedFanout(0), std::invalid_argument);
+  EXPECT_THROW(FanoutDistribution::fixed(0), std::invalid_argument);
 }
 
 TEST(GeometricFanout, MeanMatchesTarget) {
-  GeometricFanout f(8.6);
+  const auto f = FanoutDistribution::geometric(8.6);
   util::Rng rng(8);
   stats::Summary s;
   for (int i = 0; i < 400000; ++i) s.add(f.sample(rng));
@@ -133,13 +131,13 @@ TEST(GeometricFanout, MeanMatchesTarget) {
 }
 
 TEST(GeometricFanout, MinimumIsOne) {
-  GeometricFanout f(1.0);
+  const auto f = FanoutDistribution::geometric(1.0);
   util::Rng rng(9);
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(f.sample(rng), 1u);
 }
 
 TEST(LogNormalFanout, ForMeanCalibratesDiscretizedMean) {
-  const auto f = LogNormalFanout::for_mean(8.6, 2.0, 512);
+  const auto f = FanoutDistribution::lognormal_for_mean(8.6, 2.0, 512);
   EXPECT_NEAR(f.mean(), 8.6, 0.05);
   util::Rng rng(10);
   stats::Summary s;
@@ -149,7 +147,7 @@ TEST(LogNormalFanout, ForMeanCalibratesDiscretizedMean) {
 
 TEST(LogNormalFanout, SkewMatchesIntuition) {
   // With sigma 2.0 the median should be far below the mean.
-  const auto f = LogNormalFanout::for_mean(8.6, 2.0, 512);
+  const auto f = FanoutDistribution::lognormal_for_mean(8.6, 2.0, 512);
   util::Rng rng(11);
   std::vector<std::uint32_t> draws;
   for (int i = 0; i < 100000; ++i) draws.push_back(f.sample(rng));
@@ -186,7 +184,7 @@ TEST(LogNormalFanout, ForMeanPinsCalibratedBits) {
       {3.0, 8.0, 100000, 0xc014000000000000ULL, 0x40a5510d50f82566ULL},
   };
   for (const Pin& pin : kPins) {
-    const auto f = LogNormalFanout::for_mean(pin.target, pin.sigma, pin.cap);
+    const auto f = FanoutDistribution::lognormal_for_mean(pin.target, pin.sigma, pin.cap);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(f.mu()), pin.mu_bits)
         << pin.target << ":" << pin.sigma << ":" << pin.cap << " mu " << f.mu();
     EXPECT_EQ(std::bit_cast<std::uint64_t>(f.mean()), pin.mean_bits)
@@ -195,7 +193,7 @@ TEST(LogNormalFanout, ForMeanPinsCalibratedBits) {
 }
 
 TEST(LogNormalFanout, RespectsCap) {
-  const auto f = LogNormalFanout::for_mean(8.6, 2.0, 64);
+  const auto f = FanoutDistribution::lognormal_for_mean(8.6, 2.0, 64);
   util::Rng rng(12);
   for (int i = 0; i < 100000; ++i) ASSERT_LE(f.sample(rng), 64u);
 }
@@ -211,7 +209,7 @@ TEST(FanoutFactory, ParsesSpecs) {
 // Key distributions
 
 TEST(UniformKeys, CoversKeyspace) {
-  UniformKeys keys(100);
+  const auto keys = KeyDistribution::uniform(100);
   util::Rng rng(14);
   std::set<store::KeyId> seen;
   for (int i = 0; i < 10000; ++i) seen.insert(keys.sample(rng));
@@ -220,7 +218,7 @@ TEST(UniformKeys, CoversKeyspace) {
 }
 
 TEST(ZipfKeys, SkewedButInRange) {
-  ZipfKeys keys(1000, 1.0);
+  const auto keys = KeyDistribution::zipf(1000, 1.0);
   util::Rng rng(15);
   std::map<store::KeyId, int> counts;
   for (int i = 0; i < 100000; ++i) ++counts[keys.sample(rng)];
@@ -272,7 +270,7 @@ TEST(ArrivalProcesses, RejectNonPositiveRates) {
 // Dataset + TaskGenerator
 
 TEST(Dataset, StableSizesPerKey) {
-  FixedSizeDist sizes(100);
+  const auto sizes = SizeDistribution::fixed(100);
   Dataset d(50, sizes, util::Rng(19));
   EXPECT_EQ(d.num_keys(), 50u);
   EXPECT_EQ(d.size_of(0), 100u);
@@ -280,7 +278,7 @@ TEST(Dataset, StableSizesPerKey) {
 }
 
 TEST(Dataset, SameSeedSameSizes) {
-  GeneralizedParetoSizeDist sizes;
+  const auto sizes = SizeDistribution::generalized_pareto();
   Dataset a(100, sizes, util::Rng(20));
   Dataset b(100, sizes, util::Rng(20));
   for (store::KeyId k = 0; k < 100; ++k) ASSERT_EQ(a.size_of(k), b.size_of(k));
@@ -295,10 +293,10 @@ TaskGenerator make_generator(const Dataset& dataset, const KeyDistribution& keys
 }
 
 TEST(TaskGenerator, ArrivalsStrictlyIncreaseAndIdsSequential) {
-  FixedSizeDist sizes(100);
+  const auto sizes = SizeDistribution::fixed(100);
   Dataset dataset(1000, sizes, util::Rng(21));
-  UniformKeys keys(1000);
-  FixedFanout fanout(4);
+  const auto keys = KeyDistribution::uniform(1000);
+  const auto fanout = FanoutDistribution::fixed(4);
   auto generator = make_generator(dataset, keys, fanout, 22);
   sim::Time last = sim::Time::zero();
   for (std::uint64_t i = 0; i < 1000; ++i) {
@@ -310,10 +308,10 @@ TEST(TaskGenerator, ArrivalsStrictlyIncreaseAndIdsSequential) {
 }
 
 TEST(TaskGenerator, RoundRobinClientAssignment) {
-  FixedSizeDist sizes(100);
+  const auto sizes = SizeDistribution::fixed(100);
   Dataset dataset(1000, sizes, util::Rng(23));
-  UniformKeys keys(1000);
-  FixedFanout fanout(2);
+  const auto keys = KeyDistribution::uniform(1000);
+  const auto fanout = FanoutDistribution::fixed(2);
   auto generator = make_generator(dataset, keys, fanout, 24);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(generator.next().client, static_cast<store::ClientId>(i % 4));
@@ -321,10 +319,10 @@ TEST(TaskGenerator, RoundRobinClientAssignment) {
 }
 
 TEST(TaskGenerator, DistinctKeysWithinTask) {
-  FixedSizeDist sizes(100);
+  const auto sizes = SizeDistribution::fixed(100);
   Dataset dataset(50, sizes, util::Rng(25));
-  UniformKeys keys(50);
-  FixedFanout fanout(20);
+  const auto keys = KeyDistribution::uniform(50);
+  const auto fanout = FanoutDistribution::fixed(20);
   auto generator = make_generator(dataset, keys, fanout, 26);
   for (int i = 0; i < 200; ++i) {
     const TaskSpec task = generator.next();
@@ -340,10 +338,10 @@ TEST(TaskGenerator, DistinctKeyStreamIsPinned) {
   // the original unordered_set-based membership check did. Any change to
   // the sampling order shifts every downstream artifact, so the full
   // (client, key, size_hint) stream is pinned by hash for a fixed seed.
-  GeneralizedParetoSizeDist sizes;
+  const auto sizes = SizeDistribution::generalized_pareto();
   Dataset dataset(2000, sizes, util::Rng(77));
-  ZipfKeys keys(2000, 0.9);
-  FixedFanout fanout(16);
+  const auto keys = KeyDistribution::zipf(2000, 0.9);
+  const auto fanout = FanoutDistribution::fixed(16);
   auto generator = make_generator(dataset, keys, fanout, 78);
   std::uint64_t hash = 1469598103934665603ull;  // FNV-1a 64
   const auto mix = [&hash](std::uint64_t v) {
@@ -364,20 +362,20 @@ TEST(TaskGenerator, DistinctKeyStreamIsPinned) {
 }
 
 TEST(TaskGenerator, FanoutClampedToKeyspace) {
-  FixedSizeDist sizes(100);
+  const auto sizes = SizeDistribution::fixed(100);
   Dataset dataset(3, sizes, util::Rng(27));
-  UniformKeys keys(3);
-  FixedFanout fanout(10);  // more than the keyspace holds
+  const auto keys = KeyDistribution::uniform(3);
+  const auto fanout = FanoutDistribution::fixed(10);  // more than the keyspace holds
   auto generator = make_generator(dataset, keys, fanout, 28);
   const TaskSpec task = generator.next();
   EXPECT_EQ(task.requests.size(), 3u);
 }
 
 TEST(TaskGenerator, SizeHintsMatchDataset) {
-  GeneralizedParetoSizeDist sizes;
+  const auto sizes = SizeDistribution::generalized_pareto();
   Dataset dataset(500, sizes, util::Rng(29));
-  UniformKeys keys(500);
-  FixedFanout fanout(5);
+  const auto keys = KeyDistribution::uniform(500);
+  const auto fanout = FanoutDistribution::fixed(5);
   auto generator = make_generator(dataset, keys, fanout, 30);
   for (int i = 0; i < 100; ++i) {
     const TaskSpec task = generator.next();
@@ -388,10 +386,10 @@ TEST(TaskGenerator, SizeHintsMatchDataset) {
 }
 
 TEST(TaskGenerator, EmpiricalMeanFanoutTracksDistribution) {
-  FixedSizeDist sizes(100);
+  const auto sizes = SizeDistribution::fixed(100);
   Dataset dataset(100'000, sizes, util::Rng(31));
-  UniformKeys keys(100'000);
-  const auto fanout = LogNormalFanout::for_mean(8.6, 2.0, 512);
+  const auto keys = KeyDistribution::uniform(100'000);
+  const auto fanout = FanoutDistribution::lognormal_for_mean(8.6, 2.0, 512);
   auto generator = make_generator(dataset, keys, fanout, 32);
   stats::Summary s;
   for (int i = 0; i < 20000; ++i) s.add(generator.next().fanout());
@@ -403,13 +401,13 @@ TEST(TaskGenerator, FillBlockMatchesNextDrawForDraw) {
   // next(), one in uneven fill_block chunks. Every field of every task
   // (and the final RNG stream position, via the last arrival) must
   // coincide — the block path is the scalar path.
-  GeneralizedParetoSizeDist sizes;
+  const auto sizes = SizeDistribution::generalized_pareto();
   Dataset dataset(2000, sizes, util::Rng(61));
-  ZipfKeys keys(2000, 0.9);
-  GeometricFanout fanout(6.0);
+  const auto keys = KeyDistribution::zipf(2000, 0.9);
+  const auto fanout = FanoutDistribution::geometric(6.0);
   auto scalar_gen = make_generator(dataset, keys, fanout, 62);
   auto block_gen = make_generator(dataset, keys, fanout, 62);
-  FixedSizeDist write_sizes(256);
+  const auto write_sizes = SizeDistribution::fixed(256);
   scalar_gen.set_write_traffic(0.25, &write_sizes);
   block_gen.set_write_traffic(0.25, &write_sizes);
 
@@ -560,10 +558,10 @@ TEST(TenantClientBlocks, LargestRemainderBoundariesPinned) {
 // Trace I/O
 
 TEST(Trace, RoundTripsThroughStream) {
-  FixedSizeDist sizes(64);
+  const auto sizes = SizeDistribution::fixed(64);
   Dataset dataset(100, sizes, util::Rng(33));
-  UniformKeys keys(100);
-  FixedFanout fanout(3);
+  const auto keys = KeyDistribution::uniform(100);
+  const auto fanout = FanoutDistribution::fixed(3);
   auto generator = make_generator(dataset, keys, fanout, 34);
   const auto tasks = generator.generate(50);
 
@@ -644,10 +642,10 @@ TEST(Trace, SkipsCommentsAndBlankLines) {
 }
 
 TEST(Trace, FileRoundTrip) {
-  FixedSizeDist sizes(64);
+  const auto sizes = SizeDistribution::fixed(64);
   Dataset dataset(10, sizes, util::Rng(35));
-  UniformKeys keys(10);
-  FixedFanout fanout(2);
+  const auto keys = KeyDistribution::uniform(10);
+  const auto fanout = FanoutDistribution::fixed(2);
   auto generator = make_generator(dataset, keys, fanout, 36);
   const auto tasks = generator.generate(5);
   const std::string path = "/tmp/brb_trace_test.csv";
