@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 
 #include "util/rng.hpp"

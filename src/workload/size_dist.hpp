@@ -41,7 +41,9 @@ class SizeDistribution {
     if (kind_ == Kind::kGeneralizedPareto) {
       return clamp_size(rng.generalized_pareto(shape_, scale_, location_), cap_);
     }
-    if (kind_ == Kind::kBoundedPareto) return clamp_size(rng.bounded_pareto(shape_, lo_, cap_), cap_);
+    if (kind_ == Kind::kBoundedPareto) {
+      return clamp_size(rng.bounded_pareto(shape_, lo_, cap_), cap_);
+    }
     return clamp_size(rng.lognormal(location_, scale_), cap_);
   }
 
