@@ -333,9 +333,9 @@ TEST(TaskGenerator, DistinctKeysWithinTask) {
 }
 
 TEST(TaskGenerator, DistinctKeyStreamIsPinned) {
-  // Regression pin for the distinct-key sampling path: the sorted-vector
-  // dedup scratch must consume the RNG stream and emit keys exactly as
-  // the original unordered_set-based membership check did. Any change to
+  // Regression pin for the distinct-key sampling path: the dedup must
+  // consume the RNG stream and emit keys exactly as the original
+  // unordered_set-based membership check did. Any change to
   // the sampling order shifts every downstream artifact, so the full
   // (client, key, size_hint) stream is pinned by hash for a fixed seed.
   const auto sizes = SizeDistribution::generalized_pareto();
@@ -359,6 +359,65 @@ TEST(TaskGenerator, DistinctKeyStreamIsPinned) {
     }
   }
   EXPECT_EQ(hash, 0xf964fe5a03ddc8b0ull);
+}
+
+// FNV-1a 64 of a generator's next `tasks` tasks: arrival (which pins the
+// RNG position the task's draws left behind), client, and each request's
+// key and size hint in emission order. Also returns the largest fan-out.
+std::pair<std::uint64_t, std::size_t> hash_distinct_stream(TaskGenerator& generator,
+                                                           int tasks) {
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (v >> (8 * b)) & 0xff;
+      hash *= 1099511628211ull;
+    }
+  };
+  std::size_t max_fanout = 0;
+  for (int i = 0; i < tasks; ++i) {
+    const TaskSpec task = generator.next();
+    max_fanout = std::max(max_fanout, task.requests.size());
+    mix(static_cast<std::uint64_t>(task.arrival.count_nanos()));
+    mix(task.client);
+    for (const auto& request : task.requests) {
+      mix(request.key);
+      mix(request.size_hint);
+    }
+  }
+  return {hash, max_fanout};
+}
+
+TEST(TaskGenerator, PaperMixDistinctStreamIsPinned) {
+  // The paper's workload (Zipf(0.9) over 100k keys, log-normal fan-out
+  // capped at 512) with distinct keys, over enough tasks that some reach
+  // the cap: pins the dedup at the fan-outs where it costs the most.
+  const auto sizes = make_size_distribution("gpareto");
+  const auto keys = make_key_distribution("zipf:100000:0.9");
+  const auto fanout = make_fanout_distribution("lognormal:8.6:2.0:512");
+  Dataset dataset(keys->num_keys(), *sizes, util::Rng(81));
+  auto generator = make_generator(dataset, *keys, *fanout, 82);
+  const auto [hash, max_fanout] = hash_distinct_stream(generator, 5000);
+  EXPECT_EQ(max_fanout, 512u);
+  EXPECT_EQ(hash, 0x55c492fb5a4dc347ull) << std::hex << "0x" << hash;
+}
+
+TEST(TaskGenerator, DistinctKeyFallbackScanIsPinned) {
+  // Scrambled Zipf over 16 keys reaches fewer than 16 of them, so a
+  // fixed:16 task spends its whole 64 * 16 + 256 draw budget and then
+  // takes the unreached keys by ascending scan. Pins both phases.
+  const auto sizes = make_size_distribution("gpareto");
+  const auto keys = make_key_distribution("zipf:16:0.9");
+  const auto fanout = make_fanout_distribution("fixed:16");
+  util::Rng probe(83);
+  std::set<store::KeyId> reachable;
+  for (int i = 0; i < 100'000; ++i) reachable.insert(keys->sample(probe));
+  ASSERT_LT(reachable.size(), 16u);
+
+  Dataset dataset(keys->num_keys(), *sizes, util::Rng(84));
+  auto generator = make_generator(dataset, *keys, *fanout, 85);
+  const auto [hash, max_fanout] = hash_distinct_stream(generator, 200);
+  EXPECT_EQ(max_fanout, 16u);
+  EXPECT_EQ(hash, 0xda3fa5b850c56893ull) << std::hex << "0x" << hash;
 }
 
 TEST(TaskGenerator, FanoutClampedToKeyspace) {
