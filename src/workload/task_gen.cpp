@@ -221,31 +221,34 @@ void TaskGenerator::append_requests(TaskBlock& block, const KeyDistribution& key
     return;
   }
 
-  // Distinct keys. Sorted-vector membership: insertion keeps the
-  // scratch ordered so the dedup check is a binary search. Requests are
-  // emitted in sample order (pinned by workload_test's
+  // Distinct keys. One bit per key of the keyspace marks the keys this
+  // task has taken; the bits are cleared from the task's own requests
+  // before returning, so the bitmap is all zero between tasks. Requests
+  // are emitted in sample order (pinned by workload_test's
   // DistinctKeyStreamIsPinned).
-  std::vector<store::KeyId>& chosen = chosen_scratch_;
-  chosen.clear();
-  chosen.reserve(fanout);
-  const auto try_insert = [&chosen](store::KeyId key) {
-    const auto it = std::lower_bound(chosen.begin(), chosen.end(), key);
-    if (it != chosen.end() && *it == key) return false;
-    chosen.insert(it, key);
-    return true;
+  const std::size_t words = static_cast<std::size_t>((keys.num_keys() + 63) / 64);
+  if (taken_.size() < words) taken_.resize(words, 0);
+  const std::size_t first = block.pool.size();
+  std::uint32_t chosen = 0;
+  const auto take = [&](store::KeyId key) {
+    std::uint64_t& word = taken_[static_cast<std::size_t>(key >> 6)];
+    const std::uint64_t bit = std::uint64_t{1} << (key & 63);
+    if ((word & bit) != 0) return;
+    word |= bit;
+    push(key);
+    ++chosen;
   };
   // The popularity distribution may not reach every key (scrambled
   // Zipf can collide), so bound the rejection loop and fill any
-  // remainder by deterministic scan — only reachable in tests with
-  // tiny keyspaces.
+  // remainder by deterministic scan — only reachable with tiny
+  // keyspaces (pinned by DistinctKeyFallbackScanIsPinned).
   std::uint64_t attempts = 0;
   const std::uint64_t max_attempts = 64ULL * fanout + 256;
-  while (chosen.size() < fanout && attempts++ < max_attempts) {
-    const store::KeyId key = keys.sample(rng_);
-    if (try_insert(key)) push(key);
-  }
-  for (store::KeyId key = 0; chosen.size() < fanout && key < keys.num_keys(); ++key) {
-    if (try_insert(key)) push(key);
+  while (chosen < fanout && attempts++ < max_attempts) take(keys.sample(rng_));
+  for (store::KeyId key = 0; chosen < fanout && key < keys.num_keys(); ++key) take(key);
+  for (std::size_t i = first; i < block.pool.size(); ++i) {
+    const store::KeyId key = block.pool[i].key;
+    taken_[static_cast<std::size_t>(key >> 6)] &= ~(std::uint64_t{1} << (key & 63));
   }
 }
 

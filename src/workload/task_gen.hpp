@@ -141,12 +141,11 @@ class TaskGenerator {
   std::vector<double> tenant_cdf_;
   std::vector<std::uint32_t> tenant_client_begin_;  // size tenants+1
   std::vector<std::uint32_t> tenant_next_client_;
-  /// Distinct-key dedup scratch reused across tasks (cleared, never
-  /// reallocated — the per-task set was a measurable allocation cost).
-  /// Sorted vector, not a hash set: fanouts are small (tens), binary
-  /// search beats hashing at this size, and the artifact path stays
-  /// free of unordered containers (brblint BRB-D01).
-  std::vector<store::KeyId> chosen_scratch_;
+  /// Distinct-key membership bitmap, one bit per key, sized on demand
+  /// to the largest keyspace seen (a tenant may have its own). All zero
+  /// between tasks: each task clears the bits of the keys it took, so a
+  /// task costs O(fan-out), not a pass over the keyspace.
+  std::vector<std::uint64_t> taken_;
   /// One-task block backing next(); keeps next() and fill_block on a
   /// single code path.
   TaskBlock scratch_block_;
