@@ -58,7 +58,13 @@ std::vector<TenantMix> parse_tenant_mixes(const std::string& spec) {
       } else if (key == "keys") {
         mix.keys = make_key_distribution(value);
       } else if (key == "write") {
+        // Checked here, not after the loop: a negative value would pass
+        // for the "inherit" sentinel below.
         mix.write_fraction = number();
+        if (!(mix.write_fraction >= 0.0 && mix.write_fraction <= 1.0)) {
+          throw std::invalid_argument("parse_tenant_mixes: tenant '" + mix.name +
+                                      "' write fraction outside [0, 1]");
+        }
       } else {
         throw std::invalid_argument("parse_tenant_mixes: unknown field '" + key + "'");
       }
@@ -69,10 +75,6 @@ std::vector<TenantMix> parse_tenant_mixes(const std::string& spec) {
     if (mix.share <= 0.0) {
       throw std::invalid_argument("parse_tenant_mixes: tenant '" + mix.name +
                                   "' has non-positive share");
-    }
-    if (mix.write_fraction > 1.0) {
-      throw std::invalid_argument("parse_tenant_mixes: tenant '" + mix.name +
-                                  "' write fraction > 1");
     }
     for (const TenantMix& existing : tenants) {
       if (existing.name == mix.name) {

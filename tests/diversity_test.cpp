@@ -409,6 +409,10 @@ TEST(MultiTenant, ParseRejectsMalformedSpecs) {
   EXPECT_THROW(workload::parse_tenant_mixes("a,share=0"), std::invalid_argument);
   EXPECT_THROW(workload::parse_tenant_mixes("a,share=-1"), std::invalid_argument);
   EXPECT_THROW(workload::parse_tenant_mixes("a,write=1.5"), std::invalid_argument);
+  // -1 is TenantMix's "inherit the base fraction" value; a written
+  // negative must not pass for it.
+  EXPECT_THROW(workload::parse_tenant_mixes("a,write=-0.5;b"), std::invalid_argument);
+  EXPECT_THROW(workload::parse_tenant_mixes("a,write=-1"), std::invalid_argument);
   EXPECT_THROW(workload::parse_tenant_mixes("a,bogus=1"), std::invalid_argument);
   EXPECT_THROW(workload::parse_tenant_mixes("share=1"), std::invalid_argument);
   EXPECT_THROW(workload::parse_tenant_mixes("a,share"), std::invalid_argument);

@@ -476,6 +476,7 @@ TEST(Driver, PlanRejectsBadControlPlaneAndTenantSpecs) {
   // fails on a spec the first run would die on, and says which one.
   for (const auto& [arg, names] : std::vector<std::pair<std::string, std::string>>{
            {"--tenants=a,fanout=bogus:3", "config: tenants:"},
+           {"--tenants=a,write=-0.5;b", "config: tenants:"},
            {"--signal-store=bogus", "signal store"},
            {"--stats=bogus", "config: stats"},
            {"--admission=bogus", "config: admission:"},
