@@ -277,15 +277,18 @@ MicroResult bench_signal_table_update(std::uint64_t ops) {
   return result;
 }
 
-MicroResult bench_task_gen_fill(std::uint64_t tasks_target) {
-  // Block-filled task generation at the paper's default workload:
-  // Zipf(0.9) keys over 100k, lognormal fan-out, gpareto sizes,
-  // Poisson arrivals — the exact distributions the headline engine run
-  // draws from. Ops are whole tasks (each task internally draws its
-  // gap, fan-out, and `fanout` distinct keys into the block slab).
+MicroResult bench_task_gen_fill(const char* name, const char* fanout_spec,
+                                std::uint64_t tasks_target) {
+  // Block-filled task generation over the paper's default keys and
+  // sizes: Zipf(0.9) keys over 100k, gpareto sizes, Poisson arrivals.
+  // With lognormal:8.6:2.0:512 fan-out these are the exact distributions
+  // the headline engine run draws from; fixed:512 keeps every task at
+  // the cap, where the distinct-key dedup costs the most. Ops are whole
+  // tasks (each task internally draws its gap, fan-out, and `fanout`
+  // distinct keys into the block slab).
   const auto sizes = brb::workload::make_size_distribution("gpareto");
   const auto keys = brb::workload::make_key_distribution("zipf:100000:0.9");
-  const auto fanout = brb::workload::make_fanout_distribution("lognormal:8.6:2.0:512");
+  const auto fanout = brb::workload::make_fanout_distribution(fanout_spec);
   brb::workload::Dataset dataset(keys->num_keys(), *sizes, brb::util::Rng(11));
   brb::workload::TaskGenerator::Config cfg;
   brb::workload::TaskGenerator gen(cfg, dataset, *keys, *fanout,
@@ -294,7 +297,7 @@ MicroResult bench_task_gen_fill(std::uint64_t tasks_target) {
   brb::workload::TaskBlock block;
   const std::uint64_t blocks = tasks_target / 256;
   std::uint64_t requests = 0;
-  MicroResult result = run_micro("task_gen_fill", blocks * 256, [&] {
+  MicroResult result = run_micro(name, blocks * 256, [&] {
     for (std::uint64_t r = 0; r < blocks; ++r) {
       gen.fill_block(block, 256);
       requests += block.pool.size();
@@ -372,7 +375,10 @@ int main(int argc, char** argv) {
   micro.push_back(bench_c3_scoring(ops));
   micro.push_back(bench_signal_table_update(ops));
   micro.push_back(bench_ring_partitioner(ops));
-  micro.push_back(bench_task_gen_fill(quick ? 25'600 : 256'000));
+  micro.push_back(bench_task_gen_fill("task_gen_fill", "lognormal:8.6:2.0:512",
+                                      quick ? 25'600 : 256'000));
+  micro.push_back(bench_task_gen_fill("task_gen_fill_fanout512", "fixed:512",
+                                      quick ? 512 : 5'120));
   micro.push_back(bench_service_start(ops / 2));
 
   brb::stats::Table table({"benchmark", "ops/sec"});
