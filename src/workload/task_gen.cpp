@@ -223,11 +223,9 @@ void TaskGenerator::append_requests(TaskBlock& block, const KeyDistribution& key
     return;
   }
 
-  // Distinct keys. One bit per key of the keyspace marks the keys this
-  // task has taken; the bits are cleared from the task's own requests
-  // before returning, so the bitmap is all zero between tasks. Requests
-  // are emitted in sample order (pinned by workload_test's
-  // DistinctKeyStreamIsPinned).
+  // Distinct keys, by membership in taken_ (cleared from this task's own
+  // requests before returning). Requests are emitted in sample order
+  // (pinned by workload_test's DistinctKeyStreamIsPinned).
   const std::size_t words = static_cast<std::size_t>((keys.num_keys() + 63) / 64);
   if (taken_.size() < words) taken_.resize(words, 0);
   const std::size_t first = block.pool.size();
