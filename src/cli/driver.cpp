@@ -128,10 +128,9 @@ void parse_into(const util::Flags& flags, const ConfigFlag& row, ScenarioConfig&
           if constexpr (std::is_same_v<T, double>) {
             field(config) = value;
           } else {
-            // The int64 nanosecond cast is undefined past 2^63.
-            const double nanos = value * row.unit_ns;
-            if (!(nanos < 0x1p63)) throw std::invalid_argument(flag + ": too large");
-            field(config) = sim::Duration::nanos(static_cast<std::int64_t>(nanos));
+            const auto duration = sim::checked_duration(value, row.unit_ns);
+            if (!duration) throw std::invalid_argument(flag + ": too large");
+            field(config) = *duration;
           }
         }
       },

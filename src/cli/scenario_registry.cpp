@@ -233,50 +233,22 @@ std::vector<ExperimentCase> expand_policy_switch(const ScenarioConfig& base,
   (void)flags;
   const std::string schedule = base.policy_switch_spec.empty() ? "t0:random,1s:c3-noderate"
                                                                : base.policy_switch_spec;
-  // Endpoint resolution mirrors the runtime exactly: t0 entries fold
-  // into the initial binding (on top of the kFifoDirect profile
-  // default), positive epochs apply in time order, later entries win.
-  // Tenant-qualified entries rebind only a slice of the fleet, so no
-  // single static endpoint exists for them.
-  std::vector<ctrl::PolicySwitch> epochs = ctrl::parse_policy_switch_spec(schedule);
-  if (epochs.empty()) throw std::invalid_argument("policy-switch: empty schedule");
-  for (const ctrl::PolicySwitch& epoch : epochs) {
-    if (!epoch.tenant.empty()) {
+  // The endpoints are the runtime's own fold of the schedule over the
+  // kFifoDirect profile default: up to t0, and to the end. Tenant-
+  // qualified entries rebind only a slice of the fleet, so no single
+  // static endpoint exists for them.
+  const std::vector<ctrl::PolicySwitch> entries = ctrl::parse_policy_switch_spec(schedule);
+  for (const ctrl::PolicySwitch& entry : entries) {
+    if (!entry.tenant.empty()) {
       throw std::invalid_argument(
           "scenario policy-switch compares fleet-wide static endpoints; tenant-qualified "
-          "schedule entries have no single endpoint (run the schedule on --scenario=" +
-          std::string("multi-tenant instead)"));
+          "schedule entries have no single endpoint (run the schedule on "
+          "--scenario=multi-tenant instead)");
     }
   }
-  std::stable_sort(epochs.begin(), epochs.end(),
-                   [](const ctrl::PolicySwitch& a, const ctrl::PolicySwitch& b) {
-                     return a.at < b.at;
-                   });
-  // Each switch kind folds independently: a mode epoch leaves the
-  // policy endpoint alone and vice versa, exactly as in the runtime.
-  std::string start_policy = "least-outstanding";  // kFifoDirect profile default
-  std::string end_policy;
-  ctrl::DispatchModeConfig start_mode;  // single
-  ctrl::DispatchModeConfig end_mode;
-  bool end_mode_seen = false;
-  for (const ctrl::PolicySwitch& epoch : epochs) {
-    if (epoch.at == sim::Time::zero()) {
-      if (epoch.kind == ctrl::PolicySwitch::Kind::kPolicy) {
-        start_policy = epoch.policy;
-      } else {
-        start_mode = epoch.mode;
-      }
-    } else {
-      if (epoch.kind == ctrl::PolicySwitch::Kind::kPolicy) {
-        end_policy = epoch.policy;
-      } else {
-        end_mode = epoch.mode;
-        end_mode_seen = true;
-      }
-    }
-  }
-  if (end_policy.empty()) end_policy = start_policy;
-  if (!end_mode_seen) end_mode = start_mode;
+  const std::string profile_policy(core::system_profile(SystemKind::kFifoDirect).selector);
+  const ctrl::Bindings start = ctrl::fold_bindings(entries, profile_policy, {}, sim::Time::zero());
+  const ctrl::Bindings end = ctrl::fold_bindings(entries, profile_policy, {}, sim::Time::max());
 
   std::vector<ExperimentCase> cases;
   const auto add_static = [&](const std::string& policy,
@@ -293,8 +265,8 @@ std::vector<ExperimentCase> expand_policy_switch(const ScenarioConfig& base,
     config.policy_switch_spec.clear();
     cases.push_back({std::move(label), std::move(config)});
   };
-  add_static(start_policy, start_mode);
-  add_static(end_policy, end_mode);
+  add_static(ctrl::rule_name(start.rule[0]), start.mode[0]);
+  add_static(ctrl::rule_name(end.rule[0]), end.mode[0]);
 
   ScenarioConfig switched = base;
   switched.system = SystemKind::kFifoDirect;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "sim/simulator.hpp"
 #include "util/flags.hpp"
@@ -26,18 +28,27 @@ const char* to_string(DispatchMode mode) {
 
 namespace {
 
-/// Quantile as a percent with minimal digits ("95", "99.9").
-std::string format_quantile_percent(double quantile) {
+/// The shortest "%.Ng" spelling of `shown`, or of a double next to it,
+/// that `restores` maps back to the stored field. N starts at %g's six,
+/// so round values print as before ("95", "99.9", "0.5"); the parse
+/// divides (qNN) or truncates (fresh=MS) after reading the number, so
+/// `shown` itself may need more digits or a neighbour to round-trip.
+template <typename Restores>
+std::string spell(double shown, Restores restores) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", quantile * 100.0);
+  for (int digits = 6; digits <= 17; ++digits) {
+    for (const double x : {shown, std::nextafter(shown, 0.0), std::nextafter(shown, HUGE_VAL)}) {
+      std::snprintf(buf, sizeof(buf), "%.*g", digits, x);
+      if (const auto number = util::parse_finite(buf); number && restores(*number)) return buf;
+    }
+  }
   return buf;
 }
 
-/// Milliseconds with minimal digits ("2", "0.5").
-std::string format_millis(sim::Duration d) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", d.as_millis());
-  return buf;
+/// qNN's percent for `quantile`.
+std::string percent_of(double quantile) {
+  return spell(quantile * 100.0,
+               [quantile](double percent) { return percent / 100.0 == quantile; });
 }
 
 }  // namespace
@@ -47,8 +58,12 @@ std::string DispatchModeConfig::canonical() const {
     case DispatchMode::kSingle:
       return "single";
     case DispatchMode::kHedge: {
-      std::string spec = "hedge:q" + format_quantile_percent(hedge_quantile);
-      if (fresh_age > sim::Duration::zero()) spec += ":fresh=" + format_millis(fresh_age);
+      std::string spec = "hedge:q" + percent_of(hedge_quantile);
+      if (fresh_age > sim::Duration::zero()) {
+        spec += ":fresh=" + spell(fresh_age.as_millis(), [this](double millis) {
+                  return sim::checked_duration(millis, 1e6) == fresh_age;
+                });
+      }
       return spec;
     }
     case DispatchMode::kTied:
@@ -138,7 +153,7 @@ std::string DispatchPolicy::name() const {
     case DispatchMode::kSingle:
       break;
     case DispatchMode::kHedge:
-      name = "hedge:q" + format_quantile_percent(mode_.hedge_quantile) + "(" + name + ")";
+      name = "hedge:q" + percent_of(mode_.hedge_quantile) + "(" + name + ")";
       break;
     case DispatchMode::kTied:
       name = "tied(" + name + ")";
@@ -284,12 +299,8 @@ bool is_dispatch_mode_name(const std::string& head) {
 }
 
 DispatchModeConfig parse_dispatch_mode(const std::string& spec) {
-  if (spec.empty()) throw std::invalid_argument("empty dispatch mode spec");
-  const auto colon = spec.find(':');
-  const std::string head = spec.substr(0, colon);
-  const std::string param = colon == std::string::npos ? "" : spec.substr(colon + 1);
-  const bool has_param = colon != std::string::npos;
-
+  const util::ModelSpec parts(spec, "dispatch mode");
+  const std::string& head = parts.name();
   if (!is_dispatch_mode_name(head)) {
     std::vector<std::string> known;
     for (const DispatchModeInfo& info : dispatch_mode_catalog()) known.push_back(info.name);
@@ -299,80 +310,48 @@ DispatchModeConfig parse_dispatch_mode(const std::string& spec) {
     }
     throw std::invalid_argument(message);
   }
+  const auto reject = [&spec](const std::string& why) {
+    throw std::invalid_argument("dispatch mode '" + spec + "': " + why);
+  };
 
   DispatchModeConfig config;
   if (head == "single" || head == "tied") {
-    if (has_param) {
-      throw std::invalid_argument("dispatch mode '" + head + "' takes no parameter (got '" + spec +
-                                  "')");
-    }
+    if (parts.size() > 1) reject("takes no parameter");
     config.mode = head == "tied" ? DispatchMode::kTied : DispatchMode::kSingle;
-    return config;
-  }
-
-  if (head == "hedge") {
+  } else if (head == "kofn") {
+    config.mode = DispatchMode::kKofn;
+    if (parts.size() > 2) reject("takes one parameter, k");
+    if (parts.size() == 2) {
+      const std::optional<std::uint64_t> k = util::parse_decimal(parts[1]);
+      if (!k || *k < 1 || *k > DispatchPlan::kMaxTargets) {
+        reject("k must be a whole number in [1, " + std::to_string(DispatchPlan::kMaxTargets) +
+               "]");
+      }
+      config.k = static_cast<std::uint8_t>(*k);
+    }
+  } else {
+    // hedge: each parameter is qNN (deadline quantile, a percent) or
+    // fresh=MS (freshness-skip age threshold, milliseconds).
     config.mode = DispatchMode::kHedge;
-    // Zero or more ':'-separated parameters, each qNN (deadline
-    // quantile, percent) or fresh=MS (freshness-skip age threshold,
-    // milliseconds).
-    std::string rest = has_param ? param : "";
-    while (!rest.empty()) {
-      const auto next = rest.find(':');
-      const std::string token = rest.substr(0, next);
-      rest = next == std::string::npos ? "" : rest.substr(next + 1);
-      if (token.size() >= 2 && token[0] == 'q') {
-        std::size_t consumed = 0;
-        double percent = 0.0;
-        try {
-          percent = std::stod(token.substr(1), &consumed);
-        } catch (const std::exception&) {
-          throw std::invalid_argument("hedge parameter must be qNN (a percent), got '" + spec +
-                                      "'");
+    for (std::size_t i = 1; i < parts.size(); ++i) {
+      const std::string_view param = parts[i];
+      if (param.starts_with('q')) {
+        const std::optional<double> percent = util::parse_finite(param.substr(1));
+        if (!(percent && *percent > 0.0 && *percent < 100.0)) {
+          reject("hedge quantile must be qNN, a percent in (0, 100)");
         }
-        if (consumed != token.size() - 1 || !(percent > 0.0 && percent < 100.0)) {
-          throw std::invalid_argument("hedge quantile must be a percent in (0, 100), got '" +
-                                      spec + "'");
+        config.hedge_quantile = *percent / 100.0;
+      } else if (param.starts_with("fresh=")) {
+        const std::optional<double> millis = util::parse_finite(param.substr(6));
+        const auto age = millis ? sim::checked_duration(*millis, 1e6) : std::nullopt;
+        if (!(age && *age > sim::Duration::zero())) {
+          reject("hedge fresh= must be positive milliseconds, under 2^63 ns");
         }
-        config.hedge_quantile = percent / 100.0;
-      } else if (token.rfind("fresh=", 0) == 0) {
-        const std::string value = token.substr(6);
-        std::size_t consumed = 0;
-        double millis = 0.0;
-        try {
-          millis = std::stod(value, &consumed);
-        } catch (const std::exception&) {
-          throw std::invalid_argument("hedge fresh= must be milliseconds, got '" + spec + "'");
-        }
-        if (value.empty() || consumed != value.size() || !(millis > 0.0)) {
-          throw std::invalid_argument("hedge fresh= must be positive milliseconds, got '" + spec +
-                                      "'");
-        }
-        config.fresh_age = sim::Duration::millis(millis);
+        config.fresh_age = *age;
       } else {
-        throw std::invalid_argument("hedge parameter must be qNN or fresh=MS, got '" + spec +
-                                    "'");
+        reject("hedge parameter must be qNN or fresh=MS");
       }
     }
-    return config;
-  }
-
-  // kofn
-  config.mode = DispatchMode::kKofn;
-  if (has_param) {
-    std::size_t consumed = 0;
-    long k = 0;
-    try {
-      k = std::stol(param, &consumed);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("kofn parameter must be an integer k, got '" + spec + "'");
-    }
-    if (consumed != param.size() || k < 1 ||
-        k > static_cast<long>(DispatchPlan::kMaxTargets)) {
-      throw std::invalid_argument("kofn k must be in [1, " +
-                                  std::to_string(DispatchPlan::kMaxTargets) + "], got '" + spec +
-                                  "'");
-    }
-    config.k = static_cast<std::uint8_t>(k);
   }
   return config;
 }

@@ -1,7 +1,10 @@
 #include "ctrl/policy_runtime.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "util/flags.hpp"
 
@@ -9,55 +12,32 @@ namespace brb::ctrl {
 
 namespace {
 
-PolicyBinding parse_binding(const std::string& entry, const char* flag) {
-  const std::size_t colon = entry.find(':');
-  if (colon == std::string::npos) return {"", canonical_policy_name(entry)};
-  const std::string tenant = entry.substr(0, colon);
-  const std::string name = entry.substr(colon + 1);
-  if (tenant.empty() || name.empty()) {
-    throw std::invalid_argument(std::string(flag) + ": malformed entry '" + entry +
-                                "' (want [tenant:]policy)");
-  }
-  return {tenant, canonical_policy_name(name)};
-}
+enum class Payloads : std::uint8_t { kPolicy, kMode, kEither };
 
-sim::Time parse_switch_time(const std::string& text) {
+/// "t0" or a duration with an s/ms/us suffix, in [0, 2^63) ns.
+sim::Time parse_time(std::string_view text, const std::string& flag) {
   if (text == "t0") return sim::Time::zero();
-  double scale_to_seconds = 0.0;
-  std::string number;
-  if (text.size() > 2 && text.substr(text.size() - 2) == "ms") {
-    scale_to_seconds = 1e-3;
-    number = text.substr(0, text.size() - 2);
-  } else if (text.size() > 2 && text.substr(text.size() - 2) == "us") {
-    scale_to_seconds = 1e-6;
-    number = text.substr(0, text.size() - 2);
-  } else if (text.size() > 1 && text.back() == 's') {
-    scale_to_seconds = 1.0;
-    number = text.substr(0, text.size() - 1);
-  } else {
-    throw std::invalid_argument("--policy-switch: bad time '" + text +
-                                "' (want t0 or a duration like 30s / 500ms / 250us)");
+  static constexpr std::pair<std::string_view, double> kUnitSeconds[] = {
+      {"ms", 1e-3}, {"us", 1e-6}, {"s", 1.0}};
+  for (const auto& [suffix, seconds] : kUnitSeconds) {
+    if (!text.ends_with(suffix)) continue;
+    const auto value = util::parse_finite(text.substr(0, text.size() - suffix.size()));
+    const auto at = value ? sim::checked_duration(*value * seconds, 1e9) : std::nullopt;
+    if (!at) break;
+    return sim::Time::zero() + *at;
   }
-  double value = 0.0;
-  std::size_t consumed = 0;
-  try {
-    value = std::stod(number, &consumed);
-  } catch (const std::exception&) {
-    consumed = std::string::npos;  // force the error below
-  }
-  if (consumed != number.size() || value < 0.0) {
-    throw std::invalid_argument("--policy-switch: bad time '" + text + "'");
-  }
-  return sim::Time::zero() + sim::Duration::seconds(value * scale_to_seconds);
+  throw std::invalid_argument(flag + ": bad time '" + std::string(text) +
+                              "' (want t0 or a duration in [0, 2^63) ns like 30s / 500ms / 250us)");
 }
 
-/// Resolves a bare switch payload that is not a dispatch-mode spec as
-/// a policy name; on failure, the did-you-mean hint spans the combined
-/// policy + mode catalog (the payload grammar accepts both).
-std::string canonical_policy_or_hint(const std::string& text) {
+/// A payload that is not a dispatch mode, as a canonical policy name.
+/// When the flag also accepts modes, the did-you-mean hint spans both
+/// catalogs.
+std::string canonical_policy(const std::string& text, Payloads payloads) {
   try {
     return canonical_policy_name(text);
   } catch (const std::invalid_argument&) {
+    if (payloads == Payloads::kPolicy) throw;
     std::vector<std::string> known;
     for (const ReplicaPolicyInfo& info : replica_policy_catalog()) known.push_back(info.name);
     for (const DispatchModeInfo& info : dispatch_mode_catalog()) known.push_back(info.name);
@@ -69,155 +49,61 @@ std::string canonical_policy_or_hint(const std::string& text) {
   }
 }
 
-/// Resolves one switch payload: "c3" | "hedge:q95" | "tenantA:c3" |
-/// "tenantA:tied". The mode-keyword set disambiguates mode heads from
-/// tenant names.
-PolicySwitch parse_switch_payload(sim::Time at, const std::string& payload) {
-  PolicySwitch sw;
-  sw.at = at;
-  const std::size_t colon = payload.find(':');
-  const std::string head = payload.substr(0, colon);
-
-  if (is_dispatch_mode_name(head)) {  // fleet-wide mode switch
-    sw.kind = PolicySwitch::Kind::kMode;
-    sw.mode = parse_dispatch_mode(payload);
-    return sw;
-  }
-  if (colon == std::string::npos) {  // fleet-wide policy switch
-    sw.kind = PolicySwitch::Kind::kPolicy;
-    sw.policy = canonical_policy_or_hint(payload);
-    return sw;
-  }
-
-  const std::string rest = payload.substr(colon + 1);
-  if (head.empty() || rest.empty()) {
-    throw std::invalid_argument("--policy-switch: malformed entry payload '" + payload +
-                                "' (want [tenant:]policy or [tenant:]mode)");
-  }
-  sw.tenant = head;
-  const std::string rest_head = rest.substr(0, rest.find(':'));
-  if (is_dispatch_mode_name(rest_head)) {
-    sw.kind = PolicySwitch::Kind::kMode;
-    sw.mode = parse_dispatch_mode(rest);
-  } else {
-    sw.kind = PolicySwitch::Kind::kPolicy;
-    sw.policy = canonical_policy_or_hint(rest);
-  }
-  return sw;
-}
-
-}  // namespace
-
-std::vector<PolicyBinding> parse_policy_spec(const std::string& spec) {
-  std::vector<PolicyBinding> bindings;
-  for (const std::string& entry : util::split_list(spec)) {
-    bindings.push_back(parse_binding(entry, "--policy"));
-  }
-  if (!spec.empty() && bindings.empty()) {
-    throw std::invalid_argument("--policy: empty spec");
-  }
-  return bindings;
-}
-
-std::vector<DispatchBinding> parse_dispatch_spec(const std::string& spec) {
-  std::vector<DispatchBinding> bindings;
-  for (const std::string& entry : util::split_list(spec)) {
-    const std::size_t colon = entry.find(':');
-    const std::string head = entry.substr(0, colon);
-    if (is_dispatch_mode_name(head)) {
-      bindings.push_back({"", parse_dispatch_mode(entry)});
-      continue;
-    }
-    if (colon == std::string::npos) {
-      parse_dispatch_mode(entry);  // throws with the did-you-mean hint
-      continue;                    // unreachable
-    }
-    const std::string rest = entry.substr(colon + 1);
-    if (head.empty() || rest.empty()) {
-      throw std::invalid_argument("--dispatch: malformed entry '" + entry +
-                                  "' (want [tenant:]mode)");
-    }
-    bindings.push_back({head, parse_dispatch_mode(rest)});
-  }
-  if (!spec.empty() && bindings.empty()) {
-    throw std::invalid_argument("--dispatch: empty spec");
-  }
-  return bindings;
-}
-
-std::vector<PolicySwitch> parse_policy_switch_spec(const std::string& spec) {
-  std::vector<PolicySwitch> switches;
-  for (const std::string& entry : util::split_list(spec)) {
-    const std::size_t colon = entry.find(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 >= entry.size()) {
-      throw std::invalid_argument("--policy-switch: malformed entry '" + entry +
-                                  "' (want TIME:[tenant:]policy or TIME:[tenant:]mode)");
-    }
-    const sim::Time at = parse_switch_time(entry.substr(0, colon));
-    switches.push_back(parse_switch_payload(at, entry.substr(colon + 1)));
-  }
-  if (!spec.empty() && switches.empty()) {
-    throw std::invalid_argument("--policy-switch: empty spec");
-  }
-  return switches;
-}
-
-// ---------------------------------------------------------------------------
-// PolicyRuntime
-
-PolicyRuntime::PolicyRuntime(sim::Simulator& sim, Config config)
-    : sim_(&sim), config_(std::move(config)) {
-  const std::size_t num_tenants = std::max<std::size_t>(1, config_.tenants.size());
-  initial_policy_.assign(num_tenants, replica_rule(config_.default_policy));
-  initial_mode_.assign(num_tenants, DispatchModeConfig{});
-
-  const auto apply_policy = [&](const std::string& tenant, const std::string& name) {
-    const ReplicaRule policy = replica_rule(name);
-    if (tenant.empty()) {
-      std::fill(initial_policy_.begin(), initial_policy_.end(), policy);
-    } else {
-      initial_policy_[tenant_index(tenant).value()] = policy;
-    }
+/// The one entry parser: "[TIME:][tenant:]payload", TIME required iff
+/// `timed`. It is the only place tenant names are told apart from mode
+/// heads.
+std::vector<PolicySwitch> parse_entries(const std::string& spec, const std::string& flag,
+                                        Payloads payloads, bool timed) {
+  const std::string want = std::string(timed ? "TIME:" : "") + "[tenant:]" +
+                           (payloads == Payloads::kPolicy ? "policy"
+                            : payloads == Payloads::kMode ? "mode"
+                                                          : "policy|mode");
+  const auto mode_head = [payloads](std::string_view text) {
+    return payloads != Payloads::kPolicy &&
+           is_dispatch_mode_name(std::string(text.substr(0, text.find(':'))));
   };
-  const auto apply_mode = [&](const std::string& tenant, const DispatchModeConfig& mode) {
-    if (tenant.empty()) {
-      std::fill(initial_mode_.begin(), initial_mode_.end(), mode);
-    } else {
-      initial_mode_[tenant_index(tenant).value()] = mode;
+  std::vector<PolicySwitch> entries;
+  for (const std::string& text : util::split_list(spec)) {
+    const auto malformed = [&] {
+      return std::invalid_argument(flag + ": malformed entry '" + text + "' (want " + want + ")");
+    };
+    PolicySwitch entry;
+    std::string_view payload = text;
+    if (timed) {
+      const std::size_t colon = payload.find(':');
+      if (colon == std::string_view::npos) throw malformed();
+      entry.at = parse_time(payload.substr(0, colon), flag);
+      payload.remove_prefix(colon + 1);
     }
-  };
-  for (const PolicyBinding& binding : parse_policy_spec(config_.policy_spec)) {
-    apply_policy(binding.tenant, binding.policy);
-  }
-  for (const DispatchBinding& binding : parse_dispatch_spec(config_.dispatch_spec)) {
-    apply_mode(binding.tenant, binding.mode);
-  }
-  for (const PolicySwitch& entry : parse_policy_switch_spec(config_.switch_spec)) {
-    if (entry.at == sim::Time::zero()) {
-      if (entry.kind == PolicySwitch::Kind::kPolicy) {
-        apply_policy(entry.tenant, entry.policy);
-      } else {
-        apply_mode(entry.tenant, entry.mode);
-      }
-    } else {
-      if (!entry.tenant.empty()) tenant_index(entry.tenant);  // validate eagerly
-      epochs_.push_back(entry);
+    if (const std::size_t colon = payload.find(':');
+        colon != std::string_view::npos && !mode_head(payload)) {
+      entry.tenant = payload.substr(0, colon);
+      payload.remove_prefix(colon + 1);
+      if (entry.tenant.empty()) throw malformed();
     }
+    if (payload.empty()) throw malformed();
+    if (payloads == Payloads::kMode || mode_head(payload)) {
+      entry.kind = PolicySwitch::Kind::kMode;
+      entry.mode = parse_dispatch_mode(std::string(payload));
+    } else {
+      entry.policy = canonical_policy(std::string(payload), payloads);
+    }
+    entries.push_back(std::move(entry));
   }
-  std::stable_sort(epochs_.begin(), epochs_.end(),
-                   [](const PolicySwitch& a, const PolicySwitch& b) { return a.at < b.at; });
+  if (!spec.empty() && entries.empty()) throw std::invalid_argument(flag + ": empty spec");
+  return entries;
 }
 
-store::TenantId PolicyRuntime::tenant_index(const std::string& name) const {
-  if (config_.tenants.empty()) {
+store::TenantId tenant_index(const std::vector<std::string>& tenants, const std::string& name) {
+  if (tenants.empty()) {
     throw std::invalid_argument("policy spec names tenant '" + name +
                                 "' but the scenario has no tenant mix (--tenants)");
   }
-  for (std::size_t i = 0; i < config_.tenants.size(); ++i) {
-    if (config_.tenants[i] == name) return store::TenantId{static_cast<std::uint32_t>(i)};
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    if (tenants[i] == name) return store::TenantId{static_cast<std::uint32_t>(i)};
   }
   std::string known;
-  for (const std::string& tenant : config_.tenants) {
+  for (const std::string& tenant : tenants) {
     if (!known.empty()) known += ", ";
     known += tenant;
   }
@@ -225,25 +111,82 @@ store::TenantId PolicyRuntime::tenant_index(const std::string& name) const {
                               known + ")");
 }
 
+/// Replaces the axis `entry` names and keeps the other.
+void apply(const PolicySwitch& entry, ReplicaRule& rule, DispatchModeConfig& mode) {
+  if (entry.kind == PolicySwitch::Kind::kPolicy) {
+    rule = replica_rule(entry.policy);
+  } else {
+    mode = entry.mode;
+  }
+}
+
+}  // namespace
+
+std::vector<PolicyBinding> parse_policy_spec(const std::string& spec) {
+  return parse_entries(spec, "--policy", Payloads::kPolicy, false);
+}
+
+std::vector<DispatchBinding> parse_dispatch_spec(const std::string& spec) {
+  return parse_entries(spec, "--dispatch", Payloads::kMode, false);
+}
+
+std::vector<PolicySwitch> parse_policy_switch_spec(const std::string& spec) {
+  return parse_entries(spec, "--policy-switch", Payloads::kEither, true);
+}
+
+Bindings fold_bindings(std::vector<PolicySwitch> entries, const std::string& default_policy,
+                       const std::vector<std::string>& tenants, sim::Time until) {
+  const std::size_t num_tenants = std::max<std::size_t>(1, tenants.size());
+  Bindings bindings{std::vector<ReplicaRule>(num_tenants, replica_rule(default_policy)),
+                    std::vector<DispatchModeConfig>(num_tenants), {}};
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const PolicySwitch& a, const PolicySwitch& b) { return a.at < b.at; });
+  for (PolicySwitch& entry : entries) {
+    const std::size_t first =
+        entry.tenant.empty() ? 0 : tenant_index(tenants, entry.tenant).value();
+    if (entry.at > until) {
+      bindings.pending.push_back(std::move(entry));
+      continue;
+    }
+    const std::size_t last = entry.tenant.empty() ? num_tenants : first + 1;
+    for (std::size_t t = first; t < last; ++t) apply(entry, bindings.rule[t], bindings.mode[t]);
+  }
+  return bindings;
+}
+
+// ---------------------------------------------------------------------------
+// PolicyRuntime
+
+PolicyRuntime::PolicyRuntime(sim::Simulator& sim, Config config)
+    : sim_(&sim), config_(std::move(config)) {
+  std::vector<PolicySwitch> entries = parse_policy_spec(config_.policy_spec);
+  for (const std::vector<PolicySwitch>& more : {parse_dispatch_spec(config_.dispatch_spec),
+                                                parse_policy_switch_spec(config_.switch_spec)}) {
+    entries.insert(entries.end(), more.begin(), more.end());
+  }
+  bindings_ = fold_bindings(std::move(entries), config_.default_policy, config_.tenants,
+                            sim::Time::zero());
+}
+
 const std::string& PolicyRuntime::initial_policy(store::TenantId tenant) const {
-  if (tenant.value() >= initial_policy_.size()) {
+  if (tenant.value() >= bindings_.rule.size()) {
     throw std::out_of_range("PolicyRuntime::initial_policy: bad tenant index");
   }
-  return rule_name(initial_policy_[tenant.value()]);
+  return rule_name(bindings_.rule[tenant.value()]);
 }
 
 const DispatchModeConfig& PolicyRuntime::initial_mode(store::TenantId tenant) const {
-  if (tenant.value() >= initial_mode_.size()) {
+  if (tenant.value() >= bindings_.mode.size()) {
     throw std::out_of_range("PolicyRuntime::initial_mode: bad tenant index");
   }
-  return initial_mode_[tenant.value()];
+  return bindings_.mode[tenant.value()];
 }
 
 bool PolicyRuntime::may_dispatch(DispatchMode mode) const {
-  for (const DispatchModeConfig& initial : initial_mode_) {
+  for (const DispatchModeConfig& initial : bindings_.mode) {
     if (initial.mode == mode) return true;
   }
-  for (const PolicySwitch& epoch : epochs_) {
+  for (const PolicySwitch& epoch : bindings_.pending) {
     if (epoch.kind == PolicySwitch::Kind::kMode && epoch.mode.mode == mode) return true;
   }
   return false;
@@ -255,34 +198,30 @@ bool PolicyRuntime::may_dispatch_duplicates() const {
 }
 
 DispatchEndpoint PolicyRuntime::make_endpoint(store::TenantId tenant, util::Rng rng) const {
-  if (tenant.value() >= initial_policy_.size()) {
+  if (tenant.value() >= bindings_.rule.size()) {
     throw std::invalid_argument("PolicyRuntime::make_endpoint: tenant index out of range");
   }
   // Credits systems select jointly over replica load *and* credit
   // balances (the gate mirrors balances into the SignalTable).
   return DispatchEndpoint(config_.signals,
-                          DispatchPolicy(initial_policy_[tenant.value()],
-                                         initial_mode_[tenant.value()], config_.c3,
+                          DispatchPolicy(bindings_.rule[tenant.value()],
+                                         bindings_.mode[tenant.value()], config_.c3,
                                          config_.credit_aware, config_.c3.prior_service_time, rng,
                                          sim_),
                           rng, tenant);
 }
 
 void PolicyRuntime::apply_epoch(std::size_t epoch_index) {
-  const PolicySwitch& epoch = epochs_[epoch_index];
+  const PolicySwitch& epoch = bindings_.pending[epoch_index];
   for (DispatchEndpoint* endpoint : endpoints_) {
     if (!epoch.tenant.empty() && config_.tenants[endpoint->tenant().value()] != epoch.tenant) {
       continue;
     }
-    // A switch replaces one axis of the (rule, mode) pair and keeps
-    // the other; the replacement policy reads the same SignalTable the
-    // old one fed from — it starts with warm estimates, not a cold
-    // cache.
-    const DispatchPolicy& current = endpoint->policy_;
-    const ReplicaRule rule =
-        epoch.kind == PolicySwitch::Kind::kPolicy ? replica_rule(epoch.policy) : current.rule();
-    const DispatchModeConfig mode =
-        epoch.kind == PolicySwitch::Kind::kMode ? epoch.mode : current.mode();
+    // The replacement policy reads the same SignalTable the old one
+    // fed from — it starts with warm estimates, not a cold cache.
+    ReplicaRule rule = endpoint->policy_.rule();
+    DispatchModeConfig mode = endpoint->policy_.mode();
+    apply(epoch, rule, mode);
     endpoint->rebind(DispatchPolicy(rule, mode, config_.c3, config_.credit_aware,
                                     config_.c3.prior_service_time, endpoint->rng_.split(), sim_));
     ++switches_applied_;
@@ -292,11 +231,11 @@ void PolicyRuntime::apply_epoch(std::size_t epoch_index) {
 void PolicyRuntime::start(std::vector<DispatchEndpoint*> endpoints) {
   if (started_) throw std::logic_error("PolicyRuntime::start: called twice");
   started_ = true;
-  if (epochs_.empty()) return;
+  if (bindings_.pending.empty()) return;
   endpoints_ = std::move(endpoints);
   const std::uint32_t target = sim_->attach(*this);
-  for (std::size_t i = 0; i < epochs_.size(); ++i) {
-    sim_->post_at(epochs_[i].at, {sim::EventKind::kPolicyEpoch, target, i});
+  for (std::size_t i = 0; i < bindings_.pending.size(); ++i) {
+    sim_->post_at(bindings_.pending[i].at, {sim::EventKind::kPolicyEpoch, target, i});
   }
 }
 

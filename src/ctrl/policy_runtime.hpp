@@ -14,6 +14,10 @@
 //                                      tenant-qualified
 //                                      ("30s:tenantA:tied")
 //
+// The three specs are one entry list: --policy=X and --dispatch=M
+// read as t0:X and t0:M, and the runtime folds the t0 entries into
+// each tenant's starting binding and schedules the rest as epochs.
+//
 // A switch replaces only the decision procedure; the accumulated
 // signals (EWMAs, outstanding counts, balances) live in the
 // SignalTable and survive the swap — the new policy starts warm.
@@ -33,22 +37,9 @@
 
 namespace brb::ctrl {
 
-/// One "[tenant:]policy" entry of a --policy spec. An empty tenant
-/// applies to every tenant.
-struct PolicyBinding {
-  std::string tenant;
-  std::string policy;  // canonical name
-};
-
-/// One "[tenant:]mode" entry of a --dispatch spec. An empty tenant
-/// applies to every tenant.
-struct DispatchBinding {
-  std::string tenant;
-  DispatchModeConfig mode;
-};
-
-/// One "TIME:[tenant:]payload" entry of a --policy-switch spec, where
+/// One entry of a control-plane spec: "[TIME:][tenant:]payload", where
 /// the payload is a replica-policy name or a dispatch-mode spec.
+/// --policy and --dispatch entries carry no TIME and bind at t0.
 struct PolicySwitch {
   enum class Kind : std::uint8_t { kPolicy, kMode };
 
@@ -59,24 +50,43 @@ struct PolicySwitch {
   DispatchModeConfig mode;  // kind == kMode
 };
 
-/// Parses "--policy" ("name" | "tenant:name,..." | a mix; later entries
-/// win). Policy names are canonicalized (aliases resolve); unknown
-/// names throw with a did-you-mean hint.
+/// A --policy entry ("[tenant:]policy") and a --dispatch entry
+/// ("[tenant:]mode"): untimed entries of one payload kind.
+using PolicyBinding = PolicySwitch;
+using DispatchBinding = PolicySwitch;
+
+/// The three control-plane specs are comma lists of entries (later
+/// entries win) in one grammar, "[TIME:][tenant:]payload". TIME is "t0"
+/// or a duration with an s/ms/us suffix, in [0, 2^63) ns. A payload
+/// whose head (the text before its first ':') is a mode keyword
+/// {single, hedge, tied, kofn} is a dispatch mode; otherwise, text
+/// before a ':' names a tenant. Policy names are canonicalized
+/// (aliases resolve); unknown payloads throw std::invalid_argument with
+/// a did-you-mean hint over the payload kinds the flag accepts. The
+/// flags differ only in those kinds and in whether TIME is required:
+///
+///   --policy          [tenant:]policy
+///   --dispatch        [tenant:]mode
+///   --policy-switch   TIME:[tenant:]policy|mode
+///                     (entries keep spec order; the fold sorts them)
 std::vector<PolicyBinding> parse_policy_spec(const std::string& spec);
-
-/// Parses "--dispatch" ("mode" | "tenant:mode,..."; later entries win).
-/// Mode heads are disambiguated from tenant names by the mode-keyword
-/// set {single, hedge, tied, kofn}; unknown modes throw with a
-/// did-you-mean hint.
 std::vector<DispatchBinding> parse_dispatch_spec(const std::string& spec);
-
-/// Parses "--policy-switch" ("t0:random,30s:c3,45s:tenantA:lor,
-/// 60s:hedge:q95"). Times are "t0" or a positive duration with an
-/// s/ms/us suffix. Each payload resolves to a policy name or a
-/// dispatch-mode spec; unknown payloads throw with a did-you-mean hint
-/// over the combined policy + mode catalog. Entries keep spec order;
-/// callers sort by time where needed.
 std::vector<PolicySwitch> parse_policy_switch_spec(const std::string& spec);
+
+/// Every tenant's binding after a fold, and the entries still to come.
+struct Bindings {
+  std::vector<ReplicaRule> rule;         // per tenant
+  std::vector<DispatchModeConfig> mode;  // per tenant
+  std::vector<PolicySwitch> pending;     // entries after `until`, time-ordered
+};
+
+/// Folds `entries` over `default_policy` and single dispatch: the
+/// entries at or before `until` apply in time order (spec order among
+/// equal times), each replacing one axis of its tenant's (rule, mode)
+/// pair. `tenants` lists the tenant names in tenant-index order (empty
+/// = one anonymous tenant); every tenant-qualified entry must name one.
+Bindings fold_bindings(std::vector<PolicySwitch> entries, const std::string& default_policy,
+                       const std::vector<std::string>& tenants, sim::Time until);
 
 class PolicyRuntime {
  public:
@@ -130,20 +140,17 @@ class PolicyRuntime {
   /// run never fire).
   std::uint64_t switches_applied() const noexcept { return switches_applied_; }
   /// Scheduled future epochs (post-t0 entries in the switch spec).
-  std::size_t num_epochs() const noexcept { return epochs_.size(); }
+  std::size_t num_epochs() const noexcept { return bindings_.pending.size(); }
   const Config& config() const noexcept { return config_; }
 
  private:
   friend class sim::Simulator;  // dispatches kPolicyEpoch
 
-  store::TenantId tenant_index(const std::string& name) const;
   void apply_epoch(std::size_t epoch_index);
 
   sim::Simulator* sim_;
   Config config_;
-  std::vector<ReplicaRule> initial_policy_;       // per tenant
-  std::vector<DispatchModeConfig> initial_mode_;  // per tenant
-  std::vector<PolicySwitch> epochs_;              // time-ordered, t > 0 only
+  Bindings bindings_;  // at t0; pending = the epochs, t > 0 only
   std::vector<DispatchEndpoint*> endpoints_;  // non-owning; kept only with epochs
   std::uint64_t switches_applied_ = 0;
   bool started_ = false;

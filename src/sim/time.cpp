@@ -24,6 +24,12 @@ std::string format_ns(std::int64_t ns) {
 
 }  // namespace
 
+std::optional<Duration> checked_duration(double value, double unit_ns) {
+  const double nanos = value * unit_ns;
+  if (!(nanos >= 0.0 && nanos < 0x1p63)) return std::nullopt;
+  return Duration::nanos(static_cast<std::int64_t>(nanos));
+}
+
 std::string to_string(Duration d) { return format_ns(d.count_nanos()); }
 std::string to_string(Time t) { return format_ns(t.count_nanos()); }
 

@@ -9,6 +9,7 @@
 #include <compare>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 
 namespace brb::sim {
@@ -110,6 +111,12 @@ class Time {
   explicit constexpr Time(std::int64_t ns) noexcept : ns_(ns) {}
   std::int64_t ns_ = 0;
 };
+
+/// `value` units of `unit_ns` nanoseconds, truncated to whole
+/// nanoseconds; nullopt unless the product is in [0, 2^63) ns, outside
+/// which the int64 cast is undefined. The one checked conversion for
+/// durations read from flags and specs (NaN fails it too).
+std::optional<Duration> checked_duration(double value, double unit_ns);
 
 /// Human-readable rendering, e.g. "1.500ms" / "42.000us"; for logs only.
 std::string to_string(Duration d);

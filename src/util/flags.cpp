@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <system_error>
 
@@ -109,9 +108,13 @@ std::uint64_t parse_spec_count(std::string_view field, std::string_view spec, st
 }
 
 ModelSpec::ModelSpec(std::string_view spec, std::string_view who) : spec_(spec) {
-  std::stringstream ss(spec_);
-  for (std::string part; std::getline(ss, part, ':');) parts_.push_back(part);
-  if (parts_.empty()) throw std::invalid_argument(std::string(who) + ": empty spec");
+  if (spec.empty()) throw std::invalid_argument(std::string(who) + ": empty spec");
+  for (;;) {
+    const std::size_t colon = spec.find(':');
+    parts_.emplace_back(spec.substr(0, colon));
+    if (colon == std::string_view::npos) return;
+    spec.remove_prefix(colon + 1);
+  }
 }
 
 std::optional<std::string> Flags::get(std::string_view name) const {

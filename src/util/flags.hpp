@@ -89,9 +89,11 @@ double parse_spec_number(std::string_view field, std::string_view spec);
 /// "1e5"; not "1e5x", "2.5" or "-1").
 std::uint64_t parse_spec_count(std::string_view field, std::string_view spec, std::uint64_t max);
 
-/// A model spec "NAME:ARG:..." split on ':', as the workload factories
-/// (make_key_distribution, make_size_distribution, ...) read it. Its
-/// arguments parse through parse_spec_number and parse_spec_count.
+/// A model spec "NAME:ARG:..." split on every ':' (empty parts kept, so
+/// "zipf:100:" has an empty third argument), as the workload factories
+/// (make_key_distribution, make_size_distribution, ...) and
+/// parse_dispatch_mode read it. Its arguments parse through
+/// parse_spec_number and parse_spec_count.
 class ModelSpec {
  public:
   /// Throws std::invalid_argument "WHO: empty spec" for an empty spec.

@@ -802,6 +802,107 @@ TEST(PolicySwitchParsing, TimesAndBindings) {
   EXPECT_THROW(ctrl::parse_policy_switch_spec("30:random"), std::invalid_argument);
   EXPECT_THROW(ctrl::parse_policy_switch_spec("-3s:random"), std::invalid_argument);
   EXPECT_THROW(ctrl::parse_policy_switch_spec("xs:random"), std::invalid_argument);
+  // Times parse whole and finite and fit the int64 nanosecond clock.
+  for (const char* spec : {"nans:c3", "1e300s:c3", "infms:c3", "+1s:c3", " 1s:c3", "1s :c3",
+                           "9.3e9s:c3", "s:c3", "ms:c3"}) {
+    EXPECT_THROW(ctrl::parse_policy_switch_spec(spec), std::invalid_argument) << spec;
+  }
+  EXPECT_EQ(ctrl::parse_policy_switch_spec("9.2e9s:c3")[0].at, Time::seconds(9.2e9));
+}
+
+/// An accepted mode has in-range parameters and its canonical spelling
+/// re-parses to an equal config.
+void expect_clean_mode(const ctrl::DispatchModeConfig& mode, const std::string& spec) {
+  EXPECT_TRUE(mode.hedge_quantile > 0.0 && mode.hedge_quantile < 1.0) << spec;
+  EXPECT_GE(mode.fresh_age, Duration::zero()) << spec;
+  EXPECT_TRUE(mode.k >= 1 && mode.k <= ctrl::DispatchPlan::kMaxTargets) << spec;
+  const std::string canonical = mode.canonical();
+  const ctrl::DispatchModeConfig again = ctrl::parse_dispatch_mode(canonical);
+  EXPECT_EQ(again.mode, mode.mode) << spec << " -> " << canonical;
+  EXPECT_EQ(again.k, mode.k) << spec << " -> " << canonical;
+  EXPECT_EQ(again.hedge_quantile, mode.hedge_quantile) << spec << " -> " << canonical;
+  EXPECT_EQ(again.fresh_age, mode.fresh_age) << spec << " -> " << canonical;
+}
+
+/// One random edit of `spec`: a byte flip, an inserted separator, digit
+/// or non-finite number, or a deleted byte.
+std::string mutate(std::string spec, util::Rng& rng) {
+  static const std::vector<std::string> kInserts = {
+      ":", ",", "=", "0", "1", "5", "9", ".", "-", "+", " ", "e", "s", "ms", "us", "q",
+      "nan", "inf", "1e300", "-1", "t0", "hedge", "tied", "kofn", "c3", "fresh="};
+  const auto at = [&](std::size_t extra) {
+    return static_cast<std::size_t>(rng.uniform_u64_below(spec.size() + extra));
+  };
+  switch (rng.uniform_int(0, 2)) {
+    case 0:
+      if (!spec.empty()) spec[at(0)] = static_cast<char>(rng.uniform_int(1, 255));
+      break;
+    case 1:
+      spec.insert(at(1), kInserts[rng.uniform_u64_below(kInserts.size())]);
+      break;
+    default:
+      if (!spec.empty()) spec.erase(at(0), 1);
+      break;
+  }
+  return spec;
+}
+
+TEST(ControlPlaneGrammar, MutatedSpecsThrowOrParseClean) {
+  // Every spec either throws std::invalid_argument or parses to entries
+  // a run can use: times in [0, 2^63) ns, canonical policy names,
+  // in-range modes whose canonical spelling round-trips.
+  using Parse = std::vector<ctrl::PolicySwitch> (*)(const std::string&);
+  const std::vector<std::pair<Parse, std::vector<std::string>>> grammars = {
+      {ctrl::parse_policy_spec,
+       {"c3", "lpc,tenantA:c3,tenantB:lor", "interactive:c3,batch:least-outstanding"}},
+      {ctrl::parse_dispatch_spec,
+       {"hedge:q95", "tenantA:tied,tenantB:kofn:3", "hedge:q99.9:fresh=2,batch:single"}},
+      {ctrl::parse_policy_switch_spec,
+       {"t0:random,30s:c3,500ms:tenantA:lor", "t0:random,1s:hedge:q99,2s:batch:kofn:3",
+        "200ms:interactive:hedge:q95,400ms:batch:random", "250us:tied,1.5s:hedge:fresh=0.5"}},
+  };
+  const std::vector<std::string> modes = {"hedge:q95:fresh=2", "hedge:q99.9", "kofn:3", "tied",
+                                          "single", "hedge:fresh=0.25"};
+  util::Rng rng(20261021);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  const auto mutant = [&](const std::vector<std::string>& seeds) {
+    std::string spec = seeds[rng.uniform_u64_below(seeds.size())];
+    for (std::int64_t edits = rng.uniform_int(1, 3); edits > 0; --edits) spec = mutate(spec, rng);
+    return spec;
+  };
+  for (int round = 0; round < 1500; ++round) {
+    for (const auto& [parse, seeds] : grammars) {
+      const std::string spec = mutant(seeds);
+      std::vector<ctrl::PolicySwitch> entries;
+      try {
+        entries = parse(spec);
+      } catch (const std::invalid_argument&) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      for (const ctrl::PolicySwitch& entry : entries) {
+        EXPECT_GE(entry.at, Time::zero()) << spec;
+        EXPECT_EQ(entry.tenant.find_first_of(":,"), std::string::npos) << spec;
+        if (entry.kind == ctrl::PolicySwitch::Kind::kPolicy) {
+          EXPECT_EQ(ctrl::canonical_policy_name(entry.policy), entry.policy) << spec;
+        } else {
+          expect_clean_mode(entry.mode, spec);
+        }
+      }
+    }
+    const std::string spec = mutant(modes);
+    try {
+      expect_clean_mode(ctrl::parse_dispatch_mode(spec), spec);
+      ++accepted;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    }
+  }
+  // Both outcomes are common, so the mutations reach past the first check.
+  EXPECT_GT(accepted, 600u);
+  EXPECT_GT(rejected, 600u);
 }
 
 // ---------------------------------------------------------------------------

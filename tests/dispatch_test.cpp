@@ -426,6 +426,25 @@ TEST(DispatchModeGrammar, ParsesAndCanonicalizes) {
   EXPECT_DOUBLE_EQ(hedge.hedge_quantile, 0.90);
   EXPECT_TRUE(ctrl::parse_dispatch_mode("single").is_single());
   EXPECT_FALSE(hedge.is_single());
+
+  // The canonical spelling re-parses to the same config, also past the
+  // six digits "%g" prints and where the millisecond parse truncates.
+  for (const char* spec : {"hedge:q99.12345678", "hedge:q0.0001:fresh=0.000003",
+                           "hedge:q33.3:fresh=0.3", "hedge:fresh=1e12"}) {
+    const DispatchModeConfig mode = ctrl::parse_dispatch_mode(spec);
+    const DispatchModeConfig again = ctrl::parse_dispatch_mode(mode.canonical());
+    EXPECT_EQ(again.hedge_quantile, mode.hedge_quantile) << spec << " -> " << mode.canonical();
+    EXPECT_EQ(again.fresh_age, mode.fresh_age) << spec << " -> " << mode.canonical();
+  }
+
+  // Numbers parse whole and finite: no sign, space, NaN, infinity or
+  // duration past the int64 nanosecond clock.
+  for (const char* spec : {"hedge:fresh=inf", "hedge:fresh=nan", "hedge:fresh=1e300",
+                           "hedge:fresh=-1", "hedge:fresh=", "hedge:q 95", "hedge:q+95",
+                           "hedge:qnan", "hedge:q95 ", "kofn:+2", "kofn: 2", "kofn:2.0",
+                           "kofn:", "hedge:", "tied:", "kofn:2:3"}) {
+    EXPECT_THROW(ctrl::parse_dispatch_mode(spec), std::invalid_argument) << spec;
+  }
 }
 
 TEST(DispatchModeGrammar, RejectsWithDidYouMean) {

@@ -482,7 +482,15 @@ TEST(Driver, PlanRejectsBadControlPlaneAndTenantSpecs) {
            {"--admission=bogus", "config: admission:"},
            {"--policy=bogus", "config: policy:"},
            {"--dispatch=bogus", "config: dispatch:"},
-           {"--policy-switch=bogus", "config: policy-switch:"}}) {
+           {"--policy-switch=bogus", "config: policy-switch:"},
+           // Numbers parse whole and finite, and times fit the clock.
+           {"--policy-switch=nans:c3", "config: policy-switch:"},
+           {"--policy-switch=1e300s:c3", "config: policy-switch:"},
+           {"--policy-switch=infms:c3", "config: policy-switch:"},
+           {"--dispatch=hedge:fresh=inf", "config: dispatch:"},
+           {"--dispatch=hedge:fresh=1e300", "config: dispatch:"},
+           {"--dispatch=kofn:+2", "config: dispatch:"},
+           {"--dispatch=hedge:q 95", "config: dispatch:"}}) {
     const auto [code, err] = run_brbsim({"--scenario=paper", arg, "--plan"});
     EXPECT_EQ(code, 1) << arg;
     EXPECT_NE(err.find(names), std::string::npos) << arg << ": " << err;

@@ -397,7 +397,7 @@ class ExactTestZipf {
   std::uint64_t trial(double r) const {
     const double u = h_n_ + r * (h_x1_ - h_n_);
     const double x = h_inv(u);
-    auto k = static_cast<std::uint64_t>(x + 0.5);
+    auto k = x + 0.5 < static_cast<double>(n_) ? static_cast<std::uint64_t>(x + 0.5) : n_;
     k = k < 1 ? 1 : (k > n_ ? n_ : k);
     if (static_cast<double>(k) - x <= cut_) return k;
     if (u >= h(static_cast<double>(k) + 0.5) - std::pow(static_cast<double>(k), -s_)) return k;

@@ -233,6 +233,9 @@ TEST(KeyFactory, ParsesSpecs) {
   EXPECT_EQ(make_key_distribution("uniform:500")->num_keys(), 500u);
   EXPECT_EQ(make_key_distribution("zipf:500:0.9")->num_keys(), 500u);
   EXPECT_THROW(make_key_distribution("what"), std::invalid_argument);
+  // A trailing ':' leaves an empty argument, which is not a number.
+  EXPECT_THROW(make_key_distribution("zipf:500:"), std::invalid_argument);
+  EXPECT_THROW(make_key_distribution("uniform:"), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
