@@ -234,9 +234,9 @@ std::vector<ExperimentCase> expand_policy_switch(const ScenarioConfig& base,
   const std::string schedule = base.policy_switch_spec.empty() ? "t0:random,1s:c3-noderate"
                                                                : base.policy_switch_spec;
   // The endpoints are the runtime's own fold of the schedule over the
-  // kFifoDirect profile default: up to t0, and to the end. Tenant-
-  // qualified entries rebind only a slice of the fleet, so no single
-  // static endpoint exists for them.
+  // kFifoDirect profile default, up to t0 and to the end. An entry
+  // that names a tenant rebinds only a slice of the fleet, so it has
+  // no single static endpoint.
   const std::vector<ctrl::PolicySwitch> entries = ctrl::parse_policy_switch_spec(schedule);
   for (const ctrl::PolicySwitch& entry : entries) {
     if (!entry.tenant.empty()) {
