@@ -176,40 +176,21 @@ CongestionMonitor::CongestionMonitor(sim::Simulator& sim,
   if (!signal_) throw std::invalid_argument("CongestionMonitor: null signal fn");
   thresholds_.reserve(servers_.size());
   for (const server::BackendServer* server : servers_) {
-    thresholds_.push_back(static_cast<std::uint32_t>(
-        config_.congestion_queue_factor * static_cast<double>(server->config().cores)));
+    thresholds_.push_back(config_.congestion_queue_factor *
+                          static_cast<double>(server->config().cores));
   }
-  over_.assign(servers_.size(), false);
 }
 
 void CongestionMonitor::start() {
   running_ = true;
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    servers_[i]->set_queue_watch(thresholds_[i], [this, i](bool over) { update(i, over); });
-  }
   sim_->post_after(config_.monitor_interval, {sim::EventKind::kMonitorTick, target_, 0});
-}
-
-void CongestionMonitor::update(std::size_t index, bool over) {
-  if (over == over_[index]) return;
-  over_[index] = over;
-  if (over) {
-    ++num_over_;
-  } else {
-    --num_over_;
-  }
 }
 
 void CongestionMonitor::tick() {
   if (!running_) return;
-  // The common (uncongested) tick is a single counter check; when
-  // servers are congested, only they are visited, in ascending index
-  // order — the same signal order the old full scan produced.
-  if (num_over_ > 0) {
-    for (std::size_t i = 0; i < servers_.size(); ++i) {
-      if (!over_[i]) continue;
-      signal_(servers_[i]->config().id, servers_[i]->queue_length());
-    }
+  for (std::size_t i = 0; i < servers_.size(); ++i) {
+    const std::uint32_t queue = servers_[i]->queue_length();
+    if (queue > thresholds_[i]) signal_(servers_[i]->config().id, queue);
   }
   sim_->post_after(config_.monitor_interval, {sim::EventKind::kMonitorTick, target_, 0});
 }

@@ -17,9 +17,9 @@
 //     demand, reports it every measurement interval, spends credits to
 //     transmit, and holds excess requests in a local priority queue
 //     until the next grant.
-//   CongestionMonitor — server side. Watches queue lengths and signals
-//     the controller when a server's backlog exceeds its capacity
-//     threshold.
+//   CongestionMonitor — server side. Samples each server's queue length
+//     at every monitor tick and signals the controller when a server's
+//     backlog exceeds its capacity threshold.
 //
 // All control messages travel over the simulated network (latency
 // applies), which is exactly the realism gap between credits and the
@@ -156,11 +156,9 @@ class CreditsController {
 
 /// Server-side queue watchdog that emits congestion signals.
 ///
-/// Instead of scanning every server's queue each sampling period, the
-/// monitor subscribes to each server's threshold-crossing watch
-/// (BackendServer::set_queue_watch) and maintains the over-threshold
-/// set incrementally; the periodic tick only walks servers already
-/// known to be congested (and is a no-op while none are).
+/// Each tick samples every server's `queue_length()` (under a global
+/// queue, its live backlog) and signals each server whose length
+/// exceeds `congestion_queue_factor` x cores, in `servers` order.
 class CongestionMonitor {
  public:
   using SignalFn = std::function<void(store::ServerId, std::uint32_t queue_length)>;
@@ -175,17 +173,15 @@ class CongestionMonitor {
   friend class sim::Simulator;  // dispatches kMonitorTick
 
   void tick();
-  /// O(1) per threshold crossing: flips the server's congestion flag.
-  void update(std::size_t index, bool over);
 
   sim::Simulator* sim_;
   std::vector<server::BackendServer*> servers_;
   CreditsConfig config_;
   SignalFn signal_;
   bool running_ = false;
-  std::vector<std::uint32_t> thresholds_;
-  std::vector<bool> over_;
-  std::size_t num_over_ = 0;
+  /// Per server, factor x cores: a queue longer than this signals.
+  /// Kept in double so that no factor the flag accepts can wrap.
+  std::vector<double> thresholds_;
   std::uint32_t target_;
 };
 

@@ -640,7 +640,7 @@ Fleet::Fleet(const FleetSpec& spec, util::Rng network_rng, util::Rng& streams)
   }
 
   // --- credits wiring: demand reports up, grants down, congestion
-  // signals from the servers' queue watches ---
+  // signals from the monitor's sampled server queues ---
   if (!credits_admission) return;
   std::vector<double> capacities(num_servers);
   for (std::uint32_t s = 0; s < num_servers; ++s) capacities[s] = spec.cluster.capacity_of(s);

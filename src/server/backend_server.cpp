@@ -39,22 +39,18 @@ void BackendServer::receive(const store::ReadRequest& request) {
   }
   server::push(*queue_, QueuedRead{request, sim_->now()});
   pump();
-  check_watch();
 }
 
 void BackendServer::pump() {
   if (!queue_ && global_queue_ == nullptr) {
     throw std::logic_error("BackendServer::pump: no queue");
   }
-  bool pulled = false;
   while (!idle_.empty()) {
     std::optional<QueuedRead> read =
         queue_ ? server::pop(*queue_) : global_queue_->next_for(config_.id);
     if (!read) break;
-    pulled = true;
     start_service(read->request);
   }
-  if (pulled) check_watch();
 }
 
 void BackendServer::start_service(const store::ReadRequest& request) {

@@ -58,19 +58,6 @@ class BackendServer {
   void set_global_queue(GlobalQueueModel& queue) { global_queue_ = &queue; }
   void set_response_handler(ResponseHandler handler) { on_response_ = std::move(handler); }
 
-  /// Incremental backlog watch: `fn(over)` fires when the private
-  /// queue's length crosses `threshold` in either direction, letting
-  /// observers like the credits congestion monitor track congestion
-  /// state in O(1) instead of polling every server. The callback cost
-  /// is paid only at crossings; steady state is a cached compare.
-  using QueueWatchFn = std::function<void(bool over)>;
-  void set_queue_watch(std::uint32_t threshold, QueueWatchFn fn) {
-    watch_threshold_ = threshold;
-    queue_watch_ = std::move(fn);
-    watch_over_ = false;
-    check_watch();
-  }
-
   /// Service-admission filter (tail-cutting executor): called
   /// synchronously at every service start; returning false rejects the
   /// request — it consumes no core and no service-time draw, and no
@@ -125,14 +112,6 @@ class BackendServer {
   void start_service(const store::ReadRequest& request);
   /// The kServiceDone handler: `core` finished its request.
   void complete(std::uint32_t core);
-  void check_watch() {
-    if (!queue_watch_) return;
-    const bool over = queue_length() > watch_threshold_;
-    if (over != watch_over_) {
-      watch_over_ = over;
-      queue_watch_(over);
-    }
-  }
 
   sim::Simulator* sim_;
   Config config_;
@@ -142,9 +121,6 @@ class BackendServer {
   GlobalQueueModel* global_queue_ = nullptr;  // global-queue mode
   ResponseHandler on_response_;
   ServiceFilterFn service_filter_;
-  QueueWatchFn queue_watch_;
-  std::uint32_t watch_threshold_ = 0;
-  bool watch_over_ = false;
   store::StorageEngine storage_;
   /// One in-service slot per core, and the idle cores' slots.
   std::vector<InService> in_service_;

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "client/dispatch_gate.hpp"
@@ -11,8 +12,10 @@
 #include "ctrl/dispatch_policy.hpp"
 #include "ctrl/signal_table.hpp"
 #include "server/backend_server.hpp"
+#include "server/global_queue.hpp"
 #include "server/service_model.hpp"
 #include "sim/simulator.hpp"
+#include "store/partitioner.hpp"
 #include "util/rng.hpp"
 
 namespace brb::core {
@@ -446,6 +449,78 @@ TEST(CongestionMonitor, SignalsOnlyAboveThreshold) {
   monitor.stop();
   EXPECT_FALSE(signals.empty());
   EXPECT_GT(signals.front(), 4u);
+}
+
+TEST(CongestionMonitor, HugeFactorNeverSignals) {
+  sim::Simulator simulator;
+  server::SizeLinearServiceModel model(Duration::seconds(1.0), 0.0);
+  server::BackendServer::Config server_config;
+  server_config.cores = 1;
+  server::BackendServer server(simulator, server_config, model, util::Rng(1));
+  server.use_private_queue(server::make_discipline("fifo"));
+  server.set_response_handler([](const store::ReadResponse&) {});
+
+  // factor x cores is far past any queue length (and any uint32).
+  CreditsConfig config;
+  config.congestion_queue_factor = 1e300;
+  std::size_t signals = 0;
+  CongestionMonitor monitor(simulator, {&server}, config,
+                            [&](store::ServerId, std::uint32_t) { ++signals; });
+  monitor.start();
+  simulator.schedule_at(Time::millis(1), [&] {
+    for (store::RequestId id = 0; id < 20; ++id) {
+      store::ReadRequest request;
+      request.request_id = id;
+      server.receive(request);
+    }
+  });
+  simulator.run_until(Time::millis(150));
+  monitor.stop();
+  EXPECT_EQ(server.queue_length(), 19u);
+  EXPECT_EQ(signals, 0u);
+}
+
+TEST(CongestionMonitor, SamplesGlobalQueueBacklog) {
+  // Two 1-core servers that both replicate both groups of one global
+  // queue: every queued read counts in both servers' backlog, but only
+  // a pull by an idle server takes one out.
+  sim::Simulator simulator;
+  store::RingPartitioner partitioner(2, 2);
+  server::SizeLinearServiceModel model(Duration::seconds(1.0), 0.0);
+  server::GlobalQueueModel queue(partitioner, "fifo");
+  std::vector<std::unique_ptr<server::BackendServer>> servers;
+  std::vector<server::BackendServer*> raw;
+  for (store::ServerId s = 0; s < 2; ++s) {
+    server::BackendServer::Config server_config;
+    server_config.id = s;
+    server_config.cores = 1;
+    servers.push_back(
+        std::make_unique<server::BackendServer>(simulator, server_config, model, util::Rng(s + 1)));
+    servers.back()->set_response_handler([](const store::ReadResponse&) {});
+    raw.push_back(servers.back().get());
+  }
+  queue.attach_servers(raw);
+
+  CreditsConfig config;
+  config.congestion_queue_factor = 2.0;  // threshold: backlog > 2
+  std::vector<std::pair<store::ServerId, std::uint32_t>> signals;
+  CongestionMonitor monitor(simulator, raw, config,
+                            [&](store::ServerId server, std::uint32_t backlog) {
+                              signals.emplace_back(server, backlog);
+                            });
+  monitor.start();
+  // Seven reads: the first two start on the two idle cores, five wait.
+  simulator.schedule_at(Time::millis(1), [&queue] {
+    for (store::RequestId id = 0; id < 7; ++id) {
+      server::QueuedRead read;
+      read.request.request_id = id;
+      queue.submit(read, static_cast<store::GroupId>(id % 2));
+    }
+  });
+  simulator.run_until(Time::millis(150));
+  monitor.stop();
+  const std::vector<std::pair<store::ServerId, std::uint32_t>> expected = {{0, 5}, {1, 5}};
+  EXPECT_EQ(signals, expected);
 }
 
 // ---------------------------------------------------------------------------
